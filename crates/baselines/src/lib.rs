@@ -1,7 +1,8 @@
 //! # fatrobots-baselines
 //!
 //! Baseline gathering strategies used as comparators for the paper's
-//! algorithm in the experiment harness (EXPERIMENTS.md, experiment E5).
+//! algorithm in the experiment harness (experiment E5, `report --e5`; see
+//! README, "The `report` CLI").
 //!
 //! None of these baselines is taken from a specific prior implementation;
 //! they are the natural strawmen the paper's introduction argues against:

@@ -1,4 +1,4 @@
-//! `report` — regenerate the experiment tables of EXPERIMENTS.md.
+//! `report` — regenerate the experiment tables (README, "The `report` CLI").
 //!
 //! ```sh
 //! cargo run --release -p fatrobots-bench --bin report                  # all tables
@@ -35,8 +35,8 @@ const USAGE: &str = "\
 Usage: report [OPTIONS]
        report fuzz [--budget <N>] [--fuzz-seed <N>] [--out <DIR>] [--json <PATH>]
 
-Regenerates the experiment tables of EXPERIMENTS.md. With no table flags,
-every table is produced.
+Regenerates the experiment tables (README, section \"The `report` CLI\").
+With no table flags, every table is produced.
 
 Table selection:
   --e1           E1  gathering cost vs number of robots

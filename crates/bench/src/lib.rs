@@ -1,11 +1,12 @@
 //! # fatrobots-bench
 //!
 //! Shared helpers for the Criterion benchmarks and the `report` binary that
-//! regenerates the tables of `EXPERIMENTS.md`. The actual experiment logic
-//! lives in [`fatrobots_sim::experiment`] (with the parallel dispatch in
-//! [`fatrobots_sim::sweep`]); this crate provides the table printer, the
-//! hand-rolled [`json`] layer, and the `bench_report.json` serializer so
-//! every bench and the report emit exactly the same rows.
+//! regenerates the experiment tables (README, "The `report` CLI"). The
+//! actual experiment logic lives in [`fatrobots_sim::experiment`] (with
+//! the parallel dispatch in [`fatrobots_sim::sweep`]); this crate provides
+//! the table printer, the hand-rolled [`json`] layer, and the
+//! `bench_report.json` serializer so every bench and the report emit
+//! exactly the same rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

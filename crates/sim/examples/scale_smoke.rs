@@ -15,15 +15,19 @@
 //! invariant breaks.
 //!
 //! Each cycle performs the 16 movers' Looks first and then their moves.
-//! With `--threads N` (default 1) the Look phase batches movers whose
-//! recompute plans ([`World::look_plan`]) are pair-disjoint and fans their
-//! pair kernels out over `N` threads ([`compute_pair_answers`]), committing
-//! each Look in slot order with the precomputed answers injected — the
-//! same commutation-batching protocol as the engine's parallel executor.
-//! The injected answers are answer-preserving, so the final world state
-//! and every cache counter are bit-identical across thread counts; the
-//! telemetry carries a state fingerprint the CI `scale` job compares
-//! between its serial and `--threads 2` runs.
+//! With the default `--threads 1` the Looks run one after another, but
+//! each mover's first Look (a 10⁴-pair row) still fans its pair kernels
+//! out across the host's cores inside the world
+//! ([`World::visible_of_into`]). With `--threads N > 1` the Look phase
+//! batches movers whose recompute plans ([`World::look_plan`]) are
+//! pair-disjoint and fans their pair kernels out over `N` threads
+//! ([`compute_pair_answers`]), committing each Look in slot order with the
+//! precomputed answers injected — the same commutation-batching protocol
+//! as the engine's parallel executor; injected rows never fan out again.
+//! Both paths are answer-preserving, so the final world state and every
+//! cache counter are bit-identical across thread counts; the telemetry
+//! carries a state fingerprint the CI `scale` job compares between its
+//! default and `--threads 2` runs.
 //!
 //! Telemetry (events/s, cache/cover counters, batching counters, heap,
 //! fingerprint) is printed and, when `SCALE_TELEMETRY` names a path,

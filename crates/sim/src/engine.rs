@@ -102,7 +102,11 @@ pub struct SimConfig {
     /// [deterministic parallel executor](crate::parallel) — commutation
     /// batching plus speculative Compute — which is pinned event-for-event
     /// identical to serial, so only throughput changes. Single-stepping via
-    /// [`Simulator::step`] is always serial.
+    /// [`Simulator::step`] never batches events. Independently of this
+    /// budget, a sparse-world Look with a large row to recompute fans its
+    /// pair kernels out across the host's cores inside the world
+    /// ([`World::visible_of_into_with`](crate::world::World::visible_of_into_with)),
+    /// with results identical to the serial refresh.
     pub threads: usize,
     /// Cooperative cancellation flag polled between events by
     /// [`Simulator::run`] / [`Simulator::run_observed`]. The default

@@ -1,10 +1,10 @@
-//! The experiment harness behind EXPERIMENTS.md.
+//! The experiment harness behind the `report` CLI.
 //!
-//! Every table of EXPERIMENTS.md is produced by one of the `*_table`
-//! functions below; the `report` binary in `fatrobots-bench` simply calls
-//! them and prints the rows, and the Criterion benches reuse the same
-//! functions so the published numbers and the benchmarked code paths cannot
-//! drift apart.
+//! Every table `report` prints (README, "The `report` CLI") is produced by
+//! one of the `*_table` functions below; the `report` binary in
+//! `fatrobots-bench` simply calls them and prints the rows, and the
+//! Criterion benches reuse the same functions so the published numbers and
+//! the benchmarked code paths cannot drift apart.
 
 use std::fmt;
 
@@ -972,7 +972,8 @@ pub fn shape_table_spec(n: usize, seeds: &[u64]) -> TableSpec {
 /// short fixed window keeps the quick report fast while still exercising
 /// tens of thousands of pair kernels per row at n = 10⁴ (each n = 10⁴
 /// Look initializes a full sparse row: ~10⁴ corridor gathers and
-/// strip-cover certificates, ~200 ms serially).
+/// strip-cover certificates: ~200 ms on one core, about half that when the
+/// world fans the row out over two).
 pub const SCALE_TABLE_EVENT_CAP: usize = 64;
 
 /// `scale` — large-n event throughput over the sparse world (n ∈ {10³,

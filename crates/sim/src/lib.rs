@@ -23,15 +23,17 @@
 //!   to all-on-hull / full visibility / connectivity, hull-area series;
 //! * [`parallel`] — the deterministic intra-run parallel executor:
 //!   commutation batching of disjoint Looks plus speculative Compute,
-//!   committed in the serial event order (`SimConfig::threads`);
+//!   committed in the serial event order (`SimConfig::threads`), and the
+//!   read-only pair-answer fan-out that a sparse world's large row
+//!   refreshes also use on their own;
 //! * [`trace`] — execution traces (events plus sampled configurations) with
 //!   CSV export;
 //! * [`render`] — small SVG / ASCII renderers for configurations;
 //! * [`shadow`] — the exact-arithmetic shadow oracle: replays every Compute
 //!   decision under the exact kernel via [`engine::Simulator::run_observed`]
 //!   and attributes ε-vs-exact decision divergences to predicate sites;
-//! * [`experiment`] — the parameter-sweep harness behind EXPERIMENTS.md and
-//!   the Criterion benches;
+//! * [`experiment`] — the parameter-sweep harness behind the `report` CLI's
+//!   tables (README, "The `report` CLI") and the Criterion benches;
 //! * [`fuzz`] — the shrinking scenario fuzzer: sweeps shape × adversary ×
 //!   fault × n × seed under an event budget hunting non-gathering runs,
 //!   shrinks finds via deterministic replay, and emits the livelock

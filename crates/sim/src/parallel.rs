@@ -37,6 +37,12 @@
 //! Look — and that *carry* directive is applied serially right after the
 //! batch commits. With `SimConfig::threads <= 1` none of this machinery is
 //! engaged and the engine runs its unchanged serial path.
+//!
+//! [`compute_pair_answers`] also serves the world itself: a sparse row
+//! refresh with enough pairs to recompute and no injected answers fans its
+//! kernels out over the host's cores and commits them through the same
+//! injection path. A batch commit injects its own answers, so the two
+//! never nest.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -63,8 +69,9 @@ pub(crate) const MAX_BATCH_EVENTS: usize = 1024;
 /// leaving the results in `out`. The per-pair computation is
 /// [`World::compute_pair_answer`] — read-only and thread-independent — so
 /// the result set is identical for every thread count; tiny task lists run
-/// inline. Used by the engine's batch commit and by the `scale_smoke`
-/// example's batched Look loop.
+/// inline. Used by the engine's batch commit, by a sparse [`World`]'s own
+/// refresh of a large row ([`World::visible_of_into_with`] without injected
+/// answers), and by the `scale_smoke` example's batched Look loop.
 pub fn compute_pair_answers(
     world: &World,
     pairs: &[(usize, usize)],

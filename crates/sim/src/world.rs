@@ -50,6 +50,7 @@
 //! determinism suite pins the equivalence event-for-event.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use fatrobots_geometry::grid::{CellCoord, CellHashBuilder, CellMap, UniformGrid, GRID_LEVELS};
 use fatrobots_geometry::hull::{ConvexHull, HullScratch};
@@ -80,6 +81,23 @@ const CONTACT_QUERY_MARGIN: f64 = 1e-3;
 /// O(1) per push while garbage from frequently recomputed pairs stays
 /// bounded.
 const REGISTRATION_COMPACT_LEN: usize = 64;
+
+/// Pair recomputes from which a sparse row refresh fans its kernels out
+/// across cores ([`crate::parallel::compute_pair_answers`]). Measured on a
+/// 2-vCPU host (rustc 1.95) as first-row refreshes at width 2 vs serial:
+/// random spreads gain 1.2× at 128 pairs and 1.55× at 512. Jittered hex
+/// packings gain 1.9× at 10⁴ pairs, but in host windows where their
+/// strip-cover kernels got nothing from the second vCPU they lost 5–10%
+/// below 256 pairs (thread spawn plus answer map) and broke even from 384.
+/// At 512 that overhead stays under 3% of the row even then, and rows of
+/// the n ≤ 96 experiment tables (at most 95 pairs) never fan out.
+const ROW_FANOUT_MIN_PAIRS: usize = 512;
+
+/// The host's parallelism, read once: the width of the row fan-out.
+fn host_parallelism() -> usize {
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(crate::sweep::default_jobs)
+}
 
 /// How a [`World`] answers queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -418,6 +436,12 @@ pub struct World {
     soa_xs: Vec<f64>,
     soa_ys: Vec<f64>,
     keep_buf: Vec<u32>,
+    /// Threads a large sparse row refresh fans its pair kernels out over
+    /// (calling thread included); 1 keeps every refresh serial.
+    row_fanout_width: usize,
+    /// Reusable plan and answer buffers of the row fan-out.
+    fanout_plan: Vec<(usize, usize)>,
+    fanout_answers: PairAnswers,
 }
 
 impl World {
@@ -488,6 +512,9 @@ impl World {
             soa_xs: Vec::new(),
             soa_ys: Vec::new(),
             keep_buf: Vec::new(),
+            row_fanout_width: host_parallelism(),
+            fanout_plan: Vec::new(),
+            fanout_answers: PairAnswers::default(),
         }
     }
 
@@ -1262,6 +1289,37 @@ impl World {
         seen
     }
 
+    /// [`Self::sparse_refresh_row_with`], with the recomputes of a large row
+    /// fanned out across cores when the caller injected no answers. The
+    /// refresh's own bound on its recompute count (the whole row before its
+    /// first refresh, the pending queue afterwards) gates the exact plan,
+    /// so a small row pays one comparison. The kernels run read-only on
+    /// the frozen centers and the commit is the injected-answer path, so
+    /// the fan-out changes no answer, no bookkeeping and no counter.
+    fn sparse_refresh_row(&mut self, i: usize, answers: Option<&PairAnswers>) {
+        let bound = if self.sparse.row_init[i] {
+            self.sparse.pending[i].js.len()
+        } else {
+            self.len() - 1
+        };
+        if answers.is_some() || self.row_fanout_width <= 1 || bound < ROW_FANOUT_MIN_PAIRS {
+            self.sparse_refresh_row_with(i, answers);
+            return;
+        }
+        let mut plan = std::mem::take(&mut self.fanout_plan);
+        plan.clear();
+        self.look_plan(i, &mut plan);
+        if plan.len() >= ROW_FANOUT_MIN_PAIRS {
+            let mut fanned = std::mem::take(&mut self.fanout_answers);
+            crate::parallel::compute_pair_answers(self, &plan, self.row_fanout_width, &mut fanned);
+            self.sparse_refresh_row_with(i, Some(&fanned));
+            self.fanout_answers = fanned;
+        } else {
+            self.sparse_refresh_row_with(i, None);
+        }
+        self.fanout_plan = plan;
+    }
+
     /// Brings every pair of row `i` up to date in the sparse store, so that
     /// `adj[i]` *is* the visible set. A row's first refresh computes all of
     /// its pairs (the unavoidable O(n) the dense matrix pays eagerly at
@@ -1393,7 +1451,9 @@ impl World {
 
     /// Fills `out` with the (ascending) indices of the robots visible to
     /// robot `i` — [`Self::visible_of`] writing into caller-owned storage,
-    /// so the engine's per-Look cost is free of allocation.
+    /// so the engine's per-Look cost is free of allocation. A sparse row
+    /// with many pairs to recompute fans them out across the host's cores
+    /// ([`Self::visible_of_into_with`]); the result is the serial one.
     ///
     /// # Panics
     /// Panics if `i` is out of bounds.
@@ -1404,10 +1464,12 @@ impl World {
     /// [`Self::visible_of_into`] with precomputed pair answers: every
     /// recompute the refresh hits is answered from `answers` when present
     /// (committing all bookkeeping here, serially) and recomputed in place
-    /// otherwise. With `None` — or an empty set — this **is** the serial
-    /// path: injection only moves kernel evaluations onto other threads,
-    /// never changes what is computed, in which order it is committed, or
-    /// what the telemetry counts.
+    /// otherwise. An empty set is the serial path; with `None` a sparse
+    /// row of at least `ROW_FANOUT_MIN_PAIRS` recomputes computes its own
+    /// answers across the host's cores first (injected answers never fan
+    /// out again, so the two never nest). Injection only moves kernel
+    /// evaluations onto other threads, never changes what is computed, in
+    /// which order it is committed, or what the telemetry counts.
     ///
     /// # Panics
     /// Panics if `i` is out of bounds.
@@ -1426,7 +1488,7 @@ impl World {
         if self.mode == WorldMode::Sparse {
             // Refresh recomputes exactly the dirty pairs of row `i`; the
             // sorted adjacency list then *is* the ascending visible set.
-            self.sparse_refresh_row_with(i, answers);
+            self.sparse_refresh_row(i, answers);
             out.extend(self.sparse.adj[i].iter().map(|&j| j as usize));
             return;
         }
@@ -2157,6 +2219,73 @@ mod tests {
             "pending queues must stay bounded (worst {worst_pending})"
         );
         assert_matches_scratch(&mut w);
+    }
+
+    /// Observable state after one Look: the visible set, every robot's
+    /// view version, and the cache, pair-store and certificate counters.
+    type LookState = (Vec<usize>, Vec<u64>, [u64; 6]);
+
+    /// Looks with robot `i`, records the state, and reports whether the
+    /// refresh fanned out.
+    fn look_and_record(w: &mut World, i: usize, trace: &mut Vec<LookState>) -> bool {
+        w.fanout_plan.clear();
+        let visible = w.visible_of(i);
+        let versions = (0..w.len()).map(|k| w.view_version(k)).collect();
+        let ((hits, misses), (entries, regs), (covers, skips)) =
+            (w.cache_stats(), w.pair_store_stats(), w.cert_stats());
+        trace.push((
+            visible,
+            versions,
+            [hits, misses, entries, regs, covers, skips],
+        ));
+        w.fanout_plan.len() >= ROW_FANOUT_MIN_PAIRS
+    }
+
+    #[test]
+    fn row_fanout_matches_the_serial_refresh() {
+        // First rows of this hex packing exceed the fan-out threshold, and
+        // so does the pending queue of a robot that jumps out of its drift
+        // radius. The width is forced, so the fan-out runs on any host.
+        let n = ROW_FANOUT_MIN_PAIRS + 88;
+        let centers = crate::init::hex(n, 2.1);
+        let lookers = [0, n / 2, n - 1];
+        let run = |width: usize| {
+            let mut w = world(centers.clone(), WorldMode::Sparse);
+            w.row_fanout_width = width;
+            let (mut trace, mut fanned) = (Vec::new(), Vec::new());
+            let mut look_all = |w: &mut World| {
+                for &i in &lookers {
+                    fanned.push(look_and_record(w, i, &mut trace));
+                }
+            };
+            look_all(&mut w); // first Looks
+            let mid = w.center(n / 2);
+            w.move_robot(n / 2, p(mid.x + 0.01, mid.y)); // within drift
+            look_all(&mut w);
+            let corner = w.center(0);
+            w.move_robot(0, p(corner.x - 3.0, corner.y - 3.0)); // out of drift
+            look_all(&mut w);
+            w.move_robot(0, corner);
+            look_all(&mut w);
+            (trace, fanned)
+        };
+        let (serial, serial_fanned) = run(1);
+        let (fanout, fanout_fanned) = run(2);
+        for (k, (want, got)) in serial.iter().zip(&fanout).enumerate() {
+            assert_eq!(want, got, "Look {k} diverged between width 1 and width 2");
+        }
+        assert!(serial_fanned.iter().all(|&f| !f), "width 1 never fans out");
+        assert_eq!(
+            fanout_fanned,
+            [
+                [true, true, true],
+                [false, false, false],
+                [true, false, false],
+                [true, false, false]
+            ]
+            .concat(),
+            "first rows and the jumper's re-Looks fan out; small queues do not"
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Reproductions of the paper's five figures as executable checks
-//! (experiments F1–F5 of EXPERIMENTS.md).
+//! (experiments F1–F5; `report --figures` lists them, see README, "The
+//! `report` CLI").
 
 use fatrobots::core::compute::{ComputeState, LocalAlgorithm};
 use fatrobots::core::functions::{find_points, move_to_point};
