@@ -1,5 +1,5 @@
 //! E9 — Look-snapshot cost under the paper's event-serial schedule: cached
-//! incremental world vs from-scratch recomputation.
+//! incremental (sparse) world vs from-scratch recomputation.
 //!
 //! The workload is honest by construction: a real simulation (the paper's
 //! algorithm under a round-robin schedule) is run once per size, and the
@@ -91,7 +91,7 @@ fn bench_snapshot_cache(c: &mut Criterion) {
         // Both modes must replay to the same answers — the equivalence the
         // determinism suite pins, re-checked here on the bench workload.
         assert_eq!(
-            replay(&start, &ops, WorldMode::Incremental),
+            replay(&start, &ops, WorldMode::Sparse),
             replay(&start, &ops, WorldMode::Scratch),
             "cached and scratch replays diverged at n={n}"
         );
@@ -99,7 +99,7 @@ fn bench_snapshot_cache(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("cached", format!("n={n}/looks={looks}")),
             &input,
-            |b, (start, ops)| b.iter(|| black_box(replay(start, ops, WorldMode::Incremental))),
+            |b, (start, ops)| b.iter(|| black_box(replay(start, ops, WorldMode::Sparse))),
         );
         group.bench_with_input(
             BenchmarkId::new("scratch", format!("n={n}/looks={looks}")),

@@ -31,10 +31,11 @@ pub const QUICK_SEEDS: [u64; 3] = [1, 2, 3];
 ///
 /// * **v1** — initial layout (tables → groups → aggregate + runs).
 /// * **v2** — per-run records additionally carry
-///   `visibility_cache_hits` / `visibility_cache_misses` (the incremental
-///   world's pair-cache telemetry). v2 is a pure field addition: every v1
-///   key is still present with the same meaning, and readers written
-///   against v1 keep working — see [`report_supported`].
+///   `visibility_cache_hits` / `visibility_cache_misses` (the world's
+///   pair-cache telemetry; both 0 under `WorldMode::Scratch`). v2 is a
+///   pure field addition: every v1 key is still present with the same
+///   meaning, and readers written against v1 keep working — see
+///   [`report_supported`].
 /// * **v3** — per-run records additionally carry the output-sensitive
 ///   event-loop telemetry: `decision_cache_hits` / `decision_cache_misses`
 ///   (Compute events replayed from the per-robot decision memo vs. run
@@ -54,8 +55,8 @@ pub const QUICK_SEEDS: [u64; 3] = [1, 2, 3];
 ///   diffing cleanly against v4 tables.
 /// * **v5** — pair-store telemetry. Per-run records additionally carry
 ///   `world_pair_entries` / `world_pair_registrations`: the visibility
-///   pair-store size at the end of the run (the full Θ(n²) triangle under
-///   the dense world mode, only the computed pairs under the sparse one)
+///   pair-store size at the end of the run (only the pairs computed so far;
+///   the since-retired dense world mode reported its full Θ(n²) triangle)
 ///   and its live corridor-registration count. A pure field addition;
 ///   v1–v4 baselines keep diffing cleanly against v5 tables.
 /// * **v6** — parallel-executor telemetry. The document root carries a
@@ -656,8 +657,8 @@ mod tests {
             runs[0].get("hull_rebuilds"),
             Some(&JsonValue::Int(m)) if m > 0
         ));
-        // v5: pair-store telemetry — the default dense world reports the
-        // full n(n-1)/2 triangle (n=3 → 3 entries).
+        // v5: pair-store telemetry — once every robot has Looked, the
+        // default world has computed all n(n-1)/2 pairs (n=3 → 3 entries).
         assert_eq!(runs[0].get("world_pair_entries"), Some(&JsonValue::Int(3)));
         assert!(matches!(
             runs[0].get("world_pair_registrations"),

@@ -76,7 +76,7 @@ impl LocalView {
     /// the configuration instead of cloning it.
     ///
     /// This is the constructor the simulator's incremental world state uses:
-    /// the visibility decisions come from its cached pair matrix, so the
+    /// the visibility decisions come from its cached pair store, so the
     /// per-Look cost is one small allocation for the view itself.
     ///
     /// # Panics

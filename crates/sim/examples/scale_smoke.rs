@@ -7,10 +7,10 @@
 //! robot sees only its local ring (~12 neighbors), every far pair is
 //! blocked, and the blocked-certificate machinery keeps a mover's far-pair
 //! row clean across its oscillation. A byte-counting global allocator
-//! tracks live and peak heap usage for the whole process; the dense
-//! incremental world's n(n−1)/2 pair triangle (~400 MB of entries at
-//! n = 10⁴) would blow the budget before the first event, so the gate
-//! cleanly separates linear from quadratic. Exits non-zero when the
+//! tracks live and peak heap usage for the whole process; an eagerly
+//! materialized n(n−1)/2 pair triangle (~400 MB of entries at n = 10⁴)
+//! would blow the budget before the first event, so the gate cleanly
+//! separates linear from quadratic. Exits non-zero when the
 //! budget, the pair-store cap, the event-rate floor or any physical
 //! invariant breaks.
 //!
@@ -67,7 +67,7 @@ const ACTIVE: usize = 16;
 const AMPLITUDE: f64 = 0.02;
 /// Peak-heap gate. The sparse world's footprint is dominated by the
 /// ACTIVE·n computed pair entries plus their corridor registrations (tens
-/// of MB); the dense pair triangle alone would blow this at n = 10⁴.
+/// of MB); an n(n−1)/2 pair triangle alone would blow this at n = 10⁴.
 const PEAK_BUDGET_BYTES: u64 = 256 * 1024 * 1024;
 /// Throughput floor: the run must also *finish promptly*, not just finish.
 /// Measured steady state is ~340 events/s on a weak single-core container

@@ -289,9 +289,12 @@ fn adversary_from_tag(tag: u8, k: u64) -> Option<AdversaryKind> {
     })
 }
 
+/// Tag 0 was the retired dense pair-matrix world. It no longer decodes: a
+/// row that engine computed carries dense-only telemetry a fresh run would
+/// not reproduce, so an old journal recovers to the prefix before its
+/// first dense record and the rest re-runs (counted in `dropped_bytes`).
 fn world_mode_tag(mode: WorldMode) -> u8 {
     match mode {
-        WorldMode::Incremental => 0,
         WorldMode::Sparse => 1,
         WorldMode::Scratch => 2,
     }
@@ -299,7 +302,6 @@ fn world_mode_tag(mode: WorldMode) -> u8 {
 
 fn world_mode_from_tag(tag: u8) -> Option<WorldMode> {
     Some(match tag {
-        0 => WorldMode::Incremental,
         1 => WorldMode::Sparse,
         2 => WorldMode::Scratch,
         _ => return None,
@@ -961,6 +963,45 @@ mod tests {
             assert_eq!(telemetry.dropped_bytes, 0);
             assert_eq!(telemetry.write_errors, 0);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rows_of_the_retired_dense_world_are_dropped_not_resumed() {
+        let dir = std::env::temp_dir().join(format!("frck_dense_{}", std::process::id()));
+        let path = dir.join("journal.frck");
+        let spec = RunSpec {
+            shape: Shape::Circle,
+            adversary: AdversaryKind::RoundRobin,
+            max_events: 20_000,
+            ..RunSpec::new(3, 1)
+        };
+        let summary = run(&spec);
+        // Hand-encode the completed record an old build wrote for a dense
+        // run: the same payload with world-mode tag 0, which sits right
+        // before the spec's trailing `threads u64 | sample_every u64`.
+        let mut payload = encode_record(&Record::Completed {
+            ordinal: 0,
+            summary: Box::new(summary),
+        });
+        let mut spec_bytes = ByteWriter::default();
+        encode_spec(&mut spec_bytes, &spec);
+        let tag_at = 1 + 8 + spec_bytes.0.len() - 17;
+        assert_eq!(payload[tag_at], world_mode_tag(WorldMode::Sparse));
+        payload[tag_at] = 0;
+        let mut bytes = encode_journal(&[]);
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        std::fs::create_dir_all(&dir).expect("create journal dir");
+        std::fs::write(&path, &bytes).expect("write old journal");
+
+        let mut session = CheckpointedSweep::open(&path).expect("open old journal");
+        assert_eq!(session.take_completed(0, &spec), None);
+        let telemetry = session.telemetry();
+        assert_eq!(telemetry.resumed_rows, 0);
+        assert_eq!(telemetry.recovered_records, 0);
+        assert_eq!(telemetry.dropped_bytes, (bytes.len() - 8) as u64);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -82,10 +82,10 @@ pub struct SimConfig {
     /// (0 disables sampling).
     pub sample_every: usize,
     /// How the engine maintains the derived world state: incrementally (the
-    /// default — cached visibility matrix, lazily recomputed hull and
-    /// predicates) or from scratch on every query. Both modes produce the
-    /// identical event stream; scratch mode exists as the reference
-    /// behaviour for the determinism suite.
+    /// default [`WorldMode::Sparse`] — cached sparse visibility store,
+    /// lazily recomputed hull and predicates) or from scratch on every
+    /// query. Both modes produce the identical event stream; scratch mode
+    /// exists as the reference behaviour for the determinism suite.
     pub world_mode: WorldMode,
     /// Memoize decisions per robot, keyed on the world's view version (the
     /// default): a Compute event whose robot provably has the same view as
@@ -124,7 +124,7 @@ impl Default for SimConfig {
             collinearity_tol: 1e-9,
             record_trace: false,
             sample_every: 50,
-            world_mode: WorldMode::Incremental,
+            world_mode: WorldMode::Sparse,
             decision_cache: true,
             threads: 1,
             cancel: CancelFlag::default(),

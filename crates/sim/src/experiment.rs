@@ -199,9 +199,9 @@ pub struct RunSpec {
     /// Compute pipeline); other strategies ignore it. Off by default — the
     /// oracle roughly triples per-Compute cost.
     pub shadow: bool,
-    /// How the world answers queries: the dense incremental cache (the
-    /// default), the sparse store for large n, or from-scratch reference
-    /// recomputation. All three are event-for-event identical.
+    /// How the world answers queries: the incremental sparse store (the
+    /// default) or from-scratch reference recomputation. Both are
+    /// event-for-event identical.
     pub world_mode: WorldMode,
     /// Thread budget for the run ([`SimConfig::threads`]): `1` (the
     /// default) runs the serial event loop, more routes the run through the
@@ -229,7 +229,7 @@ impl RunSpec {
             delta: 1e-3,
             max_events: 60_000 + 20_000 * n,
             shadow: false,
-            world_mode: WorldMode::Incremental,
+            world_mode: WorldMode::Sparse,
             threads: 1,
             sample_every: SimConfig::default().sample_every,
         }
@@ -276,9 +276,8 @@ pub struct RunSummary {
     pub hull_repairs: u64,
     /// Hull-cache refreshes that fell back to a full rebuild.
     pub hull_rebuilds: u64,
-    /// Visibility pair-store entries materialized by the end of the run —
-    /// the full Θ(n²) triangle in the dense world, only the computed pairs
-    /// in the sparse one.
+    /// Visibility pair-store entries materialized by the end of the run:
+    /// only the pairs actually computed (0 in the scratch world).
     pub world_pair_entries: u64,
     /// Live corridor registrations held by the pair store at the end of
     /// the run.
@@ -998,7 +997,6 @@ pub fn scale_table_spec(event_cap: usize) -> TableSpec {
                 SpecGroup::per_seed(format!("n={n}"), &[1], |seed| RunSpec {
                     shape: Shape::Hex,
                     adversary: AdversaryKind::RoundRobin,
-                    world_mode: WorldMode::Sparse,
                     max_events: SCALE_TABLE_EVENT_CAP.min(event_cap),
                     sample_every: 0,
                     ..RunSpec::new(n, seed)

@@ -44,9 +44,10 @@
 //!   structured failure rows (bounded retries, quarantine) and reaps hung
 //!   runs via a wall-clock watchdog;
 //! * [`world`] — the incremental world state: ground-truth centers plus a
-//!   cached pairwise visibility matrix (lazy dirty-pair invalidation over a
-//!   spatial grid), cached hull/connectivity/validity, and a from-scratch
-//!   reference mode that pins the cached path to bit-identical results.
+//!   sparse pairwise visibility store (lazy dirty-pair invalidation over a
+//!   hierarchical spatial grid), cached hull/connectivity/validity, and a
+//!   from-scratch reference mode that pins the cached path to
+//!   bit-identical results.
 //!
 //! ## Quick example
 //!

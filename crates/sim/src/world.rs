@@ -6,8 +6,11 @@
 //! centers plus derived state that is **incrementally maintained** instead
 //! of being recomputed from scratch on every event:
 //!
-//! * a symmetric pairwise **visibility matrix**, invalidated pair-by-pair
-//!   when a move can actually have changed the pair's answer;
+//! * a **sparse visibility store**: per-robot sorted adjacency lists plus a
+//!   hash-map pair store that materializes only the pairs actually
+//!   computed, each entry invalidated when a move can actually have
+//!   changed the pair's answer — memory is linear in n plus the computed
+//!   pairs, never Θ(n²);
 //! * the **convex hull** (and the all-on-hull flag), the **connectivity**
 //!   predicate, the **validity** (no-overlap) predicate and the minimum
 //!   pairwise gap, each tagged with a configuration version and recomputed
@@ -22,32 +25,35 @@
 //! invalidated exactly when either endpoint moves, or some robot moves
 //! *into* or *out of* that corridor. Scanning all pairs per move would
 //! reintroduce the quadratic cost, so the corridor membership is indexed
-//! through the spatial grid:
+//! through the hierarchical spatial grid:
 //!
-//! * when a pair is (re)computed, it registers itself in every grid cell of
-//!   the conservative cover of its corridor (the grid's capsule walk);
+//! * when a pair is (re)computed, it registers itself in every cell of the
+//!   conservative cover of its corridor (the grid's capsule walk), at the
+//!   grid level matched to its chord length so each pair holds O(1) cells;
 //! * when robot `i` moves, only the registrations of the cell it left and
-//!   the cell it entered are drained, and exactly those pairs are marked
-//!   dirty.
+//!   the cell it entered (at every level) are drained; exactly those pairs
+//!   are marked dirty and queued on both endpoints' pending rows.
 //!
 //! The cover is a superset of the cells that can hold a relevant obstacle
 //! (and always contains the endpoints' own cells), so a stale hit is
 //! impossible: any robot whose move can change the pair's answer — either
 //! endpoint, a robot leaving the corridor, a robot entering it — stamps a
 //! registered cell. Cache hits are O(1); a move dirties only the pairs
-//! registered on the two touched cells; the witness-segment search runs
-//! only for pairs that are actually dirty, against a grid-pruned obstacle
-//! slice.
+//! registered on the touched cells; a row refresh recomputes only its
+//! queued dirty pairs, against a grid-pruned obstacle slice. Pairs whose
+//! corridor a strip cover certifies blocked survive in-drift moves with no
+//! work at all (see [`CERT_DRIFT_RADIUS`]).
 //!
 //! ## Bit-identical results
 //!
 //! The cached path answers every query through the *same* geometric kernels
 //! as the from-scratch path (`disc_sees_disc_among` with a conservatively
 //! pre-filtered obstacle slice is exactly `disc_sees_disc` over all
-//! centers; the hull, connectivity and sample predicates are evaluated by
-//! the same functions on the same inputs). A `World` in
-//! [`WorldMode::Scratch`] recomputes everything per query, which is how the
-//! determinism suite pins the equivalence event-for-event.
+//! centers; the strip covers are one-sided "blocked" proofs in front of it;
+//! the hull, connectivity and sample predicates are evaluated by the same
+//! functions on the same inputs). A `World` in [`WorldMode::Scratch`]
+//! recomputes everything per query, which is how the determinism suite pins
+//! the equivalence event-for-event.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -102,17 +108,12 @@ fn host_parallelism() -> usize {
 /// How a [`World`] answers queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorldMode {
-    /// Cached dense pair matrix with grid-indexed dirty-pair invalidation
-    /// (the default, and the pinned reference for the sparse mode). Memory
-    /// is Θ(n²) in the pair matrix alone — fine at the bench tables' n,
-    /// fatal at n = 10⁴.
-    Incremental,
-    /// Sparse visibility state: per-robot adjacency lists, a hash-map pair
-    /// store that only materializes computed pairs, and corridor
-    /// registrations placed at a chord-length-matched grid level so each
-    /// pair holds O(1) cells. Answers are event-for-event identical to
-    /// [`WorldMode::Incremental`] (same kernels, same invalidation rule);
-    /// memory is linear in n + computed pairs.
+    /// The incremental world (the default): per-robot adjacency lists, a
+    /// hash-map pair store that only materializes computed pairs, and
+    /// corridor registrations placed at a chord-length-matched grid level
+    /// so each pair holds O(1) cells. Answers are event-for-event identical
+    /// to [`WorldMode::Scratch`] (same kernels); memory is linear in
+    /// n + computed pairs.
     Sparse,
     /// Every query recomputes from scratch, exactly like the seed engine.
     /// Used by the determinism suite as the reference behaviour.
@@ -127,7 +128,7 @@ struct PairEntry {
     /// generation are dead.
     gen: u32,
     dirty: bool,
-    /// Sparse store only: the last recompute certified "blocked" through
+    /// The last recompute certified "blocked" through
     /// [`strip_cover_blocked_with_slack`], so the answer provably stays
     /// `false` while **every** robot — both endpoints and every corridor
     /// obstacle — remains within [`CERT_DRIFT_RADIUS`] of its anchor.
@@ -151,41 +152,21 @@ struct PairEntry {
 /// obstacles as well as endpoints.
 const CERT_DRIFT_RADIUS: f64 = COVER_STABILITY_RADIUS / 2.0;
 
-/// One corridor registration: "pair `{a, b}` (entry `idx`, at generation
-/// `gen`) depends on this cell". The endpoints ride along so a drain can
-/// test the mover against the pair's chord without decoding `idx`.
-#[derive(Debug, Clone, Copy)]
-struct PairRef {
-    idx: u32,
-    gen: u32,
-    a: u32,
-    b: u32,
-}
-
-/// A cell's corridor registrations plus its amortized-compaction watermark:
-/// the list is swept for dead entries only when it doubles past its size
-/// after the previous sweep.
-#[derive(Debug, Default)]
-struct CellRegs {
-    refs: Vec<PairRef>,
-    compact_at: usize,
-}
-
 /// Chord lengths up to this many cell edges register at a grid level; a
 /// longer chord moves up one level. Keeps every pair's corridor
 /// registration at O(1) cells regardless of chord length (the memory term
 /// that would otherwise scale with the configuration diameter).
 const SPARSE_REG_SPAN_CELLS: f64 = 8.0;
 
-/// Packed key of the unordered pair `{a, b}` (`a < b`) in the sparse pair
-/// store.
+/// Packed key of the unordered pair `{a, b}` (`a < b`) in the pair store.
 fn pair_key(a: usize, b: usize) -> u64 {
     debug_assert!(a < b);
     ((a as u64) << 32) | b as u64
 }
 
-/// One corridor registration of the sparse store: pair `{a, b}` at
-/// generation `gen` depends on the registered cell.
+/// One corridor registration: pair `{a, b}` at generation `gen` depends on
+/// the registered cell. The endpoints ride along so a drain can test the
+/// mover against the pair's chord without a pair-store lookup.
 #[derive(Debug, Clone, Copy)]
 struct SparseRef {
     a: u32,
@@ -202,8 +183,9 @@ struct SparseRef {
     certified: bool,
 }
 
-/// A cell's sparse-store registrations plus the amortized-compaction
-/// watermark (same scheme as [`CellRegs`]).
+/// A cell's corridor registrations plus its amortized-compaction watermark:
+/// the list is swept for dead entries only when it doubles past its size
+/// after the previous sweep.
 #[derive(Debug, Default)]
 struct SparseCellRegs {
     refs: Vec<SparseRef>,
@@ -220,13 +202,12 @@ struct PendingRow {
     compact_at: usize,
 }
 
-/// The sparse visibility state of [`WorldMode::Sparse`]: everything is
-/// sized by what has actually been computed, never by n².
+/// The visibility state of [`WorldMode::Sparse`]: everything is sized by
+/// what has actually been computed, never by n².
 #[derive(Debug, Default)]
 struct SparseVis {
     /// Pair entries for every pair computed so far, keyed by [`pair_key`].
-    /// Absent means "never computed" — equivalent to the dense store's
-    /// initial dirty entry.
+    /// Absent means "never computed" — treated as a dirty, unseen entry.
     pairs: HashMap<u64, PairEntry, CellHashBuilder>,
     /// Sorted adjacency: `adj[i]` holds exactly the robots whose pair with
     /// `i` is stored with `seen == true` (possibly dirty — a row refresh
@@ -238,7 +219,7 @@ struct SparseVis {
     /// computes all of its pairs; afterwards only dirtied pairs recompute.
     row_init: Vec<bool>,
     /// Corridor registrations per grid level (index = level).
-    regs: Vec<CellMap<SparseCellRegs>>,
+    regs: [CellMap<SparseCellRegs>; GRID_LEVELS],
 }
 
 /// Queues `j` on a pending row, keeping the queue bounded by the number of
@@ -284,9 +265,8 @@ pub struct PairAnswer {
     pub b: usize,
     /// The kernel's visibility verdict for the pair.
     pub seen: bool,
-    /// Sparse store only: the answer was certified "blocked" by the slack
-    /// strip cover (see [`PairEntry::certified`]'s doc on the `World`
-    /// internals).
+    /// The answer was certified "blocked" by the slack strip cover (see
+    /// [`PairEntry::certified`]'s doc on the `World` internals).
     certified: bool,
     /// The answer came from a strip cover (slack or exact) instead of the
     /// witness kernel — replayed into the `cover_answers` telemetry at
@@ -371,15 +351,7 @@ pub struct World {
     grid: UniformGrid,
     /// Configuration version: incremented once per applied move.
     version: u64,
-    /// Triangular pair matrix, indexed by `pair_index`. Allocated only in
-    /// [`WorldMode::Incremental`] (empty otherwise — this Θ(n²) block is
-    /// exactly what [`WorldMode::Sparse`] exists to avoid).
-    pairs: Vec<PairEntry>,
-    /// Corridor registrations per grid cell: the pairs to dirty when the
-    /// cell is touched by a move.
-    cell_pairs: CellMap<CellRegs>,
-    /// Sparse visibility state ([`WorldMode::Sparse`] only; empty
-    /// otherwise).
+    /// Visibility state ([`WorldMode::Sparse`] only; empty otherwise).
     sparse: SparseVis,
     /// Per-robot certificate anchors ([`WorldMode::Sparse`] only; empty
     /// otherwise). Invariant outside `move_robot`: every robot is within
@@ -427,15 +399,10 @@ pub struct World {
     /// drain visits that skipped dirtying a certified pair.
     cover_answers: u64,
     cert_skips: u64,
-    /// Reusable query buffers.
+    /// Reusable candidate buffer of the grid-local predicates.
     cand_buf: Vec<usize>,
-    obs_buf: Vec<Point>,
-    /// Reusable SoA buffers of the batched corridor filter: candidate
-    /// coordinates gathered into flat lanes, and the surviving lane
-    /// indices.
-    soa_xs: Vec<f64>,
-    soa_ys: Vec<f64>,
-    keep_buf: Vec<u32>,
+    /// Reusable scratch of the serial pair recompute.
+    probe: PairProbe,
     /// Threads a large sparse row refresh fans its pair kernels out over
     /// (calling thread included); 1 keeps every refresh serial.
     row_fanout_width: usize,
@@ -449,26 +416,12 @@ impl World {
     pub fn new(centers: Vec<Point>, vis: VisibilityConfig, mode: WorldMode) -> Self {
         let n = centers.len();
         let grid = UniformGrid::new(GRID_CELL, &centers);
-        let pairs = if mode == WorldMode::Incremental {
-            vec![
-                PairEntry {
-                    seen: false,
-                    gen: 0,
-                    dirty: true,
-                    certified: false,
-                };
-                n * n.saturating_sub(1) / 2
-            ]
-        } else {
-            Vec::new()
-        };
         let sparse = if mode == WorldMode::Sparse {
             SparseVis {
-                pairs: HashMap::default(),
                 adj: vec![Vec::new(); n],
                 pending: (0..n).map(|_| PendingRow::default()).collect(),
                 row_init: vec![false; n],
-                regs: (0..GRID_LEVELS).map(|_| CellMap::default()).collect(),
+                ..SparseVis::default()
             }
         } else {
             SparseVis::default()
@@ -486,8 +439,6 @@ impl World {
             centers,
             grid,
             version: 0,
-            pairs,
-            cell_pairs: CellMap::default(),
             sparse,
             anchors,
             xs,
@@ -508,10 +459,7 @@ impl World {
             cover_answers: 0,
             cert_skips: 0,
             cand_buf: Vec::new(),
-            obs_buf: Vec::new(),
-            soa_xs: Vec::new(),
-            soa_ys: Vec::new(),
-            keep_buf: Vec::new(),
+            probe: PairProbe::default(),
             row_fanout_width: host_parallelism(),
             fanout_plan: Vec::new(),
             fanout_answers: PairAnswers::default(),
@@ -557,34 +505,26 @@ impl World {
     }
 
     /// Pair-store telemetry: `(entries, registrations)` — materialized pair
-    /// entries and live corridor registrations. In
-    /// [`WorldMode::Incremental`] the entry count is the full Θ(n²)
-    /// triangle; in [`WorldMode::Sparse`] it is only the pairs actually
-    /// computed, which is what the scale gate's linear-memory assertion
-    /// watches. Both are 0 in [`WorldMode::Scratch`].
+    /// entries and live corridor registrations. The entry count is only
+    /// the pairs actually computed, which is what the scale gate's
+    /// linear-memory assertion watches. Both are 0 in
+    /// [`WorldMode::Scratch`] (whose store stays empty).
     pub fn pair_store_stats(&self) -> (u64, u64) {
-        match self.mode {
-            WorldMode::Scratch => (0, 0),
-            WorldMode::Incremental => (
-                self.pairs.len() as u64,
-                self.cell_pairs.values().map(|r| r.refs.len() as u64).sum(),
-            ),
-            WorldMode::Sparse => (
-                self.sparse.pairs.len() as u64,
-                self.sparse
-                    .regs
-                    .iter()
-                    .flat_map(CellMap::values)
-                    .map(|r| r.refs.len() as u64)
-                    .sum(),
-            ),
-        }
+        (
+            self.sparse.pairs.len() as u64,
+            self.sparse
+                .regs
+                .iter()
+                .flat_map(CellMap::values)
+                .map(|r| r.refs.len() as u64)
+                .sum(),
+        )
     }
 
     /// Blocked-certificate telemetry: `(cover_answers, cert_skips)` —
     /// recomputes answered by a strip cover instead of the witness kernel,
     /// and drain visits that kept a certified pair clean through an
-    /// endpoint move. Both are 0 outside [`WorldMode::Sparse`].
+    /// endpoint move. Both are 0 in [`WorldMode::Scratch`].
     pub fn cert_stats(&self) -> (u64, u64) {
         (self.cover_answers, self.cert_skips)
     }
@@ -622,35 +562,26 @@ impl World {
         self.version += 1;
         self.hull_staleness.record_move(i);
         match self.mode {
-            WorldMode::Incremental => {
+            WorldMode::Sparse => {
                 // The mover's own view always changes (its center is part of
                 // it). Every *other* affected view is bumped either by
                 // `dirty_cell` (clean seen pairs being dirtied — the robots
-                // that can watch this move happen) or by the flip check in
-                // `sees` when a dirty pair is recomputed. No O(n) scan
-                // anywhere: moving a robot nobody sees bumps only the mover.
+                // that can watch this move happen) or by the flip check when
+                // a dirty pair is recomputed. No O(n) scan anywhere: moving
+                // a robot nobody sees bumps only the mover.
                 self.view_versions[i] += 1;
-                let from = self.grid.cell_of(old);
-                let to = self.grid.cell_of(p);
-                self.dirty_cell(from, i, old, p);
-                if to != from {
-                    self.dirty_cell(to, i, old, p);
-                }
-            }
-            WorldMode::Sparse => {
-                // Same invalidation rule, but registrations live at every
-                // grid level (each pair picks the level matching its chord
-                // length), so the move drains its from/to cell at each
-                // level. Coarser cells hold more incidental registrations;
-                // the drain's exact chord-distance test filters them, so
-                // coarseness costs drain time, never correctness.
-                self.view_versions[i] += 1;
+                // Registrations live at every grid level (each pair picks
+                // the level matching its chord length), so the move drains
+                // its from/to cell at each level. Coarser cells hold more
+                // incidental registrations; the drain's exact chord-distance
+                // test filters them, so coarseness costs drain time, never
+                // correctness.
                 for level in 0..GRID_LEVELS {
                     let from = self.grid.cell_of_at(old, level);
                     let to = self.grid.cell_of_at(p, level);
-                    self.sparse_dirty_cell(level, from, i, old, p);
+                    self.dirty_cell(level, from, i, old, p);
                     if to != from {
-                        self.sparse_dirty_cell(level, to, i, old, p);
+                        self.dirty_cell(level, to, i, old, p);
                     }
                 }
                 // Anchor maintenance, after the drains: a move beyond the
@@ -722,88 +653,18 @@ impl World {
         }
     }
 
-    /// Processes a cell's corridor registrations for a move of robot
-    /// `mover` from `old` to `new`: pairs whose answer can actually depend
-    /// on that move — the mover is an endpoint, or its old or new position
-    /// lies within the pruning radius of the pair's chord — are marked
-    /// dirty and dropped; unaffected live registrations are kept (the cell
-    /// cover is conservative, so most drains touch corridors the mover
-    /// never entered). Dead registrations (older generation, or pairs
+    /// Processes one cell's corridor registrations at one grid level for a
+    /// move of robot `mover` from `old` to `new`: pairs whose answer can
+    /// actually depend on that move — the mover is an endpoint, or its old
+    /// or new position lies within the pruning radius of the pair's chord
+    /// — are marked dirty, dropped, and queued on both endpoints' pending
+    /// rows so the next row refresh recomputes exactly the dirtied pairs
+    /// instead of probing all n. Unaffected live registrations are kept
+    /// (the cell cover is conservative, so most drains touch corridors the
+    /// mover never entered). Dead registrations (older generation, or pairs
     /// already dirty) are dropped — a dirty pair re-registers when it is
     /// next recomputed.
-    fn dirty_cell(
-        &mut self,
-        cell: fatrobots_geometry::grid::CellCoord,
-        mover: usize,
-        old: Point,
-        new: Point,
-    ) {
-        use std::collections::hash_map::Entry;
-        let Entry::Occupied(mut slot) = self.cell_pairs.entry(cell) else {
-            return;
-        };
-        let regs = slot.get_mut();
-        let pairs = &mut self.pairs;
-        let centers = &self.centers;
-        let view_versions = &mut self.view_versions;
-        regs.refs.retain(|r| {
-            let entry = &mut pairs[r.idx as usize];
-            if entry.gen != r.gen || entry.dirty {
-                return false; // dead registration
-            }
-            let (a, b) = (r.a as usize, r.b as usize);
-            // Squared-distance form of `distance_to(..) <= PRUNE_RADIUS`:
-            // exactly equivalent (the radius squares exactly), one sqrt
-            // cheaper per drained registration.
-            let prune_sq = VISIBILITY_PRUNE_RADIUS * VISIBILITY_PRUNE_RADIUS;
-            let affected = a == mover || b == mover || {
-                let chord = Segment::new(centers[a], centers[b]);
-                chord.distance_sq_to(old) <= prune_sq || chord.distance_sq_to(new) <= prune_sq
-            };
-            if affected {
-                entry.dirty = true;
-                // View-version maintenance. A robot's Look snapshot changes
-                // only when a robot it *sees* moved or its visible set
-                // flips. Dirtying a **seen** pair therefore bumps both
-                // endpoints right here: a clean pair is registered on both
-                // endpoints' current cells, so a seen pair whose endpoint
-                // moves is always drained at that move, and while the pair
-                // stays dirty no further endpoint move can slip through
-                // unbumped. **Unseen** pairs stay silent — their endpoints'
-                // views can only change if the answer flips, which
-                // `sees` detects (and bumps) at the recompute, always
-                // before any robot stamps a view version off that state.
-                // This is what keeps one move's invalidation at O(deg):
-                // moving a robot nobody sees bumps nobody else.
-                if entry.seen {
-                    view_versions[a] += 1;
-                    view_versions[b] += 1;
-                }
-            }
-            !affected
-        });
-        if regs.refs.is_empty() {
-            slot.remove();
-        } else {
-            // The drain doubles as a sweep: reset the compaction watermark.
-            regs.compact_at = regs.refs.len() * 2;
-        }
-    }
-
-    /// [`Self::dirty_cell`] for the sparse store: drains one cell of one
-    /// grid level. The affectedness test is identical (endpoint, or old/new
-    /// position within the pruning radius of the chord); additionally every
-    /// dirtied pair is queued on both endpoints' pending rows so the next
-    /// row refresh recomputes exactly the dirtied pairs instead of probing
-    /// all n.
-    fn sparse_dirty_cell(
-        &mut self,
-        level: usize,
-        cell: CellCoord,
-        mover: usize,
-        old: Point,
-        new: Point,
-    ) {
+    fn dirty_cell(&mut self, level: usize, cell: CellCoord, mover: usize, old: Point, new: Point) {
         use std::collections::hash_map::Entry;
         let SparseVis {
             pairs,
@@ -842,15 +703,28 @@ impl World {
             if entry.gen != r.gen || entry.dirty {
                 return false; // dead registration
             }
+            // Squared-distance form of `distance_to(..) <= PRUNE_RADIUS`:
+            // exactly equivalent (the radius squares exactly), one sqrt
+            // cheaper per drained registration.
             let affected = a == mover || b == mover || {
                 let chord = Segment::new(centers[a], centers[b]);
                 chord.distance_sq_to(old) <= prune_sq || chord.distance_sq_to(new) <= prune_sq
             };
             if affected {
                 entry.dirty = true;
-                // Same view-version rule as the dense drain: a dirtied
-                // *seen* pair bumps both endpoints; unseen pairs wait for
-                // the flip check at the recompute.
+                // View-version maintenance. A robot's Look snapshot changes
+                // only when a robot it *sees* moved or its visible set
+                // flips. Dirtying a **seen** pair therefore bumps both
+                // endpoints right here: a clean pair is registered on both
+                // endpoints' current cells, so a seen pair whose endpoint
+                // moves is always drained at that move, and while the pair
+                // stays dirty no further endpoint move can slip through
+                // unbumped. **Unseen** pairs stay silent — their endpoints'
+                // views can only change if the answer flips, which the
+                // recompute detects (and bumps), always before any robot
+                // stamps a view version off that state. This is what keeps
+                // one move's invalidation at O(deg): moving a robot nobody
+                // sees bumps nobody else.
                 if entry.seen {
                     view_versions[a] += 1;
                     view_versions[b] += 1;
@@ -863,15 +737,9 @@ impl World {
         if regs.refs.is_empty() {
             slot.remove();
         } else {
+            // The drain doubles as a sweep: reset the compaction watermark.
             regs.compact_at = regs.refs.len() * 2;
         }
-    }
-
-    /// Index of the unordered pair `{a, b}` in the triangular matrix.
-    fn pair_index(&self, a: usize, b: usize) -> usize {
-        debug_assert!(a < b && b < self.len());
-        let n = self.len();
-        a * (2 * n - a - 1) / 2 + (b - a - 1)
     }
 
     /// Whether robots `i` and `j` see each other, answered from the cache
@@ -886,125 +754,14 @@ impl World {
             return fatrobots_geometry::visibility::disc_sees_disc(i, j, &self.centers, &self.vis);
         }
         let (a, b) = if i < j { (i, j) } else { (j, i) };
-        if self.mode == WorldMode::Sparse {
-            if let Some(e) = self.sparse.pairs.get(&pair_key(a, b)) {
-                if !e.dirty {
-                    self.hits += 1;
-                    return e.seen;
-                }
+        if let Some(e) = self.sparse.pairs.get(&pair_key(a, b)) {
+            if !e.dirty {
+                self.hits += 1;
+                return e.seen;
             }
-            self.misses += 1;
-            return self.sparse_recompute_pair(a, b);
-        }
-        let idx = self.pair_index(a, b);
-        if !self.pairs[idx].dirty {
-            self.hits += 1;
-            return self.pairs[idx].seen;
         }
         self.misses += 1;
-        {
-            let entry = &mut self.pairs[idx];
-            entry.gen = entry.gen.wrapping_add(1);
-            entry.dirty = false;
-        }
-        let seen = self.recompute_and_register_pair(a, b, idx);
-        if self.pairs[idx].seen != seen {
-            // The visible-set membership flipped: both Look snapshots
-            // change. (Dirtying an unseen pair deliberately does not bump —
-            // this recompute is where a false→true transition is caught,
-            // and it always runs before a view version is stamped off the
-            // new state.)
-            self.view_versions[a] += 1;
-            self.view_versions[b] += 1;
-        }
-        self.pairs[idx].seen = seen;
-        seen
-    }
-
-    /// Recomputes one pair and re-registers it, in a single walk over the
-    /// corridor's conservative cell cover: each visited cell receives the
-    /// pair's registration and contributes its sites to the obstacle
-    /// slice. The exact post-filter trims the cover's slop — the kernel's
-    /// answer only depends on centers within [`VISIBILITY_PRUNE_RADIUS`] of
-    /// the chord, which `disc_sees_disc_among` documents as sufficient for
-    /// an answer identical to the exhaustive test (and makes the slice
-    /// order irrelevant: the kernel returns a boolean, not a witness).
-    fn recompute_and_register_pair(&mut self, a: usize, b: usize, idx: usize) -> bool {
-        let (ca, cb) = (self.centers[a], self.centers[b]);
-        let gen = self.pairs[idx].gen;
-        let pair_ref = PairRef {
-            idx: idx as u32,
-            gen,
-            a: a as u32,
-            b: b as u32,
-        };
-        let chord = Segment::new(ca, cb);
-        let mut obs = std::mem::take(&mut self.obs_buf);
-        obs.clear();
-        {
-            let pairs = &self.pairs;
-            let cell_pairs = &mut self.cell_pairs;
-            let grid = &self.grid;
-            let centers = &self.centers;
-            grid.for_each_cell_near_segment(ca, cb, VISIBILITY_PRUNE_RADIUS, |cell| {
-                let regs = cell_pairs.entry(cell).or_default();
-                if regs.refs.len() >= regs.compact_at.max(REGISTRATION_COMPACT_LEN) {
-                    regs.refs.retain(|r| {
-                        let e = &pairs[r.idx as usize];
-                        e.gen == r.gen && !e.dirty
-                    });
-                    regs.compact_at = regs.refs.len() * 2;
-                }
-                regs.refs.push(pair_ref);
-                if let Some(sites) = grid.sites_in(cell) {
-                    // Squared-distance form of the `<= PRUNE_RADIUS` trim:
-                    // exactly equivalent, and this filter runs per site of
-                    // every cover cell of every recompute.
-                    let prune_sq = VISIBILITY_PRUNE_RADIUS * VISIBILITY_PRUNE_RADIUS;
-                    obs.extend(
-                        sites
-                            .iter()
-                            .filter(|&&k| k != a && k != b)
-                            .map(|&k| centers[k])
-                            .filter(|&c| chord.distance_sq_to(c) <= prune_sq),
-                    );
-                }
-                true
-            });
-        }
-        let seen = disc_sees_disc_among(ca, cb, &obs, &self.vis);
-        self.obs_buf = obs;
-        seen
-    }
-
-    /// The registration half of [`Self::recompute_and_register_pair`]: the
-    /// identical cell walk (including the amortized compaction sweeps) with
-    /// the obstacle gathering skipped — used when the pair's answer was
-    /// already computed read-only and is being committed by injection.
-    fn register_pair_dense(&mut self, a: usize, b: usize, idx: usize) {
-        let (ca, cb) = (self.centers[a], self.centers[b]);
-        let gen = self.pairs[idx].gen;
-        let pair_ref = PairRef {
-            idx: idx as u32,
-            gen,
-            a: a as u32,
-            b: b as u32,
-        };
-        let pairs = &self.pairs;
-        let cell_pairs = &mut self.cell_pairs;
-        self.grid
-            .for_each_cell_near_segment(ca, cb, VISIBILITY_PRUNE_RADIUS, |cell| {
-                let regs = cell_pairs.entry(cell).or_default();
-                if regs.refs.len() >= regs.compact_at.max(REGISTRATION_COMPACT_LEN) {
-                    regs.refs.retain(|r| {
-                        let e = &pairs[r.idx as usize];
-                        e.gen == r.gen && !e.dirty
-                    });
-                    regs.compact_at = regs.refs.len() * 2;
-                }
-                regs.refs.push(pair_ref);
-                true
-            });
+        self.recompute_pair(a, b, None)
     }
 
     /// The grid level a pair registers its corridor at: the finest level
@@ -1022,9 +779,10 @@ impl World {
         GRID_LEVELS - 1
     }
 
-    /// Computes one pair's visibility answer **without mutating anything**:
-    /// the same candidate walk, SoA corridor filter, strip covers and
-    /// witness kernel as the committing recompute, on caller-owned scratch.
+    /// Computes one pair's visibility answer **without mutating anything**,
+    /// on caller-owned scratch: the candidate walk, SoA corridor filter,
+    /// strip covers and witness kernel that every recompute runs (the
+    /// serial one calls this on the world's own probe).
     /// Safe to call from worker threads on a shared `&World` — the commit
     /// that later injects the result replays all bookkeeping serially and
     /// lands in exactly the state a serial recompute would have produced
@@ -1041,37 +799,9 @@ impl World {
             "scratch mode has no pair store"
         );
         let (ca, cb) = (self.centers[a], self.centers[b]);
-        if self.mode == WorldMode::Incremental {
-            // Same cells, same sites, same order and same trim as the
-            // gathering half of `recompute_and_register_pair`.
-            let chord = Segment::new(ca, cb);
-            let prune_sq = VISIBILITY_PRUNE_RADIUS * VISIBILITY_PRUNE_RADIUS;
-            probe.obs.clear();
-            let grid = &self.grid;
-            let centers = &self.centers;
-            let obs = &mut probe.obs;
-            grid.for_each_cell_near_segment(ca, cb, VISIBILITY_PRUNE_RADIUS, |cell| {
-                if let Some(sites) = grid.sites_in(cell) {
-                    obs.extend(
-                        sites
-                            .iter()
-                            .filter(|&&k| k != a && k != b)
-                            .map(|&k| centers[k])
-                            .filter(|&c| chord.distance_sq_to(c) <= prune_sq),
-                    );
-                }
-                true
-            });
-            let seen = disc_sees_disc_among(ca, cb, &probe.obs, &self.vis);
-            return PairAnswer {
-                a,
-                b,
-                seen,
-                certified: false,
-                cover_answered: false,
-            };
-        }
-        // Sparse: the gathering half of `sparse_recompute_pair`, verbatim.
+        // Candidate obstacles: sites of the occupied base cells of the
+        // corridor cover (the pruned walk surfaces exactly the sites the
+        // flat walk would).
         probe.cand.clear();
         {
             let grid = &self.grid;
@@ -1107,6 +837,11 @@ impl World {
                 .map(|&l| Point::new(sx[l as usize], sy[l as usize])),
         );
         let obs = &probe.obs;
+        // Two-tier blocked fast path before the O(k²) witness kernel. The
+        // slack cover additionally certifies the answer against endpoint
+        // drift (see [`PairEntry::certified`]); the exact cover only
+        // answers this recompute. Both are one-sided — `false` falls
+        // through to the kernel — so the answer is always the kernel's.
         let mut certified = false;
         let mut cover_answered = false;
         let seen = if strip_cover_blocked_with_slack(ca, cb, obs) {
@@ -1128,30 +863,20 @@ impl World {
         }
     }
 
-    /// Recomputes one pair of the sparse store and re-registers its
-    /// corridor. Same contract as [`Self::recompute_and_register_pair`]
-    /// (and the same kernel, so the answer is bit-identical); the obstacle
+    /// Recomputes one pair and re-registers its corridor. The obstacle
     /// slice is gathered through the occupancy-pruned hierarchical walk and
-    /// trimmed by the batched SoA corridor filter instead of a per-site
-    /// scalar filter. Both filters accept a superset of the centers within
-    /// [`VISIBILITY_PRUNE_RADIUS`] of the chord, which is all
-    /// `disc_sees_disc_among` needs for the exhaustive answer.
-    fn sparse_recompute_pair(&mut self, a: usize, b: usize) -> bool {
-        self.sparse_recompute_pair_with(a, b, None)
-    }
-
-    /// [`Self::sparse_recompute_pair`], optionally short-circuiting the
-    /// gather-and-kernel half with a precomputed [`PairAnswer`]. Every
-    /// side effect — generation bump, dirty clear, cover telemetry, view
-    /// versions, adjacency, registration — runs here either way, so an
-    /// injected answer leaves the world in exactly the state a serial
-    /// recompute would.
-    fn sparse_recompute_pair_with(
-        &mut self,
-        a: usize,
-        b: usize,
-        answer: Option<&PairAnswer>,
-    ) -> bool {
+    /// trimmed by the batched SoA corridor filter, which accepts a superset
+    /// of the centers within [`VISIBILITY_PRUNE_RADIUS`] of the chord — all
+    /// `disc_sees_disc_among` needs for an answer identical to the
+    /// exhaustive test (and the slice order is irrelevant: the kernel
+    /// returns a boolean, not a witness).
+    ///
+    /// A precomputed [`PairAnswer`] short-circuits the gather-and-kernel
+    /// half. Every side effect — generation bump, dirty clear, cover
+    /// telemetry, view versions, adjacency, registration — runs here either
+    /// way, so an injected answer leaves the world in exactly the state a
+    /// serial recompute would.
+    fn recompute_pair(&mut self, a: usize, b: usize, answer: Option<&PairAnswer>) -> bool {
         let (ca, cb) = (self.centers[a], self.centers[b]);
         let level = self.sparse_reg_level(ca, cb);
         let entry = self
@@ -1168,73 +893,29 @@ impl World {
         entry.dirty = false;
         let old_seen = entry.seen;
         let gen = entry.gen;
-        let (seen, certified) = if let Some(ans) = answer {
-            debug_assert!(ans.a == a && ans.b == b, "answer injected for wrong pair");
-            if ans.cover_answered {
-                self.cover_answers += 1;
+        let ans = match answer {
+            Some(ans) => {
+                debug_assert!(ans.a == a && ans.b == b, "answer injected for wrong pair");
+                *ans
             }
-            (ans.seen, ans.certified)
-        } else {
-            // Candidate obstacles: sites of the occupied base cells of the
-            // corridor cover (the pruned walk surfaces exactly the sites the
-            // flat walk would).
-            let mut cand = std::mem::take(&mut self.cand_buf);
-            cand.clear();
-            {
-                let grid = &self.grid;
-                grid.for_each_occupied_cell_near_segment(ca, cb, VISIBILITY_PRUNE_RADIUS, |cell| {
-                    if let Some(sites) = grid.sites_in(cell) {
-                        cand.extend(sites.iter().copied().filter(|&k| k != a && k != b));
-                    }
-                    true
-                });
+            None => {
+                let mut probe = std::mem::take(&mut self.probe);
+                let ans = self.compute_pair_answer(a, b, &mut probe);
+                self.probe = probe;
+                ans
             }
-            let mut sx = std::mem::take(&mut self.soa_xs);
-            let mut sy = std::mem::take(&mut self.soa_ys);
-            sx.clear();
-            sy.clear();
-            for &k in &cand {
-                sx.push(self.xs[k]);
-                sy.push(self.ys[k]);
-            }
-            let mut keep = std::mem::take(&mut self.keep_buf);
-            keep.clear();
-            corridor_filter_soa(ca, cb, VISIBILITY_PRUNE_RADIUS, &sx, &sy, &mut keep);
-            let mut obs = std::mem::take(&mut self.obs_buf);
-            obs.clear();
-            obs.extend(
-                keep.iter()
-                    .map(|&l| Point::new(sx[l as usize], sy[l as usize])),
-            );
-            // Two-tier blocked fast path before the O(k²) witness kernel.
-            // The slack cover additionally certifies the answer against
-            // endpoint drift (see [`PairEntry::certified`]); the exact
-            // cover only answers this recompute. Both are one-sided —
-            // `false` falls through to the kernel — so the answer is
-            // always the kernel's.
-            let mut certified = false;
-            let seen = if strip_cover_blocked_with_slack(ca, cb, &obs) {
-                certified = true;
-                self.cover_answers += 1;
-                false
-            } else if strip_cover_blocked(ca, cb, &obs) {
-                self.cover_answers += 1;
-                false
-            } else {
-                disc_sees_disc_among(ca, cb, &obs, &self.vis)
-            };
-            self.cand_buf = cand;
-            self.soa_xs = sx;
-            self.soa_ys = sy;
-            self.keep_buf = keep;
-            self.obs_buf = obs;
-            (seen, certified)
         };
+        if ans.cover_answered {
+            self.cover_answers += 1;
+        }
+        let (seen, certified) = (ans.seen, ans.certified);
         if old_seen != seen {
-            // Flip: both Look snapshots change (identical rule to the dense
-            // path — a fresh entry starts unseen, so a first computation
-            // that lands on `true` bumps, exactly like the dense matrix's
-            // initial dirty entries).
+            // Flip: both Look snapshots change. (Dirtying an unseen pair
+            // deliberately does not bump — this recompute is where a
+            // false→true transition is caught, and it always runs before a
+            // view version is stamped off the new state. A fresh entry
+            // starts unseen, so a first computation that lands on `true`
+            // bumps too.)
             self.view_versions[a] += 1;
             self.view_versions[b] += 1;
             if seen {
@@ -1289,21 +970,21 @@ impl World {
         seen
     }
 
-    /// [`Self::sparse_refresh_row_with`], with the recomputes of a large row
+    /// [`Self::refresh_row_with`], with the recomputes of a large row
     /// fanned out across cores when the caller injected no answers. The
     /// refresh's own bound on its recompute count (the whole row before its
     /// first refresh, the pending queue afterwards) gates the exact plan,
     /// so a small row pays one comparison. The kernels run read-only on
     /// the frozen centers and the commit is the injected-answer path, so
     /// the fan-out changes no answer, no bookkeeping and no counter.
-    fn sparse_refresh_row(&mut self, i: usize, answers: Option<&PairAnswers>) {
+    fn refresh_row(&mut self, i: usize, answers: Option<&PairAnswers>) {
         let bound = if self.sparse.row_init[i] {
             self.sparse.pending[i].js.len()
         } else {
             self.len() - 1
         };
         if answers.is_some() || self.row_fanout_width <= 1 || bound < ROW_FANOUT_MIN_PAIRS {
-            self.sparse_refresh_row_with(i, answers);
+            self.refresh_row_with(i, answers);
             return;
         }
         let mut plan = std::mem::take(&mut self.fanout_plan);
@@ -1312,25 +993,25 @@ impl World {
         if plan.len() >= ROW_FANOUT_MIN_PAIRS {
             let mut fanned = std::mem::take(&mut self.fanout_answers);
             crate::parallel::compute_pair_answers(self, &plan, self.row_fanout_width, &mut fanned);
-            self.sparse_refresh_row_with(i, Some(&fanned));
+            self.refresh_row_with(i, Some(&fanned));
             self.fanout_answers = fanned;
         } else {
-            self.sparse_refresh_row_with(i, None);
+            self.refresh_row_with(i, None);
         }
         self.fanout_plan = plan;
     }
 
-    /// Brings every pair of row `i` up to date in the sparse store, so that
-    /// `adj[i]` *is* the visible set. A row's first refresh computes all of
-    /// its pairs (the unavoidable O(n) the dense matrix pays eagerly at
-    /// construction); afterwards only the pairs queued dirty by the cell
-    /// drains recompute — the output-sensitive steady state.
+    /// Brings every pair of row `i` up to date, so that `adj[i]` *is* the
+    /// visible set. A row's first refresh computes all of its pairs (the
+    /// unavoidable O(n), paid lazily per row); afterwards only the pairs
+    /// queued dirty by the cell drains recompute — the output-sensitive
+    /// steady state.
     ///
     /// Each recompute is answered from the injected [`PairAnswers`] when
     /// present (serially recomputed otherwise). The drain order, the
     /// hit/miss telemetry and every state transition are identical either
     /// way.
-    fn sparse_refresh_row_with(&mut self, i: usize, answers: Option<&PairAnswers>) {
+    fn refresh_row_with(&mut self, i: usize, answers: Option<&PairAnswers>) {
         if !self.sparse.row_init[i] {
             for j in 0..self.len() {
                 if j == i {
@@ -1342,7 +1023,7 @@ impl World {
                     _ => {
                         self.misses += 1;
                         let ans = answers.and_then(|s| s.get(a, b));
-                        self.sparse_recompute_pair_with(a, b, ans);
+                        self.recompute_pair(a, b, ans);
                     }
                 }
             }
@@ -1366,7 +1047,7 @@ impl World {
             {
                 self.misses += 1;
                 let ans = answers.and_then(|s| s.get(a, b));
-                self.sparse_recompute_pair_with(a, b, ans);
+                self.recompute_pair(a, b, ans);
             }
         }
         js.clear();
@@ -1390,49 +1071,35 @@ impl World {
     /// Panics if `i` is out of bounds.
     pub fn look_plan(&self, i: usize, out: &mut Vec<(usize, usize)>) {
         assert!(i < self.len(), "robot index out of bounds");
-        match self.mode {
-            WorldMode::Scratch => {}
-            WorldMode::Incremental => {
-                for j in 0..self.len() {
-                    if j == i {
-                        continue;
-                    }
-                    let (a, b) = if i < j { (i, j) } else { (j, i) };
-                    if self.pairs[self.pair_index(a, b)].dirty {
-                        out.push((a, b));
-                    }
+        if self.mode == WorldMode::Scratch {
+            return;
+        }
+        if !self.sparse.row_init[i] {
+            for j in 0..self.len() {
+                if j == i {
+                    continue;
+                }
+                let (a, b) = if i < j { (i, j) } else { (j, i) };
+                match self.sparse.pairs.get(&pair_key(a, b)) {
+                    Some(e) if !e.dirty => {}
+                    _ => out.push((a, b)),
                 }
             }
-            WorldMode::Sparse => {
-                if !self.sparse.row_init[i] {
-                    for j in 0..self.len() {
-                        if j == i {
-                            continue;
-                        }
-                        let (a, b) = if i < j { (i, j) } else { (j, i) };
-                        match self.sparse.pairs.get(&pair_key(a, b)) {
-                            Some(e) if !e.dirty => {}
-                            _ => out.push((a, b)),
-                        }
-                    }
-                } else {
-                    // Mirror the refresh's drain: sorted, deduplicated,
-                    // dirty-only.
-                    let mut js: Vec<u32> = self.sparse.pending[i].js.clone();
-                    js.sort_unstable();
-                    js.dedup();
-                    for &j in &js {
-                        let j = j as usize;
-                        let (a, b) = if i < j { (i, j) } else { (j, i) };
-                        if self
-                            .sparse
-                            .pairs
-                            .get(&pair_key(a, b))
-                            .is_some_and(|e| e.dirty)
-                        {
-                            out.push((a, b));
-                        }
-                    }
+        } else {
+            // Mirror the refresh's drain: sorted, deduplicated, dirty-only.
+            let mut js: Vec<u32> = self.sparse.pending[i].js.clone();
+            js.sort_unstable();
+            js.dedup();
+            for &j in &js {
+                let j = j as usize;
+                let (a, b) = if i < j { (i, j) } else { (j, i) };
+                if self
+                    .sparse
+                    .pairs
+                    .get(&pair_key(a, b))
+                    .is_some_and(|e| e.dirty)
+                {
+                    out.push((a, b));
                 }
             }
         }
@@ -1451,8 +1118,8 @@ impl World {
 
     /// Fills `out` with the (ascending) indices of the robots visible to
     /// robot `i` — [`Self::visible_of`] writing into caller-owned storage,
-    /// so the engine's per-Look cost is free of allocation. A sparse row
-    /// with many pairs to recompute fans them out across the host's cores
+    /// so the engine's per-Look cost is free of allocation. A row with
+    /// many pairs to recompute fans them out across the host's cores
     /// ([`Self::visible_of_into_with`]); the result is the serial one.
     ///
     /// # Panics
@@ -1464,8 +1131,8 @@ impl World {
     /// [`Self::visible_of_into`] with precomputed pair answers: every
     /// recompute the refresh hits is answered from `answers` when present
     /// (committing all bookkeeping here, serially) and recomputed in place
-    /// otherwise. An empty set is the serial path; with `None` a sparse
-    /// row of at least `ROW_FANOUT_MIN_PAIRS` recomputes computes its own
+    /// otherwise. An empty set is the serial path; with `None` a row of at
+    /// least `ROW_FANOUT_MIN_PAIRS` recomputes computes its own
     /// answers across the host's cores first (injected answers never fan
     /// out again, so the two never nest). Injection only moves kernel
     /// evaluations onto other threads, never changes what is computed, in
@@ -1485,51 +1152,10 @@ impl World {
             out.extend(visible_set(i, &self.centers, &self.vis));
             return;
         }
-        if self.mode == WorldMode::Sparse {
-            // Refresh recomputes exactly the dirty pairs of row `i`; the
-            // sorted adjacency list then *is* the ascending visible set.
-            self.sparse_refresh_row(i, answers);
-            out.extend(self.sparse.adj[i].iter().map(|&j| j as usize));
-            return;
-        }
-        for j in 0..self.len() {
-            if j == i {
-                continue;
-            }
-            // Inlined `sees(i, j)` with the recompute optionally answered
-            // by injection: same counters, same generation bump, same flip
-            // rule, same registration walk.
-            let (a, b) = if i < j { (i, j) } else { (j, i) };
-            let idx = self.pair_index(a, b);
-            let seen = if !self.pairs[idx].dirty {
-                self.hits += 1;
-                self.pairs[idx].seen
-            } else {
-                self.misses += 1;
-                {
-                    let entry = &mut self.pairs[idx];
-                    entry.gen = entry.gen.wrapping_add(1);
-                    entry.dirty = false;
-                }
-                let seen = match answers.and_then(|s| s.get(a, b)) {
-                    Some(ans) => {
-                        debug_assert!(ans.a == a && ans.b == b);
-                        self.register_pair_dense(a, b, idx);
-                        ans.seen
-                    }
-                    None => self.recompute_and_register_pair(a, b, idx),
-                };
-                if self.pairs[idx].seen != seen {
-                    self.view_versions[a] += 1;
-                    self.view_versions[b] += 1;
-                }
-                self.pairs[idx].seen = seen;
-                seen
-            };
-            if seen {
-                out.push(j);
-            }
-        }
+        // Refresh recomputes exactly the dirty pairs of row `i`; the sorted
+        // adjacency list then *is* the ascending visible set.
+        self.refresh_row(i, answers);
+        out.extend(self.sparse.adj[i].iter().map(|&j| j as usize));
     }
 
     /// Brings the hull cache up to date when stale and returns the
@@ -1585,7 +1211,7 @@ impl World {
     }
 
     /// `true` when no two discs overlap beyond the touch tolerance.
-    /// Grid-local in incremental mode (overlap is a contact-radius
+    /// Grid-local in [`WorldMode::Sparse`] (overlap is a contact-radius
     /// relation), identical in outcome to the global minimum-gap test.
     pub fn is_valid(&mut self) -> bool {
         if self.mode == WorldMode::Scratch {
@@ -1821,7 +1447,7 @@ mod tests {
                 p(2.0, 4.0),
                 p(5.0, 3.0),
             ],
-            WorldMode::Incremental,
+            WorldMode::Sparse,
         );
         assert_matches_scratch(&mut w);
     }
@@ -1830,7 +1456,7 @@ mod tests {
     fn moves_invalidate_exactly_what_they_must() {
         let mut w = world(
             vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(10.0, 12.0)],
-            WorldMode::Incremental,
+            WorldMode::Sparse,
         );
         assert_matches_scratch(&mut w);
         // Slide the middle robot off the 0–2 corridor: 0 and 2 regain sight.
@@ -1847,7 +1473,7 @@ mod tests {
     fn unrelated_pairs_hit_the_cache_after_a_move() {
         let mut w = world(
             vec![p(0.0, 0.0), p(6.0, 0.0), p(100.0, 100.0), p(106.0, 100.0)],
-            WorldMode::Incremental,
+            WorldMode::Sparse,
         );
         // Warm every pair.
         for i in 0..4 {
@@ -1885,7 +1511,7 @@ mod tests {
         // discs occlude the far ones).
         let mut w = world(
             vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(30.0, 0.0)],
-            WorldMode::Incremental,
+            WorldMode::Sparse,
         );
         // Clean every pair (the state right after everybody Looked).
         for i in 0..4 {
@@ -1931,7 +1557,7 @@ mod tests {
         // against arbitrary scripts.)
         let mut w = world(
             vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0)],
-            WorldMode::Incremental,
+            WorldMode::Sparse,
         );
         let vis0 = w.visible_of(0);
         assert_eq!(vis0, vec![1]);
@@ -1949,7 +1575,7 @@ mod tests {
     fn unchanged_view_version_guarantees_identical_visible_set() {
         let mut w = world(
             vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(10.0, 12.0)],
-            WorldMode::Incremental,
+            WorldMode::Sparse,
         );
         let mut seen: Vec<(u64, Vec<usize>)> = (0..4)
             .map(|i| {
@@ -1991,7 +1617,7 @@ mod tests {
                 p(0.0, 20.0),
                 p(10.0, 10.0),
             ],
-            WorldMode::Incremental,
+            WorldMode::Sparse,
         );
         let _ = w.hull(); // cold: full build
         assert_eq!(w.hull_repair_stats(), (0, 1));
@@ -2017,19 +1643,22 @@ mod tests {
 
     #[test]
     fn move_to_same_position_is_a_noop() {
-        let mut w = world(vec![p(0.0, 0.0), p(5.0, 0.0)], WorldMode::Incremental);
+        let mut w = world(vec![p(0.0, 0.0), p(5.0, 0.0)], WorldMode::Sparse);
         let _ = w.visible_of(0);
         let (_, misses) = w.cache_stats();
+        let version = w.view_version(0);
         w.move_robot(0, p(0.0, 0.0));
         let _ = w.visible_of(0);
+        assert!(w.sees(0, 1));
         let (hits, misses_after) = w.cache_stats();
         assert_eq!(misses_after, misses, "a no-op move must not invalidate");
+        assert_eq!(w.view_version(0), version, "nor bump the mover's view");
         assert!(hits >= 1);
     }
 
     #[test]
     fn single_robot_world_is_trivially_fine() {
-        let mut w = world(vec![p(1.0, 1.0)], WorldMode::Incremental);
+        let mut w = world(vec![p(1.0, 1.0)], WorldMode::Sparse);
         assert!(w.visible_of(0).is_empty());
         assert!(w.is_valid());
         assert!(w.is_connected());
@@ -2038,7 +1667,7 @@ mod tests {
 
     #[test]
     fn overlap_is_detected_incrementally() {
-        let mut w = world(vec![p(0.0, 0.0), p(5.0, 0.0)], WorldMode::Incremental);
+        let mut w = world(vec![p(0.0, 0.0), p(5.0, 0.0)], WorldMode::Sparse);
         assert!(w.is_valid());
         w.move_robot(1, p(1.0, 0.0));
         assert!(!w.is_valid());
@@ -2052,7 +1681,7 @@ mod tests {
         // cells that see the move are the jump's endpoints.
         let mut w = world(
             vec![p(0.0, 0.0), p(10.0, 0.0), p(5.0, 50.0)],
-            WorldMode::Incremental,
+            WorldMode::Sparse,
         );
         assert!(w.sees(0, 1));
         w.move_robot(2, p(5.0, 0.0));
@@ -2061,33 +1690,6 @@ mod tests {
         // And jumping away again restores it.
         w.move_robot(2, p(5.0, 50.0));
         assert!(w.sees(0, 1));
-        assert_matches_scratch(&mut w);
-    }
-
-    #[test]
-    fn repeated_recomputation_does_not_leak_registrations() {
-        // Oscillate one robot through a corridor many times; the far cells
-        // of the corridor accumulate registrations that the compaction
-        // bound must keep finite.
-        let mut w = world(
-            vec![p(0.0, 0.0), p(40.0, 0.0), p(20.0, 3.0)],
-            WorldMode::Incremental,
-        );
-        for k in 0..500 {
-            let y = if k % 2 == 0 { 0.0 } else { 3.0 };
-            w.move_robot(2, p(20.0, y));
-            let _ = w.visible_of(0);
-        }
-        let worst = w
-            .cell_pairs
-            .values()
-            .map(|r| r.refs.len())
-            .max()
-            .unwrap_or(0);
-        assert!(
-            worst <= 2 * REGISTRATION_COMPACT_LEN,
-            "registration lists must stay bounded (worst {worst})"
-        );
         assert_matches_scratch(&mut w);
     }
 
@@ -2107,52 +1709,6 @@ mod tests {
         w.move_robot(3, p(9.0, 11.0));
         w.move_robot(0, p(1.0, 0.5));
         assert_matches_scratch(&mut w);
-    }
-
-    #[test]
-    fn sparse_and_dense_agree_event_for_event() {
-        let centers = vec![
-            p(0.0, 0.0),
-            p(10.0, 0.0),
-            p(20.0, 0.0),
-            p(10.0, 12.0),
-            p(5.0, 30.0),
-        ];
-        let mut s = world(centers.clone(), WorldMode::Sparse);
-        let mut d = world(centers, WorldMode::Incremental);
-        let script = [
-            (1, p(10.0, 5.0)),
-            (4, p(5.0, 1.0)),
-            (3, p(10.0, 0.5)),
-            (1, p(10.0, 0.0)),
-            (0, p(0.0, 1.0)),
-            (4, p(5.0, 30.0)),
-        ];
-        for &(m, to) in &script {
-            s.move_robot(m, to);
-            d.move_robot(m, to);
-            for i in 0..s.len() {
-                assert_eq!(
-                    s.visible_of(i),
-                    d.visible_of(i),
-                    "sparse and dense visible sets of robot {i} diverged"
-                );
-                // The two modes share the exact invalidation rule (the
-                // dirtied-pair set is identical), so the view-version
-                // streams — the engine's decision-cache keys — must match
-                // bump-for-bump, not just in their guarantee.
-                assert_eq!(
-                    s.view_version(i),
-                    d.view_version(i),
-                    "view-version stream of robot {i} diverged"
-                );
-            }
-            assert_eq!(s.is_valid(), d.is_valid());
-            assert_eq!(s.is_connected(), d.is_connected());
-            assert_eq!(s.all_on_hull(), d.all_on_hull());
-            assert_eq!(s.is_gathered(1e-9), d.is_gathered(1e-9));
-            assert_eq!(s.min_pairwise_gap(), d.min_pairwise_gap());
-        }
     }
 
     #[test]
@@ -2292,7 +1848,7 @@ mod tests {
     fn contact_candidates_cover_the_swept_path() {
         let mut w = world(
             vec![p(0.0, 0.0), p(10.0, 0.0), p(5.0, 30.0)],
-            WorldMode::Incremental,
+            WorldMode::Sparse,
         );
         let mut out = Vec::new();
         w.contact_candidates(0, p(0.0, 0.0), Vec2::new(1.0, 0.0), 9.0, &mut out);

@@ -3,12 +3,14 @@
 //! reference recomputation, across every `Shape` × `AdversaryKind`
 //! combination of the experiment matrix.
 //!
-//! The incremental engine ([`WorldMode::Incremental`], the default) answers
-//! Look snapshots, validity, connectivity and the gathering predicate from
-//! caches with grid-indexed dirty-pair invalidation; the reference engine
-//! ([`WorldMode::Scratch`]) recomputes everything per query exactly like
-//! the seed engine did. Identical event streams, final centers, outcomes
-//! and metrics prove the caches never change observable behaviour.
+//! The incremental engine ([`WorldMode::Sparse`], the default) answers Look
+//! snapshots, validity, connectivity and the gathering predicate from a
+//! sparse pair store with grid-indexed dirty-pair invalidation (per-level
+//! corridor registrations, pending-row queues, lazy row initialization)
+//! and version-tagged caches; the reference engine ([`WorldMode::Scratch`])
+//! recomputes everything per query exactly like the seed engine did.
+//! Identical event streams, final centers, outcomes and metrics prove the
+//! caches never change observable behaviour.
 
 use fatrobots::prelude::*;
 use fatrobots::sim::experiment::{AdversaryKind, StrategyKind};
@@ -82,7 +84,7 @@ fn world_backed_runs_replay_identically_across_the_matrix() {
     for shape in Shape::ALL {
         for adversary in AdversaryKind::ALL {
             let (cached_outcome, cached_centers, cached_events) =
-                run_with_mode(5, 2, shape, adversary, WorldMode::Incremental);
+                run_with_mode(5, 2, shape, adversary, WorldMode::Sparse);
             let (scratch_outcome, scratch_centers, scratch_events) =
                 run_with_mode(5, 2, shape, adversary, WorldMode::Scratch);
             let label = format!("shape={} adversary={}", shape.name(), adversary.name());
@@ -106,44 +108,38 @@ fn world_backed_runs_replay_identically_across_the_matrix() {
     }
 }
 
-/// The sparse-world pin: [`WorldMode::Sparse`] (adjacency lists plus a
-/// hash-map pair store, built for n = 10⁴) must replay event-for-event
-/// identical to both the dense incremental world and the from-scratch
-/// reference, across the same Shape × AdversaryKind matrix. All three
-/// modes answer through the same geometric kernels; this test pins that
-/// the sparse bookkeeping (per-level corridor registrations, pending-row
-/// queues, lazy row initialization) never changes observable behaviour.
+/// The sparse-world pin on a second slice of the matrix: a larger swarm
+/// (n = 7, seed 3) with the decision cache off, so every Compute reads a
+/// freshly refreshed sparse row instead of replaying a memoized decision.
+/// [`WorldMode::Sparse`] must replay event-for-event identical to the
+/// from-scratch reference; this pins that the sparse bookkeeping
+/// (per-level corridor registrations, pending-row queues, lazy row
+/// initialization) never changes observable behaviour.
 #[test]
 fn sparse_world_runs_replay_identically_across_the_matrix() {
     for shape in Shape::ALL {
         for adversary in AdversaryKind::ALL {
             let (sparse_outcome, sparse_centers, sparse_events) =
-                run_with_mode(5, 2, shape, adversary, WorldMode::Sparse);
-            let (dense_outcome, dense_centers, dense_events) =
-                run_with_mode(5, 2, shape, adversary, WorldMode::Incremental);
-            let label = format!("shape={} adversary={}", shape.name(), adversary.name());
-            assert_eq!(
-                sparse_events, dense_events,
-                "sparse event stream diverged from dense for {label}"
-            );
-            assert_eq!(
-                sparse_centers, dense_centers,
-                "sparse final centers diverged from dense for {label}"
-            );
-            assert_eq!(
-                sparse_outcome, dense_outcome,
-                "sparse run outcome diverged from dense for {label}"
-            );
-            // And against the reference recomputation, so a bug shared by
-            // both cached modes cannot pass as agreement.
+                run_with_config(7, 3, shape, adversary, WorldMode::Sparse, false);
             let (scratch_outcome, scratch_centers, scratch_events) =
-                run_with_mode(5, 2, shape, adversary, WorldMode::Scratch);
+                run_with_config(7, 3, shape, adversary, WorldMode::Scratch, false);
+            let label = format!("shape={} adversary={}", shape.name(), adversary.name());
             assert_eq!(
                 sparse_events, scratch_events,
                 "sparse event stream diverged from scratch for {label}"
             );
-            assert_eq!(sparse_centers, scratch_centers);
-            assert_eq!(sparse_outcome, scratch_outcome);
+            assert_eq!(
+                sparse_centers, scratch_centers,
+                "sparse final centers diverged from scratch for {label}"
+            );
+            assert_eq!(
+                sparse_outcome, scratch_outcome,
+                "sparse run outcome diverged from scratch for {label}"
+            );
+            assert!(
+                !sparse_events.is_empty(),
+                "the {label} run must actually execute events"
+            );
         }
     }
 }
@@ -161,9 +157,9 @@ fn memoized_decisions_replay_identically_across_the_matrix() {
     for shape in Shape::ALL {
         for adversary in AdversaryKind::ALL {
             let (cached_outcome, cached_centers, cached_events) =
-                run_with_config(5, 2, shape, adversary, WorldMode::Incremental, true);
+                run_with_config(5, 2, shape, adversary, WorldMode::Sparse, true);
             let (fresh_outcome, fresh_centers, fresh_events) =
-                run_with_config(5, 2, shape, adversary, WorldMode::Incremental, false);
+                run_with_config(5, 2, shape, adversary, WorldMode::Sparse, false);
             let label = format!("shape={} adversary={}", shape.name(), adversary.name());
             assert_eq!(
                 cached_events, fresh_events,
@@ -185,40 +181,34 @@ fn memoized_decisions_replay_identically_across_the_matrix() {
 /// the commutation-batching + speculative-Compute executor, which must
 /// replay **event-for-event identical** to the serial loop — same event
 /// stream, same final centers, same outcome (metrics and samples included)
-/// — across the whole Shape × AdversaryKind matrix, in both the dense and
-/// the sparse world. Any divergence means a batched event did not actually
-/// commute or a speculation replayed a stale decision.
+/// — across the whole Shape × AdversaryKind matrix. Any divergence means a
+/// batched event did not actually commute or a speculation replayed a
+/// stale decision.
 #[test]
 fn parallel_executor_replays_identically_across_the_matrix() {
     let mut batched_events = 0;
     let mut spec_hits = 0;
-    for mode in [WorldMode::Incremental, WorldMode::Sparse] {
-        for shape in Shape::ALL {
-            for adversary in AdversaryKind::ALL {
-                let (par_outcome, par_centers, par_events, stats) =
-                    run_with_threads(5, 2, shape, adversary, mode, true, 4);
-                let (ser_outcome, ser_centers, ser_events, _) =
-                    run_with_threads(5, 2, shape, adversary, mode, true, 1);
-                let label = format!(
-                    "mode={mode:?} shape={} adversary={}",
-                    shape.name(),
-                    adversary.name()
-                );
-                assert_eq!(
-                    par_events, ser_events,
-                    "parallel event stream diverged from serial for {label}"
-                );
-                assert_eq!(
-                    par_centers, ser_centers,
-                    "parallel final centers diverged from serial for {label}"
-                );
-                assert_eq!(
-                    par_outcome, ser_outcome,
-                    "parallel run outcome diverged from serial for {label}"
-                );
-                batched_events += stats.1;
-                spec_hits += stats.2;
-            }
+    for shape in Shape::ALL {
+        for adversary in AdversaryKind::ALL {
+            let (par_outcome, par_centers, par_events, stats) =
+                run_with_threads(5, 2, shape, adversary, WorldMode::Sparse, true, 4);
+            let (ser_outcome, ser_centers, ser_events, _) =
+                run_with_threads(5, 2, shape, adversary, WorldMode::Sparse, true, 1);
+            let label = format!("shape={} adversary={}", shape.name(), adversary.name());
+            assert_eq!(
+                par_events, ser_events,
+                "parallel event stream diverged from serial for {label}"
+            );
+            assert_eq!(
+                par_centers, ser_centers,
+                "parallel final centers diverged from serial for {label}"
+            );
+            assert_eq!(
+                par_outcome, ser_outcome,
+                "parallel run outcome diverged from serial for {label}"
+            );
+            batched_events += stats.1;
+            spec_hits += stats.2;
         }
     }
     // The pin is only meaningful if the parallel paths actually engage.
@@ -240,9 +230,9 @@ fn parallel_executor_matches_serial_without_the_decision_cache() {
     for shape in Shape::ALL {
         for adversary in AdversaryKind::ALL {
             let (par_outcome, par_centers, par_events, stats) =
-                run_with_threads(5, 2, shape, adversary, WorldMode::Incremental, false, 4);
+                run_with_threads(5, 2, shape, adversary, WorldMode::Sparse, false, 4);
             let (ser_outcome, ser_centers, ser_events, _) =
-                run_with_threads(5, 2, shape, adversary, WorldMode::Incremental, false, 1);
+                run_with_threads(5, 2, shape, adversary, WorldMode::Sparse, false, 1);
             let label = format!("shape={} adversary={}", shape.name(), adversary.name());
             assert_eq!(par_events, ser_events, "event stream diverged for {label}");
             assert_eq!(par_centers, ser_centers);
@@ -263,7 +253,7 @@ fn larger_asynchronous_run_replays_identically() {
         7,
         Shape::Random,
         AdversaryKind::RandomAsync,
-        WorldMode::Incremental,
+        WorldMode::Sparse,
     );
     let (scratch_outcome, scratch_centers, scratch_events) = run_with_mode(
         9,
@@ -284,7 +274,7 @@ fn larger_asynchronous_run_replays_identically() {
         7,
         Shape::Random,
         AdversaryKind::RandomAsync,
-        WorldMode::Incremental,
+        WorldMode::Sparse,
         false,
     );
     assert_eq!(cached_events, fresh_events);
