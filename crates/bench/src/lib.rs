@@ -27,84 +27,31 @@ pub const STANDARD_SEEDS: [u64; 5] = [1, 2, 3, 4, 5];
 pub const QUICK_SEEDS: [u64; 3] = [1, 2, 3];
 
 /// The `schema_version` stamped into `bench_report.json`. Bump on any
-/// breaking change to the report layout.
+/// breaking change to the report layout (the README documents it).
 ///
-/// * **v1** — initial layout (tables → groups → aggregate + runs).
-/// * **v2** — per-run records additionally carry
-///   `visibility_cache_hits` / `visibility_cache_misses` (the world's
-///   pair-cache telemetry; both 0 under `WorldMode::Scratch`). v2 is a
-///   pure field addition: every v1 key is still present with the same
-///   meaning, and readers written against v1 keep working — see
-///   [`report_supported`].
-/// * **v3** — per-run records additionally carry the output-sensitive
-///   event-loop telemetry: `decision_cache_hits` / `decision_cache_misses`
-///   (Compute events replayed from the per-robot decision memo vs. run
-///   through the pipeline) and `hull_repairs` / `hull_rebuilds` (world hull
-///   refreshes served by the single-mover in-place repair vs. full
-///   rebuilds). Again a pure field addition; v1 and v2 readers keep
-///   working, and [`diff_against_baseline`] happily diffs a v2 baseline
-///   against v3 tables (it only reads aggregate fields present since v1).
-/// * **v4** — shadow-oracle telemetry. Per-run records carry a `shadow` key:
-///   `null` when the run did not request the exact-arithmetic shadow oracle
-///   (`report --shadow`), otherwise an object with the oracle's tallies
-///   (`computes`, `divergent`, `predicate_flips`, per-site counters and the
-///   `first_divergence` record). Aggregate rows carry `shadow_divergent` /
-///   `shadow_flips` totals (`null` without the oracle). Another pure field
-///   addition; [`diff_against_baseline`] applies its shadow-divergence rule
-///   only when *both* sides carry the counters, so v1–v3 baselines keep
-///   diffing cleanly against v4 tables.
-/// * **v5** — pair-store telemetry. Per-run records additionally carry
-///   `world_pair_entries` / `world_pair_registrations`: the visibility
-///   pair-store size at the end of the run (only the pairs computed so far;
-///   the since-retired dense world mode reported its full Θ(n²) triangle)
-///   and its live corridor-registration count. A pure field addition;
-///   v1–v4 baselines keep diffing cleanly against v5 tables.
-/// * **v6** — parallel-executor telemetry. The document root carries a
-///   `threads` key (the `--threads` value every run executed with, 1 =
-///   serial loop), and per-run records carry `threads` plus the executor's
-///   counters: `par_batches` / `par_batched_events` (commutation batches
-///   committed and the events inside multi-event batches) and
-///   `speculation_hits` / `speculation_aborts` (speculative Compute
-///   decisions consumed vs. discarded at version validation). All zero for
-///   serial runs. The parallel executor is pinned event-for-event identical
-///   to serial, so every *other* field is independent of `threads` — which
-///   is exactly what lets [`diff_against_baseline`] compare a `--threads 4`
-///   report against a serial baseline. A pure field addition; v1–v5
-///   baselines keep diffing cleanly against v6 tables.
-/// * **v7** — fault-injection telemetry. Per-run records carry the fault
-///   adversaries' counters: `fault_crashed_robots` (victims permanently
-///   crash-stopped by the schedule), `fault_starved_directives`
-///   (activations granted to non-victims while a persistent-sleep window
-///   starved its victims) and `fault_truncated_directives` (directives a
-///   slow coalition truncated to the δ minimum). All zero under fault-free
-///   adversaries; the E4 table also gains the three fault-adversary rows.
-///   v7 additionally introduces the *fuzz telemetry* document
-///   (`report fuzz --json`): a sibling format with `"mode": "fuzz"`,
-///   campaign counters and the shrunk findings — baseline diffing only
-///   ever reads table documents. A pure field addition; v1–v6 baselines
-///   keep diffing cleanly against v7 tables.
-/// * **v8** — supervised-execution telemetry. The document root carries a
-///   `supervision` object: the `fail_fast` switch, the total `retries`
-///   spent re-running panicked workers, a `failures` array (one structured
-///   row per run that kept failing after its bounded retries — the spec
-///   fields plus the panic `message`, `attempts` count and `quarantined`
-///   flag), and `checkpoint` — `null` without `--checkpoint-dir`,
-///   otherwise the crash-safe journal's counters (`resumed_rows`,
-///   `replayed_events`, `journal_records`, `recovered_records`,
-///   `dropped_bytes`, `write_errors`). Sweeps are deterministic, so the
-///   checkpoint counters are the *only* keys that may differ between an
-///   uninterrupted sweep and a killed-and-resumed one; the CI
-///   `kill-resume` gate diffs the two documents modulo exactly those
-///   lines. A pure field addition; v1–v7 baselines keep diffing cleanly
-///   against v8 tables.
+/// A v8 document carries, at the root, the run flags (`quick`, `jobs`,
+/// `shadow`, `threads`), the `tables` (tables → groups → aggregate +
+/// per-run records with the world, decision-cache, hull, pair-store,
+/// parallel-executor, fault and `shadow` telemetry) and the `supervision`
+/// object: the `fail_fast` switch, the total `retries` spent re-running
+/// panicked workers, a `failures` array (one structured row per run that
+/// kept failing after its bounded retries — the spec fields plus the
+/// panic `message`, `attempts` count and `quarantined` flag), and
+/// `checkpoint` — `null` without `--checkpoint-dir`, otherwise the
+/// crash-safe journal's counters (`resumed_rows`, `replayed_events`,
+/// `journal_records`, `recovered_records`, `dropped_bytes`,
+/// `write_errors`). Sweeps are deterministic, so the checkpoint counters
+/// are the *only* keys that may differ between an uninterrupted sweep and
+/// a killed-and-resumed one; the CI `kill-resume` gate diffs the two
+/// documents modulo exactly those lines.
 pub const REPORT_SCHEMA_VERSION: i64 = 8;
 
-/// The oldest `schema_version` current tooling still reads.
-pub const REPORT_SCHEMA_MIN_SUPPORTED: i64 = 1;
+/// The oldest `schema_version` current tooling still reads: the committed
+/// baseline is v8, so older documents are rejected.
+pub const REPORT_SCHEMA_MIN_SUPPORTED: i64 = 8;
 
 /// `true` when a parsed `bench_report.json` document carries a schema
-/// version this crate's readers understand (v1 documents simply lack the
-/// cache-telemetry fields; lookups for them return `None`).
+/// version this crate's readers understand.
 pub fn report_supported(doc: &JsonValue) -> bool {
     matches!(
         doc.get("schema_version"),
@@ -239,7 +186,7 @@ pub fn print_table(table: &ExperimentTable) {
     }
 }
 
-/// The shadow-oracle tallies of one run as a JSON record (schema v4).
+/// The shadow-oracle tallies of one run as a JSON record.
 fn shadow_json(stats: &fatrobots_sim::shadow::ShadowStats) -> JsonValue {
     let first = stats
         .first_divergence
@@ -640,13 +587,13 @@ mod tests {
             runs[0].get("strategy").and_then(JsonValue::as_str),
             Some("agm-gathering")
         );
-        // v2: cache telemetry rides along on every run record.
+        // Cache telemetry rides along on every run record.
         assert!(matches!(
             runs[0].get("visibility_cache_misses"),
             Some(&JsonValue::Int(m)) if m > 0
         ));
         assert!(runs[0].get("visibility_cache_hits").is_some());
-        // v3: the output-sensitive loop's counters ride along too.
+        // The output-sensitive loop's counters ride along too.
         assert!(matches!(
             runs[0].get("decision_cache_misses"),
             Some(&JsonValue::Int(m)) if m > 0
@@ -657,14 +604,14 @@ mod tests {
             runs[0].get("hull_rebuilds"),
             Some(&JsonValue::Int(m)) if m > 0
         ));
-        // v5: pair-store telemetry — once every robot has Looked, the
+        // Pair-store telemetry — once every robot has Looked, the
         // default world has computed all n(n-1)/2 pairs (n=3 → 3 entries).
         assert_eq!(runs[0].get("world_pair_entries"), Some(&JsonValue::Int(3)));
         assert!(matches!(
             runs[0].get("world_pair_registrations"),
             Some(&JsonValue::Int(m)) if m > 0
         ));
-        // v6: parallel-executor telemetry — serial runs carry the keys with
+        // Parallel-executor telemetry — serial runs carry the keys with
         // thread count 1 and all counters zero.
         assert_eq!(doc.get("threads"), Some(&JsonValue::Int(1)));
         assert_eq!(runs[0].get("threads"), Some(&JsonValue::Int(1)));
@@ -672,7 +619,7 @@ mod tests {
         assert_eq!(runs[0].get("par_batched_events"), Some(&JsonValue::Int(0)));
         assert_eq!(runs[0].get("speculation_hits"), Some(&JsonValue::Int(0)));
         assert_eq!(runs[0].get("speculation_aborts"), Some(&JsonValue::Int(0)));
-        // v7: fault-injection telemetry — zero under fault-free adversaries.
+        // Fault-injection telemetry — zero under fault-free adversaries.
         assert_eq!(
             runs[0].get("fault_crashed_robots"),
             Some(&JsonValue::Int(0))
@@ -687,11 +634,11 @@ mod tests {
         );
         let aggregate = groups[0].get("aggregate").unwrap();
         assert_eq!(aggregate.get("runs"), Some(&JsonValue::Int(2)));
-        // v4: without --shadow the shadow keys are present but null.
+        // Without --shadow the shadow keys are present but null.
         assert_eq!(runs[0].get("shadow"), Some(&JsonValue::Null));
         assert_eq!(aggregate.get("shadow_divergent"), Some(&JsonValue::Null));
         assert_eq!(aggregate.get("shadow_flips"), Some(&JsonValue::Null));
-        // v8: the supervision object — clean default execution means no
+        // The supervision object — clean default execution means no
         // failures, no retries, and no checkpoint journal.
         let supervision = doc.get("supervision").expect("supervision present");
         assert_eq!(supervision.get("fail_fast"), Some(&JsonValue::Bool(false)));
@@ -835,7 +782,7 @@ mod tests {
 
         // Baseline with a lower divergence count: a regression.
         let stricter = json::parse(
-            r#"{"schema_version": 4, "tables": [
+            r#"{"schema_version": 8, "tables": [
                  {"id": "e1", "groups": [
                    {"label": "n=3", "aggregate":
                       {"gathered_rate": 0.0, "mean_events": 1e9,
@@ -855,47 +802,26 @@ mod tests {
         );
         assert!(diff.text.contains("shadow-divergence REGRESSION"));
 
-        // A v3-era baseline without the counters never trips the gate,
-        // whatever the fresh tables carry.
-        let v3 = json::parse(&format!(
-            r#"{{"schema_version": 3, "tables": [
+        // A baseline written without the oracle (null counters) never
+        // trips the gate, whatever the fresh tables carry.
+        let unshadowed = json::parse(&format!(
+            r#"{{"schema_version": 8, "tables": [
                  {{"id": "e1", "groups": [
                    {{"label": "n=3", "aggregate":
-                      {{"gathered_rate": {g}, "mean_events": {e}}}}}]}}]}}"#,
+                      {{"gathered_rate": {g}, "mean_events": {e},
+                        "shadow_divergent": null}}}}]}}]}}"#,
             g = row.gathered_rate,
             e = row.mean_events,
         ))
         .unwrap();
-        let diff =
-            diff_against_baseline(std::slice::from_ref(&table), &v3, BASELINE_EVENTS_THRESHOLD)
-                .unwrap();
+        let diff = diff_against_baseline(
+            std::slice::from_ref(&table),
+            &unshadowed,
+            BASELINE_EVENTS_THRESHOLD,
+        )
+        .unwrap();
         assert_eq!(diff.regressions, 0, "one-sided counters must not gate");
         let _ = divergent;
-    }
-
-    #[test]
-    fn v2_baselines_diff_cleanly_against_v3_tables() {
-        // The CI gate's compatibility story: a baseline written by the v2
-        // code (no decision-cache or hull fields anywhere) must still be
-        // accepted and diffed against freshly computed v3 tables.
-        let table = scaling_table(&[3], &[1], 1);
-        let row = table.rows().remove(0);
-        let v2 = json::parse(&format!(
-            r#"{{"schema_version": 2, "tables": [
-                 {{"id": "e1", "groups": [
-                   {{"label": "{label}", "aggregate":
-                      {{"gathered_rate": {g}, "mean_events": {e}}}}}]}}]}}"#,
-            label = row.label,
-            g = row.gathered_rate,
-            e = row.mean_events,
-        ))
-        .unwrap();
-        assert!(report_supported(&v2));
-        let diff =
-            diff_against_baseline(std::slice::from_ref(&table), &v2, BASELINE_EVENTS_THRESHOLD)
-                .expect("v2 baselines stay readable");
-        assert_eq!(diff.regressions, 0, "identical rows cannot regress");
-        assert!(diff.text.contains("e1/n=3"));
     }
 
     #[test]
@@ -927,7 +853,7 @@ mod tests {
         let row = table.rows().remove(0);
         // A fabricated "better" baseline: everything gathered instantly.
         let better = json::parse(&format!(
-            r#"{{"schema_version": 2, "tables": [
+            r#"{{"schema_version": 8, "tables": [
                  {{"id": "e1", "groups": [
                    {{"label": "{label}", "aggregate":
                       {{"gathered_rate": {g}, "mean_events": {e}}}}}]}}]}}"#,
@@ -950,7 +876,7 @@ mod tests {
         assert!(diff.text.contains("REGRESSION"));
 
         // Rows the baseline does not know are reported but never regress.
-        let empty = json::parse(r#"{"schema_version": 2, "tables": []}"#).unwrap();
+        let empty = json::parse(r#"{"schema_version": 8, "tables": []}"#).unwrap();
         let diff = diff_against_baseline(
             std::slice::from_ref(&table),
             &empty,
@@ -960,47 +886,17 @@ mod tests {
         assert_eq!(diff.regressions, 0);
         assert!(diff.text.contains("new row"));
 
-        // Unsupported schemas are an error, not a silent pass.
-        let future = json::parse(r#"{"schema_version": 99}"#).unwrap();
-        assert!(diff_against_baseline(
-            std::slice::from_ref(&table),
-            &future,
-            BASELINE_EVENTS_THRESHOLD
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn v1_documents_still_parse_and_are_supported() {
-        // A trimmed v1-era report: no cache-telemetry fields anywhere.
-        let v1 = r#"{
-          "schema_version": 1,
-          "generator": "fatrobots-bench report",
-          "quick": true,
-          "jobs": 2,
-          "tables": [
-            { "id": "e1", "title": "E1", "groups": [
-              { "label": "n=3",
-                "aggregate": { "label": "n=3", "runs": 1, "gathered_rate": 1.0 },
-                "runs": [ { "n": 3, "seed": 1, "gathered": true, "events": 37 } ] }
-            ] }
-          ]
-        }"#;
-        let doc = json::parse(v1).expect("v1 report parses");
-        assert!(report_supported(&doc));
-        let run = doc.get("tables").and_then(JsonValue::as_arr).unwrap()[0]
-            .get("groups")
-            .and_then(JsonValue::as_arr)
-            .unwrap()[0]
-            .get("runs")
-            .and_then(JsonValue::as_arr)
-            .unwrap()[0]
-            .clone();
-        assert_eq!(run.get("events"), Some(&JsonValue::Int(37)));
-        // The v2-only fields are simply absent in a v1 record.
-        assert!(run.get("visibility_cache_hits").is_none());
-        // Unknown future versions are flagged as unsupported.
-        let future = json::parse(r#"{"schema_version": 99}"#).unwrap();
-        assert!(!report_supported(&future));
+        // Unsupported schemas — future versions and the retired pre-v8
+        // layouts alike — are an error, not a silent pass.
+        for version in [99, REPORT_SCHEMA_MIN_SUPPORTED - 1] {
+            let doc = json::parse(&format!(r#"{{"schema_version": {version}}}"#)).unwrap();
+            assert!(!report_supported(&doc), "v{version} must be unsupported");
+            assert!(diff_against_baseline(
+                std::slice::from_ref(&table),
+                &doc,
+                BASELINE_EVENTS_THRESHOLD
+            )
+            .is_err());
+        }
     }
 }

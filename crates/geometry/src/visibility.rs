@@ -1187,7 +1187,10 @@ mod tests {
         // endpoint perturbations within the advertised slack. Clusters are
         // hex-packed, so far pairs are genuinely blocked and the
         // certificate fires for a healthy fraction of samples (asserted, so
-        // the test cannot silently go vacuous).
+        // the test cannot silently go vacuous). The slack cover is also
+        // tried on a *sub-slice* — the obstacles near the chord's middle —
+        // and a fire there must hold for the full slice, drift included:
+        // extra obstacles only block more.
         let mut state = 0x00C0FFEEu64;
         let mut next = move || {
             state = state
@@ -1195,7 +1198,37 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as f64 / (1u64 << 31) as f64
         };
-        let (mut fired, mut slack_fired) = (0u32, 0u32);
+        // The drift contract: blocked for ANY configuration with every
+        // robot within ρ of its certification position. Spot-check
+        // worst-ish drifts: endpoints pulled together/sideways AND every
+        // obstacle jostled by a deterministic per-obstacle offset of norm ρ.
+        let assert_blocked_under_drift = |ci: Point, cj: Point, obstacles: &[Point], what: &str| {
+            let d = COVER_STABILITY_RADIUS;
+            for (round, (da, db)) in [
+                ((d, 0.0), (-d, 0.0)),
+                ((0.0, d), (0.0, -d)),
+                ((d / 2.0, d / 2.0), (-d / 2.0, d / 2.0)),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let (qi, qj) = (p(ci.x + da.0, ci.y + da.1), p(cj.x + db.0, cj.y + db.1));
+                let drifted: Vec<Point> = obstacles
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &c)| {
+                        let ang = (k * 37 + round * 101) as f64;
+                        p(c.x + d * ang.cos(), c.y + d * ang.sin())
+                    })
+                    .collect();
+                assert!(
+                    !disc_sees_disc_among(qi, qj, &drifted, &cfg()),
+                    "{what} fired but a ρ-drifted configuration sees (span {})",
+                    ci.distance(cj)
+                );
+            }
+        };
+        let (mut fired, mut slack_fired, mut window_fired) = (0u32, 0u32, 0u32);
         for _ in 0..25 {
             let spacing = 2.05 + 0.3 * next();
             let side = 12;
@@ -1233,36 +1266,27 @@ mod tests {
                 }
                 if strip_cover_blocked_with_slack(ci, cj, &obstacles) {
                     slack_fired += 1;
-                    // The drift contract: blocked for ANY configuration
-                    // with every robot within ρ of its certification
-                    // position. Spot-check worst-ish drifts: endpoints
-                    // pulled together/sideways AND every obstacle jostled
-                    // by a deterministic per-obstacle offset of norm ρ.
-                    let d = COVER_STABILITY_RADIUS;
-                    for (round, (da, db)) in [
-                        ((d, 0.0), (-d, 0.0)),
-                        ((0.0, d), (0.0, -d)),
-                        ((d / 2.0, d / 2.0), (-d / 2.0, d / 2.0)),
-                    ]
-                    .into_iter()
-                    .enumerate()
-                    {
-                        let (qi, qj) = (p(ci.x + da.0, ci.y + da.1), p(cj.x + db.0, cj.y + db.1));
-                        let drifted: Vec<Point> = obstacles
-                            .iter()
-                            .enumerate()
-                            .map(|(k, &c)| {
-                                let ang = (k * 37 + round * 101) as f64;
-                                p(c.x + d * ang.cos(), c.y + d * ang.sin())
-                            })
-                            .collect();
-                        assert!(
-                            !disc_sees_disc_among(qi, qj, &drifted, &cfg()),
-                            "slack cover fired but a ρ-drifted configuration \
-                             sees (span {})",
-                            ci.distance(cj)
-                        );
-                    }
+                    assert_blocked_under_drift(ci, cj, &obstacles, "slack cover");
+                }
+                // The mid-chord window: obstacles within 2.5 of the chord's
+                // middle stretch of half-length 4.
+                let span = ci.distance(cj);
+                let (mid, dir) = (ci.midpoint(cj), (cj - ci) / span);
+                let half = dir * 4.0;
+                let window = Segment::new(mid - half, mid + half);
+                let middle: Vec<Point> = obstacles
+                    .iter()
+                    .copied()
+                    .filter(|&c| window.distance_sq_to(c) <= 2.5 * 2.5)
+                    .collect();
+                if middle.len() < obstacles.len() && strip_cover_blocked_with_slack(ci, cj, &middle)
+                {
+                    window_fired += 1;
+                    assert!(
+                        !disc_sees_disc_among(ci, cj, &obstacles, &cfg()),
+                        "mid-chord cover fired for a pair the full slice sees (span {span})"
+                    );
+                    assert_blocked_under_drift(ci, cj, &obstacles, "mid-chord cover");
                 }
             }
         }
@@ -1273,6 +1297,10 @@ mod tests {
         assert!(
             slack_fired >= 15,
             "slack cover fired only {slack_fired} times — vacuous test"
+        );
+        assert!(
+            window_fired >= 50,
+            "mid-chord cover fired only {window_fired} times — vacuous test"
         );
     }
 

@@ -40,16 +40,20 @@
 //! endpoint, a robot leaving the corridor, a robot entering it — stamps a
 //! registered cell. Cache hits are O(1); a move dirties only the pairs
 //! registered on the touched cells; a row refresh recomputes only its
-//! queued dirty pairs, against a grid-pruned obstacle slice. Pairs whose
-//! corridor a strip cover certifies blocked survive in-drift moves with no
-//! work at all (see [`CERT_DRIFT_RADIUS`]).
+//! queued dirty pairs. A long chord through a dense region is first tried
+//! against the few obstacles near its midpoint, and only when their strip
+//! cover does not certify it blocked is it recomputed against the whole
+//! grid-pruned corridor slice (see [`World::compute_pair_answer`]). Pairs
+//! whose corridor a strip cover certifies blocked survive in-drift moves
+//! with no work at all (see [`CERT_DRIFT_RADIUS`]).
 //!
 //! ## Bit-identical results
 //!
 //! The cached path answers every query through the *same* geometric kernels
 //! as the from-scratch path (`disc_sees_disc_among` with a conservatively
 //! pre-filtered obstacle slice is exactly `disc_sees_disc` over all
-//! centers; the strip covers are one-sided "blocked" proofs in front of it;
+//! centers; the strip covers, on the mid-chord window or the whole slice,
+//! are one-sided "blocked" proofs in front of it;
 //! the hull, connectivity and sample predicates are evaluated by the same
 //! functions on the same inputs). A `World` in [`WorldMode::Scratch`]
 //! recomputes everything per query, which is how the determinism suite pins
@@ -63,7 +67,7 @@ use fatrobots_geometry::hull::{ConvexHull, HullScratch};
 use fatrobots_geometry::visibility::{
     corridor_filter_soa, disc_sees_disc_among, min_pairwise_gap, no_three_collinear,
     strip_cover_blocked, strip_cover_blocked_with_slack, visible_set, VisibilityConfig,
-    COVER_STABILITY_RADIUS, VISIBILITY_PRUNE_RADIUS,
+    COVER_STABILITY_RADIUS, STRIP_COVER_SLACK_MIN_SPAN, VISIBILITY_PRUNE_RADIUS,
 };
 use fatrobots_geometry::{Point, Segment, Vec2, UNIT_RADIUS};
 use fatrobots_model::config::{gap_touches, TOUCH_TOL};
@@ -151,6 +155,18 @@ struct PairEntry {
 /// drift [`strip_cover_blocked_with_slack`] guarantees against, for
 /// obstacles as well as endpoints.
 const CERT_DRIFT_RADIUS: f64 = COVER_STABILITY_RADIUS / 2.0;
+
+/// Half-length of the mid-chord window [`World::compute_pair_answer`]
+/// tries the slack cover on before gathering a long chord's whole
+/// corridor: one cell edge either side of the midpoint, which holds the
+/// few central obstacles the cover needs in a dense packing.
+const CERT_WINDOW_HALF_LEN: f64 = GRID_CELL;
+
+/// Gather radius of the mid-chord window. An obstacle contributes a strip
+/// to the slack cover only within `square + hw` of the chord (≤ 2.4 for
+/// the shortest certifiable chord, → 2.0 for long ones), so this keeps
+/// every obstacle the window's stretch of the cover can use.
+const CERT_WINDOW_RADIUS: f64 = 2.5 * UNIT_RADIUS;
 
 /// Chord lengths up to this many cell edges register at a grid level; a
 /// longer chord moves up one level. Keeps every pair's corridor
@@ -779,10 +795,76 @@ impl World {
         GRID_LEVELS - 1
     }
 
+    /// Replaces `out` with the sites other than `a` and `b` in the occupied
+    /// base cells of the conservative cover of the capsule of `radius`
+    /// around `p`–`q` — a superset of the sites within `radius` of the
+    /// segment (the pruned walk surfaces exactly the sites the flat walk
+    /// would).
+    fn gather_sites_near(
+        &self,
+        a: usize,
+        b: usize,
+        p: Point,
+        q: Point,
+        radius: f64,
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
+        let grid = &self.grid;
+        grid.for_each_occupied_cell_near_segment(p, q, radius, |cell| {
+            if let Some(sites) = grid.sites_in(cell) {
+                out.extend(sites.iter().copied().filter(|&k| k != a && k != b));
+            }
+            true
+        });
+    }
+
+    /// The mid-chord window step of [`Self::compute_pair_answer`]: for a
+    /// chord of span at least [`STRIP_COVER_SLACK_MIN_SPAN`] whose midpoint
+    /// lies in an occupied base cell, `true` when the slack strip cover
+    /// fires on the sites within [`CERT_WINDOW_RADIUS`] of the chord's
+    /// middle stretch of half-length [`CERT_WINDOW_HALF_LEN`]. The
+    /// occupancy gate keeps the try to chords through dense regions, where
+    /// it almost always fires; elsewhere it would cost more than it saves.
+    fn window_certifies(&self, a: usize, b: usize, probe: &mut PairProbe) -> bool {
+        let (ca, cb) = (self.centers[a], self.centers[b]);
+        let span = ca.distance(cb);
+        let mid = ca.midpoint(cb);
+        if span < STRIP_COVER_SLACK_MIN_SPAN || self.grid.sites_in(self.grid.cell_of(mid)).is_none()
+        {
+            return false;
+        }
+        let half = (cb - ca) * (CERT_WINDOW_HALF_LEN / span);
+        let (p, q) = (mid - half, mid + half);
+        self.gather_sites_near(a, b, p, q, CERT_WINDOW_RADIUS, &mut probe.cand);
+        let centers = &self.centers;
+        probe.obs.clear();
+        probe.obs.extend(probe.cand.iter().map(|&k| centers[k]));
+        strip_cover_blocked_with_slack(ca, cb, &probe.obs)
+    }
+
     /// Computes one pair's visibility answer **without mutating anything**,
-    /// on caller-owned scratch: the candidate walk, SoA corridor filter,
-    /// strip covers and witness kernel that every recompute runs (the
-    /// serial one calls this on the world's own probe).
+    /// on caller-owned scratch (the serial recompute calls this on the
+    /// world's own probe). Two steps:
+    ///
+    /// 1. **Mid-chord window** (`window_certifies`): a long chord
+    ///    through a dense region first tries the slack strip cover on the
+    ///    few obstacles near its middle. A fire answers "blocked,
+    ///    certified" without gathering the corridor. This is sound because
+    ///    the slack cover proves every sight segment of the candidate
+    ///    square blocked under ρ-drift of every robot, and that proof
+    ///    holds for any obstacle superset (new obstacles only block
+    ///    more), so the full kernel must answer `false` too. The covering
+    ///    obstacles sit within `UNIT_RADIUS + hw` of the chord, inside the
+    ///    pair's registration cover, so the `CERT_DRIFT_RADIUS` skip
+    ///    argument is unchanged.
+    /// 2. Otherwise the **whole corridor**: candidate walk, SoA corridor
+    ///    filter, slack then exact strip cover, then the witness kernel.
+    ///
+    /// `seen` is always the kernel's answer. `certified` can differ from a
+    /// run without step 1 only when the full slice's cover overflows its
+    /// polygon budget where the window's did not.
+    ///
     /// Safe to call from worker threads on a shared `&World` — the commit
     /// that later injects the result replays all bookkeeping serially and
     /// lands in exactly the state a serial recompute would have produced
@@ -799,20 +881,17 @@ impl World {
             "scratch mode has no pair store"
         );
         let (ca, cb) = (self.centers[a], self.centers[b]);
-        // Candidate obstacles: sites of the occupied base cells of the
-        // corridor cover (the pruned walk surfaces exactly the sites the
-        // flat walk would).
-        probe.cand.clear();
-        {
-            let grid = &self.grid;
-            let cand = &mut probe.cand;
-            grid.for_each_occupied_cell_near_segment(ca, cb, VISIBILITY_PRUNE_RADIUS, |cell| {
-                if let Some(sites) = grid.sites_in(cell) {
-                    cand.extend(sites.iter().copied().filter(|&k| k != a && k != b));
-                }
-                true
-            });
+        if self.window_certifies(a, b, probe) {
+            return PairAnswer {
+                a,
+                b,
+                seen: false,
+                certified: true,
+                cover_answered: true,
+            };
         }
+        // Candidate obstacles: the whole corridor.
+        self.gather_sites_near(a, b, ca, cb, VISIBILITY_PRUNE_RADIUS, &mut probe.cand);
         probe.sx.clear();
         probe.sy.clear();
         for &k in &probe.cand {
@@ -1842,6 +1921,80 @@ mod tests {
             .concat(),
             "first rows and the jumper's re-Looks fan out; small queues do not"
         );
+    }
+
+    #[test]
+    fn mid_chord_window_agrees_with_the_full_corridor() {
+        // Wherever the window certifies a pair, the full corridor must
+        // certify it too and the exhaustive kernel must answer "blocked" —
+        // on a jittered hex packing, a random spread and an exact lattice
+        // (axis-aligned chords put obstacles at tied offsets). Two rows per
+        // configuration keep the exhaustive checks cheap.
+        let n = 600;
+        let vis = VisibilityConfig::default();
+        let configs = [
+            ("hex", crate::init::hex(n, 2.1)),
+            ("random", crate::init::random_spread(n, 7, 80.0)),
+            ("lattice", crate::init::grid(n, 0.1)),
+        ];
+        for (name, centers) in configs {
+            let mut w = world(centers.clone(), WorldMode::Sparse);
+            let mut probe = PairProbe::default();
+            let mut fires = Vec::new();
+            for a in (0..n).step_by(300) {
+                for b in a + 1..n {
+                    if !w.window_certifies(a, b, &mut probe) {
+                        continue;
+                    }
+                    let others: Vec<Point> = (0..n)
+                        .filter(|&k| k != a && k != b)
+                        .map(|k| centers[k])
+                        .collect();
+                    assert!(
+                        strip_cover_blocked_with_slack(centers[a], centers[b], &others),
+                        "{name}: the window certified ({a}, {b}) but the full slice does not"
+                    );
+                    assert!(
+                        !fatrobots_geometry::visibility::disc_sees_disc(a, b, &centers, &vis),
+                        "{name}: the window certified ({a}, {b}) but the pair sees"
+                    );
+                    fires.push((a, b));
+                }
+            }
+            assert!(
+                fires.len() >= 100,
+                "{name}: only {} window fires",
+                fires.len()
+            );
+            // Move an obstacle of the longest certified corridor that sits
+            // outside the window beyond the drift radius: the certificate
+            // must not outlive it, and the re-Looked row must match the
+            // oracle.
+            let (a, b) = fires
+                .iter()
+                .copied()
+                .max_by(|x, y| {
+                    let span = |&(a, b): &(usize, usize)| centers[a].distance(centers[b]);
+                    span(x).total_cmp(&span(y))
+                })
+                .expect("non-empty");
+            let _ = w.visible_of(a);
+            let chord = Segment::new(centers[a], centers[b]);
+            let mid = centers[a].midpoint(centers[b]);
+            let k = (0..n)
+                .filter(|&k| k != a && k != b)
+                .find(|&k| {
+                    chord.distance_to(centers[k]) <= UNIT_RADIUS
+                        && centers[k].distance(mid) > CERT_WINDOW_HALF_LEN + CERT_WINDOW_RADIUS
+                })
+                .expect("a corridor obstacle outside the window");
+            let entry = |w: &World| w.sparse.pairs[&pair_key(a, b)];
+            assert!(entry(&w).certified, "{name}: the Look certifies ({a}, {b})");
+            w.move_robot(k, p(centers[k].x + 0.5, centers[k].y + 0.5));
+            assert!(entry(&w).dirty, "{name}: the move must dirty ({a}, {b})");
+            let mut scratch = world(w.centers().to_vec(), WorldMode::Scratch);
+            assert_eq!(w.visible_of(a), scratch.visible_of(a), "{name}: row {a}");
+        }
     }
 
     #[test]
