@@ -58,11 +58,6 @@ Options:
                  land in the JSON report (schema v4 'shadow' records)
   --jobs <N>     worker threads for the sweeps (default: available cores;
                  output is byte-identical for every N)
-  --threads <N>  intra-run threads for every simulator run (default: 1 =
-                 the serial event loop; N > 1 routes runs through the
-                 commutation-batching parallel executor, which is pinned
-                 event-for-event identical to serial, so every table is
-                 byte-identical for every N)
   --event-cap <N>
                  event budget for E1's large-n rows (default: 60000; must
                  be a positive integer). The cap only bounds rows at or
@@ -104,7 +99,7 @@ Fuzz mode (report fuzz):
   every run that fails to gather within its per-scenario cap, shrinks each
   find via deterministic replay and (with --out) writes one regression
   fixture per find. Deterministic in (--fuzz-seed, --budget). Table and
-  sweep flags (--e*, --quick, --shadow, --jobs, --threads, --event-cap,
+  sweep flags (--e*, --quick, --shadow, --jobs, --event-cap,
   --baseline, --baseline-threshold, --figures) are rejected in fuzz mode.
   --budget <N>   total discovery event budget (default: 400000)
   --fuzz-seed <N>
@@ -120,8 +115,6 @@ struct Cli {
     quick: bool,
     shadow: bool,
     jobs: usize,
-    /// Intra-run thread count applied to every `RunSpec` (`--threads`).
-    threads: usize,
     json: Option<String>,
     baseline: Option<String>,
     /// Relative `mean_events` regression threshold, as a fraction (the
@@ -156,7 +149,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         quick: false,
         shadow: false,
         jobs: sweep::default_jobs(),
-        threads: 1,
         json: None,
         baseline: None,
         baseline_threshold: BASELINE_EVENTS_THRESHOLD,
@@ -173,7 +165,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
     };
     let mut threshold_given = false;
     let mut jobs_given = false;
-    let mut threads_given = false;
     let mut event_cap_given = false;
     let mut budget_given = false;
     let mut fuzz_seed_given = false;
@@ -216,15 +207,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
                     .ok()
                     .filter(|&n| n >= 1)
                     .ok_or_else(|| format!("--jobs wants a positive integer, got '{value}'"))?;
-            }
-            "--threads" => {
-                threads_given = true;
-                let value = iter.next().ok_or("--threads requires a value")?;
-                cli.threads = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--threads wants a positive integer, got '{value}'"))?;
             }
             "--event-cap" => {
                 event_cap_given = true;
@@ -311,7 +293,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             (!cli.selected.is_empty(), "table selection flags"),
             (cli.baseline.is_some(), "--baseline"),
             (jobs_given, "--jobs"),
-            (threads_given, "--threads"),
             (event_cap_given, "--event-cap"),
             (cli.fail_fast, "--fail-fast"),
             (cli.checkpoint_dir.is_some(), "--checkpoint-dir"),
@@ -642,13 +623,6 @@ fn main() -> ExitCode {
                 }
             }
         }
-        if cli.threads > 1 {
-            for group in &mut spec.groups {
-                for run_spec in &mut group.specs {
-                    run_spec.threads = cli.threads;
-                }
-            }
-        }
         let table = if cli.fail_fast {
             spec.execute_on(&mut pool)
         } else {
@@ -665,14 +639,7 @@ fn main() -> ExitCode {
     supervision.checkpoint = checkpoint.as_ref().map(CheckpointedSweep::telemetry);
 
     if let Some(path) = &cli.json {
-        let text = report_json(
-            &tables,
-            cli.quick,
-            cli.jobs,
-            cli.shadow,
-            cli.threads,
-            &supervision,
-        );
+        let text = report_json(&tables, cli.quick, cli.jobs, cli.shadow, &supervision);
         if let Err(err) = write_atomic(std::path::Path::new(path), text.as_bytes()) {
             eprintln!("report: cannot write '{path}': {err}");
             return ExitCode::FAILURE;

@@ -29,10 +29,10 @@ pub const QUICK_SEEDS: [u64; 3] = [1, 2, 3];
 /// The `schema_version` stamped into `bench_report.json`. Bump on any
 /// breaking change to the report layout (the README documents it).
 ///
-/// A v8 document carries, at the root, the run flags (`quick`, `jobs`,
-/// `shadow`, `threads`), the `tables` (tables → groups → aggregate +
-/// per-run records with the world, decision-cache, hull, pair-store,
-/// parallel-executor, fault and `shadow` telemetry) and the `supervision`
+/// A v9 document carries, at the root, the run flags (`quick`, `jobs`,
+/// `shadow`), the `tables` (tables → groups → aggregate + per-run records
+/// with the world, decision-cache, hull, pair-store, fault and `shadow`
+/// telemetry) and the `supervision`
 /// object: the `fail_fast` switch, the total `retries` spent re-running
 /// panicked workers, a `failures` array (one structured row per run that
 /// kept failing after its bounded retries — the spec fields plus the
@@ -44,10 +44,14 @@ pub const QUICK_SEEDS: [u64; 3] = [1, 2, 3];
 /// are the *only* keys that may differ between an uninterrupted sweep and
 /// a killed-and-resumed one; the CI `kill-resume` gate diffs the two
 /// documents modulo exactly those lines.
-pub const REPORT_SCHEMA_VERSION: i64 = 8;
+///
+/// v9 dropped v8's root and per-run `threads` keys and the four per-run
+/// counters of the intra-run parallel executor, which is gone.
+pub const REPORT_SCHEMA_VERSION: i64 = 9;
 
-/// The oldest `schema_version` current tooling still reads: the committed
-/// baseline is v8, so older documents are rejected.
+/// The oldest `schema_version` current tooling still reads. The baseline
+/// diff reads none of the keys v9 dropped, so v8 documents still diff;
+/// older ones are rejected.
 pub const REPORT_SCHEMA_MIN_SUPPORTED: i64 = 8;
 
 /// `true` when a parsed `bench_report.json` document carries a schema
@@ -309,20 +313,6 @@ fn summary_json(s: &RunSummary) -> JsonValue {
             "world_pair_registrations".into(),
             JsonValue::Int(s.world_pair_registrations as i64),
         ),
-        ("threads".into(), JsonValue::Int(s.spec.threads as i64)),
-        ("par_batches".into(), JsonValue::Int(s.par_batches as i64)),
-        (
-            "par_batched_events".into(),
-            JsonValue::Int(s.par_batched_events as i64),
-        ),
-        (
-            "speculation_hits".into(),
-            JsonValue::Int(s.speculation_hits as i64),
-        ),
-        (
-            "speculation_aborts".into(),
-            JsonValue::Int(s.speculation_aborts as i64),
-        ),
         (
             "fault_crashed_robots".into(),
             JsonValue::Int(s.fault_crashed_robots as i64),
@@ -474,12 +464,11 @@ fn aggregate_json(row: &AggregateRow) -> JsonValue {
 ///
 /// ```json
 /// {
-///   "schema_version": 8,
+///   "schema_version": 9,
 ///   "generator": "fatrobots-bench report",
 ///   "quick": true,
 ///   "shadow": false,
 ///   "jobs": 2,
-///   "threads": 1,
 ///   "supervision": { "fail_fast": false, "retries": 0,
 ///                    "failures": [], "checkpoint": null },
 ///   "tables": [
@@ -493,7 +482,6 @@ pub fn report_json(
     quick: bool,
     jobs: usize,
     shadow: bool,
-    threads: usize,
     supervision: &SupervisionReport,
 ) -> String {
     let tables_json = tables
@@ -532,7 +520,6 @@ pub fn report_json(
         ("quick".into(), JsonValue::Bool(quick)),
         ("shadow".into(), JsonValue::Bool(shadow)),
         ("jobs".into(), JsonValue::Int(jobs as i64)),
-        ("threads".into(), JsonValue::Int(threads as i64)),
         ("supervision".into(), supervision_json(supervision)),
         ("tables".into(), JsonValue::Arr(tables_json)),
     ])
@@ -566,7 +553,6 @@ mod tests {
             true,
             2,
             false,
-            1,
             &SupervisionReport::default(),
         );
         let doc = json::parse(&text).expect("report JSON parses");
@@ -611,14 +597,9 @@ mod tests {
             runs[0].get("world_pair_registrations"),
             Some(&JsonValue::Int(m)) if m > 0
         ));
-        // Parallel-executor telemetry — serial runs carry the keys with
-        // thread count 1 and all counters zero.
-        assert_eq!(doc.get("threads"), Some(&JsonValue::Int(1)));
-        assert_eq!(runs[0].get("threads"), Some(&JsonValue::Int(1)));
-        assert_eq!(runs[0].get("par_batches"), Some(&JsonValue::Int(0)));
-        assert_eq!(runs[0].get("par_batched_events"), Some(&JsonValue::Int(0)));
-        assert_eq!(runs[0].get("speculation_hits"), Some(&JsonValue::Int(0)));
-        assert_eq!(runs[0].get("speculation_aborts"), Some(&JsonValue::Int(0)));
+        // v9 dropped the parallel-executor telemetry.
+        assert_eq!(doc.get("threads"), None);
+        assert_eq!(runs[0].get("threads"), None);
         // Fault-injection telemetry — zero under fault-free adversaries.
         assert_eq!(
             runs[0].get("fault_crashed_robots"),
@@ -677,14 +658,7 @@ mod tests {
                 write_errors: 0,
             }),
         };
-        let text = report_json(
-            std::slice::from_ref(&table),
-            true,
-            1,
-            false,
-            1,
-            &supervision,
-        );
+        let text = report_json(std::slice::from_ref(&table), true, 1, false, &supervision);
         let doc = json::parse(&text).expect("report JSON parses");
         let sup = doc.get("supervision").expect("supervision present");
         assert_eq!(sup.get("retries"), Some(&JsonValue::Int(2)));
@@ -722,7 +696,6 @@ mod tests {
             true,
             1,
             true,
-            1,
             &SupervisionReport::default(),
         );
         let doc = json::parse(&text).expect("shadow report parses");
@@ -832,7 +805,6 @@ mod tests {
             true,
             2,
             false,
-            1,
             &SupervisionReport::default(),
         ))
         .unwrap();

@@ -36,7 +36,6 @@ fn help_exits_zero_and_documents_the_flags() {
         "--quick",
         "--shadow",
         "--jobs",
-        "--threads",
         "--json",
         "--e1",
         "--scale",
@@ -87,19 +86,6 @@ fn jobs_rejects_missing_and_malformed_values() {
 }
 
 #[test]
-fn threads_rejects_missing_and_malformed_values() {
-    for args in [
-        &["--threads"][..],
-        &["--threads", "many"],
-        &["--threads", "0"],
-    ] {
-        let out = report(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
-        assert!(String::from_utf8(out.stderr).unwrap().contains("--threads"));
-    }
-}
-
-#[test]
 fn event_cap_rejects_missing_and_malformed_values() {
     for args in [
         &["--event-cap"][..],
@@ -125,7 +111,6 @@ fn fuzz_mode_rejects_table_and_sweep_flags() {
         &["fuzz", "--figures"],
         &["fuzz", "--e1"],
         &["fuzz", "--jobs", "2"],
-        &["fuzz", "--threads", "2"],
         &["fuzz", "--event-cap", "100"],
         &["fuzz", "--baseline", "whatever.json"],
         &["fuzz", "--fail-fast"],
@@ -351,12 +336,6 @@ fn json_report_is_parseable_with_one_record_per_run() {
                 // Schema v5: the pair-store telemetry.
                 "world_pair_entries",
                 "world_pair_registrations",
-                // Schema v6: the parallel-executor telemetry.
-                "threads",
-                "par_batches",
-                "par_batched_events",
-                "speculation_hits",
-                "speculation_aborts",
                 // Schema v7: the fault-injection telemetry.
                 "fault_crashed_robots",
                 "fault_starved_directives",
@@ -366,22 +345,6 @@ fn json_report_is_parseable_with_one_record_per_run() {
             }
         }
     }
-}
-
-#[test]
-fn threaded_table_output_is_byte_identical_to_serial() {
-    // The parallel executor is pinned event-for-event against the serial
-    // loop, so every table — and therefore the whole report — must be
-    // byte-identical for every --threads value.
-    let serial = report(&["--quick", "--e7", "--jobs", "1"]);
-    let threaded = report(&["--quick", "--e7", "--jobs", "1", "--threads", "4"]);
-    assert!(serial.status.success());
-    assert!(threaded.status.success());
-    assert!(!serial.stdout.is_empty());
-    assert_eq!(
-        serial.stdout, threaded.stdout,
-        "table output must not depend on the intra-run thread count"
-    );
 }
 
 #[test]

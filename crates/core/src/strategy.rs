@@ -12,9 +12,9 @@ use crate::compute::{Decision, KernelAlgorithm};
 /// algorithm `A_i`. Baseline strategies implement the same trait so that the
 /// simulator and the experiment harness can swap them in.
 ///
-/// `Send + Sync` is a supertrait so the engine's speculative-Compute workers
-/// can share one strategy object across threads; every strategy here is a
-/// stateless value (`decide` takes `&self`), so the bound costs nothing.
+/// `Send + Sync` is a supertrait so one strategy object can be shared
+/// across threads; every strategy here is a stateless value (`decide`
+/// takes `&self`), so the bound costs nothing.
 pub trait Strategy: Send + Sync {
     /// Decide what the robot should do given its current view.
     fn decide(&self, view: &LocalView) -> Decision;

@@ -15,26 +15,19 @@
 //! invariant breaks.
 //!
 //! Each cycle performs the 16 movers' Looks first and then their moves.
-//! With the default `--threads 1` the Looks run one after another, but
-//! each mover's first Look (a 10⁴-pair row) still fans its pair kernels
-//! out across the host's cores inside the world
-//! ([`World::visible_of_into`]). With `--threads N > 1` the Look phase
-//! batches movers whose recompute plans ([`World::look_plan`]) are
-//! pair-disjoint and fans their pair kernels out over `N` threads
-//! ([`compute_pair_answers`]), committing each Look in slot order with the
-//! precomputed answers injected — the same commutation-batching protocol
-//! as the engine's parallel executor; injected rows never fan out again.
-//! Both paths are answer-preserving, so the final world state and every
-//! cache counter are bit-identical across thread counts; the telemetry
-//! carries a state fingerprint the CI `scale` job compares between its
-//! default and `--threads 2` runs.
+//! The Looks run one after another; each mover's first Look (a 10⁴-pair
+//! row) fans its pair kernels out across the host's cores inside the world
+//! ([`World::visible_of_into`]), which is answer-preserving, so the final
+//! world state and every cache counter are independent of the host. The
+//! telemetry carries a fingerprint of that state, which the CI `scale`
+//! job pins.
 //!
-//! Telemetry (events/s, cache/cover counters, batching counters, heap,
-//! fingerprint) is printed and, when `SCALE_TELEMETRY` names a path,
-//! written there as JSON for the CI artifact.
+//! Telemetry (events/s, cache/cover counters, heap, fingerprint) is
+//! printed and, when `SCALE_TELEMETRY` names a path, written there as JSON
+//! for the CI artifact.
 //!
 //! ```sh
-//! cargo run --release -p fatrobots-sim --example scale_smoke -- --threads 2
+//! cargo run --release -p fatrobots-sim --example scale_smoke
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -44,8 +37,7 @@ use std::time::Instant;
 
 use fatrobots_geometry::visibility::VisibilityConfig;
 use fatrobots_geometry::Point;
-use fatrobots_sim::parallel::compute_pair_answers;
-use fatrobots_sim::world::{PairAnswers, World, WorldMode};
+use fatrobots_sim::world::{World, WorldMode};
 
 const SIDE: usize = 100;
 const N: usize = SIDE * SIDE;
@@ -133,9 +125,8 @@ fn fnv(h: u64, v: u64) -> u64 {
 }
 
 /// Order-sensitive fingerprint of the world's observable state: every
-/// center's exact bit pattern plus the cache/cover/store counters. Serial
-/// and `--threads N` runs must produce the same value — the CI `scale` job
-/// gates on it.
+/// center's exact bit pattern plus the cache/cover/store counters. The CI
+/// `scale` job gates on its exact value.
 fn fingerprint(world: &World) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325_u64;
     for c in world.centers() {
@@ -151,70 +142,10 @@ fn fingerprint(world: &World) -> u64 {
     h
 }
 
-/// Commits the pending Look batch: fans the pooled pair plans out over the
-/// thread budget, then refreshes each batched mover's row in slot order
-/// with the answers injected. Returns `false` when a mover sees nobody
-/// (the smoke's visibility invariant broke).
-#[allow(clippy::too_many_arguments)]
-fn flush_batch(
-    world: &mut World,
-    batch: &mut Vec<usize>,
-    plan: &mut Vec<(usize, usize)>,
-    in_batch: &mut [bool],
-    answers: &mut PairAnswers,
-    threads: usize,
-    visible: &mut Vec<usize>,
-    stats: &mut BatchStats,
-) -> bool {
-    if batch.is_empty() {
-        return true;
-    }
-    compute_pair_answers(world, plan, threads, answers);
-    stats.batches += 1;
-    if batch.len() > 1 {
-        stats.batched_looks += batch.len() as u64;
-    }
-    stats.pair_tasks += plan.len() as u64;
-    for &mover in batch.iter() {
-        world.visible_of_into_with(mover, visible, Some(answers));
-        in_batch[mover] = false;
-        if visible.is_empty() {
-            eprintln!("scale_smoke: FAIL — robot {mover} sees nobody");
-            return false;
-        }
-    }
-    batch.clear();
-    plan.clear();
-    true
-}
-
-/// Batching telemetry for the parallel Look phase.
-#[derive(Default)]
-struct BatchStats {
-    batches: u64,
-    batched_looks: u64,
-    pair_tasks: u64,
-}
-
 fn main() -> ExitCode {
-    let mut threads = 1usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--threads" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => threads = n,
-                _ => {
-                    eprintln!("scale_smoke: --threads needs a positive integer");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!(
-                    "scale_smoke: unknown argument {other}; usage: scale_smoke [--threads N]"
-                );
-                return ExitCode::from(2);
-            }
-        }
+    if let Some(other) = std::env::args().nth(1) {
+        eprintln!("scale_smoke: unknown argument {other}; usage: scale_smoke");
+        return ExitCode::from(2);
     }
 
     let mut rng = 0x5ca1ab1e_u64;
@@ -245,69 +176,15 @@ fn main() -> ExitCode {
 
     let mut world = World::new(centers, VisibilityConfig::default(), WorldMode::Sparse);
     let mut visible = Vec::new();
-    let mut batch: Vec<usize> = Vec::new();
-    let mut plan: Vec<(usize, usize)> = Vec::new();
-    let mut in_batch = vec![false; N];
-    let mut answers = PairAnswers::default();
-    let mut stats = BatchStats::default();
     let mut ok = true;
     let cycles = EVENT_BUDGET / ACTIVE;
     let start = Instant::now();
     'run: for cycle in 0..cycles {
         // Look phase: all ACTIVE movers observe the pre-move configuration.
-        if threads <= 1 {
-            for &mover in &movers {
-                world.visible_of_into(mover, &mut visible);
-                if visible.is_empty() {
-                    eprintln!("scale_smoke: FAIL — robot {mover} sees nobody in cycle {cycle}");
-                    ok = false;
-                    break 'run;
-                }
-            }
-        } else {
-            // Batch movers whose recompute plans are pair-disjoint; flush
-            // (and re-plan) whenever a mover's plan touches a robot already
-            // in the batch, then commit in slot order with the precomputed
-            // answers injected — answer-preserving, so state and counters
-            // match the serial path bit-for-bit.
-            for &mover in &movers {
-                loop {
-                    let plan_start = plan.len();
-                    world.look_plan(mover, &mut plan);
-                    let conflict = plan[plan_start..]
-                        .iter()
-                        .any(|&(a, b)| in_batch[a] || in_batch[b]);
-                    if !conflict {
-                        batch.push(mover);
-                        in_batch[mover] = true;
-                        break;
-                    }
-                    plan.truncate(plan_start);
-                    if !flush_batch(
-                        &mut world,
-                        &mut batch,
-                        &mut plan,
-                        &mut in_batch,
-                        &mut answers,
-                        threads,
-                        &mut visible,
-                        &mut stats,
-                    ) {
-                        ok = false;
-                        break 'run;
-                    }
-                }
-            }
-            if !flush_batch(
-                &mut world,
-                &mut batch,
-                &mut plan,
-                &mut in_batch,
-                &mut answers,
-                threads,
-                &mut visible,
-                &mut stats,
-            ) {
+        for &mover in &movers {
+            world.visible_of_into(mover, &mut visible);
+            if visible.is_empty() {
+                eprintln!("scale_smoke: FAIL — robot {mover} sees nobody in cycle {cycle}");
                 ok = false;
                 break 'run;
             }
@@ -348,13 +225,11 @@ fn main() -> ExitCode {
         peak as f64 / (1024.0 * 1024.0),
     );
     println!(
-        "scale_smoke: n={N} events={EVENT_BUDGET} threads={threads} \
+        "scale_smoke: n={N} events={EVENT_BUDGET} \
          ({events_per_sec:.0} events/s) \
          cache hits={hits} misses={misses} cover answers={covers} cert skips={skips} \
          pair entries={entries} registrations={registrations} \
-         batches={} batched looks={} pair tasks={} \
-         heap live={live_mib:.1} MiB peak={peak_mib:.1} MiB fingerprint={state_fp:#018x}",
-        stats.batches, stats.batched_looks, stats.pair_tasks,
+         heap live={live_mib:.1} MiB peak={peak_mib:.1} MiB fingerprint={state_fp:#018x}"
     );
 
     if !world.is_valid() {
@@ -386,15 +261,13 @@ fn main() -> ExitCode {
 
     if let Ok(path) = std::env::var("SCALE_TELEMETRY") {
         let json = format!(
-            "{{\n  \"n\": {N},\n  \"events\": {EVENT_BUDGET},\n  \"threads\": {threads},\n  \
+            "{{\n  \"n\": {N},\n  \"events\": {EVENT_BUDGET},\n  \
              \"events_per_sec\": {events_per_sec:.1},\n  \"cache_hits\": {hits},\n  \
              \"cache_misses\": {misses},\n  \"cover_answers\": {covers},\n  \
              \"cert_skips\": {skips},\n  \"pair_entries\": {entries},\n  \
-             \"registrations\": {registrations},\n  \"par_batches\": {},\n  \
-             \"par_batched_looks\": {},\n  \"par_pair_tasks\": {},\n  \
+             \"registrations\": {registrations},\n  \
              \"fingerprint\": \"{state_fp:#018x}\",\n  \"heap_live_mib\": {live_mib:.1},\n  \
-             \"heap_peak_mib\": {peak_mib:.1},\n  \"ok\": {ok}\n}}\n",
-            stats.batches, stats.batched_looks, stats.pair_tasks,
+             \"heap_peak_mib\": {peak_mib:.1},\n  \"ok\": {ok}\n}}\n"
         );
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("scale_smoke: FAIL — cannot write telemetry to {path}: {e}");

@@ -26,8 +26,21 @@
 //! kind 2  := spec | summary                           (completed)
 //! spec    := n u64 | seed u64 | shape u8 | strategy u8 | adversary u8 |
 //!            fault_k u64 | delta f64 | max_events u64 | shadow u8 |
-//!            world_mode u8 | threads u64 | sample_every u64
+//!            world_mode u8 | sample_every u64
+//! summary := gathered u8 | terminated u8 | events u64 |
+//!            cycles_per_robot f64 | distance f64 |
+//!            first_fully_visible opt_u64 | first_connected opt_u64 |
+//!            expansion_monotonicity opt_f64 |
+//!            convergence_monotonicity opt_f64 | counter u64 × 11
+//! opt_T   := 0 u8 | 1 u8 T
 //! ```
+//!
+//! The eleven summary counters are, in order: visibility-cache hits and
+//! misses, decision-cache hits and misses, hull repairs and rebuilds, pair
+//! entries and registrations, then the three fault counters (crashed
+//! robots, starved and truncated directives). Version 1 also stored a
+//! `threads u64` spec word and four parallel-executor counters; a journal
+//! with any other version in its header decodes to nothing and re-runs.
 //!
 //! The CRC is the IEEE CRC-32 of the payload. Records are appended by
 //! rewriting the whole journal to a temp file and renaming it over the old
@@ -53,7 +66,7 @@ use crate::world::WorldMode;
 /// The journal's magic prefix.
 pub const MAGIC: [u8; 4] = *b"FRCK";
 /// The journal format version this build writes and reads.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Upper bound on a record's payload length; longer frames are treated as
 /// corruption (a torn length field would otherwise ask for gigabytes).
 pub const MAX_RECORD_LEN: usize = 4096;
@@ -320,7 +333,6 @@ fn encode_spec(w: &mut ByteWriter, spec: &RunSpec) {
     w.u64(spec.max_events as u64);
     w.u8(spec.shadow as u8);
     w.u8(world_mode_tag(spec.world_mode));
-    w.u64(spec.threads as u64);
     w.u64(spec.sample_every as u64);
 }
 
@@ -340,7 +352,6 @@ fn decode_spec(r: &mut ByteReader<'_>) -> Option<RunSpec> {
         _ => return None,
     };
     let world_mode = world_mode_from_tag(r.u8()?)?;
-    let threads = r.u64()? as usize;
     let sample_every = r.u64()? as usize;
     Some(RunSpec {
         n,
@@ -352,8 +363,8 @@ fn decode_spec(r: &mut ByteReader<'_>) -> Option<RunSpec> {
         max_events,
         shadow,
         world_mode,
-        threads,
         sample_every,
+        ..RunSpec::new(n, seed)
     })
 }
 
@@ -378,10 +389,6 @@ fn encode_summary(w: &mut ByteWriter, s: &RunSummary) {
         s.hull_rebuilds,
         s.world_pair_entries,
         s.world_pair_registrations,
-        s.par_batches,
-        s.par_batched_events,
-        s.speculation_hits,
-        s.speculation_aborts,
         s.fault_crashed_robots,
         s.fault_starved_directives,
         s.fault_truncated_directives,
@@ -409,7 +416,7 @@ fn decode_summary(r: &mut ByteReader<'_>) -> Option<RunSummary> {
     let first_connected = r.opt_u64()?.map(|v| v as usize);
     let expansion_monotonicity = r.opt_f64()?;
     let convergence_monotonicity = r.opt_f64()?;
-    let mut counters = [0u64; 15];
+    let mut counters = [0u64; 11];
     for c in counters.iter_mut() {
         *c = r.u64()?;
     }
@@ -432,13 +439,9 @@ fn decode_summary(r: &mut ByteReader<'_>) -> Option<RunSummary> {
         hull_rebuilds: counters[5],
         world_pair_entries: counters[6],
         world_pair_registrations: counters[7],
-        par_batches: counters[8],
-        par_batched_events: counters[9],
-        speculation_hits: counters[10],
-        speculation_aborts: counters[11],
-        fault_crashed_robots: counters[12],
-        fault_starved_directives: counters[13],
-        fault_truncated_directives: counters[14],
+        fault_crashed_robots: counters[8],
+        fault_starved_directives: counters[9],
+        fault_truncated_directives: counters[10],
         shadow: None,
     })
 }
@@ -821,7 +824,6 @@ mod tests {
             strategy: StrategyKind::Centroid,
             delta: 0.25,
             max_events: 12_345,
-            threads: 3,
             sample_every: 7,
             ..RunSpec::new(9, 42)
         }
@@ -979,14 +981,14 @@ mod tests {
         let summary = run(&spec);
         // Hand-encode the completed record an old build wrote for a dense
         // run: the same payload with world-mode tag 0, which sits right
-        // before the spec's trailing `threads u64 | sample_every u64`.
+        // before the spec's trailing `sample_every u64`.
         let mut payload = encode_record(&Record::Completed {
             ordinal: 0,
             summary: Box::new(summary),
         });
         let mut spec_bytes = ByteWriter::default();
         encode_spec(&mut spec_bytes, &spec);
-        let tag_at = 1 + 8 + spec_bytes.0.len() - 17;
+        let tag_at = 1 + 8 + spec_bytes.0.len() - 9;
         assert_eq!(payload[tag_at], world_mode_tag(WorldMode::Sparse));
         payload[tag_at] = 0;
         let mut bytes = encode_journal(&[]);
@@ -1002,6 +1004,50 @@ mod tests {
         assert_eq!(telemetry.resumed_rows, 0);
         assert_eq!(telemetry.recovered_records, 0);
         assert_eq!(telemetry.dropped_bytes, (bytes.len() - 8) as u64);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn journals_of_the_previous_format_are_dropped_not_resumed() {
+        let dir = std::env::temp_dir().join(format!("frck_v1_{}", std::process::id()));
+        let path = dir.join("journal.frck");
+        let spec = RunSpec {
+            shape: Shape::Circle,
+            adversary: AdversaryKind::RoundRobin,
+            max_events: 20_000,
+            ..RunSpec::new(3, 1)
+        };
+        let summary = run(&spec);
+        // A well-framed journal whose header carries version 1: its
+        // records were written with the old spec and summary layouts, so
+        // none of them may be read under the current one.
+        let mut bytes = encode_journal(&[
+            Record::Progress {
+                ordinal: 1,
+                spec,
+                events: 4096,
+                fingerprint: 0xabc,
+            },
+            Record::Completed {
+                ordinal: 0,
+                summary: Box::new(summary),
+            },
+        ]);
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let (records, recovery) = decode_journal(&bytes);
+        assert!(records.is_empty());
+        assert_eq!(recovery.records, 0);
+        assert_eq!(recovery.dropped_bytes, bytes.len());
+        assert!(!recovery.clean);
+
+        std::fs::create_dir_all(&dir).expect("create journal dir");
+        std::fs::write(&path, &bytes).expect("write old journal");
+        let mut session = CheckpointedSweep::open(&path).expect("open old journal");
+        assert_eq!(session.take_completed(0, &spec), None);
+        let telemetry = session.telemetry();
+        assert_eq!(telemetry.resumed_rows, 0);
+        assert_eq!(telemetry.recovered_records, 0);
+        assert_eq!(telemetry.dropped_bytes, bytes.len() as u64);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -21,7 +21,6 @@ use fatrobots_model::{LocalView, Phase, RobotConfig, RobotId};
 use fatrobots_scheduler::{Adversary, Directive, Event, Liveness, MotionControl, SystemSnapshot};
 
 use crate::metrics::Metrics;
-use crate::parallel::{self, ComputeSource, ParState, Planned};
 use crate::trace::ExecutionTrace;
 use crate::world::{World, WorldMode};
 
@@ -96,17 +95,10 @@ pub struct SimConfig {
     /// suite pins the event streams). `false` forces every Compute through
     /// the full pipeline — the reference behaviour for those pins.
     pub decision_cache: bool,
-    /// Thread budget for [`Simulator::run`]/[`Simulator::run_observed`]
-    /// (calling thread included). With the default `1` the engine runs its
-    /// plain serial event loop; with more, runs go through the
-    /// [deterministic parallel executor](crate::parallel) — commutation
-    /// batching plus speculative Compute — which is pinned event-for-event
-    /// identical to serial, so only throughput changes. Single-stepping via
-    /// [`Simulator::step`] never batches events. Independently of this
-    /// budget, a sparse-world Look with a large row to recompute fans its
-    /// pair kernels out across the host's cores inside the world
-    /// ([`World::visible_of_into_with`](crate::world::World::visible_of_into_with)),
-    /// with results identical to the serial refresh.
+    /// Ignored; kept because perfbench names it. Every run goes through
+    /// the one serial event loop; the only in-run parallelism is a sparse
+    /// world's fan-out of a large row refresh across the host's cores,
+    /// which needs no setting and matches the serial refresh exactly.
     pub threads: usize,
     /// Cooperative cancellation flag polled between events by
     /// [`Simulator::run`] / [`Simulator::run_observed`]. The default
@@ -157,9 +149,7 @@ pub struct RunOutcome {
 /// The simulator: ground-truth state plus the pluggable strategy and
 /// adversary.
 pub struct Simulator {
-    /// Shared so speculative-Compute workers can decide on clones of the
-    /// Look snapshots; strategies are stateless (`Send + Sync` supertrait).
-    strategy: Arc<dyn Strategy>,
+    strategy: Box<dyn Strategy>,
     adversary: Box<dyn Adversary>,
     config: SimConfig,
     world: World,
@@ -188,9 +178,6 @@ pub struct Simulator {
     /// memoized decision vs. running the Compute pipeline.
     decision_hits: u64,
     decision_misses: u64,
-    /// The parallel executor's planner buffers, speculation pool, and
-    /// telemetry; inert while the engine runs serially.
-    par: ParState,
 }
 
 impl Simulator {
@@ -217,7 +204,7 @@ impl Simulator {
             .collect();
         let memoize = config.decision_cache && strategy.memoizable();
         let mut sim = Simulator {
-            strategy: Arc::from(strategy),
+            strategy,
             adversary,
             config,
             world,
@@ -234,7 +221,6 @@ impl Simulator {
             decision_cache: vec![None; n],
             decision_hits: 0,
             decision_misses: 0,
-            par: ParState::default(),
         };
         if sim.config.sample_every > 0 {
             let predicates = sim.world.sample_predicates(sim.config.collinearity_tol);
@@ -396,8 +382,8 @@ impl Simulator {
         Some(event)
     }
 
-    /// The per-event epilogue shared by the serial and parallel loops:
-    /// metrics, trace, sampling, and the validity check.
+    /// The per-event epilogue: metrics, trace, sampling, and the validity
+    /// check.
     fn post_event(&mut self, event: &Event) {
         self.metrics.record_event(event);
         if self.config.record_trace {
@@ -429,18 +415,14 @@ impl Simulator {
     /// event under other kernels while the engine stays on the default path.
     pub fn run_observed(&mut self, mut observer: impl FnMut(&Simulator, &Event)) -> RunOutcome {
         let mut cancelled = false;
-        if self.config.threads > 1 {
-            cancelled = self.run_parallel(&mut observer);
-        } else {
-            while self.metrics.events < self.config.max_events {
-                if self.config.cancel.is_cancelled() {
-                    cancelled = true;
-                    break;
-                }
-                match self.step() {
-                    Some(event) => observer(self, &event),
-                    None => break,
-                }
+        while self.metrics.events < self.config.max_events {
+            if self.config.cancel.is_cancelled() {
+                cancelled = true;
+                break;
+            }
+            match self.step() {
+                Some(event) => observer(self, &event),
+                None => break,
             }
         }
         // Record one final sample so the series always covers the end state.
@@ -499,7 +481,6 @@ impl Simulator {
                 self.views[i].stamp_version(self.world.view_version(i));
                 self.visible_buf = visible;
                 self.phases[i] = Phase::Look;
-                self.maybe_fire_spec(i);
                 Event::Look(RobotId(i))
             }
             Phase::Look => {
@@ -515,15 +496,7 @@ impl Simulator {
                         d
                     }
                     _ => {
-                        // A parallel run may have speculated this decision
-                        // when the Look stamped the version; consuming it
-                        // (waiting for an in-flight worker if need be) is
-                        // bit-identical to deciding inline — the worker ran
-                        // `decide_with` on a clone of the same snapshot.
-                        let d = match self.par.take_spec(i, version) {
-                            Some(d) => d,
-                            None => self.strategy.decide_with(&self.views[i], &mut self.scratch),
-                        };
+                        let d = self.strategy.decide_with(&self.views[i], &mut self.scratch);
                         if self.memoize {
                             self.decision_misses += 1;
                             self.decision_cache[i] = Some((version, d));
@@ -621,281 +594,6 @@ impl Simulator {
     fn finish_motion(&mut self, i: usize) {
         self.targets[i] = None;
         self.phases[i] = Phase::Wait;
-    }
-
-    /// Parallel-executor telemetry: `(batches, batched_events,
-    /// speculation_hits, speculation_aborts)` — committed batches, events
-    /// committed inside multi-event batches, and speculative decisions
-    /// consumed vs. discarded. All 0 for serial runs.
-    pub fn parallel_stats(&self) -> (u64, u64, u64, u64) {
-        (
-            self.par.batches,
-            self.par.batched_events,
-            self.par.spec_hits,
-            self.par.spec_aborts,
-        )
-    }
-
-    /// Hands robot `i`'s freshly stamped Look snapshot to the speculation
-    /// pool unless the decision cache already covers the stamped version
-    /// (its Compute will replay, so there is nothing to pre-decide). No-op
-    /// outside a parallel run of a memoizable strategy.
-    fn maybe_fire_spec(&mut self, i: usize) {
-        if !self.par.speculating() {
-            return;
-        }
-        let version = self.views[i].version();
-        if matches!(self.decision_cache[i], Some((v, _)) if v == version) {
-            return;
-        }
-        self.par
-            .fire_spec(i, version, &self.views[i], &self.strategy);
-    }
-
-    /// The parallel run loop: plan a batch of commuting events against a
-    /// predicted snapshot, fan its Look kernels out, commit in pull order,
-    /// then serially apply the directive that ended the batch. Event
-    /// stream, metrics, and world state are bit-identical to the serial
-    /// loop — see the [`crate::parallel`] module docs for the argument.
-    /// Returns `true` when the loop stopped because the [`CancelFlag`] was
-    /// raised (polled at batch boundaries, the parallel analogue of the
-    /// serial loop's per-event poll).
-    fn run_parallel(&mut self, observer: &mut impl FnMut(&Simulator, &Event)) -> bool {
-        let n = self.len();
-        let threads = self.config.threads.max(1);
-        let memoize = self.memoize;
-        self.par.prepare(n, threads, memoize);
-        loop {
-            if self.metrics.events >= self.config.max_events {
-                break;
-            }
-            if self.config.cancel.is_cancelled() {
-                return true;
-            }
-            let (carry, done) = self.plan_batch();
-            if self.par.batch.is_empty() && carry.is_none() {
-                debug_assert!(done, "an empty plan means the adversary is finished");
-                break;
-            }
-            self.commit_batch(observer);
-            if let Some(directive) = carry {
-                let event = self.apply(directive);
-                self.post_event(&event);
-                observer(self, &event);
-            }
-            if done {
-                break;
-            }
-        }
-        false
-    }
-
-    /// Pulls directives against the predicted phase/target snapshot and
-    /// admits them into `par.batch` while they provably commute; stops at
-    /// the first that does not and returns it as the carry (to be applied
-    /// serially right after the batch commits), plus whether the adversary
-    /// returned `None` (the run is over once the batch lands).
-    ///
-    /// Every pull happens strictly under the event budget, so an admitted
-    /// event and the carry always have room to commit.
-    fn plan_batch(&mut self) -> (Option<Directive>, bool) {
-        self.par.batch.clear();
-        self.par.plan_pairs.clear();
-        self.par.planned_phases.clear();
-        self.par.planned_phases.extend_from_slice(&self.phases);
-        self.par.planned_targets.clear();
-        self.par.planned_targets.extend_from_slice(&self.targets);
-        self.par.in_batch.iter_mut().for_each(|f| *f = false);
-        self.par.look_in_batch.iter_mut().for_each(|f| *f = false);
-        let mut carry = None;
-        let mut done = false;
-        loop {
-            // A pull is only allowed while the pulled directive — batched
-            // or carried — still fits the event budget, mirroring the
-            // serial loop's `events < max_events` guard.
-            if self.metrics.events + self.par.batch.len() >= self.config.max_events
-                || self.par.batch.len() >= parallel::MAX_BATCH_EVENTS
-            {
-                break;
-            }
-            let directive = {
-                let snapshot = SystemSnapshot {
-                    phases: &self.par.planned_phases,
-                    centers: self.world.centers(),
-                    targets: &self.par.planned_targets,
-                    delta: self.config.liveness.delta(),
-                };
-                self.adversary.next(&snapshot)
-            };
-            let Some(directive) = directive else {
-                done = true;
-                break;
-            };
-            let RobotId(i) = directive.robot;
-            assert!(i < self.len(), "adversary scheduled an unknown robot");
-            if self.par.in_batch[i] {
-                // One event per robot per batch: a robot's second event
-                // reads state its first one writes.
-                carry = Some(directive);
-                break;
-            }
-            match self.par.planned_phases[i] {
-                Phase::Wait => {
-                    // A Look commutes when its recompute plan shares no
-                    // pair with an already-batched Look. A robot's plan
-                    // only contains its own pairs, so it suffices to test
-                    // each planned pair's endpoints for batched Looks.
-                    let start = self.par.plan_pairs.len();
-                    self.world.look_plan(i, &mut self.par.plan_pairs);
-                    let conflict = self.par.plan_pairs[start..]
-                        .iter()
-                        .any(|&(a, b)| self.par.look_in_batch[a] || self.par.look_in_batch[b]);
-                    if conflict {
-                        self.par.plan_pairs.truncate(start);
-                        carry = Some(directive);
-                        break;
-                    }
-                    self.par.batch.push(Planned::Look { robot: i });
-                    self.par.in_batch[i] = true;
-                    self.par.look_in_batch[i] = true;
-                    self.par.planned_phases[i] = Phase::Look;
-                }
-                Phase::Look => {
-                    // A Compute commutes only when its decision is already
-                    // known here at plan time: the adversary must see the
-                    // decided targets/phases before the next pull. The
-                    // robot's real view stamp and cache entry are frozen
-                    // for the batch (its Look is not in it — `in_batch`
-                    // would have carried), so the plan-time cache check is
-                    // exactly the commit-time one.
-                    let version = self.views[i].version();
-                    let source = if self.memoize
-                        && matches!(self.decision_cache[i], Some((v, _)) if v == version)
-                    {
-                        let (_, d) = self.decision_cache[i].expect("matched just above");
-                        Some(ComputeSource::CacheHit(d))
-                    } else {
-                        self.par
-                            .try_take_spec(i, version)
-                            .map(|d| ComputeSource::Spec(version, d))
-                    };
-                    let Some(source) = source else {
-                        carry = Some(directive);
-                        break;
-                    };
-                    self.par.batch.push(Planned::Compute { robot: i, source });
-                    self.par.in_batch[i] = true;
-                    self.par.planned_phases[i] = Phase::Compute;
-                }
-                Phase::Compute => {
-                    // Dispatch is a pure function of the pending decision,
-                    // which was committed in an earlier batch; predict its
-                    // phase/target updates for the subsequent pulls.
-                    match self.decisions[i] {
-                        Some(Decision::Terminate) => {
-                            self.par.planned_phases[i] = Phase::Terminate;
-                        }
-                        Some(Decision::MoveTo(target)) => {
-                            self.par.planned_targets[i] = Some(target);
-                            self.par.planned_phases[i] = Phase::Move;
-                        }
-                        None => {
-                            self.par.planned_targets[i] = Some(self.world.center(i));
-                            self.par.planned_phases[i] = Phase::Move;
-                        }
-                    }
-                    self.par.batch.push(Planned::Dispatch { robot: i });
-                    self.par.in_batch[i] = true;
-                }
-                Phase::Move => {
-                    // Moves mutate geometry — never batched.
-                    carry = Some(directive);
-                    break;
-                }
-                Phase::Terminate => {
-                    self.par.batch.push(Planned::Idle { robot: i });
-                    self.par.in_batch[i] = true;
-                }
-            }
-        }
-        (carry, done)
-    }
-
-    /// Commits the planned batch in pull order: fans the batched Looks'
-    /// pair kernels out over the thread budget, then replays every event
-    /// with the serial arms' exact bookkeeping, injecting the precomputed
-    /// answers into the Look refreshes.
-    fn commit_batch(&mut self, observer: &mut impl FnMut(&Simulator, &Event)) {
-        if self.par.batch.is_empty() {
-            return;
-        }
-        let pairs = std::mem::take(&mut self.par.plan_pairs);
-        let mut answers = std::mem::take(&mut self.par.answers);
-        parallel::compute_pair_answers(&self.world, &pairs, self.par.threads, &mut answers);
-        self.par.batches += 1;
-        if self.par.batch.len() > 1 {
-            self.par.batched_events += self.par.batch.len() as u64;
-        }
-        let mut batch = std::mem::take(&mut self.par.batch);
-        for planned in &batch {
-            let event = match *planned {
-                Planned::Look { robot: i, .. } => {
-                    // The serial Wait arm, with the batch's precomputed
-                    // pair answers injected; any pair the plan missed is
-                    // recomputed inline by the world (identical result).
-                    let mut visible = std::mem::take(&mut self.visible_buf);
-                    self.world
-                        .visible_of_into_with(i, &mut visible, Some(&answers));
-                    self.views[i].refill_from_visible(self.world.centers(), i, &visible);
-                    self.views[i].stamp_version(self.world.view_version(i));
-                    self.visible_buf = visible;
-                    self.phases[i] = Phase::Look;
-                    self.maybe_fire_spec(i);
-                    Event::Look(RobotId(i))
-                }
-                Planned::Compute { robot: i, source } => {
-                    let decision = match source {
-                        ComputeSource::CacheHit(d) => {
-                            self.decision_hits += 1;
-                            d
-                        }
-                        ComputeSource::Spec(version, d) => {
-                            // Replayed as the serial miss it would have
-                            // been: counter plus cache store.
-                            self.decision_misses += 1;
-                            self.decision_cache[i] = Some((version, d));
-                            d
-                        }
-                    };
-                    self.decisions[i] = Some(decision);
-                    self.phases[i] = Phase::Compute;
-                    Event::Compute(RobotId(i))
-                }
-                Planned::Dispatch { robot: i } => match self.decisions[i].take() {
-                    Some(Decision::Terminate) => {
-                        self.phases[i] = Phase::Terminate;
-                        Event::Done(RobotId(i))
-                    }
-                    Some(Decision::MoveTo(target)) => {
-                        self.targets[i] = Some(target);
-                        self.phases[i] = Phase::Move;
-                        Event::Move(RobotId(i))
-                    }
-                    None => {
-                        self.targets[i] = Some(self.world.center(i));
-                        self.phases[i] = Phase::Move;
-                        Event::Move(RobotId(i))
-                    }
-                },
-                Planned::Idle { robot: i } => Event::Stop(RobotId(i)),
-            };
-            self.post_event(&event);
-            observer(self, &event);
-        }
-        batch.clear();
-        self.par.batch = batch;
-        self.par.plan_pairs = pairs;
-        self.par.answers = answers;
     }
 }
 

@@ -203,10 +203,9 @@ pub struct RunSpec {
     /// default) or from-scratch reference recomputation. Both are
     /// event-for-event identical.
     pub world_mode: WorldMode,
-    /// Thread budget for the run ([`SimConfig::threads`]): `1` (the
-    /// default) runs the serial event loop, more routes the run through the
-    /// deterministic parallel executor — identical events, metrics, and
-    /// outcome, only throughput changes (`report --threads N`).
+    /// Ignored; kept because perfbench names it. Like
+    /// [`SimConfig::threads`], it affects no run and is not recorded in
+    /// reports or checkpoint journals.
     pub threads: usize,
     /// Configuration-sampling period ([`SimConfig::sample_every`]). The
     /// default matches the engine's; the `scale` table sets 0 — a single
@@ -282,16 +281,6 @@ pub struct RunSummary {
     /// Live corridor registrations held by the pair store at the end of
     /// the run.
     pub world_pair_registrations: u64,
-    /// Batches committed by the parallel executor (0 for serial runs).
-    pub par_batches: u64,
-    /// Events committed inside multi-event batches — the events that
-    /// actually ran grouped (0 for serial runs).
-    pub par_batched_events: u64,
-    /// Speculative decisions consumed by a Compute event (each replayed as
-    /// the decision-cache miss it would have been serially).
-    pub speculation_hits: u64,
-    /// Speculative decisions discarded on a stale version stamp.
-    pub speculation_aborts: u64,
     /// Robots permanently crashed by a fired crash-stop fault (0 for
     /// fault-free adversaries).
     pub fault_crashed_robots: u64,
@@ -385,7 +374,6 @@ pub fn run_with_hooks(spec: &RunSpec, mut hooks: RunHooks<'_>) -> RunStatus {
         max_events: spec.max_events,
         liveness: Liveness::new(spec.delta),
         world_mode: spec.world_mode,
-        threads: spec.threads.max(1),
         sample_every: spec.sample_every,
         cancel: hooks.cancel.clone(),
         ..SimConfig::default()
@@ -433,8 +421,6 @@ pub fn run_with_hooks(spec: &RunSpec, mut hooks: RunHooks<'_>) -> RunStatus {
     let (decision_cache_hits, decision_cache_misses) = sim.decision_cache_stats();
     let (hull_repairs, hull_rebuilds) = sim.hull_repair_stats();
     let (world_pair_entries, world_pair_registrations) = sim.pair_store_stats();
-    let (par_batches, par_batched_events, speculation_hits, speculation_aborts) =
-        sim.parallel_stats();
     let fault = sim.fault_stats();
     RunStatus::Completed(Box::new(RunSummary {
         spec: *spec,
@@ -455,10 +441,6 @@ pub fn run_with_hooks(spec: &RunSpec, mut hooks: RunHooks<'_>) -> RunStatus {
         hull_rebuilds,
         world_pair_entries,
         world_pair_registrations,
-        par_batches,
-        par_batched_events,
-        speculation_hits,
-        speculation_aborts,
         fault_crashed_robots: fault.crashed_robots,
         fault_starved_directives: fault.starved_directives,
         fault_truncated_directives: fault.truncated_directives,

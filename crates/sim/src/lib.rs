@@ -21,11 +21,6 @@
 //!   line, grid, circle, clusters);
 //! * [`metrics`] — per-run metrics: event counts, travelled distance, times
 //!   to all-on-hull / full visibility / connectivity, hull-area series;
-//! * [`parallel`] — the deterministic intra-run parallel executor:
-//!   commutation batching of disjoint Looks plus speculative Compute,
-//!   committed in the serial event order (`SimConfig::threads`), and the
-//!   read-only pair-answer fan-out that a sparse world's large row
-//!   refreshes also use on their own;
 //! * [`trace`] — execution traces (events plus sampled configurations) with
 //!   CSV export;
 //! * [`render`] — small SVG / ASCII renderers for configurations;
@@ -47,7 +42,9 @@
 //!   sparse pairwise visibility store (lazy dirty-pair invalidation over a
 //!   hierarchical spatial grid), cached hull/connectivity/validity, and a
 //!   from-scratch reference mode that pins the cached path to
-//!   bit-identical results.
+//!   bit-identical results. A large row refresh fans its read-only pair
+//!   kernels out across the host's cores and commits them serially — the
+//!   engine's only in-run parallelism.
 //!
 //! ## Quick example
 //!
@@ -78,7 +75,6 @@ pub mod experiment;
 pub mod fuzz;
 pub mod init;
 pub mod metrics;
-pub mod parallel;
 pub mod render;
 pub mod shadow;
 pub mod sweep;

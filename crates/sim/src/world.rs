@@ -60,6 +60,7 @@
 //! the equivalence event-for-event.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use fatrobots_geometry::grid::{CellCoord, CellHashBuilder, CellMap, UniformGrid, GRID_LEVELS};
@@ -93,7 +94,7 @@ const CONTACT_QUERY_MARGIN: f64 = 1e-3;
 const REGISTRATION_COMPACT_LEN: usize = 64;
 
 /// Pair recomputes from which a sparse row refresh fans its kernels out
-/// across cores ([`crate::parallel::compute_pair_answers`]). Measured on a
+/// across cores ([`compute_pair_answers`]). Measured on a
 /// 2-vCPU host (rustc 1.95) as first-row refreshes at width 2 vs serial:
 /// random spreads gain 1.2× at 128 pairs and 1.55× at 512. Jittered hex
 /// packings gain 1.9× at 10⁴ pairs, but in host windows where their
@@ -267,20 +268,20 @@ fn adj_remove(list: &mut Vec<u32>, v: u32) {
 }
 
 /// One pair visibility answer computed **read-only** by
-/// [`World::compute_pair_answer`], ready to be injected into a commit
-/// ([`World::visible_of_into_with`]). Carrying the answer instead of
-/// recomputing it at commit time is what lets worker threads run the pair
-/// kernels on a shared `&World` while the serial commit replays every piece
-/// of bookkeeping (generation bumps, registrations, view versions,
-/// telemetry) in the original event order.
+/// [`World::compute_pair_answer`], ready to be injected into a row refresh
+/// ([`World::refresh_row_with`]). Carrying the answer instead of
+/// recomputing it at commit time is what lets the row fan-out run the pair
+/// kernels on a shared `&World` across cores while the serial commit
+/// replays every piece of bookkeeping (generation bumps, registrations,
+/// view versions, telemetry) in the refresh's own order.
 #[derive(Debug, Clone, Copy)]
-pub struct PairAnswer {
+struct PairAnswer {
     /// Lower endpoint of the unordered pair.
-    pub a: usize,
+    a: usize,
     /// Upper endpoint of the unordered pair (`a < b`).
-    pub b: usize,
+    b: usize,
     /// The kernel's visibility verdict for the pair.
-    pub seen: bool,
+    seen: bool,
     /// The answer was certified "blocked" by the slack strip cover (see
     /// [`PairEntry::certified`]'s doc on the `World` internals).
     certified: bool,
@@ -294,7 +295,7 @@ pub struct PairAnswer {
 /// read-only twin of the `World`'s own reusable query buffers, owned by the
 /// caller so concurrent probes never share storage.
 #[derive(Debug, Default)]
-pub struct PairProbe {
+struct PairProbe {
     cand: Vec<usize>,
     sx: Vec<f64>,
     sy: Vec<f64>,
@@ -303,28 +304,68 @@ pub struct PairProbe {
 }
 
 /// Precomputed pair answers keyed by unordered pair, injected into
-/// [`World::visible_of_into_with`]. An absent pair is not an error — the
+/// [`World::refresh_row_with`]. An absent pair is not an error — the
 /// commit simply recomputes it serially, so injection can only change
 /// *where* a kernel runs, never its result.
 #[derive(Debug, Default)]
-pub struct PairAnswers {
+struct PairAnswers {
     map: HashMap<u64, PairAnswer, CellHashBuilder>,
 }
 
 impl PairAnswers {
     /// Drops every stored answer (keeps the allocation).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.map.clear();
     }
 
     /// Stores one computed answer (last write wins).
-    pub fn insert(&mut self, answer: PairAnswer) {
+    fn insert(&mut self, answer: PairAnswer) {
         self.map.insert(pair_key(answer.a, answer.b), answer);
     }
 
     /// The stored answer for the unordered pair `{a, b}`, if any.
     fn get(&self, a: usize, b: usize) -> Option<&PairAnswer> {
         self.map.get(&pair_key(a, b))
+    }
+}
+
+/// Computes the answers for `pairs` against a frozen `world` on `threads`
+/// threads (calling thread included), leaving the results in `out`. The
+/// per-pair computation is [`World::compute_pair_answer`] — read-only and
+/// thread-independent — so the result set is identical for every width.
+/// Only [`World::refresh_row`] calls it, with width > 1 and at least
+/// `ROW_FANOUT_MIN_PAIRS` pairs.
+fn compute_pair_answers(
+    world: &World,
+    pairs: &[(usize, usize)],
+    threads: usize,
+    out: &mut PairAnswers,
+) {
+    out.clear();
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<PairAnswer>> = pairs.iter().map(|_| OnceLock::new()).collect();
+    let worker = || {
+        let mut probe = PairProbe::default();
+        loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            if k >= pairs.len() {
+                break;
+            }
+            let (a, b) = pairs[k];
+            let _ = slots[k].set(world.compute_pair_answer(a, b, &mut probe));
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(pairs.len()) {
+            scope.spawn(worker);
+        }
+        worker();
+    });
+    for slot in slots {
+        out.insert(
+            slot.into_inner()
+                .expect("every claimed task stores its answer"),
+        );
     }
 }
 
@@ -874,7 +915,7 @@ impl World {
     /// # Panics
     /// Panics if `a >= b`, either index is out of bounds, or the world is
     /// in [`WorldMode::Scratch`] (which has no pair store to commit into).
-    pub fn compute_pair_answer(&self, a: usize, b: usize, probe: &mut PairProbe) -> PairAnswer {
+    fn compute_pair_answer(&self, a: usize, b: usize, probe: &mut PairProbe) -> PairAnswer {
         assert!(a < b && b < self.len(), "invalid pair");
         assert!(
             self.mode != WorldMode::Scratch,
@@ -1050,20 +1091,20 @@ impl World {
     }
 
     /// [`Self::refresh_row_with`], with the recomputes of a large row
-    /// fanned out across cores when the caller injected no answers. The
-    /// refresh's own bound on its recompute count (the whole row before its
-    /// first refresh, the pending queue afterwards) gates the exact plan,
-    /// so a small row pays one comparison. The kernels run read-only on
-    /// the frozen centers and the commit is the injected-answer path, so
-    /// the fan-out changes no answer, no bookkeeping and no counter.
-    fn refresh_row(&mut self, i: usize, answers: Option<&PairAnswers>) {
+    /// fanned out across cores. The refresh's own bound on its recompute
+    /// count (the whole row before its first refresh, the pending queue
+    /// afterwards) gates the exact plan, so a small row pays one
+    /// comparison. The kernels run read-only on the frozen centers and the
+    /// commit is the injected-answer path, so the fan-out changes no
+    /// answer, no bookkeeping and no counter.
+    fn refresh_row(&mut self, i: usize) {
         let bound = if self.sparse.row_init[i] {
             self.sparse.pending[i].js.len()
         } else {
             self.len() - 1
         };
-        if answers.is_some() || self.row_fanout_width <= 1 || bound < ROW_FANOUT_MIN_PAIRS {
-            self.refresh_row_with(i, answers);
+        if self.row_fanout_width <= 1 || bound < ROW_FANOUT_MIN_PAIRS {
+            self.refresh_row_with(i, None);
             return;
         }
         let mut plan = std::mem::take(&mut self.fanout_plan);
@@ -1071,7 +1112,7 @@ impl World {
         self.look_plan(i, &mut plan);
         if plan.len() >= ROW_FANOUT_MIN_PAIRS {
             let mut fanned = std::mem::take(&mut self.fanout_answers);
-            crate::parallel::compute_pair_answers(self, &plan, self.row_fanout_width, &mut fanned);
+            compute_pair_answers(self, &plan, self.row_fanout_width, &mut fanned);
             self.refresh_row_with(i, Some(&fanned));
             self.fanout_answers = fanned;
         } else {
@@ -1134,25 +1175,14 @@ impl World {
         self.sparse.pending[i].compact_at = 0;
     }
 
-    /// The pairs the next [`Self::visible_of_into`] for robot `i` would
+    /// The pairs the next [`Self::refresh_row_with`] for robot `i` would
     /// recompute, **right now** (read-only; appended to `out` as sorted
-    /// `(a, b)` endpoint pairs, deduplicated). This is the commutation
-    /// interface of the parallel executor: two Looks whose plans share no
-    /// pair recompute disjoint pair sets, so their kernel work can run
-    /// concurrently and commit in either order with identical results —
-    /// and since a robot's plan only ever contains its own pairs, two
-    /// plans can only share the one pair joining the two robots.
+    /// `(a, b)` endpoint pairs, deduplicated) — the task list of the row
+    /// fan-out.
     ///
     /// Valid until the next mutating call (a move dirties pairs and queues
     /// pending work; a refresh consumes it).
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    pub fn look_plan(&self, i: usize, out: &mut Vec<(usize, usize)>) {
-        assert!(i < self.len(), "robot index out of bounds");
-        if self.mode == WorldMode::Scratch {
-            return;
-        }
+    fn look_plan(&self, i: usize, out: &mut Vec<(usize, usize)>) {
         if !self.sparse.row_init[i] {
             for j in 0..self.len() {
                 if j == i {
@@ -1197,34 +1227,16 @@ impl World {
 
     /// Fills `out` with the (ascending) indices of the robots visible to
     /// robot `i` — [`Self::visible_of`] writing into caller-owned storage,
-    /// so the engine's per-Look cost is free of allocation. A row with
-    /// many pairs to recompute fans them out across the host's cores
-    /// ([`Self::visible_of_into_with`]); the result is the serial one.
+    /// so the engine's per-Look cost is free of allocation. A row of at
+    /// least `ROW_FANOUT_MIN_PAIRS` recomputes fans its pair kernels out
+    /// across the host's cores first ([`Self::refresh_row`]); that only
+    /// moves kernel evaluations onto other threads, never changes what is
+    /// computed, in which order it is committed, or what the telemetry
+    /// counts.
     ///
     /// # Panics
     /// Panics if `i` is out of bounds.
     pub fn visible_of_into(&mut self, i: usize, out: &mut Vec<usize>) {
-        self.visible_of_into_with(i, out, None);
-    }
-
-    /// [`Self::visible_of_into`] with precomputed pair answers: every
-    /// recompute the refresh hits is answered from `answers` when present
-    /// (committing all bookkeeping here, serially) and recomputed in place
-    /// otherwise. An empty set is the serial path; with `None` a row of at
-    /// least `ROW_FANOUT_MIN_PAIRS` recomputes computes its own
-    /// answers across the host's cores first (injected answers never fan
-    /// out again, so the two never nest). Injection only moves kernel
-    /// evaluations onto other threads, never changes what is computed, in
-    /// which order it is committed, or what the telemetry counts.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    pub fn visible_of_into_with(
-        &mut self,
-        i: usize,
-        out: &mut Vec<usize>,
-        answers: Option<&PairAnswers>,
-    ) {
         assert!(i < self.len(), "robot index out of bounds");
         out.clear();
         if self.mode == WorldMode::Scratch {
@@ -1233,7 +1245,7 @@ impl World {
         }
         // Refresh recomputes exactly the dirty pairs of row `i`; the sorted
         // adjacency list then *is* the ascending visible set.
-        self.refresh_row(i, answers);
+        self.refresh_row(i);
         out.extend(self.sparse.adj[i].iter().map(|&j| j as usize));
     }
 

@@ -7,8 +7,7 @@ use fatrobots_core::{AlgorithmParams, ComputeScratch, Decision, LocalAlgorithm};
 use fatrobots_geometry::visibility::{min_pairwise_gap, visible_set, VisibilityConfig};
 use fatrobots_geometry::Point;
 use fatrobots_model::{GeometricConfig, LocalView};
-use fatrobots_sim::parallel::compute_pair_answers;
-use fatrobots_sim::world::{PairAnswers, World, WorldMode};
+use fatrobots_sim::world::{World, WorldMode};
 use proptest::prelude::*;
 
 /// Base configurations: robots on distinct coarse grid cells with jitter —
@@ -155,100 +154,6 @@ proptest! {
                 }
                 *slot = fresh;
             }
-        }
-    }
-
-    /// The commutation criterion of the parallel executor, against
-    /// arbitrary move scripts: admitting Looks
-    /// greedily under the batcher's conflict predicate (reject a robot
-    /// whose plan touches any robot already batched) yields plans whose
-    /// pair sets are **pairwise disjoint** — so the batched kernel
-    /// evaluations write disjoint entries and commute. The predicate is
-    /// deliberately stronger than raw pair-disjointness; this pins that
-    /// the implication actually holds on real [`World::look_plan`] output,
-    /// whatever the dirty-pair state.
-    #[test]
-    fn batcher_admitted_looks_have_disjoint_pair_sets(
-        centers in base_centers(9),
-        script in moves(14),
-    ) {
-        let mut world = World::new(centers.clone(), VisibilityConfig::default(), WorldMode::Sparse);
-        let mut centers = centers;
-        let n = centers.len();
-        let _ = world.visible_of(0);
-        for (pick, x, y) in script {
-            let i = pick % n;
-            let p = Point::new(x, y);
-            world.move_robot(i, p);
-            centers[i] = p;
-            // Greedy admission, exactly like the engine's planner.
-            let mut in_batch = vec![false; n];
-            let mut plans: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
-            let mut plan = Vec::new();
-            for r in 0..n {
-                plan.clear();
-                world.look_plan(r, &mut plan);
-                if plan.iter().any(|&(a, b)| in_batch[a] || in_batch[b]) {
-                    continue;
-                }
-                in_batch[r] = true;
-                plans.push((r, plan.clone()));
-            }
-            // Every admitted plan only contains the robot's own pairs …
-            for (r, plan) in &plans {
-                for &(a, b) in plan {
-                    prop_assert!(a == *r || b == *r,
-                        "plan of robot {} contains foreign pair ({}, {})", r, a, b);
-                    prop_assert!(a < b);
-                }
-            }
-            // … and no pair appears in two admitted plans.
-            let mut seen = std::collections::BTreeSet::new();
-            for (r, plan) in &plans {
-                for &pair in plan {
-                    prop_assert!(
-                        seen.insert(pair),
-                        "pair {:?} shared between admitted plans (robot {})", pair, r
-                    );
-                }
-            }
-        }
-    }
-
-    /// Injection invariance, the safety net under the executor's fan-out:
-    /// a Look answered from precomputed [`compute_pair_answer`] results
-    /// (fanned over worker threads) is indistinguishable from the plain
-    /// serial Look — same visible set, same view versions, and the same
-    /// cache counters, on a twin world driven by the identical script.
-    #[test]
-    fn injected_pair_answers_match_the_serial_look(
-        centers in base_centers(9),
-        script in moves(14),
-    ) {
-        let mut injected = World::new(centers.clone(), VisibilityConfig::default(), WorldMode::Sparse);
-        let mut serial = World::new(centers.clone(), VisibilityConfig::default(), WorldMode::Sparse);
-        let n = centers.len();
-        let mut plan = Vec::new();
-        let mut answers = PairAnswers::default();
-        let mut got = Vec::new();
-        let mut want = Vec::new();
-        for (step, (pick, x, y)) in script.into_iter().enumerate() {
-            let i = pick % n;
-            let p = Point::new(x, y);
-            injected.move_robot(i, p);
-            serial.move_robot(i, p);
-            let looker = step % n;
-            plan.clear();
-            injected.look_plan(looker, &mut plan);
-            compute_pair_answers(&injected, &plan, 2, &mut answers);
-            injected.visible_of_into_with(looker, &mut got, Some(&answers));
-            serial.visible_of_into(looker, &mut want);
-            prop_assert!(got == want, "visible set diverged for robot {}", looker);
-            for j in 0..n {
-                prop_assert_eq!(injected.view_version(j), serial.view_version(j));
-            }
-            prop_assert_eq!(injected.cache_stats(), serial.cache_stats());
-            prop_assert_eq!(injected.pair_store_stats(), serial.pair_store_stats());
         }
     }
 

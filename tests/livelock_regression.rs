@@ -151,60 +151,6 @@ fn livelock_window_is_identical_with_and_without_the_decision_cache() {
     );
 }
 
-/// The livelock window is the parallel executor's stress test: a stalled
-/// run re-decides stable views over and over, which is exactly the regime
-/// where speculative Computes fire and commutation batches form. The
-/// `threads = 4` replay must be event-for-event identical to serial —
-/// same stream, same centers, same outcome — and must actually engage the
-/// speculation machinery while doing so.
-#[test]
-fn livelock_window_replays_identically_under_the_parallel_executor() {
-    let window = 30_000;
-    let run_once = |threads: usize| {
-        let centers = Shape::Random.generate(7, 7);
-        let mut sim = Simulator::new(
-            centers,
-            StrategyKind::Paper.build(7),
-            AdversaryKind::RoundRobin.build(7, 7),
-            SimConfig {
-                max_events: window,
-                record_trace: true,
-                threads,
-                ..SimConfig::default()
-            },
-        );
-        let outcome = sim.run();
-        let stats = sim.parallel_stats();
-        (
-            outcome,
-            sim.centers().to_vec(),
-            sim.trace().events().to_vec(),
-            stats,
-        )
-    };
-    let (par_outcome, par_centers, par_events, (batches, batched, spec_hits, spec_aborts)) =
-        run_once(4);
-    let (ser_outcome, ser_centers, ser_events, _) = run_once(1);
-    assert_eq!(
-        par_events, ser_events,
-        "the parallel executor altered the livelocked event stream"
-    );
-    assert_eq!(par_centers, ser_centers);
-    assert_eq!(par_outcome, ser_outcome);
-    eprintln!(
-        "livelocked window ({window} events) at threads=4: {batches} batches, \
-         {batched} batched events, {spec_hits} speculation hits, {spec_aborts} aborts"
-    );
-    assert!(
-        batched > 0,
-        "the livelock window must commit multi-event batches"
-    );
-    assert!(
-        spec_hits > 0,
-        "the livelock window must consume speculative decisions"
-    );
-}
-
 /// Every fixture the scenario fuzzer has filed under
 /// `tests/fixtures/livelock/` replays to its recorded census — gathered /
 /// terminated flags, event count and the *bit pattern* of the travelled

@@ -17,21 +17,14 @@ use fatrobots::sim::experiment::{AdversaryKind, StrategyKind};
 use fatrobots::sim::world::WorldMode;
 use fatrobots::sim::RunOutcome;
 
-#[allow(clippy::type_complexity)]
-fn run_with_threads(
+fn run_with_config(
     n: usize,
     seed: u64,
     shape: Shape,
     adversary: AdversaryKind,
     mode: WorldMode,
     decision_cache: bool,
-    threads: usize,
-) -> (
-    RunOutcome,
-    Vec<Point>,
-    Vec<fatrobots::scheduler::Event>,
-    (u64, u64, u64, u64),
-) {
+) -> (RunOutcome, Vec<Point>, Vec<fatrobots::scheduler::Event>) {
     let centers = shape.generate(n, seed);
     let mut sim = Simulator::new(
         centers,
@@ -42,31 +35,15 @@ fn run_with_threads(
             record_trace: true,
             world_mode: mode,
             decision_cache,
-            threads,
             ..SimConfig::default()
         },
     );
     let outcome = sim.run();
-    let stats = sim.parallel_stats();
     (
         outcome,
         sim.centers().to_vec(),
         sim.trace().events().to_vec(),
-        stats,
     )
-}
-
-fn run_with_config(
-    n: usize,
-    seed: u64,
-    shape: Shape,
-    adversary: AdversaryKind,
-    mode: WorldMode,
-    decision_cache: bool,
-) -> (RunOutcome, Vec<Point>, Vec<fatrobots::scheduler::Event>) {
-    let (outcome, centers, events, _) =
-        run_with_threads(n, seed, shape, adversary, mode, decision_cache, 1);
-    (outcome, centers, events)
 }
 
 fn run_with_mode(
@@ -173,72 +150,6 @@ fn memoized_decisions_replay_identically_across_the_matrix() {
                 cached_outcome, fresh_outcome,
                 "run outcome diverged with the decision cache for {label}"
             );
-        }
-    }
-}
-
-/// The parallel-executor pin: `SimConfig::threads = 4` routes runs through
-/// the commutation-batching + speculative-Compute executor, which must
-/// replay **event-for-event identical** to the serial loop — same event
-/// stream, same final centers, same outcome (metrics and samples included)
-/// — across the whole Shape × AdversaryKind matrix. Any divergence means a
-/// batched event did not actually commute or a speculation replayed a
-/// stale decision.
-#[test]
-fn parallel_executor_replays_identically_across_the_matrix() {
-    let mut batched_events = 0;
-    let mut spec_hits = 0;
-    for shape in Shape::ALL {
-        for adversary in AdversaryKind::ALL {
-            let (par_outcome, par_centers, par_events, stats) =
-                run_with_threads(5, 2, shape, adversary, WorldMode::Sparse, true, 4);
-            let (ser_outcome, ser_centers, ser_events, _) =
-                run_with_threads(5, 2, shape, adversary, WorldMode::Sparse, true, 1);
-            let label = format!("shape={} adversary={}", shape.name(), adversary.name());
-            assert_eq!(
-                par_events, ser_events,
-                "parallel event stream diverged from serial for {label}"
-            );
-            assert_eq!(
-                par_centers, ser_centers,
-                "parallel final centers diverged from serial for {label}"
-            );
-            assert_eq!(
-                par_outcome, ser_outcome,
-                "parallel run outcome diverged from serial for {label}"
-            );
-            batched_events += stats.1;
-            spec_hits += stats.2;
-        }
-    }
-    // The pin is only meaningful if the parallel paths actually engage.
-    assert!(
-        batched_events > 0,
-        "no run of the matrix ever committed a multi-event batch"
-    );
-    assert!(
-        spec_hits > 0,
-        "no run of the matrix ever consumed a speculative decision"
-    );
-}
-
-/// Same pin with the decision cache disabled: speculation is off (it rides
-/// on the memoization contract), so this isolates pure commutation
-/// batching against the uncached serial reference.
-#[test]
-fn parallel_executor_matches_serial_without_the_decision_cache() {
-    for shape in Shape::ALL {
-        for adversary in AdversaryKind::ALL {
-            let (par_outcome, par_centers, par_events, stats) =
-                run_with_threads(5, 2, shape, adversary, WorldMode::Sparse, false, 4);
-            let (ser_outcome, ser_centers, ser_events, _) =
-                run_with_threads(5, 2, shape, adversary, WorldMode::Sparse, false, 1);
-            let label = format!("shape={} adversary={}", shape.name(), adversary.name());
-            assert_eq!(par_events, ser_events, "event stream diverged for {label}");
-            assert_eq!(par_centers, ser_centers);
-            assert_eq!(par_outcome, ser_outcome);
-            assert_eq!(stats.2, 0, "speculation must stay off without the cache");
-            assert_eq!(stats.3, 0);
         }
     }
 }
