@@ -26,7 +26,7 @@ use fatrobots_sim::checkpoint::{write_atomic, CheckpointedSweep};
 use fatrobots_sim::experiment::{
     adversary_table_spec, baseline_table_spec, delta_table_spec, expansion_table_spec,
     scale_table_spec, scaling_table_spec_with_cap, shape_table_spec, ExperimentTable, TableSpec,
-    LARGE_N_EVENT_CAP, PROGRESS_EVERY_DEFAULT,
+    LARGE_N_EVENT_CAP,
 };
 use fatrobots_sim::fuzz::{self, FuzzConfig, FuzzReport};
 use fatrobots_sim::sweep::{self, SupervisionPolicy, SweepPool};
@@ -69,13 +69,13 @@ Options:
                  structured failure row (schema v8 'supervision') while
                  every other run completes; the process still exits 1
   --checkpoint-dir <DIR>
-                 journal sweep progress into DIR/journal.frck (crash-safe:
-                 length-framed, checksummed, written atomically). A report
-                 killed mid-sweep and re-run with the same flags resumes:
-                 completed rows load from the journal, the in-flight run
-                 replays, and the output is byte-identical to an
-                 uninterrupted run modulo the schema-v8 checkpoint
-                 counters. Incompatible with --fail-fast
+                 journal completed rows into DIR/journal.frck (crash-safe:
+                 append-only, length-framed, checksummed, stamped with
+                 this build's engine id). A report killed mid-sweep and
+                 re-run with the same flags resumes: completed rows load
+                 from the journal, in-flight runs re-run, and the output
+                 is byte-identical to an uninterrupted run modulo the
+                 checkpoint counters. Incompatible with --fail-fast
   --watchdog-secs <N>
                  wall-clock budget per run attempt: a run exceeding it is
                  cancelled cooperatively and supervised like a panic
@@ -594,13 +594,6 @@ fn main() -> ExitCode {
     };
     let policy = SupervisionPolicy {
         watchdog: cli.watchdog_secs.map(std::time::Duration::from_secs),
-        // Progress checkpoints only matter when there is a journal to
-        // land in; without one the runs stay observer-free.
-        progress_every: if checkpoint.is_some() {
-            PROGRESS_EVERY_DEFAULT
-        } else {
-            0
-        },
         ..SupervisionPolicy::default()
     };
     let mut supervision = SupervisionReport {

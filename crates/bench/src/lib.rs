@@ -4,14 +4,15 @@
 //! regenerates the experiment tables (README, "The `report` CLI"). The
 //! actual experiment logic lives in [`fatrobots_sim::experiment`] (with
 //! the parallel dispatch in [`fatrobots_sim::sweep`]); this crate provides
-//! the table printer, the hand-rolled [`json`] layer, and the
-//! `bench_report.json` serializer so every bench and the report emit
-//! exactly the same rows.
+//! the table printer and the `bench_report.json` serializer so every bench
+//! and the report emit exactly the same rows. The hand-rolled [`json`]
+//! codec lives in `fatrobots-sim` (the fuzz fixtures use it too) and is
+//! re-exported here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
+pub use fatrobots_sim::json;
 
 use fatrobots_geometry::kernel::shadow::PredicateSite;
 use fatrobots_sim::checkpoint::CheckpointTelemetry;
@@ -29,7 +30,7 @@ pub const QUICK_SEEDS: [u64; 3] = [1, 2, 3];
 /// The `schema_version` stamped into `bench_report.json`. Bump on any
 /// breaking change to the report layout (the README documents it).
 ///
-/// A v9 document carries, at the root, the run flags (`quick`, `jobs`,
+/// A v10 document carries, at the root, the run flags (`quick`, `jobs`,
 /// `shadow`), the `tables` (tables → groups → aggregate + per-run records
 /// with the world, decision-cache, hull, pair-store, fault and `shadow`
 /// telemetry) and the `supervision`
@@ -38,20 +39,21 @@ pub const QUICK_SEEDS: [u64; 3] = [1, 2, 3];
 /// kept failing after its bounded retries — the spec fields plus the
 /// panic `message`, `attempts` count and `quarantined` flag), and
 /// `checkpoint` — `null` without `--checkpoint-dir`, otherwise the
-/// crash-safe journal's counters (`resumed_rows`, `replayed_events`,
-/// `journal_records`, `recovered_records`, `dropped_bytes`,
-/// `write_errors`). Sweeps are deterministic, so the checkpoint counters
+/// crash-safe journal's counters (`resumed_rows`, `journal_records`,
+/// `recovered_records`, `dropped_bytes`, `write_errors`). Sweeps are deterministic, so the checkpoint counters
 /// are the *only* keys that may differ between an uninterrupted sweep and
 /// a killed-and-resumed one; the CI `kill-resume` gate diffs the two
 /// documents modulo exactly those lines.
 ///
 /// v9 dropped v8's root and per-run `threads` keys and the four per-run
-/// counters of the intra-run parallel executor, which is gone.
-pub const REPORT_SCHEMA_VERSION: i64 = 9;
+/// counters of the intra-run parallel executor, which is gone. v10 dropped
+/// the checkpoint's replayed-events counter with the journal's progress
+/// records.
+pub const REPORT_SCHEMA_VERSION: i64 = 10;
 
 /// The oldest `schema_version` current tooling still reads. The baseline
-/// diff reads none of the keys v9 dropped, so v8 documents still diff;
-/// older ones are rejected.
+/// diff reads none of the keys v9 and v10 dropped, so v8 documents still
+/// diff; older ones are rejected.
 pub const REPORT_SCHEMA_MIN_SUPPORTED: i64 = 8;
 
 /// `true` when a parsed `bench_report.json` document carries a schema
@@ -385,10 +387,6 @@ fn supervision_json(supervision: &SupervisionReport) -> JsonValue {
                     JsonValue::Int(ck.resumed_rows as i64),
                 ),
                 (
-                    "replayed_events".into(),
-                    JsonValue::Int(ck.replayed_events as i64),
-                ),
-                (
                     "journal_records".into(),
                     JsonValue::Int(ck.journal_records as i64),
                 ),
@@ -651,7 +649,6 @@ mod tests {
             )],
             checkpoint: Some(CheckpointTelemetry {
                 resumed_rows: 3,
-                replayed_events: 8_192,
                 journal_records: 4,
                 recovered_records: 4,
                 dropped_bytes: 0,
@@ -678,7 +675,21 @@ mod tests {
             .contains("at least one robot"));
         let ck = sup.get("checkpoint").expect("checkpoint present");
         assert_eq!(ck.get("resumed_rows"), Some(&JsonValue::Int(3)));
-        assert_eq!(ck.get("replayed_events"), Some(&JsonValue::Int(8192)));
+        assert_eq!(ck.get("journal_records"), Some(&JsonValue::Int(4)));
+        let JsonValue::Obj(entries) = ck else {
+            panic!("checkpoint is an object")
+        };
+        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "resumed_rows",
+                "journal_records",
+                "recovered_records",
+                "dropped_bytes",
+                "write_errors"
+            ]
+        );
         assert_eq!(ck.get("write_errors"), Some(&JsonValue::Int(0)));
     }
 

@@ -598,7 +598,7 @@ fn checkpointed_report_resumes_identically_from_its_journal() {
 
     // Re-running with the same flags resumes every row from the journal:
     // identical stdout, and an identical JSON document modulo the
-    // schema-v8 checkpoint counters.
+    // checkpoint counters.
     let second = report(&[
         "--quick",
         "--e7",
@@ -638,7 +638,6 @@ fn checkpointed_report_resumes_identically_from_its_journal() {
     // the counters and compare.
     let counter_keys = [
         "resumed_rows",
-        "replayed_events",
         "journal_records",
         "recovered_records",
         "dropped_bytes",

@@ -1,101 +1,88 @@
 //! Crash-safe checkpoint/resume journal for sweeps.
 //!
-//! Runs are fully seeded and deterministic, so a checkpoint is tiny: a
-//! [`RunSpec`] plus an event index plus the engine's [state
-//! fingerprint](crate::engine::Simulator::fingerprint) at that index
-//! identify a run's progress exactly — replaying the spec to the index
-//! reproduces the state bit-for-bit. The journal therefore stores only two
-//! kinds of record:
-//!
-//! * **progress** — an in-flight run reached `events` events with
-//!   fingerprint `fp` (written every
-//!   [`SupervisionPolicy::progress_every`](crate::sweep::SupervisionPolicy)
-//!   events);
-//! * **completed** — a run finished, with its full [`RunSummary`] inlined
-//!   so resume never re-executes a finished run.
+//! Runs are fully seeded and deterministic, so a finished run is fully
+//! described by its [`RunSummary`] (which carries its [`RunSpec`]). The
+//! journal stores exactly one kind of record — a **completed** row, with
+//! the summary inlined so resume never re-executes a finished run. A run
+//! that was in flight when the process died simply re-runs from its spec;
+//! determinism makes the re-run byte-identical.
 //!
 //! ## Byte layout
 //!
 //! All integers little-endian; `f64` stored as its IEEE-754 bit pattern.
 //!
 //! ```text
-//! journal := magic "FRCK" | version u32 | record*
+//! journal := magic "FRCK" | version u32 | engine_id u32 | record*
 //! record  := len u32 | crc32 u32 | payload           (len = payload bytes)
-//! payload := kind u8 | ordinal u64 | body
-//! kind 1  := spec | events u64 | fingerprint u64      (progress)
-//! kind 2  := spec | summary                           (completed)
-//! spec    := n u64 | seed u64 | shape u8 | strategy u8 | adversary u8 |
-//!            fault_k u64 | delta f64 | max_events u64 | shadow u8 |
-//!            world_mode u8 | sample_every u64
-//! summary := gathered u8 | terminated u8 | events u64 |
+//! payload := ordinal u64 | summary
+//! summary := spec | gathered u8 | terminated u8 | events u64 |
 //!            cycles_per_robot f64 | distance f64 |
 //!            first_fully_visible opt_u64 | first_connected opt_u64 |
 //!            expansion_monotonicity opt_f64 |
 //!            convergence_monotonicity opt_f64 | counter u64 × 11
+//! spec    := n u64 | seed u64 | shape u8 | strategy u8 | adversary u8 |
+//!            fault_k u64 | delta f64 | max_events u64 | shadow u8 |
+//!            world_mode u8 | sample_every u64
 //! opt_T   := 0 u8 | 1 u8 T
 //! ```
 //!
 //! The eleven summary counters are, in order: visibility-cache hits and
 //! misses, decision-cache hits and misses, hull repairs and rebuilds, pair
 //! entries and registrations, then the three fault counters (crashed
-//! robots, starved and truncated directives). Version 1 also stored a
-//! `threads u64` spec word and four parallel-executor counters; a journal
-//! with any other version in its header decodes to nothing and re-runs.
+//! robots, starved and truncated directives).
 //!
-//! The CRC is the IEEE CRC-32 of the payload. Records are appended by
-//! rewriting the whole journal to a temp file and renaming it over the old
-//! one — the journal is small (a record is ~60–300 bytes and progress
-//! records are upserted in place), and the rename keeps every observation
-//! of the file a valid prefix-consistent journal. The decoder walks
-//! records until the first torn frame, bad CRC, or undecodable payload and
-//! **recovers to the last valid record** — it never panics on corrupt
-//! input (pinned by `crates/sim/tests/checkpoint_robustness.rs`).
+//! ## Engine id
+//!
+//! A row depends on its spec *and* on the engine's semantics, so a row a
+//! differently behaving build computed must never be resumed. The header
+//! therefore carries an [`engine_id`]: the CRC-32 of the encoded summary of
+//! one fixed, short paper-algorithm run. A journal whose version or engine
+//! id differs from this build's decodes to nothing and every row re-runs.
+//! The id only catches behaviour that canonical run exercises — a change
+//! confined to, say, a fault adversary keeps the id and must bump
+//! [`VERSION`] instead.
+//!
+//! ## Writes and recovery
+//!
+//! The CRC is the IEEE CRC-32 of the payload. Each completed row is one
+//! framed write to the journal file opened for appending, followed by
+//! `sync_data`. The decoder walks records until the first torn frame, bad
+//! CRC, or undecodable payload and **recovers to the last valid record** —
+//! it never panics on corrupt input (pinned by
+//! `crates/sim/tests/checkpoint_robustness.rs`). [`Journal::open`]
+//! truncates the file to that valid prefix before the first append, so new
+//! rows never land behind garbage.
 //!
 //! Summaries that carry shadow-oracle stats are not journalled (the stats
 //! drag a full divergence log along); a shadowed run simply re-executes on
 //! resume, which determinism makes byte-identical.
 
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use crate::experiment::{AdversaryKind, RunSpec, RunSummary, StrategyKind};
+use crate::experiment::{run, AdversaryKind, RunSpec, RunSummary, StrategyKind};
 use crate::init::Shape;
 use crate::world::WorldMode;
 
 /// The journal's magic prefix.
 pub const MAGIC: [u8; 4] = *b"FRCK";
 /// The journal format version this build writes and reads.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
+/// Bytes in the journal header: magic, version, engine id.
+pub const HEADER_LEN: usize = 12;
 /// Upper bound on a record's payload length; longer frames are treated as
 /// corruption (a torn length field would otherwise ask for gigabytes).
 pub const MAX_RECORD_LEN: usize = 4096;
 
-/// One journal record.
+/// One journal record: a finished run with its summary inlined.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Record {
-    /// An in-flight run's latest checkpoint: replaying `spec` for `events`
-    /// events reproduces the state with this `fingerprint`.
-    Progress {
-        /// Position of the run in the invocation's canonical execution
-        /// order.
-        ordinal: u64,
-        /// The run being checkpointed.
-        spec: RunSpec,
-        /// Events applied at this checkpoint.
-        events: u64,
-        /// Engine state fingerprint at `events`.
-        fingerprint: u64,
-    },
-    /// A finished run with its summary inlined.
-    Completed {
-        /// Position of the run in the invocation's canonical execution
-        /// order.
-        ordinal: u64,
-        /// The finished run's summary (never carries shadow stats; boxed
-        /// because it dwarfs the `Progress` variant).
-        summary: Box<RunSummary>,
-    },
+pub struct Record {
+    /// Position of the run in the invocation's canonical execution order.
+    pub ordinal: u64,
+    /// The finished run's summary (never carries shadow stats).
+    pub summary: RunSummary,
 }
 
 /// What the decoder salvaged from an existing journal file.
@@ -446,99 +433,80 @@ fn decode_summary(r: &mut ByteReader<'_>) -> Option<RunSummary> {
     })
 }
 
-fn encode_record(record: &Record) -> Vec<u8> {
-    let mut w = ByteWriter::default();
-    match record {
-        Record::Progress {
-            ordinal,
-            spec,
-            events,
-            fingerprint,
-        } => {
-            w.u8(1);
-            w.u64(*ordinal);
-            encode_spec(&mut w, spec);
-            w.u64(*events);
-            w.u64(*fingerprint);
-        }
-        Record::Completed { ordinal, summary } => {
-            w.u8(2);
-            w.u64(*ordinal);
-            encode_summary(&mut w, summary);
-        }
+/// The run behind [`engine_id`]: the paper's algorithm gathering six
+/// robots from a random start under the random-async adversary.
+fn canonical_spec() -> RunSpec {
+    RunSpec {
+        max_events: 20_000,
+        ..RunSpec::new(6, 1)
     }
-    w.0
+}
+
+/// This build's engine-semantics id: the CRC-32 of the encoded summary of
+/// a fixed, short paper-algorithm run. Two builds share it only if they
+/// agree on every event count, distance bit and counter of that run.
+pub fn engine_id() -> u32 {
+    let mut w = ByteWriter::default();
+    encode_summary(&mut w, &run(&canonical_spec()));
+    crc32(&w.0)
+}
+
+fn header(engine_id: u32) -> [u8; HEADER_LEN] {
+    let mut header = [0u8; HEADER_LEN];
+    header[..4].copy_from_slice(&MAGIC);
+    header[4..8].copy_from_slice(&VERSION.to_le_bytes());
+    header[8..].copy_from_slice(&engine_id.to_le_bytes());
+    header
+}
+
+/// One length-framed, checksummed record.
+fn encode_frame(record: &Record) -> Vec<u8> {
+    let mut w = ByteWriter::default();
+    w.u64(record.ordinal);
+    encode_summary(&mut w, &record.summary);
+    let payload = w.0;
+    let mut frame = Vec::with_capacity(8 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    frame
 }
 
 fn decode_payload(payload: &[u8]) -> Option<Record> {
     let mut r = ByteReader::new(payload);
-    let kind = r.u8()?;
     let ordinal = r.u64()?;
-    let record = match kind {
-        1 => {
-            let spec = decode_spec(&mut r)?;
-            let events = r.u64()?;
-            let fingerprint = r.u64()?;
-            Record::Progress {
-                ordinal,
-                spec,
-                events,
-                fingerprint,
-            }
-        }
-        2 => Record::Completed {
-            ordinal,
-            summary: Box::new(decode_summary(&mut r)?),
-        },
-        _ => return None,
-    };
+    let summary = decode_summary(&mut r)?;
     // Trailing garbage inside a CRC-valid frame means the frame was not
     // written by this encoder; reject it.
-    r.exhausted().then_some(record)
+    r.exhausted().then_some(Record { ordinal, summary })
 }
 
-/// Serializes a full journal (header plus every record) to bytes.
-pub fn encode_journal(records: &[Record]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(8 + records.len() * 128);
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&VERSION.to_le_bytes());
+/// Serializes a full journal (header for `engine_id` plus every record).
+pub fn encode_journal(engine_id: u32, records: &[Record]) -> Vec<u8> {
+    let mut bytes = header(engine_id).to_vec();
     for record in records {
-        let payload = encode_record(record);
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&encode_frame(record));
     }
     bytes
 }
 
-/// Decodes a journal, recovering to the last valid record: decoding stops
-/// at the first torn frame, CRC mismatch, or undecodable payload, and
-/// everything before it is kept. Never panics, whatever the input.
-pub fn decode_journal(bytes: &[u8]) -> (Vec<Record>, Recovery) {
-    let mut records = Vec::new();
-    if bytes.len() < 8 || bytes[..4] != MAGIC || bytes[4..8] != VERSION.to_le_bytes() {
-        return (
-            records,
-            Recovery {
-                records: 0,
-                dropped_bytes: bytes.len(),
-                clean: false,
-            },
-        );
+/// Decodes a journal written for `engine_id`, recovering to the last valid
+/// record: decoding stops at the first torn frame, CRC mismatch, or
+/// undecodable payload, and everything before it is kept. A header with a
+/// different magic, version or engine id keeps nothing. Never panics,
+/// whatever the input.
+pub fn decode_journal(engine_id: u32, bytes: &[u8]) -> (Vec<Record>, Recovery) {
+    if bytes.get(..HEADER_LEN) != Some(&header(engine_id)[..]) {
+        let recovery = Recovery {
+            records: 0,
+            dropped_bytes: bytes.len(),
+            clean: false,
+        };
+        return (Vec::new(), recovery);
     }
-    let mut pos = 8usize;
-    loop {
-        if pos == bytes.len() {
-            let n = records.len();
-            return (
-                records,
-                Recovery {
-                    records: n,
-                    dropped_bytes: 0,
-                    clean: true,
-                },
-            );
-        }
+    let mut records = Vec::new();
+    let mut pos = HEADER_LEN;
+    while pos < bytes.len() {
         let frame = (|| {
             let header = bytes.get(pos..pos + 8)?;
             let len = u32::from_le_bytes(header[..4].try_into().ok()?) as usize;
@@ -552,24 +520,18 @@ pub fn decode_journal(bytes: &[u8]) -> (Vec<Record>, Recovery) {
             }
             decode_payload(payload).map(|record| (record, 8 + len))
         })();
-        match frame {
-            Some((record, consumed)) => {
-                records.push(record);
-                pos += consumed;
-            }
-            None => {
-                let n = records.len();
-                return (
-                    records,
-                    Recovery {
-                        records: n,
-                        dropped_bytes: bytes.len() - pos,
-                        clean: false,
-                    },
-                );
-            }
-        }
+        let Some((record, consumed)) = frame else {
+            break;
+        };
+        records.push(record);
+        pos += consumed;
     }
+    let recovery = Recovery {
+        records: records.len(),
+        dropped_bytes: bytes.len() - pos,
+        clean: pos == bytes.len(),
+    };
+    (records, recovery)
 }
 
 /// Writes `bytes` to `path` atomically: temp file in the same directory,
@@ -577,76 +539,75 @@ pub fn decode_journal(bytes: &[u8]) -> (Vec<Record>, Recovery) {
 /// directories. A crash at any point leaves either the old file or the new
 /// one — never a torn mix.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
+    create_parent(path)?;
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
     {
-        let mut file = std::fs::File::create(&tmp)?;
+        let mut file = File::create(&tmp)?;
         file.write_all(bytes)?;
         file.sync_all()?;
     }
     std::fs::rename(&tmp, path)
 }
 
-/// The on-disk journal: the decoded records plus the path they persist to.
-///
-/// Appends rewrite the whole journal atomically ([`write_atomic`]) — the
-/// journal is small by construction (progress records are upserted, not
-/// accumulated), and atomic whole-file replacement is what makes every
-/// crash recoverable.
+fn create_parent(path: &Path) -> io::Result<()> {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => std::fs::create_dir_all(parent),
+        _ => Ok(()),
+    }
+}
+
+/// The on-disk journal: an append-mode file handle plus the completed rows
+/// it holds, indexed by ordinal.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
-    records: Vec<Record>,
-    /// ordinal → index into `records` of its completed record.
-    completed: HashMap<u64, usize>,
-    /// ordinal → index into `records` of its (single) progress record.
-    progress: HashMap<u64, usize>,
+    file: File,
+    /// Bytes of valid journal on disk (a failed append truncates back).
+    len: u64,
+    /// Records on disk, including superseded rows of a repeated ordinal.
+    records: usize,
+    /// ordinal → its latest completed summary.
+    completed: HashMap<u64, RunSummary>,
     recovery: Recovery,
 }
 
 impl Journal {
-    /// Opens the journal at `path`, recovering whatever valid prefix an
-    /// earlier (possibly killed) invocation left behind; a missing file is
-    /// an empty journal.
+    /// Opens the journal at `path` (creating it and its parent directories
+    /// if missing), recovering whatever valid prefix an earlier — possibly
+    /// killed — invocation of this build left behind. A torn or CRC-bad
+    /// tail is truncated away; a journal of another version or engine id
+    /// is replaced by a fresh header.
     pub fn open(path: &Path) -> io::Result<Journal> {
-        let (records, recovery) = match std::fs::read(path) {
-            Ok(bytes) => decode_journal(&bytes),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => (Vec::new(), Recovery::default()),
-            Err(e) => return Err(e),
-        };
-        let mut journal = Journal {
-            path: path.to_path_buf(),
-            records: Vec::new(),
-            completed: HashMap::new(),
-            progress: HashMap::new(),
+        create_parent(path)?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let engine_id = engine_id();
+        let (records, recovery) = decode_journal(engine_id, &bytes);
+        let mut len = (bytes.len() - recovery.dropped_bytes) as u64;
+        if len == 0 {
+            file.set_len(0)?;
+            file.write_all(&header(engine_id))?;
+            len = HEADER_LEN as u64;
+        } else if recovery.dropped_bytes > 0 {
+            file.set_len(len)?;
+        }
+        file.sync_data()?;
+        Ok(Journal {
+            file,
+            len,
+            records: records.len(),
+            completed: records
+                .into_iter()
+                .map(|record| (record.ordinal, record.summary))
+                .collect(),
             recovery,
-        };
-        for record in records {
-            journal.index(record);
-        }
-        Ok(journal)
-    }
-
-    fn index(&mut self, record: Record) {
-        match &record {
-            Record::Completed { ordinal, .. } => {
-                self.completed.insert(*ordinal, self.records.len());
-            }
-            Record::Progress { ordinal, .. } => {
-                if let Some(&i) = self.progress.get(ordinal) {
-                    self.records[i] = record;
-                    return;
-                }
-                self.progress.insert(*ordinal, self.records.len());
-            }
-        }
-        self.records.push(record);
+        })
     }
 
     /// What the decoder salvaged when this journal was opened.
@@ -654,64 +615,55 @@ impl Journal {
         &self.recovery
     }
 
-    /// Number of records currently held.
+    /// Number of records on disk.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.records
     }
 
     /// Whether the journal holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.records == 0
     }
 
     /// The completed summary for `ordinal`, if its journalled spec matches
     /// `spec` (a mismatch means the journal belongs to a differently
     /// configured sweep and the row must re-run).
     pub fn completed(&self, ordinal: u64, spec: &RunSpec) -> Option<&RunSummary> {
-        let i = *self.completed.get(&ordinal)?;
-        match &self.records[i] {
-            Record::Completed { summary, .. } if summary.spec == *spec => Some(summary.as_ref()),
-            _ => None,
-        }
+        self.completed
+            .get(&ordinal)
+            .filter(|summary| summary.spec == *spec)
     }
 
-    /// The latest progress checkpoint for `ordinal` with a matching spec:
-    /// `(events, fingerprint)`.
-    pub fn progress(&self, ordinal: u64, spec: &RunSpec) -> Option<(u64, u64)> {
-        let i = *self.progress.get(&ordinal)?;
-        match &self.records[i] {
-            Record::Progress {
-                spec: s,
-                events,
-                fingerprint,
-                ..
-            } if s == spec => Some((*events, *fingerprint)),
-            _ => None,
-        }
-    }
-
-    /// Appends (or, for progress records, upserts) a record and persists
-    /// the journal atomically.
+    /// Appends one record as a single framed write and syncs it. A failed
+    /// write is truncated away so later appends stay readable.
     pub fn append(&mut self, record: Record) -> io::Result<()> {
-        self.index(record);
-        write_atomic(&self.path, &encode_journal(&self.records))
+        let frame = encode_frame(&record);
+        if let Err(err) = self
+            .file
+            .write_all(&frame)
+            .and_then(|()| self.file.sync_data())
+        {
+            let _ = self.file.set_len(self.len);
+            return Err(err);
+        }
+        self.len += frame.len() as u64;
+        self.records += 1;
+        self.completed.insert(record.ordinal, record.summary);
+        Ok(())
     }
 }
 
-/// Checkpoint telemetry surfaced into `bench_report.json` (schema v8).
+/// Checkpoint telemetry surfaced into `bench_report.json`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointTelemetry {
     /// Completed rows loaded from the journal instead of re-run.
     pub resumed_rows: u64,
-    /// Events covered by progress checkpoints of runs that had to be
-    /// replayed (the in-flight work a resume replays to its last
-    /// checkpointed event).
-    pub replayed_events: u64,
     /// Records in the journal at the end of the sweep.
     pub journal_records: u64,
     /// Records salvaged from a pre-existing journal at open.
     pub recovered_records: u64,
-    /// Bytes discarded after the last valid record at open.
+    /// Bytes discarded at open: a torn or corrupt tail, or a whole journal
+    /// of another version or engine id.
     pub dropped_bytes: u64,
     /// Journal writes that failed (the sweep continues; resume coverage
     /// degrades).
@@ -727,7 +679,6 @@ pub struct CheckpointedSweep {
     journal: Journal,
     next_ordinal: u64,
     resumed_rows: u64,
-    replayed_events: u64,
     write_errors: u64,
 }
 
@@ -739,7 +690,6 @@ impl CheckpointedSweep {
             journal: Journal::open(path)?,
             next_ordinal: 0,
             resumed_rows: 0,
-            replayed_events: 0,
             write_errors: 0,
         })
     }
@@ -754,56 +704,35 @@ impl CheckpointedSweep {
         self.next_ordinal += count;
     }
 
-    /// The journalled summary for `ordinal` if it matches `spec`
-    /// (counting it as a resumed row); otherwise accounts any progress
-    /// checkpoint toward the replayed-events counter and returns `None`.
+    /// The journalled summary for `ordinal` if it matches `spec`, counted
+    /// as a resumed row.
     pub fn take_completed(&mut self, ordinal: u64, spec: &RunSpec) -> Option<RunSummary> {
-        if let Some(summary) = self.journal.completed(ordinal, spec) {
-            self.resumed_rows += 1;
-            return Some(summary.clone());
-        }
-        if let Some((events, _)) = self.journal.progress(ordinal, spec) {
-            self.replayed_events += events;
-        }
-        None
-    }
-
-    /// Journals an in-flight run's progress checkpoint. I/O errors are
-    /// counted, not propagated — a failing checkpoint disk must not take
-    /// the sweep down with it.
-    pub fn journal_progress(&mut self, ordinal: u64, spec: &RunSpec, events: usize, fp: u64) {
-        let record = Record::Progress {
-            ordinal,
-            spec: *spec,
-            events: events as u64,
-            fingerprint: fp,
-        };
-        if self.journal.append(record).is_err() {
-            self.write_errors += 1;
-        }
+        let summary = self.journal.completed(ordinal, spec)?.clone();
+        self.resumed_rows += 1;
+        Some(summary)
     }
 
     /// Journals a completed run. Summaries carrying shadow stats are
     /// skipped (see the module docs); I/O errors are counted, not
-    /// propagated.
+    /// propagated — a failing checkpoint disk must not take the sweep down
+    /// with it.
     pub fn journal_completed(&mut self, ordinal: u64, summary: &RunSummary) {
         if summary.shadow.is_some() {
             return;
         }
-        let record = Record::Completed {
+        let record = Record {
             ordinal,
-            summary: Box::new(summary.clone()),
+            summary: summary.clone(),
         };
         if self.journal.append(record).is_err() {
             self.write_errors += 1;
         }
     }
 
-    /// The session's telemetry for the report's schema-v8 counters.
+    /// The session's telemetry for the report's checkpoint counters.
     pub fn telemetry(&self) -> CheckpointTelemetry {
         CheckpointTelemetry {
             resumed_rows: self.resumed_rows,
-            replayed_events: self.replayed_events,
             journal_records: self.journal.len() as u64,
             recovered_records: self.journal.recovery().records as u64,
             dropped_bytes: self.journal.recovery().dropped_bytes as u64,
@@ -815,7 +744,6 @@ impl CheckpointedSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::run;
 
     fn sample_spec() -> RunSpec {
         RunSpec {
@@ -827,6 +755,34 @@ mod tests {
             sample_every: 7,
             ..RunSpec::new(9, 42)
         }
+    }
+
+    fn short_spec() -> RunSpec {
+        RunSpec {
+            shape: Shape::Circle,
+            adversary: AdversaryKind::RoundRobin,
+            max_events: 20_000,
+            ..RunSpec::new(3, 1)
+        }
+    }
+
+    /// Completed records for `ordinals`, all carrying one genuine summary.
+    fn records(ordinals: impl IntoIterator<Item = u64>) -> Vec<Record> {
+        let summary = run(&short_spec());
+        ordinals
+            .into_iter()
+            .map(|ordinal| Record {
+                ordinal,
+                summary: summary.clone(),
+            })
+            .collect()
+    }
+
+    /// A fresh, empty scratch directory for one test.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("frck_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     #[test]
@@ -841,13 +797,7 @@ mod tests {
 
     #[test]
     fn summary_round_trips() {
-        let spec = RunSpec {
-            shape: Shape::Circle,
-            adversary: AdversaryKind::RoundRobin,
-            max_events: 20_000,
-            ..RunSpec::new(3, 1)
-        };
-        let summary = run(&spec);
+        let summary = run(&short_spec());
         let mut w = ByteWriter::default();
         encode_summary(&mut w, &summary);
         let mut r = ByteReader::new(&w.0);
@@ -857,23 +807,9 @@ mod tests {
 
     #[test]
     fn journal_round_trips_through_bytes() {
-        let spec = sample_spec();
-        let records = vec![
-            Record::Progress {
-                ordinal: 0,
-                spec,
-                events: 4096,
-                fingerprint: 0xdead_beef,
-            },
-            Record::Progress {
-                ordinal: 7,
-                spec,
-                events: 8192,
-                fingerprint: 0xfeed_face,
-            },
-        ];
-        let bytes = encode_journal(&records);
-        let (decoded, recovery) = decode_journal(&bytes);
+        let records = records([0, 7]);
+        let bytes = encode_journal(0xabcd, &records);
+        let (decoded, recovery) = decode_journal(0xabcd, &bytes);
         assert_eq!(decoded, records);
         assert!(recovery.clean);
         assert_eq!(recovery.records, 2);
@@ -883,71 +819,57 @@ mod tests {
     #[test]
     fn empty_and_garbage_inputs_recover_to_nothing() {
         for bytes in [&[][..], b"not a journal at all", &[0xff; 64][..]] {
-            let (records, recovery) = decode_journal(bytes);
+            let (records, recovery) = decode_journal(1, bytes);
             assert!(records.is_empty());
-            assert!(!recovery.clean || bytes.is_empty());
+            assert!(!recovery.clean);
+            assert_eq!(recovery.dropped_bytes, bytes.len());
         }
         // A bare valid header is a clean empty journal.
-        let (records, recovery) = decode_journal(&encode_journal(&[]));
+        let (records, recovery) = decode_journal(1, &encode_journal(1, &[]));
         assert!(records.is_empty());
         assert!(recovery.clean);
     }
 
     #[test]
+    fn engine_id_is_stable_within_a_build() {
+        assert_eq!(engine_id(), engine_id());
+        assert!(run(&canonical_spec()).gathered, "the canonical run gathers");
+    }
+
+    #[test]
     fn journal_open_append_reload() {
-        let dir = std::env::temp_dir().join(format!("frck_test_{}", std::process::id()));
+        let dir = scratch_dir("append");
         let path = dir.join("nested").join("journal.frck");
-        let spec = sample_spec();
+        let record = records([3]).remove(0);
+        let spec = record.summary.spec;
         {
             let mut journal = Journal::open(&path).expect("open fresh journal");
             assert!(journal.is_empty());
-            journal
-                .append(Record::Progress {
-                    ordinal: 3,
-                    spec,
-                    events: 100,
-                    fingerprint: 1,
-                })
-                .expect("append progress");
-            // Upsert: same ordinal replaces, journal does not grow.
-            journal
-                .append(Record::Progress {
-                    ordinal: 3,
-                    spec,
-                    events: 200,
-                    fingerprint: 2,
-                })
-                .expect("upsert progress");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), HEADER_LEN as u64);
+            journal.append(record.clone()).expect("append");
             assert_eq!(journal.len(), 1);
-            assert_eq!(journal.progress(3, &spec), Some((200, 2)));
+            assert_eq!(journal.completed(3, &spec), Some(&record.summary));
         }
         {
             let journal = Journal::open(&path).expect("reload journal");
             assert!(journal.recovery().clean);
             assert_eq!(journal.len(), 1);
-            assert_eq!(journal.progress(3, &spec), Some((200, 2)));
+            assert_eq!(journal.completed(3, &spec), Some(&record.summary));
             // A different spec under the same ordinal does not match.
-            let other = RunSpec::new(4, 4);
-            assert_eq!(journal.progress(3, &other), None);
+            assert_eq!(journal.completed(3, &RunSpec::new(4, 4)), None);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn checkpointed_sweep_resumes_completed_rows() {
-        let dir = std::env::temp_dir().join(format!("frck_session_{}", std::process::id()));
+        let dir = scratch_dir("session");
         let path = dir.join("journal.frck");
-        let spec = RunSpec {
-            shape: Shape::Circle,
-            adversary: AdversaryKind::RoundRobin,
-            max_events: 20_000,
-            ..RunSpec::new(3, 1)
-        };
+        let spec = short_spec();
         let summary = run(&spec);
         {
             let mut session = CheckpointedSweep::open(&path).expect("open session");
             assert_eq!(session.take_completed(0, &spec), None);
-            session.journal_progress(1, &spec, 4096, 0xabc);
             session.journal_completed(0, &summary);
             session.advance(2);
             assert_eq!(session.next_ordinal(), 2);
@@ -955,13 +877,12 @@ mod tests {
         {
             let mut session = CheckpointedSweep::open(&path).expect("reopen session");
             assert_eq!(session.take_completed(0, &spec), Some(summary.clone()));
-            // Ordinal 1 only has progress: not completed, but its events
-            // count toward the replay telemetry.
+            // Ordinal 1 never completed: it re-runs.
             assert_eq!(session.take_completed(1, &spec), None);
             let telemetry = session.telemetry();
             assert_eq!(telemetry.resumed_rows, 1);
-            assert_eq!(telemetry.replayed_events, 4096);
-            assert_eq!(telemetry.recovered_records, 2);
+            assert_eq!(telemetry.journal_records, 1);
+            assert_eq!(telemetry.recovered_records, 1);
             assert_eq!(telemetry.dropped_bytes, 0);
             assert_eq!(telemetry.write_errors, 0);
         }
@@ -969,32 +890,96 @@ mod tests {
     }
 
     #[test]
-    fn rows_of_the_retired_dense_world_are_dropped_not_resumed() {
-        let dir = std::env::temp_dir().join(format!("frck_dense_{}", std::process::id()));
+    fn appends_after_a_torn_tail_are_recovered() {
+        let dir = scratch_dir("torn");
         let path = dir.join("journal.frck");
-        let spec = RunSpec {
-            shape: Shape::Circle,
-            adversary: AdversaryKind::RoundRobin,
-            max_events: 20_000,
-            ..RunSpec::new(3, 1)
-        };
-        let summary = run(&spec);
+        let rows = records(0..5);
+        let spec = rows[0].summary.spec;
+        {
+            let mut journal = Journal::open(&path).expect("open fresh journal");
+            for record in &rows[..3] {
+                journal.append(record.clone()).expect("append");
+            }
+        }
+        // Tear the last frame, as a kill in the middle of its write would.
+        let full = std::fs::metadata(&path).unwrap().len();
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(full - 5).unwrap();
+        drop(file);
+        {
+            let mut journal = Journal::open(&path).expect("reopen torn journal");
+            assert!(!journal.recovery().clean);
+            assert_eq!(journal.recovery().records, 2);
+            assert!(journal.recovery().dropped_bytes > 0);
+            assert_eq!(journal.completed(2, &spec), None, "the torn row is gone");
+            for record in &rows[2..] {
+                journal
+                    .append(record.clone())
+                    .expect("append after the tear");
+            }
+        }
+        let journal = Journal::open(&path).expect("reopen repaired journal");
+        assert!(journal.recovery().clean);
+        assert_eq!(journal.len(), 5);
+        for record in &rows {
+            assert_eq!(
+                journal.completed(record.ordinal, &spec),
+                Some(&record.summary),
+                "ordinal {}",
+                record.ordinal
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_journal_from_a_foreign_engine_is_rejected_not_resumed() {
+        let dir = scratch_dir("foreign");
+        let path = dir.join("journal.frck");
+        let spec = short_spec();
+        {
+            let mut session = CheckpointedSweep::open(&path).expect("open session");
+            session.journal_completed(0, &run(&spec));
+        }
+        // Same version, same records, but stamped by a build whose
+        // canonical run came out differently.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let foreign = engine_id() ^ 1;
+        bytes[8..12].copy_from_slice(&foreign.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let mut session = CheckpointedSweep::open(&path).expect("open foreign journal");
+        assert_eq!(session.take_completed(0, &spec), None);
+        let telemetry = session.telemetry();
+        assert_eq!(telemetry.resumed_rows, 0);
+        assert_eq!(telemetry.recovered_records, 0);
+        assert_eq!(telemetry.dropped_bytes, bytes.len() as u64);
+        // The foreign journal was replaced by this build's bare header.
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            encode_journal(engine_id(), &[])
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rows_of_the_retired_dense_world_are_dropped_not_resumed() {
+        let dir = scratch_dir("dense");
+        let path = dir.join("journal.frck");
+        let record = records([0]).remove(0);
+        let spec = record.summary.spec;
         // Hand-encode the completed record an old build wrote for a dense
         // run: the same payload with world-mode tag 0, which sits right
         // before the spec's trailing `sample_every u64`.
-        let mut payload = encode_record(&Record::Completed {
-            ordinal: 0,
-            summary: Box::new(summary),
-        });
+        let mut bytes = encode_journal(engine_id(), std::slice::from_ref(&record));
         let mut spec_bytes = ByteWriter::default();
         encode_spec(&mut spec_bytes, &spec);
-        let tag_at = 1 + 8 + spec_bytes.0.len() - 9;
-        assert_eq!(payload[tag_at], world_mode_tag(WorldMode::Sparse));
-        payload[tag_at] = 0;
-        let mut bytes = encode_journal(&[]);
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        let payload_at = HEADER_LEN + 8;
+        let tag_at = payload_at + 8 + spec_bytes.0.len() - 9;
+        assert_eq!(bytes[tag_at], world_mode_tag(WorldMode::Sparse));
+        bytes[tag_at] = 0;
+        let crc = crc32(&bytes[payload_at..]);
+        bytes[HEADER_LEN + 4..payload_at].copy_from_slice(&crc.to_le_bytes());
         std::fs::create_dir_all(&dir).expect("create journal dir");
         std::fs::write(&path, &bytes).expect("write old journal");
 
@@ -1003,39 +988,24 @@ mod tests {
         let telemetry = session.telemetry();
         assert_eq!(telemetry.resumed_rows, 0);
         assert_eq!(telemetry.recovered_records, 0);
-        assert_eq!(telemetry.dropped_bytes, (bytes.len() - 8) as u64);
+        assert_eq!(telemetry.dropped_bytes, (bytes.len() - HEADER_LEN) as u64);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn journals_of_the_previous_format_are_dropped_not_resumed() {
-        let dir = std::env::temp_dir().join(format!("frck_v1_{}", std::process::id()));
+        let dir = scratch_dir("v2");
         let path = dir.join("journal.frck");
-        let spec = RunSpec {
-            shape: Shape::Circle,
-            adversary: AdversaryKind::RoundRobin,
-            max_events: 20_000,
-            ..RunSpec::new(3, 1)
-        };
-        let summary = run(&spec);
-        // A well-framed journal whose header carries version 1: its
-        // records were written with the old spec and summary layouts, so
-        // none of them may be read under the current one.
-        let mut bytes = encode_journal(&[
-            Record::Progress {
-                ordinal: 1,
-                spec,
-                events: 4096,
-                fingerprint: 0xabc,
-            },
-            Record::Completed {
-                ordinal: 0,
-                summary: Box::new(summary),
-            },
-        ]);
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let (records, recovery) = decode_journal(&bytes);
-        assert!(records.is_empty());
+        let spec = short_spec();
+        // A well-framed journal whose 8-byte header carries version 2 (no
+        // engine id): its records were written under the old payload
+        // layout, so none of them may be read under the current one.
+        let current = encode_journal(engine_id(), &records([0]));
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(&current[HEADER_LEN..]);
+        let (decoded, recovery) = decode_journal(engine_id(), &bytes);
+        assert!(decoded.is_empty());
         assert_eq!(recovery.records, 0);
         assert_eq!(recovery.dropped_bytes, bytes.len());
         assert!(!recovery.clean);

@@ -444,23 +444,6 @@ impl Simulator {
         }
     }
 
-    /// Order-sensitive FNV-1a fingerprint of the engine's observable state:
-    /// the applied-event count followed by every center's exact bit
-    /// pattern. Determinism makes this a complete progress witness — two
-    /// runs of the same [`RunSpec`](crate::experiment::RunSpec) agree on
-    /// the fingerprint at every event index — which is what the
-    /// [checkpoint](crate::checkpoint) records store to cross-check a
-    /// resumed replay.
-    pub fn fingerprint(&self) -> u64 {
-        let fnv = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
-        let mut h = fnv(0xcbf2_9ce4_8422_2325_u64, self.metrics.events as u64);
-        for c in self.world.centers() {
-            h = fnv(h, c.x.to_bits());
-            h = fnv(h, c.y.to_bits());
-        }
-        h
-    }
-
     fn apply(&mut self, directive: Directive) -> Event {
         let RobotId(i) = directive.robot;
         assert!(i < self.len(), "adversary scheduled an unknown robot");

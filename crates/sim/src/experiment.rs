@@ -18,7 +18,7 @@ use fatrobots_scheduler::{
 use crate::engine::{CancelFlag, SimConfig, Simulator};
 use crate::init::Shape;
 use crate::shadow::{ShadowExecutor, ShadowStats};
-use crate::sweep::{SweepFailure, SweepObserver, SweepPool};
+use crate::sweep::{SweepFailure, SweepPool};
 use crate::world::WorldMode;
 
 /// Which local decision rule a run uses.
@@ -295,50 +295,6 @@ pub struct RunSummary {
     pub shadow: Option<ShadowStats>,
 }
 
-/// Default interval, in events, between [`RunHooks::progress`] callbacks —
-/// frequent enough that a checkpointed run loses little work to a crash,
-/// rare enough that the fingerprint fold never shows up in a profile.
-pub const PROGRESS_EVERY_DEFAULT: usize = 8_192;
-
-/// Supervision hooks threaded into [`run_with_hooks`].
-///
-/// The default hooks are inert — a disarmed cancel flag and no progress
-/// callback — and make [`run_with_hooks`] behave exactly like [`run`].
-pub struct RunHooks<'a> {
-    /// Cooperative cancellation flag, polled by the engine between events
-    /// ([`SimConfig::cancel`]). Arm it and raise it from a watchdog to stop
-    /// a hung run at a clean event boundary.
-    pub cancel: CancelFlag,
-    /// Called every [`RunHooks::progress_every`] events with the applied
-    /// event count and the engine's [state
-    /// fingerprint](crate::engine::Simulator::fingerprint) — the payload of
-    /// a checkpoint progress record.
-    pub progress: Option<&'a mut dyn FnMut(usize, u64)>,
-    /// Interval between progress callbacks (events; `0` is treated as the
-    /// default).
-    pub progress_every: usize,
-}
-
-impl Default for RunHooks<'_> {
-    fn default() -> Self {
-        RunHooks {
-            cancel: CancelFlag::default(),
-            progress: None,
-            progress_every: PROGRESS_EVERY_DEFAULT,
-        }
-    }
-}
-
-impl std::fmt::Debug for RunHooks<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunHooks")
-            .field("cancel", &self.cancel)
-            .field("progress", &self.progress.is_some())
-            .field("progress_every", &self.progress_every)
-            .finish()
-    }
-}
-
 /// How a supervised run ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunStatus {
@@ -356,7 +312,7 @@ pub enum RunStatus {
 
 /// Executes one run.
 pub fn run(spec: &RunSpec) -> RunSummary {
-    match run_with_hooks(spec, RunHooks::default()) {
+    match run_with_hooks(spec, CancelFlag::default()) {
         RunStatus::Completed(summary) => *summary,
         RunStatus::Cancelled { .. } => {
             unreachable!("a disarmed cancel flag can never cancel a run")
@@ -364,18 +320,18 @@ pub fn run(spec: &RunSpec) -> RunSummary {
     }
 }
 
-/// [`run`] with supervision hooks: a cooperative cancellation flag and a
-/// periodic progress callback (event count plus engine fingerprint). The
-/// event stream is identical to [`run`] — the hooks only watch — so a
-/// completed supervised run returns exactly [`run`]'s summary.
-pub fn run_with_hooks(spec: &RunSpec, mut hooks: RunHooks<'_>) -> RunStatus {
+/// [`run`] under a cooperative cancellation flag, polled by the engine
+/// between events ([`SimConfig::cancel`]). Arm it and raise it from a
+/// watchdog to stop a hung run at a clean event boundary. The flag only
+/// watches, so a completed run returns exactly [`run`]'s summary.
+pub fn run_with_hooks(spec: &RunSpec, cancel: CancelFlag) -> RunStatus {
     let centers = spec.shape.generate(spec.n, spec.seed);
     let config = SimConfig {
         max_events: spec.max_events,
         liveness: Liveness::new(spec.delta),
         world_mode: spec.world_mode,
         sample_every: spec.sample_every,
-        cancel: hooks.cancel.clone(),
+        cancel,
         ..SimConfig::default()
     };
     let mut sim = Simulator::new(
@@ -386,30 +342,9 @@ pub fn run_with_hooks(spec: &RunSpec, mut hooks: RunHooks<'_>) -> RunStatus {
     );
     let shadowing = spec.shadow && spec.strategy == StrategyKind::Paper;
     let mut oracle = shadowing.then(|| ShadowExecutor::new(spec.n));
-    let progress_every = if hooks.progress_every == 0 {
-        PROGRESS_EVERY_DEFAULT
-    } else {
-        hooks.progress_every
-    };
-    let outcome = {
-        let mut progress = hooks.progress.as_mut();
-        let mut oracle_ref = oracle.as_mut();
-        let mut observed = 0usize;
-        if oracle_ref.is_none() && progress.is_none() {
-            sim.run()
-        } else {
-            sim.run_observed(|sim, event| {
-                if let Some(oracle) = oracle_ref.as_deref_mut() {
-                    oracle.observe(sim, event);
-                }
-                if let Some(progress) = progress.as_deref_mut() {
-                    observed += 1;
-                    if observed % progress_every == 0 {
-                        progress(observed, sim.fingerprint());
-                    }
-                }
-            })
-        }
+    let outcome = match oracle.as_mut() {
+        None => sim.run(),
+        Some(oracle) => sim.run_observed(|sim, event| oracle.observe(sim, event)),
     };
     if outcome.cancelled {
         return RunStatus::Cancelled {
@@ -664,8 +599,8 @@ impl TableSpec {
     /// watchdog-cancelled run becomes a structured [`SweepFailure`] instead
     /// of aborting the sweep, and with a checkpoint session the table is
     /// crash-safe — rows already in the journal are loaded instead of
-    /// re-run, and every completion/progress milestone is journalled as it
-    /// happens. A failure-free, checkpoint-free call returns exactly
+    /// re-run, and every completed run is journalled as it finishes. A
+    /// failure-free, checkpoint-free call returns exactly
     /// [`TableSpec::execute_on`]'s table.
     pub fn execute_supervised_on(
         self,
@@ -691,35 +626,14 @@ impl TableSpec {
             to_run.extend(specs.iter().copied().enumerate());
         }
 
-        // Journal milestones as they arrive, translating pool slots (the
+        // Journal completions as they arrive, translating pool slots (the
         // index into `to_run`) back to table slots and global ordinals.
-        struct JournalObserver<'a> {
-            ck: Option<&'a mut crate::checkpoint::CheckpointedSweep>,
-            to_run: &'a [(usize, RunSpec)],
-            base: u64,
-        }
-        impl SweepObserver for JournalObserver<'_> {
-            fn on_progress(&mut self, pool_slot: usize, events: usize, fingerprint: u64) {
-                if let Some(ck) = self.ck.as_deref_mut() {
-                    let (slot, spec) = self.to_run[pool_slot];
-                    ck.journal_progress(self.base + slot as u64, &spec, events, fingerprint);
-                }
-            }
-            fn on_completed(&mut self, pool_slot: usize, summary: &RunSummary) {
-                if let Some(ck) = self.ck.as_deref_mut() {
-                    let (slot, _) = self.to_run[pool_slot];
-                    ck.journal_completed(self.base + slot as u64, summary);
-                }
-            }
-        }
-
         let run_specs: Vec<RunSpec> = to_run.iter().map(|&(_, spec)| spec).collect();
-        let mut observer = JournalObserver {
-            ck: checkpoint,
-            to_run: &to_run,
-            base,
-        };
-        let outcome = pool.run_supervised(&run_specs, policy, &mut observer);
+        let outcome = pool.run_supervised(&run_specs, policy, &mut |pool_slot, summary| {
+            if let Some(ck) = checkpoint.as_deref_mut() {
+                ck.journal_completed(base + to_run[pool_slot].0 as u64, summary);
+            }
+        });
         for (pool_slot, summary) in outcome.summaries.into_iter().enumerate() {
             if let Some(summary) = summary {
                 summaries[to_run[pool_slot].0] = Some(summary);

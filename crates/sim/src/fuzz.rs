@@ -37,6 +37,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::experiment::{self, AdversaryKind, RunSpec};
 use crate::init::Shape;
+use crate::json::{self, JsonValue};
 
 /// Per-robot event floor kept by the budget-prefix shrink: a shrunk
 /// non-gathering fixture must still grant every robot a few hundred
@@ -472,31 +473,42 @@ impl Fixture {
 
     /// Parses a fixture serialized by [`Self::to_json`].
     pub fn from_json(text: &str) -> Result<Fixture, String> {
-        let doc = mini_json::parse(text)?;
-        let census = doc.obj("census")?;
-        let shape_name = doc.str("shape")?;
+        // `distance_bits` is the bit pattern of a non-negative distance, so
+        // its sign bit is clear and it fits the codec's `i64` integers.
+        fn field<'a, T>(
+            obj: &'a JsonValue,
+            key: &str,
+            read: impl Fn(&'a JsonValue) -> Option<T>,
+        ) -> Result<T, String> {
+            obj.get(key)
+                .and_then(read)
+                .ok_or_else(|| format!("missing or mistyped key '{key}'"))
+        }
+        let doc = json::parse(text)?;
+        let census = field(&doc, "census", Some)?;
+        let shape_name = field(&doc, "shape", JsonValue::as_str)?;
         let shape =
-            Shape::from_name(&shape_name).ok_or_else(|| format!("unknown shape '{shape_name}'"))?;
-        let adversary_name = doc.str("adversary")?;
-        let fault_k = doc.u64("fault_k")? as usize;
-        let adversary = AdversaryKind::from_name(&adversary_name, fault_k)
+            Shape::from_name(shape_name).ok_or_else(|| format!("unknown shape '{shape_name}'"))?;
+        let adversary_name = field(&doc, "adversary", JsonValue::as_str)?;
+        let fault_k = field(&doc, "fault_k", JsonValue::as_u64)? as usize;
+        let adversary = AdversaryKind::from_name(adversary_name, fault_k)
             .ok_or_else(|| format!("unknown adversary '{adversary_name}'"))?;
         Ok(Fixture {
             spec: ScenarioSpec {
-                n: doc.u64("n")? as usize,
-                seed: doc.u64("seed")?,
+                n: field(&doc, "n", JsonValue::as_u64)? as usize,
+                seed: field(&doc, "seed", JsonValue::as_u64)?,
                 shape,
                 adversary,
-                max_events: doc.u64("max_events")? as usize,
+                max_events: field(&doc, "max_events", JsonValue::as_u64)? as usize,
             },
             expected: Census {
-                gathered: census.bool("gathered")?,
-                terminated: census.bool("terminated")?,
-                events: census.u64("events")? as usize,
-                distance_bits: census.u64("distance_bits")?,
+                gathered: field(census, "gathered", JsonValue::as_bool)?,
+                terminated: field(census, "terminated", JsonValue::as_bool)?,
+                events: field(census, "events", JsonValue::as_u64)? as usize,
+                distance_bits: field(census, "distance_bits", JsonValue::as_u64)?,
             },
-            origin: doc.str("origin")?,
-            shrink_steps: doc.u64("shrink_steps")? as u32,
+            origin: field(&doc, "origin", JsonValue::as_str)?.to_string(),
+            shrink_steps: field(&doc, "shrink_steps", JsonValue::as_u64)? as u32,
         })
     }
 }
@@ -546,190 +558,6 @@ pub fn load_fixtures(dir: &Path) -> io::Result<Vec<(PathBuf, Fixture)>> {
             Ok((path, fixture))
         })
         .collect()
-}
-
-/// A minimal JSON reader for the fixture files — the sim crate cannot use
-/// `fatrobots_bench::json` (bench depends on sim), and the fixtures are a
-/// closed format this module itself emits: objects, strings without
-/// escapes, unsigned integers, booleans.
-mod mini_json {
-    /// A parsed JSON value (the subset the fixtures use).
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// An object, in document order.
-        Obj(Vec<(String, Value)>),
-        /// A string (no escape sequences).
-        Str(String),
-        /// An unsigned integer (`distance_bits` exceeds `i64`).
-        U64(u64),
-        /// A boolean.
-        Bool(bool),
-    }
-
-    impl Value {
-        fn get(&self, key: &str) -> Result<&Value, String> {
-            match self {
-                Value::Obj(fields) => fields
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v)
-                    .ok_or_else(|| format!("missing key '{key}'")),
-                _ => Err(format!("'{key}' looked up on a non-object")),
-            }
-        }
-
-        pub fn obj(&self, key: &str) -> Result<&Value, String> {
-            let v = self.get(key)?;
-            match v {
-                Value::Obj(_) => Ok(v),
-                _ => Err(format!("'{key}' is not an object")),
-            }
-        }
-
-        pub fn str(&self, key: &str) -> Result<String, String> {
-            match self.get(key)? {
-                Value::Str(s) => Ok(s.clone()),
-                _ => Err(format!("'{key}' is not a string")),
-            }
-        }
-
-        pub fn u64(&self, key: &str) -> Result<u64, String> {
-            match self.get(key)? {
-                Value::U64(v) => Ok(*v),
-                _ => Err(format!("'{key}' is not an unsigned integer")),
-            }
-        }
-
-        pub fn bool(&self, key: &str) -> Result<bool, String> {
-            match self.get(key)? {
-                Value::Bool(v) => Ok(*v),
-                _ => Err(format!("'{key}' is not a boolean")),
-            }
-        }
-    }
-
-    /// Parses one JSON document (object at the root).
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            at: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.at != p.bytes.len() {
-            return Err(format!("trailing input at byte {}", p.at));
-        }
-        Ok(value)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        at: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self
-                .bytes
-                .get(self.at)
-                .is_some_and(|b| b.is_ascii_whitespace())
-            {
-                self.at += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.at).copied()
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.at += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at byte {}", b as char, self.at))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b'0'..=b'9') => self.number(),
-                Some(b't') | Some(b'f') => self.boolean(),
-                other => Err(format!("unexpected {other:?} at byte {}", self.at)),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.at += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                fields.push((key, self.value()?));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.at += 1,
-                    Some(b'}') => {
-                        self.at += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    other => return Err(format!("unexpected {other:?} in object")),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let start = self.at;
-            while let Some(b) = self.peek() {
-                if b == b'"' {
-                    let s = std::str::from_utf8(&self.bytes[start..self.at])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?
-                        .to_string();
-                    self.at += 1;
-                    return Ok(s);
-                }
-                if b == b'\\' {
-                    return Err("escape sequences are not part of the fixture format".into());
-                }
-                self.at += 1;
-            }
-            Err("unterminated string".into())
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.at;
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.at += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.at])
-                .ok()
-                .and_then(|s| s.parse::<u64>().ok())
-                .map(Value::U64)
-                .ok_or_else(|| format!("invalid integer at byte {start}"))
-        }
-
-        fn boolean(&mut self) -> Result<Value, String> {
-            for (literal, value) in [("true", true), ("false", false)] {
-                if self.bytes[self.at..].starts_with(literal.as_bytes()) {
-                    self.at += literal.len();
-                    return Ok(Value::Bool(value));
-                }
-            }
-            Err(format!("invalid literal at byte {}", self.at))
-        }
-    }
 }
 
 #[cfg(test)]

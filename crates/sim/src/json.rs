@@ -8,8 +8,9 @@
 //!   order so reports are stable and diffable);
 //! * a pretty writer ([`JsonValue::to_pretty`]) with full string escaping
 //!   and RFC 8259-safe number handling (non-finite floats become `null`);
-//! * a strict recursive-descent parser ([`parse`]) used by the integration
-//!   tests to prove the emitted report round-trips.
+//! * a strict recursive-descent parser ([`parse`]) that reads the livelock
+//!   fixtures and lets the integration tests prove the emitted report
+//!   round-trips.
 
 use std::fmt::Write as _;
 
@@ -74,6 +75,22 @@ impl JsonValue {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             JsonValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// A non-negative integer; `None` for anything else.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            JsonValue::Int(i) => u64::try_from(*i).ok(),
+            _ => None,
+        }
+    }
+
+    /// A boolean; `None` for non-booleans.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            JsonValue::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -517,6 +534,11 @@ mod tests {
         let doc = parse(r#"{"a": [1, 2], "b": "x"}"#).unwrap();
         assert_eq!(doc.get("a").and_then(JsonValue::as_arr).unwrap().len(), 2);
         assert_eq!(doc.get("b").and_then(JsonValue::as_str), Some("x"));
+        let scalars = parse(r#"{"u": 7, "neg": -1, "t": true}"#).unwrap();
+        assert_eq!(scalars.get("u").and_then(JsonValue::as_u64), Some(7));
+        assert_eq!(scalars.get("neg").and_then(JsonValue::as_u64), None);
+        assert_eq!(scalars.get("t").and_then(JsonValue::as_bool), Some(true));
+        assert_eq!(scalars.get("u").and_then(JsonValue::as_bool), None);
         assert!(doc.get("c").is_none());
     }
 }

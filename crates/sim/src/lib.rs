@@ -8,11 +8,12 @@
 //!
 //! The crate provides:
 //!
-//! * [`checkpoint`] — the crash-safe sweep journal: length-framed,
-//!   CRC-checksummed records of (spec, event index, engine fingerprint)
-//!   plus inlined completed summaries, written atomically and decoded with
-//!   recovery to the last valid record, so a killed sweep resumes
-//!   byte-identically;
+//! * [`checkpoint`] — the crash-safe sweep journal: one length-framed,
+//!   CRC-checksummed record per completed run (its ordinal and summary),
+//!   appended and synced as the run finishes, under a header stamped with
+//!   this build's engine-semantics id; decoding recovers to the last valid
+//!   record, so a killed sweep resumes byte-identically and a journal of a
+//!   differently behaving build is never resumed;
 //! * [`engine`] — the [`Simulator`](engine::Simulator): one event per call,
 //!   motion integration with contact detection, validity assertions,
 //!   termination detection, an event budget, and a cooperative
@@ -29,6 +30,9 @@
 //!   and attributes ε-vs-exact decision divergences to predicate sites;
 //! * [`experiment`] — the parameter-sweep harness behind the `report` CLI's
 //!   tables (README, "The `report` CLI") and the Criterion benches;
+//! * [`json`] — the hand-rolled JSON codec (ordered document model, pretty
+//!   writer, strict parser) behind `bench_report.json` and the fuzz
+//!   fixtures;
 //! * [`fuzz`] — the shrinking scenario fuzzer: sweeps shape × adversary ×
 //!   fault × n × seed under an event budget hunting non-gathering runs,
 //!   shrinks finds via deterministic replay, and emits the livelock
@@ -74,6 +78,7 @@ pub mod engine;
 pub mod experiment;
 pub mod fuzz;
 pub mod init;
+pub mod json;
 pub mod metrics;
 pub mod render;
 pub mod shadow;

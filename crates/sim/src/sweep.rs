@@ -52,7 +52,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::engine::CancelFlag;
-use crate::experiment::{run, run_with_hooks, RunHooks, RunSpec, RunStatus, RunSummary};
+use crate::experiment::{run, run_with_hooks, RunSpec, RunStatus, RunSummary};
 
 /// The number of workers to use when the caller has no preference: the
 /// available hardware parallelism, or 1 if that cannot be determined.
@@ -115,10 +115,6 @@ pub struct SupervisionPolicy {
     /// runs are deterministic here, so they are usually quarantined after
     /// their retries hang too). `None` disables the watchdog.
     pub watchdog: Option<Duration>,
-    /// Interval, in events, between progress callbacks delivered to the
-    /// [`SweepObserver`] (`0` disables progress reporting). The checkpoint
-    /// journal uses these as its progress records.
-    pub progress_every: usize,
 }
 
 impl Default for SupervisionPolicy {
@@ -127,20 +123,18 @@ impl Default for SupervisionPolicy {
             max_retries: 1,
             backoff: Duration::from_millis(25),
             watchdog: None,
-            progress_every: 0,
         }
     }
 }
 
 impl SupervisionPolicy {
     /// The policy behind the historical abort-everything contract: no
-    /// retries, no watchdog, no progress traffic.
+    /// retries, no watchdog.
     pub fn fail_fast() -> Self {
         SupervisionPolicy {
             max_retries: 0,
             backoff: Duration::ZERO,
             watchdog: None,
-            progress_every: 0,
         }
     }
 }
@@ -172,35 +166,12 @@ pub struct SweepOutcome {
     pub retries: u64,
 }
 
-/// Milestone callbacks delivered by [`SweepPool::run_supervised`] on the
-/// caller's thread. The checkpoint journal is the canonical implementor;
-/// `()` implements it as a no-op sink.
-pub trait SweepObserver {
-    /// A run reported progress: `slot` is the index into the submitted spec
-    /// slice, `events` the applied-event count, `fingerprint` the engine's
-    /// [state fingerprint](crate::engine::Simulator::fingerprint) at that
-    /// index. Only delivered when [`SupervisionPolicy::progress_every`] is
-    /// non-zero.
-    fn on_progress(&mut self, slot: usize, events: usize, fingerprint: u64) {
-        let _ = (slot, events, fingerprint);
-    }
-    /// A run completed; delivered before the summary is stored into its
-    /// slot, so a journal write here strictly precedes the sweep returning.
-    fn on_completed(&mut self, slot: usize, summary: &RunSummary) {
-        let _ = (slot, summary);
-    }
-}
-
-impl SweepObserver for () {}
-
 /// One unit of pool work.
 #[derive(Debug, Clone, Copy)]
 struct PoolTask {
     /// Index into the submitted spec slice.
     slot: usize,
     spec: RunSpec,
-    /// Events between progress messages (0 = none).
-    progress_every: usize,
     /// Wall-clock budget for this attempt.
     watchdog: Option<Duration>,
 }
@@ -215,19 +186,6 @@ enum RunVerdict {
     Cancelled { events: usize },
     /// The run panicked with this message.
     Panicked { message: String },
-}
-
-/// A message from a worker to the supervisor.
-#[derive(Debug)]
-enum PoolMsg {
-    /// Periodic progress from an in-flight run.
-    Progress {
-        slot: usize,
-        events: usize,
-        fingerprint: u64,
-    },
-    /// A run attempt finished (one way or another).
-    Done { slot: usize, verdict: RunVerdict },
 }
 
 /// Shared state of the pool's watchdog thread: armed deadlines plus a
@@ -300,12 +258,9 @@ fn watchdog_loop(shared: &WatchdogShared) {
 }
 
 /// Executes one attempt of a task: arms the watchdog (when budgeted), runs
-/// with hooks, catches panics, and always deregisters the deadline.
-fn execute_attempt(
-    task: &PoolTask,
-    watchdog: &WatchdogShared,
-    mut on_progress: impl FnMut(usize, u64),
-) -> RunVerdict {
+/// with its cancel flag, catches panics, and always deregisters the
+/// deadline.
+fn execute_attempt(task: &PoolTask, watchdog: &WatchdogShared) -> RunVerdict {
     let cancel = if task.watchdog.is_some() {
         CancelFlag::armed()
     } else {
@@ -314,17 +269,7 @@ fn execute_attempt(
     let token = task
         .watchdog
         .map(|budget| watchdog_register(watchdog, Instant::now() + budget, cancel.clone()));
-    let spec = task.spec;
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let mut progress = |events: usize, fingerprint: u64| on_progress(events, fingerprint);
-        let hooks = RunHooks {
-            cancel: cancel.clone(),
-            progress: (task.progress_every > 0)
-                .then_some(&mut progress as &mut dyn FnMut(usize, u64)),
-            progress_every: task.progress_every,
-        };
-        run_with_hooks(&spec, hooks)
-    }));
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| run_with_hooks(&task.spec, cancel)));
     if let Some(token) = token {
         watchdog_deregister(watchdog, token);
     }
@@ -380,7 +325,8 @@ const QUARANTINE_MESSAGE: &str =
 pub struct SweepPool {
     /// Sender side of the task queue; `None` once the pool is shut down.
     task_tx: Option<mpsc::Sender<PoolTask>>,
-    result_rx: mpsc::Receiver<PoolMsg>,
+    /// Finished attempts: (slot, verdict).
+    result_rx: mpsc::Receiver<(usize, RunVerdict)>,
     workers: Vec<std::thread::JoinHandle<()>>,
     jobs: usize,
     /// Deadlines shared with the (lazily spawned) watchdog thread.
@@ -397,7 +343,7 @@ impl SweepPool {
     pub fn new(jobs: usize) -> Self {
         let jobs = jobs.max(1);
         let (task_tx, task_rx) = mpsc::channel::<PoolTask>();
-        let (result_tx, result_rx) = mpsc::channel::<PoolMsg>();
+        let (result_tx, result_rx) = mpsc::channel::<(usize, RunVerdict)>();
         let task_rx = Arc::new(Mutex::new(task_rx));
         let watchdog = Arc::new(WatchdogShared::default());
         let workers = if jobs == 1 {
@@ -416,23 +362,10 @@ impl SweepPool {
                             rx.recv()
                         };
                         let Ok(task) = task else { break };
-                        let progress_tx = result_tx.clone();
-                        let verdict = execute_attempt(&task, &watchdog, |events, fingerprint| {
-                            let _ = progress_tx.send(PoolMsg::Progress {
-                                slot: task.slot,
-                                events,
-                                fingerprint,
-                            });
-                        });
+                        let verdict = execute_attempt(&task, &watchdog);
                         // A send error means the pool was dropped mid-batch
                         // (the caller gave up); just exit.
-                        if result_tx
-                            .send(PoolMsg::Done {
-                                slot: task.slot,
-                                verdict,
-                            })
-                            .is_err()
-                        {
+                        if result_tx.send((task.slot, verdict)).is_err() {
                             break;
                         }
                     })
@@ -477,7 +410,7 @@ impl SweepPool {
     /// drains, so the pool stays reusable up to the panic). For structured
     /// failures use [`SweepPool::run_supervised`].
     pub fn run(&mut self, specs: &[RunSpec]) -> Vec<RunSummary> {
-        let outcome = self.run_supervised(specs, &SupervisionPolicy::fail_fast(), &mut ());
+        let outcome = self.run_supervised(specs, &SupervisionPolicy::fail_fast(), &mut |_, _| {});
         if let Some(failure) = outcome.failures.first() {
             panic!("sweep run failed: {}", failure.message);
         }
@@ -492,19 +425,22 @@ impl SweepPool {
     /// outcome: summaries in input order (`None` for failed slots),
     /// failures in slot order, and the retry count. Never panics on a
     /// failing run — panics are caught per attempt, retried per the
-    /// policy, and quarantined once the retries are spent. Progress and
-    /// completion milestones are delivered to `observer` on this thread.
+    /// policy, and quarantined once the retries are spent.
+    ///
+    /// `on_completed(slot, summary)` is called on this thread for every run
+    /// that completes, before its summary is stored into its slot — so a
+    /// journal write there strictly precedes the sweep returning.
     pub fn run_supervised(
         &mut self,
         specs: &[RunSpec],
         policy: &SupervisionPolicy,
-        observer: &mut dyn SweepObserver,
+        on_completed: &mut dyn FnMut(usize, &RunSummary),
     ) -> SweepOutcome {
         self.ensure_watchdog(policy);
         if self.workers.is_empty() {
-            self.run_supervised_inline(specs, policy, observer)
+            self.run_supervised_inline(specs, policy, on_completed)
         } else {
-            self.run_supervised_pooled(specs, policy, observer)
+            self.run_supervised_pooled(specs, policy, on_completed)
         }
     }
 
@@ -514,7 +450,7 @@ impl SweepPool {
         &mut self,
         specs: &[RunSpec],
         policy: &SupervisionPolicy,
-        observer: &mut dyn SweepObserver,
+        on_completed: &mut dyn FnMut(usize, &RunSummary),
     ) -> SweepOutcome {
         let mut summaries: Vec<Option<RunSummary>> = vec![None; specs.len()];
         let mut failures: Vec<SweepFailure> = Vec::new();
@@ -532,17 +468,14 @@ impl SweepPool {
             let task = PoolTask {
                 slot,
                 spec,
-                progress_every: policy.progress_every,
                 watchdog: policy.watchdog,
             };
             let mut attempts = 0u32;
             loop {
-                let verdict = execute_attempt(&task, &self.watchdog, |events, fingerprint| {
-                    observer.on_progress(slot, events, fingerprint)
-                });
+                let verdict = execute_attempt(&task, &self.watchdog);
                 match verdict {
                     RunVerdict::Completed(summary) => {
-                        observer.on_completed(slot, &summary);
+                        on_completed(slot, &summary);
                         summaries[slot] = Some(*summary);
                         break;
                     }
@@ -579,7 +512,7 @@ impl SweepPool {
         &mut self,
         specs: &[RunSpec],
         policy: &SupervisionPolicy,
-        observer: &mut dyn SweepObserver,
+        on_completed: &mut dyn FnMut(usize, &RunSummary),
     ) -> SweepOutcome {
         let task_tx = self.task_tx.as_ref().expect("pool is live").clone();
         let mut summaries: Vec<Option<RunSummary>> = vec![None; specs.len()];
@@ -606,60 +539,51 @@ impl SweepPool {
                 .send(PoolTask {
                     slot,
                     spec,
-                    progress_every: policy.progress_every,
                     watchdog: policy.watchdog,
                 })
                 .expect("a sweep worker died");
             pending += 1;
         }
         while pending > 0 {
-            let msg = self
+            let (slot, verdict) = self
                 .result_rx
                 .recv()
                 .expect("a sweep worker died before finishing its batch");
-            match msg {
-                PoolMsg::Progress {
-                    slot,
-                    events,
-                    fingerprint,
-                } => observer.on_progress(slot, events, fingerprint),
-                PoolMsg::Done { slot, verdict } => match verdict {
-                    RunVerdict::Completed(summary) => {
-                        observer.on_completed(slot, &summary);
-                        summaries[slot] = Some(*summary);
+            match verdict {
+                RunVerdict::Completed(summary) => {
+                    on_completed(slot, &summary);
+                    summaries[slot] = Some(*summary);
+                    pending -= 1;
+                }
+                failed => {
+                    attempts[slot] += 1;
+                    if attempts[slot] <= policy.max_retries {
+                        retries += 1;
+                        // Deterministic linear backoff before the
+                        // re-dispatch. The supervisor sleeps; queued
+                        // completions simply wait in the channel.
+                        std::thread::sleep(policy.backoff * attempts[slot]);
+                        task_tx
+                            .send(PoolTask {
+                                slot,
+                                spec: specs[slot],
+                                watchdog: policy.watchdog,
+                            })
+                            .expect("a sweep worker died");
+                    } else {
+                        self.quarantine.push(specs[slot]);
+                        failures.push((
+                            slot,
+                            SweepFailure {
+                                spec: specs[slot],
+                                message: verdict_message(&failed, policy.watchdog),
+                                attempts: attempts[slot],
+                                quarantined: true,
+                            },
+                        ));
                         pending -= 1;
                     }
-                    failed => {
-                        attempts[slot] += 1;
-                        if attempts[slot] <= policy.max_retries {
-                            retries += 1;
-                            // Deterministic linear backoff before the
-                            // re-dispatch. The supervisor sleeps; queued
-                            // completions simply wait in the channel.
-                            std::thread::sleep(policy.backoff * attempts[slot]);
-                            task_tx
-                                .send(PoolTask {
-                                    slot,
-                                    spec: specs[slot],
-                                    progress_every: policy.progress_every,
-                                    watchdog: policy.watchdog,
-                                })
-                                .expect("a sweep worker died");
-                        } else {
-                            self.quarantine.push(specs[slot]);
-                            failures.push((
-                                slot,
-                                SweepFailure {
-                                    spec: specs[slot],
-                                    message: verdict_message(&failed, policy.watchdog),
-                                    attempts: attempts[slot],
-                                    quarantined: true,
-                                },
-                            ));
-                            pending -= 1;
-                        }
-                    }
-                },
+                }
             }
         }
         failures.sort_by_key(|&(slot, _)| slot);
@@ -811,7 +735,7 @@ mod tests {
             backoff: Duration::from_millis(1),
             ..SupervisionPolicy::default()
         };
-        let outcome = pool.run_supervised(&specs, &policy, &mut ());
+        let outcome = pool.run_supervised(&specs, &policy, &mut |_, _| {});
         assert_eq!(outcome.summaries.len(), 3);
         assert!(outcome.summaries[0].is_none());
         assert!(outcome.summaries[2].is_none());
@@ -835,7 +759,7 @@ mod tests {
         assert!(outcome.retries >= 1);
         // The pool survives: the same batch re-submitted now short-circuits
         // the quarantined spec without running it.
-        let again = pool.run_supervised(&specs, &policy, &mut ());
+        let again = pool.run_supervised(&specs, &policy, &mut |_, _| {});
         assert!(again.summaries[1].is_some());
         assert_eq!(again.failures.len(), 2);
         for failure in &again.failures {
@@ -863,7 +787,8 @@ mod tests {
         let expected = run_sweep(&specs, 1);
         for jobs in [1, 4] {
             let mut pool = SweepPool::new(jobs);
-            let outcome = pool.run_supervised(&specs, &SupervisionPolicy::default(), &mut ());
+            let outcome =
+                pool.run_supervised(&specs, &SupervisionPolicy::default(), &mut |_, _| {});
             assert!(outcome.failures.is_empty());
             assert_eq!(outcome.retries, 0);
             let summaries: Vec<RunSummary> =
@@ -890,7 +815,7 @@ mod tests {
         };
         for jobs in [1, 2] {
             let mut pool = SweepPool::new(jobs);
-            let outcome = pool.run_supervised(&[hung], &policy, &mut ());
+            let outcome = pool.run_supervised(&[hung], &policy, &mut |_, _| {});
             assert!(outcome.summaries[0].is_none(), "jobs={jobs}");
             assert_eq!(outcome.failures.len(), 1, "jobs={jobs}");
             assert!(
@@ -902,46 +827,29 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_progress_and_completion() {
-        #[derive(Default)]
-        struct Recorder {
-            progress: Vec<(usize, usize, u64)>,
-            completed: Vec<usize>,
-        }
-        impl SweepObserver for Recorder {
-            fn on_progress(&mut self, slot: usize, events: usize, fingerprint: u64) {
-                self.progress.push((slot, events, fingerprint));
-            }
-            fn on_completed(&mut self, slot: usize, _summary: &RunSummary) {
-                self.completed.push(slot);
-            }
-        }
-        let specs = vec![RunSpec {
-            shape: Shape::Circle,
-            adversary: AdversaryKind::RoundRobin,
-            max_events: 20_000,
-            ..RunSpec::new(4, 2)
-        }];
+    fn completion_callback_sees_every_completed_slot() {
+        // Inline and pooled: the callback fires once per completed run with
+        // that run's summary, and never for a failed one.
+        let specs = vec![spec_matrix()[0], panicking_spec(), spec_matrix()[1]];
         let policy = SupervisionPolicy {
-            progress_every: 50,
+            max_retries: 0,
             ..SupervisionPolicy::default()
         };
-        let mut pool = SweepPool::new(1);
-        let mut recorder = Recorder::default();
-        let outcome = pool.run_supervised(&specs, &policy, &mut recorder);
-        let summary = outcome.summaries[0].as_ref().expect("run completes");
-        assert_eq!(recorder.completed, vec![0]);
-        assert!(
-            !recorder.progress.is_empty(),
-            "a {}-event run reports progress at interval 50",
-            summary.events
-        );
-        // Progress is monotone in events and every record belongs to slot 0.
-        let mut last = 0;
-        for &(slot, events, _) in &recorder.progress {
-            assert_eq!(slot, 0);
-            assert!(events > last);
-            last = events;
+        for jobs in [1, 2] {
+            let mut completed: Vec<(usize, RunSummary)> = Vec::new();
+            let mut pool = SweepPool::new(jobs);
+            let outcome = pool.run_supervised(&specs, &policy, &mut |slot, summary| {
+                completed.push((slot, summary.clone()))
+            });
+            completed.sort_by_key(|&(slot, _)| slot);
+            let expected: Vec<(usize, RunSummary)> = outcome
+                .summaries
+                .into_iter()
+                .enumerate()
+                .filter_map(|(slot, summary)| Some((slot, summary?)))
+                .collect();
+            assert_eq!(expected.len(), 2, "jobs={jobs}");
+            assert_eq!(completed, expected, "jobs={jobs}");
         }
     }
 

@@ -7,65 +7,48 @@
 //! position and flip seeded random bytes, and assert that contract holds
 //! exactly.
 
-use fatrobots_sim::checkpoint::{decode_journal, encode_journal, Record};
+use fatrobots_sim::checkpoint::{decode_journal, encode_journal, Record, HEADER_LEN};
 use fatrobots_sim::experiment::{run, AdversaryKind, RunSpec};
 use fatrobots_sim::init::Shape;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A journal with a realistic mix: progress records and a completed record
-/// carrying a genuine summary from a short run.
+/// The engine id the journals below are written and read under (any value
+/// works: the decoder only compares it against the header).
+const ENGINE: u32 = 0x5eed_1d00;
+
+/// Completed records with distinct ordinals, each carrying a genuine
+/// summary from a short run.
 fn sample_records() -> Vec<Record> {
-    let spec = RunSpec {
-        shape: Shape::Circle,
-        adversary: AdversaryKind::RoundRobin,
-        max_events: 20_000,
-        ..RunSpec::new(3, 1)
-    };
-    let summary = run(&spec);
-    vec![
-        Record::Progress {
-            ordinal: 0,
-            spec,
-            events: 4_096,
-            fingerprint: 0x0123_4567_89ab_cdef,
-        },
-        Record::Completed {
-            ordinal: 0,
-            summary: Box::new(summary),
-        },
-        Record::Progress {
-            ordinal: 1,
-            spec,
-            events: 8_192,
-            fingerprint: 0xfedc_ba98_7654_3210,
-        },
-        Record::Progress {
-            ordinal: 2,
-            spec,
-            events: 12_288,
-            fingerprint: 0x1111_2222_3333_4444,
-        },
-    ]
+    [(0u64, 3usize, 1u64), (1, 3, 2), (2, 4, 1), (5, 3, 3)]
+        .into_iter()
+        .map(|(ordinal, n, seed)| Record {
+            ordinal,
+            summary: run(&RunSpec {
+                shape: Shape::Circle,
+                adversary: AdversaryKind::RoundRobin,
+                max_events: 20_000,
+                ..RunSpec::new(n, seed)
+            }),
+        })
+        .collect()
 }
 
 /// Byte offsets where each record's frame ends (the first is the header
-/// boundary at offset 8).
+/// boundary).
 fn frame_boundaries(records: &[Record]) -> Vec<usize> {
-    let mut boundaries = vec![8usize];
-    for i in 1..=records.len() {
-        boundaries.push(encode_journal(&records[..i]).len());
-    }
-    boundaries
+    (0..=records.len())
+        .map(|i| encode_journal(ENGINE, &records[..i]).len())
+        .collect()
 }
 
 #[test]
 fn truncation_at_every_byte_recovers_the_valid_prefix() {
     let records = sample_records();
-    let bytes = encode_journal(&records);
+    let bytes = encode_journal(ENGINE, &records);
     let boundaries = frame_boundaries(&records);
     for cut in 0..=bytes.len() {
-        let (decoded, recovery) = decode_journal(&bytes[..cut]);
+        let (decoded, recovery) = decode_journal(ENGINE, &bytes[..cut]);
         // How many full records fit strictly within the cut.
         let expected = boundaries[1..].iter().filter(|&&end| end <= cut).count();
         assert_eq!(
@@ -74,26 +57,29 @@ fn truncation_at_every_byte_recovers_the_valid_prefix() {
             "cut at byte {cut}: expected {expected} surviving records"
         );
         assert_eq!(decoded, records[..expected], "cut at byte {cut}");
-        let on_boundary = cut >= 8 && boundaries.contains(&cut);
+        let on_boundary = cut >= HEADER_LEN && boundaries.contains(&cut);
         assert_eq!(
             recovery.clean, on_boundary,
             "cut at byte {cut}: clean must mean exactly-at-a-record-boundary"
         );
-        if cut >= 8 {
-            let last_boundary = boundaries.iter().filter(|&&b| b <= cut).max().copied();
-            assert_eq!(
-                recovery.dropped_bytes,
-                cut - last_boundary.unwrap_or(8),
-                "cut at byte {cut}"
-            );
-        }
+        let kept = if cut >= HEADER_LEN {
+            boundaries
+                .iter()
+                .filter(|&&b| b <= cut)
+                .max()
+                .copied()
+                .unwrap()
+        } else {
+            0
+        };
+        assert_eq!(recovery.dropped_bytes, cut - kept, "cut at byte {cut}");
     }
 }
 
 #[test]
 fn seeded_byte_flips_recover_records_before_the_damage() {
     let records = sample_records();
-    let bytes = encode_journal(&records);
+    let bytes = encode_journal(ENGINE, &records);
     let boundaries = frame_boundaries(&records);
     let mut rng = StdRng::seed_from_u64(0xC0FF_EE00);
     for trial in 0..500 {
@@ -107,7 +93,7 @@ fn seeded_byte_flips_recover_records_before_the_damage() {
             first_damage = first_damage.min(pos);
         }
         // Must never panic, whatever the damage.
-        let (decoded, recovery) = decode_journal(&mutated);
+        let (decoded, recovery) = decode_journal(ENGINE, &mutated);
         // Every record whose frame ends at or before the first flipped
         // byte must decode exactly as written (the CRC only guards its own
         // frame). Later records may or may not survive; the decoder stops
@@ -137,11 +123,11 @@ fn seeded_byte_flips_recover_records_before_the_damage() {
 fn corrupt_middle_record_recovers_to_the_last_valid_record() {
     let records = sample_records();
     let boundaries = frame_boundaries(&records);
-    let mut bytes = encode_journal(&records);
+    let mut bytes = encode_journal(ENGINE, &records);
     // Flip one payload byte inside the third record (index 2).
     let target = boundaries[2] + 12;
     bytes[target] ^= 0x5a;
-    let (decoded, recovery) = decode_journal(&bytes);
+    let (decoded, recovery) = decode_journal(ENGINE, &bytes);
     assert_eq!(
         decoded,
         records[..2],
@@ -158,7 +144,7 @@ fn random_garbage_never_panics() {
     for _ in 0..500 {
         let len = rng.gen_range(0..512usize);
         let garbage: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u32) as u8).collect();
-        let (decoded, _recovery) = decode_journal(&garbage);
+        let (decoded, _recovery) = decode_journal(ENGINE, &garbage);
         // Random bytes essentially never checksum into a valid record.
         assert!(decoded.len() <= 1);
     }
@@ -166,9 +152,9 @@ fn random_garbage_never_panics() {
     // scanner rather than the header check.
     for _ in 0..500 {
         let len = rng.gen_range(0..512usize);
-        let mut bytes = encode_journal(&[]);
+        let mut bytes = encode_journal(ENGINE, &[]);
         bytes.extend((0..len).map(|_| rng.gen_range(0..=255u32) as u8));
-        let (decoded, _recovery) = decode_journal(&bytes);
+        let (decoded, _recovery) = decode_journal(ENGINE, &bytes);
         assert!(decoded.len() <= 1);
     }
 }
