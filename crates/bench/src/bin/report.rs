@@ -9,12 +9,12 @@
 //! cargo run --release -p fatrobots-bench --bin report -- --baseline old.json
 //! ```
 //!
-//! Sweeps are dispatched through one shared `fatrobots_sim::sweep::SweepPool`
-//! (spawned once per invocation, reused by every table), so table output is
-//! byte-identical for every `--jobs` value. Unknown flags are an error (exit
-//! code 2) — see `--help`. With `--baseline` the freshly computed rows are
-//! diffed against a previous `bench_report.json` and the process exits with
-//! code 1 when any row regressed beyond the threshold.
+//! Every table runs on a `fatrobots_sim::sweep::SweepPool` of `--jobs`
+//! workers, each run once, so table output is byte-identical for every
+//! `--jobs` value. Unknown flags are an error (exit code 2) — see `--help`.
+//! With `--baseline` the freshly computed rows are diffed against a
+//! previous `bench_report.json` and the process exits with code 1 when any
+//! row regressed beyond the threshold.
 
 use std::process::ExitCode;
 
@@ -63,11 +63,6 @@ Options:
                  be a positive integer). The cap only bounds rows at or
                  above the large-n threshold — small-n rows keep their
                  scale-with-n budget unless the cap is tighter
-  --fail-fast    abort the whole report on the first failing run (the
-                 pre-supervision behaviour). Without it a panicking or
-                 hung run is retried once, then quarantined as a
-                 structured failure row (schema v8 'supervision') while
-                 every other run completes; the process still exits 1
   --checkpoint-dir <DIR>
                  journal completed rows into DIR/journal.frck (crash-safe:
                  append-only, length-framed, checksummed, stamped with
@@ -75,12 +70,14 @@ Options:
                  re-run with the same flags resumes: completed rows load
                  from the journal, in-flight runs re-run, and the output
                  is byte-identical to an uninterrupted run modulo the
-                 checkpoint counters. Incompatible with --fail-fast
+                 checkpoint counters
   --watchdog-secs <N>
-                 wall-clock budget per run attempt: a run exceeding it is
-                 cancelled cooperatively and supervised like a panic
-                 (retried, then quarantined). Incompatible with
-                 --fail-fast
+                 wall-clock budget per run: a run still going at its
+                 deadline is cancelled at the next event boundary.
+                 Every run is attempted once; a run that panics or is
+                 cancelled becomes a failure row (JSON
+                 'supervision.failures'), every other run completes, and
+                 report exits 1
   --json <PATH>  also write every run and aggregate row to PATH as JSON
                  (parent directories are created; the write is atomic)
   --baseline <PATH>
@@ -123,12 +120,9 @@ struct Cli {
     /// Event budget for E1's large-n rows (`--event-cap`).
     event_cap: usize,
     figures: bool,
-    /// Abort on the first failing run instead of supervising
-    /// (`--fail-fast`).
-    fail_fast: bool,
     /// Directory of the crash-safe sweep journal (`--checkpoint-dir`).
     checkpoint_dir: Option<String>,
-    /// Per-attempt wall-clock budget in seconds (`--watchdog-secs`).
+    /// Per-run wall-clock budget in seconds (`--watchdog-secs`).
     watchdog_secs: Option<u64>,
     /// Table ids (`e1` … `e7`) explicitly requested, in canonical order.
     selected: Vec<&'static str>,
@@ -154,7 +148,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         baseline_threshold: BASELINE_EVENTS_THRESHOLD,
         event_cap: LARGE_N_EVENT_CAP,
         figures: false,
-        fail_fast: false,
         checkpoint_dir: None,
         watchdog_secs: None,
         selected: Vec::new(),
@@ -220,7 +213,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
                             format!("--event-cap wants a positive integer, got '{value}'")
                         })?;
             }
-            "--fail-fast" => cli.fail_fast = true,
             "--checkpoint-dir" => {
                 cli.checkpoint_dir = Some(path_value(&mut iter, "--checkpoint-dir")?.clone())
             }
@@ -275,14 +267,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
     if threshold_given && cli.baseline.is_none() {
         return Err("--baseline-threshold requires --baseline".into());
     }
-    // Fail-fast restores the unsupervised abort path, which neither
-    // journals checkpoints nor polls the watchdog.
-    if cli.fail_fast && cli.checkpoint_dir.is_some() {
-        return Err("--fail-fast cannot be combined with --checkpoint-dir".into());
-    }
-    if cli.fail_fast && cli.watchdog_secs.is_some() {
-        return Err("--fail-fast cannot be combined with --watchdog-secs".into());
-    }
     if cli.fuzz {
         // Fuzz mode is a different program: table and sweep flags are
         // rejected outright rather than silently ignored.
@@ -294,7 +278,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             (cli.baseline.is_some(), "--baseline"),
             (jobs_given, "--jobs"),
             (event_cap_given, "--event-cap"),
-            (cli.fail_fast, "--fail-fast"),
             (cli.checkpoint_dir.is_some(), "--checkpoint-dir"),
             (cli.watchdog_secs.is_some(), "--watchdog-secs"),
         ];
@@ -594,16 +577,9 @@ fn main() -> ExitCode {
     };
     let policy = SupervisionPolicy {
         watchdog: cli.watchdog_secs.map(std::time::Duration::from_secs),
-        ..SupervisionPolicy::default()
     };
-    let mut supervision = SupervisionReport {
-        fail_fast: cli.fail_fast,
-        ..SupervisionReport::default()
-    };
-
-    // One worker pool for the whole invocation: every table's groups share
-    // it instead of spawning and joining a fresh pool per table.
-    let mut pool = SweepPool::new(cli.jobs);
+    let mut supervision = SupervisionReport::default();
+    let pool = SweepPool::new(cli.jobs);
     let mut tables: Vec<ExperimentTable> = Vec::new();
     for id in &ids {
         let mut spec = build_table_spec(id, cli.quick, seeds, cli.event_cap);
@@ -616,18 +592,12 @@ fn main() -> ExitCode {
                 }
             }
         }
-        let table = if cli.fail_fast {
-            spec.execute_on(&mut pool)
-        } else {
-            let run = spec.execute_supervised_on(&mut pool, &policy, checkpoint.as_mut());
-            supervision.retries += run.retries;
-            supervision
-                .failures
-                .extend(run.failures.into_iter().map(|f| (id.to_string(), f)));
-            run.table
-        };
-        print_table(&table);
-        tables.push(table);
+        let run = spec.execute_supervised_on(&pool, &policy, checkpoint.as_mut());
+        supervision
+            .failures
+            .extend(run.failures.into_iter().map(|f| (id.to_string(), f)));
+        print_table(&run.table);
+        tables.push(run.table);
     }
     supervision.checkpoint = checkpoint.as_ref().map(CheckpointedSweep::telemetry);
 
@@ -670,26 +640,15 @@ fn main() -> ExitCode {
     // baseline diff above all still happened, but a report with failed
     // runs must not exit 0.
     if !supervision.failures.is_empty() {
-        eprintln!(
-            "report: {} run(s) failed after supervision ({} retr{}):",
-            supervision.failures.len(),
-            supervision.retries,
-            if supervision.retries == 1 { "y" } else { "ies" }
-        );
+        eprintln!("report: {} run(s) failed:", supervision.failures.len());
         for (table, failure) in &supervision.failures {
             eprintln!(
-                "  {table}: n={} seed={} shape={} adversary={}: {} (attempts {}{})",
+                "  {table}: n={} seed={} shape={} adversary={}: {}",
                 failure.spec.n,
                 failure.spec.seed,
                 failure.spec.shape.name(),
                 failure.spec.adversary.name(),
                 failure.message,
-                failure.attempts,
-                if failure.quarantined {
-                    ", quarantined"
-                } else {
-                    ""
-                }
             );
         }
         return ExitCode::FAILURE;

@@ -30,29 +30,29 @@ pub const QUICK_SEEDS: [u64; 3] = [1, 2, 3];
 /// The `schema_version` stamped into `bench_report.json`. Bump on any
 /// breaking change to the report layout (the README documents it).
 ///
-/// A v10 document carries, at the root, the run flags (`quick`, `jobs`,
+/// A v11 document carries, at the root, the run flags (`quick`, `jobs`,
 /// `shadow`), the `tables` (tables → groups → aggregate + per-run records
 /// with the world, decision-cache, hull, pair-store, fault and `shadow`
-/// telemetry) and the `supervision`
-/// object: the `fail_fast` switch, the total `retries` spent re-running
-/// panicked workers, a `failures` array (one structured row per run that
-/// kept failing after its bounded retries — the spec fields plus the
-/// panic `message`, `attempts` count and `quarantined` flag), and
-/// `checkpoint` — `null` without `--checkpoint-dir`, otherwise the
+/// telemetry) and the `supervision` object: a `failures` array (one
+/// structured row per failed run — the spec fields plus its `message`)
+/// and `checkpoint` — `null` without `--checkpoint-dir`, otherwise the
 /// crash-safe journal's counters (`resumed_rows`, `journal_records`,
-/// `recovered_records`, `dropped_bytes`, `write_errors`). Sweeps are deterministic, so the checkpoint counters
-/// are the *only* keys that may differ between an uninterrupted sweep and
-/// a killed-and-resumed one; the CI `kill-resume` gate diffs the two
-/// documents modulo exactly those lines.
+/// `recovered_records`, `dropped_bytes`, `write_errors`). Sweeps are
+/// deterministic, so the checkpoint counters are the *only* keys that may
+/// differ between an uninterrupted sweep and a killed-and-resumed one; the
+/// CI `kill-resume` gate diffs the two documents modulo exactly those
+/// lines.
 ///
 /// v9 dropped v8's root and per-run `threads` keys and the four per-run
 /// counters of the intra-run parallel executor, which is gone. v10 dropped
 /// the checkpoint's replayed-events counter with the journal's progress
-/// records.
-pub const REPORT_SCHEMA_VERSION: i64 = 10;
+/// records. v11 dropped `supervision.fail_fast`, `supervision.retries` and
+/// two keys of each failure row (its attempt count and the flag that barred
+/// the spec from running again): every run is now attempted once.
+pub const REPORT_SCHEMA_VERSION: i64 = 11;
 
 /// The oldest `schema_version` current tooling still reads. The baseline
-/// diff reads none of the keys v9 and v10 dropped, so v8 documents still
+/// diff reads none of the keys v9 to v11 dropped, so v8 documents still
 /// diff; older ones are rejected.
 pub const REPORT_SCHEMA_MIN_SUPPORTED: i64 = 8;
 
@@ -334,15 +334,10 @@ fn summary_json(s: &RunSummary) -> JsonValue {
     ])
 }
 
-/// The supervised-execution telemetry of one report invocation (schema
-/// v8): what the `supervision` object of `bench_report.json` serializes.
+/// The supervised-execution telemetry of one report invocation: what the
+/// `supervision` object of `bench_report.json` serializes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SupervisionReport {
-    /// `--fail-fast` was in effect (a failing run aborts the sweep instead
-    /// of becoming a failure row).
-    pub fail_fast: bool,
-    /// Total retry attempts spent across every table.
-    pub retries: u64,
     /// Structured failure rows, as (table id, failure) pairs in execution
     /// order.
     pub failures: Vec<(String, SweepFailure)>,
@@ -351,7 +346,7 @@ pub struct SupervisionReport {
     pub checkpoint: Option<CheckpointTelemetry>,
 }
 
-/// One structured failure row as a JSON record (schema v8).
+/// One structured failure row as a JSON record.
 fn failure_json(table: &str, failure: &SweepFailure) -> JsonValue {
     JsonValue::Obj(vec![
         ("table".into(), JsonValue::Str(table.into())),
@@ -370,12 +365,10 @@ fn failure_json(table: &str, failure: &SweepFailure) -> JsonValue {
             JsonValue::Str(failure.spec.adversary.name().into()),
         ),
         ("message".into(), JsonValue::Str(failure.message.clone())),
-        ("attempts".into(), JsonValue::Int(failure.attempts as i64)),
-        ("quarantined".into(), JsonValue::Bool(failure.quarantined)),
     ])
 }
 
-/// The `supervision` object of the report document (schema v8).
+/// The `supervision` object of the report document.
 fn supervision_json(supervision: &SupervisionReport) -> JsonValue {
     let checkpoint = supervision
         .checkpoint
@@ -405,8 +398,6 @@ fn supervision_json(supervision: &SupervisionReport) -> JsonValue {
             ])
         });
     JsonValue::Obj(vec![
-        ("fail_fast".into(), JsonValue::Bool(supervision.fail_fast)),
-        ("retries".into(), JsonValue::Int(supervision.retries as i64)),
         (
             "failures".into(),
             JsonValue::Arr(
@@ -462,13 +453,12 @@ fn aggregate_json(row: &AggregateRow) -> JsonValue {
 ///
 /// ```json
 /// {
-///   "schema_version": 9,
+///   "schema_version": 11,
 ///   "generator": "fatrobots-bench report",
 ///   "quick": true,
 ///   "shadow": false,
 ///   "jobs": 2,
-///   "supervision": { "fail_fast": false, "retries": 0,
-///                    "failures": [], "checkpoint": null },
+///   "supervision": { "failures": [], "checkpoint": null },
 ///   "tables": [
 ///     { "id": "e1", "title": "…",
 ///       "groups": [ { "label": "n=3", "aggregate": {…}, "runs": [ {…} ] } ] }
@@ -527,7 +517,27 @@ pub fn report_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fatrobots_sim::experiment::{scaling_table, RunSpec};
+    use fatrobots_sim::experiment::{scaling_table_spec, RunSpec, SpecGroup, TableSpec};
+
+    /// The E1 table at `n = 3` over `seeds`, executed on `jobs` workers.
+    fn e1_table(seeds: &[u64], jobs: usize) -> ExperimentTable {
+        scaling_table_spec(&[3], seeds).execute(jobs)
+    }
+
+    /// A one-row `e1` table of shadowed n = 3 runs (seed 1).
+    fn shadow_table(title: &str) -> ExperimentTable {
+        let groups = vec![SpecGroup::per_seed("n=3", &[1u64], |seed| RunSpec {
+            shadow: true,
+            max_events: 5_000,
+            ..RunSpec::new(3, seed)
+        })];
+        TableSpec {
+            id: "e1",
+            title: title.into(),
+            groups,
+        }
+        .execute(1)
+    }
 
     #[test]
     fn seeds_are_distinct() {
@@ -537,7 +547,7 @@ mod tests {
 
     #[test]
     fn print_table_smoke() {
-        let table = scaling_table(&[3], &[1], 1);
+        let table = e1_table(&[1], 1);
         assert_eq!(table.rows().len(), 1);
         print_table(&table);
         let _ = RunSpec::new(3, 1);
@@ -545,7 +555,7 @@ mod tests {
 
     #[test]
     fn report_json_round_trips_and_counts_runs() {
-        let table = scaling_table(&[3], &[1, 2], 2);
+        let table = e1_table(&[1, 2], 2);
         let text = report_json(
             std::slice::from_ref(&table),
             true,
@@ -618,10 +628,8 @@ mod tests {
         assert_eq!(aggregate.get("shadow_divergent"), Some(&JsonValue::Null));
         assert_eq!(aggregate.get("shadow_flips"), Some(&JsonValue::Null));
         // The supervision object — clean default execution means no
-        // failures, no retries, and no checkpoint journal.
+        // failures and no checkpoint journal.
         let supervision = doc.get("supervision").expect("supervision present");
-        assert_eq!(supervision.get("fail_fast"), Some(&JsonValue::Bool(false)));
-        assert_eq!(supervision.get("retries"), Some(&JsonValue::Int(0)));
         assert_eq!(
             supervision
                 .get("failures")
@@ -634,17 +642,13 @@ mod tests {
 
     #[test]
     fn supervision_failures_and_checkpoint_counters_serialize() {
-        let table = scaling_table(&[3], &[1], 1);
+        let table = e1_table(&[1], 1);
         let supervision = SupervisionReport {
-            fail_fast: false,
-            retries: 2,
             failures: vec![(
                 "e1".into(),
                 fatrobots_sim::sweep::SweepFailure {
                     spec: RunSpec::new(0, 1),
-                    message: "initial configuration needs at least one robot".into(),
-                    attempts: 2,
-                    quarantined: true,
+                    message: "panic: initial configuration needs at least one robot".into(),
                 },
             )],
             checkpoint: Some(CheckpointTelemetry {
@@ -658,7 +662,11 @@ mod tests {
         let text = report_json(std::slice::from_ref(&table), true, 1, false, &supervision);
         let doc = json::parse(&text).expect("report JSON parses");
         let sup = doc.get("supervision").expect("supervision present");
-        assert_eq!(sup.get("retries"), Some(&JsonValue::Int(2)));
+        let JsonValue::Obj(entries) = sup else {
+            panic!("supervision is an object")
+        };
+        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["failures", "checkpoint"]);
         let failures = sup.get("failures").and_then(JsonValue::as_arr).unwrap();
         assert_eq!(failures.len(), 1);
         assert_eq!(
@@ -666,8 +674,22 @@ mod tests {
             Some("e1")
         );
         assert_eq!(failures[0].get("n"), Some(&JsonValue::Int(0)));
-        assert_eq!(failures[0].get("attempts"), Some(&JsonValue::Int(2)));
-        assert_eq!(failures[0].get("quarantined"), Some(&JsonValue::Bool(true)));
+        let JsonValue::Obj(row) = &failures[0] else {
+            panic!("a failure row is an object")
+        };
+        let keys: Vec<&str> = row.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "table",
+                "n",
+                "seed",
+                "shape",
+                "strategy",
+                "adversary",
+                "message"
+            ]
+        );
         assert!(failures[0]
             .get("message")
             .and_then(JsonValue::as_str)
@@ -695,13 +717,7 @@ mod tests {
 
     #[test]
     fn shadow_runs_serialize_their_oracle_tallies() {
-        use fatrobots_sim::experiment::{sweep_table, SpecGroup};
-        let groups = vec![SpecGroup::per_seed("n=3", &[1u64], |seed| RunSpec {
-            shadow: true,
-            max_events: 5_000,
-            ..RunSpec::new(3, seed)
-        })];
-        let table = sweep_table("e1", "shadow smoke", groups, 1);
+        let table = shadow_table("shadow smoke");
         let text = report_json(
             std::slice::from_ref(&table),
             true,
@@ -754,13 +770,7 @@ mod tests {
 
     #[test]
     fn shadow_divergence_gate_only_fires_when_both_sides_have_counters() {
-        use fatrobots_sim::experiment::{sweep_table, SpecGroup};
-        let groups = vec![SpecGroup::per_seed("n=3", &[1u64], |seed| RunSpec {
-            shadow: true,
-            max_events: 5_000,
-            ..RunSpec::new(3, seed)
-        })];
-        let table = sweep_table("e1", "shadow gate", groups, 1);
+        let table = shadow_table("shadow gate");
         let row = table.rows().remove(0);
         let divergent = row.shadow_divergent.expect("oracle ran");
 
@@ -810,7 +820,7 @@ mod tests {
 
     #[test]
     fn baseline_self_diff_has_no_regressions() {
-        let table = scaling_table(&[3], &[1, 2], 2);
+        let table = e1_table(&[1, 2], 2);
         let doc = json::parse(&report_json(
             std::slice::from_ref(&table),
             true,
@@ -832,7 +842,7 @@ mod tests {
 
     #[test]
     fn baseline_diff_flags_gathered_and_event_regressions() {
-        let table = scaling_table(&[3], &[1], 1);
+        let table = e1_table(&[1], 1);
         let row = table.rows().remove(0);
         // A fabricated "better" baseline: everything gathered instantly.
         let better = json::parse(&format!(

@@ -14,16 +14,23 @@ fn report(args: &[&str]) -> Output {
 
 #[test]
 fn unknown_flag_exits_nonzero_with_a_usage_message() {
-    let out = report(&["--definitely-not-a-flag"]);
-    assert!(
-        !out.status.success(),
-        "an unknown flag must not exit 0 (the old CLI silently ignored it)"
-    );
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("unknown flag '--definitely-not-a-flag'"));
-    assert!(stderr.contains("Usage: report"));
-    assert!(out.stdout.is_empty(), "usage errors must not print tables");
+    // `--fail-fast` is not a flag: every run is attempted once and a failure
+    // never aborts the sweep, so there is no abort-everything mode to select.
+    for flag in ["--definitely-not-a-flag", "--fail-fast"] {
+        let out = report(&[flag]);
+        assert!(
+            !out.status.success(),
+            "an unknown flag must not exit 0 (the old CLI silently ignored it)"
+        );
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains(&format!("unknown flag '{flag}'")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("Usage: report"));
+        assert!(out.stdout.is_empty(), "usage errors must not print tables");
+    }
 }
 
 #[test]
@@ -46,7 +53,6 @@ fn help_exits_zero_and_documents_the_flags() {
         "--budget",
         "--fuzz-seed",
         "--out",
-        "--fail-fast",
         "--checkpoint-dir",
         "--watchdog-secs",
     ] {
@@ -113,7 +119,6 @@ fn fuzz_mode_rejects_table_and_sweep_flags() {
         &["fuzz", "--jobs", "2"],
         &["fuzz", "--event-cap", "100"],
         &["fuzz", "--baseline", "whatever.json"],
-        &["fuzz", "--fail-fast"],
         &["fuzz", "--checkpoint-dir", "/tmp/ck"],
         &["fuzz", "--watchdog-secs", "5"],
     ] {
@@ -290,11 +295,15 @@ fn json_report_is_parseable_with_one_record_per_run() {
     assert_eq!(tables.len(), 1);
     assert_eq!(tables[0].get("id").and_then(JsonValue::as_str), Some("e7"));
 
-    // Schema v8: the supervision object — a clean run has no failures, no
-    // retries, and (without --checkpoint-dir) no journal counters.
+    // The supervision object holds exactly the failure rows and the
+    // checkpoint counters: a clean run has no failures and (without
+    // --checkpoint-dir) no journal counters.
     let supervision = doc.get("supervision").expect("supervision present");
-    assert_eq!(supervision.get("fail_fast"), Some(&JsonValue::Bool(false)));
-    assert_eq!(supervision.get("retries"), Some(&JsonValue::Int(0)));
+    let JsonValue::Obj(entries) = supervision else {
+        panic!("supervision is an object")
+    };
+    let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["failures", "checkpoint"]);
     assert_eq!(
         supervision
             .get("failures")
@@ -536,13 +545,9 @@ fn json_creates_missing_parent_directories_and_writes_atomically() {
 }
 
 #[test]
-fn supervision_flags_reject_conflicts_and_malformed_values() {
+fn supervision_flags_reject_malformed_values() {
     for args in [
-        // Fail-fast restores the unsupervised path: combining it with the
-        // supervision-only machinery is a usage error, not a silent no-op.
-        &["--fail-fast", "--checkpoint-dir", "/tmp/ck"][..],
-        &["--fail-fast", "--watchdog-secs", "5"],
-        &["--watchdog-secs"],
+        &["--watchdog-secs"][..],
         &["--watchdog-secs", "soon"],
         &["--watchdog-secs", "0"],
         &["--checkpoint-dir"],
@@ -554,21 +559,6 @@ fn supervision_flags_reject_conflicts_and_malformed_values() {
         assert!(stderr.contains("Usage: report"));
         assert!(out.stdout.is_empty(), "usage errors must not print tables");
     }
-}
-
-#[test]
-fn fail_fast_output_is_byte_identical_to_supervised_on_healthy_tables() {
-    // On tables with no failing runs the supervised (default) and
-    // fail-fast paths must produce exactly the same tables.
-    let supervised = report(&["--quick", "--e7", "--jobs", "2"]);
-    let fail_fast = report(&["--quick", "--e7", "--jobs", "2", "--fail-fast"]);
-    assert!(supervised.status.success());
-    assert!(fail_fast.status.success());
-    assert!(!supervised.stdout.is_empty());
-    assert_eq!(
-        supervised.stdout, fail_fast.stdout,
-        "healthy sweeps must not depend on the supervision mode"
-    );
 }
 
 #[test]

@@ -11,8 +11,7 @@
 //! * the liveness conditions (minimum δ-progress per move),
 //! * physical validity (motion stops at first contact; discs never overlap).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::time::Instant;
 
 use fatrobots_core::{ComputeScratch, Decision, Strategy};
 use fatrobots_geometry::visibility::VisibilityConfig;
@@ -27,39 +26,29 @@ use crate::world::{World, WorldMode};
 /// Tolerance for "the robot reached its target" and for contact detection.
 const ARRIVAL_TOL: f64 = 1e-9;
 
-/// A cooperative cancellation flag for [`Simulator::run`] /
+/// A cooperative cancellation deadline for [`Simulator::run`] /
 /// [`Simulator::run_observed`].
 ///
-/// The default (disarmed) flag can never fire and costs one branch per
-/// event. An armed flag ([`CancelFlag::armed`]) is a shared atomic a
-/// supervisor — the sweep pool's watchdog, say — can raise from another
-/// thread; the event loop polls it between events and stops gracefully at
-/// the next event boundary, returning a [`RunOutcome`] with
-/// [`cancelled`](RunOutcome::cancelled) set. Cancellation never tears an
-/// event in half: the world state stays valid, exactly as if the event
-/// budget had run out.
-#[derive(Debug, Clone, Default)]
-pub struct CancelFlag(Option<Arc<AtomicBool>>);
+/// The default flag has no deadline and never fires; the event loop then
+/// never reads the clock. A flag built with [`CancelFlag::at`] — by the
+/// sweep's watchdog, say — is checked between events, and once its
+/// deadline has passed the loop stops at the next event boundary, returning
+/// a [`RunOutcome`] with [`cancelled`](RunOutcome::cancelled) set.
+/// Cancellation never tears an event in half: the world state stays valid,
+/// exactly as if the event budget had run out.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CancelFlag(Option<Instant>);
 
 impl CancelFlag {
-    /// A flag that can actually be raised (the default is inert).
-    pub fn armed() -> Self {
-        CancelFlag(Some(Arc::new(AtomicBool::new(false))))
+    /// A flag that fires once `deadline` has passed.
+    pub fn at(deadline: Instant) -> Self {
+        CancelFlag(Some(deadline))
     }
 
-    /// Raises the flag. No-op on a disarmed flag.
-    pub fn cancel(&self) {
-        if let Some(flag) = &self.0 {
-            flag.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether the flag has been raised. Always `false` when disarmed.
+    /// Whether the deadline has passed. Always `false` (and clock-free)
+    /// without one.
     pub fn is_cancelled(&self) -> bool {
-        match &self.0 {
-            Some(flag) => flag.load(Ordering::Relaxed),
-            None => false,
-        }
+        self.0.is_some_and(|deadline| Instant::now() >= deadline)
     }
 }
 
@@ -100,10 +89,10 @@ pub struct SimConfig {
     /// world's fan-out of a large row refresh across the host's cores,
     /// which needs no setting and matches the serial refresh exactly.
     pub threads: usize,
-    /// Cooperative cancellation flag polled between events by
-    /// [`Simulator::run`] / [`Simulator::run_observed`]. The default
-    /// disarmed flag never fires; the supervised sweep pool arms one per
-    /// run so its watchdog can stop a hung run at a clean event boundary.
+    /// Cooperative cancellation deadline checked between events by
+    /// [`Simulator::run`] / [`Simulator::run_observed`]. The default has
+    /// none and never fires; the sweep's watchdog sets one per run so a
+    /// hung run stops at a clean event boundary.
     pub cancel: CancelFlag,
 }
 
@@ -650,7 +639,7 @@ mod tests {
     fn first_contact_distance_geometry() {
         let dir = Vec2::new(1.0, 0.0);
         // Head-on: contact when the centers are 2 apart (minus the tiny
-        // anti-interpenetration backoff).
+        // anti-interpenetration margin, `CONTACT_BACKOFF`).
         assert!(
             (first_contact_distance(p(0.0, 0.0), dir, p(10.0, 0.0)).unwrap() - 8.0).abs() < 1e-6
         );
@@ -706,6 +695,28 @@ mod tests {
         let outcome = sim.run();
         assert!(!outcome.terminated);
         assert!(outcome.events <= 10);
+    }
+
+    #[test]
+    fn a_deadline_cancels_only_once_it_has_passed() {
+        let centers = vec![p(0.0, 0.0), p(4.0, 0.0), p(2.0, 3.5)];
+        let run_with = |cancel| {
+            let mut sim = paper_sim(centers.clone(), 20_000);
+            sim.config.cancel = cancel;
+            sim.run()
+        };
+        let expired = run_with(CancelFlag::at(Instant::now()));
+        assert!(expired.cancelled);
+        assert!(!expired.terminated && !expired.gathered);
+        assert_eq!(
+            expired.events, 0,
+            "an expired deadline stops before the first event"
+        );
+
+        let far = Instant::now() + std::time::Duration::from_secs(3600);
+        let unbounded = run_with(CancelFlag::default());
+        assert!(!unbounded.cancelled && unbounded.events > 0);
+        assert_eq!(run_with(CancelFlag::at(far)), unbounded);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The experiment harness behind the `report` CLI.
 //!
-//! Every table `report` prints (README, "The `report` CLI") is produced by
-//! one of the `*_table` functions below; the `report` binary in
-//! `fatrobots-bench` simply calls them and prints the rows, and the
-//! Criterion benches reuse the same functions so the published numbers and
+//! Every table `report` prints (README, "The `report` CLI") is built by
+//! one of the `*_table_spec` functions below; the `report` binary in
+//! `fatrobots-bench` simply executes them and prints the rows, and the
+//! benchmark harness reuses the same functions so the published numbers and
 //! the benchmarked code paths cannot drift apart.
 
 use std::fmt;
@@ -18,7 +18,7 @@ use fatrobots_scheduler::{
 use crate::engine::{CancelFlag, SimConfig, Simulator};
 use crate::init::Shape;
 use crate::shadow::{ShadowExecutor, ShadowStats};
-use crate::sweep::{SweepFailure, SweepPool};
+use crate::sweep::{SupervisionPolicy, SweepFailure, SweepPool};
 use crate::world::WorldMode;
 
 /// Which local decision rule a run uses.
@@ -295,7 +295,7 @@ pub struct RunSummary {
     pub shadow: Option<ShadowStats>,
 }
 
-/// How a supervised run ended.
+/// How a run under a [`CancelFlag`] ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunStatus {
     /// The run finished (terminated, or ran out of event budget) and
@@ -315,15 +315,15 @@ pub fn run(spec: &RunSpec) -> RunSummary {
     match run_with_hooks(spec, CancelFlag::default()) {
         RunStatus::Completed(summary) => *summary,
         RunStatus::Cancelled { .. } => {
-            unreachable!("a disarmed cancel flag can never cancel a run")
+            unreachable!("a flag without a deadline can never cancel a run")
         }
     }
 }
 
-/// [`run`] under a cooperative cancellation flag, polled by the engine
-/// between events ([`SimConfig::cancel`]). Arm it and raise it from a
-/// watchdog to stop a hung run at a clean event boundary. The flag only
-/// watches, so a completed run returns exactly [`run`]'s summary.
+/// [`run`] under a cooperative cancellation deadline, checked by the engine
+/// between events ([`SimConfig::cancel`]), so a hung run stops at a clean
+/// event boundary. The deadline only watches, so a completed run returns
+/// exactly [`run`]'s summary.
 pub fn run_with_hooks(spec: &RunSpec, cancel: CancelFlag) -> RunStatus {
     let centers = spec.shape.generate(spec.n, spec.seed);
     let config = SimConfig {
@@ -539,9 +539,9 @@ impl ExperimentTable {
 }
 
 /// A table before execution: identity, caption, and the labelled spec
-/// groups. Execute with [`TableSpec::execute`] (one-shot scoped sweep) or
-/// [`TableSpec::execute_on`] (a shared [`SweepPool`](crate::sweep::SweepPool)
-/// reused across tables, as the `report` binary does).
+/// groups. Execute with [`TableSpec::execute_supervised_on`], as the
+/// `report` binary does, or with [`TableSpec::execute`] in examples and
+/// tests.
 #[derive(Debug, Clone)]
 pub struct TableSpec {
     /// Stable identifier (`e1` … `e7`).
@@ -563,49 +563,29 @@ impl TableSpec {
             .collect()
     }
 
-    /// Slices flat summaries back into their rows.
-    fn assemble(self, summaries: Vec<RunSummary>) -> ExperimentTable {
-        let mut summaries = summaries.into_iter();
-        let groups = self
-            .groups
-            .into_iter()
-            .map(|g| GroupResult {
-                label: g.label,
-                summaries: summaries.by_ref().take(g.specs.len()).collect(),
-            })
-            .collect();
-        ExperimentTable {
-            id: self.id,
-            title: self.title,
-            groups,
-        }
-    }
-
-    /// Executes the table as one flat sweep over `jobs` one-shot workers.
+    /// Executes the table on a fresh [`SweepPool`] of `jobs` workers.
+    ///
+    /// # Panics
+    /// Panics on the first failed run.
     pub fn execute(self, jobs: usize) -> ExperimentTable {
-        let summaries = crate::sweep::run_sweep(&self.flat_specs(), jobs);
-        self.assemble(summaries)
+        let run =
+            self.execute_supervised_on(&SweepPool::new(jobs), &SupervisionPolicy::default(), None);
+        if let Some(failure) = run.failures.first() {
+            panic!("sweep run failed: {}", failure.message);
+        }
+        run.table
     }
 
-    /// Executes the table on a shared worker pool. The output is
-    /// byte-identical to [`TableSpec::execute`] with the pool's worker
-    /// count.
-    pub fn execute_on(self, pool: &mut SweepPool) -> ExperimentTable {
-        let summaries = pool.run(&self.flat_specs());
-        self.assemble(summaries)
-    }
-
-    /// [`TableSpec::execute_on`] under supervision: a panicking or
+    /// Executes the table on `pool`, each run once: a panicking or
     /// watchdog-cancelled run becomes a structured [`SweepFailure`] instead
     /// of aborting the sweep, and with a checkpoint session the table is
     /// crash-safe — rows already in the journal are loaded instead of
-    /// re-run, and every completed run is journalled as it finishes. A
-    /// failure-free, checkpoint-free call returns exactly
-    /// [`TableSpec::execute_on`]'s table.
+    /// re-run, and every completed run is journalled as it finishes. The
+    /// table is the same for every worker count.
     pub fn execute_supervised_on(
         self,
-        pool: &mut SweepPool,
-        policy: &crate::sweep::SupervisionPolicy,
+        pool: &SweepPool,
+        policy: &SupervisionPolicy,
         mut checkpoint: Option<&mut crate::checkpoint::CheckpointedSweep>,
     ) -> TableRun {
         let specs = self.flat_specs();
@@ -639,18 +619,15 @@ impl TableSpec {
                 summaries[to_run[pool_slot].0] = Some(summary);
             }
         }
-        let failures = outcome.failures;
         TableRun {
-            table: self.assemble_partial(summaries),
-            failures,
-            retries: outcome.retries,
+            table: self.assemble(summaries),
+            failures: outcome.failures,
         }
     }
 
-    /// [`TableSpec::assemble`] tolerating holes: failed runs simply do not
-    /// contribute a summary, so their row aggregates over the seeds that
-    /// did complete.
-    fn assemble_partial(self, summaries: Vec<Option<RunSummary>>) -> ExperimentTable {
+    /// Slices flat per-slot summaries back into their rows. Failed runs
+    /// leave holes, so their row aggregates over the seeds that completed.
+    fn assemble(self, summaries: Vec<Option<RunSummary>>) -> ExperimentTable {
         let mut summaries = summaries.into_iter();
         let groups = self
             .groups
@@ -668,37 +645,19 @@ impl TableSpec {
     }
 }
 
-/// The outcome of a supervised table execution: the assembled table (failed
-/// runs leave holes in their rows) plus the structured failures and the
-/// retry count, for the report's telemetry section and exit code.
+/// The outcome of a table execution: the assembled table (failed runs leave
+/// holes in their rows) plus the structured failures, for the report's
+/// telemetry section and exit code.
 #[derive(Debug, Clone)]
 pub struct TableRun {
     /// The assembled table; rows aggregate over their completed runs only.
     pub table: ExperimentTable,
-    /// One entry per run that exhausted its retries (or was quarantined).
+    /// One entry per failed run, in input order.
     pub failures: Vec<SweepFailure>,
-    /// Re-executions performed after a failed attempt, across all runs.
-    pub retries: u64,
-}
-
-/// Executes a table's groups as one flat sweep over `jobs` workers and
-/// slices the summaries back into their rows.
-pub fn sweep_table(
-    id: &'static str,
-    title: impl Into<String>,
-    groups: Vec<SpecGroup>,
-    jobs: usize,
-) -> ExperimentTable {
-    TableSpec {
-        id,
-        title: title.into(),
-        groups,
-    }
-    .execute(jobs)
 }
 
 /// Robot counts at or above this threshold run with the bounded
-/// [`LARGE_N_EVENT_CAP`] budget in [`scaling_table`].
+/// [`LARGE_N_EVENT_CAP`] budget in [`scaling_table_spec`].
 pub const LARGE_N_THRESHOLD: usize = 48;
 
 /// Event budget for the large-`n` rows of E1. The paper's algorithm does
@@ -708,13 +667,8 @@ pub const LARGE_N_THRESHOLD: usize = 48;
 /// window instead of time-to-gather.
 pub const LARGE_N_EVENT_CAP: usize = 60_000;
 
-/// E1 — gathering success and cost versus the number of robots.
-pub fn scaling_table(ns: &[usize], seeds: &[u64], jobs: usize) -> ExperimentTable {
-    scaling_table_spec(ns, seeds).execute(jobs)
-}
-
-/// The [`TableSpec`] behind [`scaling_table`], with the default
-/// [`LARGE_N_EVENT_CAP`] budget on the large-`n` rows.
+/// E1 — gathering success and cost versus the number of robots, with the
+/// default [`LARGE_N_EVENT_CAP`] budget on the large-`n` rows.
 pub fn scaling_table_spec(ns: &[usize], seeds: &[u64]) -> TableSpec {
     scaling_table_spec_with_cap(ns, seeds, LARGE_N_EVENT_CAP)
 }
@@ -744,11 +698,6 @@ pub fn scaling_table_spec_with_cap(ns: &[usize], seeds: &[u64], event_cap: usize
 }
 
 /// E2/E3 — hull-expansion and convergence monotonicity per initial shape.
-pub fn expansion_table(n: usize, seeds: &[u64], jobs: usize) -> ExperimentTable {
-    expansion_table_spec(n, seeds).execute(jobs)
-}
-
-/// The [`TableSpec`] behind [`expansion_table`].
 pub fn expansion_table_spec(n: usize, seeds: &[u64]) -> TableSpec {
     TableSpec {
         id: "e2e3",
@@ -768,11 +717,6 @@ pub fn expansion_table_spec(n: usize, seeds: &[u64]) -> TableSpec {
 }
 
 /// E4 — behaviour under each adversary.
-pub fn adversary_table(n: usize, seeds: &[u64], jobs: usize) -> ExperimentTable {
-    adversary_table_spec(n, seeds).execute(jobs)
-}
-
-/// The [`TableSpec`] behind [`adversary_table`].
 pub fn adversary_table_spec(n: usize, seeds: &[u64]) -> TableSpec {
     TableSpec {
         id: "e4",
@@ -790,11 +734,6 @@ pub fn adversary_table_spec(n: usize, seeds: &[u64]) -> TableSpec {
 }
 
 /// E5 — the paper's algorithm versus the baselines, for a given `n`.
-pub fn baseline_table(n: usize, seeds: &[u64], jobs: usize) -> ExperimentTable {
-    baseline_table_spec(n, seeds).execute(jobs)
-}
-
-/// The [`TableSpec`] behind [`baseline_table`].
 pub fn baseline_table_spec(n: usize, seeds: &[u64]) -> TableSpec {
     TableSpec {
         id: "e5",
@@ -819,11 +758,6 @@ pub fn baseline_table_spec(n: usize, seeds: &[u64]) -> TableSpec {
 }
 
 /// E6 — sensitivity to the liveness distance δ.
-pub fn delta_table(n: usize, deltas: &[f64], seeds: &[u64], jobs: usize) -> ExperimentTable {
-    delta_table_spec(n, deltas, seeds).execute(jobs)
-}
-
-/// The [`TableSpec`] behind [`delta_table`].
 pub fn delta_table_spec(n: usize, deltas: &[f64], seeds: &[u64]) -> TableSpec {
     TableSpec {
         id: "e6",
@@ -841,11 +775,6 @@ pub fn delta_table_spec(n: usize, deltas: &[f64], seeds: &[u64]) -> TableSpec {
 }
 
 /// E7 — sensitivity to the initial configuration shape.
-pub fn shape_table(n: usize, seeds: &[u64], jobs: usize) -> ExperimentTable {
-    shape_table_spec(n, seeds).execute(jobs)
-}
-
-/// The [`TableSpec`] behind [`shape_table`].
 pub fn shape_table_spec(n: usize, seeds: &[u64]) -> TableSpec {
     TableSpec {
         id: "e7",
@@ -873,14 +802,9 @@ pub const SCALE_TABLE_EVENT_CAP: usize = 64;
 
 /// `scale` — large-n event throughput over the sparse world (n ∈ {10³,
 /// 10⁴}), so the scaling curve the CI `scale` job gates is also tracked in
-/// the committed baseline.
-pub fn scale_table(event_cap: usize, jobs: usize) -> ExperimentTable {
-    scale_table_spec(event_cap).execute(jobs)
-}
-
-/// The [`TableSpec`] behind [`scale_table`]. One seed per row: the hex
-/// packing is deterministic and the round-robin schedule seed-free, so
-/// extra seeds would replay the same run. `--event-cap` below the default
+/// the committed baseline. One seed per row: the hex packing is
+/// deterministic and the round-robin schedule seed-free, so extra seeds
+/// would replay the same run. `--event-cap` below the default
 /// [`SCALE_TABLE_EVENT_CAP`] tightens the window further.
 pub fn scale_table_spec(event_cap: usize) -> TableSpec {
     TableSpec {
@@ -982,7 +906,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_table_slices_summaries_back_into_rows() {
+    fn executed_tables_slice_summaries_back_into_rows() {
         let seeds = [1u64, 2];
         let groups = vec![
             SpecGroup::per_seed("n=3", &seeds, |seed| RunSpec {
@@ -994,7 +918,12 @@ mod tests {
                 ..RunSpec::new(4, seed)
             }),
         ];
-        let table = sweep_table("t", "test table", groups, 2);
+        let table = TableSpec {
+            id: "t",
+            title: "test table".into(),
+            groups,
+        }
+        .execute(2);
         assert_eq!(table.id, "t");
         assert_eq!(table.groups.len(), 2);
         assert_eq!(table.rows().len(), 2);
@@ -1012,7 +941,7 @@ mod tests {
     #[test]
     fn tables_agree_with_direct_runs() {
         let seeds = [1u64];
-        let table = scaling_table(&[3], &seeds, 2);
+        let table = scaling_table_spec(&[3], &seeds).execute(2);
         let direct = run(&RunSpec::new(3, 1));
         assert_eq!(table.groups[0].summaries[0], direct);
         assert_eq!(table.rows()[0].label, "n=3");
@@ -1157,21 +1086,15 @@ mod tests {
 
     #[test]
     fn supervised_table_converts_a_panicking_run_into_a_failure_row() {
-        let mut pool = crate::sweep::SweepPool::new(2);
-        let policy = crate::sweep::SupervisionPolicy {
-            backoff: std::time::Duration::ZERO,
-            ..crate::sweep::SupervisionPolicy::default()
-        };
-        let run = poisoned_table_spec().execute_supervised_on(&mut pool, &policy, None);
-        // The poisoned run becomes one structured failure row with its
-        // retry budget spent; every healthy run still completes.
+        let pool = SweepPool::new(2);
+        let run =
+            poisoned_table_spec().execute_supervised_on(&pool, &SupervisionPolicy::default(), None);
+        // The poisoned run becomes one structured failure row; every
+        // healthy run still completes.
         assert_eq!(run.failures.len(), 1);
         let failure = &run.failures[0];
         assert_eq!(failure.spec.n, 0);
-        assert_eq!(failure.attempts, policy.max_retries + 1);
-        assert!(failure.quarantined);
-        assert!(!failure.message.is_empty());
-        assert_eq!(run.retries, policy.max_retries as u64);
+        assert!(failure.message.starts_with("panic:"), "{}", failure.message);
         let rows = run.table.rows();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].runs, 2, "the healthy row keeps both seeds");
@@ -1192,8 +1115,14 @@ mod tests {
                 .collect(),
             ..poisoned_table_spec()
         };
-        let reference = healthy_only.execute_on(&mut pool);
+        let reference = healthy_only.execute(2);
         assert_eq!(run.table.rows(), reference.rows());
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep run failed: panic:")]
+    fn execute_panics_on_a_failed_run() {
+        let _ = poisoned_table_spec().execute(2);
     }
 
     #[test]
@@ -1211,12 +1140,12 @@ mod tests {
                 .collect(),
             ..poisoned_table_spec()
         };
-        let mut pool = crate::sweep::SweepPool::new(2);
-        let policy = crate::sweep::SupervisionPolicy::default();
+        let pool = SweepPool::new(2);
+        let policy = SupervisionPolicy::default();
 
         let mut first =
             crate::checkpoint::CheckpointedSweep::open(&journal).expect("journal opens");
-        let cold = spec().execute_supervised_on(&mut pool, &policy, Some(&mut first));
+        let cold = spec().execute_supervised_on(&pool, &policy, Some(&mut first));
         assert_eq!(
             first.telemetry().resumed_rows,
             0,
@@ -1227,7 +1156,7 @@ mod tests {
         // the journal — bit-identical, without re-running anything.
         let mut second =
             crate::checkpoint::CheckpointedSweep::open(&journal).expect("journal reopens");
-        let warm = spec().execute_supervised_on(&mut pool, &policy, Some(&mut second));
+        let warm = spec().execute_supervised_on(&pool, &policy, Some(&mut second));
         assert_eq!(second.telemetry().resumed_rows, 3, "all three runs resume");
         assert_eq!(warm.table, cold.table, "resumed tables are identical");
 

@@ -37,11 +37,10 @@
 //!   fault × n × seed under an event budget hunting non-gathering runs,
 //!   shrinks finds via deterministic replay, and emits the livelock
 //!   regression fixtures under `tests/fixtures/livelock/`;
-//! * [`sweep`] — the parallel sweep engine: fans `RunSpec`s out over a
-//!   scoped worker pool and returns summaries in deterministic input
-//!   order, with a supervised mode that converts panicking runs into
-//!   structured failure rows (bounded retries, quarantine) and reaps hung
-//!   runs via a wall-clock watchdog;
+//! * [`sweep`] — the sweep dispatcher: runs each `RunSpec` once, inline or
+//!   on per-call scoped workers, and returns summaries in deterministic
+//!   input order; a panicking run or one past its watchdog deadline
+//!   becomes a structured failure row instead of aborting the sweep;
 //! * [`world`] — the incremental world state: ground-truth centers plus a
 //!   sparse pairwise visibility store (lazy dirty-pair invalidation over a
 //!   hierarchical spatial grid), cached hull/connectivity/validity, and a
