@@ -58,9 +58,11 @@ const ACTIVE: usize = 16;
 /// per move.
 const AMPLITUDE: f64 = 0.02;
 /// Peak-heap gate. The sparse world's footprint is dominated by the
-/// ACTIVE·n computed pair entries plus their corridor registrations (tens
-/// of MB); an n(n−1)/2 pair triangle alone would blow this at n = 10⁴.
-const PEAK_BUDGET_BYTES: u64 = 256 * 1024 * 1024;
+/// ACTIVE·n computed pair entries plus their 8-byte corridor
+/// registrations (tens of MB); an n(n−1)/2 pair triangle alone would blow
+/// this at n = 10⁴, and so would registrations grown back to their old
+/// 16 bytes plus a little slack.
+const PEAK_BUDGET_BYTES: u64 = 64 * 1024 * 1024;
 /// Throughput floor: the run must also *finish promptly*, not just finish.
 /// Measured steady state is ~340 events/s on a weak single-core container
 /// (dominated by the ~60 near-ring pair recomputes per event — certified

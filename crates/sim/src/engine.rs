@@ -259,8 +259,9 @@ impl Simulator {
     }
 
     /// Pair-store telemetry: `(entries, registrations)` of the world's
-    /// visibility pair store — materialized pair entries and live corridor
-    /// registrations (see [`World::pair_store_stats`]).
+    /// visibility pair store — materialized pair entries and stored
+    /// corridor registrations, dead ones awaiting compaction included (see
+    /// [`World::pair_store_stats`]).
     pub fn pair_store_stats(&self) -> (u64, u64) {
         self.world.pair_store_stats()
     }

@@ -7,10 +7,11 @@
 //! of being recomputed from scratch on every event:
 //!
 //! * a **sparse visibility store**: per-robot sorted adjacency lists plus a
-//!   hash-map pair store that materializes only the pairs actually
-//!   computed, each entry invalidated when a move can actually have
-//!   changed the pair's answer — memory is linear in n plus the computed
-//!   pairs, never Θ(n²);
+//!   pair store that materializes only the pairs actually computed — a
+//!   hash map from each pair to a stable dense id, and a slab of 16-byte
+//!   entries indexed by it — each entry invalidated when a move can
+//!   actually have changed the pair's answer. Memory is linear in n plus
+//!   the computed pairs, never Θ(n²);
 //! * the **convex hull** (and the all-on-hull flag), the **connectivity**
 //!   predicate, the **validity** (no-overlap) predicate and the minimum
 //!   pairwise gap, each tagged with a configuration version and recomputed
@@ -34,14 +35,20 @@
 //!   the cell it entered (at every level) are drained; exactly those pairs
 //!   are marked dirty and queued on both endpoints' pending rows.
 //!
+//! A registration is 8 bytes: the pair's slab id plus its generation and
+//! certified flag. The drain and the compaction sweeps index the slab by
+//! id and never hash; only planning a row refresh and a direct
+//! [`World::sees`] probe look a pair up, once per candidate.
+//!
 //! The cover is a superset of the cells that can hold a relevant obstacle
 //! (and always contains the endpoints' own cells), so a stale hit is
 //! impossible: any robot whose move can change the pair's answer — either
 //! endpoint, a robot leaving the corridor, a robot entering it — stamps a
 //! registered cell. Cache hits are O(1); a move dirties only the pairs
 //! registered on the touched cells; a row refresh recomputes only its
-//! queued dirty pairs. A long chord through a dense region is first tried
-//! against the few obstacles near its midpoint, and only when their strip
+//! queued dirty pairs (plan, compute, commit — see [`World::refresh_row`]).
+//! A long chord through a dense region is first tried against the few
+//! obstacles near its midpoint, and only when their strip
 //! cover does not certify it blocked is it recomputed against the whole
 //! grid-pruned corridor slice (see [`World::compute_pair_answer`]). Pairs
 //! whose corridor a strip cover certifies blocked survive in-drift moves
@@ -60,8 +67,7 @@
 //! the equivalence event-for-event.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use fatrobots_geometry::grid::{CellCoord, CellHashBuilder, CellMap, UniformGrid, GRID_LEVELS};
 use fatrobots_geometry::hull::{ConvexHull, HullScratch};
@@ -93,16 +99,21 @@ const CONTACT_QUERY_MARGIN: f64 = 1e-3;
 /// bounded.
 const REGISTRATION_COMPACT_LEN: usize = 64;
 
-/// Pair recomputes from which a sparse row refresh fans its kernels out
-/// across cores ([`compute_pair_answers`]). Measured on a
-/// 2-vCPU host (rustc 1.95) as first-row refreshes at width 2 vs serial:
-/// random spreads gain 1.2× at 128 pairs and 1.55× at 512. Jittered hex
-/// packings gain 1.9× at 10⁴ pairs, but in host windows where their
-/// strip-cover kernels got nothing from the second vCPU they lost 5–10%
-/// below 256 pairs (thread spawn plus answer map) and broke even from 384.
+/// Plan length from which a sparse row refresh fans its pair kernels out
+/// across cores ([`World::compute_answers`]). Measured on a 2-vCPU host
+/// (rustc 1.95) as first-row refreshes at width 2 vs serial: random
+/// spreads gain 1.2× at 128 pairs and 1.55× at 512. Jittered hex packings
+/// gain 1.9× at 10⁴ pairs, but in host windows where their strip-cover
+/// kernels got nothing from the second vCPU they lost 5–10% below 256
+/// pairs (thread spawn and answer bookkeeping) and broke even from 384.
 /// At 512 that overhead stays under 3% of the row even then, and rows of
 /// the n ≤ 96 experiment tables (at most 95 pairs) never fan out.
 const ROW_FANOUT_MIN_PAIRS: usize = 512;
+
+/// Plan entries a fan-out worker claims at a time: the shared claim lock
+/// is taken ~150 times per 10⁴-pair row, and the workers finish within
+/// one chunk's kernels of each other.
+const FANOUT_CHUNK: usize = 64;
 
 /// The host's parallelism, read once: the width of the row fan-out.
 fn host_parallelism() -> usize {
@@ -114,7 +125,7 @@ fn host_parallelism() -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorldMode {
     /// The incremental world (the default): per-robot adjacency lists, a
-    /// hash-map pair store that only materializes computed pairs, and
+    /// slab-indexed pair store that only materializes computed pairs, and
     /// corridor registrations placed at a chord-length-matched grid level
     /// so each pair holds O(1) cells. Answers are event-for-event identical
     /// to [`WorldMode::Scratch`] (same kernels); memory is linear in
@@ -125,13 +136,18 @@ pub enum WorldMode {
     Scratch,
 }
 
-/// One cached visibility entry (for the unordered pair it is indexed by).
+/// One cached visibility entry: slot `id` of the pair-store slab, for the
+/// unordered pair `{a, b}` (`a < b`). The endpoints live here, not in the
+/// registrations, so a drain reads them with one index.
 #[derive(Debug, Clone, Copy)]
 struct PairEntry {
-    seen: bool,
-    /// Bumped on every recompute; cell registrations carrying an older
-    /// generation are dead.
+    a: u32,
+    b: u32,
+    /// Bumped (mod 2³¹, the width [`SparseRef`] keeps) on every
+    /// recompute; cell registrations carrying an older generation are
+    /// dead.
     gen: u32,
+    seen: bool,
     dirty: bool,
     /// The last recompute certified "blocked" through
     /// [`strip_cover_blocked_with_slack`], so the answer provably stays
@@ -139,11 +155,19 @@ struct PairEntry {
     /// obstacle — remains within [`CERT_DRIFT_RADIUS`] of its anchor.
     /// Lets the drain *skip* a certified registration for any in-drift
     /// move with a single branch (the flag is copied into the
-    /// registration record, so no pair-store lookup is needed): the
-    /// mechanism that makes both a mover's own far-pair row and the
-    /// thousands of third-party corridors crossing its cell survive
-    /// oscillation with zero per-move work.
+    /// registration, so the slab is not even indexed): the mechanism that
+    /// makes both a mover's own far-pair row and the thousands of
+    /// third-party corridors crossing its cell survive oscillation with
+    /// zero per-move work.
     certified: bool,
+}
+
+impl PairEntry {
+    /// `true` when `r` is this entry's current registration: the pair is
+    /// clean and has not been recomputed since `r` was written.
+    fn is_current(&self, r: SparseRef) -> bool {
+        !self.dirty && self.gen == r.gen()
+    }
 }
 
 /// Maximum distance a robot may drift from its anchor before the anchor
@@ -181,24 +205,51 @@ fn pair_key(a: usize, b: usize) -> u64 {
     ((a as u64) << 32) | b as u64
 }
 
-/// One corridor registration: pair `{a, b}` at generation `gen` depends on
-/// the registered cell. The endpoints ride along so a drain can test the
-/// mover against the pair's chord without a pair-store lookup.
+/// One corridor registration: the pair in slab slot `id` depends on the
+/// registered cell. `tag` packs the pair's generation at registration time
+/// (low 31 bits) with a copy of its [`PairEntry::certified`] flag (top
+/// bit), so the drain fast path skips certified registrations without
+/// touching the slab. A stale flag is harmless: if the pair has since been
+/// recomputed, this ref is dead (generation mismatch) and skipping it
+/// merely retains garbage — the *live* registration written by that
+/// recompute carries the current flag and is the one that matters. Stale
+/// refs are reaped by the drain's slow path and the amortized compaction
+/// sweeps.
 #[derive(Debug, Clone, Copy)]
 struct SparseRef {
-    a: u32,
-    b: u32,
-    gen: u32,
-    /// Copy of [`PairEntry::certified`] at registration time, so the drain
-    /// fast path can skip certified registrations without touching the
-    /// pair store. A stale copy is harmless: if the pair has since been
-    /// recomputed, this ref is dead (generation mismatch) and skipping it
-    /// merely retains garbage — the *live* registration written by that
-    /// recompute carries the current flag and is the one that matters.
-    /// Stale refs are reaped by the drain's slow path and the amortized
-    /// compaction sweeps.
-    certified: bool,
+    id: u32,
+    tag: u32,
 }
+
+impl SparseRef {
+    /// The certified bit of `tag`.
+    const CERTIFIED: u32 = 1 << 31;
+    /// The generation bits of `tag`.
+    const GEN_MASK: u32 = Self::CERTIFIED - 1;
+
+    fn new(id: u32, gen: u32, certified: bool) -> Self {
+        debug_assert!(gen <= Self::GEN_MASK);
+        let tag = if certified {
+            gen | Self::CERTIFIED
+        } else {
+            gen
+        };
+        SparseRef { id, tag }
+    }
+
+    fn gen(self) -> u32 {
+        self.tag & Self::GEN_MASK
+    }
+
+    fn certified(self) -> bool {
+        self.tag & Self::CERTIFIED != 0
+    }
+}
+
+// Registrations outnumber pair entries ~10× on dense packings; both
+// layouts are part of the scale gate's memory budget.
+const _: () = assert!(std::mem::size_of::<SparseRef>() == 8);
+const _: () = assert!(std::mem::size_of::<PairEntry>() == 16);
 
 /// A cell's corridor registrations plus its amortized-compaction watermark:
 /// the list is swept for dead entries only when it doubles past its size
@@ -223,9 +274,13 @@ struct PendingRow {
 /// what has actually been computed, never by n².
 #[derive(Debug, Default)]
 struct SparseVis {
-    /// Pair entries for every pair computed so far, keyed by [`pair_key`].
-    /// Absent means "never computed" — treated as a dirty, unseen entry.
-    pairs: HashMap<u64, PairEntry, CellHashBuilder>,
+    /// Slab id of every pair computed so far, keyed by [`pair_key`].
+    /// Pairs are never removed, so ids are stable. Absent means "never
+    /// computed" — [`SparseVis::intern`] materializes a dirty, unseen
+    /// entry.
+    ids: HashMap<u64, u32, CellHashBuilder>,
+    /// The pair entries, indexed by id.
+    slab: Vec<PairEntry>,
     /// Sorted adjacency: `adj[i]` holds exactly the robots whose pair with
     /// `i` is stored with `seen == true` (possibly dirty — a row refresh
     /// recomputes the dirty pairs before the list is read).
@@ -237,6 +292,26 @@ struct SparseVis {
     row_init: Vec<bool>,
     /// Corridor registrations per grid level (index = level).
     regs: [CellMap<SparseCellRegs>; GRID_LEVELS],
+}
+
+impl SparseVis {
+    /// The slab id of the pair `{a, b}` (`a < b`), materializing a fresh
+    /// dirty, unseen entry for a pair never computed: one hash probe.
+    fn intern(&mut self, a: usize, b: usize) -> u32 {
+        let slab = &mut self.slab;
+        *self.ids.entry(pair_key(a, b)).or_insert_with(|| {
+            let id = u32::try_from(slab.len()).expect("pair ids fit in u32");
+            slab.push(PairEntry {
+                a: a as u32,
+                b: b as u32,
+                gen: 0,
+                seen: false,
+                dirty: true,
+                certified: false,
+            });
+            id
+        })
+    }
 }
 
 /// Queues `j` on a pending row, keeping the queue bounded by the number of
@@ -268,22 +343,17 @@ fn adj_remove(list: &mut Vec<u32>, v: u32) {
 }
 
 /// One pair visibility answer computed **read-only** by
-/// [`World::compute_pair_answer`], ready to be injected into a row refresh
-/// ([`World::refresh_row_with`]). Carrying the answer instead of
-/// recomputing it at commit time is what lets the row fan-out run the pair
-/// kernels on a shared `&World` across cores while the serial commit
-/// replays every piece of bookkeeping (generation bumps, registrations,
-/// view versions, telemetry) in the refresh's own order.
-#[derive(Debug, Clone, Copy)]
+/// [`World::compute_pair_answer`], committed by [`World::commit_pair`].
+/// Splitting the two is what lets the row fan-out run the pair kernels on
+/// a shared `&World` across cores while the serial commit replays every
+/// piece of bookkeeping (generation bumps, registrations, view versions,
+/// telemetry) in plan order.
+#[derive(Debug, Clone, Copy, Default)]
 struct PairAnswer {
-    /// Lower endpoint of the unordered pair.
-    a: usize,
-    /// Upper endpoint of the unordered pair (`a < b`).
-    b: usize,
     /// The kernel's visibility verdict for the pair.
     seen: bool,
     /// The answer was certified "blocked" by the slack strip cover (see
-    /// [`PairEntry::certified`]'s doc on the `World` internals).
+    /// [`PairEntry::certified`]).
     certified: bool,
     /// The answer came from a strip cover (slack or exact) instead of the
     /// witness kernel — replayed into the `cover_answers` telemetry at
@@ -301,72 +371,6 @@ struct PairProbe {
     sy: Vec<f64>,
     keep: Vec<u32>,
     obs: Vec<Point>,
-}
-
-/// Precomputed pair answers keyed by unordered pair, injected into
-/// [`World::refresh_row_with`]. An absent pair is not an error — the
-/// commit simply recomputes it serially, so injection can only change
-/// *where* a kernel runs, never its result.
-#[derive(Debug, Default)]
-struct PairAnswers {
-    map: HashMap<u64, PairAnswer, CellHashBuilder>,
-}
-
-impl PairAnswers {
-    /// Drops every stored answer (keeps the allocation).
-    fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    /// Stores one computed answer (last write wins).
-    fn insert(&mut self, answer: PairAnswer) {
-        self.map.insert(pair_key(answer.a, answer.b), answer);
-    }
-
-    /// The stored answer for the unordered pair `{a, b}`, if any.
-    fn get(&self, a: usize, b: usize) -> Option<&PairAnswer> {
-        self.map.get(&pair_key(a, b))
-    }
-}
-
-/// Computes the answers for `pairs` against a frozen `world` on `threads`
-/// threads (calling thread included), leaving the results in `out`. The
-/// per-pair computation is [`World::compute_pair_answer`] — read-only and
-/// thread-independent — so the result set is identical for every width.
-/// Only [`World::refresh_row`] calls it, with width > 1 and at least
-/// `ROW_FANOUT_MIN_PAIRS` pairs.
-fn compute_pair_answers(
-    world: &World,
-    pairs: &[(usize, usize)],
-    threads: usize,
-    out: &mut PairAnswers,
-) {
-    out.clear();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<PairAnswer>> = pairs.iter().map(|_| OnceLock::new()).collect();
-    let worker = || {
-        let mut probe = PairProbe::default();
-        loop {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= pairs.len() {
-                break;
-            }
-            let (a, b) = pairs[k];
-            let _ = slots[k].set(world.compute_pair_answer(a, b, &mut probe));
-        }
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..threads.min(pairs.len()) {
-            scope.spawn(worker);
-        }
-        worker();
-    });
-    for slot in slots {
-        out.insert(
-            slot.into_inner()
-                .expect("every claimed task stores its answer"),
-        );
-    }
 }
 
 /// A computed minimum pairwise gap: the gap value plus the (ascending)
@@ -463,9 +467,11 @@ pub struct World {
     /// Threads a large sparse row refresh fans its pair kernels out over
     /// (calling thread included); 1 keeps every refresh serial.
     row_fanout_width: usize,
-    /// Reusable plan and answer buffers of the row fan-out.
-    fanout_plan: Vec<(usize, usize)>,
-    fanout_answers: PairAnswers,
+    /// Reusable buffers of [`Self::refresh_row`]: the slab ids of the
+    /// pairs to recompute, and their answers (aligned with the plan). Both
+    /// hold the last refresh's contents until the next one.
+    plan: Vec<u32>,
+    answers: Vec<PairAnswer>,
 }
 
 impl World {
@@ -518,8 +524,8 @@ impl World {
             cand_buf: Vec::new(),
             probe: PairProbe::default(),
             row_fanout_width: host_parallelism(),
-            fanout_plan: Vec::new(),
-            fanout_answers: PairAnswers::default(),
+            plan: Vec::new(),
+            answers: Vec::new(),
         }
     }
 
@@ -562,13 +568,15 @@ impl World {
     }
 
     /// Pair-store telemetry: `(entries, registrations)` — materialized pair
-    /// entries and live corridor registrations. The entry count is only
-    /// the pairs actually computed, which is what the scale gate's
-    /// linear-memory assertion watches. Both are 0 in
-    /// [`WorldMode::Scratch`] (whose store stays empty).
+    /// entries and stored corridor registrations. The registration count
+    /// includes dead registrations not yet dropped by a drain or a
+    /// compaction sweep, so it measures the lists' memory, not the live
+    /// corridors. The entry count is only the pairs actually computed,
+    /// which is what the scale gate's linear-memory assertion watches.
+    /// Both are 0 in [`WorldMode::Scratch`] (whose store stays empty).
     pub fn pair_store_stats(&self) -> (u64, u64) {
         (
-            self.sparse.pairs.len() as u64,
+            self.sparse.slab.len() as u64,
             self.sparse
                 .regs
                 .iter()
@@ -724,7 +732,7 @@ impl World {
     fn dirty_cell(&mut self, level: usize, cell: CellCoord, mover: usize, old: Point, new: Point) {
         use std::collections::hash_map::Entry;
         let SparseVis {
-            pairs,
+            slab,
             pending,
             regs,
             ..
@@ -743,23 +751,21 @@ impl World {
         // registration — the mover's own pairs *and* third-party corridors
         // crossing this cell — provably keeps its "blocked" answer (see
         // [`CERT_DRIFT_RADIUS`]), so the fast path below retains it with
-        // one branch and no pair-store lookup. A move beyond the radius
+        // one branch and no slab access. A move beyond the radius
         // makes this `false` for the whole drain, which dirties every
         // certified pair the mover could affect *before* `move_robot`
         // resets the anchor.
         let mover_within_drift = new.distance_sq(self.anchors[mover]) <= drift_sq;
-        regs.refs.retain(|r| {
-            if r.certified && mover_within_drift {
+        regs.refs.retain(|&r| {
+            if r.certified() && mover_within_drift {
                 *cert_skips += 1;
                 return true;
             }
-            let (a, b) = (r.a as usize, r.b as usize);
-            let Some(entry) = pairs.get_mut(&pair_key(a, b)) else {
-                return false;
-            };
-            if entry.gen != r.gen || entry.dirty {
+            let entry = &mut slab[r.id as usize];
+            if !entry.is_current(r) {
                 return false; // dead registration
             }
+            let (a, b) = (entry.a as usize, entry.b as usize);
             // Squared-distance form of `distance_to(..) <= PRUNE_RADIUS`:
             // exactly equivalent (the radius squares exactly), one sqrt
             // cheaper per drained registration.
@@ -811,14 +817,19 @@ impl World {
             return fatrobots_geometry::visibility::disc_sees_disc(i, j, &self.centers, &self.vis);
         }
         let (a, b) = if i < j { (i, j) } else { (j, i) };
-        if let Some(e) = self.sparse.pairs.get(&pair_key(a, b)) {
-            if !e.dirty {
-                self.hits += 1;
-                return e.seen;
-            }
+        assert!(b < self.len(), "robot index out of bounds");
+        let id = self.sparse.intern(a, b);
+        let entry = self.sparse.slab[id as usize];
+        if !entry.dirty {
+            self.hits += 1;
+            return entry.seen;
         }
         self.misses += 1;
-        self.recompute_pair(a, b, None)
+        let mut probe = std::mem::take(&mut self.probe);
+        let answer = self.compute_pair_answer(a, b, &mut probe);
+        self.probe = probe;
+        self.commit_pair(id, answer);
+        answer.seen
     }
 
     /// The grid level a pair registers its corridor at: the finest level
@@ -885,8 +896,8 @@ impl World {
     }
 
     /// Computes one pair's visibility answer **without mutating anything**,
-    /// on caller-owned scratch (the serial recompute calls this on the
-    /// world's own probe). Two steps:
+    /// on caller-owned scratch (serial recomputes call this on the world's
+    /// own probe). Two steps:
     ///
     /// 1. **Mid-chord window** (`window_certifies`): a long chord
     ///    through a dense region first tries the slack strip cover on the
@@ -906,11 +917,9 @@ impl World {
     /// run without step 1 only when the full slice's cover overflows its
     /// polygon budget where the window's did not.
     ///
-    /// Safe to call from worker threads on a shared `&World` — the commit
-    /// that later injects the result replays all bookkeeping serially and
-    /// lands in exactly the state a serial recompute would have produced
-    /// (no robot moves between the probe and its commit, so the inputs are
-    /// frozen).
+    /// Safe to call from worker threads on a shared `&World`: it reads only
+    /// the centers and the grid, which no commit writes, so where it runs
+    /// cannot change the answer [`Self::commit_pair`] later stores.
     ///
     /// # Panics
     /// Panics if `a >= b`, either index is out of bounds, or the world is
@@ -924,8 +933,6 @@ impl World {
         let (ca, cb) = (self.centers[a], self.centers[b]);
         if self.window_certifies(a, b, probe) {
             return PairAnswer {
-                a,
-                b,
                 seen: false,
                 certified: true,
                 cover_answered: true,
@@ -975,243 +982,170 @@ impl World {
             disc_sees_disc_among(ca, cb, obs, &self.vis)
         };
         PairAnswer {
-            a,
-            b,
             seen,
             certified,
             cover_answered,
         }
     }
 
-    /// Recomputes one pair and re-registers its corridor. The obstacle
-    /// slice is gathered through the occupancy-pruned hierarchical walk and
-    /// trimmed by the batched SoA corridor filter, which accepts a superset
-    /// of the centers within [`VISIBILITY_PRUNE_RADIUS`] of the chord — all
-    /// `disc_sees_disc_among` needs for an answer identical to the
-    /// exhaustive test (and the slice order is irrelevant: the kernel
-    /// returns a boolean, not a witness).
-    ///
-    /// A precomputed [`PairAnswer`] short-circuits the gather-and-kernel
-    /// half. Every side effect — generation bump, dirty clear, cover
-    /// telemetry, view versions, adjacency, registration — runs here either
-    /// way, so an injected answer leaves the world in exactly the state a
-    /// serial recompute would.
-    fn recompute_pair(&mut self, a: usize, b: usize, answer: Option<&PairAnswer>) -> bool {
-        let (ca, cb) = (self.centers[a], self.centers[b]);
-        let level = self.sparse_reg_level(ca, cb);
-        let entry = self
-            .sparse
-            .pairs
-            .entry(pair_key(a, b))
-            .or_insert(PairEntry {
-                seen: false,
-                gen: 0,
-                dirty: true,
-                certified: false,
-            });
-        entry.gen = entry.gen.wrapping_add(1);
+    /// Commits one computed answer to the pair in slab slot `id`: bumps its
+    /// generation, clears its dirty flag, stores the answer, bumps both
+    /// views and updates both adjacency lists on a flip, counts a cover
+    /// answer, and re-registers the pair's corridor. `answer` is what
+    /// [`Self::compute_pair_answer`] returned for the pair on the current
+    /// centers. Touches no hash map.
+    fn commit_pair(&mut self, id: u32, answer: PairAnswer) {
+        let entry = &mut self.sparse.slab[id as usize];
+        entry.gen = (entry.gen + 1) & SparseRef::GEN_MASK;
         entry.dirty = false;
-        let old_seen = entry.seen;
-        let gen = entry.gen;
-        let ans = match answer {
-            Some(ans) => {
-                debug_assert!(ans.a == a && ans.b == b, "answer injected for wrong pair");
-                *ans
-            }
-            None => {
-                let mut probe = std::mem::take(&mut self.probe);
-                let ans = self.compute_pair_answer(a, b, &mut probe);
-                self.probe = probe;
-                ans
-            }
-        };
-        if ans.cover_answered {
+        let flipped = entry.seen != answer.seen;
+        entry.seen = answer.seen;
+        entry.certified = answer.certified;
+        let (a, b) = (entry.a as usize, entry.b as usize);
+        // Registered with the just-computed certified flag so drains can
+        // honor it without indexing the slab.
+        let sref = SparseRef::new(id, entry.gen, answer.certified);
+        if answer.cover_answered {
             self.cover_answers += 1;
         }
-        let (seen, certified) = (ans.seen, ans.certified);
-        if old_seen != seen {
-            // Flip: both Look snapshots change. (Dirtying an unseen pair
-            // deliberately does not bump — this recompute is where a
+        if flipped {
+            // Both Look snapshots change. (Dirtying an unseen pair
+            // deliberately does not bump — this commit is where a
             // false→true transition is caught, and it always runs before a
             // view version is stamped off the new state. A fresh entry
             // starts unseen, so a first computation that lands on `true`
             // bumps too.)
             self.view_versions[a] += 1;
             self.view_versions[b] += 1;
-            if seen {
-                adj_insert(&mut self.sparse.adj[a], b as u32);
-                adj_insert(&mut self.sparse.adj[b], a as u32);
+            let adj = &mut self.sparse.adj;
+            if answer.seen {
+                adj_insert(&mut adj[a], b as u32);
+                adj_insert(&mut adj[b], a as u32);
             } else {
-                adj_remove(&mut self.sparse.adj[a], b as u32);
-                adj_remove(&mut self.sparse.adj[b], a as u32);
+                adj_remove(&mut adj[a], b as u32);
+                adj_remove(&mut adj[b], a as u32);
             }
         }
-        let entry = self
-            .sparse
-            .pairs
-            .get_mut(&pair_key(a, b))
-            .expect("entry was just inserted");
-        entry.seen = seen;
-        entry.certified = certified;
-        // Register on the chosen level's conservative cover, carrying the
-        // just-computed certified flag so drains can honor it without a
-        // pair-store lookup. The *registration* walk must not skip empty
-        // cells: a future mover can enter one.
-        let sref = SparseRef {
-            a: a as u32,
-            b: b as u32,
-            gen,
-            certified,
-        };
-        {
-            let SparseVis { pairs, regs, .. } = &mut self.sparse;
-            let pairs = &*pairs;
-            let level_regs = &mut regs[level];
-            self.grid.for_each_cell_near_segment_at(
-                level,
-                ca,
-                cb,
-                VISIBILITY_PRUNE_RADIUS,
-                |cell| {
-                    let slot = level_regs.entry(cell).or_default();
-                    if slot.refs.len() >= slot.compact_at.max(REGISTRATION_COMPACT_LEN) {
-                        slot.refs.retain(|r| {
-                            pairs
-                                .get(&pair_key(r.a as usize, r.b as usize))
-                                .is_some_and(|e| e.gen == r.gen && !e.dirty)
-                        });
-                        slot.compact_at = slot.refs.len() * 2;
-                    }
-                    slot.refs.push(sref);
-                    true
-                },
-            );
-        }
-        seen
-    }
-
-    /// [`Self::refresh_row_with`], with the recomputes of a large row
-    /// fanned out across cores. The refresh's own bound on its recompute
-    /// count (the whole row before its first refresh, the pending queue
-    /// afterwards) gates the exact plan, so a small row pays one
-    /// comparison. The kernels run read-only on the frozen centers and the
-    /// commit is the injected-answer path, so the fan-out changes no
-    /// answer, no bookkeeping and no counter.
-    fn refresh_row(&mut self, i: usize) {
-        let bound = if self.sparse.row_init[i] {
-            self.sparse.pending[i].js.len()
-        } else {
-            self.len() - 1
-        };
-        if self.row_fanout_width <= 1 || bound < ROW_FANOUT_MIN_PAIRS {
-            self.refresh_row_with(i, None);
-            return;
-        }
-        let mut plan = std::mem::take(&mut self.fanout_plan);
-        plan.clear();
-        self.look_plan(i, &mut plan);
-        if plan.len() >= ROW_FANOUT_MIN_PAIRS {
-            let mut fanned = std::mem::take(&mut self.fanout_answers);
-            compute_pair_answers(self, &plan, self.row_fanout_width, &mut fanned);
-            self.refresh_row_with(i, Some(&fanned));
-            self.fanout_answers = fanned;
-        } else {
-            self.refresh_row_with(i, None);
-        }
-        self.fanout_plan = plan;
+        // Register on the chosen level's conservative cover. The
+        // *registration* walk must not skip empty cells: a future mover
+        // can enter one.
+        let (ca, cb) = (self.centers[a], self.centers[b]);
+        let level = self.sparse_reg_level(ca, cb);
+        let SparseVis { slab, regs, .. } = &mut self.sparse;
+        let slab = &*slab;
+        let level_regs = &mut regs[level];
+        self.grid
+            .for_each_cell_near_segment_at(level, ca, cb, VISIBILITY_PRUNE_RADIUS, |cell| {
+                let slot = level_regs.entry(cell).or_default();
+                if slot.refs.len() >= slot.compact_at.max(REGISTRATION_COMPACT_LEN) {
+                    slot.refs.retain(|&r| slab[r.id as usize].is_current(r));
+                    slot.compact_at = slot.refs.len() * 2;
+                }
+                slot.refs.push(sref);
+                true
+            });
     }
 
     /// Brings every pair of row `i` up to date, so that `adj[i]` *is* the
-    /// visible set. A row's first refresh computes all of its pairs (the
-    /// unavoidable O(n), paid lazily per row); afterwards only the pairs
-    /// queued dirty by the cell drains recompute — the output-sensitive
-    /// steady state.
+    /// visible set. Three steps:
     ///
-    /// Each recompute is answered from the injected [`PairAnswers`] when
-    /// present (serially recomputed otherwise). The drain order, the
-    /// hit/miss telemetry and every state transition are identical either
-    /// way.
-    fn refresh_row_with(&mut self, i: usize, answers: Option<&PairAnswers>) {
-        if !self.sparse.row_init[i] {
-            for j in 0..self.len() {
-                if j == i {
-                    continue;
-                }
+    /// 1. **Plan**, with one pair-store probe per candidate. A row's first
+    ///    refresh plans every pair of the row not already clean (the
+    ///    unavoidable O(n), paid lazily per row; a pair never computed is
+    ///    materialized dirty); afterwards only the pairs the cell drains
+    ///    queued. The queue may hold duplicates and stale entries (pairs
+    ///    already recomputed through the partner's row or a direct
+    ///    [`Self::sees`] probe): it is sorted and deduplicated, and the
+    ///    dirty check drops the stale ones. The hit/miss telemetry is
+    ///    counted from the plan.
+    /// 2. **Compute** one answer per planned pair, read-only
+    ///    ([`Self::compute_answers`]; fanned out across cores for a long
+    ///    plan).
+    /// 3. **Commit** the answers in plan order ([`Self::commit_pair`]).
+    ///
+    /// Planned pairs are distinct and no commit dirties a pair, so
+    /// committing after computing everything lands in exactly the state of
+    /// recomputing pair by pair; the fan-out changes no answer, no
+    /// bookkeeping and no counter.
+    fn refresh_row(&mut self, i: usize) {
+        let mut plan = std::mem::take(&mut self.plan);
+        plan.clear();
+        let mut js = std::mem::take(&mut self.sparse.pending[i].js);
+        let sparse = &mut self.sparse;
+        if sparse.row_init[i] {
+            js.sort_unstable();
+            js.dedup();
+            for j in js.iter().map(|&j| j as usize) {
                 let (a, b) = if i < j { (i, j) } else { (j, i) };
-                match self.sparse.pairs.get(&pair_key(a, b)) {
-                    Some(e) if !e.dirty => self.hits += 1,
-                    _ => {
-                        self.misses += 1;
-                        let ans = answers.and_then(|s| s.get(a, b));
-                        self.recompute_pair(a, b, ans);
+                if let Some(&id) = sparse.ids.get(&pair_key(a, b)) {
+                    if sparse.slab[id as usize].dirty {
+                        plan.push(id);
                     }
                 }
             }
-            self.sparse.row_init[i] = true;
-            self.sparse.pending[i] = PendingRow::default();
-            return;
-        }
-        let mut js = std::mem::take(&mut self.sparse.pending[i].js);
-        js.sort_unstable();
-        js.dedup();
-        for &j in &js {
-            let j = j as usize;
-            let (a, b) = if i < j { (i, j) } else { (j, i) };
-            // Stale queue entries (already recomputed through the partner's
-            // row or a direct `sees` probe) are skipped by the dirty check.
-            if self
-                .sparse
-                .pairs
-                .get(&pair_key(a, b))
-                .is_some_and(|e| e.dirty)
-            {
-                self.misses += 1;
-                let ans = answers.and_then(|s| s.get(a, b));
-                self.recompute_pair(a, b, ans);
+        } else {
+            let n = self.centers.len();
+            for j in (0..n).filter(|&j| j != i) {
+                let (a, b) = if i < j { (i, j) } else { (j, i) };
+                let id = sparse.intern(a, b);
+                if sparse.slab[id as usize].dirty {
+                    plan.push(id);
+                }
             }
+            sparse.row_init[i] = true;
+            self.hits += (n - 1 - plan.len()) as u64;
         }
+        self.misses += plan.len() as u64;
         js.clear();
-        self.sparse.pending[i].js = js;
-        self.sparse.pending[i].compact_at = 0;
+        self.sparse.pending[i] = PendingRow { js, compact_at: 0 };
+        let mut probe = std::mem::take(&mut self.probe);
+        let mut answers = std::mem::take(&mut self.answers);
+        self.compute_answers(&plan, &mut probe, &mut answers);
+        for (&id, &answer) in plan.iter().zip(&answers) {
+            self.commit_pair(id, answer);
+        }
+        self.probe = probe;
+        self.plan = plan;
+        self.answers = answers;
     }
 
-    /// The pairs the next [`Self::refresh_row_with`] for robot `i` would
-    /// recompute, **right now** (read-only; appended to `out` as sorted
-    /// `(a, b)` endpoint pairs, deduplicated) — the task list of the row
-    /// fan-out.
-    ///
-    /// Valid until the next mutating call (a move dirties pairs and queues
-    /// pending work; a refresh consumes it).
-    fn look_plan(&self, i: usize, out: &mut Vec<(usize, usize)>) {
-        if !self.sparse.row_init[i] {
-            for j in 0..self.len() {
-                if j == i {
-                    continue;
-                }
-                let (a, b) = if i < j { (i, j) } else { (j, i) };
-                match self.sparse.pairs.get(&pair_key(a, b)) {
-                    Some(e) if !e.dirty => {}
-                    _ => out.push((a, b)),
-                }
-            }
-        } else {
-            // Mirror the refresh's drain: sorted, deduplicated, dirty-only.
-            let mut js: Vec<u32> = self.sparse.pending[i].js.clone();
-            js.sort_unstable();
-            js.dedup();
-            for &j in &js {
-                let j = j as usize;
-                let (a, b) = if i < j { (i, j) } else { (j, i) };
-                if self
-                    .sparse
-                    .pairs
-                    .get(&pair_key(a, b))
-                    .is_some_and(|e| e.dirty)
-                {
-                    out.push((a, b));
-                }
-            }
+    /// Replaces `out` with one answer per pair of `plan` (slab ids), in plan
+    /// order. A plan shorter than `ROW_FANOUT_MIN_PAIRS`, or a fan-out
+    /// width of 1, runs serially on `probe`; otherwise `row_fanout_width`
+    /// threads (calling thread included) claim [`FANOUT_CHUNK`]-pair chunks
+    /// of the plan and fill the matching chunks of `out`. Each answer is
+    /// [`Self::compute_pair_answer`] — read-only and thread-independent —
+    /// so `out` is identical for every width.
+    fn compute_answers(&self, plan: &[u32], probe: &mut PairProbe, out: &mut Vec<PairAnswer>) {
+        let answer = |id: u32, probe: &mut PairProbe| {
+            let entry = &self.sparse.slab[id as usize];
+            self.compute_pair_answer(entry.a as usize, entry.b as usize, probe)
+        };
+        out.clear();
+        if self.row_fanout_width <= 1 || plan.len() < ROW_FANOUT_MIN_PAIRS {
+            out.extend(plan.iter().map(|&id| answer(id, probe)));
+            return;
         }
+        out.resize(plan.len(), PairAnswer::default());
+        let chunks = Mutex::new(plan.chunks(FANOUT_CHUNK).zip(out.chunks_mut(FANOUT_CHUNK)));
+        let worker = || {
+            let mut probe = PairProbe::default();
+            loop {
+                let claimed = chunks.lock().expect("claiming a chunk cannot panic").next();
+                let Some((ids, slots)) = claimed else {
+                    break;
+                };
+                for (&id, slot) in ids.iter().zip(slots) {
+                    *slot = answer(id, &mut probe);
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..self.row_fanout_width {
+                scope.spawn(worker);
+            }
+            worker();
+        });
     }
 
     /// Indices of the robots visible to robot `i`, ascending — the cached
@@ -1229,8 +1163,8 @@ impl World {
     /// robot `i` — [`Self::visible_of`] writing into caller-owned storage,
     /// so the engine's per-Look cost is free of allocation. A row of at
     /// least `ROW_FANOUT_MIN_PAIRS` recomputes fans its pair kernels out
-    /// across the host's cores first ([`Self::refresh_row`]); that only
-    /// moves kernel evaluations onto other threads, never changes what is
+    /// across the host's cores ([`Self::refresh_row`]); that only moves
+    /// kernel evaluations onto other threads, never changes what is
     /// computed, in which order it is committed, or what the telemetry
     /// counts.
     ///
@@ -1873,9 +1807,9 @@ mod tests {
     type LookState = (Vec<usize>, Vec<u64>, [u64; 6]);
 
     /// Looks with robot `i`, records the state, and reports whether the
-    /// refresh fanned out.
+    /// refresh fanned out: the fan-out gate's test on the refresh's plan,
+    /// which stays in the world's buffer until the next refresh.
     fn look_and_record(w: &mut World, i: usize, trace: &mut Vec<LookState>) -> bool {
-        w.fanout_plan.clear();
         let visible = w.visible_of(i);
         let versions = (0..w.len()).map(|k| w.view_version(k)).collect();
         let ((hits, misses), (entries, regs), (covers, skips)) =
@@ -1885,7 +1819,7 @@ mod tests {
             versions,
             [hits, misses, entries, regs, covers, skips],
         ));
-        w.fanout_plan.len() >= ROW_FANOUT_MIN_PAIRS
+        w.row_fanout_width > 1 && w.plan.len() >= ROW_FANOUT_MIN_PAIRS
     }
 
     #[test]
@@ -1933,6 +1867,77 @@ mod tests {
             .concat(),
             "first rows and the jumper's re-Looks fan out; small queues do not"
         );
+    }
+
+    #[test]
+    fn stale_and_duplicate_pending_entries_recompute_once() {
+        // Robot 2 sits in the 0–1 corridor. Each of its two moves dirties
+        // (0, 1), (0, 2) and (1, 2) and queues them on both endpoints'
+        // rows; `sees` probes clean the pairs without consuming the
+        // queues, all but (0, 1) after the second move. Rows 0 and 1 end
+        // up holding their partner twice while only (0, 1) is dirty.
+        let (i, j, k) = (0, 1, 2);
+        let mut w = world(
+            vec![p(0.0, 0.0), p(10.0, 0.0), p(5.0, 1.5)],
+            WorldMode::Sparse,
+        );
+        for r in 0..3 {
+            let _ = w.visible_of(r);
+        }
+        for (step, y) in [1.6, 1.5].into_iter().enumerate() {
+            w.move_robot(k, p(5.0, y));
+            assert!(w.sparse.slab[w.sparse.ids[&pair_key(i, j)] as usize].dirty);
+            let _ = (w.sees(i, k), w.sees(j, k));
+            if step == 0 {
+                let _ = w.sees(i, j);
+            }
+        }
+        let queued = |w: &World, row: usize, partner: u32| {
+            w.sparse.pending[row]
+                .js
+                .iter()
+                .filter(|&&q| q == partner)
+                .count()
+        };
+        assert_eq!((queued(&w, i, j as u32), queued(&w, j, i as u32)), (2, 2));
+        let (hits, misses) = w.cache_stats();
+        let (_, regs) = w.pair_store_stats();
+        // The pair's corridor cover: what its one commit registers (no
+        // list here is long enough to be compacted).
+        let (ci, cj) = (w.center(i), w.center(j));
+        let mut cover = 0;
+        w.grid.for_each_cell_near_segment_at(
+            w.sparse_reg_level(ci, cj),
+            ci,
+            cj,
+            VISIBILITY_PRUNE_RADIUS,
+            |_| {
+                cover += 1;
+                true
+            },
+        );
+        let _ = w.visible_of(j);
+        assert_eq!(
+            w.cache_stats(),
+            (hits, misses + 1),
+            "row {j} recomputes once"
+        );
+        assert_eq!(w.pair_store_stats(), (3, regs + cover));
+        let _ = w.visible_of(i);
+        assert!(w.plan.is_empty(), "row {i} has nothing left to recompute");
+        assert_eq!(
+            w.cache_stats(),
+            (hits, misses + 1),
+            "row {i} recomputes nothing"
+        );
+        assert_eq!(w.pair_store_stats(), (3, regs + cover));
+        let centers = w.centers().to_vec();
+        for r in 0..3 {
+            assert_eq!(
+                w.visible_of(r),
+                visible_set(r, &centers, &VisibilityConfig::default())
+            );
+        }
     }
 
     #[test]
@@ -2000,7 +2005,7 @@ mod tests {
                         && centers[k].distance(mid) > CERT_WINDOW_HALF_LEN + CERT_WINDOW_RADIUS
                 })
                 .expect("a corridor obstacle outside the window");
-            let entry = |w: &World| w.sparse.pairs[&pair_key(a, b)];
+            let entry = |w: &World| w.sparse.slab[w.sparse.ids[&pair_key(a, b)] as usize];
             assert!(entry(&w).certified, "{name}: the Look certifies ({a}, {b})");
             w.move_robot(k, p(centers[k].x + 0.5, centers[k].y + 0.5));
             assert!(entry(&w).dirty, "{name}: the move must dirty ({a}, {b})");

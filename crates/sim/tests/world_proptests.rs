@@ -114,7 +114,7 @@ proptest! {
         }
     }
 
-    /// The tentpole invariant: the sparse world (hash-map pair store,
+    /// The tentpole invariant: the sparse world (slab-indexed pair store,
     /// per-level corridor registrations, pending-row queues, every other
     /// cached predicate) answers exactly like the from-scratch reference
     /// after arbitrary randomized single-robot moves — and its view-version
