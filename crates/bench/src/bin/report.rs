@@ -100,12 +100,17 @@ Fuzz mode (report fuzz):
   --baseline, --baseline-threshold, --figures) are rejected in fuzz mode.
   --budget <N>   total discovery event budget (default: 400000)
   --fuzz-seed <N>
-                 seed of the random scenario generator (default: 7)
+                 seed of the random scenario generator (default: 7);
+                 it and --budget are at most 2^63 - 1
   --out <DIR>    write the shrunk findings as fixture JSON files into DIR
                  (created if missing)
   --json <PATH>  write the fuzz telemetry (scenario / event / shrink
                  counters plus every finding) to PATH as JSON
 ";
+
+/// The largest `--budget` and `--fuzz-seed`: the fuzz telemetry writes
+/// both as JSON integers, which this codec keeps as `i64`.
+const JSON_INT_MAX: u64 = i64::MAX as u64;
 
 /// Parsed command line.
 struct Cli {
@@ -237,15 +242,21 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
                 cli.budget = value
                     .parse::<u64>()
                     .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--budget wants a positive integer, got '{value}'"))?;
+                    .filter(|&n| (1..=JSON_INT_MAX).contains(&n))
+                    .ok_or_else(|| {
+                        format!("--budget wants an integer in 1..={JSON_INT_MAX}, got '{value}'")
+                    })?;
             }
             "--fuzz-seed" => {
                 fuzz_seed_given = true;
                 let value = iter.next().ok_or("--fuzz-seed requires a value")?;
                 cli.fuzz_seed = value
                     .parse::<u64>()
-                    .map_err(|_| format!("--fuzz-seed wants an unsigned integer, got '{value}'"))?;
+                    .ok()
+                    .filter(|&n| n <= JSON_INT_MAX)
+                    .ok_or_else(|| {
+                        format!("--fuzz-seed wants an integer in 0..={JSON_INT_MAX}, got '{value}'")
+                    })?;
             }
             "--baseline-threshold" => {
                 let value = iter

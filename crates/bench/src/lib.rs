@@ -14,7 +14,6 @@
 
 pub use fatrobots_sim::json;
 
-use fatrobots_geometry::kernel::shadow::PredicateSite;
 use fatrobots_sim::checkpoint::CheckpointTelemetry;
 use fatrobots_sim::experiment::{AggregateRow, ExperimentTable, RunSummary};
 use fatrobots_sim::sweep::SweepFailure;
@@ -30,10 +29,13 @@ pub const QUICK_SEEDS: [u64; 3] = [1, 2, 3];
 /// The `schema_version` stamped into `bench_report.json`. Bump on any
 /// breaking change to the report layout (the README documents it).
 ///
-/// A v11 document carries, at the root, the run flags (`quick`, `jobs`,
-/// `shadow`), the `tables` (tables → groups → aggregate + per-run records
-/// with the world, decision-cache, hull, pair-store, fault and `shadow`
-/// telemetry) and the `supervision` object: a `failures` array (one
+/// A v12 document carries, at the root, the run flags (`quick`, `jobs`,
+/// `shadow`), the `tables` (tables → groups → aggregate + per-run records)
+/// and the `supervision` object. A per-run record is
+/// [`RunSummary::to_json`]: the whole spec, then the world, decision-cache,
+/// hull, pair-store, fault and `shadow` telemetry. It is also what the
+/// checkpoint journal stores, and [`RunSummary::from_json`] reads it back.
+/// The `supervision` object holds a `failures` array (one
 /// structured row per failed run — the spec fields plus its `message`)
 /// and `checkpoint` — `null` without `--checkpoint-dir`, otherwise the
 /// crash-safe journal's counters (`resumed_rows`, `journal_records`,
@@ -48,8 +50,11 @@ pub const QUICK_SEEDS: [u64; 3] = [1, 2, 3];
 /// the checkpoint's replayed-events counter with the journal's progress
 /// records. v11 dropped `supervision.fail_fast`, `supervision.retries` and
 /// two keys of each failure row (its attempt count and the flag that barred
-/// the spec from running again): every run is now attempted once.
-pub const REPORT_SCHEMA_VERSION: i64 = 11;
+/// the spec from running again): every run is now attempted once. v12
+/// added the spec fields a per-run record lacked (`fault_k`, `world_mode`,
+/// `sample_every`, and the oracle request `shadow_requested`), so the
+/// record describes its run completely.
+pub const REPORT_SCHEMA_VERSION: i64 = 12;
 
 /// The oldest `schema_version` current tooling still reads. The baseline
 /// diff reads none of the keys v9 to v11 dropped, so v8 documents still
@@ -192,148 +197,6 @@ pub fn print_table(table: &ExperimentTable) {
     }
 }
 
-/// The shadow-oracle tallies of one run as a JSON record.
-fn shadow_json(stats: &fatrobots_sim::shadow::ShadowStats) -> JsonValue {
-    let first = stats
-        .first_divergence
-        .as_ref()
-        .map_or(JsonValue::Null, |d| {
-            JsonValue::Obj(vec![
-                ("event".into(), JsonValue::Int(d.event as i64)),
-                ("robot".into(), JsonValue::Int(d.robot as i64)),
-                (
-                    "site".into(),
-                    d.site
-                        .map_or(JsonValue::Null, |s| JsonValue::Str(s.name().into())),
-                ),
-                ("eps".into(), JsonValue::Str(format!("{:?}", d.eps))),
-                ("exact".into(), JsonValue::Str(format!("{:?}", d.exact))),
-            ])
-        });
-    // Per-site counters, only for sites the replay actually hit, keyed by
-    // the site's canonical name.
-    let sites = PredicateSite::ALL
-        .into_iter()
-        .filter(|&site| stats.log.calls_at(site) > 0)
-        .map(|site| {
-            (
-                site.name().to_string(),
-                JsonValue::Obj(vec![
-                    (
-                        "calls".into(),
-                        JsonValue::Int(stats.log.calls_at(site) as i64),
-                    ),
-                    (
-                        "disagreements".into(),
-                        JsonValue::Int(stats.log.disagreements_at(site) as i64),
-                    ),
-                ]),
-            )
-        })
-        .collect();
-    JsonValue::Obj(vec![
-        ("computes".into(), JsonValue::Int(stats.computes as i64)),
-        ("divergent".into(), JsonValue::Int(stats.divergent as i64)),
-        (
-            "predicate_flips".into(),
-            JsonValue::Int(stats.predicate_flips() as i64),
-        ),
-        ("first_divergence".into(), first),
-        ("sites".into(), JsonValue::Obj(sites)),
-    ])
-}
-
-/// One run flattened into a JSON record: the full spec plus every metric.
-fn summary_json(s: &RunSummary) -> JsonValue {
-    JsonValue::Obj(vec![
-        ("n".into(), JsonValue::Int(s.spec.n as i64)),
-        ("seed".into(), JsonValue::Int(s.spec.seed as i64)),
-        ("shape".into(), JsonValue::Str(s.spec.shape.name().into())),
-        (
-            "strategy".into(),
-            JsonValue::Str(s.spec.strategy.name().into()),
-        ),
-        (
-            "adversary".into(),
-            JsonValue::Str(s.spec.adversary.name().into()),
-        ),
-        ("delta".into(), JsonValue::num(s.spec.delta)),
-        (
-            "max_events".into(),
-            JsonValue::Int(s.spec.max_events as i64),
-        ),
-        ("gathered".into(), JsonValue::Bool(s.gathered)),
-        ("terminated".into(), JsonValue::Bool(s.terminated)),
-        ("events".into(), JsonValue::Int(s.events as i64)),
-        (
-            "cycles_per_robot".into(),
-            JsonValue::num(s.cycles_per_robot),
-        ),
-        ("distance".into(), JsonValue::num(s.distance)),
-        (
-            "first_fully_visible".into(),
-            JsonValue::opt_int(s.first_fully_visible),
-        ),
-        (
-            "first_connected".into(),
-            JsonValue::opt_int(s.first_connected),
-        ),
-        (
-            "expansion_monotonicity".into(),
-            JsonValue::opt_num(s.expansion_monotonicity),
-        ),
-        (
-            "convergence_monotonicity".into(),
-            JsonValue::opt_num(s.convergence_monotonicity),
-        ),
-        (
-            "visibility_cache_hits".into(),
-            JsonValue::Int(s.visibility_cache_hits as i64),
-        ),
-        (
-            "visibility_cache_misses".into(),
-            JsonValue::Int(s.visibility_cache_misses as i64),
-        ),
-        (
-            "decision_cache_hits".into(),
-            JsonValue::Int(s.decision_cache_hits as i64),
-        ),
-        (
-            "decision_cache_misses".into(),
-            JsonValue::Int(s.decision_cache_misses as i64),
-        ),
-        ("hull_repairs".into(), JsonValue::Int(s.hull_repairs as i64)),
-        (
-            "hull_rebuilds".into(),
-            JsonValue::Int(s.hull_rebuilds as i64),
-        ),
-        (
-            "world_pair_entries".into(),
-            JsonValue::Int(s.world_pair_entries as i64),
-        ),
-        (
-            "world_pair_registrations".into(),
-            JsonValue::Int(s.world_pair_registrations as i64),
-        ),
-        (
-            "fault_crashed_robots".into(),
-            JsonValue::Int(s.fault_crashed_robots as i64),
-        ),
-        (
-            "fault_starved_directives".into(),
-            JsonValue::Int(s.fault_starved_directives as i64),
-        ),
-        (
-            "fault_truncated_directives".into(),
-            JsonValue::Int(s.fault_truncated_directives as i64),
-        ),
-        (
-            "shadow".into(),
-            s.shadow.as_ref().map_or(JsonValue::Null, shadow_json),
-        ),
-    ])
-}
-
 /// The supervised-execution telemetry of one report invocation: what the
 /// `supervision` object of `bench_report.json` serializes.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -453,7 +316,7 @@ fn aggregate_json(row: &AggregateRow) -> JsonValue {
 ///
 /// ```json
 /// {
-///   "schema_version": 11,
+///   "schema_version": 12,
 ///   "generator": "fatrobots-bench report",
 ///   "quick": true,
 ///   "shadow": false,
@@ -484,7 +347,9 @@ pub fn report_json(
                         ("aggregate".into(), aggregate_json(&group.aggregate())),
                         (
                             "runs".into(),
-                            JsonValue::Arr(group.summaries.iter().map(summary_json).collect()),
+                            JsonValue::Arr(
+                                group.summaries.iter().map(RunSummary::to_json).collect(),
+                            ),
                         ),
                     ])
                 })
@@ -638,6 +503,39 @@ mod tests {
             Some(0)
         );
         assert_eq!(supervision.get("checkpoint"), Some(&JsonValue::Null));
+    }
+
+    #[test]
+    fn committed_baseline_run_records_decode_and_reencode_exactly() {
+        let doc = json::parse(include_str!("../../baselines/bench_report.json"))
+            .expect("the committed baseline parses");
+        assert_eq!(
+            doc.get("schema_version"),
+            Some(&JsonValue::Int(REPORT_SCHEMA_VERSION))
+        );
+        let runs: Vec<&JsonValue> = doc
+            .get("tables")
+            .and_then(JsonValue::as_arr)
+            .unwrap()
+            .iter()
+            .flat_map(|table| table.get("groups").and_then(JsonValue::as_arr).unwrap())
+            .flat_map(|group| group.get("runs").and_then(JsonValue::as_arr).unwrap())
+            .collect();
+        let mut decoded = 0;
+        for record in &runs {
+            let parsed = RunSummary::from_json(record);
+            if record.get("shadow") == Some(&JsonValue::Null) {
+                let summary = parsed.expect("an oracle-free record decodes");
+                assert_eq!(summary.to_json(), **record);
+                decoded += 1;
+            } else {
+                assert_eq!(parsed, None, "records with oracle stats never decode");
+            }
+        }
+        assert!(
+            decoded > 0 && decoded < runs.len(),
+            "the baseline mixes both kinds of record"
+        );
     }
 
     #[test]

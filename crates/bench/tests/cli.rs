@@ -160,6 +160,9 @@ fn fuzz_budget_and_seed_reject_missing_and_malformed_values() {
         &["fuzz", "--budget", "0"],
         &["fuzz", "--fuzz-seed"],
         &["fuzz", "--fuzz-seed", "lucky"],
+        // Past i64::MAX the fuzz telemetry would write a negative number.
+        &["fuzz", "--fuzz-seed", "9223372036854775808"],
+        &["fuzz", "--budget", "9223372036854775808"],
     ] {
         let out = report(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");

@@ -10,6 +10,7 @@ use std::fmt;
 
 use fatrobots_baselines::{CentroidBaseline, GreedyNearest, SmallN};
 use fatrobots_core::{AlgorithmParams, LocalAlgorithm, Strategy};
+use fatrobots_geometry::kernel::shadow::PredicateSite;
 use fatrobots_scheduler::{
     Adversary, CollisionSeeker, CrashStop, Liveness, PersistentSleep, RandomAsync, RoundRobin,
     SlowCoalition, SlowRobot, StopHappy,
@@ -17,6 +18,7 @@ use fatrobots_scheduler::{
 
 use crate::engine::{CancelFlag, SimConfig, Simulator};
 use crate::init::Shape;
+use crate::json::JsonValue;
 use crate::shadow::{ShadowExecutor, ShadowStats};
 use crate::sweep::{SupervisionPolicy, SweepFailure, SweepPool};
 use crate::world::WorldMode;
@@ -51,6 +53,11 @@ impl StrategyKind {
             StrategyKind::GreedyNearest => "greedy-nearest",
             StrategyKind::SmallN => "small-n",
         }
+    }
+
+    /// The strategy with the given [`Self::name`], or `None`.
+    pub fn from_name(name: &str) -> Option<StrategyKind> {
+        StrategyKind::ALL.into_iter().find(|k| k.name() == name)
     }
 
     /// Builds the strategy for a system of `n` robots.
@@ -293,6 +300,216 @@ pub struct RunSummary {
     /// Shadow-oracle tallies, present when the spec requested the oracle
     /// and the strategy was the paper's algorithm.
     pub shadow: Option<ShadowStats>,
+}
+
+impl RunSummary {
+    /// The run as one flat JSON record: every [`RunSpec`] field but the
+    /// inert `threads`, then every metric. This is the per-run record of
+    /// `bench_report.json` and the payload of a checkpoint journal row.
+    pub fn to_json(&self) -> JsonValue {
+        let spec = &self.spec;
+        let int = |v: u64| JsonValue::Int(v as i64);
+        JsonValue::Obj(vec![
+            ("n".into(), int(spec.n as u64)),
+            ("seed".into(), int(spec.seed)),
+            ("shape".into(), JsonValue::Str(spec.shape.name().into())),
+            (
+                "strategy".into(),
+                JsonValue::Str(spec.strategy.name().into()),
+            ),
+            (
+                "adversary".into(),
+                JsonValue::Str(spec.adversary.name().into()),
+            ),
+            ("fault_k".into(), int(spec.adversary.fault_k() as u64)),
+            ("delta".into(), JsonValue::num(spec.delta)),
+            ("max_events".into(), int(spec.max_events as u64)),
+            (
+                "world_mode".into(),
+                JsonValue::Str(spec.world_mode.name().into()),
+            ),
+            ("sample_every".into(), int(spec.sample_every as u64)),
+            ("shadow_requested".into(), JsonValue::Bool(spec.shadow)),
+            ("gathered".into(), JsonValue::Bool(self.gathered)),
+            ("terminated".into(), JsonValue::Bool(self.terminated)),
+            ("events".into(), int(self.events as u64)),
+            (
+                "cycles_per_robot".into(),
+                JsonValue::num(self.cycles_per_robot),
+            ),
+            ("distance".into(), JsonValue::num(self.distance)),
+            (
+                "first_fully_visible".into(),
+                JsonValue::opt_int(self.first_fully_visible),
+            ),
+            (
+                "first_connected".into(),
+                JsonValue::opt_int(self.first_connected),
+            ),
+            (
+                "expansion_monotonicity".into(),
+                JsonValue::opt_num(self.expansion_monotonicity),
+            ),
+            (
+                "convergence_monotonicity".into(),
+                JsonValue::opt_num(self.convergence_monotonicity),
+            ),
+            (
+                "visibility_cache_hits".into(),
+                int(self.visibility_cache_hits),
+            ),
+            (
+                "visibility_cache_misses".into(),
+                int(self.visibility_cache_misses),
+            ),
+            ("decision_cache_hits".into(), int(self.decision_cache_hits)),
+            (
+                "decision_cache_misses".into(),
+                int(self.decision_cache_misses),
+            ),
+            ("hull_repairs".into(), int(self.hull_repairs)),
+            ("hull_rebuilds".into(), int(self.hull_rebuilds)),
+            ("world_pair_entries".into(), int(self.world_pair_entries)),
+            (
+                "world_pair_registrations".into(),
+                int(self.world_pair_registrations),
+            ),
+            (
+                "fault_crashed_robots".into(),
+                int(self.fault_crashed_robots),
+            ),
+            (
+                "fault_starved_directives".into(),
+                int(self.fault_starved_directives),
+            ),
+            (
+                "fault_truncated_directives".into(),
+                int(self.fault_truncated_directives),
+            ),
+            (
+                "shadow".into(),
+                self.shadow.as_ref().map_or(JsonValue::Null, shadow_json),
+            ),
+        ])
+    }
+
+    /// The strict inverse of [`Self::to_json`]: `None` unless `record` is
+    /// exactly what `to_json` writes for some summary without oracle stats
+    /// — every key present, in order and correctly typed, every name known,
+    /// and `shadow` null.
+    pub fn from_json(record: &JsonValue) -> Option<RunSummary> {
+        let field = |key: &str| record.get(key);
+        let count = |key: &str| field(key)?.as_u64();
+        let size = |key: &str| usize::try_from(count(key)?).ok();
+        let name = |key: &str| field(key)?.as_str();
+        let flag = |key: &str| field(key)?.as_bool();
+        let float = |key: &str| field(key)?.as_f64();
+        // `Some(None)` for null, `None` for a value `parse` rejects.
+        fn nullable<T>(
+            value: &JsonValue,
+            parse: impl FnOnce(&JsonValue) -> Option<T>,
+        ) -> Option<Option<T>> {
+            match value {
+                JsonValue::Null => Some(None),
+                value => parse(value).map(Some),
+            }
+        }
+        let opt_size = |key: &str| nullable(field(key)?, |v| usize::try_from(v.as_u64()?).ok());
+        let opt_float = |key: &str| nullable(field(key)?, JsonValue::as_f64);
+        let spec = RunSpec {
+            n: size("n")?,
+            seed: count("seed")?,
+            shape: Shape::from_name(name("shape")?)?,
+            strategy: StrategyKind::from_name(name("strategy")?)?,
+            adversary: AdversaryKind::from_name(name("adversary")?, size("fault_k")?)?,
+            delta: float("delta")?,
+            max_events: size("max_events")?,
+            shadow: flag("shadow_requested")?,
+            world_mode: WorldMode::from_name(name("world_mode")?)?,
+            sample_every: size("sample_every")?,
+            // Only the inert `threads` field is left to the default.
+            ..RunSpec::new(0, 0)
+        };
+        let summary = RunSummary {
+            spec,
+            gathered: flag("gathered")?,
+            terminated: flag("terminated")?,
+            events: size("events")?,
+            cycles_per_robot: float("cycles_per_robot")?,
+            distance: float("distance")?,
+            first_fully_visible: opt_size("first_fully_visible")?,
+            first_connected: opt_size("first_connected")?,
+            expansion_monotonicity: opt_float("expansion_monotonicity")?,
+            convergence_monotonicity: opt_float("convergence_monotonicity")?,
+            visibility_cache_hits: count("visibility_cache_hits")?,
+            visibility_cache_misses: count("visibility_cache_misses")?,
+            decision_cache_hits: count("decision_cache_hits")?,
+            decision_cache_misses: count("decision_cache_misses")?,
+            hull_repairs: count("hull_repairs")?,
+            hull_rebuilds: count("hull_rebuilds")?,
+            world_pair_entries: count("world_pair_entries")?,
+            world_pair_registrations: count("world_pair_registrations")?,
+            fault_crashed_robots: count("fault_crashed_robots")?,
+            fault_starved_directives: count("fault_starved_directives")?,
+            fault_truncated_directives: count("fault_truncated_directives")?,
+            shadow: None,
+        };
+        // Rejects what the field reads above let through: extra or
+        // reordered keys, a fault parameter on a fault-free adversary, and
+        // a non-null `shadow`.
+        (summary.to_json() == *record).then_some(summary)
+    }
+}
+
+/// The shadow-oracle tallies of one run as a JSON record.
+fn shadow_json(stats: &ShadowStats) -> JsonValue {
+    let first = stats
+        .first_divergence
+        .as_ref()
+        .map_or(JsonValue::Null, |d| {
+            JsonValue::Obj(vec![
+                ("event".into(), JsonValue::Int(d.event as i64)),
+                ("robot".into(), JsonValue::Int(d.robot as i64)),
+                (
+                    "site".into(),
+                    d.site
+                        .map_or(JsonValue::Null, |s| JsonValue::Str(s.name().into())),
+                ),
+                ("eps".into(), JsonValue::Str(format!("{:?}", d.eps))),
+                ("exact".into(), JsonValue::Str(format!("{:?}", d.exact))),
+            ])
+        });
+    // Per-site counters, only for sites the replay actually hit, keyed by
+    // the site's canonical name.
+    let sites = PredicateSite::ALL
+        .into_iter()
+        .filter(|&site| stats.log.calls_at(site) > 0)
+        .map(|site| {
+            (
+                site.name().to_string(),
+                JsonValue::Obj(vec![
+                    (
+                        "calls".into(),
+                        JsonValue::Int(stats.log.calls_at(site) as i64),
+                    ),
+                    (
+                        "disagreements".into(),
+                        JsonValue::Int(stats.log.disagreements_at(site) as i64),
+                    ),
+                ]),
+            )
+        })
+        .collect();
+    JsonValue::Obj(vec![
+        ("computes".into(), JsonValue::Int(stats.computes as i64)),
+        ("divergent".into(), JsonValue::Int(stats.divergent as i64)),
+        (
+            "predicate_flips".into(),
+            JsonValue::Int(stats.predicate_flips() as i64),
+        ),
+        ("first_divergence".into(), first),
+        ("sites".into(), JsonValue::Obj(sites)),
+    ])
 }
 
 /// How a run under a [`CancelFlag`] ended.
@@ -889,6 +1106,60 @@ mod tests {
             ..base
         });
         assert!(baseline.shadow.is_none());
+    }
+
+    #[test]
+    fn run_summary_json_parser_is_strict() {
+        let summary = run(&RunSpec {
+            max_events: 5_000,
+            ..RunSpec::new(3, 1)
+        });
+        let JsonValue::Obj(entries) = summary.to_json() else {
+            panic!("a run record is an object")
+        };
+        let parse =
+            |entries: Vec<(String, JsonValue)>| RunSummary::from_json(&JsonValue::Obj(entries));
+        let with = |key: &str, value: JsonValue| {
+            let mut entries = entries.clone();
+            entries.iter_mut().find(|(k, _)| k == key).unwrap().1 = value;
+            parse(entries)
+        };
+        assert_eq!(parse(entries.clone()), Some(summary));
+        for (i, (key, _)) in entries.iter().enumerate() {
+            let mut missing = entries.clone();
+            missing.remove(i);
+            assert_eq!(parse(missing), None, "{key} missing");
+        }
+        for key in ["shape", "strategy", "adversary", "world_mode"] {
+            assert_eq!(
+                with(key, JsonValue::Str("no-such-name".into())),
+                None,
+                "{key}"
+            );
+        }
+        assert_eq!(
+            with("delta", JsonValue::Int(1)),
+            None,
+            "an integer is no float"
+        );
+        assert_eq!(
+            with("seed", JsonValue::Int(-1)),
+            None,
+            "counts are unsigned"
+        );
+        assert_eq!(with("gathered", JsonValue::Int(1)), None);
+        assert_eq!(
+            with("fault_k", JsonValue::Int(2)),
+            None,
+            "k of a fault-free kind"
+        );
+        assert_eq!(with("shadow", JsonValue::Obj(vec![])), None, "oracle stats");
+        let mut extra = entries.clone();
+        extra.push(("extra".into(), JsonValue::Null));
+        assert_eq!(parse(extra), None, "unknown keys");
+        let mut swapped = entries.clone();
+        swapped.swap(0, 1);
+        assert_eq!(parse(swapped), None, "keys out of order");
     }
 
     #[test]

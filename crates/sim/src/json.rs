@@ -87,6 +87,15 @@ impl JsonValue {
         }
     }
 
+    /// A float; `None` for anything else, integers included (the writer
+    /// keeps the two apart).
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonValue::Num(v) => Some(*v),
+            _ => None,
+        }
+    }
+
     /// A boolean; `None` for non-booleans.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -539,6 +548,8 @@ mod tests {
         assert_eq!(scalars.get("neg").and_then(JsonValue::as_u64), None);
         assert_eq!(scalars.get("t").and_then(JsonValue::as_bool), Some(true));
         assert_eq!(scalars.get("u").and_then(JsonValue::as_bool), None);
+        assert_eq!(scalars.get("u").and_then(JsonValue::as_f64), None);
+        assert_eq!(parse("2.5").unwrap().as_f64(), Some(2.5));
         assert!(doc.get("c").is_none());
     }
 }

@@ -136,6 +136,24 @@ pub enum WorldMode {
     Scratch,
 }
 
+impl WorldMode {
+    /// Both modes.
+    pub const ALL: [WorldMode; 2] = [WorldMode::Sparse, WorldMode::Scratch];
+
+    /// Short name used in reports.
+    pub fn name(&self) -> &'static str {
+        match self {
+            WorldMode::Sparse => "sparse",
+            WorldMode::Scratch => "scratch",
+        }
+    }
+
+    /// The mode with the given [`Self::name`], or `None`.
+    pub fn from_name(name: &str) -> Option<WorldMode> {
+        WorldMode::ALL.into_iter().find(|m| m.name() == name)
+    }
+}
+
 /// One cached visibility entry: slot `id` of the pair-store slab, for the
 /// unordered pair `{a, b}` (`a < b`). The endpoints live here, not in the
 /// registrations, so a drain reads them with one index.
