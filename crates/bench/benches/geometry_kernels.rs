@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fatrobots_core::functions::{connected_components, find_points};
 use fatrobots_geometry::hull::ConvexHull;
-use fatrobots_geometry::visibility::{visible_set, VisibilityConfig};
+use fatrobots_geometry::visibility::visible_set;
 use fatrobots_geometry::Point;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,8 +42,7 @@ fn bench_kernels(c: &mut Criterion) {
             |b, pts| b.iter(|| connected_components(pts, 1.0 / (2.0 * m as f64))),
         );
         group.bench_with_input(BenchmarkId::new("visible_set", m), &centers, |b, pts| {
-            let cfg = VisibilityConfig::default();
-            b.iter(|| visible_set(0, pts, &cfg))
+            b.iter(|| visible_set(0, pts))
         });
     }
     group.finish();

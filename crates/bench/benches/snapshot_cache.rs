@@ -13,7 +13,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fatrobots_core::{AlgorithmParams, LocalAlgorithm};
-use fatrobots_geometry::visibility::VisibilityConfig;
 use fatrobots_geometry::Point;
 use fatrobots_scheduler::{Event, RoundRobin};
 use fatrobots_sim::engine::{SimConfig, Simulator};
@@ -68,7 +67,7 @@ fn record_trace(n: usize, seed: u64, warm: usize, events: usize) -> (Vec<Point>,
 
 /// Replays the trace against a fresh world in the given mode.
 fn replay(start: &[Point], ops: &[Op], mode: WorldMode) -> usize {
-    let mut world = World::new(start.to_vec(), VisibilityConfig::default(), mode);
+    let mut world = World::new(start.to_vec(), mode);
     let mut seen_total = 0usize;
     for &op in ops {
         match op {

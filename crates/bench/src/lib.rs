@@ -45,21 +45,14 @@ pub const QUICK_SEEDS: [u64; 3] = [1, 2, 3];
 /// CI `kill-resume` gate diffs the two documents modulo exactly those
 /// lines.
 ///
-/// v9 dropped v8's root and per-run `threads` keys and the four per-run
-/// counters of the intra-run parallel executor, which is gone. v10 dropped
-/// the checkpoint's replayed-events counter with the journal's progress
-/// records. v11 dropped `supervision.fail_fast`, `supervision.retries` and
-/// two keys of each failure row (its attempt count and the flag that barred
-/// the spec from running again): every run is now attempted once. v12
-/// added the spec fields a per-run record lacked (`fault_k`, `world_mode`,
-/// `sample_every`, and the oracle request `shadow_requested`), so the
-/// record describes its run completely.
+/// v12 added the spec fields a per-run record lacked (`fault_k`,
+/// `world_mode`, `sample_every`, and the oracle request
+/// `shadow_requested`), so the record describes its run completely.
 pub const REPORT_SCHEMA_VERSION: i64 = 12;
 
-/// The oldest `schema_version` current tooling still reads. The baseline
-/// diff reads none of the keys v9 to v11 dropped, so v8 documents still
-/// diff; older ones are rejected.
-pub const REPORT_SCHEMA_MIN_SUPPORTED: i64 = 8;
+/// The oldest `schema_version` current tooling still reads; older
+/// documents are rejected.
+pub const REPORT_SCHEMA_MIN_SUPPORTED: i64 = 12;
 
 /// `true` when a parsed `bench_report.json` document carries a schema
 /// version this crate's readers understand.
@@ -470,7 +463,7 @@ mod tests {
             runs[0].get("world_pair_registrations"),
             Some(&JsonValue::Int(m)) if m > 0
         ));
-        // v9 dropped the parallel-executor telemetry.
+        // No parallel-executor telemetry.
         assert_eq!(doc.get("threads"), None);
         assert_eq!(runs[0].get("threads"), None);
         // Fault-injection telemetry — zero under fault-free adversaries.
@@ -674,7 +667,7 @@ mod tests {
 
         // Baseline with a lower divergence count: a regression.
         let stricter = json::parse(
-            r#"{"schema_version": 8, "tables": [
+            r#"{"schema_version": 12, "tables": [
                  {"id": "e1", "groups": [
                    {"label": "n=3", "aggregate":
                       {"gathered_rate": 0.0, "mean_events": 1e9,
@@ -697,7 +690,7 @@ mod tests {
         // A baseline written without the oracle (null counters) never
         // trips the gate, whatever the fresh tables carry.
         let unshadowed = json::parse(&format!(
-            r#"{{"schema_version": 8, "tables": [
+            r#"{{"schema_version": 12, "tables": [
                  {{"id": "e1", "groups": [
                    {{"label": "n=3", "aggregate":
                       {{"gathered_rate": {g}, "mean_events": {e},
@@ -744,7 +737,7 @@ mod tests {
         let row = table.rows().remove(0);
         // A fabricated "better" baseline: everything gathered instantly.
         let better = json::parse(&format!(
-            r#"{{"schema_version": 8, "tables": [
+            r#"{{"schema_version": 12, "tables": [
                  {{"id": "e1", "groups": [
                    {{"label": "{label}", "aggregate":
                       {{"gathered_rate": {g}, "mean_events": {e}}}}}]}}]}}"#,
@@ -767,7 +760,7 @@ mod tests {
         assert!(diff.text.contains("REGRESSION"));
 
         // Rows the baseline does not know are reported but never regress.
-        let empty = json::parse(r#"{"schema_version": 8, "tables": []}"#).unwrap();
+        let empty = json::parse(r#"{"schema_version": 12, "tables": []}"#).unwrap();
         let diff = diff_against_baseline(
             std::slice::from_ref(&table),
             &empty,
@@ -777,7 +770,7 @@ mod tests {
         assert_eq!(diff.regressions, 0);
         assert!(diff.text.contains("new row"));
 
-        // Unsupported schemas — future versions and the retired pre-v8
+        // Unsupported schemas — future versions and the retired pre-v12
         // layouts alike — are an error, not a silent pass.
         for version in [99, REPORT_SCHEMA_MIN_SUPPORTED - 1] {
             let doc = json::parse(&format!(r#"{{"schema_version": {version}}}"#)).unwrap();

@@ -384,7 +384,7 @@ fn baseline_self_diff_passes_and_regressions_fail() {
     let fabricated = dir.join(format!("bench_baseline_fab_{}.json", std::process::id()));
     std::fs::write(
         &fabricated,
-        r#"{"schema_version": 8, "tables": [
+        r#"{"schema_version": 12, "tables": [
              {"id": "e7", "groups": [
                {"label": "circle",
                 "aggregate": {"gathered_rate": 2.0, "mean_events": 0.5}}]}]}"#,
@@ -417,7 +417,7 @@ fn baseline_threshold_widens_the_events_gate() {
     let fabricated = dir.join(format!("bench_threshold_cli_{}.json", std::process::id()));
     std::fs::write(
         &fabricated,
-        r#"{"schema_version": 8, "tables": [
+        r#"{"schema_version": 12, "tables": [
              {"id": "e7", "groups": [
                {"label": "circle",
                 "aggregate": {"gathered_rate": 0.0, "mean_events": 0.5}}]}]}"#,

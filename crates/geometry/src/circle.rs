@@ -1,8 +1,5 @@
 //! Circles and unit discs.
 
-use std::cmp::Ordering;
-
-use crate::kernel::Kernel;
 use crate::point::{Point, Vec2};
 use crate::predicates::{approx_eq, approx_eq_tol, EPS};
 use crate::segment::Segment;
@@ -95,25 +92,6 @@ impl Circle {
     /// Minimum distance from `p` to the closed disc (0 when `p` is inside).
     pub fn distance_to_point(&self, p: Point) -> f64 {
         (self.center.distance(p) - self.radius).max(0.0)
-    }
-
-    /// `true` when the segment contains a point of the **closed** disc
-    /// (within tolerance `tol`).
-    ///
-    /// This is the obstacle test used for visibility. Robots are closed
-    /// discs in the paper, so a sight line that merely grazes another
-    /// robot's boundary already "contains a point of another robot" and is
-    /// blocked — this is exactly why three collinear hull robots break full
-    /// visibility (Lemma 4).
-    pub fn blocks_segment(&self, seg: &Segment, tol: f64) -> bool {
-        seg.distance_to(self.center) < self.radius + tol
-    }
-
-    /// [`Self::blocks_segment`] with the distance classification decided by
-    /// kernel `K` against the blocking threshold `radius + tol` (an
-    /// algorithmic clearance both kernels honor).
-    pub fn blocks_segment_k<K: Kernel>(&self, seg: &Segment, tol: f64) -> bool {
-        K::cmp_segment_dist(seg.a, seg.b, self.center, self.radius + tol) == Ordering::Less
     }
 
     /// Intersection points of the circle with the supporting line of `seg`
@@ -246,17 +224,6 @@ mod tests {
         let c = Circle::unit(p(0.0, 0.0));
         assert_eq!(c.distance_to_point(p(0.3, 0.0)), 0.0);
         assert!((c.distance_to_point(p(3.0, 0.0)) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn segment_blocking() {
-        let c = Circle::unit(p(0.0, 0.0));
-        let through = Segment::new(p(-3.0, 0.0), p(3.0, 0.0));
-        let graze = Segment::new(p(-3.0, 1.0), p(3.0, 1.0));
-        let miss = Segment::new(p(-3.0, 2.0), p(3.0, 2.0));
-        assert!(c.blocks_segment(&through, 1e-9));
-        assert!(c.blocks_segment(&graze, 1e-9)); // closed disc: grazing blocks
-        assert!(!c.blocks_segment(&miss, 1e-9));
     }
 
     #[test]

@@ -43,34 +43,16 @@ pub struct ConvexHull {
 /// the per-edge rejection precomputation. Threading one of these through
 /// repeated [`ConvexHull::rebuild_with`] calls keeps the steady-state hull
 /// rebuild allocation-free.
-///
-/// A scratch additionally retains the **pre-dedup sorted multiset** of the
-/// last rebuild's input and the sorted tag list of the last boundary
-/// ordering. Those two make [`ConvexHull::repair_point_move`] possible: when
-/// exactly one input point moved, the sorted multiset is patched by a
-/// delete + insert instead of re-sorting, and when the corner polygon comes
-/// out unchanged the boundary tags are patched the same way. A scratch is
-/// therefore implicitly *paired* with the hull it last rebuilt; repair
-/// validates the pairing and refuses (returning `false`) on any mismatch.
 #[derive(Debug, Default)]
 pub struct HullScratch {
     tagged: Vec<(usize, f64, usize)>,
     edge_pre: Vec<EdgePrefilter>,
-    /// Sorted (pre-dedup) multiset of the last rebuild's input, maintained
-    /// across repairs by delete + insert.
-    sorted_input: Vec<Point>,
-    /// Dedup buffer feeding the monotone chain.
+    /// Sorted, deduplicated input feeding the monotone chain.
     deduped: Vec<Point>,
-    /// Candidate corner vertices of a repair, compared against the hull's
-    /// current vertices to decide whether the boundary tags survive.
-    vertices_probe: Vec<Point>,
 }
 
 /// The total order of the monotone chain's sort: by `x`, then `y`. Ties are
-/// value-identical points (collapsed later by the dedup either way), so the
-/// sorted sequence of a point multiset is unique — which is what lets a
-/// repair maintain it by delete + insert and still match a full
-/// `sort_unstable` exactly.
+/// value-identical points, collapsed later by the dedup either way.
 fn point_order(a: &Point, b: &Point) -> Ordering {
     a.x.partial_cmp(&b.x)
         .unwrap()
@@ -243,10 +225,6 @@ fn chain_of_sorted_dedup_k<K: Kernel>(sorted: &[Point], out: &mut Vec<Point>) {
     }
 }
 
-fn chain_of_sorted_dedup(sorted: &[Point], out: &mut Vec<Point>) {
-    chain_of_sorted_dedup_k::<EpsKernel>(sorted, out);
-}
-
 impl ConvexHull {
     /// Builds the convex hull of `points`, remembering which input points are
     /// on the boundary.
@@ -259,23 +237,10 @@ impl ConvexHull {
         hull
     }
 
-    /// [`Self::from_points`] with all hull classification routed through
-    /// kernel `K`.
-    ///
-    /// # Panics
-    /// Panics if `points` is empty.
-    pub fn from_points_k<K: Kernel>(points: &[Point]) -> Self {
-        let mut hull = ConvexHull::default();
-        hull.rebuild_with_k::<K>(points, &mut HullScratch::default());
-        hull
-    }
-
     /// Rebuilds this hull in place from a new point set, reusing the hull's
     /// own buffers and the caller's [`HullScratch`]. Produces exactly the
     /// hull [`Self::from_points`] would; once the buffers are warm, a
-    /// rebuild performs no heap allocation. The scratch retains the sorted
-    /// input multiset and the boundary tags, pairing it with this hull for
-    /// subsequent [`Self::repair_point_move`] calls.
+    /// rebuild performs no heap allocation.
     ///
     /// # Panics
     /// Panics if `points` is empty.
@@ -292,14 +257,8 @@ impl ConvexHull {
         assert!(!points.is_empty(), "convex hull of an empty point set");
         self.input.clear();
         self.input.extend_from_slice(points);
-        scratch.sorted_input.clear();
-        scratch.sorted_input.extend_from_slice(points);
-        scratch.sorted_input.sort_unstable_by(point_order);
-        scratch.deduped.clear();
-        scratch.deduped.extend_from_slice(&scratch.sorted_input);
-        scratch.deduped.dedup_by(|a, b| a.approx_eq(*b));
-        chain_of_sorted_dedup_k::<K>(&scratch.deduped, &mut self.vertices);
-        Self::order_boundary_into_k::<K>(
+        convex_hull_into_k::<K>(points, &mut scratch.deduped, &mut self.vertices);
+        Self::order_boundary_into::<K>(
             &self.input,
             &self.vertices,
             scratch,
@@ -307,129 +266,14 @@ impl ConvexHull {
         );
     }
 
-    /// Repairs this hull after the single input point `index` moved to
-    /// `new_pos`, using the sorted multiset and boundary tags `scratch`
-    /// retained from the last rebuild (or repair) of **this** hull.
-    ///
-    /// The sorted chain input is patched by a delete + insert (the sorted
-    /// sequence of a multiset is unique under [`point_order`], so the patch
-    /// is exactly what re-sorting would produce), the monotone chain is
-    /// re-run in O(n), and — in the common case where the corner polygon
-    /// comes out unchanged — the boundary ordering is patched the same way:
-    /// only the moved point is re-tagged against the (unchanged) edges, all
-    /// other tags being bitwise-stable. The result is **identical** to
-    /// [`Self::rebuild_with`] on the moved point set; there is no geometric
-    /// approximation anywhere in the repair.
-    ///
-    /// Returns `false` — leaving the hull untouched — when the scratch does
-    /// not verifiably pair with this hull (wrong length, missing sorted
-    /// entry, inconsistent tags); the caller must fall back to a rebuild.
-    pub fn repair_point_move(
-        &mut self,
-        index: usize,
-        new_pos: Point,
-        scratch: &mut HullScratch,
-    ) -> bool {
-        if index >= self.input.len() || scratch.sorted_input.len() != self.input.len() {
-            return false;
-        }
-        let old = self.input[index];
-        if old == new_pos {
-            return true; // nothing moved; the structure is already current
-        }
-        // Patch the sorted multiset: remove the old position, insert the new.
-        let pos = scratch
-            .sorted_input
-            .partition_point(|p| point_order(p, &old) == Ordering::Less);
-        match scratch.sorted_input.get(pos) {
-            Some(p) if point_order(p, &old) == Ordering::Equal => {}
-            _ => return false, // scratch does not belong to this hull
-        }
-        scratch.sorted_input.remove(pos);
-        let ins = scratch
-            .sorted_input
-            .partition_point(|p| point_order(p, &new_pos) == Ordering::Less);
-        scratch.sorted_input.insert(ins, new_pos);
-        self.input[index] = new_pos;
-
-        // Re-run the chain (O(n), no sort) into the probe buffer.
-        scratch.deduped.clear();
-        scratch.deduped.extend_from_slice(&scratch.sorted_input);
-        scratch.deduped.dedup_by(|a, b| a.approx_eq(*b));
-        chain_of_sorted_dedup(&scratch.deduped, &mut scratch.vertices_probe);
-
-        if scratch.vertices_probe == self.vertices && self.tags_pair_with(scratch) {
-            // Corner polygon unchanged ⇒ every edge is unchanged ⇒ every
-            // other point's (edge, t) tag is bitwise-stable. Patch only the
-            // moved point's tag and re-emit the boundary order.
-            let nv = self.vertices.len();
-            let edge_count = if nv == 2 { 1 } else { nv };
-            scratch.edge_pre.clear();
-            scratch.edge_pre.extend(
-                (0..edge_count)
-                    .map(|e| EdgePrefilter::new(self.vertices[e], self.vertices[(e + 1) % nv])),
-            );
-            if let Some(at) = scratch.tagged.iter().position(|&(_, _, i)| i == index) {
-                scratch.tagged.remove(at);
-            }
-            if let Some((e, t)) = Self::tag_point(new_pos, &scratch.edge_pre, edge_count) {
-                let entry = (e, t, index);
-                let at = scratch
-                    .tagged
-                    .partition_point(|probe| tag_order(probe, &entry) == Ordering::Less);
-                scratch.tagged.insert(at, entry);
-            }
-            self.boundary_indices.clear();
-            self.boundary_indices
-                .extend(scratch.tagged.iter().map(|&(_, _, i)| i));
-        } else {
-            std::mem::swap(&mut self.vertices, &mut scratch.vertices_probe);
-            Self::order_boundary_into(
-                &self.input,
-                &self.vertices,
-                scratch,
-                &mut self.boundary_indices,
-            );
-        }
-        true
-    }
-
-    /// `true` when the scratch's boundary tags verifiably describe this
-    /// hull's boundary ordering: same length, emitted in the same index
-    /// order, sorted. (Single-vertex hulls never produce tags — see
-    /// `order_boundary_into` — so they always take the full-reorder path.)
-    fn tags_pair_with(&self, scratch: &HullScratch) -> bool {
-        self.vertices.len() > 1
-            && scratch.tagged.len() == self.boundary_indices.len()
-            && scratch
-                .tagged
-                .iter()
-                .zip(&self.boundary_indices)
-                .all(|(&(_, _, i), &b)| i == b)
-            && scratch
-                .tagged
-                .windows(2)
-                .all(|w| tag_order(&w[0], &w[1]) != Ordering::Greater)
-    }
-
     /// Orders all input points lying on the hull boundary counter-clockwise
     /// along the boundary (corners and edge-interior points alike), writing
-    /// the indices into `out`.
-    fn order_boundary_into(
-        points: &[Point],
-        vertices: &[Point],
-        scratch: &mut HullScratch,
-        out: &mut Vec<usize>,
-    ) {
-        Self::order_boundary_into_k::<EpsKernel>(points, vertices, scratch, out);
-    }
-
-    /// [`Self::order_boundary_into`] with the boundary membership test of
-    /// each point routed through kernel `K`. The [`EdgePrefilter`]
+    /// the indices into `out`. The boundary membership test of each point
+    /// is routed through kernel `K`; the [`EdgePrefilter`]
     /// rejection stays shared: its bounds carry a 2× slack over
     /// [`BOUNDARY_TOL`], so any point the exact kernel could accept (within
     /// one f64 rounding of the tolerance) still reaches the kernel test.
-    fn order_boundary_into_k<K: Kernel>(
+    fn order_boundary_into<K: Kernel>(
         points: &[Point],
         vertices: &[Point],
         scratch: &mut HullScratch,
@@ -462,7 +306,7 @@ impl ConvexHull {
             (0..edge_count).map(|e| EdgePrefilter::new(vertices[e], vertices[(e + 1) % nv])),
         );
         for (idx, &p) in points.iter().enumerate() {
-            if let Some((e, t)) = Self::tag_point_k::<K>(p, edge_pre, edge_count) {
+            if let Some((e, t)) = Self::tag_point::<K>(p, edge_pre, edge_count) {
                 tagged.push((e, t, idx));
             }
         }
@@ -475,19 +319,12 @@ impl ConvexHull {
 
     /// The boundary tag of one point: the hull edge it lies on (within the
     /// ordering tolerance) and its parameter along that edge, or `None` for
-    /// points off the boundary. Shared by the full boundary ordering and
-    /// the single-point patch of [`Self::repair_point_move`], so both
-    /// compute bitwise-identical tags.
-    fn tag_point(p: Point, edge_pre: &[EdgePrefilter], edge_count: usize) -> Option<(usize, f64)> {
-        Self::tag_point_k::<EpsKernel>(p, edge_pre, edge_count)
-    }
-
-    /// [`Self::tag_point`] with the `d <= BOUNDARY_TOL` membership test
-    /// decided by kernel `K`. The *ordering* between several accepted edges
+    /// points off the boundary. The `d <= BOUNDARY_TOL` membership test is
+    /// decided by kernel `K`; the *ordering* between several accepted edges
     /// and the edge parameter `t` are f64 constructions shared by all
     /// kernels (the corner-snap rule is a parameter-space convention, not a
     /// geometric classification).
-    fn tag_point_k<K: Kernel>(
+    fn tag_point<K: Kernel>(
         p: Point,
         edge_pre: &[EdgePrefilter],
         edge_count: usize,
@@ -902,99 +739,6 @@ mod tests {
         assert_eq!(two.edges_iter().count(), 1);
         let one = ConvexHull::from_points(&[p(1.0, 1.0)]);
         assert_eq!(one.edges_iter().count(), 0);
-    }
-
-    /// Replays a move script through `repair_point_move`, asserting after
-    /// every move that the repaired hull is structure-for-structure
-    /// identical to a from-scratch build of the moved point set.
-    fn assert_repairs_match_rebuilds(mut pts: Vec<Point>, script: &[(usize, Point)]) {
-        let mut hull = ConvexHull::default();
-        let mut scratch = HullScratch::default();
-        hull.rebuild_with(&pts, &mut scratch);
-        for &(i, to) in script {
-            pts[i] = to;
-            assert!(
-                hull.repair_point_move(i, to, &mut scratch),
-                "a paired scratch must accept the repair"
-            );
-            assert_eq!(
-                hull,
-                ConvexHull::from_points(&pts),
-                "repair diverged from rebuild after moving point {i} to {to:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn repair_matches_rebuild_for_interior_and_boundary_moves() {
-        assert_repairs_match_rebuilds(
-            square_with_extras(),
-            &[
-                (5, p(1.0, 1.0)),  // interior → interior
-                (5, p(3.0, 0.0)),  // interior → onto an edge
-                (5, p(2.5, 2.5)),  // back off the edge
-                (4, p(2.0, 2.0)),  // edge point → interior
-                (1, p(6.0, -1.0)), // corner vertex moves outward
-                (1, p(1.0, 1.0)),  // corner collapses inward: hull loses a vertex
-                (2, p(4.0, 4.0)),  // no-op move (same position)
-            ],
-        );
-    }
-
-    #[test]
-    fn repair_handles_degenerate_and_coincident_configurations() {
-        // Collinear input gaining a 2D point and collapsing back.
-        assert_repairs_match_rebuilds(
-            vec![p(0.0, 0.0), p(1.0, 0.0), p(2.0, 0.0), p(3.0, 0.0)],
-            &[
-                (1, p(1.0, 2.0)), // off the line: a triangle appears
-                (1, p(1.5, 0.0)), // back onto the line
-                (3, p(0.0, 0.0)), // coincides exactly with point 0
-                (3, p(3.0, 0.0)), // and separates again
-            ],
-        );
-        // Two points swapping roles.
-        assert_repairs_match_rebuilds(
-            vec![p(0.0, 0.0), p(2.0, 0.0)],
-            &[(0, p(5.0, 5.0)), (1, p(5.0, 5.0))],
-        );
-    }
-
-    #[test]
-    fn repair_refuses_an_unpaired_scratch() {
-        let pts = square_with_extras();
-        let mut hull = ConvexHull::from_points(&pts);
-        // A cold scratch was never paired with this hull.
-        let mut cold = HullScratch::default();
-        assert!(!hull.repair_point_move(5, p(1.0, 1.0), &mut cold));
-        assert_eq!(hull, ConvexHull::from_points(&pts), "a refusal is a no-op");
-        // A scratch paired with a *different* point set of the same size is
-        // rejected through the sorted-entry check.
-        let mut other_hull = ConvexHull::default();
-        let mut other = HullScratch::default();
-        let shifted: Vec<Point> = pts.iter().map(|q| Point::new(q.x + 100.0, q.y)).collect();
-        other_hull.rebuild_with(&shifted, &mut other);
-        assert!(!hull.repair_point_move(5, p(1.0, 1.0), &mut other));
-        // Out-of-range index.
-        let mut paired = HullScratch::default();
-        hull.rebuild_with(&pts, &mut paired);
-        assert!(!hull.repair_point_move(99, p(1.0, 1.0), &mut paired));
-    }
-
-    #[test]
-    fn repair_keeps_the_scratch_paired_across_a_long_sequence() {
-        // Oscillate one point across the boundary many times: every repair
-        // must leave the scratch valid for the next one.
-        let mut pts = square_with_extras();
-        let mut hull = ConvexHull::default();
-        let mut scratch = HullScratch::default();
-        hull.rebuild_with(&pts, &mut scratch);
-        for k in 0..50 {
-            let to = if k % 2 == 0 { p(2.0, 0.0) } else { p(2.0, 2.0) };
-            pts[5] = to;
-            assert!(hull.repair_point_move(5, to, &mut scratch));
-            assert_eq!(hull, ConvexHull::from_points(&pts));
-        }
     }
 
     #[test]

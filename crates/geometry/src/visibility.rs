@@ -13,19 +13,23 @@
 //!    their common convex hull and no three are collinear, every robot sees
 //!    every other robot (this is the equivalence the paper's Lemma 4 relies
 //!    on). [`fully_visible_in_convex_position`] decides this case exactly.
-//! 2. **Conservative sampling test for arbitrary configurations** —
-//!    [`disc_sees_disc`] tries the center segment, the two outer tangent
-//!    segments and a configurable grid of boundary-point pairs; a segment
-//!    counts as a sight line when it does not pass through the **interior** of
-//!    any other disc. This test never reports visibility that does not exist
-//!    (each witness segment is a genuine sight line); it can miss sight lines
-//!    that only exist through very thin gaps, which makes the simulated robots
-//!    strictly *more* conservative than the paper's idealised robots — they
-//!    act on less information, never on wrong information.
+//! 2. **Critical-offset witness search for arbitrary configurations** —
+//!    [`disc_sees_disc`] looks for a *witness sight segment* between the two
+//!    boundaries: segments at the critical perpendicular offsets of the
+//!    chord (the corridor edges and the edges of every obstacle's shadow),
+//!    first parallel to it, then slanted between two critical offsets, and
+//!    finally along the common tangents of every pair of discs involved. A
+//!    segment counts as a sight line when it keeps a fixed clearance from
+//!    every other (closed) disc. Each witness is verified, so the test never
+//!    reports visibility that does not exist; it can miss sight lines that
+//!    only exist through gaps thinner than that clearance, which makes the
+//!    simulated robots strictly *more* conservative than the paper's
+//!    idealised robots — they act on less information, never on wrong
+//!    information.
 
 use std::cmp::Ordering;
 
-use crate::circle::{Circle, UNIT_RADIUS};
+use crate::circle::UNIT_RADIUS;
 use crate::hull::ConvexHull;
 use crate::kernel::{EpsKernel, Kernel};
 use crate::line::Line;
@@ -64,43 +68,13 @@ fn in_corridor(
     along > 0.0 && along < span && w.dot(perp).abs() < VISIBILITY_PRUNE_RADIUS
 }
 
-/// Tuning parameters for the sampling-based visibility test.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VisibilityConfig {
-    /// Number of boundary sample points per disc (per side of the sight
-    /// corridor). Higher values find thinner sight lines at higher cost.
-    pub samples: usize,
-    /// Obstacle tolerance: a segment is blocked when it comes within
-    /// `radius + shrink` of an obstacle center. Robots are closed discs, so
-    /// grazing an obstacle boundary blocks the sight line (this is why three
-    /// collinear hull robots break full visibility).
-    pub shrink: f64,
-}
-
-impl Default for VisibilityConfig {
-    fn default() -> Self {
-        VisibilityConfig {
-            samples: 12,
-            shrink: 1e-9,
-        }
-    }
-}
-
-/// `true` when the segment avoids the interior of every obstacle disc.
-pub fn segment_clear(seg: &Segment, obstacles: &[Circle], cfg: &VisibilityConfig) -> bool {
-    segment_clear_k::<EpsKernel>(seg, obstacles, cfg)
-}
-
-/// [`segment_clear`] with the per-disc blocking tests decided by kernel `K`.
-pub fn segment_clear_k<K: Kernel>(
-    seg: &Segment,
-    obstacles: &[Circle],
-    cfg: &VisibilityConfig,
-) -> bool {
-    obstacles
-        .iter()
-        .all(|c| !c.blocks_segment_k::<K>(seg, cfg.shrink))
-}
+/// Obstacle clearance of the witness search: candidate sight lines are
+/// placed this far outside an obstacle's boundary, and a candidate counts as
+/// blocked when it comes within `UNIT_RADIUS + SIGHT_CLEARANCE / 2` of an
+/// obstacle center. Robots are closed discs, so grazing an obstacle
+/// boundary blocks the sight line (this is why three collinear hull robots
+/// break full visibility).
+const SIGHT_CLEARANCE: f64 = 1e-9;
 
 /// `true` when the unit disc centred at `centers[i]` can see the unit disc
 /// centred at `centers[j]`, treating every other disc in `centers` as an
@@ -108,7 +82,7 @@ pub fn segment_clear_k<K: Kernel>(
 ///
 /// The test searches for a *witness sight segment* from the boundary of disc
 /// `i` to the boundary of disc `j` that stays strictly clear of every other
-/// (closed) disc, in two stages:
+/// (closed) disc, in three stages:
 ///
 /// 1. **Parallel family** — segments at a common perpendicular offset
 ///    `o ∈ [−1, 1]` from the center-to-center chord. The candidate offsets
@@ -119,38 +93,21 @@ pub fn segment_clear_k<K: Kernel>(
 ///    both endpoints drawn from the same critical-offset set. This covers
 ///    the thin diagonal sight lines that appear when touching robots sit
 ///    near the line of sight at different depths.
+/// 3. **Tangent family** — the common tangents of every pair of discs
+///    involved (obstacles and the two endpoints), pushed out by
+///    `SIGHT_CLEARANCE`: any free sight segment can be moved until it
+///    touches two discs, so this stage completes the search up to that
+///    clearance.
 ///
 /// Every candidate is verified with an exact segment-versus-disc distance
-/// test, so a `true` answer always corresponds to a genuine sight line.
-/// A `false` answer can in principle miss exotic witnesses that are tangent
-/// to two obstacles while aligned with neither endpoint's critical offsets,
-/// but such configurations do not arise from the gathering dynamics (and the
-/// test errs on the conservative side: the robot acts as if it saw less, not
-/// more).
+/// test (the [`EpsKernel`] classification), so a `true` answer always
+/// corresponds to a genuine sight line. A `false` answer can only miss
+/// sight lines through gaps thinner than the clearance, which errs on the
+/// conservative side: the robot acts as if it saw less, not more.
 ///
 /// # Panics
 /// Panics if `i == j` or either index is out of bounds.
-pub fn disc_sees_disc(i: usize, j: usize, centers: &[Point], cfg: &VisibilityConfig) -> bool {
-    disc_sees_disc_k::<EpsKernel>(i, j, centers, cfg)
-}
-
-/// [`disc_sees_disc`] with the witness verification decided by kernel `K`.
-///
-/// Kernel routing covers the *blocking classifications* (candidate segment
-/// vs obstacle distance). The candidate **constructions** — corridor frame,
-/// critical offsets, boundary endpoints, tangent lines — are shared f64 by
-/// all kernels: the search is existential over a sampled candidate set, so
-/// constructions determine only *which* witnesses are tried, while the
-/// kernel decides whether a tried witness is genuinely clear.
-///
-/// # Panics
-/// Panics if `i == j` or either index is out of bounds.
-pub fn disc_sees_disc_k<K: Kernel>(
-    i: usize,
-    j: usize,
-    centers: &[Point],
-    cfg: &VisibilityConfig,
-) -> bool {
+pub fn disc_sees_disc(i: usize, j: usize, centers: &[Point]) -> bool {
     assert!(i != j, "a robot trivially sees itself");
     // Evaluate in normalized (lower index first) orientation: the kernel's
     // strict float comparisons are not exactly symmetric under endpoint
@@ -183,7 +140,7 @@ pub fn disc_sees_disc_k<K: Kernel>(
         .filter(|&(k, _)| k != lo && k != hi)
         .map(|(_, &c)| c)
         .collect();
-    disc_sees_disc_among_k::<K>(ci, cj, &others, cfg)
+    disc_sees_disc_among(ci, cj, &others)
 }
 
 /// Pair-level form of [`disc_sees_disc`]: decides whether the unit disc at
@@ -195,30 +152,12 @@ pub fn disc_sees_disc_k<K: Kernel>(
 /// index can pass any superset of the centers within
 /// [`VISIBILITY_PRUNE_RADIUS`] of the segment `ci`–`cj` and obtain exactly
 /// the same answer as the exhaustive test over all centers.
-pub fn disc_sees_disc_among(
-    ci: Point,
-    cj: Point,
-    obstacles: &[Point],
-    cfg: &VisibilityConfig,
-) -> bool {
-    disc_sees_disc_among_k::<EpsKernel>(ci, cj, obstacles, cfg)
-}
-
-/// [`disc_sees_disc_among`] with the blocking classifications decided by
-/// kernel `K` (see [`disc_sees_disc_k`] for what routing does and does not
-/// cover).
-pub fn disc_sees_disc_among_k<K: Kernel>(
-    ci: Point,
-    cj: Point,
-    obstacles: &[Point],
-    cfg: &VisibilityConfig,
-) -> bool {
+pub fn disc_sees_disc_among(ci: Point, cj: Point, obstacles: &[Point]) -> bool {
     // The kernel runs hundreds of thousands of times per simulated second;
     // its working buffers live in a per-thread scratch so the steady state
     // performs no heap allocation (sweep workers each get their own).
-    AMONG_SCRATCH.with(|scratch| {
-        disc_sees_disc_among_with::<K>(ci, cj, obstacles, cfg, &mut scratch.borrow_mut())
-    })
+    AMONG_SCRATCH
+        .with(|scratch| disc_sees_disc_among_with(ci, cj, obstacles, &mut scratch.borrow_mut()))
 }
 
 /// Reusable working buffers of [`disc_sees_disc_among`].
@@ -240,11 +179,10 @@ thread_local! {
         std::cell::RefCell::new(AmongScratch::default());
 }
 
-fn disc_sees_disc_among_with<K: Kernel>(
+fn disc_sees_disc_among_with(
     ci: Point,
     cj: Point,
     obstacles: &[Point],
-    cfg: &VisibilityConfig,
     scratch: &mut AmongScratch,
 ) -> bool {
     let axis = cj - ci;
@@ -278,14 +216,13 @@ fn disc_sees_disc_among_with<K: Kernel>(
 
     // Critical perpendicular offsets: the corridor edges and both edges of
     // every obstacle's shadow.
-    let clearance = cfg.shrink.max(1e-9);
     offsets.clear();
     offsets.push(-UNIT_RADIUS);
     offsets.push(UNIT_RADIUS);
     for &c in corridor.iter() {
         let o = (c - ci).dot(perp);
-        offsets.push(o - UNIT_RADIUS - clearance);
-        offsets.push(o + UNIT_RADIUS + clearance);
+        offsets.push(o - UNIT_RADIUS - SIGHT_CLEARANCE);
+        offsets.push(o + UNIT_RADIUS + SIGHT_CLEARANCE);
     }
     offsets.retain(|o| (-UNIT_RADIUS..=UNIT_RADIUS).contains(o));
 
@@ -315,7 +252,7 @@ fn disc_sees_disc_among_with<K: Kernel>(
     //
     // Small slices skip the sorting/precompute bookkeeping (it costs more
     // than it saves there) and run the same candidate loops directly.
-    let block_dist = UNIT_RADIUS + clearance / 2.0;
+    let block_dist = UNIT_RADIUS + SIGHT_CLEARANCE / 2.0;
     let block_sq = block_dist * block_dist;
     let threat: &[Point] = if obstacles.len() >= SORTED_THREAT_MIN {
         threat.clear();
@@ -336,7 +273,7 @@ fn disc_sees_disc_among_with<K: Kernel>(
     let clear = |p1: Point, p2: Point| {
         threat
             .iter()
-            .all(|&ck| K::cmp_segment_dist_sq(p1, p2, ck, block_sq) == Ordering::Greater)
+            .all(|&ck| EpsKernel::cmp_segment_dist_sq(p1, p2, ck, block_sq) == Ordering::Greater)
     };
 
     if obstacles.len() < SORTED_THREAT_MIN {
@@ -363,7 +300,7 @@ fn disc_sees_disc_among_with<K: Kernel>(
         let point_blocked = |p: Point| {
             threat
                 .iter()
-                .any(|&ck| K::cmp_segment_dist_sq(p, p, ck, block_sq) != Ordering::Greater)
+                .any(|&ck| EpsKernel::cmp_segment_dist_sq(p, p, ck, block_sq) != Ordering::Greater)
         };
         ends_i.clear();
         ends_i.extend(offsets.iter().map(|&o| {
@@ -414,12 +351,12 @@ fn disc_sees_disc_among_with<K: Kernel>(
             let count = tangent_candidate_lines(
                 relevant[a],
                 relevant[b],
-                UNIT_RADIUS + clearance,
+                UNIT_RADIUS + SIGHT_CLEARANCE,
                 (ci, cj),
                 &mut lines,
             );
             for line in &lines[..count] {
-                if let Some(seg) = chord_between_discs::<K>(line, ci, cj) {
+                if let Some(seg) = chord_between_discs(line, ci, cj) {
                     if clear(seg.a, seg.b) {
                         return true;
                     }
@@ -518,11 +455,11 @@ fn tangent_candidate_lines(
 /// The portion of `line` that runs from the boundary of the unit disc at
 /// `ci` to the boundary of the unit disc at `cj`, or `None` when the line
 /// misses either disc.
-fn chord_between_discs<K: Kernel>(line: &Line, ci: Point, cj: Point) -> Option<Segment> {
+fn chord_between_discs(line: &Line, ci: Point, cj: Point) -> Option<Segment> {
     // Whether the candidate line reaches both discs is a kernel
-    // classification; the chord endpoints below are shared constructions.
-    if line.cmp_distance_to_k::<K>(ci, UNIT_RADIUS) == Ordering::Greater
-        || line.cmp_distance_to_k::<K>(cj, UNIT_RADIUS) == Ordering::Greater
+    // classification; the chord endpoints below are f64 constructions.
+    if line.cmp_distance_to_k::<EpsKernel>(ci, UNIT_RADIUS) == Ordering::Greater
+        || line.cmp_distance_to_k::<EpsKernel>(cj, UNIT_RADIUS) == Ordering::Greater
     {
         return None;
     }
@@ -542,10 +479,11 @@ fn chord_between_discs<K: Kernel>(line: &Line, ci: Point, cj: Point) -> Option<S
 }
 
 /// Indices of all robots visible to robot `i` in the configuration `centers`
-/// (excluding `i` itself), using the sampling test.
-pub fn visible_set(i: usize, centers: &[Point], cfg: &VisibilityConfig) -> Vec<usize> {
+/// (excluding `i` itself), decided pair by pair by the witness search of
+/// [`disc_sees_disc`].
+pub fn visible_set(i: usize, centers: &[Point]) -> Vec<usize> {
     (0..centers.len())
-        .filter(|&j| j != i && disc_sees_disc(i, j, centers, cfg))
+        .filter(|&j| j != i && disc_sees_disc(i, j, centers))
         .collect()
 }
 
@@ -629,10 +567,11 @@ pub fn corridor_filter_soa(
 
 /// Safety margin the strip-cover certificate subtracts from the blocking
 /// half-width. The kernel blocks a candidate when an obstacle sits within
-/// `UNIT_RADIUS + clearance/2` of it, so certifying at `UNIT_RADIUS − 1e-7`
-/// leaves a gap seven-plus orders of magnitude above the ~1e-13 absolute
-/// rounding of the polygon clipping below: a line the cover misses by
-/// honest arithmetic can never be rounded into the covered set.
+/// `UNIT_RADIUS + SIGHT_CLEARANCE/2` of it, so certifying at
+/// `UNIT_RADIUS − 1e-7` leaves a gap seven-plus orders of magnitude above
+/// the ~1e-13 absolute rounding of the polygon clipping below: a line the
+/// cover misses by honest arithmetic can never be rounded into the covered
+/// set.
 const STRIP_COVER_SAFETY: f64 = 1e-7;
 
 /// Per-robot stability radius (ρ) of [`strip_cover_blocked_with_slack`]:
@@ -696,7 +635,7 @@ const STRIP_COVER_MAX_VERTS: usize = 24;
 /// (`hw = UNIT_RADIUS − `[`STRIP_COVER_SAFETY`]): the perpendicular
 /// distance is the axial difference divided by `√(1+s²)`, hence ≤ hw,
 /// strictly inside the kernel's blocking distance
-/// `UNIT_RADIUS + clearance/2`. Restricting to obstacles with
+/// `UNIT_RADIUS + SIGHT_CLEARANCE/2`. Restricting to obstacles with
 /// `t_k ∈ [2.5, T−2.5]` makes the foot of that perpendicular land inside
 /// the candidate segment (the foot sits within
 /// `|o_k − line(t_k)|·|s| < 1.5` of `t_k`, and the segment spans at least
@@ -918,38 +857,24 @@ struct StripScratch {
 /// the collinearity test; the gathering algorithm passes its own `1/n`-scaled
 /// band here.
 pub fn fully_visible_in_convex_position(centers: &[Point], collinearity_tol: f64) -> bool {
-    fully_visible_in_convex_position_k::<EpsKernel>(centers, collinearity_tol)
-}
-
-/// [`fully_visible_in_convex_position`] with the hull membership and the
-/// collinearity band decided by kernel `K`.
-pub fn fully_visible_in_convex_position_k<K: Kernel>(
-    centers: &[Point],
-    collinearity_tol: f64,
-) -> bool {
     if centers.len() <= 2 {
         return true;
     }
-    let hull = ConvexHull::from_points_k::<K>(centers);
+    let hull = ConvexHull::from_points(centers);
     if !hull.all_on_hull() {
         return false;
     }
-    no_three_collinear_k::<K>(centers, collinearity_tol)
+    no_three_collinear(centers, collinearity_tol)
 }
 
 /// `true` when no three of the given points are collinear within `tol`
 /// (tolerance on the doubled triangle area).
 pub fn no_three_collinear(points: &[Point], tol: f64) -> bool {
-    no_three_collinear_k::<EpsKernel>(points, tol)
-}
-
-/// [`no_three_collinear`] with the per-triple test decided by kernel `K`.
-pub fn no_three_collinear_k<K: Kernel>(points: &[Point], tol: f64) -> bool {
     let n = points.len();
     for a in 0..n {
         for b in (a + 1)..n {
             for c in (b + 1)..n {
-                if K::orientation_tol(points[a], points[b], points[c], tol)
+                if EpsKernel::orientation_tol(points[a], points[b], points[c], tol)
                     == Orientation::Collinear
                 {
                     return false;
@@ -963,12 +888,7 @@ pub fn no_three_collinear_k<K: Kernel>(points: &[Point], tol: f64) -> bool {
 /// `true` when the three points are exactly collinear within the default
 /// predicate tolerance. Convenience re-export used by the algorithm crate.
 pub fn three_collinear(a: Point, b: Point, c: Point) -> bool {
-    three_collinear_k::<EpsKernel>(a, b, c)
-}
-
-/// [`three_collinear`] under kernel `K`'s policy collinearity width.
-pub fn three_collinear_k<K: Kernel>(a: Point, b: Point, c: Point) -> bool {
-    K::orientation(a, b, c) == Orientation::Collinear
+    EpsKernel::orientation(a, b, c) == Orientation::Collinear
 }
 
 /// Minimum gap (boundary-to-boundary distance) over all pairs of unit discs,
@@ -998,15 +918,11 @@ mod tests {
         Point::new(x, y)
     }
 
-    fn cfg() -> VisibilityConfig {
-        VisibilityConfig::default()
-    }
-
     #[test]
     fn two_discs_always_see_each_other() {
         let centers = vec![p(0.0, 0.0), p(10.0, 0.0)];
-        assert!(disc_sees_disc(0, 1, &centers, &cfg()));
-        assert!(disc_sees_disc(1, 0, &centers, &cfg()));
+        assert!(disc_sees_disc(0, 1, &centers));
+        assert!(disc_sees_disc(1, 0, &centers));
     }
 
     #[test]
@@ -1017,16 +933,16 @@ mod tests {
         // disc exactly fills the corridor, so the outer robots cannot see
         // each other.
         let centers = vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0)];
-        assert!(!disc_sees_disc(0, 2, &centers, &cfg()));
-        assert!(disc_sees_disc(0, 1, &centers, &cfg()));
-        assert!(disc_sees_disc(1, 2, &centers, &cfg()));
+        assert!(!disc_sees_disc(0, 2, &centers));
+        assert!(disc_sees_disc(0, 1, &centers));
+        assert!(disc_sees_disc(1, 2, &centers));
     }
 
     #[test]
     fn offset_disc_does_not_block() {
         // The "blocking" disc is displaced well off the corridor.
         let centers = vec![p(0.0, 0.0), p(10.0, 5.0), p(20.0, 0.0)];
-        assert!(disc_sees_disc(0, 2, &centers, &cfg()));
+        assert!(disc_sees_disc(0, 2, &centers));
     }
 
     #[test]
@@ -1034,7 +950,7 @@ mod tests {
         // Middle disc displaced by more than a radius from the corridor
         // center line frees one tangent side.
         let centers = vec![p(0.0, 0.0), p(10.0, 2.5), p(20.0, 0.0)];
-        assert!(disc_sees_disc(0, 2, &centers, &cfg()));
+        assert!(disc_sees_disc(0, 2, &centers));
     }
 
     #[test]
@@ -1050,8 +966,8 @@ mod tests {
             for j in 0..centers.len() {
                 if i != j {
                     assert_eq!(
-                        disc_sees_disc(i, j, &centers, &cfg()),
-                        disc_sees_disc(j, i, &centers, &cfg()),
+                        disc_sees_disc(i, j, &centers),
+                        disc_sees_disc(j, i, &centers),
                         "asymmetric visibility between {i} and {j}"
                     );
                 }
@@ -1062,9 +978,9 @@ mod tests {
     #[test]
     fn visible_set_excludes_self() {
         let centers = vec![p(0.0, 0.0), p(4.0, 0.0), p(8.0, 0.0)];
-        let v = visible_set(1, &centers, &cfg());
+        let v = visible_set(1, &centers);
         assert_eq!(v, vec![0, 2]);
-        let v0 = visible_set(0, &centers, &cfg());
+        let v0 = visible_set(0, &centers);
         assert_eq!(v0, vec![1]);
     }
 
@@ -1162,7 +1078,7 @@ mod tests {
         // offset strips at other depths kill those.
         let wall = [p(15.0, 0.0), p(10.0, 1.1), p(20.0, -1.1)];
         assert!(strip_cover_blocked(ci, cj, &wall));
-        assert!(!disc_sees_disc_among(ci, cj, &wall, &cfg()));
+        assert!(!disc_sees_disc_among(ci, cj, &wall));
         // Without the lower flanker the grazing candidates just below the
         // mid obstacle stay clear (axial distance ≳ UNIT_RADIUS): the
         // lower corner of the line square is uncovered, so no certificate.
@@ -1222,7 +1138,7 @@ mod tests {
                     })
                     .collect();
                 assert!(
-                    !disc_sees_disc_among(qi, qj, &drifted, &cfg()),
+                    !disc_sees_disc_among(qi, qj, &drifted),
                     "{what} fired but a ρ-drifted configuration sees (span {})",
                     ci.distance(cj)
                 );
@@ -1259,7 +1175,7 @@ mod tests {
                 if strip_cover_blocked(ci, cj, &obstacles) {
                     fired += 1;
                     assert!(
-                        !disc_sees_disc_among(ci, cj, &obstacles, &cfg()),
+                        !disc_sees_disc_among(ci, cj, &obstacles),
                         "strip cover fired for a pair the kernel sees (span {})",
                         ci.distance(cj)
                     );
@@ -1283,7 +1199,7 @@ mod tests {
                 {
                     window_fired += 1;
                     assert!(
-                        !disc_sees_disc_among(ci, cj, &obstacles, &cfg()),
+                        !disc_sees_disc_among(ci, cj, &obstacles),
                         "mid-chord cover fired for a pair the full slice sees (span {span})"
                     );
                     assert_blocked_under_drift(ci, cj, &obstacles, "mid-chord cover");

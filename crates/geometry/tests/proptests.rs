@@ -1,8 +1,8 @@
 //! Property-based tests for the geometry substrate.
 
-use fatrobots_geometry::hull::{convex_hull, ConvexHull, HullScratch};
+use fatrobots_geometry::hull::{convex_hull, ConvexHull};
 use fatrobots_geometry::predicates::{self, Orientation};
-use fatrobots_geometry::visibility::{disc_sees_disc, min_pairwise_gap, VisibilityConfig};
+use fatrobots_geometry::visibility::{disc_sees_disc, min_pairwise_gap};
 use fatrobots_geometry::{Circle, EpsKernel, ExactKernel, Kernel, Point, Segment, Vec2, EPS};
 use proptest::prelude::*;
 
@@ -94,33 +94,6 @@ proptest! {
         }
     }
 
-    /// The incremental-repair pin: after an arbitrary sequence of
-    /// single-point moves (interior shuffles, boundary crossings, exact
-    /// coincidences — the coordinate grid makes collisions and collinear
-    /// runs likely), a hull maintained by `repair_point_move` must be
-    /// structure-for-structure identical to a from-scratch build: same
-    /// vertices, same boundary indices, same input.
-    #[test]
-    fn single_point_repair_matches_full_rebuild(
-        pts in prop::collection::vec((0i32..8, 0i32..8), 2..24),
-        script in prop::collection::vec((0usize..64, 0i32..8, 0i32..8, -0.5f64..0.5, -0.5f64..0.5), 1..24),
-    ) {
-        let mut pts: Vec<Point> = pts
-            .into_iter()
-            .map(|(i, j)| Point::new(i as f64, j as f64))
-            .collect();
-        let mut hull = ConvexHull::default();
-        let mut scratch = HullScratch::default();
-        hull.rebuild_with(&pts, &mut scratch);
-        for (pick, i, j, dx, dy) in script {
-            let idx = pick % pts.len();
-            let to = Point::new(i as f64 + dx, j as f64 + dy);
-            pts[idx] = to;
-            prop_assert!(hull.repair_point_move(idx, to, &mut scratch));
-            prop_assert_eq!(&hull, &ConvexHull::from_points(&pts));
-        }
-    }
-
     #[test]
     fn segment_distance_symmetric(a in point(), b in point(), c in point(), d in point()) {
         let s1 = Segment::new(a, b);
@@ -158,12 +131,11 @@ proptest! {
         if let Some(gap) = min_pairwise_gap(&centers) {
             prop_assume!(gap > 0.0);
         }
-        let cfg = VisibilityConfig::default();
         for i in 0..centers.len() {
             for j in (i + 1)..centers.len() {
                 prop_assert_eq!(
-                    disc_sees_disc(i, j, &centers, &cfg),
-                    disc_sees_disc(j, i, &centers, &cfg)
+                    disc_sees_disc(i, j, &centers),
+                    disc_sees_disc(j, i, &centers)
                 );
             }
         }
@@ -173,7 +145,6 @@ proptest! {
     fn adjacent_discs_always_see_each_other(centers in disc_centers(5)) {
         prop_assume!(centers.len() >= 2);
         // The pair at minimum distance has nothing between them.
-        let cfg = VisibilityConfig::default();
         let mut best = (0, 1, f64::INFINITY);
         for i in 0..centers.len() {
             for j in (i + 1)..centers.len() {
@@ -183,7 +154,7 @@ proptest! {
                 }
             }
         }
-        prop_assert!(disc_sees_disc(best.0, best.1, &centers, &cfg));
+        prop_assert!(disc_sees_disc(best.0, best.1, &centers));
     }
 
     #[test]

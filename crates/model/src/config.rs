@@ -2,9 +2,7 @@
 
 use fatrobots_geometry::hull::ConvexHull;
 use fatrobots_geometry::predicates::approx_eq_tol;
-use fatrobots_geometry::visibility::{
-    disc_sees_disc, min_pairwise_gap, no_three_collinear, VisibilityConfig,
-};
+use fatrobots_geometry::visibility::{disc_sees_disc, min_pairwise_gap, no_three_collinear};
 use fatrobots_geometry::{Point, UNIT_RADIUS};
 
 use crate::phase::Phase;
@@ -188,22 +186,23 @@ impl GeometricConfig {
         Self::all_on_hull_on(centers) && no_three_collinear(centers, collinearity_tol)
     }
 
-    /// General full-visibility test using the sampling-based visibility
-    /// oracle: every robot sees every other robot.
+    /// General full-visibility test: every robot sees every other robot,
+    /// each pair decided by the critical-offset witness search of
+    /// [`disc_sees_disc`].
     ///
     /// Quadratic in `n` and considerably more expensive than
     /// [`Self::is_fully_visible_convex`]; intended for metrics and tests on
     /// arbitrary (non-convex-position) configurations.
-    pub fn is_fully_visible_sampled(&self, vis: &VisibilityConfig) -> bool {
-        Self::is_fully_visible_sampled_on(&self.centers, vis)
+    pub fn is_fully_visible_sampled(&self) -> bool {
+        Self::is_fully_visible_sampled_on(&self.centers)
     }
 
     /// Borrowed form of [`Self::is_fully_visible_sampled`].
-    pub fn is_fully_visible_sampled_on(centers: &[Point], vis: &VisibilityConfig) -> bool {
+    pub fn is_fully_visible_sampled_on(centers: &[Point]) -> bool {
         let n = centers.len();
         for i in 0..n {
             for j in (i + 1)..n {
-                if !disc_sees_disc(i, j, centers, vis) {
+                if !disc_sees_disc(i, j, centers) {
                     return false;
                 }
             }
@@ -222,7 +221,7 @@ impl GeometricConfig {
     pub fn is_gathered_on(centers: &[Point], collinearity_tol: f64) -> bool {
         Self::is_connected_on(centers)
             && (Self::is_fully_visible_convex_on(centers, collinearity_tol)
-                || Self::is_fully_visible_sampled_on(centers, &VisibilityConfig::default()))
+                || Self::is_fully_visible_sampled_on(centers))
     }
 
     /// Total area of the convex hull of the centers (a monotonicity witness
@@ -384,7 +383,7 @@ mod tests {
         let line = chain(4);
         assert!(line.all_on_hull());
         assert!(!line.is_fully_visible_convex(1e-9));
-        assert!(!line.is_fully_visible_sampled(&VisibilityConfig::default()));
+        assert!(!line.is_fully_visible_sampled());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Local views (`V_i`): the snapshot a robot obtains in its Look phase.
 
 use fatrobots_geometry::hull::ConvexHull;
-use fatrobots_geometry::visibility::{visible_set, VisibilityConfig};
+use fatrobots_geometry::visibility::visible_set;
 use fatrobots_geometry::Point;
 
 use crate::config::GeometricConfig;
@@ -60,14 +60,14 @@ impl LocalView {
         }
     }
 
-    /// Takes the snapshot of robot `i` in configuration `g`, using the
-    /// sampling-based visibility oracle: the Look phase of the paper.
+    /// Takes the snapshot of robot `i` in configuration `g`, with the
+    /// visible set decided by [`visible_set`]: the Look phase of the paper.
     ///
     /// # Panics
     /// Panics if `i` is out of bounds.
-    pub fn snapshot(g: &GeometricConfig, i: usize, vis: &VisibilityConfig) -> Self {
+    pub fn snapshot(g: &GeometricConfig, i: usize) -> Self {
         let centers = g.centers();
-        let visible = visible_set(i, centers, vis);
+        let visible = visible_set(i, centers);
         Self::from_visible(centers, i, &visible)
     }
 
@@ -138,7 +138,7 @@ impl LocalView {
     /// Takes a snapshot assuming full visibility (every other robot is seen).
     /// Useful once the configuration is in convex position, where visibility
     /// is decided exactly by the no-three-collinear predicate and the
-    /// sampling oracle is unnecessary.
+    /// pairwise witness search is unnecessary.
     pub fn full_snapshot(g: &GeometricConfig, i: usize) -> Self {
         let centers = g.centers();
         LocalView {
@@ -205,11 +205,10 @@ mod tests {
     fn snapshot_reflects_occlusion() {
         // Three collinear robots: the middle one hides the far one.
         let g = GeometricConfig::new(vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0)]);
-        let vis = VisibilityConfig::default();
-        let v0 = LocalView::snapshot(&g, 0, &vis);
+        let v0 = LocalView::snapshot(&g, 0);
         assert_eq!(v0.size(), 2);
         assert!(!v0.sees_all());
-        let v1 = LocalView::snapshot(&g, 1, &vis);
+        let v1 = LocalView::snapshot(&g, 1);
         assert_eq!(v1.size(), 3);
         assert!(v1.sees_all());
     }
@@ -217,10 +216,9 @@ mod tests {
     #[test]
     fn from_visible_matches_snapshot() {
         let g = GeometricConfig::new(vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0)]);
-        let vis = VisibilityConfig::default();
         for i in 0..g.len() {
-            let direct = LocalView::snapshot(&g, i, &vis);
-            let visible = fatrobots_geometry::visibility::visible_set(i, g.centers(), &vis);
+            let direct = LocalView::snapshot(&g, i);
+            let visible = fatrobots_geometry::visibility::visible_set(i, g.centers());
             let borrowed = LocalView::from_visible(g.centers(), i, &visible);
             assert_eq!(direct, borrowed);
         }
@@ -229,12 +227,11 @@ mod tests {
     #[test]
     fn refill_reuses_storage_and_matches_from_visible() {
         let g = GeometricConfig::new(vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0)]);
-        let vis = VisibilityConfig::default();
         // One view refilled across every robot must always equal the
         // freshly built snapshot.
         let mut view = LocalView::new(p(0.0, 0.0), vec![], 3);
         for i in 0..g.len() {
-            let visible = fatrobots_geometry::visibility::visible_set(i, g.centers(), &vis);
+            let visible = fatrobots_geometry::visibility::visible_set(i, g.centers());
             view.refill_from_visible(g.centers(), i, &visible);
             assert_eq!(view, LocalView::from_visible(g.centers(), i, &visible));
         }

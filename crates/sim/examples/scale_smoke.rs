@@ -35,7 +35,6 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use fatrobots_geometry::visibility::VisibilityConfig;
 use fatrobots_geometry::Point;
 use fatrobots_sim::world::{World, WorldMode};
 
@@ -176,7 +175,7 @@ fn main() -> ExitCode {
         (0.0, -AMPLITUDE),
     ];
 
-    let mut world = World::new(centers, VisibilityConfig::default(), WorldMode::Sparse);
+    let mut world = World::new(centers, WorldMode::Sparse);
     let mut visible = Vec::new();
     let mut ok = true;
     let cycles = EVENT_BUDGET / ACTIVE;

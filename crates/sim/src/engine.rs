@@ -14,7 +14,6 @@
 use std::time::Instant;
 
 use fatrobots_core::{ComputeScratch, Decision, Strategy};
-use fatrobots_geometry::visibility::VisibilityConfig;
 use fatrobots_geometry::{Point, UNIT_RADIUS};
 use fatrobots_model::{LocalView, Phase, RobotConfig, RobotId};
 use fatrobots_scheduler::{Adversary, Directive, Event, Liveness, MotionControl, SystemSnapshot};
@@ -59,9 +58,6 @@ pub struct SimConfig {
     pub max_events: usize,
     /// The liveness parameters (δ).
     pub liveness: Liveness,
-    /// Parameters of the sampling-based visibility oracle used for the Look
-    /// snapshots.
-    pub visibility: VisibilityConfig,
     /// Collinearity tolerance used by the gathered-predicate checks.
     pub collinearity_tol: f64,
     /// Record the full event trace (memory proportional to the run length).
@@ -101,7 +97,6 @@ impl Default for SimConfig {
         SimConfig {
             max_events: 200_000,
             liveness: Liveness::default(),
-            visibility: VisibilityConfig::default(),
             collinearity_tol: 1e-9,
             record_trace: false,
             sample_every: 50,
@@ -183,7 +178,7 @@ impl Simulator {
     ) -> Self {
         assert!(!centers.is_empty(), "a simulation needs at least one robot");
         let n = centers.len();
-        let mut world = World::new(centers, config.visibility, config.world_mode);
+        let mut world = World::new(centers, config.world_mode);
         assert!(
             world.is_valid(),
             "the initial configuration must not contain overlapping robots"
@@ -252,8 +247,8 @@ impl Simulator {
     }
 
     /// Hull-cache telemetry: `(repairs, rebuilds)` of the world's lazily
-    /// maintained hull — refreshes served by the single-mover in-place
-    /// repair vs. full rebuilds.
+    /// maintained hull. `repairs` is always 0 (every stale hull is rebuilt)
+    /// and kept only because the benchmark harness reads this pair.
     pub fn hull_repair_stats(&self) -> (u64, u64) {
         self.world.hull_repair_stats()
     }

@@ -278,9 +278,10 @@ pub struct RunSummary {
     pub decision_cache_hits: u64,
     /// Compute events that ran the full Compute pipeline.
     pub decision_cache_misses: u64,
-    /// Hull-cache refreshes served by the single-mover in-place repair.
+    /// Always 0: every stale hull is rebuilt. Kept only because the
+    /// benchmark harness names it.
     pub hull_repairs: u64,
-    /// Hull-cache refreshes that fell back to a full rebuild.
+    /// Rebuilds of the world's lazily maintained hull.
     pub hull_rebuilds: u64,
     /// Visibility pair-store entries materialized by the end of the run:
     /// only the pairs actually computed (0 in the scratch world).

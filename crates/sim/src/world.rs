@@ -13,9 +13,9 @@
 //!   actually have changed the pair's answer. Memory is linear in n plus
 //!   the computed pairs, never Θ(n²);
 //! * the **convex hull** (and the all-on-hull flag), the **connectivity**
-//!   predicate, the **validity** (no-overlap) predicate and the minimum
-//!   pairwise gap, each tagged with a configuration version and recomputed
-//!   lazily on first use after a move.
+//!   predicate and the **validity** (no-overlap) predicate, each tagged
+//!   with a configuration version and recomputed lazily on first use after
+//!   a move.
 //!
 //! ## The invalidation rule
 //!
@@ -72,9 +72,9 @@ use std::sync::{Mutex, OnceLock};
 use fatrobots_geometry::grid::{CellCoord, CellHashBuilder, CellMap, UniformGrid, GRID_LEVELS};
 use fatrobots_geometry::hull::{ConvexHull, HullScratch};
 use fatrobots_geometry::visibility::{
-    corridor_filter_soa, disc_sees_disc_among, min_pairwise_gap, no_three_collinear,
-    strip_cover_blocked, strip_cover_blocked_with_slack, visible_set, VisibilityConfig,
-    COVER_STABILITY_RADIUS, STRIP_COVER_SLACK_MIN_SPAN, VISIBILITY_PRUNE_RADIUS,
+    corridor_filter_soa, disc_sees_disc, disc_sees_disc_among, no_three_collinear,
+    strip_cover_blocked, strip_cover_blocked_with_slack, visible_set, COVER_STABILITY_RADIUS,
+    STRIP_COVER_SLACK_MIN_SPAN, VISIBILITY_PRUNE_RADIUS,
 };
 use fatrobots_geometry::{Point, Segment, Vec2, UNIT_RADIUS};
 use fatrobots_model::config::{gap_touches, TOUCH_TOL};
@@ -391,41 +391,11 @@ struct PairProbe {
     obs: Vec<Point>,
 }
 
-/// A computed minimum pairwise gap: the gap value plus the (ascending)
-/// pair achieving it, or `None` for fewer than two robots. The achieving
-/// pair is what lets a single move maintain the cache in O(n): only a
-/// mover that holds the minimum can raise it.
-type MinGapEntry = Option<(f64, (usize, usize))>;
-
-/// Which robots moved since the hull cache was last brought up to date.
-/// Exactly one mover (possibly moved several times) is the repairable case;
-/// two distinct movers degrade to a full rebuild.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HullStaleness {
-    /// No move since the last hull refresh.
-    Clean,
-    /// Only this robot moved (any number of times).
-    One(usize),
-    /// Two or more distinct robots moved.
-    Many,
-}
-
-impl HullStaleness {
-    fn record_move(&mut self, i: usize) {
-        *self = match *self {
-            HullStaleness::Clean => HullStaleness::One(i),
-            HullStaleness::One(j) if j == i => HullStaleness::One(i),
-            _ => HullStaleness::Many,
-        };
-    }
-}
-
 /// The simulator's ground-truth configuration plus incrementally maintained
 /// derived state. See the module docs for the design.
 #[derive(Debug)]
 pub struct World {
     mode: WorldMode,
-    vis: VisibilityConfig,
     centers: Vec<Point>,
     grid: UniformGrid,
     /// Configuration version: incremented once per applied move.
@@ -451,14 +421,8 @@ pub struct World {
     hull_scratch: HullScratch,
     hull_version: Option<u64>,
     hull_all_on: bool,
-    /// Movers since the last hull refresh: drives the single-mover in-place
-    /// hull repair.
-    hull_staleness: HullStaleness,
     connected_cache: Option<(u64, bool)>,
     valid_cache: Option<(u64, bool)>,
-    /// Minimum pairwise gap with its achieving pair, maintained across
-    /// single moves while warm (see [`Self::min_pairwise_gap`]).
-    min_gap_cache: Option<(u64, MinGapEntry)>,
     /// Per-robot view versions: bumped exactly when the robot's Look
     /// snapshot may differ from the previous one — the robot itself moved,
     /// a pair involving it was dirtied (its visible set, or the position of
@@ -469,9 +433,7 @@ pub struct World {
     /// recomputed.
     hits: u64,
     misses: u64,
-    /// Hull-cache telemetry: refreshes served by the single-mover in-place
-    /// repair vs full rebuilds.
-    hull_repairs: u64,
+    /// Hull-cache telemetry: rebuilds of a stale hull.
     hull_rebuilds: u64,
     /// Blocked-certificate telemetry: recomputes whose answer came from a
     /// strip cover (slack or exact) instead of the witness kernel, and
@@ -494,7 +456,7 @@ pub struct World {
 
 impl World {
     /// Creates the world for the given centers.
-    pub fn new(centers: Vec<Point>, vis: VisibilityConfig, mode: WorldMode) -> Self {
+    pub fn new(centers: Vec<Point>, mode: WorldMode) -> Self {
         let n = centers.len();
         let grid = UniformGrid::new(GRID_CELL, &centers);
         let sparse = if mode == WorldMode::Sparse {
@@ -516,7 +478,6 @@ impl World {
         };
         World {
             mode,
-            vis,
             centers,
             grid,
             version: 0,
@@ -528,14 +489,11 @@ impl World {
             hull_scratch: HullScratch::default(),
             hull_version: None,
             hull_all_on: false,
-            hull_staleness: HullStaleness::Clean,
             connected_cache: None,
             valid_cache: None,
-            min_gap_cache: None,
             view_versions: vec![1; n],
             hits: 0,
             misses: 0,
-            hull_repairs: 0,
             hull_rebuilds: 0,
             cover_answers: 0,
             cert_skips: 0,
@@ -578,11 +536,13 @@ impl World {
         (self.hits, self.misses)
     }
 
-    /// Hull-cache telemetry: `(repairs, rebuilds)` — refreshes served by the
-    /// single-mover in-place repair vs full rebuilds. Both are 0 in
-    /// [`WorldMode::Scratch`] (every query recomputes, nothing is counted).
+    /// Hull-cache telemetry: `(0, rebuilds)` — the rebuilds of a stale
+    /// hull. The first slot is always 0 (every stale hull is rebuilt) and
+    /// is kept only because the benchmark harness reads this pair. Both are
+    /// 0 in [`WorldMode::Scratch`] (every query recomputes, nothing is
+    /// counted).
     pub fn hull_repair_stats(&self) -> (u64, u64) {
-        (self.hull_repairs, self.hull_rebuilds)
+        (0, self.hull_rebuilds)
     }
 
     /// Pair-store telemetry: `(entries, registrations)` — materialized pair
@@ -643,7 +603,6 @@ impl World {
             return;
         }
         self.version += 1;
-        self.hull_staleness.record_move(i);
         match self.mode {
             WorldMode::Sparse => {
                 // The mover's own view always changes (its center is part of
@@ -687,53 +646,6 @@ impl World {
         self.centers[i] = p;
         self.xs[i] = p.x;
         self.ys[i] = p.y;
-        if self.mode != WorldMode::Scratch {
-            self.update_min_gap_after_move(i);
-        }
-    }
-
-    /// Maintains the min-gap cache across the move of robot `i` when it was
-    /// warm (computed at the version just before this move); otherwise it
-    /// simply stays stale and the next query rescans.
-    ///
-    /// Only pairs involving the mover changed, so: if the cached minimum is
-    /// achieved by a pair *not* involving the mover, that pair is unchanged
-    /// and still realises the minimum over all non-mover pairs — the new
-    /// global minimum is its fold with the mover's O(n) row (exactly the
-    /// value the full O(n²) rescan would produce, since `min` over the same
-    /// multiset is order-independent). If the mover held the minimum, its
-    /// gap may have *grown*, and nothing short of a rescan is sound — the
-    /// cache is dropped instead.
-    fn update_min_gap_after_move(&mut self, i: usize) {
-        let Some((v, entry)) = self.min_gap_cache else {
-            return;
-        };
-        if v + 1 != self.version {
-            return; // already stale before this move
-        }
-        match entry {
-            None => {
-                // Fewer than two robots: nothing to maintain.
-                self.min_gap_cache = Some((self.version, None));
-            }
-            Some((_, (a, b))) if a == i || b == i => {
-                self.min_gap_cache = None; // the mover held the minimum
-            }
-            Some((gap, pair)) => {
-                let (mut best, mut best_pair) = (gap, pair);
-                for j in 0..self.len() {
-                    if j == i {
-                        continue;
-                    }
-                    let g = self.centers[i].distance(self.centers[j]) - 2.0 * UNIT_RADIUS;
-                    if g < best {
-                        best = g;
-                        best_pair = (i.min(j), i.max(j));
-                    }
-                }
-                self.min_gap_cache = Some((self.version, Some((best, best_pair))));
-            }
-        }
     }
 
     /// Processes one cell's corridor registrations at one grid level for a
@@ -832,7 +744,7 @@ impl World {
     pub fn sees(&mut self, i: usize, j: usize) -> bool {
         assert!(i != j, "a robot trivially sees itself");
         if self.mode == WorldMode::Scratch {
-            return fatrobots_geometry::visibility::disc_sees_disc(i, j, &self.centers, &self.vis);
+            return disc_sees_disc(i, j, &self.centers);
         }
         let (a, b) = if i < j { (i, j) } else { (j, i) };
         assert!(b < self.len(), "robot index out of bounds");
@@ -997,7 +909,7 @@ impl World {
             cover_answered = true;
             false
         } else {
-            disc_sees_disc_among(ca, cb, obs, &self.vis)
+            disc_sees_disc_among(ca, cb, obs)
         };
         PairAnswer {
             seen,
@@ -1192,7 +1104,7 @@ impl World {
         assert!(i < self.len(), "robot index out of bounds");
         out.clear();
         if self.mode == WorldMode::Scratch {
-            out.extend(visible_set(i, &self.centers, &self.vis));
+            out.extend(visible_set(i, &self.centers));
             return;
         }
         // Refresh recomputes exactly the dirty pairs of row `i`; the sorted
@@ -1201,44 +1113,20 @@ impl World {
         out.extend(self.sparse.adj[i].iter().map(|&j| j as usize));
     }
 
-    /// Brings the hull cache up to date when stale and returns the
-    /// all-on-hull flag. When exactly one robot moved since the last
-    /// refresh (tracked by [`HullStaleness`], the common case on the
-    /// event-serial schedule) the hull is **repaired in place** —
-    /// [`ConvexHull::repair_point_move`] patches the sorted chain input and,
-    /// when the corner polygon is unchanged, the boundary tags, skipping
-    /// the O(n log n) rebuild. The repair is exact by construction, so the
-    /// result is identical to a rebuild; multi-mover staleness or a repair
-    /// refusal falls back to `rebuild_with`.
+    /// Rebuilds the hull cache in place when the configuration version
+    /// changed since the last build (always in [`WorldMode::Scratch`]) and
+    /// returns the all-on-hull flag.
     fn refresh_hull(&mut self) -> bool {
-        let stale = match (self.mode, self.hull_version) {
-            (WorldMode::Scratch, _) => true,
-            (_, Some(v)) => v != self.version,
-            (_, None) => true,
-        };
+        let stale = self.mode == WorldMode::Scratch || self.hull_version != Some(self.version);
         if stale {
-            let repaired = self.mode != WorldMode::Scratch
-                && self.hull_version.is_some()
-                && match self.hull_staleness {
-                    HullStaleness::One(i) => {
-                        self.hull
-                            .repair_point_move(i, self.centers[i], &mut self.hull_scratch)
-                    }
-                    _ => false,
-                };
-            if repaired {
-                self.hull_repairs += 1;
-            } else {
-                self.hull
-                    .rebuild_with(&self.centers, &mut self.hull_scratch);
-                if self.mode != WorldMode::Scratch {
-                    self.hull_rebuilds += 1;
-                }
+            self.hull
+                .rebuild_with(&self.centers, &mut self.hull_scratch);
+            if self.mode != WorldMode::Scratch {
+                self.hull_rebuilds += 1;
             }
             self.hull_all_on = self.len() <= 2 || self.hull.all_on_hull();
             self.hull_version = Some(self.version);
         }
-        self.hull_staleness = HullStaleness::Clean;
         self.hull_all_on
     }
 
@@ -1338,47 +1226,9 @@ impl World {
         ok
     }
 
-    /// Minimum boundary-to-boundary gap over all pairs (`None` for fewer
-    /// than two robots). The cache tracks the achieving pair so that a
-    /// single move maintains it in O(n) (`update_min_gap_after_move`):
-    /// only pairs involving the mover can lower the running minimum, and
-    /// only a mover that *held* it can raise it (that case drops back to
-    /// this full rescan). The cached value is always exactly what
-    /// `min_pairwise_gap(centers)` returns — `min` over the same pair
-    /// multiset is order-independent.
-    pub fn min_pairwise_gap(&mut self) -> Option<f64> {
-        if self.mode == WorldMode::Scratch {
-            return min_pairwise_gap(&self.centers);
-        }
-        if let Some((v, entry)) = self.min_gap_cache {
-            if v == self.version {
-                return entry.map(|(gap, _)| gap);
-            }
-        }
-        let n = self.len();
-        let mut entry = None;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let gap = self.centers[i].distance(self.centers[j]) - 2.0 * UNIT_RADIUS;
-                if entry.map_or(true, |(best, _)| gap < best) {
-                    entry = Some((gap, (i, j)));
-                }
-            }
-        }
-        self.min_gap_cache = Some((self.version, entry));
-        debug_assert_eq!(
-            entry.map(|(gap, _)| gap),
-            min_pairwise_gap(&self.centers),
-            "the argmin-tracking rescan must reproduce the reference fold"
-        );
-        entry.map(|(gap, _)| gap)
-    }
-
     /// The gathering predicate (Definition 1): connected and fully visible.
-    /// Exactly [`GeometricConfig::is_gathered_on`], with the sampled
-    /// full-visibility fallback answered from the pair cache when the
-    /// world's visibility parameters are the default ones that predicate
-    /// uses.
+    /// Exactly [`GeometricConfig::is_gathered_on`], with the pairwise
+    /// full-visibility fallback answered from the pair cache.
     pub fn is_gathered(&mut self, collinearity_tol: f64) -> bool {
         if self.mode == WorldMode::Scratch {
             return GeometricConfig::is_gathered_on(&self.centers, collinearity_tol);
@@ -1389,22 +1239,15 @@ impl World {
         if self.all_on_hull() && no_three_collinear(&self.centers, collinearity_tol) {
             return true;
         }
-        if self.vis == VisibilityConfig::default() {
-            let n = self.len();
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if !self.sees(i, j) {
-                        return false;
-                    }
+        let n = self.len();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if !self.sees(i, j) {
+                    return false;
                 }
             }
-            true
-        } else {
-            GeometricConfig::is_fully_visible_sampled_on(
-                &self.centers,
-                &VisibilityConfig::default(),
-            )
         }
+        true
     }
 
     /// The configuration-level predicates behind one metrics sample, from
@@ -1455,29 +1298,28 @@ mod tests {
     }
 
     fn world(centers: Vec<Point>, mode: WorldMode) -> World {
-        World::new(centers, VisibilityConfig::default(), mode)
+        World::new(centers, mode)
     }
 
     /// Every derived answer of an incremental world must equal the
     /// from-scratch answer on the same centers.
     fn assert_matches_scratch(w: &mut World) {
         let centers = w.centers().to_vec();
-        let vis = VisibilityConfig::default();
         for i in 0..centers.len() {
             assert_eq!(
                 w.visible_of(i),
-                visible_set(i, &centers, &vis),
+                visible_set(i, &centers),
                 "visible set of robot {i} diverged"
             );
         }
         assert_eq!(w.is_valid(), GeometricConfig::is_valid_on(&centers));
         assert_eq!(w.is_connected(), GeometricConfig::is_connected_on(&centers));
         assert_eq!(w.all_on_hull(), GeometricConfig::all_on_hull_on(&centers));
+        assert_eq!(w.hull(), &ConvexHull::from_points(&centers));
         assert_eq!(
             w.is_gathered(1e-9),
             GeometricConfig::is_gathered_on(&centers, 1e-9)
         );
-        assert_eq!(w.min_pairwise_gap(), min_pairwise_gap(&centers));
     }
 
     #[test]
@@ -1651,7 +1493,7 @@ mod tests {
     }
 
     #[test]
-    fn hull_refresh_repairs_single_movers_and_rebuilds_otherwise() {
+    fn hull_refresh_rebuilds_once_per_stale_query() {
         let mut w = world(
             vec![
                 p(0.0, 0.0),
@@ -1664,23 +1506,22 @@ mod tests {
         );
         let _ = w.hull(); // cold: full build
         assert_eq!(w.hull_repair_stats(), (0, 1));
-        // One mover (even over several moves) is repaired in place.
-        w.move_robot(4, p(11.0, 11.0));
-        w.move_robot(4, p(12.0, 9.0));
-        assert!(!w.all_on_hull());
-        assert_eq!(w.hull_repair_stats(), (1, 1));
-        // The repaired structure answers like a from-scratch world.
-        assert_matches_scratch(&mut w);
-        // Two distinct movers force a rebuild.
-        w.move_robot(0, p(-1.0, 0.0));
-        w.move_robot(4, p(10.0, 10.0));
+        // Queries at an unchanged version reuse the hull.
         let _ = w.hull();
-        let (repairs, rebuilds) = w.hull_repair_stats();
-        assert_eq!(repairs, 1);
-        assert!(rebuilds >= 2);
-        // An interior mover crossing onto the hull boundary repairs too.
+        assert!(!w.all_on_hull());
+        assert_eq!(w.hull_repair_stats(), (0, 1));
+        // Several moves before the next query cost one rebuild.
+        w.move_robot(4, p(11.0, 11.0));
+        w.move_robot(0, p(-1.0, 0.0));
+        assert!(!w.all_on_hull());
+        let _ = w.hull();
+        assert_eq!(w.hull_repair_stats(), (0, 2));
+        assert_matches_scratch(&mut w);
+        let rebuilds = w.hull_repair_stats().1;
+        // An interior mover crossing onto the hull boundary.
         w.move_robot(4, p(25.0, 10.0));
         assert!(w.hull().index_on_hull(4));
+        assert_eq!(w.hull_repair_stats(), (0, rebuilds + 1));
         assert_matches_scratch(&mut w);
     }
 
@@ -1705,7 +1546,6 @@ mod tests {
         assert!(w.visible_of(0).is_empty());
         assert!(w.is_valid());
         assert!(w.is_connected());
-        assert_eq!(w.min_pairwise_gap(), None);
     }
 
     #[test]
@@ -1714,7 +1554,6 @@ mod tests {
         assert!(w.is_valid());
         w.move_robot(1, p(1.0, 0.0));
         assert!(!w.is_valid());
-        assert!(w.min_pairwise_gap().unwrap() < 0.0);
     }
 
     #[test]
@@ -1951,10 +1790,7 @@ mod tests {
         assert_eq!(w.pair_store_stats(), (3, regs + cover));
         let centers = w.centers().to_vec();
         for r in 0..3 {
-            assert_eq!(
-                w.visible_of(r),
-                visible_set(r, &centers, &VisibilityConfig::default())
-            );
+            assert_eq!(w.visible_of(r), visible_set(r, &centers));
         }
     }
 
@@ -1966,7 +1802,6 @@ mod tests {
         // (axis-aligned chords put obstacles at tied offsets). Two rows per
         // configuration keep the exhaustive checks cheap.
         let n = 600;
-        let vis = VisibilityConfig::default();
         let configs = [
             ("hex", crate::init::hex(n, 2.1)),
             ("random", crate::init::random_spread(n, 7, 80.0)),
@@ -1990,7 +1825,7 @@ mod tests {
                         "{name}: the window certified ({a}, {b}) but the full slice does not"
                     );
                     assert!(
-                        !fatrobots_geometry::visibility::disc_sees_disc(a, b, &centers, &vis),
+                        !disc_sees_disc(a, b, &centers),
                         "{name}: the window certified ({a}, {b}) but the pair sees"
                     );
                     fires.push((a, b));

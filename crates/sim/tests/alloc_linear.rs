@@ -10,7 +10,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fatrobots_geometry::visibility::VisibilityConfig;
 use fatrobots_geometry::Point;
 use fatrobots_sim::world::{World, WorldMode};
 
@@ -87,7 +86,7 @@ fn sparse_workload_peak(side: usize) -> u64 {
     let n = centers.len();
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
-    let mut world = World::new(centers, VisibilityConfig::default(), WorldMode::Sparse);
+    let mut world = World::new(centers, WorldMode::Sparse);
     let mut visible = Vec::new();
     let movers = [n / 2 + side / 2, n / 4];
     for &m in &movers {

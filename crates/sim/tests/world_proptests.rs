@@ -4,8 +4,8 @@
 //! current centers.
 
 use fatrobots_core::{AlgorithmParams, ComputeScratch, Decision, LocalAlgorithm};
-use fatrobots_geometry::visibility::{min_pairwise_gap, visible_set, VisibilityConfig};
-use fatrobots_geometry::Point;
+use fatrobots_geometry::visibility::visible_set;
+use fatrobots_geometry::{ConvexHull, Point};
 use fatrobots_model::{GeometricConfig, LocalView};
 use fatrobots_sim::world::{World, WorldMode};
 use proptest::prelude::*;
@@ -39,9 +39,8 @@ fn assert_world_matches_scratch(
     world: &mut World,
     centers: &[Point],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let vis = VisibilityConfig::default();
     for i in 0..centers.len() {
-        prop_assert_eq!(world.visible_of(i), visible_set(i, centers, &vis));
+        prop_assert_eq!(world.visible_of(i), visible_set(i, centers));
     }
     prop_assert_eq!(world.is_valid(), GeometricConfig::is_valid_on(centers));
     prop_assert_eq!(
@@ -52,7 +51,7 @@ fn assert_world_matches_scratch(
         world.all_on_hull(),
         GeometricConfig::all_on_hull_on(centers)
     );
-    prop_assert_eq!(world.min_pairwise_gap(), min_pairwise_gap(centers));
+    prop_assert_eq!(world.hull(), &ConvexHull::from_points(centers));
     Ok(())
 }
 
@@ -75,7 +74,7 @@ proptest! {
         let n = centers.len();
         let algo = LocalAlgorithm::new(AlgorithmParams::for_n(n));
         let mut arena = ComputeScratch::default();
-        let mut world = World::new(centers.clone(), VisibilityConfig::default(), WorldMode::Sparse);
+        let mut world = World::new(centers.clone(), WorldMode::Sparse);
         let mut centers = centers;
         // One post-Look sample per robot: (version, view, decision). The
         // decision is computed only on valid (non-overlapping)
@@ -126,15 +125,14 @@ proptest! {
         centers in base_centers(9),
         script in moves(14),
     ) {
-        let vis = VisibilityConfig::default();
-        let mut world = World::new(centers.clone(), vis, WorldMode::Sparse);
+        let mut world = World::new(centers.clone(), WorldMode::Sparse);
         let mut centers = centers;
         // Look with every robot first, so moves invalidate *existing*
         // entries (not just fill cold ones) and every version is stamped.
         let mut last: Vec<(u64, Vec<usize>)> = (0..centers.len())
             .map(|j| {
                 let _ = world.visible_of(j);
-                (world.view_version(j), visible_set(j, &centers, &vis))
+                (world.view_version(j), visible_set(j, &centers))
             })
             .collect();
         for (pick, x, y) in script {
@@ -144,7 +142,7 @@ proptest! {
             centers[i] = p;
             assert_world_matches_scratch(&mut world, &centers)?;
             for (j, slot) in last.iter_mut().enumerate() {
-                let fresh = (world.view_version(j), visible_set(j, &centers, &vis));
+                let fresh = (world.view_version(j), visible_set(j, &centers));
                 if fresh.0 == slot.0 {
                     prop_assert!(
                         fresh.1 == slot.1,
@@ -164,7 +162,7 @@ proptest! {
         centers in base_centers(7),
         script in moves(10),
     ) {
-        let mut world = World::new(centers.clone(), VisibilityConfig::default(), WorldMode::Sparse);
+        let mut world = World::new(centers.clone(), WorldMode::Sparse);
         let mut centers = centers;
         for (step, (pick, x, y)) in script.into_iter().enumerate() {
             let i = pick % centers.len();

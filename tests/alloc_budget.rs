@@ -4,7 +4,7 @@
 //! seeded simulation to a warm steady state (every cache and scratch buffer
 //! at capacity) and then measures heap allocations over a window of further
 //! events. The scratch arenas, the reused views, the decision memo, the
-//! single-mover hull repair and the kernel's per-thread buffers make the
+//! in-place hull rebuild and the kernel's per-thread buffers make the
 //! steady-state loop allocation-free, so the window must measure **exactly
 //! zero** heap allocations.
 //!
@@ -109,8 +109,8 @@ fn steady_state_event_loop_stays_within_the_allocation_budget() {
         (after - before) as f64 / window as f64
     );
     // The whole loop — Look snapshots, the visibility kernel, decisions
-    // (memoized or computed), view-version bumps, single-mover hull
-    // repair, min-gap maintenance, motion — runs on reused storage. This
+    // (memoized or computed), view-version bumps, the in-place hull
+    // rebuild, motion — runs on reused storage. This
     // seeded window is collision-free, so the cold paths documented above
     // never fire and the measurement is exact: 0 allocations total.
     assert_eq!(

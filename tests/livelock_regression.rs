@@ -85,12 +85,11 @@ fn random_n7_seed7_round_robin_gathers_within_400k_events() {
     });
     eprintln!(
         "livelock witness telemetry: decision cache {} hits / {} misses, \
-         visibility cache {} hits / {} misses, hull {} repairs / {} rebuilds",
+         visibility cache {} hits / {} misses, hull {} rebuilds",
         summary.decision_cache_hits,
         summary.decision_cache_misses,
         summary.visibility_cache_hits,
         summary.visibility_cache_misses,
-        summary.hull_repairs,
         summary.hull_rebuilds,
     );
     assert!(
