@@ -27,14 +27,14 @@
 
 use fatrobots_core::{Decision, Strategy};
 use fatrobots_geometry::{Point, EPS, UNIT_RADIUS};
-use fatrobots_model::{GeometricConfig, LocalView};
+use fatrobots_model::{config, LocalView};
 
 /// Shared termination test used by every baseline: the robot stops as soon
 /// as it sees all `n` robots and the discs in its view form one connected
 /// component. (The paper's algorithm requires full visibility *and* convex
 /// position; baselines get the weaker test so that any failure is theirs.)
 fn view_gathered(view: &LocalView) -> bool {
-    view.sees_all() && GeometricConfig::new(view.all_centers()).is_connected()
+    view.sees_all() && config::is_connected(&view.all_centers())
 }
 
 /// The point at distance 2 from `toward` on the segment `from → toward`: the

@@ -32,7 +32,7 @@ enum Op {
 /// starts mid-gathering, where the simulator actually spends its
 /// wall-clock), then records the world-state operations of the next
 /// `events` events together with the centers at recording start.
-fn record_trace(n: usize, seed: u64, warm: usize, events: usize) -> (Vec<Point>, Vec<Op>) {
+fn record_ops(n: usize, seed: u64, warm: usize, events: usize) -> (Vec<Point>, Vec<Op>) {
     let mut sim = Simulator::new(
         Shape::Random.generate(n, seed),
         Box::new(LocalAlgorithm::new(AlgorithmParams::for_n(n))),
@@ -85,7 +85,7 @@ fn bench_snapshot_cache(c: &mut Criterion) {
     // long enough that the one-time cost of filling the cold cache (n²/2
     // pairs) is a small fraction of the replayed pair lookups.
     for &(n, warm, events) in &[(8usize, 0, 4_000), (32, 20_000, 4_000), (96, 20_000, 6_000)] {
-        let (start, ops) = record_trace(n, 3, warm, events);
+        let (start, ops) = record_ops(n, 3, warm, events);
         let looks = ops.iter().filter(|op| matches!(op, Op::Look(_))).count();
         // Both modes must replay to the same answers — the equivalence the
         // determinism suite pins, re-checked here on the bench workload.

@@ -181,7 +181,7 @@ impl<K: Kernel> Ctx<K> {
     /// `true` when the union of the view's discs is connected — the flood
     /// fill of Procedure `AllOnConvexHull`, answered from scratch-backed
     /// union-find storage. Agrees exactly with
-    /// `GeometricConfig::is_connected_on` (same tangency predicate, same
+    /// `fatrobots_model::config::is_connected` (same tangency predicate, same
     /// graph) — and therefore deliberately stays on the shared model-layer
     /// `gap_touches` predicate rather than the kernel: the model's world
     /// invariants and the local algorithm must answer connectivity
@@ -386,24 +386,6 @@ impl<K: Kernel> Ctx<K> {
         }
     }
 
-    /// Intersection of the segment `from → to` with the hull boundary, when
-    /// `from` is inside the hull and `to` outside (or on the far side); used
-    /// by the interior-robot procedures to stop at the hull. Returns the
-    /// crossing point closest to `to`.
-    pub fn boundary_crossing(&self, from: Point, to: Point) -> Option<Point> {
-        let seg = Segment::new(from, to);
-        let mut best: Option<(f64, Point)> = None;
-        for edge in self.scratch.hull.edges_iter() {
-            if let Some(x) = K::segment_intersection(&seg, &edge) {
-                let d = x.distance(to);
-                if best.map_or(true, |(bd, _)| d < bd) {
-                    best = Some((d, x));
-                }
-            }
-        }
-        best.map(|(_, p)| p)
-    }
-
     /// First exit point of the ray `from → through → ∞` through the hull
     /// boundary (the paper's construction in Procedure `NotOnStraightLine`
     /// that projects interior robots onto the hull).
@@ -506,7 +488,7 @@ mod tests {
 
     #[test]
     fn view_connectivity_matches_the_model_predicate() {
-        use fatrobots_model::GeometricConfig;
+        use fatrobots_model::config;
         let views = [
             LocalView::new(p(0.0, 0.0), vec![p(2.0, 0.0), p(1.0, 3.0_f64.sqrt())], 3),
             LocalView::new(p(0.0, 0.0), vec![p(10.0, 0.0), p(5.0, 8.0)], 3),
@@ -521,7 +503,7 @@ mod tests {
             let ctx: Ctx = Ctx::new(&view, AlgorithmParams::for_n(view.n()));
             assert_eq!(
                 ctx.view_connected(),
-                GeometricConfig::is_connected_on(ctx.all()),
+                config::is_connected(ctx.all()),
                 "connectivity diverged for view at {:?}",
                 view.me()
             );
@@ -529,12 +511,8 @@ mod tests {
     }
 
     #[test]
-    fn boundary_crossing_and_ray_exit() {
+    fn ray_exit_point_leaves_through_the_hull() {
         let ctx = square_ctx();
-        // From the interior point (5,5) towards a point beyond the right
-        // edge: crossing at x = 10.
-        let x = ctx.boundary_crossing(p(5.0, 5.0), p(15.0, 5.0)).unwrap();
-        assert!((x.x - 10.0).abs() < 1e-9);
         let exit = ctx.ray_exit_point(p(0.0, 0.0), p(5.0, 5.0)).unwrap();
         assert!(exit.approx_eq(p(10.0, 10.0)));
         assert!(ctx.ray_exit_point(p(0.0, 0.0), p(0.0, 0.0)).is_none());

@@ -27,7 +27,7 @@ use fatrobots_geometry::Point;
 
 use crate::compute::context::Ctx;
 use crate::compute::state::{ComputeState, Decision, Step};
-use crate::functions::{connected_components, move_to_point, ComponentPartition};
+use crate::functions::move_to_point;
 
 /// Tolerance when comparing inter-component gaps for equality.
 const GAP_TOL: f64 = 1e-6;
@@ -36,7 +36,7 @@ const GAP_TOL: f64 = 1e-6;
 /// graph of the view; all robots in one component means the configuration is
 /// connected. The flood fill runs over the context's scratch-backed
 /// union-find storage and agrees exactly with
-/// `GeometricConfig::is_connected`.
+/// `fatrobots_model::config::is_connected`.
 pub fn all_on_convex_hull<K: Kernel>(ctx: &Ctx<K>) -> Step {
     if ctx.view_connected() {
         Step::Next(ComputeState::Connected)
@@ -245,13 +245,6 @@ fn symmetric_converge_move<K: Kernel>(ctx: &Ctx<K>, left: Point, right: Point) -
     } else {
         Decision::MoveTo(me)
     }
-}
-
-/// Internal helper used by the partition-based branches; exposed to the
-/// bench crate for white-box experiments on the convergence policy.
-#[doc(hidden)]
-pub fn partition_for<K: Kernel>(ctx: &Ctx<K>) -> ComponentPartition {
-    connected_components(ctx.all(), ctx.params().gap_threshold())
 }
 
 #[cfg(test)]

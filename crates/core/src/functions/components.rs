@@ -1,5 +1,7 @@
-//! Functions `Connected-Components`, `How-Much-Distance`,
-//! `In-Largest-Component` and `In-Smallest-Component` (Sections 3.4–3.7).
+//! Function `Connected-Components` (Section 3.4) and its flat form,
+//! [`BoundaryPartition`], on which Cases A–C of
+//! [`converge::not_connected`](crate::compute::converge::not_connected) realise Functions `How-Much-Distance`,
+//! `In-Largest-Component` and `In-Smallest-Component` (Sections 3.5–3.7).
 //!
 //! These functions are called by a robot that sees all `n` robots and finds
 //! every center on the convex hull (the convergence phase). The robots on the
@@ -9,7 +11,7 @@
 //! walks left and right from the caller; the formulation here — order the
 //! robots along the hull, cut the cyclic sequence at every gap larger than
 //! the threshold — produces the same partition and the same
-//! `⟨(c_l, c_r), k⟩` summaries, which is all the downstream functions use.
+//! `⟨(c_l, c_r), k⟩` summaries, which is all the convergence phase uses.
 //!
 //! ## Orientation
 //!
@@ -260,20 +262,6 @@ impl BoundaryPartition {
     }
 }
 
-/// Answer of the component-membership functions of Sections 3.5–3.7, kept in
-/// the paper's 1/2/3 form. The meaning of each variant depends on the
-/// function; see [`how_much_distance`], [`in_largest_component`] and
-/// [`in_smallest_component`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ComponentAnswer {
-    /// The paper's answer "1".
-    One,
-    /// The paper's answer "2".
-    Two,
-    /// The paper's answer "3".
-    Three,
-}
-
 /// Function `Connected-Components`: group the given robot centers (all of
 /// which must lie on their common convex hull) into components using the gap
 /// threshold (the paper uses `1/2m`).
@@ -341,95 +329,6 @@ pub fn connected_components(centers: &[Point], gap_threshold: f64) -> ComponentP
     ComponentPartition {
         components,
         single_cycle: false,
-    }
-}
-
-/// Function `How-Much-Distance` (Section 3.5).
-///
-/// * [`ComponentAnswer::Two`] — all inter-component gaps are (approximately)
-///   equal, or there are fewer than two components;
-/// * [`ComponentAnswer::One`] — gaps differ and `c` is the **rightmost**
-///   robot of a component whose right-gap is the minimum;
-/// * [`ComponentAnswer::Three`] — otherwise.
-pub fn how_much_distance(partition: &ComponentPartition, c: Point, tol: f64) -> ComponentAnswer {
-    if partition.is_single() || partition.len() < 2 {
-        return ComponentAnswer::Two;
-    }
-    let gaps: Vec<f64> = (0..partition.len())
-        .map(|i| partition.right_gap(i))
-        .collect();
-    let min = gaps.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = gaps.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if max - min <= tol {
-        return ComponentAnswer::Two;
-    }
-    match partition.component_of(c) {
-        Some(i) if gaps[i] <= min + tol && partition.components()[i].rightmost().approx_eq(c) => {
-            ComponentAnswer::One
-        }
-        _ => ComponentAnswer::Three,
-    }
-}
-
-/// Function `In-Largest-Component` (Section 3.6).
-///
-/// * [`ComponentAnswer::One`] — `c`'s component is among the largest and a
-///   strictly smaller component exists (so `c` should stay put and wait);
-/// * [`ComponentAnswer::Two`] — every other component is strictly larger
-///   than `c`'s (so `c`'s component should merge into a neighbour);
-/// * [`ComponentAnswer::Three`] — otherwise (including the all-equal case,
-///   which the algorithm resolves with `How-Much-Distance`).
-pub fn in_largest_component(partition: &ComponentPartition, c: Point) -> ComponentAnswer {
-    membership_answer(partition, c, true)
-}
-
-/// Function `In-Smallest-Component` (Section 3.7).
-///
-/// * [`ComponentAnswer::One`] — `c`'s component is among the smallest and a
-///   strictly larger component exists;
-/// * [`ComponentAnswer::Two`] — all components have the same size;
-/// * [`ComponentAnswer::Three`] — otherwise.
-pub fn in_smallest_component(partition: &ComponentPartition, c: Point) -> ComponentAnswer {
-    if partition.is_single() || partition.len() < 2 {
-        return ComponentAnswer::Two;
-    }
-    let sizes = partition.sizes();
-    let min = *sizes.iter().min().expect("non-empty partition");
-    let max = *sizes.iter().max().expect("non-empty partition");
-    if min == max {
-        return ComponentAnswer::Two;
-    }
-    match partition.component_of(c) {
-        Some(i) if sizes[i] == min => ComponentAnswer::One,
-        _ => ComponentAnswer::Three,
-    }
-}
-
-fn membership_answer(partition: &ComponentPartition, c: Point, largest: bool) -> ComponentAnswer {
-    if partition.is_single() || partition.len() < 2 {
-        return ComponentAnswer::One;
-    }
-    let sizes = partition.sizes();
-    let min = *sizes.iter().min().expect("non-empty partition");
-    let max = *sizes.iter().max().expect("non-empty partition");
-    if min == max {
-        return ComponentAnswer::Three;
-    }
-    let mine = match partition.component_of(c) {
-        Some(i) => sizes[i],
-        None => return ComponentAnswer::Three,
-    };
-    if largest {
-        if mine == max {
-            ComponentAnswer::One
-        } else if mine == min && sizes.iter().filter(|&&s| s <= mine).count() == 1 {
-            // Every other component is strictly larger.
-            ComponentAnswer::Two
-        } else {
-            ComponentAnswer::Three
-        }
-    } else {
-        unreachable!("smallest-component queries use in_smallest_component")
     }
 }
 
@@ -511,99 +410,12 @@ mod tests {
     }
 
     #[test]
-    fn how_much_distance_identifies_the_min_gap_component() {
-        // Three singletons with unequal gaps: at angles 0, 0.5 and 3.0.
-        let centers = circle_groups(40.0, &[1, 1, 1], &[0.0, 0.5, 3.0]);
-        let part = connected_components(&centers, 1.0 / 6.0);
-        assert_eq!(part.len(), 3);
-        let tol = 1e-6;
-        // The robot at angle 0.5 has its clockwise neighbour at angle 0.0 at
-        // the smallest gap, so it answers One; the others answer Three.
-        assert_eq!(
-            how_much_distance(&part, centers[1], tol),
-            ComponentAnswer::One
-        );
-        assert_eq!(
-            how_much_distance(&part, centers[0], tol),
-            ComponentAnswer::Three
-        );
-        assert_eq!(
-            how_much_distance(&part, centers[2], tol),
-            ComponentAnswer::Three
-        );
-    }
-
-    #[test]
-    fn how_much_distance_all_equal_gaps() {
-        // Three singletons equally spaced: all gaps equal.
-        let third = 2.0 * std::f64::consts::PI / 3.0;
-        let centers = circle_groups(40.0, &[1, 1, 1], &[0.0, third, 2.0 * third]);
-        let part = connected_components(&centers, 1.0 / 6.0);
-        for &c in &centers {
-            assert_eq!(how_much_distance(&part, c, 1e-6), ComponentAnswer::Two);
-        }
-    }
-
-    #[test]
-    fn largest_and_smallest_membership() {
-        let n = 6;
-        let centers = circle_groups(60.0, &[3, 2, 1], &[0.0, 2.0, 4.0]);
-        let part = connected_components(&centers, 1.0 / (2.0 * n as f64));
-        // centers[0..3] form the size-3 group, centers[3..5] the size-2
-        // group, centers[5] the singleton.
-        assert_eq!(
-            in_largest_component(&part, centers[0]),
-            ComponentAnswer::One
-        );
-        assert_eq!(
-            in_largest_component(&part, centers[3]),
-            ComponentAnswer::Three
-        );
-        assert_eq!(
-            in_largest_component(&part, centers[5]),
-            ComponentAnswer::Two
-        );
-
-        assert_eq!(
-            in_smallest_component(&part, centers[5]),
-            ComponentAnswer::One
-        );
-        assert_eq!(
-            in_smallest_component(&part, centers[3]),
-            ComponentAnswer::Three
-        );
-        assert_eq!(
-            in_smallest_component(&part, centers[0]),
-            ComponentAnswer::Three
-        );
-    }
-
-    #[test]
-    fn equal_sizes_fall_through_to_distance_based_resolution() {
-        // Two singletons: sizes all equal.
-        let centers = circle_groups(40.0, &[1, 1], &[0.0, 2.0]);
-        let part = connected_components(&centers, 1.0 / 4.0);
-        assert_eq!(
-            in_largest_component(&part, centers[0]),
-            ComponentAnswer::Three
-        );
-        assert_eq!(
-            in_smallest_component(&part, centers[0]),
-            ComponentAnswer::Two
-        );
-    }
-
-    #[test]
     fn empty_and_singleton_inputs() {
         let empty = connected_components(&[], 0.1);
         assert!(empty.is_empty());
         let single = connected_components(&[Point::new(0.0, 0.0)], 0.1);
         assert!(single.is_single());
         assert_eq!(single.components()[0].len(), 1);
-        assert_eq!(
-            how_much_distance(&single, Point::new(0.0, 0.0), 1e-6),
-            ComponentAnswer::Two
-        );
     }
 
     #[test]

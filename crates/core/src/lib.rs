@@ -8,8 +8,9 @@
 //!
 //! * [`functions`] — the geometric helper functions of Section 3
 //!   (`On-Convex-Hull`, `Move-to-Point`, `Find-Points`,
-//!   `Connected-Components`, `How-Much-Distance`, `In-Largest-Component`,
-//!   `In-Smallest-Component`, `In-Straight-Line-2`);
+//!   `Connected-Components`, `In-Straight-Line-2`; `How-Much-Distance`,
+//!   `In-Largest-Component` and `In-Smallest-Component` are realised by the
+//!   convergence phase's Cases A–C on the component partition);
 //! * [`compute`] — the local algorithm of Section 4: the seventeen
 //!   `Compute.*` states (Figure 4) and one procedure per state, assembled by
 //!   [`compute::LocalAlgorithm`], which maps a robot's local view to either a

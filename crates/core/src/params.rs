@@ -14,34 +14,16 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlgorithmParams {
     n: usize,
-    eps: f64,
 }
 
 impl AlgorithmParams {
-    /// Parameters for a system of `n` robots, with the default
-    /// `ε = 1/(10 n)`.
+    /// Parameters for a system of `n` robots.
     ///
     /// # Panics
     /// Panics if `n == 0`.
     pub fn for_n(n: usize) -> Self {
         assert!(n > 0, "a system needs at least one robot");
-        AlgorithmParams {
-            n,
-            eps: 1.0 / (10.0 * n as f64),
-        }
-    }
-
-    /// Parameters with an explicit `ε`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `ε` is not in `(0, 1/2n)`.
-    pub fn with_eps(n: usize, eps: f64) -> Self {
-        assert!(n > 0, "a system needs at least one robot");
-        assert!(
-            eps > 0.0 && eps < 1.0 / (2.0 * n as f64),
-            "epsilon must lie in (0, 1/2n)"
-        );
-        AlgorithmParams { n, eps }
+        AlgorithmParams { n }
     }
 
     /// Number of robots in the system (known to every robot).
@@ -49,9 +31,9 @@ impl AlgorithmParams {
         self.n
     }
 
-    /// The paper's `ε`.
+    /// The paper's `ε`, fixed at `1/(10 n)`.
     pub fn eps(&self) -> f64 {
-        self.eps
+        1.0 / (10.0 * self.n as f64)
     }
 
     /// The collinearity band `1/n` (Procedure `NotAllOnConvexHull`,
@@ -69,7 +51,7 @@ impl AlgorithmParams {
     /// The step length `1/2n − ε` used by the outward-expansion and inward
     /// convergence moves.
     pub fn step(&self) -> f64 {
-        self.gap_threshold() - self.eps
+        self.gap_threshold() - self.eps()
     }
 
     /// Tolerance (on the doubled triangle area) used for exact collinearity
@@ -95,21 +77,8 @@ mod tests {
     }
 
     #[test]
-    fn custom_eps() {
-        let p = AlgorithmParams::with_eps(4, 0.01);
-        assert_eq!(p.eps(), 0.01);
-        assert!((p.step() - (0.125 - 0.01)).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic]
     fn zero_robots_rejected() {
         let _ = AlgorithmParams::for_n(0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn out_of_range_eps_rejected() {
-        let _ = AlgorithmParams::with_eps(4, 0.2);
     }
 }

@@ -252,7 +252,7 @@ impl UniformGrid {
     /// conservative capsule cover that lies inside an *occupied* level-1
     /// cell, skipping empty regions [`GRID_LEVEL_SCALE`]² base cells at a
     /// time. Because empty cells hold no sites, the visited cells contain
-    /// exactly the same sites as the full [`for_each_cell_near_segment`]
+    /// exactly the same sites as the full [`Self::for_each_cell_near_segment`]
     /// cover — callers gathering *sites* (not registering future
     /// dependencies) get an identical result, output-sensitively in the
     /// occupied length of the corridor. The closure returns `false` to stop

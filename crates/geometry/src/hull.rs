@@ -424,11 +424,6 @@ impl ConvexHull {
         }
     }
 
-    /// `true` when `p` is a corner vertex of the hull.
-    pub fn is_vertex(&self, p: Point) -> bool {
-        self.vertices.iter().any(|v| v.approx_eq(p))
-    }
-
     /// `true` when `p` lies inside the hull or on its boundary.
     pub fn contains(&self, p: Point) -> bool {
         self.contains_k::<EpsKernel>(p)
@@ -507,18 +502,6 @@ impl ConvexHull {
             _ => nv,
         };
         (0..count).map(move |e| Segment::new(self.vertices[e], self.vertices[(e + 1) % nv]))
-    }
-
-    /// Consecutive pairs of *boundary points* (the paper's "neighbouring
-    /// points on the convex hull"), counter-clockwise.
-    pub fn boundary_edges(&self) -> Vec<Segment> {
-        let b = self.boundary();
-        let m = b.len();
-        match m {
-            0 | 1 => vec![],
-            2 => vec![Segment::new(b[0], b[1])],
-            _ => (0..m).map(|i| Segment::new(b[i], b[(i + 1) % m])).collect(),
-        }
     }
 
     /// Area of the hull polygon (0 for degenerate hulls).

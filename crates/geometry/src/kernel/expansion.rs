@@ -87,12 +87,6 @@ impl Expansion {
         Self::from_two(e, s)
     }
 
-    /// The exact sum `a + b`.
-    pub fn from_sum(a: f64, b: f64) -> Self {
-        let (s, e) = two_sum(a, b);
-        Self::from_two(e, s)
-    }
-
     /// The exact product `a * b`.
     pub fn from_product(a: f64, b: f64) -> Self {
         let (p, e) = two_product(a, b);
@@ -250,7 +244,7 @@ mod tests {
         // subtraction would round it away entirely at this magnitude.
         let a = 1e16;
         let tiny = 1.0 - f64::EPSILON; // below 1 ulp of 1e16 (which is 2.0)
-        let lhs = Expansion::from_sum(a, tiny);
+        let lhs = Expansion::from(a).add(&Expansion::from(tiny));
         let d = lhs.sub(&Expansion::from(a));
         assert_eq!(d.sign(), Ordering::Greater);
         assert_eq!(d.approx(), tiny);
@@ -267,7 +261,9 @@ mod tests {
             for &kb in &vals {
                 let (a, b) = (ka as f64 / scale, kb as f64 / scale);
                 let prod = Expansion::from_product(a, b);
-                let sum = Expansion::from_sum(a, b).mul(&Expansion::from_diff(a, b));
+                let sum = Expansion::from(a)
+                    .add(&Expansion::from(b))
+                    .mul(&Expansion::from_diff(a, b));
                 // a·b sign vs integer sign.
                 assert_eq!(
                     prod.sign(),

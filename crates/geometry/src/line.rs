@@ -66,12 +66,6 @@ impl Line {
         self.a + d * t
     }
 
-    /// Parameter `t` such that `project(p) = a + t·(b − a)`.
-    pub fn project_param(&self, p: Point) -> f64 {
-        let d = self.direction();
-        (p - self.a).dot(d) / d.norm_sq()
-    }
-
     /// Intersection point with another line, or `None` when (numerically)
     /// parallel.
     pub fn intersect(&self, other: &Line) -> Option<Point> {
@@ -110,7 +104,6 @@ mod tests {
         let p = Point::new(2.0, 3.0);
         assert!((l.distance_to(p) - 3.0).abs() < 1e-12);
         assert!(l.project(p).approx_eq(Point::new(2.0, 0.0)));
-        assert!((l.project_param(p) - 0.5).abs() < 1e-12);
     }
 
     #[test]

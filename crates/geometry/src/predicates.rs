@@ -42,30 +42,6 @@ pub fn approx_eq_tol(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol
 }
 
-/// `a < b` with tolerance: `true` when `a` is smaller than `b` by more than [`EPS`].
-#[inline]
-pub fn definitely_less(a: f64, b: f64) -> bool {
-    a < b - EPS
-}
-
-/// `a > b` with tolerance: `true` when `a` exceeds `b` by more than [`EPS`].
-#[inline]
-pub fn definitely_greater(a: f64, b: f64) -> bool {
-    a > b + EPS
-}
-
-/// `a <= b` with tolerance.
-#[inline]
-pub fn leq(a: f64, b: f64) -> bool {
-    a <= b + EPS
-}
-
-/// `a >= b` with tolerance.
-#[inline]
-pub fn geq(a: f64, b: f64) -> bool {
-    a >= b - EPS
-}
-
 /// Twice the signed area of triangle `(a, b, c)`.
 ///
 /// Positive for a counter-clockwise (left) turn, negative for clockwise.
@@ -144,17 +120,6 @@ mod tests {
         assert!(approx_eq(0.0, 0.0));
         assert!(approx_eq(1.0, 1.0 + EPS / 2.0));
         assert!(!approx_eq(1.0, 1.0 + 10.0 * EPS));
-    }
-
-    #[test]
-    fn ordering_helpers() {
-        assert!(definitely_less(1.0, 2.0));
-        assert!(!definitely_less(1.0, 1.0 + EPS / 10.0));
-        assert!(definitely_greater(2.0, 1.0));
-        assert!(leq(1.0, 1.0));
-        assert!(geq(1.0, 1.0));
-        assert!(leq(1.0, 1.0 + 1e-12));
-        assert!(geq(1.0 + 1e-12, 1.0));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Straight segments in the plane.
 
-use crate::line::Line;
 use crate::point::{Point, Vec2};
 use crate::predicates::{approx_eq, clamp, EPS};
 
@@ -43,15 +42,6 @@ impl Segment {
     #[inline]
     pub fn direction(&self) -> Vec2 {
         self.b - self.a
-    }
-
-    /// The supporting infinite line, or `None` for a degenerate segment.
-    pub fn supporting_line(&self) -> Option<Line> {
-        if self.length() <= f64::EPSILON {
-            None
-        } else {
-            Some(Line::through(self.a, self.b))
-        }
     }
 
     /// Point at parameter `t ∈ [0, 1]` along the segment.
@@ -220,7 +210,6 @@ mod tests {
         let s = Segment::new(p(1.0, 1.0), p(1.0, 1.0));
         assert_eq!(s.length(), 0.0);
         assert!((s.distance_to(p(4.0, 5.0)) - 5.0).abs() < 1e-12);
-        assert!(s.supporting_line().is_none());
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! 1. **Exact test in convex position** — when all centers in question lie on
 //!    their common convex hull and no three are collinear, every robot sees
 //!    every other robot (this is the equivalence the paper's Lemma 4 relies
-//!    on). [`fully_visible_in_convex_position`] decides this case exactly.
+//!    on). The model crate's `config::is_fully_visible_convex` decides this
+//!    case exactly.
 //! 2. **Critical-offset witness search for arbitrary configurations** —
 //!    [`disc_sees_disc`] looks for a *witness sight segment* between the two
 //!    boundaries: segments at the critical perpendicular offsets of the
@@ -30,7 +31,6 @@
 use std::cmp::Ordering;
 
 use crate::circle::UNIT_RADIUS;
-use crate::hull::ConvexHull;
 use crate::kernel::{EpsKernel, Kernel};
 use crate::line::Line;
 use crate::point::Point;
@@ -371,8 +371,10 @@ fn disc_sees_disc_among_with(
 /// bookkeeping (threat-sorted verification order, endpoint precompute,
 /// blocked-endpoint pruning) pays for itself. Below it, the direct loops
 /// are faster — small slices mean few candidates and cheap scans, and the
-/// bookkeeping's allocations would dominate. Either path enumerates and
-/// verifies the identical candidate set.
+/// bookkeeping's sort and precompute passes would dominate. Neither path
+/// allocates: the bookkeeping buffers live in the thread-local
+/// `AmongScratch`. Either path enumerates and verifies the identical
+/// candidate set.
 const SORTED_THREAT_MIN: usize = 6;
 
 /// How far (beyond [`UNIT_RADIUS`]) a tangent candidate line may run from an
@@ -505,7 +507,7 @@ const SOA_FILTER_SLACK: f64 = 1.0 + 1e-9;
 /// the compiler can vectorize it; a scalar tail handles the remainder. The
 /// accepted set is a superset of
 /// `{k : Segment::distance_sq_to((xs[k], ys[k])) <= radius²}` (see
-/// [`SOA_FILTER_SLACK`]), so feeding it to [`disc_sees_disc_among`] with
+/// `SOA_FILTER_SLACK`), so feeding it to [`disc_sees_disc_among`] with
 /// `radius = VISIBILITY_PRUNE_RADIUS` yields exactly the exhaustive
 /// answer.
 ///
@@ -632,7 +634,7 @@ const STRIP_COVER_MAX_VERTS: usize = 24;
 ///
 /// An obstacle at `(t_k, o_k)` with `u = t_k/T` *blocks* every line whose
 /// axial offset difference satisfies `|a(1−u) + b·u − o_k| ≤ hw`
-/// (`hw = UNIT_RADIUS − `[`STRIP_COVER_SAFETY`]): the perpendicular
+/// (`hw = UNIT_RADIUS − STRIP_COVER_SAFETY`): the perpendicular
 /// distance is the axial difference divided by `√(1+s²)`, hence ≤ hw,
 /// strictly inside the kernel's blocking distance
 /// `UNIT_RADIUS + SIGHT_CLEARANCE/2`. Restricting to obstacles with
@@ -655,7 +657,7 @@ const STRIP_COVER_MAX_VERTS: usize = 24;
 /// the fast path cannot flip an answer. For `true` to be sound despite
 /// floating point: a genuinely clear witness line keeps axial distance
 /// `> UNIT_RADIUS` from every usable obstacle, so its `(a, b)` point sits
-/// at distance ≥ [`STRIP_COVER_SAFETY`] from every (narrowed) strip — an
+/// at distance ≥ `STRIP_COVER_SAFETY` from every (narrowed) strip — an
 /// uncovered ball that survives the ~1e-13 absolute clipping error. The
 /// clipping itself uses closed half-planes, so measure-zero slivers are
 /// retained, and the routine gives up (returns `false`) rather than drop
@@ -846,27 +848,6 @@ struct StripScratch {
     pool: Vec<Vec<(f64, f64)>>,
 }
 
-/// Exact full-visibility test for configurations in convex position.
-///
-/// Returns `true` when every center lies on the common convex hull **and** no
-/// three centers are collinear — which, for unit discs whose centers are in
-/// convex position, is equivalent to every robot seeing every other robot
-/// (the equivalence used throughout Section 4 of the paper).
-///
-/// `collinearity_tol` is the tolerance on the doubled triangle area used for
-/// the collinearity test; the gathering algorithm passes its own `1/n`-scaled
-/// band here.
-pub fn fully_visible_in_convex_position(centers: &[Point], collinearity_tol: f64) -> bool {
-    if centers.len() <= 2 {
-        return true;
-    }
-    let hull = ConvexHull::from_points(centers);
-    if !hull.all_on_hull() {
-        return false;
-    }
-    no_three_collinear(centers, collinearity_tol)
-}
-
 /// `true` when no three of the given points are collinear within `tol`
 /// (tolerance on the doubled triangle area).
 pub fn no_three_collinear(points: &[Point], tol: f64) -> bool {
@@ -883,12 +864,6 @@ pub fn no_three_collinear(points: &[Point], tol: f64) -> bool {
         }
     }
     true
-}
-
-/// `true` when the three points are exactly collinear within the default
-/// predicate tolerance. Convenience re-export used by the algorithm crate.
-pub fn three_collinear(a: Point, b: Point, c: Point) -> bool {
-    EpsKernel::orientation(a, b, c) == Orientation::Collinear
 }
 
 /// Minimum gap (boundary-to-boundary distance) over all pairs of unit discs,
@@ -985,20 +960,6 @@ mod tests {
     }
 
     #[test]
-    fn convex_position_full_visibility() {
-        // Square: all on hull, no three collinear.
-        let square = vec![p(0.0, 0.0), p(10.0, 0.0), p(10.0, 10.0), p(0.0, 10.0)];
-        assert!(fully_visible_in_convex_position(&square, 1e-9));
-        // Add an interior point: no longer all on hull.
-        let mut with_interior = square.clone();
-        with_interior.push(p(5.0, 5.0));
-        assert!(!fully_visible_in_convex_position(&with_interior, 1e-9));
-        // Three collinear on the hull boundary.
-        let collinear_cfg = vec![p(0.0, 0.0), p(5.0, 0.0), p(10.0, 0.0), p(5.0, 10.0)];
-        assert!(!fully_visible_in_convex_position(&collinear_cfg, 1e-9));
-    }
-
-    #[test]
     fn no_three_collinear_tolerance_band() {
         let pts = vec![p(0.0, 0.0), p(5.0, 0.05), p(10.0, 0.0), p(5.0, 10.0)];
         // Tiny tolerance: the small bump is NOT collinear.
@@ -1016,12 +977,6 @@ mod tests {
         assert!((min_pairwise_gap(&apart).unwrap() - 3.0).abs() < 1e-12);
         let overlap = vec![p(0.0, 0.0), p(1.0, 0.0)];
         assert!(min_pairwise_gap(&overlap).unwrap() < 0.0);
-    }
-
-    #[test]
-    fn three_collinear_helper() {
-        assert!(three_collinear(p(0.0, 0.0), p(1.0, 0.0), p(2.0, 0.0)));
-        assert!(!three_collinear(p(0.0, 0.0), p(1.0, 0.0), p(2.0, 1.0)));
     }
 
     #[test]

@@ -6,30 +6,30 @@
 //!
 //! The crate defines:
 //!
-//! * [`Robot`] and [`RobotId`] — fat robots are closed unit discs identified
-//!   only for bookkeeping (the algorithm itself is anonymous);
+//! * [`RobotId`] — fat robots are closed unit discs, identified only for
+//!   bookkeeping (the algorithm itself is anonymous);
 //! * [`Phase`] — the five-state Look–Compute–Move machine of Figure 1
 //!   (`Wait`, `Look`, `Compute`, `Move`, `Terminate`);
-//! * [`GeometricConfig`] — a geometric configuration `G = (c_1, …, c_n)`
-//!   with validity (no two discs overlap), connectivity of the disc union,
-//!   convex-hull queries and the full-visibility predicate;
-//! * [`RobotConfig`] — a robot configuration `R = (⟨s_1, c_1⟩, …)` combining
-//!   phases with positions;
+//! * [`config`] — predicates on a geometric configuration
+//!   `G = (c_1, …, c_n)`, given as a slice of centers: validity (no two
+//!   discs overlap), connectivity of the disc union, convex position and
+//!   full visibility. A robot configuration `R = (⟨s_1, c_1⟩, …)` is a
+//!   phase slice beside that center slice (the simulator holds both);
 //! * [`LocalView`] — the snapshot `V_i ⊆ G` a robot obtains in its Look
 //!   phase, which is the only input of the local Compute algorithm.
 //!
 //! ```
-//! use fatrobots_model::GeometricConfig;
+//! use fatrobots_model::config;
 //! use fatrobots_geometry::Point;
 //!
 //! // Three unit discs in a row, each touching the next: connected.
-//! let g = GeometricConfig::new(vec![
+//! let g = [
 //!     Point::new(0.0, 0.0),
 //!     Point::new(2.0, 0.0),
 //!     Point::new(4.0, 0.0),
-//! ]);
-//! assert!(g.is_valid());
-//! assert!(g.is_connected());
+//! ];
+//! assert!(config::is_valid(&g));
+//! assert!(config::is_connected(&g));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,7 +40,6 @@ pub mod phase;
 pub mod robot;
 pub mod view;
 
-pub use config::{GeometricConfig, RobotConfig};
 pub use phase::Phase;
-pub use robot::{Robot, RobotId};
+pub use robot::RobotId;
 pub use view::LocalView;

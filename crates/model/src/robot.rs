@@ -1,8 +1,6 @@
-//! Robots as unit discs.
+//! Robot identifiers.
 
 use std::fmt;
-
-use fatrobots_geometry::{Circle, Point, UNIT_RADIUS};
 
 /// Identifier of a robot.
 ///
@@ -19,75 +17,12 @@ impl fmt::Display for RobotId {
     }
 }
 
-impl From<usize> for RobotId {
-    fn from(v: usize) -> Self {
-        RobotId(v)
-    }
-}
-
-/// A fat robot: a closed unit disc at a given center.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Robot {
-    /// Bookkeeping identifier (not visible to the algorithm).
-    pub id: RobotId,
-    /// Center of the robot's unit disc.
-    pub center: Point,
-}
-
-impl Robot {
-    /// Creates a robot with the given id and center.
-    pub fn new(id: impl Into<RobotId>, center: Point) -> Self {
-        Robot {
-            id: id.into(),
-            center,
-        }
-    }
-
-    /// The robot's body as a unit disc.
-    pub fn disc(&self) -> Circle {
-        Circle::unit(self.center)
-    }
-
-    /// Radius of every robot (they are identical unit discs).
-    pub const fn radius() -> f64 {
-        UNIT_RADIUS
-    }
-
-    /// `true` when this robot's disc is externally tangent to `other`'s
-    /// (they "touch", in the paper's terminology).
-    pub fn touches(&self, other: &Robot) -> bool {
-        self.disc().is_tangent_to(&other.disc())
-    }
-
-    /// `true` when this robot's disc shares interior points with `other`'s —
-    /// an invalid physical state that the simulator must never produce.
-    pub fn overlaps(&self, other: &Robot) -> bool {
-        self.disc().overlaps(&other.disc())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn touch_and_overlap() {
-        let a = Robot::new(0, Point::new(0.0, 0.0));
-        let b = Robot::new(1, Point::new(2.0, 0.0));
-        let c = Robot::new(2, Point::new(1.0, 0.0));
-        let d = Robot::new(3, Point::new(5.0, 0.0));
-        assert!(a.touches(&b));
-        assert!(!a.overlaps(&b));
-        assert!(a.overlaps(&c));
-        assert!(!a.touches(&d));
-        assert!(!a.overlaps(&d));
-    }
-
-    #[test]
-    fn ids_display_and_convert() {
-        let r = Robot::new(7, Point::ORIGIN);
-        assert_eq!(format!("{}", r.id), "r7");
-        assert_eq!(RobotId::from(3), RobotId(3));
-        assert_eq!(Robot::radius(), 1.0);
+    fn ids_display() {
+        assert_eq!(format!("{}", RobotId(7)), "r7");
     }
 }

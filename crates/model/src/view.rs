@@ -4,8 +4,6 @@ use fatrobots_geometry::hull::ConvexHull;
 use fatrobots_geometry::visibility::visible_set;
 use fatrobots_geometry::Point;
 
-use crate::config::GeometricConfig;
-
 /// The local view `V_i ⊆ G` of a robot: its own center plus the centers of
 /// all robots visible to it at the moment of the snapshot, together with the
 /// globally-known number of robots `n`.
@@ -60,13 +58,13 @@ impl LocalView {
         }
     }
 
-    /// Takes the snapshot of robot `i` in configuration `g`, with the
-    /// visible set decided by [`visible_set`]: the Look phase of the paper.
+    /// Takes the snapshot of robot `i` in the configuration `centers`, with
+    /// the visible set decided by [`visible_set`]: the Look phase of the
+    /// paper.
     ///
     /// # Panics
     /// Panics if `i` is out of bounds.
-    pub fn snapshot(g: &GeometricConfig, i: usize) -> Self {
-        let centers = g.centers();
+    pub fn snapshot(centers: &[Point], i: usize) -> Self {
         let visible = visible_set(i, centers);
         Self::from_visible(centers, i, &visible)
     }
@@ -139,8 +137,7 @@ impl LocalView {
     /// Useful once the configuration is in convex position, where visibility
     /// is decided exactly by the no-three-collinear predicate and the
     /// pairwise witness search is unnecessary.
-    pub fn full_snapshot(g: &GeometricConfig, i: usize) -> Self {
-        let centers = g.centers();
+    pub fn full_snapshot(centers: &[Point], i: usize) -> Self {
         LocalView {
             me: centers[i],
             others: centers
@@ -149,7 +146,7 @@ impl LocalView {
                 .filter(|&(j, _)| j != i)
                 .map(|(_, &c)| c)
                 .collect(),
-            n: g.len(),
+            n: centers.len(),
             version: 0,
         }
     }
@@ -204,7 +201,7 @@ mod tests {
     #[test]
     fn snapshot_reflects_occlusion() {
         // Three collinear robots: the middle one hides the far one.
-        let g = GeometricConfig::new(vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0)]);
+        let g = [p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0)];
         let v0 = LocalView::snapshot(&g, 0);
         assert_eq!(v0.size(), 2);
         assert!(!v0.sees_all());
@@ -215,25 +212,25 @@ mod tests {
 
     #[test]
     fn from_visible_matches_snapshot() {
-        let g = GeometricConfig::new(vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0)]);
+        let g = [p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0)];
         for i in 0..g.len() {
             let direct = LocalView::snapshot(&g, i);
-            let visible = fatrobots_geometry::visibility::visible_set(i, g.centers());
-            let borrowed = LocalView::from_visible(g.centers(), i, &visible);
+            let visible = fatrobots_geometry::visibility::visible_set(i, &g);
+            let borrowed = LocalView::from_visible(&g, i, &visible);
             assert_eq!(direct, borrowed);
         }
     }
 
     #[test]
     fn refill_reuses_storage_and_matches_from_visible() {
-        let g = GeometricConfig::new(vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0)]);
+        let g = [p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0)];
         // One view refilled across every robot must always equal the
         // freshly built snapshot.
         let mut view = LocalView::new(p(0.0, 0.0), vec![], 3);
         for i in 0..g.len() {
-            let visible = fatrobots_geometry::visibility::visible_set(i, g.centers());
-            view.refill_from_visible(g.centers(), i, &visible);
-            assert_eq!(view, LocalView::from_visible(g.centers(), i, &visible));
+            let visible = fatrobots_geometry::visibility::visible_set(i, &g);
+            view.refill_from_visible(&g, i, &visible);
+            assert_eq!(view, LocalView::from_visible(&g, i, &visible));
         }
     }
 
@@ -259,7 +256,7 @@ mod tests {
 
     #[test]
     fn full_snapshot_sees_everyone() {
-        let g = GeometricConfig::new(vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0)]);
+        let g = [p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0)];
         let v = LocalView::full_snapshot(&g, 0);
         assert!(v.sees_all());
         assert_eq!(v.me(), p(0.0, 0.0));

@@ -43,11 +43,6 @@ impl Event {
             Event::Collide(rs) => rs.clone(),
         }
     }
-
-    /// `true` for events that end a Move phase (the robot re-enters `Wait`).
-    pub fn ends_motion(&self) -> bool {
-        matches!(self, Event::Stop(_) | Event::Collide(_) | Event::Arrive(_))
-    }
 }
 
 impl fmt::Display for Event {
@@ -84,15 +79,6 @@ mod tests {
             Event::Collide(vec![RobotId(1), RobotId(2)]).robots(),
             vec![RobotId(1), RobotId(2)]
         );
-    }
-
-    #[test]
-    fn motion_ending_events() {
-        assert!(Event::Stop(RobotId(0)).ends_motion());
-        assert!(Event::Arrive(RobotId(0)).ends_motion());
-        assert!(Event::Collide(vec![RobotId(0), RobotId(1)]).ends_motion());
-        assert!(!Event::Look(RobotId(0)).ends_motion());
-        assert!(!Event::Move(RobotId(0)).ends_motion());
     }
 
     #[test]

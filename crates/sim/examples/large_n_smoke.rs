@@ -62,7 +62,7 @@ fn main() -> ExitCode {
     }
     // Physical validity must hold at the end of the budget (release builds
     // skip the per-event debug assertion, so check it explicitly here).
-    if !fatrobots_model::GeometricConfig::is_valid_on(sim.centers()) {
+    if !fatrobots_model::config::is_valid(sim.centers()) {
         eprintln!("large_n_smoke: FAIL — final configuration contains overlapping robots");
         ok = false;
     }

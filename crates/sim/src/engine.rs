@@ -15,11 +15,10 @@ use std::time::Instant;
 
 use fatrobots_core::{ComputeScratch, Decision, Strategy};
 use fatrobots_geometry::{Point, UNIT_RADIUS};
-use fatrobots_model::{LocalView, Phase, RobotConfig, RobotId};
+use fatrobots_model::{config, LocalView, Phase, RobotId};
 use fatrobots_scheduler::{Adversary, Directive, Event, Liveness, MotionControl, SystemSnapshot};
 
 use crate::metrics::Metrics;
-use crate::trace::ExecutionTrace;
 use crate::world::{World, WorldMode};
 
 /// Tolerance for "the robot reached its target" and for contact detection.
@@ -58,10 +57,6 @@ pub struct SimConfig {
     pub max_events: usize,
     /// The liveness parameters (δ).
     pub liveness: Liveness,
-    /// Collinearity tolerance used by the gathered-predicate checks.
-    pub collinearity_tol: f64,
-    /// Record the full event trace (memory proportional to the run length).
-    pub record_trace: bool,
     /// Record a configuration-level sample every this many events
     /// (0 disables sampling).
     pub sample_every: usize,
@@ -97,8 +92,6 @@ impl Default for SimConfig {
         SimConfig {
             max_events: 200_000,
             liveness: Liveness::default(),
-            collinearity_tol: 1e-9,
-            record_trace: false,
             sample_every: 50,
             world_mode: WorldMode::Sparse,
             decision_cache: true,
@@ -144,7 +137,6 @@ pub struct Simulator {
     decisions: Vec<Option<Decision>>,
     targets: Vec<Option<Point>>,
     metrics: Metrics,
-    trace: ExecutionTrace,
     /// Reusable buffer for the motion integrator's contact candidates.
     contact_buf: Vec<usize>,
     /// Reusable buffer for the Look snapshots' visible-index sets.
@@ -197,7 +189,6 @@ impl Simulator {
             decisions: vec![None; n],
             targets: vec![None; n],
             metrics: Metrics::default(),
-            trace: ExecutionTrace::default(),
             contact_buf: Vec::new(),
             visible_buf: Vec::new(),
             scratch: ComputeScratch::default(),
@@ -207,7 +198,7 @@ impl Simulator {
             decision_misses: 0,
         };
         if sim.config.sample_every > 0 {
-            let predicates = sim.world.sample_predicates(sim.config.collinearity_tol);
+            let predicates = sim.world.sample_predicates();
             sim.metrics.record_sample_predicates(predicates);
         }
         sim
@@ -287,16 +278,6 @@ impl Simulator {
         &self.metrics
     }
 
-    /// The execution trace (non-empty only when trace recording is enabled).
-    pub fn trace(&self) -> &ExecutionTrace {
-        &self.trace
-    }
-
-    /// The current robot configuration (phases plus geometry).
-    pub fn robot_config(&self) -> RobotConfig {
-        RobotConfig::new(self.phases.clone(), self.world.centers().to_vec())
-    }
-
     /// `true` when every robot has terminated.
     pub fn all_terminated(&self) -> bool {
         self.phases.iter().all(|p| p.is_terminal())
@@ -318,7 +299,7 @@ impl Simulator {
     /// `true` when the current geometric configuration is connected and
     /// fully visible.
     pub fn is_gathered(&mut self) -> bool {
-        self.world.is_gathered(self.config.collinearity_tol)
+        self.world.is_gathered()
     }
 
     /// The gathering predicate restricted to the *live* robots: victims a
@@ -341,7 +322,7 @@ impl Simulator {
             .filter(|(i, _)| crashed.binary_search(i).is_err())
             .map(|(_, &c)| c)
             .collect();
-        fatrobots_model::GeometricConfig::is_gathered_on(&live, self.config.collinearity_tol)
+        config::is_gathered(&live)
     }
 
     /// The fault-injection counters of the run's adversary (all zero for
@@ -367,20 +348,12 @@ impl Simulator {
         Some(event)
     }
 
-    /// The per-event epilogue: metrics, trace, sampling, and the validity
-    /// check.
+    /// The per-event epilogue: metrics, sampling, and the validity check.
     fn post_event(&mut self, event: &Event) {
         self.metrics.record_event(event);
-        if self.config.record_trace {
-            self.trace.push_event(event.clone());
-        }
         if self.config.sample_every > 0 && self.metrics.events % self.config.sample_every == 0 {
-            let predicates = self.world.sample_predicates(self.config.collinearity_tol);
+            let predicates = self.world.sample_predicates();
             self.metrics.record_sample_predicates(predicates);
-            if self.config.record_trace {
-                self.trace
-                    .push_snapshot(self.metrics.events, self.world.centers().to_vec());
-            }
         }
         debug_assert!(
             self.world.is_valid(),
@@ -412,7 +385,7 @@ impl Simulator {
         }
         // Record one final sample so the series always covers the end state.
         if self.config.sample_every > 0 {
-            let predicates = self.world.sample_predicates(self.config.collinearity_tol);
+            let predicates = self.world.sample_predicates();
             self.metrics.record_sample_predicates(predicates);
         }
         // Graceful degradation under fault injection: robots a fault
@@ -752,6 +725,43 @@ mod tests {
         assert_eq!(uncached.decision_cache_stats(), (0, 0));
         assert_eq!(outcome, outcome_uncached);
         assert_eq!(sim.centers(), uncached.centers());
+    }
+
+    #[test]
+    fn run_observed_hands_over_every_applied_event_once_in_order() {
+        let centers = vec![p(0.0, 0.0), p(40.0, 0.0), p(20.0, 35.0)];
+        let mut observed = paper_sim(centers.clone(), 5_000);
+        let mut stream = Vec::new();
+        let outcome = observed.run_observed(|_, event| stream.push(event.clone()));
+        assert!(outcome.terminated, "the run must end before its budget");
+        assert_eq!(stream.len(), outcome.events);
+
+        // In order: a simulator stepped by hand applies the same events.
+        let mut stepped = paper_sim(centers.clone(), 5_000);
+        let applied: Vec<Event> = std::iter::from_fn(|| stepped.step()).collect();
+        assert_eq!(stream, applied);
+
+        // Exactly once: the stream's per-kind counts are the metrics'.
+        let mut counted = Metrics::default();
+        for event in &stream {
+            counted.record_event(event);
+        }
+        let counters = |m: &Metrics| {
+            [
+                m.events,
+                m.looks,
+                m.computes,
+                m.moves,
+                m.arrivals,
+                m.stops,
+                m.collisions,
+                m.dones,
+            ]
+        };
+        assert_eq!(counters(&counted), counters(&outcome.metrics));
+
+        // Observing changes nothing.
+        assert_eq!(paper_sim(centers, 5_000).run(), outcome);
     }
 
     #[test]

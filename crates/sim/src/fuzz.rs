@@ -134,8 +134,7 @@ pub struct Finding {
     pub census: Census,
     /// Accepted shrink moves (smaller `n`, smaller `k`, halved budget).
     pub shrink_steps: u32,
-    /// `"pilot"` for pilot-corpus scenarios, `"random"` for swept ones,
-    /// `"mutation"` for [`perturb`]ed neighbors of a mutation corpus.
+    /// `"pilot"` for pilot-corpus scenarios, `"random"` for swept ones.
     pub origin: &'static str,
 }
 
@@ -154,10 +153,6 @@ pub struct FuzzReport {
     pub shrink_replays: u64,
     /// The shrunk findings, in discovery order.
     pub findings: Vec<Finding>,
-    /// Every scenario the discovery sweep actually replayed, with its draw
-    /// origin (`"pilot"`, `"random"`, or `"mutation"`), in sweep order —
-    /// the exploration log the mutation-operator tests assert against.
-    pub explored: Vec<(ScenarioSpec, &'static str)>,
 }
 
 /// The deterministic pilot corpus: the ROADMAP stall census corners plus a
@@ -251,44 +246,6 @@ fn random_scenario(rng: &mut StdRng) -> ScenarioSpec {
     }
 }
 
-/// The mutation operator: perturbs a known scenario (typically a committed
-/// regression fixture) into a near neighbor. Exactly one dimension moves
-/// per call — the seed is redrawn from the fuzz pool (skipping the current
-/// value), the shape steps to an adjacent entry of [`Shape::ALL`], or `n`
-/// is nudged by one — and the event budget is re-derived from
-/// [`sweep_cap`], so a mutated draw is judged under the same cap as a
-/// fresh random one. Deterministic in the rng state, like every other
-/// draw.
-pub fn perturb(spec: &ScenarioSpec, rng: &mut StdRng) -> ScenarioSpec {
-    let mut out = *spec;
-    match rng.gen_range(0usize..3) {
-        0 => {
-            // A different seed from the 0..=9 fuzz pool: draw from the
-            // 9-element pool without the current seed, then shift past it.
-            let draw = rng.gen_range(0u64..=8);
-            out.seed = if draw >= out.seed { draw + 1 } else { draw };
-        }
-        1 => {
-            let at = Shape::ALL.iter().position(|s| *s == out.shape).unwrap_or(0);
-            let step = if rng.gen_bool(0.5) {
-                1
-            } else {
-                Shape::ALL.len() - 1
-            };
-            out.shape = Shape::ALL[(at + step) % Shape::ALL.len()];
-        }
-        _ => {
-            out.n = if out.n >= 16 || (out.n > 4 && rng.gen_bool(0.5)) {
-                out.n - 1
-            } else {
-                out.n + 1
-            };
-        }
-    }
-    out.max_events = sweep_cap(out.n);
-    out
-}
-
 /// Replaces the fault parameter of a fault adversary (no-op otherwise).
 fn with_fault_k(adversary: AdversaryKind, k: usize) -> AdversaryKind {
     match adversary {
@@ -358,44 +315,14 @@ fn shrink(found: ScenarioSpec, report: &mut FuzzReport) -> (ScenarioSpec, Census
 /// shrunk; later scenarios of an already-found family are skipped so a
 /// single pathological family cannot monopolize the fixture set.
 pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
-    fuzz_with_corpus(config, &[])
-}
-
-/// Runs a corpus-guided fuzz campaign: alternates [`perturb`]ed neighbors
-/// of the corpus entries (round-robin over the corpus, origin
-/// `"mutation"`) with fresh random scenarios, under the same budget and
-/// family dedup as [`fuzz`]. A non-empty corpus **replaces** the pilot
-/// phase — the corpus entries are committed fixtures whose census is
-/// already pinned, so the campaign spends its budget on their unexplored
-/// neighborhoods instead. With an empty corpus this is exactly [`fuzz`],
-/// bit for bit, which is what keeps the CI `fuzz-smoke` fixtures stable:
-/// mutation is strictly opt-in.
-pub fn fuzz_with_corpus(config: &FuzzConfig, corpus: &[ScenarioSpec]) -> FuzzReport {
     let mut report = FuzzReport::default();
     let mut found_families: Vec<(&'static str, &'static str)> = Vec::new();
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut pilots = if corpus.is_empty() {
-        pilot_corpus()
-    } else {
-        Vec::new()
-    }
-    .into_iter();
-    let mut draws = 0usize;
+    let mut pilots = pilot_corpus().into_iter();
     while report.events_spent < config.budget && report.findings.len() < config.max_finds {
         let (spec, origin) = match pilots.next() {
             Some(spec) => (spec, "pilot"),
-            None => {
-                let draw = if !corpus.is_empty() && draws % 2 == 0 {
-                    (
-                        perturb(&corpus[(draws / 2) % corpus.len()], &mut rng),
-                        "mutation",
-                    )
-                } else {
-                    (random_scenario(&mut rng), "random")
-                };
-                draws += 1;
-                draw
-            }
+            None => (random_scenario(&mut rng), "random"),
         };
         let family = (spec.shape.name(), spec.adversary.name());
         if found_families.contains(&family) {
@@ -404,7 +331,6 @@ pub fn fuzz_with_corpus(config: &FuzzConfig, corpus: &[ScenarioSpec]) -> FuzzRep
         let census = replay(&spec);
         report.scenarios += 1;
         report.events_spent += census.events as u64;
-        report.explored.push((spec, origin));
         if census.gathered {
             continue;
         }
@@ -674,103 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn perturb_moves_exactly_one_dimension() {
-        let base = ScenarioSpec {
-            n: 5,
-            seed: 1,
-            shape: Shape::Bridge,
-            adversary: AdversaryKind::CrashStop { k: 1 },
-            max_events: sweep_cap(5),
-        };
-        let mut rng = StdRng::seed_from_u64(11);
-        for _ in 0..200 {
-            let mutant = perturb(&base, &mut rng);
-            assert_eq!(
-                mutant.adversary, base.adversary,
-                "the adversary never moves"
-            );
-            let moved = [
-                mutant.seed != base.seed,
-                mutant.shape != base.shape,
-                mutant.n != base.n,
-            ]
-            .iter()
-            .filter(|&&m| m)
-            .count();
-            assert_eq!(moved, 1, "exactly one dimension moves: {mutant:?}");
-            assert!(mutant.seed <= 9, "seed stays in the fuzz pool");
-            assert!((4..=16).contains(&mutant.n), "n stays in the fuzz pool");
-            assert_eq!(
-                mutant.max_events,
-                sweep_cap(mutant.n),
-                "the budget is re-derived from the sweep cap"
-            );
-        }
-        assert_eq!(
-            perturb(&base, &mut StdRng::seed_from_u64(3)),
-            perturb(&base, &mut StdRng::seed_from_u64(3)),
-            "the operator is deterministic in the rng state"
-        );
-    }
-
-    #[test]
-    fn mutation_corpus_explores_a_perturbed_neighbor_of_a_committed_fixture() {
-        // Seed the corpus with a committed regression fixture, so the test
-        // tracks whatever is actually pinned under tests/fixtures/livelock.
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/livelock");
-        let fixtures = load_fixtures(&dir).expect("fixtures load");
-        let base = fixtures
-            .first()
-            .expect("at least one committed livelock fixture")
-            .1
-            .spec;
-        let config = FuzzConfig {
-            budget: 40_000,
-            seed: 5,
-            max_finds: 1,
-        };
-        let report = fuzz_with_corpus(&config, &[base]);
-        let mutants: Vec<ScenarioSpec> = report
-            .explored
-            .iter()
-            .filter(|(_, origin)| *origin == "mutation")
-            .map(|(spec, _)| *spec)
-            .collect();
-        assert!(
-            !mutants.is_empty(),
-            "a small budget must reach at least one mutated draw"
-        );
-        for mutant in &mutants {
-            assert_eq!(
-                mutant.adversary, base.adversary,
-                "mutation keeps the adversary"
-            );
-            let moved = [
-                mutant.seed != base.seed,
-                mutant.shape != base.shape,
-                mutant.n != base.n,
-            ]
-            .iter()
-            .filter(|&&m| m)
-            .count();
-            assert_eq!(
-                moved, 1,
-                "every explored mutant is a one-step neighbor of the fixture: {mutant:?}"
-            );
-        }
-        assert_eq!(
-            &fuzz_with_corpus(&config, &[base]),
-            &report,
-            "corpus campaigns replay bit-identically"
-        );
-        assert_eq!(
-            &fuzz(&config),
-            &fuzz_with_corpus(&config, &[]),
-            "an empty corpus is exactly the default campaign"
-        );
-    }
-
-    #[test]
     fn fixtures_write_and_load_round_trip() {
         let dir = std::env::temp_dir().join(format!("fatrobots-fuzz-{}", std::process::id()));
         let report = FuzzReport {
@@ -784,7 +613,6 @@ mod tests {
                 shrink_steps: 3,
                 origin: "pilot",
             }],
-            explored: Vec::new(),
         };
         let paths = write_fixtures(&report, &dir).expect("fixtures written");
         assert_eq!(paths.len(), 1);

@@ -5,7 +5,7 @@
 //! deterministic given its arguments, so experiments are reproducible.
 
 use fatrobots_geometry::Point;
-use fatrobots_model::GeometricConfig;
+use fatrobots_model::config;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,7 +54,7 @@ pub fn random_spread(n: usize, seed: u64, side: f64) -> Vec<Point> {
             centers.push(candidate);
         }
     }
-    debug_assert!(GeometricConfig::new(centers.clone()).is_valid());
+    debug_assert!(config::is_valid(&centers));
     centers
 }
 
@@ -137,7 +137,7 @@ pub fn clusters(n: usize, clusters: usize, seed: u64) -> Vec<Point> {
     // The deterministic spiral can still produce rare near-misses between
     // clusters; nudge any offending robot outward until valid.
     let mut attempts = 0;
-    while !GeometricConfig::new(centers.clone()).is_valid() {
+    while !config::is_valid(&centers) {
         attempts += 1;
         assert!(
             attempts < 1000,
@@ -216,7 +216,7 @@ pub fn bridge(n: usize, gap: f64) -> Vec<Point> {
         let (r, c) = (i / cols, i % cols);
         centers.push(Point::new((cols + chain + c) as f64 * pitch, y_of(r)));
     }
-    debug_assert!(GeometricConfig::new(centers.clone()).is_valid());
+    debug_assert!(config::is_valid(&centers));
     centers
 }
 
@@ -250,7 +250,7 @@ pub fn ring_hole(n: usize, hole_fraction: f64) -> Vec<Point> {
             Point::new(radius * a.cos(), radius * a.sin())
         })
         .collect();
-    debug_assert!(GeometricConfig::new(centers.clone()).is_valid());
+    debug_assert!(config::is_valid(&centers));
     centers
 }
 
@@ -275,7 +275,7 @@ pub fn near_collinear(n: usize, gap: f64, eps: f64) -> Vec<Point> {
 pub enum Shape {
     /// [`random_spread`] over a square sized for the robot count.
     Random,
-    /// [`line`] with a 3-radius gap.
+    /// [`line()`] with a 3-radius gap.
     Line,
     /// [`grid`] with a 1-radius gap.
     Grid,
@@ -353,7 +353,7 @@ mod tests {
     fn assert_valid(centers: &[Point], n: usize) {
         assert_eq!(centers.len(), n);
         assert!(
-            GeometricConfig::new(centers.to_vec()).is_valid(),
+            config::is_valid(centers),
             "generated configuration contains overlapping discs"
         );
     }
@@ -382,7 +382,7 @@ mod tests {
         let a = hex(64, 2.1);
         assert_eq!(a, hex(64, 2.1));
         assert_valid(&a, 64);
-        // The jitter must actually perturb the lattice (no robot sits on an
+        // The jitter must actually displace the lattice (no robot sits on an
         // exact grid point after the hash offset).
         assert!(a.iter().any(|c| c.x.fract().abs() > 1e-6));
     }

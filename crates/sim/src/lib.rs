@@ -14,16 +14,14 @@
 //!   this build's engine-semantics id; decoding recovers to the last valid
 //!   record, so a killed sweep resumes byte-identically and a journal of a
 //!   differently behaving build is never resumed;
-//! * [`engine`] — the [`Simulator`](engine::Simulator): one event per call,
-//!   motion integration with contact detection, validity assertions,
-//!   termination detection, an event budget, and a cooperative
-//!   cancellation flag for supervised runs;
+//! * [`engine`] — the [`Simulator`]: one event per call, motion
+//!   integration with contact detection, validity assertions, termination
+//!   detection, an event budget, and a cooperative cancellation flag for
+//!   supervised runs;
 //! * [`init`] — seeded initial-configuration generators (random spread,
 //!   line, grid, circle, clusters);
 //! * [`metrics`] — per-run metrics: event counts, travelled distance, times
 //!   to all-on-hull / full visibility / connectivity, hull-area series;
-//! * [`trace`] — execution traces (events plus sampled configurations) with
-//!   CSV export;
 //! * [`render`] — small SVG / ASCII renderers for configurations;
 //! * [`shadow`] — the exact-arithmetic shadow oracle: replays every Compute
 //!   decision under the exact kernel via [`engine::Simulator::run_observed`]
@@ -82,7 +80,6 @@ pub mod metrics;
 pub mod render;
 pub mod shadow;
 pub mod sweep;
-pub mod trace;
 pub mod world;
 
 pub use engine::{CancelFlag, RunOutcome, SimConfig, Simulator};

@@ -2,7 +2,7 @@
 
 use fatrobots_geometry::hull::ConvexHull;
 use fatrobots_geometry::Point;
-use fatrobots_model::GeometricConfig;
+use fatrobots_model::config::{self, COLLINEARITY_TOL};
 use fatrobots_scheduler::Event;
 
 /// One sampled point of the configuration-level series recorded during a
@@ -43,23 +43,17 @@ pub struct SamplePredicates {
 
 impl SamplePredicates {
     /// Evaluates every predicate from scratch on a center slice.
-    pub fn from_centers(centers: &[Point], collinearity_tol: f64) -> Self {
+    pub fn from_centers(centers: &[Point]) -> Self {
         let hull = ConvexHull::from_points(centers);
         let all_on_hull = centers.len() <= 2 || hull.all_on_hull();
-        let connected = GeometricConfig::is_connected_on(centers);
-        Self::from_hull(&hull, all_on_hull, connected, collinearity_tol)
+        let connected = config::is_connected(centers);
+        Self::from_hull(&hull, all_on_hull, connected)
     }
 
     /// Builds the predicates from an already-computed hull and
     /// connectivity answer (the incremental world's cached values).
-    pub fn from_hull(
-        hull: &ConvexHull,
-        all_on_hull: bool,
-        connected: bool,
-        collinearity_tol: f64,
-    ) -> Self {
-        let fully_visible =
-            all_on_hull && consecutive_hull_triples_ok(&hull.boundary(), collinearity_tol);
+    pub fn from_hull(hull: &ConvexHull, all_on_hull: bool, connected: bool) -> Self {
+        let fully_visible = all_on_hull && consecutive_hull_triples_ok(&hull.boundary());
         SamplePredicates {
             hull_area: hull.area(),
             all_on_hull,
@@ -122,12 +116,6 @@ impl Metrics {
         self.distance_travelled += distance;
     }
 
-    /// Evaluates the configuration-level predicates on the current centers
-    /// and records a [`Sample`] plus the first-time markers.
-    pub fn record_sample(&mut self, centers: &[Point], collinearity_tol: f64) {
-        self.record_sample_predicates(SamplePredicates::from_centers(centers, collinearity_tol));
-    }
-
     /// Records a [`Sample`] from already-evaluated predicates (the
     /// incremental world's cached hull and connectivity).
     pub fn record_sample_predicates(&mut self, p: SamplePredicates) {
@@ -148,11 +136,6 @@ impl Metrics {
             self.first_connected = Some(self.events);
         }
         self.samples.push(sample);
-    }
-
-    /// The hull-area series of the recorded samples.
-    pub fn hull_area_series(&self) -> Vec<f64> {
-        self.samples.iter().map(|s| s.hull_area).collect()
     }
 
     /// Fraction of consecutive sample pairs where the hull area did not
@@ -206,9 +189,9 @@ fn monotone_fraction(values: &[f64], increasing: bool) -> Option<f64> {
 }
 
 /// `true` when no three *consecutive* hull boundary points are collinear
-/// within the tolerance — in convex position this is equivalent to no three
-/// centers being collinear at all, and it is O(n) instead of O(n³).
-fn consecutive_hull_triples_ok(boundary: &[Point], tol: f64) -> bool {
+/// within [`COLLINEARITY_TOL`] — in convex position this is equivalent to no
+/// three centers being collinear at all, and it is O(n) instead of O(n³).
+fn consecutive_hull_triples_ok(boundary: &[Point]) -> bool {
     let m = boundary.len();
     if m < 3 {
         return true;
@@ -217,7 +200,7 @@ fn consecutive_hull_triples_ok(boundary: &[Point], tol: f64) -> bool {
         let a = boundary[i];
         let b = boundary[(i + 1) % m];
         let c = boundary[(i + 2) % m];
-        fatrobots_geometry::predicates::orientation_tol(a, b, c, tol)
+        fatrobots_geometry::predicates::orientation_tol(a, b, c, COLLINEARITY_TOL)
             != fatrobots_geometry::predicates::Orientation::Collinear
     })
 }
@@ -229,6 +212,10 @@ mod tests {
 
     fn p(x: f64, y: f64) -> Point {
         Point::new(x, y)
+    }
+
+    fn record(m: &mut Metrics, centers: &[Point]) {
+        m.record_sample_predicates(SamplePredicates::from_centers(centers));
     }
 
     #[test]
@@ -261,24 +248,24 @@ mod tests {
         let mut m = Metrics::default();
         // Disconnected square: all on hull, fully visible, not connected.
         let square = vec![p(0.0, 0.0), p(10.0, 0.0), p(10.0, 10.0), p(0.0, 10.0)];
-        m.record_sample(&square, 1e-9);
+        record(&mut m, &square);
         assert_eq!(m.first_all_on_hull, Some(0));
         assert_eq!(m.first_fully_visible, Some(0));
         assert_eq!(m.first_connected, None);
         // Connected triangle.
         m.record_event(&Event::Look(RobotId(0)));
         let triangle = vec![p(0.0, 0.0), p(2.0, 0.0), p(1.0, 3.0_f64.sqrt())];
-        m.record_sample(&triangle, 1e-9);
+        record(&mut m, &triangle);
         assert_eq!(m.first_connected, Some(1));
         assert_eq!(m.samples.len(), 2);
-        assert!(m.hull_area_series()[0] > m.hull_area_series()[1]);
+        assert!(m.samples[0].hull_area > m.samples[1].hull_area);
     }
 
     #[test]
     fn collinear_configuration_is_not_fully_visible() {
         let mut m = Metrics::default();
         let line = vec![p(0.0, 0.0), p(2.0, 0.0), p(4.0, 0.0)];
-        m.record_sample(&line, 1e-9);
+        record(&mut m, &line);
         assert!(m.samples[0].all_on_hull);
         assert!(!m.samples[0].fully_visible);
         assert!(m.samples[0].connected);
@@ -295,15 +282,15 @@ mod tests {
     fn expansion_and_convergence_monotonicity_need_full_visibility() {
         let mut m = Metrics::default();
         let line = vec![p(0.0, 0.0), p(6.0, 0.0), p(12.0, 0.0)];
-        m.record_sample(&line, 1e-9);
+        record(&mut m, &line);
         assert!(m.expansion_monotonicity().is_none());
         // Reach a fully visible configuration, then shrink it.
         let tri_big = vec![p(0.0, 0.0), p(12.0, 0.0), p(6.0, 10.0)];
         let tri_small = vec![p(0.0, 0.0), p(10.0, 0.0), p(5.0, 8.0)];
         m.record_event(&Event::Look(RobotId(0)));
-        m.record_sample(&tri_big, 1e-9);
+        record(&mut m, &tri_big);
         m.record_event(&Event::Look(RobotId(1)));
-        m.record_sample(&tri_small, 1e-9);
+        record(&mut m, &tri_small);
         assert_eq!(m.convergence_monotonicity(), Some(1.0));
     }
 }

@@ -23,7 +23,7 @@
 //!
 //! The watchdog is a deadline, not a thread: each attempt under a
 //! [`SupervisionPolicy::watchdog`] budget gets a
-//! [`CancelFlag`](crate::engine::CancelFlag) holding `start + budget`, and
+//! [`CancelFlag`] holding `start + budget`, and
 //! the engine's event loop checks it between events, so cancellation
 //! always lands on a clean event boundary.
 

@@ -46,13 +46,13 @@
 //! endpoint, a robot leaving the corridor, a robot entering it — stamps a
 //! registered cell. Cache hits are O(1); a move dirties only the pairs
 //! registered on the touched cells; a row refresh recomputes only its
-//! queued dirty pairs (plan, compute, commit — see [`World::refresh_row`]).
+//! queued dirty pairs (plan, compute, commit — see `World::refresh_row`).
 //! A long chord through a dense region is first tried against the few
 //! obstacles near its midpoint, and only when their strip
 //! cover does not certify it blocked is it recomputed against the whole
-//! grid-pruned corridor slice (see [`World::compute_pair_answer`]). Pairs
+//! grid-pruned corridor slice (see `World::compute_pair_answer`). Pairs
 //! whose corridor a strip cover certifies blocked survive in-drift moves
-//! with no work at all (see [`CERT_DRIFT_RADIUS`]).
+//! with no work at all (see `CERT_DRIFT_RADIUS`).
 //!
 //! ## Bit-identical results
 //!
@@ -77,8 +77,7 @@ use fatrobots_geometry::visibility::{
     STRIP_COVER_SLACK_MIN_SPAN, VISIBILITY_PRUNE_RADIUS,
 };
 use fatrobots_geometry::{Point, Segment, Vec2, UNIT_RADIUS};
-use fatrobots_model::config::{gap_touches, TOUCH_TOL};
-use fatrobots_model::GeometricConfig;
+use fatrobots_model::config::{self, gap_touches, COLLINEARITY_TOL, TOUCH_TOL};
 
 use crate::metrics::SamplePredicates;
 
@@ -1093,7 +1092,7 @@ impl World {
     /// robot `i` — [`Self::visible_of`] writing into caller-owned storage,
     /// so the engine's per-Look cost is free of allocation. A row of at
     /// least `ROW_FANOUT_MIN_PAIRS` recomputes fans its pair kernels out
-    /// across the host's cores ([`Self::refresh_row`]); that only moves
+    /// across the host's cores (`Self::refresh_row`); that only moves
     /// kernel evaluations onto other threads, never changes what is
     /// computed, in which order it is committed, or what the telemetry
     /// counts.
@@ -1146,7 +1145,7 @@ impl World {
     /// relation), identical in outcome to the global minimum-gap test.
     pub fn is_valid(&mut self) -> bool {
         if self.mode == WorldMode::Scratch {
-            return GeometricConfig::is_valid_on(&self.centers);
+            return config::is_valid(&self.centers);
         }
         if let Some((v, ok)) = self.valid_cache {
             if v == self.version {
@@ -1160,7 +1159,7 @@ impl World {
                 .candidates_near_point(self.centers[i], 2.0 * UNIT_RADIUS, &mut cand);
             for &j in cand.iter().filter(|&&j| j > i) {
                 // The same float expression as the reference (`gap >=
-                // -TOUCH_TOL` in `GeometricConfig::is_valid_on`): the
+                // -TOUCH_TOL` in `config::is_valid`): the
                 // algebraically equal `d < 2R - TOUCH_TOL` rounds
                 // differently at the boundary.
                 let gap = self.centers[i].distance(self.centers[j]) - 2.0 * UNIT_RADIUS;
@@ -1180,7 +1179,7 @@ impl World {
     /// pairs).
     pub fn is_connected(&mut self) -> bool {
         if self.mode == WorldMode::Scratch {
-            return GeometricConfig::is_connected_on(&self.centers);
+            return config::is_connected(&self.centers);
         }
         if let Some((v, ok)) = self.connected_cache {
             if v == self.version {
@@ -1227,16 +1226,16 @@ impl World {
     }
 
     /// The gathering predicate (Definition 1): connected and fully visible.
-    /// Exactly [`GeometricConfig::is_gathered_on`], with the pairwise
-    /// full-visibility fallback answered from the pair cache.
-    pub fn is_gathered(&mut self, collinearity_tol: f64) -> bool {
+    /// Exactly [`config::is_gathered`], with the pairwise full-visibility
+    /// fallback answered from the pair cache.
+    pub fn is_gathered(&mut self) -> bool {
         if self.mode == WorldMode::Scratch {
-            return GeometricConfig::is_gathered_on(&self.centers, collinearity_tol);
+            return config::is_gathered(&self.centers);
         }
         if !self.is_connected() {
             return false;
         }
-        if self.all_on_hull() && no_three_collinear(&self.centers, collinearity_tol) {
+        if self.all_on_hull() && no_three_collinear(&self.centers, COLLINEARITY_TOL) {
             return true;
         }
         let n = self.len();
@@ -1252,13 +1251,13 @@ impl World {
 
     /// The configuration-level predicates behind one metrics sample, from
     /// the cached hull and connectivity.
-    pub fn sample_predicates(&mut self, collinearity_tol: f64) -> SamplePredicates {
+    pub fn sample_predicates(&mut self) -> SamplePredicates {
         if self.mode == WorldMode::Scratch {
-            return SamplePredicates::from_centers(&self.centers, collinearity_tol);
+            return SamplePredicates::from_centers(&self.centers);
         }
         let connected = self.is_connected();
         let all_on = self.refresh_hull();
-        SamplePredicates::from_hull(&self.hull, all_on, connected, collinearity_tol)
+        SamplePredicates::from_hull(&self.hull, all_on, connected)
     }
 
     /// Fills `out` with the (ascending) indices of every robot that could
@@ -1312,14 +1311,11 @@ mod tests {
                 "visible set of robot {i} diverged"
             );
         }
-        assert_eq!(w.is_valid(), GeometricConfig::is_valid_on(&centers));
-        assert_eq!(w.is_connected(), GeometricConfig::is_connected_on(&centers));
-        assert_eq!(w.all_on_hull(), GeometricConfig::all_on_hull_on(&centers));
+        assert_eq!(w.is_valid(), config::is_valid(&centers));
+        assert_eq!(w.is_connected(), config::is_connected(&centers));
+        assert_eq!(w.all_on_hull(), config::all_on_hull(&centers));
         assert_eq!(w.hull(), &ConvexHull::from_points(&centers));
-        assert_eq!(
-            w.is_gathered(1e-9),
-            GeometricConfig::is_gathered_on(&centers, 1e-9)
-        );
+        assert_eq!(w.is_gathered(), config::is_gathered(&centers));
     }
 
     #[test]
@@ -1423,7 +1419,7 @@ mod tests {
             let _ = w.visible_of(i);
         }
         let _ = w.hull();
-        let _ = w.is_gathered(1e-9);
+        let _ = w.is_gathered();
         assert_eq!(
             snapshot,
             (0..4).map(|i| w.view_version(i)).collect::<Vec<_>>()

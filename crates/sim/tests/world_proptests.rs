@@ -6,7 +6,7 @@
 use fatrobots_core::{AlgorithmParams, ComputeScratch, Decision, LocalAlgorithm};
 use fatrobots_geometry::visibility::visible_set;
 use fatrobots_geometry::{ConvexHull, Point};
-use fatrobots_model::{GeometricConfig, LocalView};
+use fatrobots_model::{config, LocalView};
 use fatrobots_sim::world::{World, WorldMode};
 use proptest::prelude::*;
 
@@ -42,15 +42,9 @@ fn assert_world_matches_scratch(
     for i in 0..centers.len() {
         prop_assert_eq!(world.visible_of(i), visible_set(i, centers));
     }
-    prop_assert_eq!(world.is_valid(), GeometricConfig::is_valid_on(centers));
-    prop_assert_eq!(
-        world.is_connected(),
-        GeometricConfig::is_connected_on(centers)
-    );
-    prop_assert_eq!(
-        world.all_on_hull(),
-        GeometricConfig::all_on_hull_on(centers)
-    );
+    prop_assert_eq!(world.is_valid(), config::is_valid(centers));
+    prop_assert_eq!(world.is_connected(), config::is_connected(centers));
+    prop_assert_eq!(world.all_on_hull(), config::all_on_hull(centers));
     prop_assert_eq!(world.hull(), &ConvexHull::from_points(centers));
     Ok(())
 }
@@ -85,7 +79,7 @@ proptest! {
                         -> (u64, LocalView, Option<Decision>) {
             let visible = world.visible_of(i);
             let view = LocalView::from_visible(centers, i, &visible);
-            let decision = GeometricConfig::is_valid_on(centers)
+            let decision = config::is_valid(centers)
                 .then(|| algo.run_with(&view, arena));
             (world.view_version(i), view, decision)
         };

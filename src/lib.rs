@@ -11,8 +11,8 @@
 //!
 //! * [`geometry`] — points, segments, circles, convex hulls, visibility
 //!   among unit-disc obstacles;
-//! * [`model`] — robots, Look–Compute–Move phases, configurations, local
-//!   views;
+//! * [`model`] — robot ids, Look–Compute–Move phases, configuration
+//!   predicates, local views;
 //! * [`core`] — the Section-3 geometric functions and the 17-state local
 //!   Compute algorithm;
 //! * [`scheduler`] — the asynchronous event model and adversary strategies;
@@ -52,7 +52,7 @@ pub use fatrobots_sim as sim;
 pub mod prelude {
     pub use fatrobots_core::{AlgorithmParams, Decision, LocalAlgorithm, Strategy};
     pub use fatrobots_geometry::{Point, Vec2};
-    pub use fatrobots_model::{GeometricConfig, LocalView, Phase, Robot, RobotId};
+    pub use fatrobots_model::{config, LocalView, Phase, RobotId};
     pub use fatrobots_scheduler::{Adversary, Liveness, RandomAsync, RoundRobin};
     pub use fatrobots_sim::engine::{RunOutcome, SimConfig, Simulator};
     pub use fatrobots_sim::init::Shape;

@@ -76,10 +76,9 @@ fn steady_state_event_loop_stays_within_the_allocation_budget() {
         Box::new(RoundRobin::new()),
         SimConfig {
             max_events: usize::MAX,
-            // The samplers and the trace are diagnostic paths; the budget
-            // pins the bare event loop.
+            // The sampler is a diagnostic path; the budget pins the bare
+            // event loop.
             sample_every: 0,
-            record_trace: false,
             ..SimConfig::default()
         },
     );

@@ -7,7 +7,7 @@
 
 use fatrobots::prelude::*;
 use fatrobots::sim::experiment::{run, AdversaryKind, RunSpec, StrategyKind};
-use fatrobots_model::GeometricConfig;
+use fatrobots_model::config;
 
 fn gather(n: usize, seed: u64, shape: Shape, adversary: AdversaryKind) -> (bool, Vec<Point>) {
     let spec = RunSpec {
@@ -35,9 +35,14 @@ fn small_systems_gather_from_circle_starts() {
     for n in [2usize, 3, 4, 5, 6] {
         let (gathered, finals) = gather(n, 11, Shape::Circle, AdversaryKind::RoundRobin);
         assert!(gathered, "{n} robots on a circle must gather");
-        let g = GeometricConfig::new(finals);
-        assert!(g.is_valid(), "final configuration must not overlap");
-        assert!(g.is_connected(), "final configuration must be connected");
+        assert!(
+            config::is_valid(&finals),
+            "final configuration must not overlap"
+        );
+        assert!(
+            config::is_connected(&finals),
+            "final configuration must be connected"
+        );
     }
 }
 
@@ -46,7 +51,7 @@ fn random_starts_gather_under_the_friendly_schedule() {
     for seed in [1u64, 2, 3, 4] {
         let (gathered, finals) = gather(6, seed, Shape::Random, AdversaryKind::RoundRobin);
         assert!(gathered, "seed {seed} must gather");
-        assert!(GeometricConfig::new(finals).is_connected());
+        assert!(config::is_connected(&finals));
     }
 }
 
@@ -65,7 +70,7 @@ fn random_starts_gather_under_the_random_async_schedule() {
 fn clustered_starts_gather() {
     let (gathered, finals) = gather(6, 5, Shape::Clusters, AdversaryKind::RoundRobin);
     assert!(gathered);
-    assert!(GeometricConfig::new(finals).is_connected());
+    assert!(config::is_connected(&finals));
 }
 
 #[test]
@@ -88,7 +93,7 @@ fn hostile_adversaries_do_not_break_safety() {
     ] {
         let (_, finals) = gather(5, 3, Shape::Circle, adversary);
         assert!(
-            GeometricConfig::new(finals).is_valid(),
+            config::is_valid(&finals),
             "{} must preserve physical validity",
             adversary.name()
         );

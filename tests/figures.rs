@@ -30,15 +30,13 @@ fn fig1_robot_state_machine_cycle() {
         vec![Point::new(0.0, 0.0), Point::new(12.0, 0.0)],
         Box::new(LocalAlgorithm::new(AlgorithmParams::for_n(2))),
         Box::new(RoundRobin::new()),
-        SimConfig {
-            record_trace: true,
-            ..SimConfig::default()
-        },
+        SimConfig::default(),
     );
-    let outcome = sim.run();
+    let mut events = Vec::new();
+    let outcome = sim.run_observed(|_, event| events.push(event.clone()));
     assert!(outcome.gathered);
     let mut phase = Phase::Wait;
-    for event in sim.trace().events() {
+    for event in &events {
         if !event.robots().contains(&RobotId(0)) {
             continue;
         }
@@ -54,7 +52,7 @@ fn fig1_robot_state_machine_cycle() {
         };
         assert!(
             phase.can_transition_to(next) || (phase == Phase::Move && next == Phase::Wait),
-            "illegal transition {phase} -> {next} observed in the trace"
+            "illegal transition {phase} -> {next} observed in the event stream"
         );
         phase = next;
     }

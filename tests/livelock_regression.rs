@@ -117,19 +117,14 @@ fn livelock_window_is_identical_with_and_without_the_decision_cache() {
             AdversaryKind::RoundRobin.build(7, 7),
             SimConfig {
                 max_events: window,
-                record_trace: true,
                 decision_cache,
                 ..SimConfig::default()
             },
         );
-        let outcome = sim.run();
+        let mut events = Vec::new();
+        let outcome = sim.run_observed(|_, event| events.push(event.clone()));
         let stats = sim.decision_cache_stats();
-        (
-            outcome,
-            sim.centers().to_vec(),
-            sim.trace().events().to_vec(),
-            stats,
-        )
+        (outcome, sim.centers().to_vec(), events, stats)
     };
     let (cached_outcome, cached_centers, cached_events, (hits, misses)) = run_once(true);
     let (fresh_outcome, fresh_centers, fresh_events, _) = run_once(false);

@@ -9,7 +9,7 @@ use fatrobots::sim::engine::{SimConfig, Simulator};
 use fatrobots::sim::init::Shape;
 use fatrobots_geometry::hull::ConvexHull;
 use fatrobots_geometry::Point;
-use fatrobots_model::{GeometricConfig, LocalView};
+use fatrobots_model::{config, LocalView};
 use proptest::prelude::*;
 
 /// Random valid configurations: distinct grid cells scaled so discs never
@@ -37,11 +37,10 @@ proptest! {
     #[test]
     fn decisions_never_cause_overlap(centers in valid_centers(10)) {
         let n = centers.len();
-        let g = GeometricConfig::new(centers.clone());
-        prop_assume!(g.is_valid());
+        prop_assume!(config::is_valid(&centers));
         let algo = LocalAlgorithm::new(AlgorithmParams::for_n(n));
         for i in 0..n {
-            let view = LocalView::full_snapshot(&g, i);
+            let view = LocalView::full_snapshot(&centers, i);
             if let Some(target) = algo.run(&view).target() {
                 // Clamp the motion at the first contact, exactly like the
                 // engine's integrator.
@@ -69,7 +68,7 @@ proptest! {
                 let mut moved = centers.clone();
                 moved[i] = start + dir * travel;
                 prop_assert!(
-                    GeometricConfig::new(moved).is_valid(),
+                    config::is_valid(&moved),
                     "robot {i} caused an overlap from {centers:?}"
                 );
             }
@@ -123,7 +122,7 @@ proptest! {
             SimConfig { max_events: 3_000, ..SimConfig::default() },
         );
         let _ = sim.run();
-        prop_assert!(GeometricConfig::new(sim.centers().to_vec()).is_valid());
+        prop_assert!(config::is_valid(sim.centers()));
     }
 
     /// A terminated robot never moves again: once the engine reports all

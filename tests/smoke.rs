@@ -7,7 +7,7 @@
 use fatrobots::prelude::*;
 use fatrobots::sim::experiment::{run, AdversaryKind, RunSpec, StrategyKind};
 use fatrobots::sim::init;
-use fatrobots_model::GeometricConfig;
+use fatrobots_model::config;
 
 /// One bounded, seeded gathering run from a circle of radius `spread`.
 /// Wired by hand (rather than through `experiment::run`) because these
@@ -38,9 +38,14 @@ fn smoke_gathering_n_3_5_7_round_robin() {
             outcome.gathered,
             "{n} robots under RoundRobin must gather within {max_events} events"
         );
-        let g = GeometricConfig::new(finals);
-        assert!(g.is_valid(), "n={n}: final discs must not overlap");
-        assert!(g.is_connected(), "n={n}: final discs must be connected");
+        assert!(
+            config::is_valid(&finals),
+            "n={n}: final discs must not overlap"
+        );
+        assert!(
+            config::is_connected(&finals),
+            "n={n}: final discs must be connected"
+        );
     }
 }
 

@@ -32,18 +32,14 @@ fn run_with_config(
         adversary.build(seed, n),
         SimConfig {
             max_events: 12_000,
-            record_trace: true,
             world_mode: mode,
             decision_cache,
             ..SimConfig::default()
         },
     );
-    let outcome = sim.run();
-    (
-        outcome,
-        sim.centers().to_vec(),
-        sim.trace().events().to_vec(),
-    )
+    let mut events = Vec::new();
+    let outcome = sim.run_observed(|_, event| events.push(event.clone()));
+    (outcome, sim.centers().to_vec(), events)
 }
 
 fn run_with_mode(
