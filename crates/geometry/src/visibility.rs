@@ -649,7 +649,10 @@ const STRIP_COVER_MAX_VERTS: usize = 24;
 /// against the complement of each strip, maintaining the uncovered region
 /// as a small set of convex polygons; the certificate fires when the set
 /// becomes empty. Obstacles are processed nearest-the-chord first so
-/// central strips (which cover the most) come early.
+/// central strips (which cover the most) come early; ties are broken by
+/// axial position, then by signed offset, so for finite coordinates the
+/// processing order — and with it the budget verdict below — depends only
+/// on the obstacle set, never on the order of the slice.
 ///
 /// # One-sidedness and numerics
 ///
@@ -743,8 +746,24 @@ fn strip_cover(ci: Point, cj: Point, obstacles: &[Point], square: f64, shrink: f
         if strips.is_empty() {
             return false;
         }
+        // Nearest the chord first, then each run of tied offsets
+        // (lattices, axis-aligned chords) by (u, o): a total order on
+        // (|o|, u, o) that costs one extra scan where nothing ties.
         strips
             .sort_unstable_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).unwrap_or(Ordering::Equal));
+        let mut start = 0;
+        while start < strips.len() {
+            let offset = strips[start].1.abs();
+            let run = strips[start..]
+                .iter()
+                .take_while(|s| s.1.abs() == offset)
+                .count();
+            if run > 1 {
+                strips[start..start + run]
+                    .sort_unstable_by(|p, q| p.0.total_cmp(&q.0).then_with(|| p.1.total_cmp(&q.1)));
+            }
+            start += run;
+        }
 
         pool.append(polys);
         pool.append(flip);

@@ -2,7 +2,10 @@
 
 use fatrobots_geometry::hull::{convex_hull, ConvexHull};
 use fatrobots_geometry::predicates::{self, Orientation};
-use fatrobots_geometry::visibility::{disc_sees_disc, min_pairwise_gap};
+use fatrobots_geometry::visibility::{
+    disc_sees_disc, disc_sees_disc_among, min_pairwise_gap, strip_cover_blocked,
+    strip_cover_blocked_with_slack,
+};
 use fatrobots_geometry::{Circle, EpsKernel, ExactKernel, Kernel, Point, Segment, Vec2, EPS};
 use proptest::prelude::*;
 
@@ -276,5 +279,121 @@ proptest! {
             _ => Orientation::Collinear,
         };
         prop_assert_eq!(ExactKernel::orientation(a, b, c), expected);
+    }
+}
+
+/// A splitmix64 step: the deterministic stream behind the jitter and the
+/// permutations of the obstacle-order tests.
+fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A uniform draw from `[-1, 1)`.
+fn unit(state: &mut u64) -> f64 {
+    (mix(state) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+}
+
+/// A chord and the obstacles around it. `kind` 0 is an exact lattice of
+/// pitch 2.1 (the chord runs along a lattice row or diagonal, so obstacles
+/// sit at exactly tied offsets), 1 a jittered hex packing at spacing 2.1,
+/// 2 a uniform random scatter. `cells` sets the chord's length in pitches
+/// and `tilt` its rise in rows.
+fn chord_scene(kind: usize, cells: usize, tilt: usize, seed: u64) -> (Point, Point, Vec<Point>) {
+    let pitch = 2.1;
+    let mut state = seed;
+    let mut sites = Vec::new();
+    match kind {
+        0 | 1 => {
+            let row_height = if kind == 0 {
+                pitch
+            } else {
+                pitch * 3f64.sqrt() / 2.0
+            };
+            let jitter = if kind == 0 { 0.0 } else { 0.03 };
+            for r in -3..=(3 + tilt as i64) {
+                let stagger = if kind == 1 && r.rem_euclid(2) == 1 {
+                    pitch / 2.0
+                } else {
+                    0.0
+                };
+                for c in -1..=(cells as i64 + 1) {
+                    sites.push(Point::new(
+                        c as f64 * pitch + stagger + jitter * unit(&mut state),
+                        r as f64 * row_height + jitter * unit(&mut state),
+                    ));
+                }
+            }
+        }
+        _ => {
+            let len = cells as f64 * pitch;
+            for _ in 0..(cells * 6) {
+                sites.push(Point::new(
+                    len / 2.0 * (1.0 + 1.1 * unit(&mut state)),
+                    4.0 * unit(&mut state) + tilt as f64,
+                ));
+            }
+        }
+    }
+    // The endpoints are the sites nearest the chord's two ends; the rest
+    // are the obstacles.
+    let ends = [
+        Point::new(0.0, 0.0),
+        Point::new(cells as f64 * pitch, tilt as f64 * pitch),
+    ];
+    let mut endpoints = [Point::ORIGIN; 2];
+    for (slot, target) in endpoints.iter_mut().zip(ends) {
+        let k = (0..sites.len())
+            .min_by(|&a, &b| {
+                sites[a]
+                    .distance(target)
+                    .total_cmp(&sites[b].distance(target))
+            })
+            .expect("non-empty scene");
+        *slot = sites.swap_remove(k);
+    }
+    (endpoints[0], endpoints[1], sites)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The strip covers and the witness kernel are functions of the
+    /// obstacle set: the order of the slice, which differs between the
+    /// simulator's grid gather and its row scan, never changes a verdict.
+    #[test]
+    fn obstacle_order_never_changes_a_visibility_verdict(
+        kind in 0usize..3,
+        cells in 4usize..12,
+        tilt in 0usize..3,
+        seed in 0u64..1 << 32,
+        perm in 0u64..1 << 32,
+    ) {
+        let (ci, cj, obstacles) = chord_scene(kind, cells, tilt, seed);
+        let mut shuffled = obstacles.clone();
+        let mut state = perm;
+        for k in (1..shuffled.len()).rev() {
+            let l = (mix(&mut state) % (k as u64 + 1)) as usize;
+            shuffled.swap(k, l);
+        }
+        let mut reversed = obstacles.clone();
+        reversed.reverse();
+        for other in [&shuffled, &reversed] {
+            prop_assert_eq!(
+                strip_cover_blocked(ci, cj, &obstacles),
+                strip_cover_blocked(ci, cj, other)
+            );
+            prop_assert_eq!(
+                strip_cover_blocked_with_slack(ci, cj, &obstacles),
+                strip_cover_blocked_with_slack(ci, cj, other)
+            );
+            prop_assert_eq!(
+                disc_sees_disc_among(ci, cj, &obstacles),
+                disc_sees_disc_among(ci, cj, other)
+            );
+        }
     }
 }

@@ -47,20 +47,39 @@
 //! registered cell. Cache hits are O(1); a move dirties only the pairs
 //! registered on the touched cells; a row refresh recomputes only its
 //! queued dirty pairs (plan, compute, commit — see `World::refresh_row`).
-//! A long chord through a dense region is first tried against the few
-//! obstacles near its midpoint, and only when their strip
-//! cover does not certify it blocked is it recomputed against the whole
-//! grid-pruned corridor slice (see `World::compute_pair_answer`). Pairs
-//! whose corridor a strip cover certifies blocked survive in-drift moves
-//! with no work at all (see `CERT_DRIFT_RADIUS`).
+//! Pairs whose corridor a strip cover certifies blocked survive in-drift
+//! moves with no work at all (see `CERT_DRIFT_RADIUS`).
+//!
+//! ## Where a recompute's obstacles come from
+//!
+//! `World::compute_pair_answer` takes the pair's corridor slice from one
+//! of two sources, chosen by the robot count alone (`SCAN_MAX_N`, set at
+//! a measured crossover):
+//!
+//! * **Row scan** (small worlds): a row refresh first sorts every other
+//!   site by squared distance from the Looking robot, into SoA lanes
+//!   primed once per (row, configuration version). Each planned pair then
+//!   runs the SoA corridor filter over the prefix of the lanes within
+//!   chord length plus pruning radius — a prefix that holds every site
+//!   within the pair's capsule.
+//! * **Grid gather** (larger worlds): the grid cells covering the
+//!   corridor. A long chord through a dense region is first tried against
+//!   the few obstacles near its midpoint (the mid-chord window), and only
+//!   when their strip cover does not certify it blocked is the whole
+//!   corridor gathered. The row scan skips the window: with no gather to
+//!   save, the full slice's cover answers the same pairs.
+//!
+//! Both sources keep the same obstacle set after the filter.
 //!
 //! ## Bit-identical results
 //!
 //! The cached path answers every query through the *same* geometric kernels
 //! as the from-scratch path (`disc_sees_disc_among` with a conservatively
 //! pre-filtered obstacle slice is exactly `disc_sees_disc` over all
-//! centers; the strip covers, on the mid-chord window or the whole slice,
-//! are one-sided "blocked" proofs in front of it;
+//! centers, whether the row scan or the grid gather supplied the slice,
+//! in whatever order; the strip covers, on the mid-chord window or the
+//! whole slice, are one-sided "blocked" proofs in front of it whose
+//! verdicts depend only on the obstacle set;
 //! the hull, connectivity and sample predicates are evaluated by the same
 //! functions on the same inputs). A `World` in [`WorldMode::Scratch`]
 //! recomputes everything per query, which is how the determinism suite pins
@@ -200,15 +219,41 @@ const CERT_DRIFT_RADIUS: f64 = COVER_STABILITY_RADIUS / 2.0;
 
 /// Half-length of the mid-chord window [`World::compute_pair_answer`]
 /// tries the slack cover on before gathering a long chord's whole
-/// corridor: one cell edge either side of the midpoint, which holds the
-/// few central obstacles the cover needs in a dense packing.
+/// corridor, in worlds above [`SCAN_MAX_N`] robots (the row scan has no
+/// gather to save): one cell edge either side of the midpoint, which holds
+/// the few central obstacles the cover needs in a dense packing.
 const CERT_WINDOW_HALF_LEN: f64 = GRID_CELL;
 
-/// Gather radius of the mid-chord window. An obstacle contributes a strip
-/// to the slack cover only within `square + hw` of the chord (≤ 2.4 for
-/// the shortest certifiable chord, → 2.0 for long ones), so this keeps
-/// every obstacle the window's stretch of the cover can use.
+/// Gather radius of the mid-chord window (grid path only, like
+/// [`CERT_WINDOW_HALF_LEN`]). An obstacle contributes a strip to the slack
+/// cover only within `square + hw` of the chord (≤ 2.4 for the shortest
+/// certifiable chord, → 2.0 for long ones), so this keeps every obstacle
+/// the window's stretch of the cover can use.
 const CERT_WINDOW_RADIUS: f64 = 2.5 * UNIT_RADIUS;
+
+/// Largest world whose pair recomputes take their corridor slice from the
+/// row scan ([`World::prime_row`]) instead of the grid gather and the
+/// mid-chord window. Set at the measured crossover: serial row refreshes
+/// of random spreads (`Shape::Random`) and hex packings at spacing 2.1,
+/// 2 vCPUs, rustc 1.95, scan vs grid (first rows, a mover's re-Look, a
+/// watcher's re-Look; README has the table). On random spreads the scan
+/// gains 1.4–1.9× on first and mover rows at every n up to 600; watcher
+/// rows, where the priming sort is most of the cost, fall to 1.08× at 256
+/// and 0.85× at 600. Hex packings, where the window certifies most long
+/// chords, gain 1.15–1.3× at n = 32, break even at 96 and 128, and lose
+/// from 192 (0.91×), 256 (0.77–0.89×) and 600 (0.61–0.66×). At n = 10⁴
+/// the scan is 2–3.5× slower on random spreads and 12–14× on hex. 128 is
+/// the largest size measured where neither shape loses, and it keeps every
+/// scan row below `ROW_FANOUT_MIN_PAIRS`.
+const SCAN_MAX_N: usize = 128;
+
+/// Relative slack on the row scan's squared prefix bound
+/// `(|c_a c_b| + VISIBILITY_PRUNE_RADIUS)²`. The SoA corridor filter
+/// accepts sites up to `1 + 5·10⁻¹⁰` times the pruning radius from the
+/// chord; this slack (`≈ 1 + 5·10⁻⁷` on the distance) covers that and the
+/// rounding of both squared distances for any chord, the zero-length one
+/// included, so the prefix holds every site the filter can keep.
+const ROW_PREFIX_SLACK: f64 = 1.0 + 1e-6;
 
 /// Chord lengths up to this many cell edges register at a grid level; a
 /// longer chord moves up one level. Keeps every pair's corridor
@@ -365,7 +410,7 @@ fn adj_remove(list: &mut Vec<u32>, v: u32) {
 /// a shared `&World` across cores while the serial commit replays every
 /// piece of bookkeeping (generation bumps, registrations, view versions,
 /// telemetry) in plan order.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PairAnswer {
     /// The kernel's visibility verdict for the pair.
     seen: bool,
@@ -378,6 +423,34 @@ struct PairAnswer {
     cover_answered: bool,
 }
 
+/// The answer of the pair `ca`–`cb` (lower index first) against the
+/// corridor slice `obs`: a two-tier blocked fast path before the O(k²)
+/// witness kernel. The slack cover additionally certifies the answer
+/// against endpoint drift (see [`PairEntry::certified`]); the exact cover
+/// only answers this recompute. Both are one-sided — `false` falls through
+/// to the kernel — so `seen` is always the kernel's answer.
+fn answer_among(ca: Point, cb: Point, obs: &[Point]) -> PairAnswer {
+    if strip_cover_blocked_with_slack(ca, cb, obs) {
+        PairAnswer {
+            seen: false,
+            certified: true,
+            cover_answered: true,
+        }
+    } else if strip_cover_blocked(ca, cb, obs) {
+        PairAnswer {
+            seen: false,
+            certified: false,
+            cover_answered: true,
+        }
+    } else {
+        PairAnswer {
+            seen: disc_sees_disc_among(ca, cb, obs),
+            certified: false,
+            cover_answered: false,
+        }
+    }
+}
+
 /// Per-thread scratch buffers for [`World::compute_pair_answer`] — the
 /// read-only twin of the `World`'s own reusable query buffers, owned by the
 /// caller so concurrent probes never share storage.
@@ -388,6 +461,25 @@ struct PairProbe {
     sy: Vec<f64>,
     keep: Vec<u32>,
     obs: Vec<Point>,
+    /// The row scan's lanes (worlds of at most [`SCAN_MAX_N`] robots).
+    row: RowLanes,
+}
+
+/// One row of a small world in structure-of-arrays lanes: every site but
+/// the row's own, sorted by squared distance `d2` from the row's center.
+/// Primed once per (row, configuration version) by [`World::prime_row`];
+/// a pair's corridor candidates are then a prefix of the lanes.
+#[derive(Debug, Default)]
+struct RowLanes {
+    /// The (row, version) the lanes hold; `None` until first primed.
+    key: Option<(usize, u64)>,
+    /// Sort scratch: (bits of `d2`, site). Squared distances are never
+    /// negative, so their bit patterns sort as the values do.
+    order: Vec<(u64, u32)>,
+    d2: Vec<f64>,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    sites: Vec<u32>,
 }
 
 /// The simulator's ground-truth configuration plus incrementally maintained
@@ -735,8 +827,10 @@ impl World {
     }
 
     /// Whether robots `i` and `j` see each other, answered from the cache
-    /// when the entry is clean and recomputed (through the grid-pruned pair
-    /// kernel) otherwise.
+    /// when the entry is clean and recomputed (through the pruned pair
+    /// kernel, as a pair of row `i`) otherwise. In a world of at most
+    /// `SCAN_MAX_N` robots, probes of one row at one configuration
+    /// version share that row's primed lanes.
     ///
     /// # Panics
     /// Panics if `i == j` or either index is out of bounds.
@@ -755,7 +849,7 @@ impl World {
         }
         self.misses += 1;
         let mut probe = std::mem::take(&mut self.probe);
-        let answer = self.compute_pair_answer(a, b, &mut probe);
+        let answer = self.compute_pair_answer(i, j, &mut probe);
         self.probe = probe;
         self.commit_pair(id, answer);
         answer.seen
@@ -800,13 +894,14 @@ impl World {
         });
     }
 
-    /// The mid-chord window step of [`Self::compute_pair_answer`]: for a
-    /// chord of span at least [`STRIP_COVER_SLACK_MIN_SPAN`] whose midpoint
-    /// lies in an occupied base cell, `true` when the slack strip cover
-    /// fires on the sites within [`CERT_WINDOW_RADIUS`] of the chord's
-    /// middle stretch of half-length [`CERT_WINDOW_HALF_LEN`]. The
-    /// occupancy gate keeps the try to chords through dense regions, where
-    /// it almost always fires; elsewhere it would cost more than it saves.
+    /// The mid-chord window step of [`Self::compute_pair_answer`] (grid
+    /// path only): for a chord of span at least
+    /// [`STRIP_COVER_SLACK_MIN_SPAN`] whose midpoint lies in an occupied
+    /// base cell, `true` when the slack strip cover fires on the sites
+    /// within [`CERT_WINDOW_RADIUS`] of the chord's middle stretch of
+    /// half-length [`CERT_WINDOW_HALF_LEN`]. The occupancy gate keeps the
+    /// try to chords through dense regions, where it almost always fires;
+    /// elsewhere it would cost more than it saves.
     fn window_certifies(&self, a: usize, b: usize, probe: &mut PairProbe) -> bool {
         let (ca, cb) = (self.centers[a], self.centers[b]);
         let span = ca.distance(cb);
@@ -824,50 +919,91 @@ impl World {
         strip_cover_blocked_with_slack(ca, cb, &probe.obs)
     }
 
-    /// Computes one pair's visibility answer **without mutating anything**,
-    /// on caller-owned scratch (serial recomputes call this on the world's
-    /// own probe). Two steps:
-    ///
-    /// 1. **Mid-chord window** (`window_certifies`): a long chord
-    ///    through a dense region first tries the slack strip cover on the
-    ///    few obstacles near its middle. A fire answers "blocked,
-    ///    certified" without gathering the corridor. This is sound because
-    ///    the slack cover proves every sight segment of the candidate
-    ///    square blocked under ρ-drift of every robot, and that proof
-    ///    holds for any obstacle superset (new obstacles only block
-    ///    more), so the full kernel must answer `false` too. The covering
-    ///    obstacles sit within `UNIT_RADIUS + hw` of the chord, inside the
-    ///    pair's registration cover, so the `CERT_DRIFT_RADIUS` skip
-    ///    argument is unchanged.
-    /// 2. Otherwise the **whole corridor**: candidate walk, SoA corridor
-    ///    filter, slack then exact strip cover, then the witness kernel.
-    ///
-    /// `seen` is always the kernel's answer. `certified` can differ from a
-    /// run without step 1 only when the full slice's cover overflows its
-    /// polygon budget where the window's did not.
-    ///
-    /// Safe to call from worker threads on a shared `&World`: it reads only
-    /// the centers and the grid, which no commit writes, so where it runs
-    /// cannot change the answer [`Self::commit_pair`] later stores.
-    ///
-    /// # Panics
-    /// Panics if `a >= b`, either index is out of bounds, or the world is
-    /// in [`WorldMode::Scratch`] (which has no pair store to commit into).
-    fn compute_pair_answer(&self, a: usize, b: usize, probe: &mut PairProbe) -> PairAnswer {
-        assert!(a < b && b < self.len(), "invalid pair");
-        assert!(
-            self.mode != WorldMode::Scratch,
-            "scratch mode has no pair store"
-        );
-        let (ca, cb) = (self.centers[a], self.centers[b]);
-        if self.window_certifies(a, b, probe) {
-            return PairAnswer {
-                seen: false,
-                certified: true,
-                cover_answered: true,
-            };
+    /// Primes `lanes` with row `row` of the current configuration: every
+    /// other site with its squared distance from `c_row`, sorted by that
+    /// distance (ties by site index). A no-op when the lanes already hold
+    /// this row at this version, so every pair of a row refresh — and every
+    /// [`Self::sees`] probe of one row, as `is_gathered`'s fallback makes
+    /// them — shares one O(n log n) sort.
+    fn prime_row(&self, row: usize, lanes: &mut RowLanes) {
+        if lanes.key == Some((row, self.version)) {
+            return;
         }
-        // Candidate obstacles: the whole corridor.
+        let (cx, cy) = (self.xs[row], self.ys[row]);
+        lanes.order.clear();
+        lanes.order.extend(
+            self.xs
+                .iter()
+                .zip(&self.ys)
+                .enumerate()
+                .filter(|&(k, _)| k != row)
+                .map(|(k, (&x, &y))| {
+                    let (dx, dy) = (x - cx, y - cy);
+                    ((dx * dx + dy * dy).to_bits(), k as u32)
+                }),
+        );
+        lanes.order.sort_unstable();
+        let RowLanes {
+            d2,
+            xs,
+            ys,
+            sites,
+            order,
+            ..
+        } = lanes;
+        d2.clear();
+        xs.clear();
+        ys.clear();
+        sites.clear();
+        for &(bits, k) in order.iter() {
+            d2.push(f64::from_bits(bits));
+            xs.push(self.xs[k as usize]);
+            ys.push(self.ys[k as usize]);
+            sites.push(k);
+        }
+        lanes.key = Some((row, self.version));
+    }
+
+    /// Row-scan source of the corridor slice ([`SCAN_MAX_N`]): fills
+    /// `probe.obs` with the sites other than `row` and `partner` that the
+    /// SoA corridor filter keeps, scanning only the prefix of row `row`'s
+    /// primed lanes within `|c_row c_partner| + VISIBILITY_PRUNE_RADIUS`
+    /// of `c_row` (inflated by [`ROW_PREFIX_SLACK`]). Every site the filter
+    /// can accept lies in that prefix, so the kept set is exactly the grid
+    /// gather's ([`Self::gather_corridor`]).
+    fn scan_corridor(&self, row: usize, partner: usize, probe: &mut PairProbe) {
+        self.prime_row(row, &mut probe.row);
+        let (a, b) = (row.min(partner), row.max(partner));
+        let (ca, cb) = (self.centers[a], self.centers[b]);
+        let reach = ca.distance(cb) + VISIBILITY_PRUNE_RADIUS;
+        let bound = reach * reach * ROW_PREFIX_SLACK;
+        let lanes = &probe.row;
+        let end = lanes.d2.partition_point(|&d| d <= bound);
+        probe.keep.clear();
+        corridor_filter_soa(
+            ca,
+            cb,
+            VISIBILITY_PRUNE_RADIUS,
+            &lanes.xs[..end],
+            &lanes.ys[..end],
+            &mut probe.keep,
+        );
+        probe.obs.clear();
+        probe.obs.extend(
+            probe
+                .keep
+                .iter()
+                .map(|&l| l as usize)
+                .filter(|&l| lanes.sites[l] as usize != partner)
+                .map(|l| Point::new(lanes.xs[l], lanes.ys[l])),
+        );
+    }
+
+    /// Grid source of the corridor slice: fills `probe.obs` with the sites
+    /// other than `a` and `b` in the grid cells covering the pair's
+    /// corridor that the SoA corridor filter keeps.
+    fn gather_corridor(&self, a: usize, b: usize, probe: &mut PairProbe) {
+        let (ca, cb) = (self.centers[a], self.centers[b]);
         self.gather_sites_near(a, b, ca, cb, VISIBILITY_PRUNE_RADIUS, &mut probe.cand);
         probe.sx.clear();
         probe.sy.clear();
@@ -892,29 +1028,64 @@ impl World {
                 .iter()
                 .map(|&l| Point::new(sx[l as usize], sy[l as usize])),
         );
-        let obs = &probe.obs;
-        // Two-tier blocked fast path before the O(k²) witness kernel. The
-        // slack cover additionally certifies the answer against endpoint
-        // drift (see [`PairEntry::certified`]); the exact cover only
-        // answers this recompute. Both are one-sided — `false` falls
-        // through to the kernel — so the answer is always the kernel's.
-        let mut certified = false;
-        let mut cover_answered = false;
-        let seen = if strip_cover_blocked_with_slack(ca, cb, obs) {
-            certified = true;
-            cover_answered = true;
-            false
-        } else if strip_cover_blocked(ca, cb, obs) {
-            cover_answered = true;
-            false
+    }
+
+    /// Computes the visibility answer of the pair `{row, partner}` **without
+    /// mutating anything**, on caller-owned scratch (serial recomputes call
+    /// this on the world's own probe), for a Look of robot `row`. The one
+    /// branch is where the corridor slice comes from:
+    ///
+    /// * **Row scan** (`n ≤` [`SCAN_MAX_N`], `scan_corridor`): the
+    ///   distance-sorted prefix of row `row`'s lanes, primed on first use
+    ///   at this version.
+    /// * **Grid gather** (larger worlds, `gather_corridor`): the grid cells
+    ///   covering the corridor. A long chord through a dense region first
+    ///   tries the **mid-chord window** (`window_certifies`): the slack
+    ///   strip cover on the few obstacles near its middle. A fire answers
+    ///   "blocked, certified" without gathering the corridor. This is
+    ///   sound because the slack cover proves every sight segment of the
+    ///   candidate square blocked under ρ-drift of every robot, and that
+    ///   proof holds for any obstacle superset (new obstacles only block
+    ///   more), so the full kernel must answer `false` too. The covering
+    ///   obstacles sit within `UNIT_RADIUS + hw` of the chord, inside the
+    ///   pair's registration cover, so the `CERT_DRIFT_RADIUS` skip
+    ///   argument is unchanged.
+    ///
+    /// Both sources keep the same obstacle set, so the slack then exact
+    /// strip cover, then the witness kernel see the same input (the covers'
+    /// verdicts depend on the set, not its order). `seen` is always the
+    /// kernel's answer. `certified` can differ from a run without the
+    /// window only when the full slice's cover overflows its polygon budget
+    /// where the window's did not.
+    ///
+    /// Safe to call from worker threads on a shared `&World`: it reads only
+    /// the centers (and their SoA mirror), the grid and the configuration
+    /// version, which no commit writes, so where it runs cannot change the
+    /// answer [`Self::commit_pair`] later stores.
+    ///
+    /// # Panics
+    /// Panics if `row == partner`, either index is out of bounds, or the
+    /// world is in [`WorldMode::Scratch`] (which has no pair store to
+    /// commit into).
+    fn compute_pair_answer(&self, row: usize, partner: usize, probe: &mut PairProbe) -> PairAnswer {
+        let (a, b) = (row.min(partner), row.max(partner));
+        assert!(a < b && b < self.len(), "invalid pair");
+        assert!(
+            self.mode != WorldMode::Scratch,
+            "scratch mode has no pair store"
+        );
+        if self.len() <= SCAN_MAX_N {
+            self.scan_corridor(row, partner, probe);
+        } else if self.window_certifies(a, b, probe) {
+            return PairAnswer {
+                seen: false,
+                certified: true,
+                cover_answered: true,
+            };
         } else {
-            disc_sees_disc_among(ca, cb, obs)
-        };
-        PairAnswer {
-            seen,
-            certified,
-            cover_answered,
+            self.gather_corridor(a, b, probe);
         }
+        answer_among(self.centers[a], self.centers[b], &probe.obs)
     }
 
     /// Commits one computed answer to the pair in slab slot `id`: bumps its
@@ -1029,7 +1200,7 @@ impl World {
         self.sparse.pending[i] = PendingRow { js, compact_at: 0 };
         let mut probe = std::mem::take(&mut self.probe);
         let mut answers = std::mem::take(&mut self.answers);
-        self.compute_answers(&plan, &mut probe, &mut answers);
+        self.compute_answers(i, &plan, &mut probe, &mut answers);
         for (&id, &answer) in plan.iter().zip(&answers) {
             self.commit_pair(id, answer);
         }
@@ -1038,17 +1209,29 @@ impl World {
         self.answers = answers;
     }
 
-    /// Replaces `out` with one answer per pair of `plan` (slab ids), in plan
-    /// order. A plan shorter than `ROW_FANOUT_MIN_PAIRS`, or a fan-out
-    /// width of 1, runs serially on `probe`; otherwise `row_fanout_width`
-    /// threads (calling thread included) claim [`FANOUT_CHUNK`]-pair chunks
-    /// of the plan and fill the matching chunks of `out`. Each answer is
+    /// Replaces `out` with one answer per pair of `plan` (slab ids of pairs
+    /// of row `row`), in plan order. A plan shorter than
+    /// `ROW_FANOUT_MIN_PAIRS`, or a fan-out width of 1, runs serially on
+    /// `probe`; otherwise `row_fanout_width` threads (calling thread
+    /// included) claim [`FANOUT_CHUNK`]-pair chunks of the plan and fill
+    /// the matching chunks of `out`, each on its own probe. Each answer is
     /// [`Self::compute_pair_answer`] — read-only and thread-independent —
     /// so `out` is identical for every width.
-    fn compute_answers(&self, plan: &[u32], probe: &mut PairProbe, out: &mut Vec<PairAnswer>) {
+    fn compute_answers(
+        &self,
+        row: usize,
+        plan: &[u32],
+        probe: &mut PairProbe,
+        out: &mut Vec<PairAnswer>,
+    ) {
         let answer = |id: u32, probe: &mut PairProbe| {
             let entry = &self.sparse.slab[id as usize];
-            self.compute_pair_answer(entry.a as usize, entry.b as usize, probe)
+            let partner = if entry.a as usize == row {
+                entry.b
+            } else {
+                entry.a
+            };
+            self.compute_pair_answer(row, partner as usize, probe)
         };
         out.clear();
         if self.row_fanout_width <= 1 || plan.len() < ROW_FANOUT_MIN_PAIRS {
@@ -1860,6 +2043,99 @@ mod tests {
             assert!(entry(&w).dirty, "{name}: the move must dirty ({a}, {b})");
             let mut scratch = world(w.centers().to_vec(), WorldMode::Scratch);
             assert_eq!(w.visible_of(a), scratch.visible_of(a), "{name}: row {a}");
+        }
+    }
+
+    #[test]
+    fn row_scan_and_grid_gather_keep_the_same_corridor() {
+        // At the crossover's own n, where Looks take the row scan: for
+        // every pair of two rows, the row-primed slice and the grid
+        // gather's slice must keep the same obstacles after the corridor
+        // filter, and the covers and the kernel must answer the same from
+        // either (they arrive in different orders: distance vs cell walk).
+        let n = SCAN_MAX_N;
+        let configs = [
+            ("random", crate::init::Shape::Random.generate(n, 5)),
+            ("hex", crate::init::hex(n, 2.1)),
+            ("lattice", crate::init::grid(n, 0.1)),
+            ("line", crate::init::line(n, 0.5)),
+        ];
+        for (name, centers) in configs {
+            let mut w = world(centers.clone(), WorldMode::Sparse);
+            let (mut scan, mut grid) = (PairProbe::default(), PairProbe::default());
+            let mut certified = 0;
+            for row in [0, n / 2] {
+                for partner in (0..n).filter(|&j| j != row) {
+                    let (a, b) = (row.min(partner), row.max(partner));
+                    w.scan_corridor(row, partner, &mut scan);
+                    let mut scanned: Vec<usize> = scan
+                        .keep
+                        .iter()
+                        .map(|&l| scan.row.sites[l as usize] as usize)
+                        .filter(|&k| k != partner)
+                        .collect();
+                    w.gather_corridor(a, b, &mut grid);
+                    let mut gathered: Vec<usize> =
+                        grid.keep.iter().map(|&l| grid.cand[l as usize]).collect();
+                    scanned.sort_unstable();
+                    gathered.sort_unstable();
+                    assert_eq!(scanned, gathered, "{name}: corridor of ({a}, {b})");
+                    let (ca, cb) = (centers[a], centers[b]);
+                    let answer = answer_among(ca, cb, &scan.obs);
+                    assert_eq!(
+                        answer,
+                        answer_among(ca, cb, &grid.obs),
+                        "{name}: answer of ({a}, {b})"
+                    );
+                    assert_eq!(
+                        answer.seen,
+                        disc_sees_disc(a, b, &centers),
+                        "{name}: ({a}, {b})"
+                    );
+                    certified += usize::from(answer.certified);
+                }
+            }
+            assert!(
+                matches!(name, "random" | "line") || certified > 0,
+                "{name}: no pair was certified"
+            );
+            // `sees` probes of a few rows, interleaved with other rows'
+            // refreshes and with moves. Each round primes row `a` through
+            // a probe of a pair with the mover `m`, then jumps `m` onto the
+            // middle of the chord `a`–`b`: a probe answered from lanes
+            // primed before the jump would miss the new obstacle.
+            let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+            let mut next = |m: usize| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) as usize % m
+            };
+            let mut blocked_by_jump = 0;
+            for round in 0..60 {
+                let (a, b, m) = ([0, n / 2, n - 1][next(3)], next(n), next(n));
+                if a == b || m == a || m == b {
+                    continue;
+                }
+                let _ = w.visible_of(next(n));
+                let home = w.center(m);
+                w.move_robot(m, p(home.x + 0.3, home.y - 0.3));
+                assert_eq!(
+                    w.sees(a, m),
+                    disc_sees_disc(a, m, w.centers()),
+                    "{name}: round {round}, sees({a}, {m})"
+                );
+                w.move_robot(m, w.center(a).midpoint(w.center(b)));
+                let seen = w.sees(a, b);
+                assert_eq!(
+                    seen,
+                    disc_sees_disc(a, b, w.centers()),
+                    "{name}: round {round}, sees({a}, {b})"
+                );
+                blocked_by_jump += usize::from(!seen);
+                w.move_robot(m, home);
+            }
+            assert!(blocked_by_jump > 5, "{name}: the jumps never blocked");
         }
     }
 
