@@ -123,16 +123,6 @@ impl UniformGrid {
         self.positions.is_empty()
     }
 
-    /// The cell edge length.
-    pub fn cell_size(&self) -> f64 {
-        self.cell
-    }
-
-    /// Current position of every site, indexed like the construction slice.
-    pub fn positions(&self) -> &[Point] {
-        &self.positions
-    }
-
     /// The cell containing `p`.
     pub fn cell_of(&self, p: Point) -> CellCoord {
         (
@@ -141,8 +131,8 @@ impl UniformGrid {
         )
     }
 
-    /// The cell edge length at the given level (`level 0` is
-    /// [`UniformGrid::cell_size`]; each coarser level multiplies it by
+    /// The cell edge length at the given level (`level 0` is the edge the
+    /// grid was built with; each coarser level multiplies it by
     /// [`GRID_LEVEL_SCALE`]).
     ///
     /// # Panics
@@ -435,7 +425,7 @@ mod tests {
         let mut grid = UniformGrid::new(4.0, &pts);
         let old = grid.move_point(1, p(1.0, 1.0));
         assert_eq!(old, p(20.0, 20.0));
-        assert_eq!(grid.positions()[1], p(1.0, 1.0));
+        assert_eq!(grid.positions[1], p(1.0, 1.0));
         let mut near_origin = Vec::new();
         grid.candidates_near_point(p(0.0, 0.0), 2.0, &mut near_origin);
         assert_eq!(near_origin, vec![0, 1]);

@@ -382,16 +382,6 @@ impl ConvexHull {
         self.boundary_indices.iter().map(|&i| self.input[i])
     }
 
-    /// Number of input points on the hull boundary (the paper's `|onCH(·)|`).
-    pub fn boundary_len(&self) -> usize {
-        self.boundary_indices.len()
-    }
-
-    /// The input points this hull was built from.
-    pub fn input(&self) -> &[Point] {
-        &self.input
-    }
-
     /// `true` when input point `index` lies on the hull boundary.
     pub fn index_on_hull(&self, index: usize) -> bool {
         self.boundary_indices.contains(&index)
@@ -486,14 +476,9 @@ impl ConvexHull {
         Some((left, right))
     }
 
-    /// Edges of the corner-vertex polygon as segments, counter-clockwise.
-    pub fn edges(&self) -> Vec<Segment> {
-        self.edges_iter().collect()
-    }
-
-    /// Iterator form of [`Self::edges`]: the corner-polygon edges in
-    /// counter-clockwise order, without allocating. A two-vertex hull
-    /// yields its single segment once; degenerate hulls yield nothing.
+    /// Edges of the corner-vertex polygon as segments, in counter-clockwise
+    /// order, without allocating. A two-vertex hull yields its single
+    /// segment once; degenerate hulls yield nothing.
     pub fn edges_iter(&self) -> impl Iterator<Item = Segment> + '_ {
         let nv = self.vertices.len();
         let count = match nv {
@@ -570,7 +555,7 @@ mod tests {
         let pts = square_with_extras();
         let hull = ConvexHull::from_points(&pts);
         assert_eq!(hull.vertices().len(), 4);
-        assert_eq!(hull.boundary_len(), 5);
+        assert_eq!(hull.boundary_indices().len(), 5);
         assert!(hull.index_on_hull(4));
         assert!(!hull.index_on_hull(5));
         assert!(!hull.all_on_hull());
@@ -635,7 +620,7 @@ mod tests {
         let pts = vec![p(0.0, 0.0), p(1.0, 0.0), p(2.0, 0.0), p(3.0, 0.0)];
         let hull = ConvexHull::from_points(&pts);
         assert_eq!(hull.vertices().len(), 2);
-        assert_eq!(hull.boundary_len(), 4);
+        assert_eq!(hull.boundary_indices().len(), 4);
         assert!(hull.all_on_hull());
         assert_eq!(hull.area(), 0.0);
         assert!(hull.contains(p(1.5, 0.0)));
@@ -646,14 +631,14 @@ mod tests {
     fn degenerate_small_inputs() {
         let one = ConvexHull::from_points(&[p(1.0, 1.0)]);
         assert_eq!(one.vertices().len(), 1);
-        assert_eq!(one.boundary_len(), 1);
+        assert_eq!(one.boundary_indices().len(), 1);
         assert!(one.contains(p(1.0, 1.0)));
         assert!(!one.contains(p(2.0, 1.0)));
 
         let two = ConvexHull::from_points(&[p(0.0, 0.0), p(2.0, 0.0)]);
         assert_eq!(two.vertices().len(), 2);
-        assert_eq!(two.boundary_len(), 2);
-        assert_eq!(two.edges().len(), 1);
+        assert_eq!(two.boundary_indices().len(), 2);
+        assert_eq!(two.edges_iter().count(), 1);
     }
 
     #[test]
@@ -717,7 +702,10 @@ mod tests {
     fn iterator_accessors_match_their_vec_forms() {
         let hull = ConvexHull::from_points(&square_with_extras());
         assert_eq!(hull.boundary_iter().collect::<Vec<_>>(), hull.boundary());
-        assert_eq!(hull.edges_iter().collect::<Vec<_>>(), hull.edges());
+        let corners = hull.vertices();
+        let closed = corners.iter().zip(corners.iter().cycle().skip(1));
+        let edges: Vec<Segment> = closed.map(|(&a, &b)| Segment::new(a, b)).collect();
+        assert_eq!(hull.edges_iter().collect::<Vec<_>>(), edges);
         let two = ConvexHull::from_points(&[p(0.0, 0.0), p(2.0, 0.0)]);
         assert_eq!(two.edges_iter().count(), 1);
         let one = ConvexHull::from_points(&[p(1.0, 1.0)]);

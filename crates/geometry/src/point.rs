@@ -116,12 +116,6 @@ impl Vec2 {
         Vec2 { x, y }
     }
 
-    /// The unit vector at angle `theta` (radians, counter-clockwise from +x).
-    #[inline]
-    pub fn from_angle(theta: f64) -> Self {
-        Vec2::new(theta.cos(), theta.sin())
-    }
-
     /// Euclidean norm (length).
     #[inline]
     pub fn norm(self) -> f64 {
@@ -363,9 +357,9 @@ mod tests {
     }
 
     #[test]
-    fn from_angle_round_trip() {
+    fn angle_round_trip() {
         let theta = 0.7;
-        let v = Vec2::from_angle(theta);
+        let v = Vec2::new(1.0, 0.0).rotated(theta);
         assert!((v.angle() - theta).abs() < 1e-12);
         assert!((v.norm() - 1.0).abs() < 1e-12);
     }

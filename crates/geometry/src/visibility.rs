@@ -597,13 +597,10 @@ const STRIP_COVER_SAFETY: f64 = 1e-7;
 /// simulator.
 pub const COVER_STABILITY_RADIUS: f64 = 0.05;
 
-/// Minimum chord span for the exact strip-cover certificate: keeps the
-/// square inflation `2/(span − 2)` at most 1/3.
+/// Minimum chord span for both strip covers: keeps the exact cover's
+/// square inflation `2/(span − 2)` at most 1/3, and the slack square
+/// comfortably bounded.
 pub const STRIP_COVER_MIN_SPAN: f64 = 8.0;
-
-/// Minimum chord span for the slack certificate; keeps the slack square
-/// (see [`strip_cover_blocked_with_slack`]) comfortably bounded.
-pub const STRIP_COVER_SLACK_MIN_SPAN: f64 = 8.0;
 
 /// Obstacles closer than this to either endpoint (measured along the chord
 /// axis) are ignored by the cover: beyond this margin the foot of the
@@ -614,10 +611,27 @@ const STRIP_COVER_AXIAL_MARGIN: f64 = 2.5;
 const STRIP_COVER_MAX_POLYS: usize = 16;
 const STRIP_COVER_MAX_VERTS: usize = 24;
 
-/// Sound O(|obstacles| · polygons) *blocked* certificate for the pair
-/// kernel: when this returns `true`, [`disc_sees_disc_among`] returns
-/// `false` for the same endpoints and **any** obstacle slice admitted by
-/// the kernel contract — without running the O(k²) witness search.
+/// Which step of [`pair_verdict`]'s cascade answered a pair, and how.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PairVerdict {
+    /// The witness kernel found a sight line.
+    Seen,
+    /// The witness kernel found none.
+    Blocked,
+    /// The exact strip cover proved the pair blocked.
+    CoverBlocked,
+    /// The slack strip cover proved the pair blocked under drift
+    /// [`COVER_STABILITY_RADIUS`] of every robot.
+    Certified,
+}
+
+/// The visibility of the pair `ci`–`cj` among `obstacles` (the contract of
+/// [`disc_sees_disc_among`]), through one cascade: for a chord of span at
+/// least [`STRIP_COVER_MIN_SPAN`], the slack strip cover
+/// ([`PairVerdict::Certified`]), then the exact one
+/// ([`PairVerdict::CoverBlocked`]), both sound O(|obstacles| · polygons)
+/// *blocked* certificates swept over one strip list; then the O(k²)
+/// witness kernel. Only the kernel can answer [`PairVerdict::Seen`].
 ///
 /// # Line-space cover
 ///
@@ -654,32 +668,42 @@ const STRIP_COVER_MAX_VERTS: usize = 24;
 /// processing order — and with it the budget verdict below — depends only
 /// on the obstacle set, never on the order of the slice.
 ///
+/// The strip list holds every obstacle either cover uses, with its axial
+/// position, and each sweep skips the strips outside its own filter. The
+/// sort is a total order on `(|o|, u, o)`, so each cover sweeps exactly
+/// the list it would build alone, and reaches the same verdict,
+/// polygon-budget give-ups included.
+///
 /// # One-sidedness and numerics
 ///
-/// `false` never means "visible" — the caller falls back to the kernel, so
-/// the fast path cannot flip an answer. For `true` to be sound despite
-/// floating point: a genuinely clear witness line keeps axial distance
-/// `> UNIT_RADIUS` from every usable obstacle, so its `(a, b)` point sits
-/// at distance ≥ `STRIP_COVER_SAFETY` from every (narrowed) strip — an
-/// uncovered ball that survives the ~1e-13 absolute clipping error. The
-/// clipping itself uses closed half-planes, so measure-zero slivers are
-/// retained, and the routine gives up (returns `false`) rather than drop
-/// state when polygon or vertex budgets overflow.
+/// A cover that does not fire never means "visible" — the kernel runs
+/// next, so the fast path cannot flip an answer. For a fire to be sound
+/// despite floating point: a genuinely clear witness line keeps axial
+/// distance `> UNIT_RADIUS` from every usable obstacle, so its `(a, b)`
+/// point sits at distance ≥ `STRIP_COVER_SAFETY` from every (narrowed)
+/// strip — an uncovered ball that survives the ~1e-13 absolute clipping
+/// error. The clipping itself uses closed half-planes, so measure-zero
+/// slivers are retained, and a sweep gives up (does not fire) rather than
+/// drop state when polygon or vertex budgets overflow.
 ///
 /// Covering obstacles sit within `UNIT_RADIUS + hw < 2·UNIT_RADIUS` of the
 /// chord segment, inside [`VISIBILITY_PRUNE_RADIUS`], so they are present
-/// in any obstacle slice the kernel contract admits — the certificate is
+/// in any obstacle slice the kernel contract admits — the verdict is
 /// stable under the same superset rule as the kernel.
-pub fn strip_cover_blocked(ci: Point, cj: Point, obstacles: &[Point]) -> bool {
-    let span = (cj - ci).norm();
-    if span < STRIP_COVER_MIN_SPAN {
-        return false;
+pub fn pair_verdict(ci: Point, cj: Point, obstacles: &[Point]) -> PairVerdict {
+    match strip_cover(
+        ci,
+        cj,
+        obstacles,
+        [PairVerdict::Certified, PairVerdict::CoverBlocked],
+    ) {
+        Some(verdict) => verdict,
+        None if disc_sees_disc_among(ci, cj, obstacles) => PairVerdict::Seen,
+        None => PairVerdict::Blocked,
     }
-    let square = 1.0 + 2.0 / (span - 2.0) + STRIP_COVER_SAFETY;
-    strip_cover(ci, cj, obstacles, square, 0.0)
 }
 
-/// Drift-stable variant of [`strip_cover_blocked`]: a `true` verdict
+/// The slack strip cover of [`pair_verdict`] alone: a `true` verdict
 /// certifies that the kernel answers "not seen" for **any** configuration
 /// in which every robot — endpoints and obstacles alike — sits within
 /// [`COVER_STABILITY_RADIUS`] (ρ) of its position at this call (still
@@ -690,7 +714,7 @@ pub fn strip_cover_blocked(ci: Point, cj: Point, obstacles: &[Point]) -> bool {
 /// certification centers, hence slope `|s| ≤ (2+2ρ)/(T−2−2ρ)` and
 /// extrapolated offsets
 /// `|a| ≤ (1+ρ)·(1 + (2+2ρ)/(T−2−2ρ))` in the certification frame — the
-/// enlarged square below. Obstacle drift ≤ ρ: every strip is narrowed by
+/// enlarged square. Obstacle drift ≤ ρ: every strip is narrowed by
 /// ρ, so a candidate inside the narrowed strip keeps perpendicular
 /// distance ≤ `hw − ρ + ρ = hw` to the *drifted* obstacle and stays
 /// blocked; the axial margin grows by `2ρ` so the perpendicular foot
@@ -702,26 +726,66 @@ pub fn strip_cover_blocked(ci: Point, cj: Point, obstacles: &[Point]) -> bool {
 /// `ρ/2` of its registration anchor, a certified-blocked pair needs no
 /// recompute — and no per-move attention at all.
 pub fn strip_cover_blocked_with_slack(ci: Point, cj: Point, obstacles: &[Point]) -> bool {
-    let span = (cj - ci).norm();
-    if span < STRIP_COVER_SLACK_MIN_SPAN {
-        return false;
-    }
-    let p = COVER_STABILITY_RADIUS;
-    let square = (1.0 + p) * (1.0 + (2.0 + 2.0 * p) / (span - 2.0 - 2.0 * p)) + STRIP_COVER_SAFETY;
-    strip_cover(ci, cj, obstacles, square, p)
+    strip_cover(ci, cj, obstacles, [PairVerdict::Certified]).is_some()
 }
 
-/// Shared cover sweep over the `(a, b)` line square of half-side `square`.
-/// `shrink` narrows every strip and widens the axial exclusion margin to
-/// make the verdict robust to per-obstacle drift ≤ `shrink` (0 for the
-/// exact certificate).
-fn strip_cover(ci: Point, cj: Point, obstacles: &[Point], square: f64, shrink: f64) -> bool {
+/// The exact strip cover of [`pair_verdict`] alone.
+#[cfg(test)]
+fn strip_cover_blocked(ci: Point, cj: Point, obstacles: &[Point]) -> bool {
+    strip_cover(ci, cj, obstacles, [PairVerdict::CoverBlocked]).is_some()
+}
+
+/// One strip cover on a chord of length `span`: the half-side of its
+/// `(a, b)` square, the half-width of its strips, and its axial margin.
+struct Cover {
+    square: f64,
+    hw: f64,
+    margin: f64,
+}
+
+impl Cover {
+    /// The cover whose fire answers `verdict`: the slack one for
+    /// [`PairVerdict::Certified`] (strips narrowed by ρ), else the exact one.
+    fn new(verdict: PairVerdict, span: f64) -> Self {
+        let (square, shrink) = if verdict == PairVerdict::Certified {
+            let p = COVER_STABILITY_RADIUS;
+            let slope = (2.0 + 2.0 * p) / (span - 2.0 - 2.0 * p);
+            ((1.0 + p) * (1.0 + slope) + STRIP_COVER_SAFETY, p)
+        } else {
+            (1.0 + 2.0 / (span - 2.0) + STRIP_COVER_SAFETY, 0.0)
+        };
+        Cover {
+            square,
+            hw: UNIT_RADIUS - shrink - STRIP_COVER_SAFETY,
+            margin: STRIP_COVER_AXIAL_MARGIN + 2.0 * shrink,
+        }
+    }
+
+    /// `true` when the obstacle at axial position `t` and offset `o` is
+    /// away from both ends and its strip can meet the square.
+    fn uses(&self, span: f64, t: f64, o: f64) -> bool {
+        (self.margin..=span - self.margin).contains(&t) && self.square + self.hw >= o.abs()
+    }
+}
+
+/// The strip covers named by `verdicts`, in order, on the chord `ci`–`cj`
+/// over one strip list: the verdict of the first whose strips cover its
+/// square, or `None` (always for chords shorter than
+/// [`STRIP_COVER_MIN_SPAN`]).
+fn strip_cover<const N: usize>(
+    ci: Point,
+    cj: Point,
+    obstacles: &[Point],
+    verdicts: [PairVerdict; N],
+) -> Option<PairVerdict> {
     let axis = cj - ci;
     let span = axis.norm();
+    if span < STRIP_COVER_MIN_SPAN {
+        return None;
+    }
+    let covers = verdicts.map(|verdict| Cover::new(verdict, span));
     let dir = axis / span;
     let perp = dir.perp_ccw();
-    let hw = UNIT_RADIUS - shrink - STRIP_COVER_SAFETY;
-    let margin = STRIP_COVER_AXIAL_MARGIN + 2.0 * shrink;
     STRIP_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
         let StripScratch {
@@ -733,82 +797,83 @@ fn strip_cover(ci: Point, cj: Point, obstacles: &[Point], square: f64, shrink: f
         strips.clear();
         for &c in obstacles {
             let w = c - ci;
-            let t = w.dot(dir);
-            if !(margin..=span - margin).contains(&t) {
-                continue;
+            let (t, o) = (w.dot(dir), w.dot(perp));
+            if covers.iter().any(|cover| cover.uses(span, t, o)) {
+                strips.push((t, t / span, o));
             }
-            let o = w.dot(perp);
-            if o.abs() > square + hw {
-                continue;
-            }
-            strips.push((t / span, o));
         }
         if strips.is_empty() {
-            return false;
+            return None;
         }
         // Nearest the chord first, then each run of tied offsets
         // (lattices, axis-aligned chords) by (u, o): a total order on
         // (|o|, u, o) that costs one extra scan where nothing ties.
         strips
-            .sort_unstable_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).unwrap_or(Ordering::Equal));
+            .sort_unstable_by(|a, b| a.2.abs().partial_cmp(&b.2.abs()).unwrap_or(Ordering::Equal));
         let mut start = 0;
         while start < strips.len() {
-            let offset = strips[start].1.abs();
+            let offset = strips[start].2.abs();
             let run = strips[start..]
                 .iter()
-                .take_while(|s| s.1.abs() == offset)
+                .take_while(|s| s.2.abs() == offset)
                 .count();
             if run > 1 {
                 strips[start..start + run]
-                    .sort_unstable_by(|p, q| p.0.total_cmp(&q.0).then_with(|| p.1.total_cmp(&q.1)));
+                    .sort_unstable_by(|p, q| p.1.total_cmp(&q.1).then_with(|| p.2.total_cmp(&q.2)));
             }
             start += run;
         }
-
-        pool.append(polys);
-        pool.append(flip);
-        let mut start = pool.pop().unwrap_or_default();
-        start.clear();
-        start.extend_from_slice(&[
-            (-square, -square),
-            (square, -square),
-            (square, square),
-            (-square, square),
-        ]);
-        polys.push(start);
-        for &(u, o) in strips.iter() {
-            // Uncovered ∩ strip-complement: each polygon splits into the
-            // part below the strip (f ≤ o − hw) and the part above it
-            // (f ≥ o + hw), where f(a, b) = a·(1−u) + b·u.
-            let (na, nb) = (1.0 - u, u);
-            for poly in polys.drain(..) {
-                let mut below = pool.pop().unwrap_or_default();
-                let mut above = pool.pop().unwrap_or_default();
-                below.clear();
-                above.clear();
-                clip_halfplane(&poly, na, nb, o - hw, 1.0, &mut below);
-                clip_halfplane(&poly, na, nb, o + hw, -1.0, &mut above);
-                pool.push(poly);
-                for piece in [below, above] {
-                    if piece.is_empty() {
-                        pool.push(piece);
-                    } else {
-                        flip.push(piece);
+        let covered = |cover: &Cover| {
+            let (square, hw) = (cover.square, cover.hw);
+            pool.append(polys);
+            pool.append(flip);
+            let mut start = pool.pop().unwrap_or_default();
+            start.clear();
+            start.extend_from_slice(&[
+                (-square, -square),
+                (square, -square),
+                (square, square),
+                (-square, square),
+            ]);
+            polys.push(start);
+            for &(t, u, o) in strips.iter() {
+                if !cover.uses(span, t, o) {
+                    continue;
+                }
+                // Uncovered ∩ strip-complement: each polygon splits into the
+                // part below the strip (f ≤ o − hw) and the part above it
+                // (f ≥ o + hw), where f(a, b) = a·(1−u) + b·u.
+                let (na, nb) = (1.0 - u, u);
+                for poly in polys.drain(..) {
+                    let mut below = pool.pop().unwrap_or_default();
+                    let mut above = pool.pop().unwrap_or_default();
+                    below.clear();
+                    above.clear();
+                    clip_halfplane(&poly, na, nb, o - hw, 1.0, &mut below);
+                    clip_halfplane(&poly, na, nb, o + hw, -1.0, &mut above);
+                    pool.push(poly);
+                    for piece in [below, above] {
+                        if piece.is_empty() {
+                            pool.push(piece);
+                        } else {
+                            flip.push(piece);
+                        }
                     }
                 }
+                std::mem::swap(polys, flip);
+                if polys.is_empty() {
+                    return true;
+                }
+                if polys.len() > STRIP_COVER_MAX_POLYS
+                    || polys.iter().any(|p| p.len() > STRIP_COVER_MAX_VERTS)
+                {
+                    // Budget overflow: give up soundly rather than drop state.
+                    return false;
+                }
             }
-            std::mem::swap(polys, flip);
-            if polys.is_empty() {
-                return true;
-            }
-            if polys.len() > STRIP_COVER_MAX_POLYS
-                || polys.iter().any(|p| p.len() > STRIP_COVER_MAX_VERTS)
-            {
-                // Budget overflow: give up soundly rather than drop state.
-                return false;
-            }
-        }
-        false
+            false
+        };
+        covers.iter().position(covered).map(|k| verdicts[k])
     })
 }
 
@@ -841,9 +906,9 @@ fn clip_halfplane(
 }
 
 thread_local! {
-    /// Strip/polygon scratch of [`strip_cover`] — the certificate runs per
-    /// pair recompute on the simulator's hot path, so the outer vectors
-    /// must not reallocate once warm.
+    /// Strip/polygon scratch of `strip_cover` — the cascade runs per pair
+    /// recompute on the simulator's hot path, so the outer vectors must not
+    /// reallocate once warm.
     static STRIP_SCRATCH: std::cell::RefCell<StripScratch> =
         const {
             std::cell::RefCell::new(StripScratch {
@@ -856,8 +921,9 @@ thread_local! {
 }
 
 struct StripScratch {
-    /// Filtered obstacles as `(t/span, perpendicular offset)` pairs.
-    strips: Vec<(f64, f64)>,
+    /// Filtered obstacles as `(t, t/span, perpendicular offset)`, with
+    /// `t` the axial position.
+    strips: Vec<(f64, f64, f64)>,
     /// Current uncovered region as disjoint convex polygons in `(a, b)`.
     polys: Vec<Vec<(f64, f64)>>,
     /// Next generation of `polys` while clipping.
@@ -910,6 +976,36 @@ mod tests {
 
     fn p(x: f64, y: f64) -> Point {
         Point::new(x, y)
+    }
+
+    /// A deterministic stream of samples in `[0, 1)` (a 64-bit LCG).
+    fn unit_lcg(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        }
+    }
+
+    /// A 12 × 12 hex packing at a spacing drawn from `[2.05, 2.35)`, every
+    /// coordinate jittered by up to ±0.01: far pairs are genuinely
+    /// blocked, so the strip covers fire often.
+    fn jittered_hex(next: &mut impl FnMut() -> f64) -> Vec<Point> {
+        let spacing = 2.05 + 0.3 * next();
+        let side = 12;
+        let row_h = spacing * 3f64.sqrt() / 2.0;
+        (0..side * side)
+            .map(|i| {
+                let (r, c) = (i / side, i % side);
+                let stagger = if r % 2 == 1 { spacing / 2.0 } else { 0.0 };
+                p(
+                    c as f64 * spacing + stagger + (next() - 0.5) * 0.02,
+                    r as f64 * row_h + (next() - 0.5) * 0.02,
+                )
+            })
+            .collect()
     }
 
     #[test]
@@ -1081,13 +1177,7 @@ mod tests {
         // tried on a *sub-slice* — the obstacles near the chord's middle —
         // and a fire there must hold for the full slice, drift included:
         // extra obstacles only block more.
-        let mut state = 0x00C0FFEEu64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as f64 / (1u64 << 31) as f64
-        };
+        let mut next = unit_lcg(0x00C0FFEE);
         // The drift contract: blocked for ANY configuration with every
         // robot within ρ of its certification position. Spot-check
         // worst-ish drifts: endpoints pulled together/sideways AND every
@@ -1120,19 +1210,7 @@ mod tests {
         };
         let (mut fired, mut slack_fired, mut window_fired) = (0u32, 0u32, 0u32);
         for _ in 0..25 {
-            let spacing = 2.05 + 0.3 * next();
-            let side = 12;
-            let row_h = spacing * 3f64.sqrt() / 2.0;
-            let centers: Vec<Point> = (0..side * side)
-                .map(|i| {
-                    let (r, c) = (i / side, i % side);
-                    let stagger = if r % 2 == 1 { spacing / 2.0 } else { 0.0 };
-                    p(
-                        c as f64 * spacing + stagger + (next() - 0.5) * 0.02,
-                        r as f64 * row_h + (next() - 0.5) * 0.02,
-                    )
-                })
-                .collect();
+            let centers = jittered_hex(&mut next);
             for _ in 0..10 {
                 let i = (next() * centers.len() as f64) as usize % centers.len();
                 let j = (next() * centers.len() as f64) as usize % centers.len();
@@ -1191,6 +1269,70 @@ mod tests {
         assert!(
             window_fired >= 50,
             "mid-chord cover fired only {window_fired} times — vacuous test"
+        );
+    }
+
+    #[test]
+    fn one_strip_list_answers_like_one_list_per_tier() {
+        // `pair_verdict` sweeps both cover tiers over one shared strip list;
+        // each tier must answer exactly as it does on the list filtered
+        // for it alone, and the cascade must keep the slack → exact →
+        // kernel order. Scenes: the jittered hex packings of the soundness
+        // test above and an exact lattice (axis-aligned chords tie
+        // offsets), each with random chords, plus short random chords
+        // through a random scatter of discs — there the slack tier's wider
+        // end margin drops strips the exact tier keeps, so a sweep that
+        // used the other tier's strips would answer differently.
+        let mut tally = [0usize; 4];
+        let mut check = |ci: Point, cj: Point, obstacles: &[Point]| {
+            let want = if strip_cover_blocked_with_slack(ci, cj, obstacles) {
+                PairVerdict::Certified
+            } else if strip_cover_blocked(ci, cj, obstacles) {
+                PairVerdict::CoverBlocked
+            } else if disc_sees_disc_among(ci, cj, obstacles) {
+                PairVerdict::Seen
+            } else {
+                PairVerdict::Blocked
+            };
+            let got = pair_verdict(ci, cj, obstacles);
+            assert_eq!(got, want, "chord {ci:?}–{cj:?} among {obstacles:?}");
+            tally[got as usize] += 1;
+        };
+        let mut next = unit_lcg(0x005E_ED0F_57A1);
+        let mut scenes: Vec<Vec<Point>> = (0..25).map(|_| jittered_hex(&mut next)).collect();
+        scenes.push(
+            (0..144)
+                .map(|i| p((i % 12) as f64 * 2.1, (i / 12) as f64 * 2.1))
+                .collect(),
+        );
+        for centers in &scenes {
+            for _ in 0..30 {
+                let i = (next() * centers.len() as f64) as usize % centers.len();
+                let j = (next() * centers.len() as f64) as usize % centers.len();
+                if i == j {
+                    continue;
+                }
+                let obstacles: Vec<Point> = centers
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, _)| k != i && k != j)
+                    .map(|(_, &c)| c)
+                    .collect();
+                check(centers[i], centers[j], &obstacles);
+            }
+        }
+        for _ in 0..1000 {
+            let span = 8.0 + 6.0 * next();
+            let count = 4 + (16.0 * next()) as usize;
+            let obstacles: Vec<Point> = (0..count)
+                .map(|_| p(span * next(), 4.4 * (next() - 0.5)))
+                .collect();
+            check(p(0.0, 0.0), p(span, 0.0), &obstacles);
+        }
+        let [seen, blocked, cover_blocked, certified] = tally;
+        assert!(
+            certified >= 15 && cover_blocked >= 15 && seen > 0 && blocked > 0,
+            "verdicts seen/blocked/cover/certified = {tally:?}: a tier is barely exercised"
         );
     }
 

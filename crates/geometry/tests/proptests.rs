@@ -3,7 +3,7 @@
 use fatrobots_geometry::hull::{convex_hull, ConvexHull};
 use fatrobots_geometry::predicates::{self, Orientation};
 use fatrobots_geometry::visibility::{
-    disc_sees_disc, disc_sees_disc_among, min_pairwise_gap, strip_cover_blocked,
+    disc_sees_disc, disc_sees_disc_among, min_pairwise_gap, pair_verdict,
     strip_cover_blocked_with_slack,
 };
 use fatrobots_geometry::{Circle, EpsKernel, ExactKernel, Kernel, Point, Segment, Vec2, EPS};
@@ -361,8 +361,8 @@ fn chord_scene(kind: usize, cells: usize, tilt: usize, seed: u64) -> (Point, Poi
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The strip covers and the witness kernel are functions of the
-    /// obstacle set: the order of the slice, which differs between the
+    /// The pair verdict's cascade, its slack tier alone and the witness
+    /// kernel are functions of the obstacle set: the order of the slice, which differs between the
     /// simulator's grid gather and its row scan, never changes a verdict.
     #[test]
     fn obstacle_order_never_changes_a_visibility_verdict(
@@ -383,8 +383,8 @@ proptest! {
         reversed.reverse();
         for other in [&shuffled, &reversed] {
             prop_assert_eq!(
-                strip_cover_blocked(ci, cj, &obstacles),
-                strip_cover_blocked(ci, cj, other)
+                pair_verdict(ci, cj, &obstacles),
+                pair_verdict(ci, cj, other)
             );
             prop_assert_eq!(
                 strip_cover_blocked_with_slack(ci, cj, &obstacles),

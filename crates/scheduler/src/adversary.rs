@@ -32,15 +32,9 @@ impl SystemSnapshot<'_> {
         self.phases.is_empty()
     }
 
-    /// Indices of robots that have not terminated.
-    pub fn active(&self) -> Vec<usize> {
-        self.active_iter().collect()
-    }
-
-    /// Iterator form of [`Self::active`]: the non-terminated robot indices
-    /// in ascending order, without allocating. The adversaries run once per
-    /// event, so their robot picks must not put a `Vec` on the per-event
-    /// path.
+    /// The indices of the robots that have not terminated, in ascending
+    /// order, without allocating. The adversaries run once per event, so
+    /// their robot picks must not put a `Vec` on the per-event path.
     pub fn active_iter(&self) -> impl Iterator<Item = usize> + Clone + '_ {
         (0..self.len()).filter(|&i| self.phases[i] != Phase::Terminate)
     }
@@ -874,7 +868,7 @@ mod tests {
         let snap = snapshot(&phases, &centers, &targets);
         assert_eq!(snap.len(), 2);
         assert!(!snap.is_empty());
-        assert_eq!(snap.active(), vec![0]);
+        assert_eq!(snap.active_iter().collect::<Vec<_>>(), vec![0]);
         assert!((snap.remaining(0) - 5.0).abs() < 1e-12);
         assert_eq!(snap.remaining(1), 0.0);
     }

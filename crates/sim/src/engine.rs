@@ -278,17 +278,12 @@ impl Simulator {
         &self.metrics
     }
 
-    /// `true` when every robot has terminated.
-    pub fn all_terminated(&self) -> bool {
-        self.phases.iter().all(|p| p.is_terminal())
-    }
-
     /// `true` when every robot has either terminated or been permanently
     /// crashed by a fault adversary ([`Adversary::permanently_stopped`]).
     /// This is the graceful-degradation termination criterion: a crashed
     /// victim never activates again, so waiting for its Terminate would
-    /// spin forever. Without fault injection this is exactly
-    /// [`Self::all_terminated`].
+    /// spin forever. Without fault injection this is exactly "every robot
+    /// has terminated".
     pub fn effectively_terminated(&self) -> bool {
         self.phases
             .iter()

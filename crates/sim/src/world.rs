@@ -74,14 +74,15 @@
 //! ## Bit-identical results
 //!
 //! The cached path answers every query through the *same* geometric kernels
-//! as the from-scratch path (`disc_sees_disc_among` with a conservatively
-//! pre-filtered obstacle slice is exactly `disc_sees_disc` over all
-//! centers, whether the row scan or the grid gather supplied the slice,
-//! in whatever order; the strip covers, on the mid-chord window or the
-//! whole slice, are one-sided "blocked" proofs in front of it whose
-//! verdicts depend only on the obstacle set;
-//! the hull, connectivity and sample predicates are evaluated by the same
-//! functions on the same inputs). A `World` in [`WorldMode::Scratch`]
+//! as the from-scratch path. A recompute is one `pair_verdict` call on a
+//! conservatively pre-filtered obstacle slice, whether the row scan or the
+//! grid gather supplied it, in whatever order: its strip-cover cascade
+//! (one strip list per chord) holds one-sided "blocked" proofs in front of
+//! the witness kernel, `disc_sees_disc_among`, which on that slice is
+//! exactly `disc_sees_disc` over all centers, and every step depends only
+//! on the obstacle set. The mid-chord window is one more such proof. The
+//! hull, connectivity and sample predicates are evaluated by the same
+//! functions on the same inputs. A `World` in [`WorldMode::Scratch`]
 //! recomputes everything per query, which is how the determinism suite pins
 //! the equivalence event-for-event.
 
@@ -91,9 +92,9 @@ use std::sync::{Mutex, OnceLock};
 use fatrobots_geometry::grid::{CellCoord, CellHashBuilder, CellMap, UniformGrid, GRID_LEVELS};
 use fatrobots_geometry::hull::{ConvexHull, HullScratch};
 use fatrobots_geometry::visibility::{
-    corridor_filter_soa, disc_sees_disc, disc_sees_disc_among, no_three_collinear,
-    strip_cover_blocked, strip_cover_blocked_with_slack, visible_set, COVER_STABILITY_RADIUS,
-    STRIP_COVER_SLACK_MIN_SPAN, VISIBILITY_PRUNE_RADIUS,
+    corridor_filter_soa, disc_sees_disc, no_three_collinear, pair_verdict,
+    strip_cover_blocked_with_slack, visible_set, PairVerdict, COVER_STABILITY_RADIUS,
+    STRIP_COVER_MIN_SPAN, VISIBILITY_PRUNE_RADIUS,
 };
 use fatrobots_geometry::{Point, Segment, Vec2, UNIT_RADIUS};
 use fatrobots_model::config::{self, gap_touches, COLLINEARITY_TOL, TOUCH_TOL};
@@ -185,8 +186,9 @@ struct PairEntry {
     gen: u32,
     seen: bool,
     dirty: bool,
-    /// The last recompute certified "blocked" through
-    /// [`strip_cover_blocked_with_slack`], so the answer provably stays
+    /// The last recompute answered [`PairVerdict::Certified`]: the slack
+    /// strip cover (of [`pair_verdict`] or the mid-chord window) proved the
+    /// pair blocked, so the answer provably stays
     /// `false` while **every** robot — both endpoints and every corridor
     /// obstacle — remains within [`CERT_DRIFT_RADIUS`] of its anchor.
     /// Lets the drain *skip* a certified registration for any in-drift
@@ -213,7 +215,7 @@ impl PairEntry {
 /// and honored while every robot involved stays within it, so any robot's
 /// position differs from its certification-time one by at most
 /// `2·CERT_DRIFT_RADIUS = COVER_STABILITY_RADIUS` — exactly the per-robot
-/// drift [`strip_cover_blocked_with_slack`] guarantees against, for
+/// drift a [`PairVerdict::Certified`] verdict guarantees against, for
 /// obstacles as well as endpoints.
 const CERT_DRIFT_RADIUS: f64 = COVER_STABILITY_RADIUS / 2.0;
 
@@ -404,53 +406,6 @@ fn adj_remove(list: &mut Vec<u32>, v: u32) {
     }
 }
 
-/// One pair visibility answer computed **read-only** by
-/// [`World::compute_pair_answer`], committed by [`World::commit_pair`].
-/// Splitting the two is what lets the row fan-out run the pair kernels on
-/// a shared `&World` across cores while the serial commit replays every
-/// piece of bookkeeping (generation bumps, registrations, view versions,
-/// telemetry) in plan order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct PairAnswer {
-    /// The kernel's visibility verdict for the pair.
-    seen: bool,
-    /// The answer was certified "blocked" by the slack strip cover (see
-    /// [`PairEntry::certified`]).
-    certified: bool,
-    /// The answer came from a strip cover (slack or exact) instead of the
-    /// witness kernel — replayed into the `cover_answers` telemetry at
-    /// commit.
-    cover_answered: bool,
-}
-
-/// The answer of the pair `ca`–`cb` (lower index first) against the
-/// corridor slice `obs`: a two-tier blocked fast path before the O(k²)
-/// witness kernel. The slack cover additionally certifies the answer
-/// against endpoint drift (see [`PairEntry::certified`]); the exact cover
-/// only answers this recompute. Both are one-sided — `false` falls through
-/// to the kernel — so `seen` is always the kernel's answer.
-fn answer_among(ca: Point, cb: Point, obs: &[Point]) -> PairAnswer {
-    if strip_cover_blocked_with_slack(ca, cb, obs) {
-        PairAnswer {
-            seen: false,
-            certified: true,
-            cover_answered: true,
-        }
-    } else if strip_cover_blocked(ca, cb, obs) {
-        PairAnswer {
-            seen: false,
-            certified: false,
-            cover_answered: true,
-        }
-    } else {
-        PairAnswer {
-            seen: disc_sees_disc_among(ca, cb, obs),
-            certified: false,
-            cover_answered: false,
-        }
-    }
-}
-
 /// Per-thread scratch buffers for [`World::compute_pair_answer`] — the
 /// read-only twin of the `World`'s own reusable query buffers, owned by the
 /// caller so concurrent probes never share storage.
@@ -527,8 +482,9 @@ pub struct World {
     /// Hull-cache telemetry: rebuilds of a stale hull.
     hull_rebuilds: u64,
     /// Blocked-certificate telemetry: recomputes whose answer came from a
-    /// strip cover (slack or exact) instead of the witness kernel, and
-    /// drain visits that skipped dirtying a certified pair.
+    /// strip cover (either tier of `pair_verdict`, or the mid-chord
+    /// window) instead of the witness kernel, and drain visits that skipped
+    /// dirtying a certified pair.
     cover_answers: u64,
     cert_skips: u64,
     /// Reusable candidate buffer of the grid-local predicates.
@@ -542,7 +498,7 @@ pub struct World {
     /// pairs to recompute, and their answers (aligned with the plan). Both
     /// hold the last refresh's contents until the next one.
     plan: Vec<u32>,
-    answers: Vec<PairAnswer>,
+    answers: Vec<PairVerdict>,
 }
 
 impl World {
@@ -849,10 +805,10 @@ impl World {
         }
         self.misses += 1;
         let mut probe = std::mem::take(&mut self.probe);
-        let answer = self.compute_pair_answer(i, j, &mut probe);
+        let verdict = self.compute_pair_answer(i, j, &mut probe);
         self.probe = probe;
-        self.commit_pair(id, answer);
-        answer.seen
+        self.commit_pair(id, verdict);
+        verdict == PairVerdict::Seen
     }
 
     /// The grid level a pair registers its corridor at: the finest level
@@ -896,7 +852,7 @@ impl World {
 
     /// The mid-chord window step of [`Self::compute_pair_answer`] (grid
     /// path only): for a chord of span at least
-    /// [`STRIP_COVER_SLACK_MIN_SPAN`] whose midpoint lies in an occupied
+    /// [`STRIP_COVER_MIN_SPAN`] whose midpoint lies in an occupied
     /// base cell, `true` when the slack strip cover fires on the sites
     /// within [`CERT_WINDOW_RADIUS`] of the chord's middle stretch of
     /// half-length [`CERT_WINDOW_HALF_LEN`]. The occupancy gate keeps the
@@ -906,8 +862,7 @@ impl World {
         let (ca, cb) = (self.centers[a], self.centers[b]);
         let span = ca.distance(cb);
         let mid = ca.midpoint(cb);
-        if span < STRIP_COVER_SLACK_MIN_SPAN || self.grid.sites_in(self.grid.cell_of(mid)).is_none()
-        {
+        if span < STRIP_COVER_MIN_SPAN || self.grid.sites_in(self.grid.cell_of(mid)).is_none() {
             return false;
         }
         let half = (cb - ca) * (CERT_WINDOW_HALF_LEN / span);
@@ -1030,7 +985,7 @@ impl World {
         );
     }
 
-    /// Computes the visibility answer of the pair `{row, partner}` **without
+    /// Computes the verdict of the pair `{row, partner}` **without
     /// mutating anything**, on caller-owned scratch (serial recomputes call
     /// this on the world's own probe), for a Look of robot `row`. The one
     /// branch is where the corridor slice comes from:
@@ -1042,7 +997,7 @@ impl World {
     ///   covering the corridor. A long chord through a dense region first
     ///   tries the **mid-chord window** (`window_certifies`): the slack
     ///   strip cover on the few obstacles near its middle. A fire answers
-    ///   "blocked, certified" without gathering the corridor. This is
+    ///   [`PairVerdict::Certified`] without gathering the corridor. This is
     ///   sound because the slack cover proves every sight segment of the
     ///   candidate square blocked under ρ-drift of every robot, and that
     ///   proof holds for any obstacle superset (new obstacles only block
@@ -1051,12 +1006,11 @@ impl World {
     ///   pair's registration cover, so the `CERT_DRIFT_RADIUS` skip
     ///   argument is unchanged.
     ///
-    /// Both sources keep the same obstacle set, so the slack then exact
-    /// strip cover, then the witness kernel see the same input (the covers'
-    /// verdicts depend on the set, not its order). `seen` is always the
-    /// kernel's answer. `certified` can differ from a run without the
-    /// window only when the full slice's cover overflows its polygon budget
-    /// where the window's did not.
+    /// Both sources keep the same obstacle set, and [`pair_verdict`]'s
+    /// cascade depends on the set, not its order. The seen bit is always
+    /// the witness kernel's answer. A window fire can differ from the full
+    /// slice's verdict only when the full slice's cover overflows its
+    /// polygon budget where the window's did not.
     ///
     /// Safe to call from worker threads on a shared `&World`: it reads only
     /// the centers (and their SoA mirror), the grid and the configuration
@@ -1067,7 +1021,12 @@ impl World {
     /// Panics if `row == partner`, either index is out of bounds, or the
     /// world is in [`WorldMode::Scratch`] (which has no pair store to
     /// commit into).
-    fn compute_pair_answer(&self, row: usize, partner: usize, probe: &mut PairProbe) -> PairAnswer {
+    fn compute_pair_answer(
+        &self,
+        row: usize,
+        partner: usize,
+        probe: &mut PairProbe,
+    ) -> PairVerdict {
         let (a, b) = (row.min(partner), row.max(partner));
         assert!(a < b && b < self.len(), "invalid pair");
         assert!(
@@ -1077,35 +1036,33 @@ impl World {
         if self.len() <= SCAN_MAX_N {
             self.scan_corridor(row, partner, probe);
         } else if self.window_certifies(a, b, probe) {
-            return PairAnswer {
-                seen: false,
-                certified: true,
-                cover_answered: true,
-            };
+            return PairVerdict::Certified;
         } else {
             self.gather_corridor(a, b, probe);
         }
-        answer_among(self.centers[a], self.centers[b], &probe.obs)
+        pair_verdict(self.centers[a], self.centers[b], &probe.obs)
     }
 
-    /// Commits one computed answer to the pair in slab slot `id`: bumps its
-    /// generation, clears its dirty flag, stores the answer, bumps both
-    /// views and updates both adjacency lists on a flip, counts a cover
-    /// answer, and re-registers the pair's corridor. `answer` is what
-    /// [`Self::compute_pair_answer`] returned for the pair on the current
-    /// centers. Touches no hash map.
-    fn commit_pair(&mut self, id: u32, answer: PairAnswer) {
+    /// Commits one computed verdict to the pair in slab slot `id`: bumps
+    /// its generation, clears its dirty flag, stores the seen bit and the
+    /// certified flag, bumps both views and updates both adjacency lists on
+    /// a flip, counts a cover answer, and re-registers the pair's corridor.
+    /// `verdict` is what [`Self::compute_pair_answer`] returned for the pair
+    /// on the current centers. Touches no hash map.
+    fn commit_pair(&mut self, id: u32, verdict: PairVerdict) {
+        let seen = verdict == PairVerdict::Seen;
+        let certified = verdict == PairVerdict::Certified;
         let entry = &mut self.sparse.slab[id as usize];
         entry.gen = (entry.gen + 1) & SparseRef::GEN_MASK;
         entry.dirty = false;
-        let flipped = entry.seen != answer.seen;
-        entry.seen = answer.seen;
-        entry.certified = answer.certified;
+        let flipped = entry.seen != seen;
+        entry.seen = seen;
+        entry.certified = certified;
         let (a, b) = (entry.a as usize, entry.b as usize);
         // Registered with the just-computed certified flag so drains can
         // honor it without indexing the slab.
-        let sref = SparseRef::new(id, entry.gen, answer.certified);
-        if answer.cover_answered {
+        let sref = SparseRef::new(id, entry.gen, certified);
+        if matches!(verdict, PairVerdict::CoverBlocked | PairVerdict::Certified) {
             self.cover_answers += 1;
         }
         if flipped {
@@ -1118,7 +1075,7 @@ impl World {
             self.view_versions[a] += 1;
             self.view_versions[b] += 1;
             let adj = &mut self.sparse.adj;
-            if answer.seen {
+            if seen {
                 adj_insert(&mut adj[a], b as u32);
                 adj_insert(&mut adj[b], a as u32);
             } else {
@@ -1209,7 +1166,7 @@ impl World {
         self.answers = answers;
     }
 
-    /// Replaces `out` with one answer per pair of `plan` (slab ids of pairs
+    /// Replaces `out` with one verdict per pair of `plan` (slab ids of pairs
     /// of row `row`), in plan order. A plan shorter than
     /// `ROW_FANOUT_MIN_PAIRS`, or a fan-out width of 1, runs serially on
     /// `probe`; otherwise `row_fanout_width` threads (calling thread
@@ -1222,7 +1179,7 @@ impl World {
         row: usize,
         plan: &[u32],
         probe: &mut PairProbe,
-        out: &mut Vec<PairAnswer>,
+        out: &mut Vec<PairVerdict>,
     ) {
         let answer = |id: u32, probe: &mut PairProbe| {
             let entry = &self.sparse.slab[id as usize];
@@ -1238,7 +1195,7 @@ impl World {
             out.extend(plan.iter().map(|&id| answer(id, probe)));
             return;
         }
-        out.resize(plan.len(), PairAnswer::default());
+        out.resize(plan.len(), PairVerdict::Blocked);
         let chunks = Mutex::new(plan.chunks(FANOUT_CHUNK).zip(out.chunks_mut(FANOUT_CHUNK)));
         let worker = || {
             let mut probe = PairProbe::default();
@@ -2081,18 +2038,18 @@ mod tests {
                     gathered.sort_unstable();
                     assert_eq!(scanned, gathered, "{name}: corridor of ({a}, {b})");
                     let (ca, cb) = (centers[a], centers[b]);
-                    let answer = answer_among(ca, cb, &scan.obs);
+                    let verdict = pair_verdict(ca, cb, &scan.obs);
                     assert_eq!(
-                        answer,
-                        answer_among(ca, cb, &grid.obs),
-                        "{name}: answer of ({a}, {b})"
+                        verdict,
+                        pair_verdict(ca, cb, &grid.obs),
+                        "{name}: verdict of ({a}, {b})"
                     );
                     assert_eq!(
-                        answer.seen,
+                        verdict == PairVerdict::Seen,
                         disc_sees_disc(a, b, &centers),
                         "{name}: ({a}, {b})"
                     );
-                    certified += usize::from(answer.certified);
+                    certified += usize::from(verdict == PairVerdict::Certified);
                 }
             }
             assert!(
