@@ -28,7 +28,7 @@ use fatrobots_sim::experiment::{
     scale_table_spec, scaling_table_spec_with_cap, shape_table_spec, ExperimentTable, TableSpec,
     LARGE_N_EVENT_CAP,
 };
-use fatrobots_sim::fuzz::{self, FuzzConfig, FuzzReport};
+use fatrobots_sim::fuzz::{self, Fixture, FuzzConfig, FuzzReport};
 use fatrobots_sim::sweep::{self, SupervisionPolicy, SweepPool};
 
 const USAGE: &str = "\
@@ -369,8 +369,8 @@ fn run_fuzz(cli: &Cli) -> ExitCode {
             spec.n,
             spec.seed,
             spec.max_events,
-            finding.census.events,
-            finding.census.gathered,
+            finding.expected.events,
+            finding.expected.gathered,
             finding.shrink_steps,
         );
     }
@@ -397,53 +397,11 @@ fn run_fuzz(cli: &Cli) -> ExitCode {
 }
 
 /// The fuzz telemetry document (`report fuzz --json`): campaign counters
-/// plus every shrunk finding, schema-versioned alongside the table report.
+/// plus every shrunk finding as its fixture record, schema-versioned
+/// alongside the table report.
 fn fuzz_json(config: &FuzzConfig, report: &FuzzReport) -> String {
     use json::JsonValue;
-    let findings: Vec<JsonValue> = report
-        .findings
-        .iter()
-        .map(|finding| {
-            let spec = &finding.spec;
-            JsonValue::Obj(vec![
-                ("origin".into(), JsonValue::Str(finding.origin.into())),
-                ("shape".into(), JsonValue::Str(spec.shape.name().into())),
-                (
-                    "adversary".into(),
-                    JsonValue::Str(spec.adversary.name().into()),
-                ),
-                (
-                    "fault_k".into(),
-                    JsonValue::Int(spec.adversary.fault_k() as i64),
-                ),
-                ("n".into(), JsonValue::Int(spec.n as i64)),
-                ("seed".into(), JsonValue::Int(spec.seed as i64)),
-                ("max_events".into(), JsonValue::Int(spec.max_events as i64)),
-                (
-                    "shrink_steps".into(),
-                    JsonValue::Int(finding.shrink_steps as i64),
-                ),
-                (
-                    "census".into(),
-                    JsonValue::Obj(vec![
-                        ("gathered".into(), JsonValue::Bool(finding.census.gathered)),
-                        (
-                            "terminated".into(),
-                            JsonValue::Bool(finding.census.terminated),
-                        ),
-                        (
-                            "events".into(),
-                            JsonValue::Int(finding.census.events as i64),
-                        ),
-                        (
-                            "distance_bits".into(),
-                            JsonValue::Int(finding.census.distance_bits as i64),
-                        ),
-                    ]),
-                ),
-            ])
-        })
-        .collect();
+    let int = |v: u64| JsonValue::Int(v as i64);
     JsonValue::Obj(vec![
         (
             "schema_version".into(),
@@ -454,22 +412,16 @@ fn fuzz_json(config: &FuzzConfig, report: &FuzzReport) -> String {
             JsonValue::Str("fatrobots-bench report".into()),
         ),
         ("mode".into(), JsonValue::Str("fuzz".into())),
-        ("fuzz_seed".into(), JsonValue::Int(config.seed as i64)),
-        ("budget".into(), JsonValue::Int(config.budget as i64)),
-        ("scenarios".into(), JsonValue::Int(report.scenarios as i64)),
+        ("fuzz_seed".into(), int(config.seed)),
+        ("budget".into(), int(config.budget)),
+        ("scenarios".into(), int(report.scenarios)),
+        ("events_spent".into(), int(report.events_spent)),
+        ("confirm_replays".into(), int(report.confirm_replays)),
+        ("shrink_replays".into(), int(report.shrink_replays)),
         (
-            "events_spent".into(),
-            JsonValue::Int(report.events_spent as i64),
+            "findings".into(),
+            JsonValue::Arr(report.findings.iter().map(Fixture::to_json).collect()),
         ),
-        (
-            "confirm_replays".into(),
-            JsonValue::Int(report.confirm_replays as i64),
-        ),
-        (
-            "shrink_replays".into(),
-            JsonValue::Int(report.shrink_replays as i64),
-        ),
-        ("findings".into(), JsonValue::Arr(findings)),
     ])
     .to_pretty()
 }

@@ -253,6 +253,12 @@ fn fuzz_smoke_rediscovers_the_committed_pilot_fixture() {
         findings[0].get("census").and_then(|c| c.get("gathered")),
         Some(&JsonValue::Bool(false))
     );
+    // Each telemetry finding is the fixture record itself.
+    assert_eq!(
+        findings[0],
+        json::parse(&std::fs::read_to_string(&committed).unwrap()).unwrap(),
+        "telemetry findings[0] must equal the committed fixture record"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_file(&json);

@@ -71,19 +71,17 @@ pub const GRID_LEVEL_SCALE: i64 = 8;
 /// A uniform grid of square cells indexing a set of point sites by
 /// position.
 ///
-/// Sites are identified by their index in the original slice; the grid owns
-/// a copy of every position so sites can be moved one at a time
-/// ([`UniformGrid::move_point`]) without the caller threading positions
-/// through every query.
+/// Sites are identified by their index in the original slice. The grid
+/// keeps no positions of its own: the caller owns them and passes a site's
+/// old position when it moves the site ([`UniformGrid::move_point`]).
 #[derive(Debug, Clone)]
 pub struct UniformGrid {
     cell: f64,
-    positions: Vec<Point>,
     cells: CellMap<Vec<usize>>,
-    /// Site counts per coarse cell, one map per level above the base
-    /// (levels `1..GRID_LEVELS`). Corridor walks over long chords consult
-    /// these to skip empty regions a whole coarse cell at a time.
-    coarse_counts: Vec<CellMap<u32>>,
+    /// Site counts per level-1 cell. Corridor walks over long chords
+    /// consult these to skip empty regions a whole coarse cell at a time
+    /// ([`Self::for_each_occupied_cell_near_segment`]).
+    coarse_counts: CellMap<u32>,
 }
 
 impl UniformGrid {
@@ -98,29 +96,16 @@ impl UniformGrid {
         );
         let mut grid = UniformGrid {
             cell,
-            positions: points.to_vec(),
             cells: CellMap::default(),
-            coarse_counts: vec![CellMap::default(); GRID_LEVELS - 1],
+            coarse_counts: CellMap::default(),
         };
         for (i, &p) in points.iter().enumerate() {
             let base = grid.cell_of(p);
             grid.cells.entry(base).or_default().push(i);
-            for level in 1..GRID_LEVELS {
-                let coarse = grid.cell_of_at(p, level);
-                *grid.coarse_counts[level - 1].entry(coarse).or_default() += 1;
-            }
+            let coarse = grid.cell_of_at(p, 1);
+            *grid.coarse_counts.entry(coarse).or_default() += 1;
         }
         grid
-    }
-
-    /// Number of sites.
-    pub fn len(&self) -> usize {
-        self.positions.len()
-    }
-
-    /// `true` when the grid holds no sites.
-    pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
     }
 
     /// The cell containing `p`.
@@ -151,30 +136,16 @@ impl UniformGrid {
         ((p.x / edge).floor() as i64, (p.y / edge).floor() as i64)
     }
 
-    /// `true` when at least one site is hashed into the given cell of the
-    /// given level.
-    ///
-    /// # Panics
-    /// Panics if `level >= GRID_LEVELS`.
-    pub fn occupied_at(&self, level: usize, cell: CellCoord) -> bool {
-        assert!(level < GRID_LEVELS, "grid level out of range");
-        if level == 0 {
-            self.cells.contains_key(&cell)
-        } else {
-            self.coarse_counts[level - 1].contains_key(&cell)
-        }
+    /// `true` when at least one site is hashed into the given level-1 cell.
+    pub fn occupied_at(&self, cell: CellCoord) -> bool {
+        self.coarse_counts.contains_key(&cell)
     }
 
-    /// Moves site `i` to `new`, rehashing it into its new cell. Returns the
-    /// previous position.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    pub fn move_point(&mut self, i: usize, new: Point) -> Point {
-        let old = self.positions[i];
+    /// Moves site `i` from `old`, the position it is hashed at, to `new`,
+    /// rehashing it into its new cell.
+    pub fn move_point(&mut self, i: usize, old: Point, new: Point) {
         let from = self.cell_of(old);
         let to = self.cell_of(new);
-        self.positions[i] = new;
         if from != to {
             if let Some(bucket) = self.cells.get_mut(&from) {
                 if let Some(pos) = bucket.iter().position(|&k| k == i) {
@@ -186,21 +157,18 @@ impl UniformGrid {
             }
             self.cells.entry(to).or_default().push(i);
         }
-        for level in 1..GRID_LEVELS {
-            let from = self.cell_of_at(old, level);
-            let to = self.cell_of_at(new, level);
-            if from != to {
-                let counts = &mut self.coarse_counts[level - 1];
-                if let Some(count) = counts.get_mut(&from) {
-                    *count -= 1;
-                    if *count == 0 {
-                        counts.remove(&from);
-                    }
+        let from = self.cell_of_at(old, 1);
+        let to = self.cell_of_at(new, 1);
+        if from != to {
+            let counts = &mut self.coarse_counts;
+            if let Some(count) = counts.get_mut(&from) {
+                *count -= 1;
+                if *count == 0 {
+                    counts.remove(&from);
                 }
-                *counts.entry(to).or_default() += 1;
             }
+            *counts.entry(to).or_default() += 1;
         }
-        old
     }
 
     /// Visits every cell of the conservative cover of the capsule of the
@@ -259,7 +227,7 @@ impl UniformGrid {
         let dy = b.y - a.y;
         let mut go = true;
         self.for_each_cell_near_segment_at(1, a, b, radius, |coarse| {
-            if !self.occupied_at(1, coarse) {
+            if !self.occupied_at(coarse) {
                 return true;
             }
             // Base-cell block of this coarse cell, clipped per column to
@@ -420,12 +388,10 @@ mod tests {
     }
 
     #[test]
-    fn move_point_rehashes_and_returns_the_old_position() {
+    fn move_point_rehashes_the_site() {
         let pts = vec![p(0.0, 0.0), p(20.0, 20.0)];
         let mut grid = UniformGrid::new(4.0, &pts);
-        let old = grid.move_point(1, p(1.0, 1.0));
-        assert_eq!(old, p(20.0, 20.0));
-        assert_eq!(grid.positions[1], p(1.0, 1.0));
+        grid.move_point(1, p(20.0, 20.0), p(1.0, 1.0));
         let mut near_origin = Vec::new();
         grid.candidates_near_point(p(0.0, 0.0), 2.0, &mut near_origin);
         assert_eq!(near_origin, vec![0, 1]);
@@ -438,7 +404,7 @@ mod tests {
     fn moves_that_stay_in_one_cell_keep_queries_correct() {
         let pts = vec![p(0.5, 0.5)];
         let mut grid = UniformGrid::new(4.0, &pts);
-        grid.move_point(0, p(1.5, 0.5));
+        grid.move_point(0, p(0.5, 0.5), p(1.5, 0.5));
         let mut got = Vec::new();
         grid.candidates_near_point(p(1.5, 0.5), 1.0, &mut got);
         assert_eq!(got, vec![0]);
@@ -473,28 +439,26 @@ mod tests {
     }
 
     #[test]
-    fn coarse_levels_track_occupancy_across_moves() {
+    fn coarse_cells_track_occupancy_across_moves() {
         let pts = vec![p(0.5, 0.5), p(200.0, 200.0)];
         let mut grid = UniformGrid::new(1.0, &pts);
-        for level in 0..GRID_LEVELS {
-            assert!(grid.occupied_at(level, grid.cell_of_at(p(0.5, 0.5), level)));
-            assert!(grid.occupied_at(level, grid.cell_of_at(p(200.0, 200.0), level)));
-        }
+        let coarse = |q: Point| grid.cell_of_at(q, 1);
+        assert!(grid.occupied_at(coarse(p(0.5, 0.5))));
+        assert!(grid.occupied_at(coarse(p(200.0, 200.0))));
         assert_eq!(grid.cell_size_at(1), 8.0);
         assert_eq!(grid.cell_size_at(2), 64.0);
-        // Moving the far site empties its coarse cells and fills new ones.
-        grid.move_point(1, p(-300.0, -300.0));
-        for level in 1..GRID_LEVELS {
-            assert!(
-                !grid.occupied_at(level, grid.cell_of_at(p(200.0, 200.0), level)),
-                "vacated level-{level} cell must drop to empty"
-            );
-            assert!(grid.occupied_at(level, grid.cell_of_at(p(-300.0, -300.0), level)));
-        }
+        // Moving the far site empties its coarse cell and fills a new one.
+        grid.move_point(1, p(200.0, 200.0), p(-300.0, -300.0));
+        let coarse = |q: Point| grid.cell_of_at(q, 1);
+        assert!(
+            !grid.occupied_at(coarse(p(200.0, 200.0))),
+            "a vacated coarse cell must drop to empty"
+        );
+        assert!(grid.occupied_at(coarse(p(-300.0, -300.0))));
         // Both sites sharing one coarse cell: leaving decrements, not drops.
-        grid.move_point(1, p(1.5, 1.5));
-        grid.move_point(1, p(100.0, 0.0));
-        assert!(grid.occupied_at(1, grid.cell_of_at(p(0.5, 0.5), 1)));
+        grid.move_point(1, p(-300.0, -300.0), p(1.5, 1.5));
+        grid.move_point(1, p(1.5, 1.5), p(100.0, 0.0));
+        assert!(grid.occupied_at(grid.cell_of_at(p(0.5, 0.5), 1)));
     }
 
     #[test]

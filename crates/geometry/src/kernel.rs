@@ -77,13 +77,6 @@ pub trait Kernel:
     /// boundary tagging and circle blocking tests.
     fn cmp_segment_dist(a: Point, b: Point, p: Point, r: f64) -> Ordering;
 
-    /// Squared distance from `p` to the segment `ab` compared with a
-    /// precomputed squared threshold `r_sq` — the form the visibility
-    /// witness kernel uses (`norm_sq > block_sq`). Kept separate from
-    /// [`Self::cmp_segment_dist`] so [`EpsKernel`] stays bit-identical to
-    /// both call-site families.
-    fn cmp_segment_dist_sq(a: Point, b: Point, p: Point, r_sq: f64) -> Ordering;
-
     /// Distance from `p` to the infinite line through `a` and `b` compared
     /// with `r` (`r ≥ 0`): the chord-band test of Procedure
     /// `NotAllOnConvexHull` and the tangent-line side test of the
@@ -125,14 +118,6 @@ impl Kernel for EpsKernel {
         Segment::new(a, b)
             .distance_to(p)
             .partial_cmp(&r)
-            .unwrap_or(Ordering::Equal)
-    }
-
-    #[inline]
-    fn cmp_segment_dist_sq(a: Point, b: Point, p: Point, r_sq: f64) -> Ordering {
-        Segment::new(a, b)
-            .distance_sq_to(p)
-            .partial_cmp(&r_sq)
             .unwrap_or(Ordering::Equal)
     }
 
@@ -291,10 +276,6 @@ impl Kernel for ExactKernel {
         // dist <=> r decided as dist² <=> r² with r² as the *exact* product
         // (not fl(r·r)), so the verdict is exact in the given r.
         exact_segment_cmp(a, b, p, &Expansion::from_product(r, r))
-    }
-
-    fn cmp_segment_dist_sq(a: Point, b: Point, p: Point, r_sq: f64) -> Ordering {
-        exact_segment_cmp(a, b, p, &Expansion::from(r_sq))
     }
 
     fn cmp_line_dist(a: Point, b: Point, p: Point, r: f64) -> Ordering {

@@ -30,9 +30,6 @@ pub enum PredicateSite {
     /// Point–segment distance vs radius, sqrt form (hull boundary,
     /// circle blocking).
     CmpSegmentDist,
-    /// Point–segment squared distance vs squared radius (visibility
-    /// witness corridor).
-    CmpSegmentDistSq,
     /// Point–line distance vs radius (chord band, tangent side tests).
     CmpLineDist,
     /// Segment–segment intersection classification (ray exits,
@@ -42,12 +39,11 @@ pub enum PredicateSite {
 
 impl PredicateSite {
     /// All sites, in tally-array order.
-    pub const ALL: [PredicateSite; 7] = [
+    pub const ALL: [PredicateSite; 6] = [
         PredicateSite::Orientation,
         PredicateSite::OrientationTol,
         PredicateSite::CmpDist,
         PredicateSite::CmpSegmentDist,
-        PredicateSite::CmpSegmentDistSq,
         PredicateSite::CmpLineDist,
         PredicateSite::SegmentIntersection,
     ];
@@ -59,7 +55,6 @@ impl PredicateSite {
             PredicateSite::OrientationTol => "orientation_tol",
             PredicateSite::CmpDist => "cmp_dist",
             PredicateSite::CmpSegmentDist => "cmp_segment_dist",
-            PredicateSite::CmpSegmentDistSq => "cmp_segment_dist_sq",
             PredicateSite::CmpLineDist => "cmp_line_dist",
             PredicateSite::SegmentIntersection => "segment_intersection",
         }
@@ -71,18 +66,20 @@ impl PredicateSite {
             PredicateSite::OrientationTol => 1,
             PredicateSite::CmpDist => 2,
             PredicateSite::CmpSegmentDist => 3,
-            PredicateSite::CmpSegmentDistSq => 4,
-            PredicateSite::CmpLineDist => 5,
-            PredicateSite::SegmentIntersection => 6,
+            PredicateSite::CmpLineDist => 4,
+            PredicateSite::SegmentIntersection => 5,
         }
     }
 }
 
+/// Number of predicate sites: the length of every per-site tally.
+const SITES: usize = PredicateSite::ALL.len();
+
 /// Per-site call and disagreement tallies for one shadow evaluation span.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShadowLog {
-    calls: [u64; 7],
-    disagreements: [u64; 7],
+    calls: [u64; SITES],
+    disagreements: [u64; SITES],
 }
 
 impl ShadowLog {
@@ -116,7 +113,7 @@ impl ShadowLog {
 
     /// Merge another log into this one (aggregation across events/runs).
     pub fn merge(&mut self, other: &ShadowLog) {
-        for i in 0..7 {
+        for i in 0..SITES {
             self.calls[i] += other.calls[i];
             self.disagreements[i] += other.disagreements[i];
         }
@@ -132,8 +129,8 @@ impl ShadowLog {
 
 thread_local! {
     static LOG: RefCell<ShadowLog> = const { RefCell::new(ShadowLog {
-        calls: [0; 7],
-        disagreements: [0; 7],
+        calls: [0; SITES],
+        disagreements: [0; SITES],
     }) };
 }
 
@@ -186,13 +183,6 @@ impl Kernel for ShadowKernel {
         let eps = EpsKernel::cmp_segment_dist(a, b, p, r);
         let exact = ExactKernel::cmp_segment_dist(a, b, p, r);
         record(PredicateSite::CmpSegmentDist, eps == exact);
-        eps
-    }
-
-    fn cmp_segment_dist_sq(a: Point, b: Point, p: Point, r_sq: f64) -> Ordering {
-        let eps = EpsKernel::cmp_segment_dist_sq(a, b, p, r_sq);
-        let exact = ExactKernel::cmp_segment_dist_sq(a, b, p, r_sq);
-        record(PredicateSite::CmpSegmentDistSq, eps == exact);
         eps
     }
 

@@ -100,7 +100,7 @@ const SIGHT_CLEARANCE: f64 = 1e-9;
 ///    clearance.
 ///
 /// Every candidate is verified with an exact segment-versus-disc distance
-/// test (the [`EpsKernel`] classification), so a `true` answer always
+/// test (the ε classification `cmp_segment_dist_sq`), so a `true` answer always
 /// corresponds to a genuine sight line. A `false` answer can only miss
 /// sight lines through gaps thinner than the clearance, which errs on the
 /// conservative side: the robot acts as if it saw less, not more.
@@ -177,6 +177,16 @@ struct AmongScratch {
 thread_local! {
     static AMONG_SCRATCH: std::cell::RefCell<AmongScratch> =
         std::cell::RefCell::new(AmongScratch::default());
+}
+
+/// Squared distance from `p` to the segment `ab` compared with a squared
+/// threshold `r_sq`: the ε classification of a witness candidate against
+/// one obstacle (`norm_sq > block_sq` means clear).
+fn cmp_segment_dist_sq(a: Point, b: Point, p: Point, r_sq: f64) -> Ordering {
+    Segment::new(a, b)
+        .distance_sq_to(p)
+        .partial_cmp(&r_sq)
+        .unwrap_or(Ordering::Equal)
 }
 
 fn disc_sees_disc_among_with(
@@ -267,13 +277,12 @@ fn disc_sees_disc_among_with(
         obstacles
     };
     // A candidate is a genuine witness when every obstacle keeps squared
-    // distance > block_sq from it — the kernel's squared segment-distance
-    // classification (bit-identical to the historic inline closest-point
-    // computation under the ε kernel).
+    // distance > block_sq from it (the historic inline closest-point
+    // computation, bit for bit).
     let clear = |p1: Point, p2: Point| {
         threat
             .iter()
-            .all(|&ck| EpsKernel::cmp_segment_dist_sq(p1, p2, ck, block_sq) == Ordering::Greater)
+            .all(|&ck| cmp_segment_dist_sq(p1, p2, ck, block_sq) == Ordering::Greater)
     };
 
     if obstacles.len() < SORTED_THREAT_MIN {
@@ -300,7 +309,7 @@ fn disc_sees_disc_among_with(
         let point_blocked = |p: Point| {
             threat
                 .iter()
-                .any(|&ck| EpsKernel::cmp_segment_dist_sq(p, p, ck, block_sq) != Ordering::Greater)
+                .any(|&ck| cmp_segment_dist_sq(p, p, ck, block_sq) != Ordering::Greater)
         };
         ends_i.clear();
         ends_i.extend(offsets.iter().map(|&o| {

@@ -36,6 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use fatrobots_geometry::Point;
+use fatrobots_sim::json::JsonValue;
 use fatrobots_sim::world::{World, WorldMode};
 
 const SIDE: usize = 100;
@@ -261,15 +262,24 @@ fn main() -> ExitCode {
     }
 
     if let Ok(path) = std::env::var("SCALE_TELEMETRY") {
-        let json = format!(
-            "{{\n  \"n\": {N},\n  \"events\": {EVENT_BUDGET},\n  \
-             \"events_per_sec\": {events_per_sec:.1},\n  \"cache_hits\": {hits},\n  \
-             \"cache_misses\": {misses},\n  \"cover_answers\": {covers},\n  \
-             \"cert_skips\": {skips},\n  \"pair_entries\": {entries},\n  \
-             \"registrations\": {registrations},\n  \
-             \"fingerprint\": \"{state_fp:#018x}\",\n  \"heap_live_mib\": {live_mib:.1},\n  \
-             \"heap_peak_mib\": {peak_mib:.1},\n  \"ok\": {ok}\n}}\n"
-        );
+        let int = |v: u64| JsonValue::Int(v as i64);
+        let tenth = |v: f64| JsonValue::num((v * 10.0).round() / 10.0);
+        let fields = [
+            ("n", int(N as u64)),
+            ("events", int(EVENT_BUDGET as u64)),
+            ("events_per_sec", tenth(events_per_sec)),
+            ("cache_hits", int(hits)),
+            ("cache_misses", int(misses)),
+            ("cover_answers", int(covers)),
+            ("cert_skips", int(skips)),
+            ("pair_entries", int(entries)),
+            ("registrations", int(registrations)),
+            ("fingerprint", JsonValue::Str(format!("{state_fp:#018x}"))),
+            ("heap_live_mib", tenth(live_mib)),
+            ("heap_peak_mib", tenth(peak_mib)),
+            ("ok", JsonValue::Bool(ok)),
+        ];
+        let json = JsonValue::Obj(fields.map(|(k, v)| (k.to_string(), v)).into()).to_pretty();
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("scale_smoke: FAIL — cannot write telemetry to {path}: {e}");
             ok = false;

@@ -45,33 +45,22 @@ use crate::json::{self, JsonValue};
 /// a chance to".
 pub const SHRINK_EVENT_FLOOR: usize = 400;
 
-/// A fuzz scenario: the subset of a [`RunSpec`] the fuzzer explores. The
-/// strategy is always the paper's algorithm, δ and the world mode stay at
-/// their defaults, so a scenario is replayed bit-identically from these
-/// five fields alone.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScenarioSpec {
-    /// Number of robots.
-    pub n: usize,
-    /// Seed for the initial configuration and the adversary.
-    pub seed: u64,
-    /// Initial configuration shape.
-    pub shape: Shape,
-    /// Asynchronous schedule (possibly a fault injector).
-    pub adversary: AdversaryKind,
-    /// Event budget the scenario is judged under.
-    pub max_events: usize,
-}
-
-impl ScenarioSpec {
-    /// The full [`RunSpec`] this scenario replays as.
-    pub fn to_run_spec(&self) -> RunSpec {
-        RunSpec {
-            shape: self.shape,
-            adversary: self.adversary,
-            max_events: self.max_events,
-            ..RunSpec::new(self.n, self.seed)
-        }
+/// A fuzz scenario: the [`RunSpec`] of `n` robots and `seed` with the
+/// given shape, adversary and event budget. Every other field keeps its
+/// [`RunSpec::new`] default (the paper's algorithm, δ, the sparse world),
+/// so a scenario is replayed bit-identically from these five values alone.
+pub fn scenario(
+    n: usize,
+    seed: u64,
+    shape: Shape,
+    adversary: AdversaryKind,
+    max_events: usize,
+) -> RunSpec {
+    RunSpec {
+        shape,
+        adversary,
+        max_events,
+        ..RunSpec::new(n, seed)
     }
 }
 
@@ -92,8 +81,8 @@ pub struct Census {
 }
 
 /// Replays a scenario and returns its census.
-pub fn replay(spec: &ScenarioSpec) -> Census {
-    let summary = experiment::run(&spec.to_run_spec());
+pub fn replay(spec: &RunSpec) -> Census {
+    let summary = experiment::run(spec);
     Census {
         gathered: summary.gathered,
         terminated: summary.terminated,
@@ -125,19 +114,6 @@ impl Default for FuzzConfig {
     }
 }
 
-/// One non-gathering find, fully shrunk.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Finding {
-    /// The minimized scenario.
-    pub spec: ScenarioSpec,
-    /// Its census (the fixture's expected values).
-    pub census: Census,
-    /// Accepted shrink moves (smaller `n`, smaller `k`, halved budget).
-    pub shrink_steps: u32,
-    /// `"pilot"` for pilot-corpus scenarios, `"random"` for swept ones.
-    pub origin: &'static str,
-}
-
 /// The outcome of a fuzz campaign.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FuzzReport {
@@ -152,47 +128,24 @@ pub struct FuzzReport {
     /// budget).
     pub shrink_replays: u64,
     /// The shrunk findings, in discovery order.
-    pub findings: Vec<Finding>,
+    pub findings: Vec<Fixture>,
 }
 
 /// The deterministic pilot corpus: the ROADMAP stall census corners plus a
 /// fault-injection corner on the new adversarial shapes. Seeding the sweep
 /// with the known livelocks guarantees the CI smoke gate rediscovers them
 /// regardless of the random tail.
-fn pilot_corpus() -> Vec<ScenarioSpec> {
+fn pilot_corpus() -> Vec<RunSpec> {
+    use AdversaryKind::{CrashStop, RandomAsync, SlowCoalition};
     vec![
         // The canonical stall: n = 16, seed 2, random starts, random-async
         // schedule — not gathered after 100k events (seeds 1, 4, 5 gather).
-        ScenarioSpec {
-            n: 16,
-            seed: 2,
-            shape: Shape::Random,
-            adversary: AdversaryKind::RandomAsync,
-            max_events: 100_000,
-        },
-        ScenarioSpec {
-            n: 16,
-            seed: 3,
-            shape: Shape::Random,
-            adversary: AdversaryKind::RandomAsync,
-            max_events: 100_000,
-        },
+        scenario(16, 2, Shape::Random, RandomAsync, 100_000),
+        scenario(16, 3, Shape::Random, RandomAsync, 100_000),
         // Fault corners: a crashed coalition on the bridge corridor and a
         // δ-crawling coalition on the near-collinear chain.
-        ScenarioSpec {
-            n: 12,
-            seed: 1,
-            shape: Shape::Bridge,
-            adversary: AdversaryKind::CrashStop { k: 3 },
-            max_events: 24_000,
-        },
-        ScenarioSpec {
-            n: 10,
-            seed: 1,
-            shape: Shape::NearCollinear,
-            adversary: AdversaryKind::SlowCoalition { k: 3 },
-            max_events: 24_000,
-        },
+        scenario(12, 1, Shape::Bridge, CrashStop { k: 3 }, 24_000),
+        scenario(10, 1, Shape::NearCollinear, SlowCoalition { k: 3 }, 24_000),
     ]
 }
 
@@ -215,9 +168,9 @@ pub fn confirm_cap(n: usize) -> usize {
 /// `true` when the scenario still stalls at the confirmation budget
 /// (ignoring its own `max_events`). Every call is one replay, tallied in
 /// `confirm_replays`.
-fn stalls_confirmed(spec: &ScenarioSpec, report: &mut FuzzReport) -> bool {
+fn stalls_confirmed(spec: &RunSpec, report: &mut FuzzReport) -> bool {
     report.confirm_replays += 1;
-    let confirm = ScenarioSpec {
+    let confirm = RunSpec {
         max_events: confirm_cap(spec.n),
         ..*spec
     };
@@ -225,25 +178,13 @@ fn stalls_confirmed(spec: &ScenarioSpec, report: &mut FuzzReport) -> bool {
 }
 
 /// One random scenario drawn from the fuzz pool.
-fn random_scenario(rng: &mut StdRng) -> ScenarioSpec {
+fn random_scenario(rng: &mut StdRng) -> RunSpec {
     let n = rng.gen_range(4usize..=16);
     let seed = rng.gen_range(0u64..=9);
     let shape = Shape::ALL[rng.gen_range(0..Shape::ALL.len())];
     let adversary = AdversaryKind::ALL[rng.gen_range(0..AdversaryKind::ALL.len())];
     let k = rng.gen_range(1usize..=3);
-    let adversary = match adversary {
-        AdversaryKind::CrashStop { .. } => AdversaryKind::CrashStop { k },
-        AdversaryKind::PersistentSleep { .. } => AdversaryKind::PersistentSleep { k },
-        AdversaryKind::SlowCoalition { .. } => AdversaryKind::SlowCoalition { k },
-        other => other,
-    };
-    ScenarioSpec {
-        n,
-        seed,
-        shape,
-        adversary,
-        max_events: sweep_cap(n),
-    }
+    scenario(n, seed, shape, with_fault_k(adversary, k), sweep_cap(n))
 }
 
 /// Replaces the fault parameter of a fault adversary (no-op otherwise).
@@ -264,13 +205,13 @@ fn with_fault_k(adversary: AdversaryKind, k: usize) -> AdversaryKind {
 /// property is monotone under budget cuts, but every cut is verified by
 /// replay anyway). Returns the minimized spec, its census, and the number
 /// of accepted shrink moves.
-fn shrink(found: ScenarioSpec, report: &mut FuzzReport) -> (ScenarioSpec, Census, u32) {
+fn shrink(found: RunSpec, report: &mut FuzzReport) -> (RunSpec, Census, u32) {
     let mut spec = found;
     let mut steps = 0u32;
     // Smallest n that still stalls, scanned from the bottom: the first hit
     // is the global minimum, so no further descent is needed.
     for n in 2..spec.n {
-        let candidate = ScenarioSpec { n, ..spec };
+        let candidate = RunSpec { n, ..spec };
         if stalls_confirmed(&candidate, report) {
             spec = candidate;
             steps += 1;
@@ -280,7 +221,7 @@ fn shrink(found: ScenarioSpec, report: &mut FuzzReport) -> (ScenarioSpec, Census
     // Smallest fault parameter that still stalls.
     if spec.adversary.fault_k() > 1 {
         for k in 1..spec.adversary.fault_k() {
-            let candidate = ScenarioSpec {
+            let candidate = RunSpec {
                 adversary: with_fault_k(spec.adversary, k),
                 ..spec
             };
@@ -294,7 +235,7 @@ fn shrink(found: ScenarioSpec, report: &mut FuzzReport) -> (ScenarioSpec, Census
     // Shortest event-budget prefix that still fails to gather.
     let floor = SHRINK_EVENT_FLOOR * spec.n;
     while spec.max_events / 2 >= floor {
-        let candidate = ScenarioSpec {
+        let candidate = RunSpec {
             max_events: spec.max_events / 2,
             ..spec
         };
@@ -342,27 +283,28 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
         }
         let (shrunk, shrunk_census, shrink_steps) = shrink(spec, &mut report);
         found_families.push(family);
-        report.findings.push(Finding {
+        report.findings.push(Fixture {
             spec: shrunk,
-            census: shrunk_census,
+            expected: shrunk_census,
+            origin: origin.to_string(),
             shrink_steps,
-            origin,
         });
     }
     report
 }
 
-/// A committed regression fixture: the shrunk scenario plus its expected
-/// census and provenance.
+/// One shrunk non-gathering find: the minimized scenario plus its expected
+/// census and provenance. A campaign reports its findings as fixtures, and
+/// each is filed as one regression fixture file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fixture {
     /// The minimized scenario.
-    pub spec: ScenarioSpec,
+    pub spec: RunSpec,
     /// The census the replay must reproduce exactly.
     pub expected: Census,
-    /// `"pilot"` or `"random"`.
+    /// `"pilot"` for pilot-corpus scenarios, `"random"` for swept ones.
     pub origin: String,
-    /// Accepted shrink moves behind this fixture.
+    /// Accepted shrink moves (smaller `n`, smaller `k`, halved budget).
     pub shrink_steps: u32,
 }
 
@@ -377,30 +319,43 @@ impl Fixture {
         name
     }
 
-    /// Serializes the fixture (byte-stable: fixed field order, fixed
-    /// indentation, `\n` line ends).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"fixture_schema\": 1,\n  \"n\": {},\n  \"seed\": {},\n  \"shape\": \"{}\",\n  \"adversary\": \"{}\",\n  \"fault_k\": {},\n  \"max_events\": {},\n  \"origin\": \"{}\",\n  \"shrink_steps\": {},\n  \"census\": {{\n    \"gathered\": {},\n    \"terminated\": {},\n    \"events\": {},\n    \"distance_bits\": {}\n  }}\n}}\n",
-            self.spec.n,
-            self.spec.seed,
-            self.spec.shape.name(),
-            self.spec.adversary.name(),
-            self.spec.adversary.fault_k(),
-            self.spec.max_events,
-            self.origin,
-            self.shrink_steps,
-            self.expected.gathered,
-            self.expected.terminated,
-            self.expected.events,
-            self.expected.distance_bits,
-        )
+    /// The fixture record: the layout of a fixture file (via
+    /// [`JsonValue::to_pretty`]) and of each `findings` entry of the fuzz
+    /// telemetry. `distance_bits` is the bit pattern of a non-negative
+    /// distance, so its sign bit is clear and it fits the codec's `i64`.
+    pub fn to_json(&self) -> JsonValue {
+        let int = |v: u64| JsonValue::Int(v as i64);
+        let spec = &self.spec;
+        let census = &self.expected;
+        JsonValue::Obj(vec![
+            ("fixture_schema".into(), int(1)),
+            ("n".into(), int(spec.n as u64)),
+            ("seed".into(), int(spec.seed)),
+            ("shape".into(), JsonValue::Str(spec.shape.name().into())),
+            (
+                "adversary".into(),
+                JsonValue::Str(spec.adversary.name().into()),
+            ),
+            ("fault_k".into(), int(spec.adversary.fault_k() as u64)),
+            ("max_events".into(), int(spec.max_events as u64)),
+            ("origin".into(), JsonValue::Str(self.origin.clone())),
+            ("shrink_steps".into(), int(u64::from(self.shrink_steps))),
+            (
+                "census".into(),
+                JsonValue::Obj(vec![
+                    ("gathered".into(), JsonValue::Bool(census.gathered)),
+                    ("terminated".into(), JsonValue::Bool(census.terminated)),
+                    ("events".into(), int(census.events as u64)),
+                    ("distance_bits".into(), int(census.distance_bits)),
+                ]),
+            ),
+        ])
     }
 
-    /// Parses a fixture serialized by [`Self::to_json`].
+    /// The strict inverse of [`Self::to_json`]: parses a fixture document
+    /// and rejects it unless it is exactly the record `to_json` writes for
+    /// the fixture it describes.
     pub fn from_json(text: &str) -> Result<Fixture, String> {
-        // `distance_bits` is the bit pattern of a non-negative distance, so
-        // its sign bit is clear and it fits the codec's `i64` integers.
         fn field<'a, T>(
             obj: &'a JsonValue,
             key: &str,
@@ -419,14 +374,14 @@ impl Fixture {
         let fault_k = field(&doc, "fault_k", JsonValue::as_u64)? as usize;
         let adversary = AdversaryKind::from_name(adversary_name, fault_k)
             .ok_or_else(|| format!("unknown adversary '{adversary_name}'"))?;
-        Ok(Fixture {
-            spec: ScenarioSpec {
-                n: field(&doc, "n", JsonValue::as_u64)? as usize,
-                seed: field(&doc, "seed", JsonValue::as_u64)?,
+        let fixture = Fixture {
+            spec: scenario(
+                field(&doc, "n", JsonValue::as_u64)? as usize,
+                field(&doc, "seed", JsonValue::as_u64)?,
                 shape,
                 adversary,
-                max_events: field(&doc, "max_events", JsonValue::as_u64)? as usize,
-            },
+                field(&doc, "max_events", JsonValue::as_u64)? as usize,
+            ),
             expected: Census {
                 gathered: field(census, "gathered", JsonValue::as_bool)?,
                 terminated: field(census, "terminated", JsonValue::as_bool)?,
@@ -435,7 +390,14 @@ impl Fixture {
             },
             origin: field(&doc, "origin", JsonValue::as_str)?.to_string(),
             shrink_steps: field(&doc, "shrink_steps", JsonValue::as_u64)? as u32,
-        })
+        };
+        // Rejects what the field reads above let through: extra or
+        // reordered keys, another schema number, a fault parameter on a
+        // fault-free adversary.
+        if fixture.to_json() != doc {
+            return Err("not a canonical fixture record".into());
+        }
+        Ok(fixture)
     }
 }
 
@@ -444,17 +406,11 @@ impl Fixture {
 pub fn write_fixtures(report: &FuzzReport, dir: &Path) -> io::Result<Vec<PathBuf>> {
     std::fs::create_dir_all(dir)?;
     let mut paths = Vec::with_capacity(report.findings.len());
-    for finding in &report.findings {
-        let fixture = Fixture {
-            spec: finding.spec,
-            expected: finding.census,
-            origin: finding.origin.to_string(),
-            shrink_steps: finding.shrink_steps,
-        };
+    for fixture in &report.findings {
         let path = dir.join(fixture.file_name());
         // Atomic (temp + rename): a killed fuzz run never leaves a torn
         // fixture for the regression loader to choke on.
-        crate::checkpoint::write_atomic(&path, fixture.to_json().as_bytes())?;
+        crate::checkpoint::write_atomic(&path, fixture.to_json().to_pretty().as_bytes())?;
         paths.push(path);
     }
     Ok(paths)
@@ -492,13 +448,13 @@ mod tests {
 
     fn stall_fixture() -> Fixture {
         Fixture {
-            spec: ScenarioSpec {
-                n: 16,
-                seed: 2,
-                shape: Shape::Random,
-                adversary: AdversaryKind::CrashStop { k: 2 },
-                max_events: 12_500,
-            },
+            spec: scenario(
+                16,
+                2,
+                Shape::Random,
+                AdversaryKind::CrashStop { k: 2 },
+                12_500,
+            ),
             expected: Census {
                 gathered: false,
                 terminated: false,
@@ -513,10 +469,14 @@ mod tests {
     #[test]
     fn fixture_json_round_trips_byte_exactly() {
         let fixture = stall_fixture();
-        let text = fixture.to_json();
+        let text = fixture.to_json().to_pretty();
         let parsed = Fixture::from_json(&text).expect("fixture parses");
         assert_eq!(parsed, fixture);
-        assert_eq!(parsed.to_json(), text, "serialization is byte-stable");
+        assert_eq!(
+            parsed.to_json().to_pretty(),
+            text,
+            "serialization is byte-stable"
+        );
         assert_eq!(fixture.file_name(), "random_crash-stop_k2_n16_seed2.json");
     }
 
@@ -525,20 +485,25 @@ mod tests {
         assert!(Fixture::from_json("").is_err());
         assert!(Fixture::from_json("{}").is_err());
         assert!(Fixture::from_json("{\"n\": 3").is_err());
-        let good = stall_fixture().to_json();
+        let good = stall_fixture().to_json().to_pretty();
         assert!(Fixture::from_json(&good.replace("random", "no-such-shape")).is_err());
+        // Documents every field read accepts, but that do not re-serialize
+        // to themselves: an extra key, and two keys swapped.
+        let schema = "\"fixture_schema\": 1,";
+        let extra = good.replace(schema, &format!("{schema}\n  \"note\": 0,"));
+        let n_seed = "\"n\": 16,\n  \"seed\": 2,";
+        let reordered = good.replace(n_seed, "\"seed\": 2,\n  \"n\": 16,");
+        for bad in [&extra, &reordered] {
+            assert_ne!(bad, &good);
+            assert!(json::parse(bad).is_ok(), "{bad}");
+            assert!(Fixture::from_json(bad).is_err(), "accepted:\n{bad}");
+        }
         assert!(Fixture::from_json(&(good + "x")).is_err());
     }
 
     #[test]
     fn replay_is_deterministic() {
-        let spec = ScenarioSpec {
-            n: 5,
-            seed: 3,
-            shape: Shape::Circle,
-            adversary: AdversaryKind::RoundRobin,
-            max_events: 120_000,
-        };
+        let spec = scenario(5, 3, Shape::Circle, AdversaryKind::RoundRobin, 120_000);
         let a = replay(&spec);
         assert_eq!(a, replay(&spec));
         assert!(a.gathered, "5 robots on a circle gather");
@@ -549,13 +514,7 @@ mod tests {
         // Stop-happy never gathers a line in a short window: shrinking must
         // walk n down to the smallest still-failing system and cut the
         // budget to the floor, with the property verified on every move.
-        let found = ScenarioSpec {
-            n: 8,
-            seed: 1,
-            shape: Shape::Line,
-            adversary: AdversaryKind::StopHappy,
-            max_events: 9_600,
-        };
+        let found = scenario(8, 1, Shape::Line, AdversaryKind::StopHappy, 9_600);
         assert!(!replay(&found).gathered, "the seed find must fail");
         let mut report = FuzzReport::default();
         let (shrunk, census, steps) = shrink(found, &mut report);
@@ -567,7 +526,7 @@ mod tests {
         // Minimality in n: every smaller system gathers even at the
         // confirmation budget — the shrink missed no smaller witness.
         for n in 2..shrunk.n {
-            let smaller = ScenarioSpec {
+            let smaller = RunSpec {
                 n,
                 max_events: confirm_cap(n),
                 ..shrunk
@@ -595,7 +554,7 @@ mod tests {
         assert_eq!(finding.origin, "pilot");
         assert_eq!(finding.spec.shape, Shape::Random);
         assert_eq!(finding.spec.adversary, AdversaryKind::RandomAsync);
-        assert!(!finding.census.gathered);
+        assert!(!finding.expected.gathered);
         assert_eq!(&fuzz(&config), &report, "campaigns replay bit-identically");
     }
 
@@ -607,19 +566,13 @@ mod tests {
             events_spent: 100,
             confirm_replays: 3,
             shrink_replays: 2,
-            findings: vec![Finding {
-                spec: stall_fixture().spec,
-                census: stall_fixture().expected,
-                shrink_steps: 3,
-                origin: "pilot",
-            }],
+            findings: vec![stall_fixture()],
         };
         let paths = write_fixtures(&report, &dir).expect("fixtures written");
         assert_eq!(paths.len(), 1);
         let loaded = load_fixtures(&dir).expect("fixtures load");
         assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded[0].1.spec, stall_fixture().spec);
-        assert_eq!(loaded[0].1.expected, stall_fixture().expected);
+        assert_eq!(loaded[0].1, stall_fixture());
         std::fs::remove_dir_all(&dir).ok();
         assert!(
             load_fixtures(&dir)

@@ -1,8 +1,10 @@
 //! A minimal hand-rolled JSON layer.
 //!
 //! The workspace is offline (no serde), but `bench_report.json` still has to
-//! be real JSON so CI artifacts are consumable by ordinary tooling. This
-//! module provides the three pieces the report needs and nothing more:
+//! be real JSON so CI artifacts are consumable by ordinary tooling. Every
+//! JSON document the workspace writes (the report, the checkpoint journal's
+//! records, the fuzz fixtures and telemetry, `scale_smoke`'s telemetry)
+//! goes through this module, which provides three pieces and nothing more:
 //!
 //! * [`JsonValue`] — an ordered document model (object keys keep insertion
 //!   order so reports are stable and diffable);

@@ -454,11 +454,6 @@ pub struct World {
     /// first fails every skip check (dirtying the row as usual) and then
     /// resets the anchor to the new position.
     anchors: Vec<Point>,
-    /// Structure-of-arrays mirror of `centers`, kept in sync by
-    /// [`Self::move_robot`]: the batched corridor filter reads coordinates
-    /// from flat lanes instead of an array-of-structs.
-    xs: Vec<f64>,
-    ys: Vec<f64>,
     /// Lazily recomputed global state, each tagged with the version it was
     /// computed at. The hull is rebuilt **in place** (its buffers and the
     /// construction scratch are reused across version bumps): `hull_version`
@@ -516,8 +511,6 @@ impl World {
         } else {
             SparseVis::default()
         };
-        let xs = centers.iter().map(|c| c.x).collect();
-        let ys = centers.iter().map(|c| c.y).collect();
         let anchors = if mode == WorldMode::Sparse {
             centers.clone()
         } else {
@@ -530,8 +523,6 @@ impl World {
             version: 0,
             sparse,
             anchors,
-            xs,
-            ys,
             hull: ConvexHull::default(),
             hull_scratch: HullScratch::default(),
             hull_version: None,
@@ -689,10 +680,8 @@ impl World {
                 }
             }
         }
-        self.grid.move_point(i, p);
+        self.grid.move_point(i, old, p);
         self.centers[i] = p;
-        self.xs[i] = p.x;
-        self.ys[i] = p.y;
     }
 
     /// Processes one cell's corridor registrations at one grid level for a
@@ -884,16 +873,15 @@ impl World {
         if lanes.key == Some((row, self.version)) {
             return;
         }
-        let (cx, cy) = (self.xs[row], self.ys[row]);
+        let c = self.centers[row];
         lanes.order.clear();
         lanes.order.extend(
-            self.xs
+            self.centers
                 .iter()
-                .zip(&self.ys)
                 .enumerate()
                 .filter(|&(k, _)| k != row)
-                .map(|(k, (&x, &y))| {
-                    let (dx, dy) = (x - cx, y - cy);
+                .map(|(k, q)| {
+                    let (dx, dy) = (q.x - c.x, q.y - c.y);
                     ((dx * dx + dy * dy).to_bits(), k as u32)
                 }),
         );
@@ -911,9 +899,10 @@ impl World {
         ys.clear();
         sites.clear();
         for &(bits, k) in order.iter() {
+            let q = self.centers[k as usize];
             d2.push(f64::from_bits(bits));
-            xs.push(self.xs[k as usize]);
-            ys.push(self.ys[k as usize]);
+            xs.push(q.x);
+            ys.push(q.y);
             sites.push(k);
         }
         lanes.key = Some((row, self.version));
@@ -963,8 +952,9 @@ impl World {
         probe.sx.clear();
         probe.sy.clear();
         for &k in &probe.cand {
-            probe.sx.push(self.xs[k]);
-            probe.sy.push(self.ys[k]);
+            let q = self.centers[k];
+            probe.sx.push(q.x);
+            probe.sy.push(q.y);
         }
         probe.keep.clear();
         corridor_filter_soa(
@@ -1013,7 +1003,7 @@ impl World {
     /// polygon budget where the window's did not.
     ///
     /// Safe to call from worker threads on a shared `&World`: it reads only
-    /// the centers (and their SoA mirror), the grid and the configuration
+    /// the centers, the grid and the configuration
     /// version, which no commit writes, so where it runs cannot change the
     /// answer [`Self::commit_pair`] later stores.
     ///

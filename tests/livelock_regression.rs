@@ -21,7 +21,7 @@ use std::path::Path;
 
 use fatrobots::prelude::*;
 use fatrobots::sim::experiment::{run, AdversaryKind, RunSpec, StrategyKind};
-use fatrobots::sim::fuzz::{self, Fixture};
+use fatrobots::sim::fuzz;
 use fatrobots::sim::init::Shape;
 
 /// Shadow-oracle verdict on the livelock, pinned (see ROADMAP.md): over a
@@ -182,13 +182,7 @@ fn fuzz_fixtures_replay_to_their_recorded_census() {
         // the CI fuzz-smoke job can compare regenerated fixtures with a
         // plain byte diff.
         let on_disk = std::fs::read_to_string(&path).expect("fixture readable");
-        let canonical = Fixture {
-            spec: fixture.spec,
-            expected: fixture.expected,
-            origin: fixture.origin.clone(),
-            shrink_steps: fixture.shrink_steps,
-        }
-        .to_json();
+        let canonical = fixture.to_json().to_pretty();
         assert_eq!(
             on_disk,
             canonical,
