@@ -43,9 +43,10 @@
 //!   sparse pairwise visibility store (lazy dirty-pair invalidation over a
 //!   hierarchical spatial grid), cached hull/connectivity/validity, and a
 //!   from-scratch reference mode that pins the cached path to
-//!   bit-identical results. A large row refresh fans its read-only pair
-//!   kernels out across the host's cores and commits them serially — the
-//!   engine's only in-run parallelism.
+//!   bit-identical results. A row refresh of at least eight recomputes
+//!   fans its read-only pair kernels out to a persistent pool of helper
+//!   threads and commits them serially — the engine's only in-run
+//!   parallelism.
 //!
 //! ## Quick example
 //!

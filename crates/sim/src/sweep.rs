@@ -43,6 +43,18 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
+thread_local! {
+    /// Set on the workers of a multi-worker sweep.
+    static ON_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// `true` on a worker thread of a [`SweepPool`] with more than one worker:
+/// its runs share the host's cores already, so their worlds never fan a
+/// row out. An inline sweep runs on the caller's thread and does.
+pub(crate) fn on_worker() -> bool {
+    ON_WORKER.with(std::cell::Cell::get)
+}
+
 /// How [`SweepPool::run_supervised`] bounds each run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SupervisionPolicy {
@@ -100,7 +112,7 @@ fn attempt(spec: &RunSpec, policy: &SupervisionPolicy) -> Verdict {
 }
 
 /// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -159,12 +171,15 @@ impl SweepPool {
                 for _ in 0..workers {
                     let verdict_tx = verdict_tx.clone();
                     let next = &next;
-                    scope.spawn(move || loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(spec) = specs.get(slot) else { break };
-                        // A send error means the caller is unwinding; stop.
-                        if verdict_tx.send((slot, attempt(spec, policy))).is_err() {
-                            break;
+                    scope.spawn(move || {
+                        ON_WORKER.with(|on| on.set(true));
+                        loop {
+                            let slot = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(spec) = specs.get(slot) else { break };
+                            // A send error means the caller is unwinding; stop.
+                            if verdict_tx.send((slot, attempt(spec, policy))).is_err() {
+                                break;
+                            }
                         }
                     });
                 }

@@ -52,7 +52,7 @@
 //!
 //! ## Where a recompute's obstacles come from
 //!
-//! `World::compute_pair_answer` takes the pair's corridor slice from one
+//! `Sites::compute_pair_answer` takes the pair's corridor slice from one
 //! of two sources, chosen by the robot count alone (`SCAN_MAX_N`, set at
 //! a measured crossover):
 //!
@@ -71,6 +71,25 @@
 //!
 //! Both sources keep the same obstacle set after the filter.
 //!
+//! ## Where a row's pair kernels run
+//!
+//! The event loop is serial, so the only in-run parallelism is inside one
+//! row refresh, whose planned pairs are independent read-only kernels. A
+//! plan of at least `ROW_FANOUT_MIN_PAIRS` pairs is fanned out: the world
+//! fills its reused `FanoutJob` (the row, each pair's partner, one answer
+//! slot per pair, and an `Arc` of the centers, grid and version) and posts
+//! it to a process-wide pool of `host_parallelism() − 1` helper threads,
+//! started on the first fan-out and kept alive, spinning briefly and then
+//! parked, between rows. The caller claims chunks of the plan through an
+//! atomic counter from the start and answers them itself; once none is
+//! left it takes the job back out of the slot, waits only for a helper
+//! still finishing a chunk, and commits the answers serially in plan
+//! order. A helper never outlives its job's hold on the configuration, so
+//! `move_robot` writes it through `Arc::make_mut` without copying. Runs
+//! on the workers of a multi-worker sweep keep every row serial (their
+//! cores are already busy), and a panic in a helper's kernel is re-raised
+//! on the caller.
+//!
 //! ## Bit-identical results
 //!
 //! The cached path answers every query through the *same* geometric kernels
@@ -86,8 +105,13 @@
 //! recomputes everything per query, which is how the determinism suite pins
 //! the equivalence event-for-event.
 
+use std::any::Any;
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 use fatrobots_geometry::grid::{CellCoord, CellHashBuilder, CellMap, UniformGrid, GRID_LEVELS};
 use fatrobots_geometry::hull::{ConvexHull, HullScratch};
@@ -119,22 +143,30 @@ const CONTACT_QUERY_MARGIN: f64 = 1e-3;
 const REGISTRATION_COMPACT_LEN: usize = 64;
 
 /// Plan length from which a sparse row refresh fans its pair kernels out
-/// across cores ([`World::compute_answers`]). Measured on a 2-vCPU host
-/// (rustc 1.95) as first-row refreshes at width 2 vs serial: random
-/// spreads gain 1.2× at 128 pairs and 1.55× at 512. Jittered hex packings
-/// gain 1.9× at 10⁴ pairs, but in host windows where their strip-cover
-/// kernels got nothing from the second vCPU they lost 5–10% below 256
-/// pairs (thread spawn and answer bookkeeping) and broke even from 384.
-/// At 512 that overhead stays under 3% of the row even then, and rows of
-/// the n ≤ 96 experiment tables (at most 95 pairs) never fan out.
-const ROW_FANOUT_MIN_PAIRS: usize = 512;
+/// to the helper pool ([`World::compute_answers`]). Measured on a 2-vCPU
+/// host (rustc 1.95) as refreshes of rows with `L` dirtied pairs at width
+/// 2 vs serial, helper awake, at n ∈ {32, 96, 128}: random spreads gain
+/// 1.0× at `L` = 2, 1.1–1.2× at 4 and 1.2–1.5× from 8 on; hex packings
+/// 1.0–1.2× at 2, 1.2–1.35× at 4 and 1.4–1.65× from 8 on. 8 is the
+/// shortest plan at which every case gained at least 1.2×. Rows of
+/// n = 6 worlds (at most 5 pairs) never fan out.
+const ROW_FANOUT_MIN_PAIRS: usize = 8;
 
-/// Plan entries a fan-out worker claims at a time: the shared claim lock
-/// is taken ~150 times per 10⁴-pair row, and the workers finish within
-/// one chunk's kernels of each other.
-const FANOUT_CHUNK: usize = 64;
+/// Chunks per fan-out thread a plan is cut into: enough that a helper
+/// waking late still finds work and both threads finish within one small
+/// chunk of each other, few enough that claims stay rare.
+const FANOUT_CHUNKS_PER_THREAD: usize = 4;
 
-/// The host's parallelism, read once: the width of the row fan-out.
+/// Largest chunk a fan-out thread claims at a time (a 10⁴-pair row is cut
+/// into ~150 claims).
+const FANOUT_CHUNK_MAX: usize = 64;
+
+/// How long an idle helper spins on the job slot before it parks: longer
+/// than the gap between two fanned-out Looks of a busy run, so a run's
+/// helper stays awake between its rows and parks when the run ends.
+const HELPER_SPIN: Duration = Duration::from_micros(200);
+
+/// The host's parallelism, read once.
 fn host_parallelism() -> usize {
     static WIDTH: OnceLock<usize> = OnceLock::new();
     *WIDTH.get_or_init(crate::sweep::default_jobs)
@@ -219,7 +251,7 @@ impl PairEntry {
 /// obstacles as well as endpoints.
 const CERT_DRIFT_RADIUS: f64 = COVER_STABILITY_RADIUS / 2.0;
 
-/// Half-length of the mid-chord window [`World::compute_pair_answer`]
+/// Half-length of the mid-chord window [`Sites::compute_pair_answer`]
 /// tries the slack cover on before gathering a long chord's whole
 /// corridor, in worlds above [`SCAN_MAX_N`] robots (the row scan has no
 /// gather to save): one cell edge either side of the midpoint, which holds
@@ -234,7 +266,7 @@ const CERT_WINDOW_HALF_LEN: f64 = GRID_CELL;
 const CERT_WINDOW_RADIUS: f64 = 2.5 * UNIT_RADIUS;
 
 /// Largest world whose pair recomputes take their corridor slice from the
-/// row scan ([`World::prime_row`]) instead of the grid gather and the
+/// row scan ([`Sites::prime_row`]) instead of the grid gather and the
 /// mid-chord window. Set at the measured crossover: serial row refreshes
 /// of random spreads (`Shape::Random`) and hex packings at spacing 2.1,
 /// 2 vCPUs, rustc 1.95, scan vs grid (first rows, a mover's re-Look, a
@@ -245,8 +277,7 @@ const CERT_WINDOW_RADIUS: f64 = 2.5 * UNIT_RADIUS;
 /// chords, gain 1.15–1.3× at n = 32, break even at 96 and 128, and lose
 /// from 192 (0.91×), 256 (0.77–0.89×) and 600 (0.61–0.66×). At n = 10⁴
 /// the scan is 2–3.5× slower on random spreads and 12–14× on hex. 128 is
-/// the largest size measured where neither shape loses, and it keeps every
-/// scan row below `ROW_FANOUT_MIN_PAIRS`.
+/// the largest size measured where neither shape loses.
 const SCAN_MAX_N: usize = 128;
 
 /// Relative slack on the row scan's squared prefix bound
@@ -406,7 +437,7 @@ fn adj_remove(list: &mut Vec<u32>, v: u32) {
     }
 }
 
-/// Per-thread scratch buffers for [`World::compute_pair_answer`] — the
+/// Per-thread scratch buffers for [`Sites::compute_pair_answer`] — the
 /// read-only twin of the `World`'s own reusable query buffers, owned by the
 /// caller so concurrent probes never share storage.
 #[derive(Debug, Default)]
@@ -422,7 +453,7 @@ struct PairProbe {
 
 /// One row of a small world in structure-of-arrays lanes: every site but
 /// the row's own, sorted by squared distance `d2` from the row's center.
-/// Primed once per (row, configuration version) by [`World::prime_row`];
+/// Primed once per (row, configuration version) by [`Sites::prime_row`];
 /// a pair's corridor candidates are then a prefix of the lanes.
 #[derive(Debug, Default)]
 struct RowLanes {
@@ -437,15 +468,26 @@ struct RowLanes {
     sites: Vec<u32>,
 }
 
+/// The configuration a pair recompute reads: the centers, their grid and
+/// the configuration version. A [`World`] holds it behind an `Arc` so a
+/// fan-out helper can read it without borrowing the world; only a fan-out
+/// job clones that `Arc`, and it drops the clone before the row commits,
+/// so `move_robot`'s `Arc::make_mut` always finds it unique and never
+/// copies.
+#[derive(Debug, Clone)]
+struct Sites {
+    centers: Vec<Point>,
+    grid: UniformGrid,
+    /// Configuration version: incremented once per applied move.
+    version: u64,
+}
+
 /// The simulator's ground-truth configuration plus incrementally maintained
 /// derived state. See the module docs for the design.
 #[derive(Debug)]
 pub struct World {
     mode: WorldMode,
-    centers: Vec<Point>,
-    grid: UniformGrid,
-    /// Configuration version: incremented once per applied move.
-    version: u64,
+    sites: Arc<Sites>,
     /// Visibility state ([`WorldMode::Sparse`] only; empty otherwise).
     sparse: SparseVis,
     /// Per-robot certificate anchors ([`WorldMode::Sparse`] only; empty
@@ -486,9 +528,13 @@ pub struct World {
     cand_buf: Vec<usize>,
     /// Reusable scratch of the serial pair recompute.
     probe: PairProbe,
-    /// Threads a large sparse row refresh fans its pair kernels out over
-    /// (calling thread included); 1 keeps every refresh serial.
+    /// Threads a sparse row refresh of at least `ROW_FANOUT_MIN_PAIRS`
+    /// recomputes fans its pair kernels out over (calling thread
+    /// included); 1 keeps every refresh serial.
     row_fanout_width: usize,
+    /// This world's fan-out job, created on its first fan-out and reused
+    /// for every later one.
+    job: Option<Arc<FanoutJob>>,
     /// Reusable buffers of [`Self::refresh_row`]: the slab ids of the
     /// pairs to recompute, and their answers (aligned with the plan). Both
     /// hold the last refresh's contents until the next one.
@@ -518,9 +564,11 @@ impl World {
         };
         World {
             mode,
-            centers,
-            grid,
-            version: 0,
+            sites: Arc::new(Sites {
+                centers,
+                grid,
+                version: 0,
+            }),
             sparse,
             anchors,
             hull: ConvexHull::default(),
@@ -537,7 +585,13 @@ impl World {
             cert_skips: 0,
             cand_buf: Vec::new(),
             probe: PairProbe::default(),
-            row_fanout_width: host_parallelism(),
+            // A sweep worker's cores are already busy with other runs.
+            row_fanout_width: if crate::sweep::on_worker() {
+                1
+            } else {
+                host_parallelism()
+            },
+            job: None,
             plan: Vec::new(),
             answers: Vec::new(),
         }
@@ -545,12 +599,12 @@ impl World {
 
     /// Number of robots.
     pub fn len(&self) -> usize {
-        self.centers.len()
+        self.sites.centers.len()
     }
 
     /// `true` when the world holds no robots.
     pub fn is_empty(&self) -> bool {
-        self.centers.is_empty()
+        self.sites.centers.is_empty()
     }
 
     /// The query mode.
@@ -560,12 +614,12 @@ impl World {
 
     /// The ground-truth centers.
     pub fn centers(&self) -> &[Point] {
-        &self.centers
+        &self.sites.centers
     }
 
     /// Center of robot `i`.
     pub fn center(&self, i: usize) -> Point {
-        self.centers[i]
+        self.sites.centers[i]
     }
 
     /// Cache telemetry: `(hits, misses)` of the pairwise visibility cache.
@@ -636,11 +690,10 @@ impl World {
     /// # Panics
     /// Panics if `i` is out of bounds.
     pub fn move_robot(&mut self, i: usize, p: Point) {
-        let old = self.centers[i];
+        let old = self.sites.centers[i];
         if old == p {
             return;
         }
-        self.version += 1;
         match self.mode {
             WorldMode::Sparse => {
                 // The mover's own view always changes (its center is part of
@@ -657,8 +710,8 @@ impl World {
                 // test filters them, so coarseness costs drain time, never
                 // correctness.
                 for level in 0..GRID_LEVELS {
-                    let from = self.grid.cell_of_at(old, level);
-                    let to = self.grid.cell_of_at(p, level);
+                    let from = self.sites.grid.cell_of_at(old, level);
+                    let to = self.sites.grid.cell_of_at(p, level);
                     self.dirty_cell(level, from, i, old, p);
                     if to != from {
                         self.dirty_cell(level, to, i, old, p);
@@ -680,8 +733,12 @@ impl World {
                 }
             }
         }
-        self.grid.move_point(i, old, p);
-        self.centers[i] = p;
+        // No fan-out job outlives its row, so nothing shares the
+        // configuration here and `make_mut` never copies it.
+        let sites = Arc::make_mut(&mut self.sites);
+        sites.version += 1;
+        sites.grid.move_point(i, old, p);
+        sites.centers[i] = p;
     }
 
     /// Processes one cell's corridor registrations at one grid level for a
@@ -707,7 +764,7 @@ impl World {
             return;
         };
         let regs = slot.get_mut();
-        let centers = &self.centers;
+        let centers = &self.sites.centers;
         let view_versions = &mut self.view_versions;
         let cert_skips = &mut self.cert_skips;
         let prune_sq = VISIBILITY_PRUNE_RADIUS * VISIBILITY_PRUNE_RADIUS;
@@ -782,7 +839,7 @@ impl World {
     pub fn sees(&mut self, i: usize, j: usize) -> bool {
         assert!(i != j, "a robot trivially sees itself");
         if self.mode == WorldMode::Scratch {
-            return disc_sees_disc(i, j, &self.centers);
+            return disc_sees_disc(i, j, &self.sites.centers);
         }
         let (a, b) = if i < j { (i, j) } else { (j, i) };
         assert!(b < self.len(), "robot index out of bounds");
@@ -793,9 +850,7 @@ impl World {
             return entry.seen;
         }
         self.misses += 1;
-        let mut probe = std::mem::take(&mut self.probe);
-        let verdict = self.compute_pair_answer(i, j, &mut probe);
-        self.probe = probe;
+        let verdict = self.sites.compute_pair_answer(i, j, &mut self.probe);
         self.commit_pair(id, verdict);
         verdict == PairVerdict::Seen
     }
@@ -808,13 +863,15 @@ impl World {
     fn sparse_reg_level(&self, ca: Point, cb: Point) -> usize {
         let chord = ca.distance(cb);
         for level in 0..GRID_LEVELS {
-            if chord <= self.grid.cell_size_at(level) * SPARSE_REG_SPAN_CELLS {
+            if chord <= self.sites.grid.cell_size_at(level) * SPARSE_REG_SPAN_CELLS {
                 return level;
             }
         }
         GRID_LEVELS - 1
     }
+}
 
+impl Sites {
     /// Replaces `out` with the sites other than `a` and `b` in the occupied
     /// base cells of the conservative cover of the capsule of `radius`
     /// around `p`–`q` — a superset of the sites within `radius` of the
@@ -867,7 +924,7 @@ impl World {
     /// other site with its squared distance from `c_row`, sorted by that
     /// distance (ties by site index). A no-op when the lanes already hold
     /// this row at this version, so every pair of a row refresh — and every
-    /// [`Self::sees`] probe of one row, as `is_gathered`'s fallback makes
+    /// [`World::sees`] probe of one row, as `is_gathered`'s fallback makes
     /// them — shares one O(n log n) sort.
     fn prime_row(&self, row: usize, lanes: &mut RowLanes) {
         if lanes.key == Some((row, self.version)) {
@@ -977,8 +1034,9 @@ impl World {
 
     /// Computes the verdict of the pair `{row, partner}` **without
     /// mutating anything**, on caller-owned scratch (serial recomputes call
-    /// this on the world's own probe), for a Look of robot `row`. The one
-    /// branch is where the corridor slice comes from:
+    /// this on the world's own probe, fan-out threads on their own), for a
+    /// Look of robot `row`. The one branch is where the corridor slice
+    /// comes from:
     ///
     /// * **Row scan** (`n ≤` [`SCAN_MAX_N`], `scan_corridor`): the
     ///   distance-sorted prefix of row `row`'s lanes, primed on first use
@@ -1002,15 +1060,13 @@ impl World {
     /// slice's verdict only when the full slice's cover overflows its
     /// polygon budget where the window's did not.
     ///
-    /// Safe to call from worker threads on a shared `&World`: it reads only
-    /// the centers, the grid and the configuration
-    /// version, which no commit writes, so where it runs cannot change the
-    /// answer [`Self::commit_pair`] later stores.
+    /// Safe to call from any thread on a shared configuration: it reads
+    /// only the centers, the grid and the configuration version, which no
+    /// commit writes, so where it runs cannot change the answer
+    /// [`World::commit_pair`] later stores.
     ///
     /// # Panics
-    /// Panics if `row == partner`, either index is out of bounds, or the
-    /// world is in [`WorldMode::Scratch`] (which has no pair store to
-    /// commit into).
+    /// Panics if `row == partner` or either index is out of bounds.
     fn compute_pair_answer(
         &self,
         row: usize,
@@ -1018,12 +1074,8 @@ impl World {
         probe: &mut PairProbe,
     ) -> PairVerdict {
         let (a, b) = (row.min(partner), row.max(partner));
-        assert!(a < b && b < self.len(), "invalid pair");
-        assert!(
-            self.mode != WorldMode::Scratch,
-            "scratch mode has no pair store"
-        );
-        if self.len() <= SCAN_MAX_N {
+        assert!(a < b && b < self.centers.len(), "invalid pair");
+        if self.centers.len() <= SCAN_MAX_N {
             self.scan_corridor(row, partner, probe);
         } else if self.window_certifies(a, b, probe) {
             return PairVerdict::Certified;
@@ -1032,12 +1084,14 @@ impl World {
         }
         pair_verdict(self.centers[a], self.centers[b], &probe.obs)
     }
+}
 
+impl World {
     /// Commits one computed verdict to the pair in slab slot `id`: bumps
     /// its generation, clears its dirty flag, stores the seen bit and the
     /// certified flag, bumps both views and updates both adjacency lists on
     /// a flip, counts a cover answer, and re-registers the pair's corridor.
-    /// `verdict` is what [`Self::compute_pair_answer`] returned for the pair
+    /// `verdict` is what [`Sites::compute_pair_answer`] returned for the pair
     /// on the current centers. Touches no hash map.
     fn commit_pair(&mut self, id: u32, verdict: PairVerdict) {
         let seen = verdict == PairVerdict::Seen;
@@ -1076,21 +1130,21 @@ impl World {
         // Register on the chosen level's conservative cover. The
         // *registration* walk must not skip empty cells: a future mover
         // can enter one.
-        let (ca, cb) = (self.centers[a], self.centers[b]);
+        let (ca, cb) = (self.sites.centers[a], self.sites.centers[b]);
         let level = self.sparse_reg_level(ca, cb);
         let SparseVis { slab, regs, .. } = &mut self.sparse;
         let slab = &*slab;
         let level_regs = &mut regs[level];
-        self.grid
-            .for_each_cell_near_segment_at(level, ca, cb, VISIBILITY_PRUNE_RADIUS, |cell| {
-                let slot = level_regs.entry(cell).or_default();
-                if slot.refs.len() >= slot.compact_at.max(REGISTRATION_COMPACT_LEN) {
-                    slot.refs.retain(|&r| slab[r.id as usize].is_current(r));
-                    slot.compact_at = slot.refs.len() * 2;
-                }
-                slot.refs.push(sref);
-                true
-            });
+        let grid = &self.sites.grid;
+        grid.for_each_cell_near_segment_at(level, ca, cb, VISIBILITY_PRUNE_RADIUS, |cell| {
+            let slot = level_regs.entry(cell).or_default();
+            if slot.refs.len() >= slot.compact_at.max(REGISTRATION_COMPACT_LEN) {
+                slot.refs.retain(|&r| slab[r.id as usize].is_current(r));
+                slot.compact_at = slot.refs.len() * 2;
+            }
+            slot.refs.push(sref);
+            true
+        });
     }
 
     /// Brings every pair of row `i` up to date, so that `adj[i]` *is* the
@@ -1106,8 +1160,8 @@ impl World {
     ///    dirty check drops the stale ones. The hit/miss telemetry is
     ///    counted from the plan.
     /// 2. **Compute** one answer per planned pair, read-only
-    ///    ([`Self::compute_answers`]; fanned out across cores for a long
-    ///    plan).
+    ///    ([`Self::compute_answers`]; fanned out to the helper pool for
+    ///    a plan of at least `ROW_FANOUT_MIN_PAIRS` pairs).
     /// 3. **Commit** the answers in plan order ([`Self::commit_pair`]).
     ///
     /// Planned pairs are distinct and no commit dirties a pair, so
@@ -1131,7 +1185,7 @@ impl World {
                 }
             }
         } else {
-            let n = self.centers.len();
+            let n = self.sites.centers.len();
             for j in (0..n).filter(|&j| j != i) {
                 let (a, b) = if i < j { (i, j) } else { (j, i) };
                 let id = sparse.intern(a, b);
@@ -1159,52 +1213,54 @@ impl World {
     /// Replaces `out` with one verdict per pair of `plan` (slab ids of pairs
     /// of row `row`), in plan order. A plan shorter than
     /// `ROW_FANOUT_MIN_PAIRS`, or a fan-out width of 1, runs serially on
-    /// `probe`; otherwise `row_fanout_width` threads (calling thread
-    /// included) claim [`FANOUT_CHUNK`]-pair chunks of the plan and fill
-    /// the matching chunks of `out`, each on its own probe. Each answer is
-    /// [`Self::compute_pair_answer`] — read-only and thread-independent —
-    /// so `out` is identical for every width.
+    /// `probe`. Otherwise the plan becomes this world's [`FanoutJob`]: the
+    /// calling thread and the pool's helpers claim chunks of it until none
+    /// is left ([`fan_out`]), each answering on its own probe. Each answer
+    /// is [`Sites::compute_pair_answer`] on the same configuration —
+    /// read-only and thread-independent — so `out` is identical for every
+    /// width.
     fn compute_answers(
-        &self,
+        &mut self,
         row: usize,
         plan: &[u32],
         probe: &mut PairProbe,
         out: &mut Vec<PairVerdict>,
     ) {
-        let answer = |id: u32, probe: &mut PairProbe| {
-            let entry = &self.sparse.slab[id as usize];
-            let partner = if entry.a as usize == row {
+        let slab = &self.sparse.slab;
+        let partner = |id: u32| {
+            let entry = &slab[id as usize];
+            if entry.a as usize == row {
                 entry.b
             } else {
                 entry.a
-            };
-            self.compute_pair_answer(row, partner as usize, probe)
+            }
         };
         out.clear();
         if self.row_fanout_width <= 1 || plan.len() < ROW_FANOUT_MIN_PAIRS {
-            out.extend(plan.iter().map(|&id| answer(id, probe)));
+            out.extend(plan.iter().map(|&id| {
+                self.sites
+                    .compute_pair_answer(row, partner(id) as usize, probe)
+            }));
             return;
         }
-        out.resize(plan.len(), PairVerdict::Blocked);
-        let chunks = Mutex::new(plan.chunks(FANOUT_CHUNK).zip(out.chunks_mut(FANOUT_CHUNK)));
-        let worker = || {
-            let mut probe = PairProbe::default();
-            loop {
-                let claimed = chunks.lock().expect("claiming a chunk cannot panic").next();
-                let Some((ids, slots)) = claimed else {
-                    break;
-                };
-                for (&id, slot) in ids.iter().zip(slots) {
-                    *slot = answer(id, &mut probe);
-                }
-            }
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..self.row_fanout_width {
-                scope.spawn(worker);
-            }
-            worker();
-        });
+        let shared = self.job.get_or_insert_with(Arc::default);
+        let job = Arc::get_mut(shared).expect("a settled job has no helper");
+        job.sites = Some(Arc::clone(&self.sites));
+        job.row = row;
+        job.partners.clear();
+        job.partners.extend(plan.iter().map(|&id| partner(id)));
+        job.answers.resize_with(plan.len(), AtomicU8::default);
+        job.chunk = plan
+            .len()
+            .div_ceil(self.row_fanout_width * FANOUT_CHUNKS_PER_THREAD)
+            .min(FANOUT_CHUNK_MAX);
+        *job.next.get_mut() = 0;
+        let job = fan_out(shared, probe);
+        out.extend(
+            job.answers
+                .iter_mut()
+                .map(|a| VERDICTS[*a.get_mut() as usize]),
+        );
     }
 
     /// Indices of the robots visible to robot `i`, ascending — the cached
@@ -1222,7 +1278,7 @@ impl World {
     /// robot `i` — [`Self::visible_of`] writing into caller-owned storage,
     /// so the engine's per-Look cost is free of allocation. A row of at
     /// least `ROW_FANOUT_MIN_PAIRS` recomputes fans its pair kernels out
-    /// across the host's cores (`Self::refresh_row`); that only moves
+    /// to the helper pool (`Self::refresh_row`); that only moves
     /// kernel evaluations onto other threads, never changes what is
     /// computed, in which order it is committed, or what the telemetry
     /// counts.
@@ -1233,7 +1289,7 @@ impl World {
         assert!(i < self.len(), "robot index out of bounds");
         out.clear();
         if self.mode == WorldMode::Scratch {
-            out.extend(visible_set(i, &self.centers));
+            out.extend(visible_set(i, &self.sites.centers));
             return;
         }
         // Refresh recomputes exactly the dirty pairs of row `i`; the sorted
@@ -1246,15 +1302,16 @@ impl World {
     /// changed since the last build (always in [`WorldMode::Scratch`]) and
     /// returns the all-on-hull flag.
     fn refresh_hull(&mut self) -> bool {
-        let stale = self.mode == WorldMode::Scratch || self.hull_version != Some(self.version);
+        let stale =
+            self.mode == WorldMode::Scratch || self.hull_version != Some(self.sites.version);
         if stale {
             self.hull
-                .rebuild_with(&self.centers, &mut self.hull_scratch);
+                .rebuild_with(&self.sites.centers, &mut self.hull_scratch);
             if self.mode != WorldMode::Scratch {
                 self.hull_rebuilds += 1;
             }
             self.hull_all_on = self.len() <= 2 || self.hull.all_on_hull();
-            self.hull_version = Some(self.version);
+            self.hull_version = Some(self.sites.version);
         }
         self.hull_all_on
     }
@@ -1275,24 +1332,27 @@ impl World {
     /// relation), identical in outcome to the global minimum-gap test.
     pub fn is_valid(&mut self) -> bool {
         if self.mode == WorldMode::Scratch {
-            return config::is_valid(&self.centers);
+            return config::is_valid(&self.sites.centers);
         }
         if let Some((v, ok)) = self.valid_cache {
-            if v == self.version {
+            if v == self.sites.version {
                 return ok;
             }
         }
         let mut cand = std::mem::take(&mut self.cand_buf);
         let mut ok = true;
         'outer: for i in 0..self.len() {
-            self.grid
-                .candidates_near_point(self.centers[i], 2.0 * UNIT_RADIUS, &mut cand);
+            self.sites.grid.candidates_near_point(
+                self.sites.centers[i],
+                2.0 * UNIT_RADIUS,
+                &mut cand,
+            );
             for &j in cand.iter().filter(|&&j| j > i) {
                 // The same float expression as the reference (`gap >=
                 // -TOUCH_TOL` in `config::is_valid`): the
                 // algebraically equal `d < 2R - TOUCH_TOL` rounds
                 // differently at the boundary.
-                let gap = self.centers[i].distance(self.centers[j]) - 2.0 * UNIT_RADIUS;
+                let gap = self.sites.centers[i].distance(self.sites.centers[j]) - 2.0 * UNIT_RADIUS;
                 if gap < -TOUCH_TOL {
                     ok = false;
                     break 'outer;
@@ -1300,7 +1360,7 @@ impl World {
             }
         }
         self.cand_buf = cand;
-        self.valid_cache = Some((self.version, ok));
+        self.valid_cache = Some((self.sites.version, ok));
         ok
     }
 
@@ -1309,10 +1369,10 @@ impl World {
     /// pairs).
     pub fn is_connected(&mut self) -> bool {
         if self.mode == WorldMode::Scratch {
-            return config::is_connected(&self.centers);
+            return config::is_connected(&self.sites.centers);
         }
         if let Some((v, ok)) = self.connected_cache {
-            if v == self.version {
+            if v == self.sites.version {
                 return ok;
             }
         }
@@ -1333,13 +1393,13 @@ impl World {
         }
         let mut cand = std::mem::take(&mut self.cand_buf);
         for i in 0..n {
-            self.grid.candidates_near_point(
-                self.centers[i],
+            self.sites.grid.candidates_near_point(
+                self.sites.centers[i],
                 2.0 * UNIT_RADIUS + TOUCH_TOL,
                 &mut cand,
             );
             for &j in cand.iter().filter(|&&j| j > i) {
-                let gap = self.centers[i].distance(self.centers[j]) - 2.0 * UNIT_RADIUS;
+                let gap = self.sites.centers[i].distance(self.sites.centers[j]) - 2.0 * UNIT_RADIUS;
                 if gap_touches(gap) {
                     let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
                     if ri != rj {
@@ -1351,7 +1411,7 @@ impl World {
         self.cand_buf = cand;
         let root = if n == 0 { 0 } else { find(&mut parent, 0) };
         let ok = n <= 1 || (0..n).all(|i| find(&mut parent, i) == root);
-        self.connected_cache = Some((self.version, ok));
+        self.connected_cache = Some((self.sites.version, ok));
         ok
     }
 
@@ -1360,12 +1420,12 @@ impl World {
     /// fallback answered from the pair cache.
     pub fn is_gathered(&mut self) -> bool {
         if self.mode == WorldMode::Scratch {
-            return config::is_gathered(&self.centers);
+            return config::is_gathered(&self.sites.centers);
         }
         if !self.is_connected() {
             return false;
         }
-        if self.all_on_hull() && no_three_collinear(&self.centers, COLLINEARITY_TOL) {
+        if self.all_on_hull() && no_three_collinear(&self.sites.centers, COLLINEARITY_TOL) {
             return true;
         }
         let n = self.len();
@@ -1383,7 +1443,7 @@ impl World {
     /// the cached hull and connectivity.
     pub fn sample_predicates(&mut self) -> SamplePredicates {
         if self.mode == WorldMode::Scratch {
-            return SamplePredicates::from_centers(&self.centers);
+            return SamplePredicates::from_centers(&self.sites.centers);
         }
         let connected = self.is_connected();
         let all_on = self.refresh_hull();
@@ -1408,7 +1468,7 @@ impl World {
             return;
         }
         let end = start + dir * (allowed + CONTACT_QUERY_MARGIN);
-        self.grid.candidates_near_segment(
+        self.sites.grid.candidates_near_segment(
             start,
             end,
             2.0 * UNIT_RADIUS + CONTACT_QUERY_MARGIN,
@@ -1416,6 +1476,217 @@ impl World {
         );
         out.retain(|&j| j != i);
     }
+}
+
+/// The verdicts in the order a [`FanoutJob`] stores them (`verdict as u8`).
+const VERDICTS: [PairVerdict; 4] = [
+    PairVerdict::Seen,
+    PairVerdict::Blocked,
+    PairVerdict::CoverBlocked,
+    PairVerdict::Certified,
+];
+
+// Every stored verdict decodes to itself.
+const _: () = {
+    let mut k = 0;
+    while k < VERDICTS.len() {
+        assert!(VERDICTS[k] as usize == k);
+        k += 1;
+    }
+};
+
+/// One fanned-out row: the configuration, the Looking row, the partner of
+/// every planned pair and one answer slot per pair. A world keeps its job
+/// and reuses the buffers from row to row. Helpers reach the job through
+/// an `Arc` clone that they drop once no chunk is left, before the
+/// caller reads the answers.
+#[derive(Debug, Default)]
+struct FanoutJob {
+    /// The configuration the answers are computed on; `None` between rows,
+    /// so the world's own handle stays unique.
+    sites: Option<Arc<Sites>>,
+    row: usize,
+    partners: Vec<u32>,
+    /// `answers[k]` is the verdict of the pair with `partners[k]`, as
+    /// `verdict as u8` (an index into [`VERDICTS`]).
+    answers: Vec<AtomicU8>,
+    /// Plan entries per claim.
+    chunk: usize,
+    /// The first unclaimed plan index.
+    next: AtomicUsize,
+    /// The first panic a helper caught while answering this job.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// The partner whose pair kernel panics (test hook).
+    #[cfg(test)]
+    panic_on: Option<u32>,
+}
+
+impl FanoutJob {
+    /// Claims chunks of the plan until none is left, answering them on
+    /// `probe`.
+    ///
+    /// Both orderings are `Relaxed`: a claim publishes nothing, and the
+    /// answers reach the caller through the `Arc` — a helper's drop of its
+    /// clone (a release) before the caller's `Arc::get_mut` (an acquire)
+    /// in [`settle`].
+    fn work(&self, probe: &mut PairProbe) {
+        let sites = self.sites.as_deref().expect("a posted job has sites");
+        let len = self.partners.len();
+        loop {
+            let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
+            if start >= len {
+                return;
+            }
+            for k in start..(start + self.chunk).min(len) {
+                let partner = self.partners[k];
+                #[cfg(test)]
+                assert!(self.panic_on != Some(partner), "injected pair-kernel panic");
+                let verdict = sites.compute_pair_answer(self.row, partner as usize, probe);
+                self.answers[k].store(verdict as u8, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// The process-wide fan-out pool: one job slot, served by helper threads
+/// that start on the first fan-out ([`helpers`]). One row at a time is
+/// posted; a world that finds the slot taken answers its row alone.
+struct Pool {
+    /// The posted job. Every update is one assignment, so the guard of a
+    /// poisoned lock still holds a valid slot and is used as is.
+    slot: Mutex<Option<Arc<FanoutJob>>>,
+    /// Bumped (release) after every post, and read (acquire) by idle
+    /// helpers, so a helper looks into the slot once per posted job; the
+    /// lock publishes the job itself.
+    posts: AtomicU64,
+}
+
+static POOL: Pool = Pool {
+    slot: Mutex::new(None),
+    posts: AtomicU64::new(0),
+};
+
+/// The pool's helper threads, started on first use:
+/// `host_parallelism() − 1` of them, and one on a single-core host (where
+/// only a world whose width a test forced to 2 fans out). They live as
+/// long as the process and catch every panic of a job, so none is joined.
+fn helpers() -> &'static [Thread] {
+    static HELPERS: OnceLock<Vec<Thread>> = OnceLock::new();
+    HELPERS.get_or_init(|| {
+        (1..host_parallelism().max(2))
+            .map(|k| {
+                std::thread::Builder::new()
+                    .name(format!("row-fanout-{k}"))
+                    .spawn(helper_loop)
+                    .expect("spawning a fan-out helper")
+                    .thread()
+                    .clone()
+            })
+            .collect()
+    })
+}
+
+/// A helper's life: wait for a posted job, work it, drop it. A panic in a
+/// pair kernel is caught and stored on the job for the caller to re-raise;
+/// the helper then serves the next job on fresh scratch.
+fn helper_loop() {
+    let mut probe = PairProbe::default();
+    let mut seen = 0;
+    loop {
+        let job = next_job(&mut seen);
+        // Lanes are keyed by (row, version), which another world, or a
+        // later run, can repeat: every job primes afresh.
+        probe.row.key = None;
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job.work(&mut probe))) {
+            let mut panic = job.panic.lock().unwrap_or_else(PoisonError::into_inner);
+            panic.get_or_insert(payload);
+            probe = PairProbe::default();
+        }
+    }
+}
+
+/// The next posted job with unclaimed chunks. Spins for [`HELPER_SPIN`]
+/// after the last post it saw, then parks until the next post unparks it.
+fn next_job(seen: &mut u64) -> Arc<FanoutJob> {
+    let mut idle_since = Instant::now();
+    loop {
+        let posts = POOL.posts.load(Ordering::Acquire);
+        if posts != *seen {
+            *seen = posts;
+            let slot = POOL.slot.lock().unwrap_or_else(PoisonError::into_inner);
+            let open = slot
+                .as_ref()
+                .filter(|job| job.next.load(Ordering::Relaxed) < job.partners.len());
+            if let Some(job) = open {
+                return Arc::clone(job);
+            }
+            idle_since = Instant::now();
+        } else if idle_since.elapsed() < HELPER_SPIN {
+            std::hint::spin_loop();
+        } else {
+            std::thread::park();
+            idle_since = Instant::now();
+        }
+    }
+}
+
+/// Answers every chunk of `shared` on the calling thread and, when the slot
+/// is free, on the helpers too, then returns the settled job. The caller
+/// claims chunks itself from the start and takes the job back out of the
+/// slot once none is left, so it never waits for a parked helper — only
+/// for a helper that cloned the job to finish its current chunk. A panic on
+/// either side is re-raised here, after every helper has let go.
+fn fan_out<'a>(shared: &'a mut Arc<FanoutJob>, probe: &mut PairProbe) -> &'a mut FanoutJob {
+    let posted = post(shared);
+    let caller = catch_unwind(AssertUnwindSafe(|| shared.work(probe)));
+    if posted {
+        *POOL.slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
+    }
+    settle(shared, caller)
+}
+
+/// Puts `job` into the pool's slot and wakes the helpers; `false` when the
+/// slot holds another world's row.
+fn post(job: &Arc<FanoutJob>) -> bool {
+    let helpers = helpers();
+    {
+        let mut slot = POOL.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.is_some() {
+            return false;
+        }
+        *slot = Some(Arc::clone(job));
+    }
+    POOL.posts.fetch_add(1, Ordering::Release);
+    for helper in helpers {
+        helper.unpark();
+    }
+    true
+}
+
+/// Waits until every helper has dropped `shared` (the job is out of the
+/// slot, so no new clone appears), releases the job's configuration, and
+/// re-raises the caller's or a helper's panic.
+fn settle(shared: &mut Arc<FanoutJob>, caller: std::thread::Result<()>) -> &mut FanoutJob {
+    let mut spins = 0u32;
+    while Arc::strong_count(shared) > 1 {
+        if spins < 1 << 10 {
+            spins += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+    }
+    let job = Arc::get_mut(shared).expect("every helper has dropped the job");
+    job.sites = None;
+    let helper = job
+        .panic
+        .get_mut()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take();
+    if let Some(payload) = caller.err().or(helper) {
+        resume_unwind(payload);
+    }
+    job
 }
 
 #[cfg(test)]
@@ -1805,51 +2076,219 @@ mod tests {
         w.row_fanout_width > 1 && w.plan.len() >= ROW_FANOUT_MIN_PAIRS
     }
 
+    /// What a fan-out scenario observes: the state after every Look, every
+    /// `sees` answer, and whether each Look's refresh fanned out.
+    struct FanoutTrace {
+        looks: Vec<LookState>,
+        sees: Vec<bool>,
+        fanned: Vec<bool>,
+    }
+
+    /// Drives a world over `centers` at a forced fan-out width, so the
+    /// fan-out runs on any host (on one core the helper time-slices with
+    /// the caller). Four rounds: first Looks, then re-Looks after a move
+    /// within the drift radius, a jump beyond it and the jump back. Each
+    /// round first probes a spread of each looker's pairs with `sees`
+    /// (priming the caller's lanes at this version, which its Look then
+    /// shares), then Looks with three robots.
+    fn fanout_scenario(centers: &[Point], width: usize) -> FanoutTrace {
+        let n = centers.len();
+        let mut w = world(centers.to_vec(), WorldMode::Sparse);
+        w.row_fanout_width = width;
+        let lookers = [0, n / 2, n - 1];
+        let mut trace = FanoutTrace {
+            looks: Vec::new(),
+            sees: Vec::new(),
+            fanned: Vec::new(),
+        };
+        let mut round = |w: &mut World| {
+            for &i in &lookers {
+                for j in (1..n).step_by(7).filter(|&j| j != i) {
+                    trace.sees.push(w.sees(i, j));
+                }
+            }
+            for &i in &lookers {
+                let fanned = look_and_record(w, i, &mut trace.looks);
+                trace.fanned.push(fanned);
+            }
+        };
+        round(&mut w);
+        let mid = w.center(n / 2);
+        w.move_robot(n / 2, p(mid.x + 0.01, mid.y));
+        round(&mut w);
+        let corner = w.center(0);
+        w.move_robot(0, p(corner.x - 3.0, corner.y - 3.0));
+        round(&mut w);
+        w.move_robot(0, corner);
+        round(&mut w);
+        trace
+    }
+
+    /// Asserts that `got` observed exactly what the serial `want` did.
+    fn assert_same_answers(name: &str, want: &FanoutTrace, got: &FanoutTrace) {
+        for (k, (want, got)) in want.looks.iter().zip(&got.looks).enumerate() {
+            assert_eq!(want, got, "{name}: Look {k} diverged from width 1");
+        }
+        assert_eq!(want.looks.len(), got.looks.len(), "{name}: Look count");
+        assert_eq!(want.sees, got.sees, "{name}: a `sees` probe diverged");
+    }
+
+    /// The fan-out scenes: both corridor sources. The n = 600 hex packing
+    /// takes the grid gather; a random spread at E1's n = 96 and a hex
+    /// packing at `SCAN_MAX_N` take the row scan.
+    fn fanout_scenes() -> [(&'static str, Vec<Point>); 3] {
+        [
+            ("hex600", crate::init::hex(600, 2.1)),
+            ("random96", crate::init::Shape::Random.generate(96, 3)),
+            ("hex128", crate::init::hex(SCAN_MAX_N, 2.1)),
+        ]
+    }
+
     #[test]
     fn row_fanout_matches_the_serial_refresh() {
-        // First rows of this hex packing exceed the fan-out threshold, and
-        // so does the pending queue of a robot that jumps out of its drift
-        // radius. The width is forced, so the fan-out runs on any host.
-        let n = ROW_FANOUT_MIN_PAIRS + 88;
-        let centers = crate::init::hex(n, 2.1);
-        let lookers = [0, n / 2, n - 1];
-        let run = |width: usize| {
-            let mut w = world(centers.clone(), WorldMode::Sparse);
-            w.row_fanout_width = width;
-            let (mut trace, mut fanned) = (Vec::new(), Vec::new());
-            let mut look_all = |w: &mut World| {
-                for &i in &lookers {
-                    fanned.push(look_and_record(w, i, &mut trace));
-                }
-            };
-            look_all(&mut w); // first Looks
-            let mid = w.center(n / 2);
-            w.move_robot(n / 2, p(mid.x + 0.01, mid.y)); // within drift
-            look_all(&mut w);
-            let corner = w.center(0);
-            w.move_robot(0, p(corner.x - 3.0, corner.y - 3.0)); // out of drift
-            look_all(&mut w);
-            w.move_robot(0, corner);
-            look_all(&mut w);
-            (trace, fanned)
-        };
-        let (serial, serial_fanned) = run(1);
-        let (fanout, fanout_fanned) = run(2);
-        for (k, (want, got)) in serial.iter().zip(&fanout).enumerate() {
-            assert_eq!(want, got, "Look {k} diverged between width 1 and width 2");
+        for (name, centers) in fanout_scenes() {
+            let serial = fanout_scenario(&centers, 1);
+            let fanout = fanout_scenario(&centers, 2);
+            assert_same_answers(name, &serial, &fanout);
+            assert!(
+                serial.fanned.iter().all(|&f| !f),
+                "{name}: width 1 never fans out"
+            );
+            assert!(
+                fanout.fanned[..3].iter().all(|&f| f),
+                "{name}: first rows fan out"
+            );
+            assert!(
+                fanout.fanned[3..].iter().any(|&f| f),
+                "{name}: some re-Look fans out"
+            );
         }
-        assert!(serial_fanned.iter().all(|&f| !f), "width 1 never fans out");
+        // Two row-scan worlds of one size take turns with the first Look
+        // of row 0, so every job repeats the previous job's (row, version)
+        // key on the other configuration: a helper that kept its lanes
+        // from one job to the next would answer from the wrong world.
+        let pair = [
+            crate::init::Shape::Random.generate(96, 3),
+            crate::init::hex(96, 2.1),
+        ];
+        let want = pair
+            .clone()
+            .map(|centers| world(centers, WorldMode::Sparse).visible_of(0));
+        for round in 0..20 {
+            for (centers, want) in pair.iter().zip(&want) {
+                let mut w = world(centers.clone(), WorldMode::Sparse);
+                w.row_fanout_width = 2;
+                assert_eq!(&w.visible_of(0), want, "round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_worlds_share_the_helpers_and_match_the_serial_refresh() {
+        // Two threads drive their own row-scan worlds through the one
+        // process-wide pool at once, released together by a barrier. A
+        // row posted while the other world's row holds the slot is
+        // answered by its caller alone.
+        let scenes = fanout_scenes();
+        let serial: Vec<FanoutTrace> = scenes[1..]
+            .iter()
+            .map(|(_, centers)| fanout_scenario(centers, 1))
+            .collect();
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let threads: Vec<_> = scenes
+            .into_iter()
+            .skip(1)
+            .zip(serial)
+            .map(|((name, centers), want)| {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for rep in 0..4 {
+                        let got = fanout_scenario(&centers, 2);
+                        assert_same_answers(&format!("{name} (repetition {rep})"), &want, &got);
+                    }
+                })
+            })
+            .collect();
+        for thread in threads {
+            if let Err(payload) = thread.join() {
+                resume_unwind(payload);
+            }
+        }
+    }
+
+    /// Posts `shared` and leaves every chunk to the helpers: waits until
+    /// they have claimed the whole plan, takes the job back and settles
+    /// it. Returns the answers, or the message of the panic `settle`
+    /// re-raised.
+    fn run_on_helpers(shared: &mut Arc<FanoutJob>) -> Result<Vec<PairVerdict>, String> {
+        // Another test's row may hold the slot for a moment.
+        while !post(shared) {
+            std::thread::yield_now();
+        }
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while shared.next.load(Ordering::Relaxed) < shared.partners.len() {
+            assert!(Instant::now() < deadline, "no helper took the job");
+            std::thread::yield_now();
+        }
+        *POOL.slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
+        catch_unwind(AssertUnwindSafe(|| {
+            let job = settle(shared, Ok(()));
+            job.answers
+                .iter_mut()
+                .map(|a| VERDICTS[*a.get_mut() as usize])
+                .collect()
+        }))
+        .map_err(|payload| crate::sweep::panic_message(payload.as_ref()))
+    }
+
+    #[test]
+    fn a_helper_panic_reaches_the_caller_and_the_helper_serves_on() {
+        let n = 32;
+        let w = world(crate::init::Shape::Random.generate(n, 3), WorldMode::Sparse);
+        let partners: Vec<u32> = (1..n as u32).collect();
+        // One chunk holds the whole plan, so the helper that claims it
+        // answers every pair: the panic happens on a helper.
+        let job = |panic_on| FanoutJob {
+            sites: Some(Arc::clone(&w.sites)),
+            row: 0,
+            partners: partners.clone(),
+            answers: partners.iter().map(|_| AtomicU8::default()).collect(),
+            chunk: partners.len(),
+            panic_on,
+            ..FanoutJob::default()
+        };
+        let mut shared = Arc::new(job(Some(partners[5])));
         assert_eq!(
-            fanout_fanned,
-            [
-                [true, true, true],
-                [false, false, false],
-                [true, false, false],
-                [true, false, false]
-            ]
-            .concat(),
-            "first rows and the jumper's re-Looks fan out; small queues do not"
+            run_on_helpers(&mut shared),
+            Err("injected pair-kernel panic".to_string())
         );
+        assert!(shared.sites.is_none(), "a settled job lets go of the sites");
+        let mut probe = PairProbe::default();
+        let want: Vec<PairVerdict> = partners
+            .iter()
+            .map(|&j| w.sites.compute_pair_answer(0, j as usize, &mut probe))
+            .collect();
+        for round in 0..3 {
+            let mut shared = Arc::new(job(None));
+            assert_eq!(
+                run_on_helpers(&mut shared),
+                Ok(want.clone()),
+                "round {round}: the helper serves the next job"
+            );
+        }
+        assert_eq!(Arc::strong_count(&w.sites), 1, "no job holds the sites");
+        // Through a Look, whichever thread claims the pair: the panic
+        // unwinds out of the refresh with the kernel's message.
+        let mut w = world(crate::init::Shape::Random.generate(n, 3), WorldMode::Sparse);
+        w.row_fanout_width = 2;
+        w.job = Some(Arc::new(FanoutJob {
+            panic_on: Some(7),
+            ..FanoutJob::default()
+        }));
+        let look = catch_unwind(AssertUnwindSafe(|| w.visible_of(0)));
+        let message = look.map_err(|payload| crate::sweep::panic_message(payload.as_ref()));
+        assert_eq!(message, Err("injected pair-kernel panic".to_string()));
     }
 
     #[test]
@@ -1889,7 +2328,7 @@ mod tests {
         // list here is long enough to be compacted).
         let (ci, cj) = (w.center(i), w.center(j));
         let mut cover = 0;
-        w.grid.for_each_cell_near_segment_at(
+        w.sites.grid.for_each_cell_near_segment_at(
             w.sparse_reg_level(ci, cj),
             ci,
             cj,
@@ -1939,7 +2378,7 @@ mod tests {
             let mut fires = Vec::new();
             for a in (0..n).step_by(300) {
                 for b in a + 1..n {
-                    if !w.window_certifies(a, b, &mut probe) {
+                    if !w.sites.window_certifies(a, b, &mut probe) {
                         continue;
                     }
                     let others: Vec<Point> = (0..n)
@@ -2014,14 +2453,14 @@ mod tests {
             for row in [0, n / 2] {
                 for partner in (0..n).filter(|&j| j != row) {
                     let (a, b) = (row.min(partner), row.max(partner));
-                    w.scan_corridor(row, partner, &mut scan);
+                    w.sites.scan_corridor(row, partner, &mut scan);
                     let mut scanned: Vec<usize> = scan
                         .keep
                         .iter()
                         .map(|&l| scan.row.sites[l as usize] as usize)
                         .filter(|&k| k != partner)
                         .collect();
-                    w.gather_corridor(a, b, &mut grid);
+                    w.sites.gather_corridor(a, b, &mut grid);
                     let mut gathered: Vec<usize> =
                         grid.keep.iter().map(|&l| grid.cand[l as usize]).collect();
                     scanned.sort_unstable();

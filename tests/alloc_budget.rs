@@ -20,6 +20,10 @@
 //! If a future seed/window change makes one of those fire, widen the
 //! warm-up or pick a window without them — don't reintroduce a slack
 //! budget, it hid a whole class of per-event regressions.
+//!
+//! A second window drives an n = 96 world whose Looks fan their rows out
+//! to the world's helper pool, and measures exactly zero allocations on
+//! the calling thread too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -123,6 +127,77 @@ fn steady_state_event_loop_stays_within_the_allocation_budget() {
     assert!(
         hits > 0,
         "a warm steady-state window must replay at least some decisions"
+    );
+}
+
+#[test]
+fn fanned_out_looks_stay_within_the_allocation_budget() {
+    // A hex packing of E1's n = 96, driven through the world directly:
+    // every fifth robot steps beyond the certificate drift radius and
+    // back, and it and a watcher re-Look after each move. A mover's
+    // re-Look recomputes its whole row (95 pairs), so on a multi-core host
+    // the world fans it out to the helper pool. The window counts this
+    // thread's allocations only, so it pins the caller's side of every
+    // fan-out (filling and posting the reused job, taking it back) and
+    // the `Arc::make_mut` of each move, which must find the configuration
+    // unshared. On a single-core host the rows stay serial and the window
+    // pins the serial refresh. The engine's own loop at this n gives no
+    // exact window: its collisions (each an `Event::Collide` vector) never
+    // stop, and a random spread keeps growing registration lists for
+    // dozens of cycles; the packing settles after three.
+    use fatrobots::geometry::Point;
+    use fatrobots::sim::world::{World, WorldMode};
+
+    let n = 96;
+    let homes = fatrobots::sim::init::hex(n, 2.1);
+    let mut world = World::new(homes.clone(), WorldMode::Sparse);
+    let mut visible = Vec::new();
+    let cycle = |world: &mut World, visible: &mut Vec<usize>| {
+        for k in (0..n).step_by(5) {
+            let home = homes[k];
+            // A step toward the middle of the robot's base grid cell (the
+            // world's cells are 4 units wide, aligned at the origin), so
+            // no move enters an empty cell and allocates its site list —
+            // the grid's cold path.
+            let inward = |v: f64| if v.rem_euclid(4.0) < 2.0 { 0.06 } else { -0.06 };
+            world.move_robot(
+                k,
+                Point::new(home.x + inward(home.x), home.y + inward(home.y)),
+            );
+            world.visible_of_into(k, visible);
+            world.visible_of_into((k + 1) % n, visible);
+            world.move_robot(k, home);
+            world.visible_of_into(k, visible);
+        }
+    };
+    // Warm-up: first rows, then cycles until every registration list,
+    // pending queue and job buffer has reached its periodic capacity.
+    for i in 0..n {
+        world.visible_of_into(i, &mut visible);
+    }
+    for _ in 0..4 {
+        cycle(&mut world, &mut visible);
+    }
+    let (_, misses_before) = world.cache_stats();
+    let before = allocations();
+    for _ in 0..2 {
+        cycle(&mut world, &mut visible);
+    }
+    let after = allocations();
+    let (_, misses_after) = world.cache_stats();
+    eprintln!(
+        "fanned-out window: {} allocations over {} pair recomputes",
+        after - before,
+        misses_after - misses_before
+    );
+    assert!(
+        misses_after - misses_before >= 2 * 20 * 95,
+        "every mover re-Look recomputes its row"
+    );
+    assert_eq!(
+        after - before,
+        0,
+        "fanned-out Looks must not touch the heap on the calling thread"
     );
 }
 
