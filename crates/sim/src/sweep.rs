@@ -43,16 +43,14 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-thread_local! {
-    /// Set on the workers of a multi-worker sweep.
-    static ON_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
+/// Sweep runs in progress in this process, inline or on workers.
+pub(crate) static RUNS_IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
 
-/// `true` on a worker thread of a [`SweepPool`] with more than one worker:
-/// its runs share the host's cores already, so their worlds never fan a
-/// row out. An inline sweep runs on the caller's thread and does.
-pub(crate) fn on_worker() -> bool {
-    ON_WORKER.with(std::cell::Cell::get)
+/// The number of sweep runs in progress in this process. Each holds a
+/// core, so a world fans a row out only to the cores beyond them
+/// ([`crate::world`]'s row fan-out).
+pub(crate) fn runs_in_flight() -> usize {
+    RUNS_IN_FLIGHT.load(Ordering::Relaxed)
 }
 
 /// How [`SweepPool::run_supervised`] bounds each run.
@@ -101,7 +99,10 @@ fn attempt(spec: &RunSpec, policy: &SupervisionPolicy) -> Verdict {
     let cancel = policy.watchdog.map_or_else(CancelFlag::default, |budget| {
         CancelFlag::at(Instant::now() + budget)
     });
-    match std::panic::catch_unwind(AssertUnwindSafe(|| run_with_hooks(spec, cancel))) {
+    RUNS_IN_FLIGHT.fetch_add(1, Ordering::Relaxed);
+    let status = std::panic::catch_unwind(AssertUnwindSafe(|| run_with_hooks(spec, cancel)));
+    RUNS_IN_FLIGHT.fetch_sub(1, Ordering::Relaxed);
+    match status {
         Ok(RunStatus::Completed(summary)) => Ok(summary),
         Ok(RunStatus::Cancelled { events }) => Err(format!(
             "watchdog: cancelled after {events} events (budget {:.3}s)",
@@ -171,15 +172,12 @@ impl SweepPool {
                 for _ in 0..workers {
                     let verdict_tx = verdict_tx.clone();
                     let next = &next;
-                    scope.spawn(move || {
-                        ON_WORKER.with(|on| on.set(true));
-                        loop {
-                            let slot = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(spec) = specs.get(slot) else { break };
-                            // A send error means the caller is unwinding; stop.
-                            if verdict_tx.send((slot, attempt(spec, policy))).is_err() {
-                                break;
-                            }
+                    scope.spawn(move || loop {
+                        let slot = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(spec) = specs.get(slot) else { break };
+                        // A send error means the caller is unwinding; stop.
+                        if verdict_tx.send((slot, attempt(spec, policy))).is_err() {
+                            break;
                         }
                     });
                 }

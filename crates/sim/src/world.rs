@@ -80,15 +80,20 @@
 //! slot per pair, and an `Arc` of the centers, grid and version) and posts
 //! it to a process-wide pool of `host_parallelism() − 1` helper threads,
 //! started on the first fan-out and kept alive, spinning briefly and then
-//! parked, between rows. The caller claims chunks of the plan through an
-//! atomic counter from the start and answers them itself; once none is
-//! left it takes the job back out of the slot, waits only for a helper
-//! still finishing a chunk, and commits the answers serially in plan
-//! order. A helper never outlives its job's hold on the configuration, so
-//! `move_robot` writes it through `Arc::make_mut` without copying. Runs
-//! on the workers of a multi-worker sweep keep every row serial (their
-//! cores are already busy), and a panic in a helper's kernel is re-raised
-//! on the caller.
+//! parked, between rows. A post opens one seat per helper the plan can
+//! feed (`FANOUT_PAIRS_PER_THREAD` pairs each) and has a free core for,
+//! and wakes only those: a short row on a many-core host draws a few
+//! helpers, not all, and each sweep run in progress holds a core, so
+//! while a multi-worker sweep keeps every core busy its rows get no seat
+//! and its worlds answer alone until a worker falls idle. The pool serves
+//! one row at a time; a world that finds it busy answers its row alone
+//! too. The caller claims chunks of the plan through an atomic counter
+//! from the start and answers them itself; once none is left it takes the
+//! job back out of the slot, waits only for a helper still finishing a
+//! chunk, and commits the answers serially in plan order. A helper never
+//! outlives its job's hold on the configuration, so `move_robot` writes it
+//! through `Arc::make_mut` without copying. A panic in a helper's kernel
+//! is re-raised on the caller.
 //!
 //! ## Bit-identical results
 //!
@@ -150,7 +155,13 @@ const REGISTRATION_COMPACT_LEN: usize = 64;
 /// 1.0–1.2× at 2, 1.2–1.35× at 4 and 1.4–1.65× from 8 on. 8 is the
 /// shortest plan at which every case gained at least 1.2×. Rows of
 /// n = 6 worlds (at most 5 pairs) never fan out.
-const ROW_FANOUT_MIN_PAIRS: usize = 8;
+const ROW_FANOUT_MIN_PAIRS: usize = 2 * FANOUT_PAIRS_PER_THREAD;
+
+/// Fewest plan entries per fan-out thread: a plan of `L` pairs runs on at
+/// most `L / FANOUT_PAIRS_PER_THREAD` threads (calling thread included),
+/// so the helpers a post wakes are bounded by the row's work, not by the
+/// host's cores. The 2-vCPU crossover above gained from 4 pairs a thread.
+const FANOUT_PAIRS_PER_THREAD: usize = 4;
 
 /// Chunks per fan-out thread a plan is cut into: enough that a helper
 /// waking late still finds work and both threads finish within one small
@@ -535,6 +546,8 @@ pub struct World {
     /// This world's fan-out job, created on its first fan-out and reused
     /// for every later one.
     job: Option<Arc<FanoutJob>>,
+    /// Fan-out telemetry: rows whose job was posted to the helper pool.
+    fanout_rows: u64,
     /// Reusable buffers of [`Self::refresh_row`]: the slab ids of the
     /// pairs to recompute, and their answers (aligned with the plan). Both
     /// hold the last refresh's contents until the next one.
@@ -585,13 +598,9 @@ impl World {
             cert_skips: 0,
             cand_buf: Vec::new(),
             probe: PairProbe::default(),
-            // A sweep worker's cores are already busy with other runs.
-            row_fanout_width: if crate::sweep::on_worker() {
-                1
-            } else {
-                host_parallelism()
-            },
+            row_fanout_width: host_parallelism(),
             job: None,
+            fanout_rows: 0,
             plan: Vec::new(),
             answers: Vec::new(),
         }
@@ -662,6 +671,13 @@ impl World {
     /// endpoint move. Both are 0 in [`WorldMode::Scratch`].
     pub fn cert_stats(&self) -> (u64, u64) {
         (self.cover_answers, self.cert_skips)
+    }
+
+    /// Fan-out telemetry: the row refreshes whose pair kernels were posted
+    /// to the helper pool. Depends on the host's cores and on other
+    /// worlds holding the pool, never on what is computed.
+    pub fn fanout_rows(&self) -> u64 {
+        self.fanout_rows
     }
 
     /// The view version of robot `i`. The contract the engine's decision
@@ -1214,11 +1230,11 @@ impl World {
     /// of row `row`), in plan order. A plan shorter than
     /// `ROW_FANOUT_MIN_PAIRS`, or a fan-out width of 1, runs serially on
     /// `probe`. Otherwise the plan becomes this world's [`FanoutJob`]: the
-    /// calling thread and the pool's helpers claim chunks of it until none
-    /// is left ([`fan_out`]), each answering on its own probe. Each answer
-    /// is [`Sites::compute_pair_answer`] on the same configuration —
-    /// read-only and thread-independent — so `out` is identical for every
-    /// width.
+    /// calling thread and as many helpers as the plan feeds and free cores
+    /// allow claim chunks of it until none is left ([`fan_out`]), each
+    /// answering on its own probe. Each answer is
+    /// [`Sites::compute_pair_answer`] on the same configuration — read-only
+    /// and thread-independent — so `out` is identical for every width.
     fn compute_answers(
         &mut self,
         row: usize,
@@ -1250,12 +1266,18 @@ impl World {
         job.partners.clear();
         job.partners.extend(plan.iter().map(|&id| partner(id)));
         job.answers.resize_with(plan.len(), AtomicU8::default);
+        let seats = fanout_seats(
+            plan.len(),
+            self.row_fanout_width,
+            crate::sweep::runs_in_flight(),
+        );
         job.chunk = plan
             .len()
-            .div_ceil(self.row_fanout_width * FANOUT_CHUNKS_PER_THREAD)
+            .div_ceil((seats + 1) * FANOUT_CHUNKS_PER_THREAD)
             .min(FANOUT_CHUNK_MAX);
         *job.next.get_mut() = 0;
-        let job = fan_out(shared, probe);
+        let (job, posted) = fan_out(shared, probe, seats);
+        self.fanout_rows += u64::from(posted);
         out.extend(
             job.answers
                 .iter_mut()
@@ -1555,16 +1577,35 @@ struct Pool {
     /// The posted job. Every update is one assignment, so the guard of a
     /// poisoned lock still holds a valid slot and is used as is.
     slot: Mutex<Option<Arc<FanoutJob>>>,
-    /// Bumped (release) after every post, and read (acquire) by idle
-    /// helpers, so a helper looks into the slot once per posted job; the
-    /// lock publishes the job itself.
-    posts: AtomicU64,
+    /// The post board: the number of posts so far in the high 32 bits and
+    /// the open seats of the latest post in the low 32. Written under the
+    /// slot lock by a post (and zeroed seats by a take-back); an idle
+    /// helper reads it without the lock and takes a seat by decrementing
+    /// the exact word it read, so at most the posted number of helpers
+    /// look into the slot for a job, each for the post whose seat it took.
+    /// The lock publishes the job itself.
+    board: AtomicU64,
 }
 
 static POOL: Pool = Pool {
     slot: Mutex::new(None),
-    posts: AtomicU64::new(0),
+    board: AtomicU64::new(0),
 };
+
+/// The helper seats a plan of `len` pairs gets at fan-out width `width`
+/// while `runs` sweep runs are in progress: one per further
+/// `FANOUT_PAIRS_PER_THREAD` pairs beyond the caller's, and no more than
+/// the cores that neither the runs nor the caller (a run itself, or the
+/// only one) hold.
+fn fanout_seats(len: usize, width: usize, runs: usize) -> usize {
+    let free = width.saturating_sub(runs.max(1));
+    (len / FANOUT_PAIRS_PER_THREAD).max(1).min(free + 1) - 1
+}
+
+/// One more post on `board`, with `seats` open seats.
+fn next_post(board: u64, seats: usize) -> u64 {
+    ((board >> 32) + 1) << 32 | seats as u64
+}
 
 /// The pool's helper threads, started on first use:
 /// `host_parallelism() − 1` of them, and one on a single-core host (where
@@ -1605,62 +1646,98 @@ fn helper_loop() {
     }
 }
 
-/// The next posted job with unclaimed chunks. Spins for [`HELPER_SPIN`]
-/// after the last post it saw, then parks until the next post unparks it.
+/// The next posted job with unclaimed chunks for which this helper took a
+/// seat. Spins for [`HELPER_SPIN`] after the last post it saw, then parks
+/// until a post unparks it.
 fn next_job(seen: &mut u64) -> Arc<FanoutJob> {
     let mut idle_since = Instant::now();
     loop {
-        let posts = POOL.posts.load(Ordering::Acquire);
-        if posts != *seen {
-            *seen = posts;
+        let board = POOL.board.load(Ordering::Acquire);
+        let post = board >> 32;
+        if post == *seen {
+            if idle_since.elapsed() < HELPER_SPIN {
+                std::hint::spin_loop();
+            } else {
+                std::thread::park();
+                idle_since = Instant::now();
+            }
+            continue;
+        }
+        let seated = board as u32 > 0
+            && POOL
+                .board
+                .compare_exchange_weak(board, board - 1, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok();
+        if board as u32 > 0 && !seated {
+            // Another helper took a seat first; read the board again.
+            continue;
+        }
+        *seen = post;
+        idle_since = Instant::now();
+        if seated {
             let slot = POOL.slot.lock().unwrap_or_else(PoisonError::into_inner);
+            let current = POOL.board.load(Ordering::Relaxed) >> 32 == post;
             let open = slot
                 .as_ref()
-                .filter(|job| job.next.load(Ordering::Relaxed) < job.partners.len());
+                .filter(|job| current && job.next.load(Ordering::Relaxed) < job.partners.len());
             if let Some(job) = open {
                 return Arc::clone(job);
             }
-            idle_since = Instant::now();
-        } else if idle_since.elapsed() < HELPER_SPIN {
-            std::hint::spin_loop();
-        } else {
-            std::thread::park();
-            idle_since = Instant::now();
         }
     }
 }
 
 /// Answers every chunk of `shared` on the calling thread and, when the slot
-/// is free, on the helpers too, then returns the settled job. The caller
-/// claims chunks itself from the start and takes the job back out of the
-/// slot once none is left, so it never waits for a parked helper — only
-/// for a helper that cloned the job to finish its current chunk. A panic on
-/// either side is re-raised here, after every helper has let go.
-fn fan_out<'a>(shared: &'a mut Arc<FanoutJob>, probe: &mut PairProbe) -> &'a mut FanoutJob {
-    let posted = post(shared);
+/// is free, on up to `seats` helpers too, then returns the settled job and
+/// whether it was posted. The caller claims chunks itself from the start
+/// and takes the job back out of the slot once none is left, so it never
+/// waits for a parked helper — only for a helper that cloned the job to
+/// finish its current chunk. A panic on either side is re-raised here,
+/// after every helper has let go.
+fn fan_out<'a>(
+    shared: &'a mut Arc<FanoutJob>,
+    probe: &mut PairProbe,
+    seats: usize,
+) -> (&'a mut FanoutJob, bool) {
+    let posted = post(shared, seats);
     let caller = catch_unwind(AssertUnwindSafe(|| shared.work(probe)));
     if posted {
-        *POOL.slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
+        take_back();
     }
-    settle(shared, caller)
+    (settle(shared, caller), posted)
 }
 
-/// Puts `job` into the pool's slot and wakes the helpers; `false` when the
+/// Puts `job` into the pool's slot with `seats` open seats (at most one per
+/// helper) and wakes that many helpers; `false` when `seats` is 0 or the
 /// slot holds another world's row.
-fn post(job: &Arc<FanoutJob>) -> bool {
+fn post(job: &Arc<FanoutJob>, seats: usize) -> bool {
+    if seats == 0 {
+        return false;
+    }
     let helpers = helpers();
+    let seats = seats.min(helpers.len());
     {
         let mut slot = POOL.slot.lock().unwrap_or_else(PoisonError::into_inner);
         if slot.is_some() {
             return false;
         }
         *slot = Some(Arc::clone(job));
+        let board = POOL.board.load(Ordering::Relaxed);
+        POOL.board.store(next_post(board, seats), Ordering::Release);
     }
-    POOL.posts.fetch_add(1, Ordering::Release);
-    for helper in helpers {
+    for helper in &helpers[..seats] {
         helper.unpark();
     }
     true
+}
+
+/// Empties the pool's slot and closes its open seats, so no helper clones
+/// the posted job any more.
+fn take_back() {
+    let mut slot = POOL.slot.lock().unwrap_or_else(PoisonError::into_inner);
+    *slot = None;
+    POOL.board
+        .fetch_and(!u64::from(u32::MAX), Ordering::Relaxed);
 }
 
 /// Waits until every helper has dropped `shared` (the job is out of the
@@ -2184,6 +2261,42 @@ mod tests {
     }
 
     #[test]
+    fn fanout_seats_follow_the_plan_and_the_free_cores() {
+        // A 2-core host: one seat, unless both cores run sweep runs.
+        assert_eq!(fanout_seats(95, 2, 0), 1);
+        assert_eq!(fanout_seats(95, 2, 1), 1);
+        assert_eq!(fanout_seats(95, 2, 2), 0);
+        assert_eq!(fanout_seats(8, 2, 0), 1);
+        // A 64-core host: a short row draws a few helpers, not 63.
+        assert_eq!(fanout_seats(8, 64, 0), 1);
+        assert_eq!(fanout_seats(68, 64, 0), 16);
+        assert_eq!(fanout_seats(10_000, 64, 0), 63);
+        assert_eq!(fanout_seats(68, 64, 62), 2);
+        assert_eq!(fanout_seats(68, 64, 64), 0);
+        assert_eq!(fanout_seats(95, 1, 0), 0);
+    }
+
+    #[test]
+    fn rows_stay_on_the_caller_while_sweep_runs_hold_every_core() {
+        // Each sweep run in progress holds a core: with as many runs as
+        // the world's width, first rows of 90-odd pairs get no helper seat,
+        // and the answers are the serial ones. (Other tests' worlds post
+        // nothing meanwhile either, which changes none of their answers.)
+        let centers = crate::init::Shape::Random.generate(96, 1);
+        let mut busy = world(centers.clone(), WorldMode::Sparse);
+        busy.row_fanout_width = 2;
+        crate::sweep::RUNS_IN_FLIGHT.fetch_add(2, Ordering::Relaxed);
+        let looks: Vec<Vec<usize>> = (0..4).map(|i| busy.visible_of(i)).collect();
+        crate::sweep::RUNS_IN_FLIGHT.fetch_sub(2, Ordering::Relaxed);
+        assert!(busy.plan.len() > 90, "a first row plans its new pairs");
+        assert_eq!(busy.fanout_rows(), 0, "no row is posted to busy cores");
+        let mut serial = world(centers, WorldMode::Sparse);
+        serial.row_fanout_width = 1;
+        let want: Vec<Vec<usize>> = (0..4).map(|i| serial.visible_of(i)).collect();
+        assert_eq!(looks, want);
+    }
+
+    #[test]
     fn concurrent_worlds_share_the_helpers_and_match_the_serial_refresh() {
         // Two threads drive their own row-scan worlds through the one
         // process-wide pool at once, released together by a barrier. A
@@ -2223,7 +2336,7 @@ mod tests {
     /// re-raised.
     fn run_on_helpers(shared: &mut Arc<FanoutJob>) -> Result<Vec<PairVerdict>, String> {
         // Another test's row may hold the slot for a moment.
-        while !post(shared) {
+        while !post(shared, 1) {
             std::thread::yield_now();
         }
         let deadline = Instant::now() + Duration::from_secs(60);
@@ -2231,7 +2344,7 @@ mod tests {
             assert!(Instant::now() < deadline, "no helper took the job");
             std::thread::yield_now();
         }
-        *POOL.slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
+        take_back();
         catch_unwind(AssertUnwindSafe(|| {
             let job = settle(shared, Ok(()));
             job.answers
