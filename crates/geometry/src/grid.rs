@@ -15,6 +15,7 @@
 //! the exact set re-filter, and callers that only need soundness (cache
 //! invalidation, obstacle pre-filters) use the superset as-is.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -78,6 +79,11 @@ pub const GRID_LEVEL_SCALE: i64 = 8;
 pub struct UniformGrid {
     cell: f64,
     cells: CellMap<Vec<usize>>,
+    /// Site lists of emptied cells, cleared with their storage kept: a
+    /// cell that gains its first site takes one, so a site re-entering a
+    /// cell allocates nothing once as many lists exist as cells were ever
+    /// occupied at once.
+    spare: Vec<Vec<usize>>,
     /// Site counts per level-1 cell. Corridor walks over long chords
     /// consult these to skip empty regions a whole coarse cell at a time
     /// ([`Self::for_each_occupied_cell_near_segment`]).
@@ -97,6 +103,7 @@ impl UniformGrid {
         let mut grid = UniformGrid {
             cell,
             cells: CellMap::default(),
+            spare: Vec::new(),
             coarse_counts: CellMap::default(),
         };
         for (i, &p) in points.iter().enumerate() {
@@ -142,20 +149,27 @@ impl UniformGrid {
     }
 
     /// Moves site `i` from `old`, the position it is hashed at, to `new`,
-    /// rehashing it into its new cell.
+    /// rehashing it into its new cell. A cell it empties is dropped and its
+    /// list kept for the next cell that gains a site, so the steady state
+    /// allocates nothing.
     pub fn move_point(&mut self, i: usize, old: Point, new: Point) {
         let from = self.cell_of(old);
         let to = self.cell_of(new);
         if from != to {
-            if let Some(bucket) = self.cells.get_mut(&from) {
+            if let Entry::Occupied(mut slot) = self.cells.entry(from) {
+                let bucket = slot.get_mut();
                 if let Some(pos) = bucket.iter().position(|&k| k == i) {
                     bucket.swap_remove(pos);
                 }
                 if bucket.is_empty() {
-                    self.cells.remove(&from);
+                    self.spare.push(slot.remove());
                 }
             }
-            self.cells.entry(to).or_default().push(i);
+            let spare = &mut self.spare;
+            self.cells
+                .entry(to)
+                .or_insert_with(|| spare.pop().unwrap_or_default())
+                .push(i);
         }
         let from = self.cell_of_at(old, 1);
         let to = self.cell_of_at(new, 1);

@@ -54,19 +54,20 @@ const ACTIVE: usize = 16;
 /// Oscillation amplitude of the active robots. Stays within the world's
 /// certificate drift radius (COVER_STABILITY_RADIUS/2 = 0.025), so a
 /// blocked far pair is certified once and then survives the whole run
-/// without recomputes — and its registrations cost the drains one branch
-/// per move.
+/// without recomputes — and its registrations, kept in the certified
+/// lists, cost the drains nothing but the lookup of each list.
 const AMPLITUDE: f64 = 0.02;
 /// Peak-heap gate. The sparse world's footprint is dominated by the
 /// ACTIVE·n computed pair entries plus their 8-byte corridor
-/// registrations (tens of MB); an n(n−1)/2 pair triangle alone would blow
-/// this at n = 10⁴, and so would registrations grown back to their old
-/// 16 bytes plus a little slack.
-const PEAK_BUDGET_BYTES: u64 = 64 * 1024 * 1024;
+/// registrations (about 13 MB with certified pairs on their few coarse
+/// cells); an n(n−1)/2 pair triangle alone would blow this at n = 10⁴,
+/// and so would certified pairs registered back on their fine cells
+/// (about 27 MB) plus a little slack.
+const PEAK_BUDGET_BYTES: u64 = 32 * 1024 * 1024;
 /// Throughput floor: the run must also *finish promptly*, not just finish.
 /// Measured steady state is ~340 events/s on a weak single-core container
 /// (dominated by the ~60 near-ring pair recomputes per event — certified
-/// far pairs cost one branch each); the floor trips when the certificate
+/// far pairs cost an in-drift move nothing); the floor trips when the certificate
 /// skip path breaks and every event rescans its full row, long before the
 /// job-level timeout would.
 const MIN_EVENTS_PER_SEC: f64 = 100.0;

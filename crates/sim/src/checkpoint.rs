@@ -26,11 +26,14 @@
 //! A row depends on its spec *and* on the engine's semantics, so a row a
 //! differently behaving build computed must never be resumed. The header
 //! therefore carries an [`engine_id`]: the CRC-32 of the record bytes of
-//! one fixed, short paper-algorithm run. A journal whose version (4) or
+//! one fixed, short paper-algorithm run. A journal whose version (5) or
 //! engine id differs from this build's decodes to nothing and every row
 //! re-runs. The id only catches behaviour that canonical run exercises — a
 //! change confined to, say, a fault adversary keeps the id and must bump
-//! [`VERSION`] instead.
+//! [`VERSION`] instead. Version 5 is such a bump: certified pairs moved to
+//! their own coarse registration lists, which changes the stored
+//! registration count (`world_pair_registrations`) of larger runs but not
+//! the canonical run's record.
 //!
 //! ## Writes and recovery
 //!
@@ -61,7 +64,7 @@ use crate::json;
 /// The journal's magic prefix.
 pub const MAGIC: [u8; 4] = *b"FRCK";
 /// The journal format version this build writes and reads.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 /// Bytes in the journal header: magic, version, engine id.
 pub const HEADER_LEN: usize = 12;
 /// Upper bound on a record's payload length; longer frames are treated as

@@ -32,13 +32,31 @@
 //!   conservative cover of its corridor (the grid's capsule walk), at the
 //!   grid level matched to its chord length so each pair holds O(1) cells;
 //! * when robot `i` moves, only the registrations of the cell it left and
-//!   the cell it entered (at every level) are drained; exactly those pairs
-//!   are marked dirty and queued on both endpoints' pending rows.
+//!   the cell it entered (at every level) are drained; of those, exactly
+//!   the pairs the move can affect (`i` is an endpoint, or its old or new
+//!   center lies within the pruning radius of the chord) are marked dirty
+//!   and queued on both endpoints' pending rows.
 //!
-//! A registration is 8 bytes: the pair's slab id plus its generation and
-//! certified flag. The drain and the compaction sweeps index the slab by
-//! id and never hash; only planning a row refresh and a direct
-//! [`World::sees`] probe look a pair up, once per candidate.
+//! **Certified pairs** — those the slack strip cover proved blocked
+//! ([`PairVerdict::Certified`]) — register apart, in per-level certified
+//! lists, at the finest level whose cell edge spans the whole capsule
+//! (chord plus twice the pruning radius), so each holds at most four
+//! cells unless it outgrows the coarsest level. Their answer can change
+//! only when a robot moves beyond `CERT_DRIFT_RADIUS` of its anchor:
+//! robots entering a blocked corridor only block more, and a certificate
+//! survives every robot drifting within that radius. So a move within the
+//! radius skips each drained cell's certified list whole, without reading
+//! a ref, and a move beyond it drains the list with the same exact test
+//! as the others. The coarse cover holds every cell of the capsule, so a
+//! beyond-drift move still dirties every certified pair it can affect.
+//!
+//! A registration is 8 bytes: the pair's slab id plus its generation; the
+//! list it sits in says whether the pair is certified. The drain and the
+//! compaction sweeps index the slab by id and never hash; only planning a
+//! row refresh and a direct [`World::sees`] probe look a pair up, once per
+//! candidate. A list a drain empties leaves its cell and waits, cleared,
+//! for the next cell that gains a registration, so the steady state
+//! allocates nothing.
 //!
 //! The cover is a superset of the cells that can hold a relevant obstacle
 //! (and always contains the endpoints' own cells), so a stale hit is
@@ -47,8 +65,11 @@
 //! registered cell. Cache hits are O(1); a move dirties only the pairs
 //! registered on the touched cells; a row refresh recomputes only its
 //! queued dirty pairs (plan, compute, commit — see `World::refresh_row`).
-//! Pairs whose corridor a strip cover certifies blocked survive in-drift
-//! moves with no work at all (see `CERT_DRIFT_RADIUS`).
+//!
+//! No benchmark workload moves a robot beyond the drift radius at
+//! n > `SCAN_MAX_N`: `hex_n10k` never moves, and the `scale_smoke`
+//! example's movers oscillate inside the radius. So the cost of the
+//! coarse certified drain in large worlds is unmeasured.
 //!
 //! ## Where a recompute's obstacles come from
 //!
@@ -223,31 +244,18 @@ impl WorldMode {
 struct PairEntry {
     a: u32,
     b: u32,
-    /// Bumped (mod 2³¹, the width [`SparseRef`] keeps) on every
-    /// recompute; cell registrations carrying an older generation are
-    /// dead.
+    /// Bumped (wrapping) on every recompute; cell registrations carrying
+    /// an older generation are dead.
     gen: u32,
     seen: bool,
     dirty: bool,
-    /// The last recompute answered [`PairVerdict::Certified`]: the slack
-    /// strip cover (of [`pair_verdict`] or the mid-chord window) proved the
-    /// pair blocked, so the answer provably stays
-    /// `false` while **every** robot — both endpoints and every corridor
-    /// obstacle — remains within [`CERT_DRIFT_RADIUS`] of its anchor.
-    /// Lets the drain *skip* a certified registration for any in-drift
-    /// move with a single branch (the flag is copied into the
-    /// registration, so the slab is not even indexed): the mechanism that
-    /// makes both a mover's own far-pair row and the thousands of
-    /// third-party corridors crossing its cell survive oscillation with
-    /// zero per-move work.
-    certified: bool,
 }
 
 impl PairEntry {
     /// `true` when `r` is this entry's current registration: the pair is
     /// clean and has not been recomputed since `r` was written.
     fn is_current(&self, r: SparseRef) -> bool {
-        !self.dirty && self.gen == r.gen()
+        !self.dirty && self.gen == r.gen
     }
 }
 
@@ -300,9 +308,12 @@ const SCAN_MAX_N: usize = 128;
 const ROW_PREFIX_SLACK: f64 = 1.0 + 1e-6;
 
 /// Chord lengths up to this many cell edges register at a grid level; a
-/// longer chord moves up one level. Keeps every pair's corridor
-/// registration at O(1) cells regardless of chord length (the memory term
-/// that would otherwise scale with the configuration diameter).
+/// longer chord moves up one level. Keeps every uncertified pair's
+/// corridor registration at O(1) cells regardless of chord length (the
+/// memory term that would otherwise scale with the configuration
+/// diameter). A certified pair registers coarser still, on the finest
+/// level whose cell edge spans its whole capsule (`World::cert_reg_level`),
+/// because only a mover beyond [`CERT_DRIFT_RADIUS`] ever drains it.
 const SPARSE_REG_SPAN_CELLS: f64 = 8.0;
 
 /// Packed key of the unordered pair `{a, b}` (`a < b`) in the pair store.
@@ -312,47 +323,18 @@ fn pair_key(a: usize, b: usize) -> u64 {
 }
 
 /// One corridor registration: the pair in slab slot `id` depends on the
-/// registered cell. `tag` packs the pair's generation at registration time
-/// (low 31 bits) with a copy of its [`PairEntry::certified`] flag (top
-/// bit), so the drain fast path skips certified registrations without
-/// touching the slab. A stale flag is harmless: if the pair has since been
-/// recomputed, this ref is dead (generation mismatch) and skipping it
-/// merely retains garbage — the *live* registration written by that
-/// recompute carries the current flag and is the one that matters. Stale
-/// refs are reaped by the drain's slow path and the amortized compaction
-/// sweeps.
+/// registered cell, as of the recompute that gave it generation `gen`. A
+/// ref whose pair has since been recomputed or dirtied is dead; dead refs
+/// are reaped by the drains and the amortized compaction sweeps. Whether
+/// the pair was certified is not stored here: the list a ref sits in says
+/// it ([`SparseVis::cert_regs`]).
 #[derive(Debug, Clone, Copy)]
 struct SparseRef {
     id: u32,
-    tag: u32,
+    gen: u32,
 }
 
-impl SparseRef {
-    /// The certified bit of `tag`.
-    const CERTIFIED: u32 = 1 << 31;
-    /// The generation bits of `tag`.
-    const GEN_MASK: u32 = Self::CERTIFIED - 1;
-
-    fn new(id: u32, gen: u32, certified: bool) -> Self {
-        debug_assert!(gen <= Self::GEN_MASK);
-        let tag = if certified {
-            gen | Self::CERTIFIED
-        } else {
-            gen
-        };
-        SparseRef { id, tag }
-    }
-
-    fn gen(self) -> u32 {
-        self.tag & Self::GEN_MASK
-    }
-
-    fn certified(self) -> bool {
-        self.tag & Self::CERTIFIED != 0
-    }
-}
-
-// Registrations outnumber pair entries ~10× on dense packings; both
+// Registrations outnumber pair entries ~2× on dense packings; both
 // layouts are part of the scale gate's memory budget.
 const _: () = assert!(std::mem::size_of::<SparseRef>() == 8);
 const _: () = assert!(std::mem::size_of::<PairEntry>() == 16);
@@ -396,8 +378,26 @@ struct SparseVis {
     /// Whether row `i` has ever been fully computed. A row's first refresh
     /// computes all of its pairs; afterwards only dirtied pairs recompute.
     row_init: Vec<bool>,
-    /// Corridor registrations per grid level (index = level).
+    /// Corridor registrations of the uncertified pairs per grid level
+    /// (index = level), at the level [`World::sparse_reg_level`] matches
+    /// to each chord's length.
     regs: [CellMap<SparseCellRegs>; GRID_LEVELS],
+    /// Corridor registrations of the pairs whose last recompute answered
+    /// [`PairVerdict::Certified`]: the slack strip cover (of
+    /// [`pair_verdict`] or the mid-chord window) proved the pair blocked,
+    /// so the answer provably stays `false` while **every** robot — both
+    /// endpoints and every corridor obstacle — remains within
+    /// [`CERT_DRIFT_RADIUS`] of its anchor. Kept apart from `regs` so a
+    /// drain for an in-drift mover skips a cell's whole list at once, and
+    /// registered at [`World::cert_reg_level`], whose cells span the
+    /// capsule, so each such pair holds at most four cells (more only when
+    /// its capsule outgrows the coarsest cell).
+    cert_regs: [CellMap<SparseCellRegs>; GRID_LEVELS],
+    /// Registration lists of emptied cells, cleared with their storage
+    /// kept: a cell that gains its first registration takes one, so a
+    /// robot re-entering a cell allocates nothing once as many lists exist
+    /// as cells ever held registrations at once.
+    spare: Vec<Vec<SparseRef>>,
 }
 
 impl SparseVis {
@@ -413,7 +413,6 @@ impl SparseVis {
                 gen: 0,
                 seen: false,
                 dirty: true,
-                certified: false,
             });
             id
         })
@@ -659,6 +658,7 @@ impl World {
             self.sparse
                 .regs
                 .iter()
+                .chain(&self.sparse.cert_regs)
                 .flat_map(CellMap::values)
                 .map(|r| r.refs.len() as u64)
                 .sum(),
@@ -725,19 +725,22 @@ impl World {
                 // incidental registrations; the drain's exact chord-distance
                 // test filters them, so coarseness costs drain time, never
                 // correctness.
+                let in_drift =
+                    p.distance_sq(self.anchors[i]) <= CERT_DRIFT_RADIUS * CERT_DRIFT_RADIUS;
                 for level in 0..GRID_LEVELS {
                     let from = self.sites.grid.cell_of_at(old, level);
                     let to = self.sites.grid.cell_of_at(p, level);
-                    self.dirty_cell(level, from, i, old, p);
+                    self.dirty_cell(level, from, i, old, p, in_drift);
                     if to != from {
-                        self.dirty_cell(level, to, i, old, p);
+                        self.dirty_cell(level, to, i, old, p, in_drift);
                     }
                 }
                 // Anchor maintenance, after the drains: a move beyond the
-                // drift radius has just failed every skip check (dirtying
-                // the mover's certified pairs), so re-anchoring here cannot
-                // strand a certificate issued against the old anchor.
-                if p.distance_sq(self.anchors[i]) > CERT_DRIFT_RADIUS * CERT_DRIFT_RADIUS {
+                // drift radius has just drained the certified lists too
+                // (dirtying the certified pairs the mover can affect), so
+                // re-anchoring here cannot strand a certificate issued
+                // against the old anchor.
+                if !in_drift {
                     self.anchors[i] = p;
                 }
             }
@@ -768,79 +771,93 @@ impl World {
     /// mover never entered). Dead registrations (older generation, or pairs
     /// already dirty) are dropped — a dirty pair re-registers when it is
     /// next recomputed.
-    fn dirty_cell(&mut self, level: usize, cell: CellCoord, mover: usize, old: Point, new: Point) {
+    ///
+    /// The cell's certified list is drained the same way only when the
+    /// move takes the mover beyond [`CERT_DRIFT_RADIUS`] of its anchor
+    /// (`in_drift` is `false`). While the mover stays within it, every
+    /// certified pair — the mover's own *and* third-party corridors
+    /// crossing this cell — provably keeps its "blocked" answer (see
+    /// [`CERT_DRIFT_RADIUS`]), so the whole list is kept without reading
+    /// a ref. A list the drain empties leaves its cell and waits, cleared,
+    /// in `spare` for the next cell that gains a registration.
+    fn dirty_cell(
+        &mut self,
+        level: usize,
+        cell: CellCoord,
+        mover: usize,
+        old: Point,
+        new: Point,
+        in_drift: bool,
+    ) {
         use std::collections::hash_map::Entry;
         let SparseVis {
             slab,
             pending,
             regs,
+            cert_regs,
+            spare,
             ..
         } = &mut self.sparse;
-        let Entry::Occupied(mut slot) = regs[level].entry(cell) else {
-            return;
-        };
-        let regs = slot.get_mut();
         let centers = &self.sites.centers;
         let view_versions = &mut self.view_versions;
-        let cert_skips = &mut self.cert_skips;
         let prune_sq = VISIBILITY_PRUNE_RADIUS * VISIBILITY_PRUNE_RADIUS;
-        let drift_sq = CERT_DRIFT_RADIUS * CERT_DRIFT_RADIUS;
-        // Hoisted skip predicate: this move keeps the mover within the
-        // drift radius of its anchor. While that holds, every certified
-        // registration — the mover's own pairs *and* third-party corridors
-        // crossing this cell — provably keeps its "blocked" answer (see
-        // [`CERT_DRIFT_RADIUS`]), so the fast path below retains it with
-        // one branch and no slab access. A move beyond the radius
-        // makes this `false` for the whole drain, which dirties every
-        // certified pair the mover could affect *before* `move_robot`
-        // resets the anchor.
-        let mover_within_drift = new.distance_sq(self.anchors[mover]) <= drift_sq;
-        regs.refs.retain(|&r| {
-            if r.certified() && mover_within_drift {
-                *cert_skips += 1;
-                return true;
-            }
-            let entry = &mut slab[r.id as usize];
-            if !entry.is_current(r) {
-                return false; // dead registration
-            }
-            let (a, b) = (entry.a as usize, entry.b as usize);
-            // Squared-distance form of `distance_to(..) <= PRUNE_RADIUS`:
-            // exactly equivalent (the radius squares exactly), one sqrt
-            // cheaper per drained registration.
-            let affected = a == mover || b == mover || {
-                let chord = Segment::new(centers[a], centers[b]);
-                chord.distance_sq_to(old) <= prune_sq || chord.distance_sq_to(new) <= prune_sq
-            };
-            if affected {
-                entry.dirty = true;
-                // View-version maintenance. A robot's Look snapshot changes
-                // only when a robot it *sees* moved or its visible set
-                // flips. Dirtying a **seen** pair therefore bumps both
-                // endpoints right here: a clean pair is registered on both
-                // endpoints' current cells, so a seen pair whose endpoint
-                // moves is always drained at that move, and while the pair
-                // stays dirty no further endpoint move can slip through
-                // unbumped. **Unseen** pairs stay silent — their endpoints'
-                // views can only change if the answer flips, which the
-                // recompute detects (and bumps), always before any robot
-                // stamps a view version off that state. This is what keeps
-                // one move's invalidation at O(deg): moving a robot nobody
-                // sees bumps nobody else.
-                if entry.seen {
-                    view_versions[a] += 1;
-                    view_versions[b] += 1;
+        let mut drain = |list: &mut SparseCellRegs| {
+            list.refs.retain(|&r| {
+                let entry = &mut slab[r.id as usize];
+                if !entry.is_current(r) {
+                    return false; // dead registration
                 }
-                push_pending(&mut pending[a], b as u32);
-                push_pending(&mut pending[b], a as u32);
-            }
-            !affected
-        });
-        if regs.refs.is_empty() {
-            slot.remove();
-        } else {
+                let (a, b) = (entry.a as usize, entry.b as usize);
+                // Squared-distance form of `distance_to(..) <= PRUNE_RADIUS`:
+                // exactly equivalent (the radius squares exactly), one sqrt
+                // cheaper per drained registration.
+                let affected = a == mover || b == mover || {
+                    let chord = Segment::new(centers[a], centers[b]);
+                    chord.distance_sq_to(old) <= prune_sq || chord.distance_sq_to(new) <= prune_sq
+                };
+                if affected {
+                    entry.dirty = true;
+                    // View-version maintenance. A robot's Look snapshot
+                    // changes only when a robot it *sees* moved or its
+                    // visible set flips. Dirtying a **seen** pair therefore
+                    // bumps both endpoints right here: a clean pair is
+                    // registered on both endpoints' current cells, so a
+                    // seen pair whose endpoint moves is always drained at
+                    // that move, and while the pair stays dirty no further
+                    // endpoint move can slip through unbumped. **Unseen**
+                    // pairs stay silent — their endpoints' views can only
+                    // change if the answer flips, which the recompute
+                    // detects (and bumps), always before any robot stamps a
+                    // view version off that state. This is what keeps one
+                    // move's invalidation at O(deg): moving a robot nobody
+                    // sees bumps nobody else.
+                    if entry.seen {
+                        view_versions[a] += 1;
+                        view_versions[b] += 1;
+                    }
+                    push_pending(&mut pending[a], b as u32);
+                    push_pending(&mut pending[b], a as u32);
+                }
+                !affected
+            });
             // The drain doubles as a sweep: reset the compaction watermark.
-            regs.compact_at = regs.refs.len() * 2;
+            list.compact_at = list.refs.len() * 2;
+        };
+        let mut drain_cell = |lists: &mut CellMap<SparseCellRegs>| {
+            if let Entry::Occupied(mut slot) = lists.entry(cell) {
+                drain(slot.get_mut());
+                if slot.get().refs.is_empty() {
+                    spare.push(slot.remove().refs);
+                }
+            }
+        };
+        drain_cell(&mut regs[level]);
+        if in_drift {
+            if let Some(list) = cert_regs[level].get(&cell) {
+                self.cert_skips += list.refs.len() as u64;
+            }
+        } else {
+            drain_cell(&mut cert_regs[level]);
         }
     }
 
@@ -871,19 +888,29 @@ impl World {
         verdict == PairVerdict::Seen
     }
 
-    /// The grid level a pair registers its corridor at: the finest level
-    /// whose cells are large enough that the chord's cover holds O(1) of
-    /// them ([`SPARSE_REG_SPAN_CELLS`]). Long chords land on the coarsest
-    /// level, whose cover is a handful of cells even across the whole
-    /// configuration.
+    /// The grid level an uncertified pair registers its corridor at: the
+    /// finest level whose cells are large enough that the chord's cover
+    /// holds O(1) of them ([`SPARSE_REG_SPAN_CELLS`]). Long chords land on
+    /// the coarsest level, whose cover is a handful of cells even across
+    /// the whole configuration.
     fn sparse_reg_level(&self, ca: Point, cb: Point) -> usize {
         let chord = ca.distance(cb);
-        for level in 0..GRID_LEVELS {
-            if chord <= self.sites.grid.cell_size_at(level) * SPARSE_REG_SPAN_CELLS {
-                return level;
-            }
-        }
-        GRID_LEVELS - 1
+        (0..GRID_LEVELS)
+            .find(|&level| chord <= self.sites.grid.cell_size_at(level) * SPARSE_REG_SPAN_CELLS)
+            .unwrap_or(GRID_LEVELS - 1)
+    }
+
+    /// The grid level a certified pair registers its corridor at: the
+    /// finest level whose cell edge is at least the capsule's extent, the
+    /// chord plus the pruning radius at either end, so its cover holds at
+    /// most two columns of two cells; the coarsest level when no cell is
+    /// that large. Coarse cells cost a certified pair nothing on an
+    /// in-drift move, whose drain skips the certified lists whole.
+    fn cert_reg_level(&self, ca: Point, cb: Point) -> usize {
+        let extent = ca.distance(cb) + 2.0 * VISIBILITY_PRUNE_RADIUS;
+        (0..GRID_LEVELS)
+            .find(|&level| self.sites.grid.cell_size_at(level) >= extent)
+            .unwrap_or(GRID_LEVELS - 1)
     }
 }
 
@@ -1104,24 +1131,23 @@ impl Sites {
 
 impl World {
     /// Commits one computed verdict to the pair in slab slot `id`: bumps
-    /// its generation, clears its dirty flag, stores the seen bit and the
-    /// certified flag, bumps both views and updates both adjacency lists on
-    /// a flip, counts a cover answer, and re-registers the pair's corridor.
-    /// `verdict` is what [`Sites::compute_pair_answer`] returned for the pair
-    /// on the current centers. Touches no hash map.
+    /// its generation, clears its dirty flag, stores the seen bit, bumps
+    /// both views and updates both adjacency lists on a flip, counts a
+    /// cover answer, and re-registers the pair's corridor — a certified
+    /// pair on its coarse cells in the certified lists, any other pair at
+    /// its chord-matched level. `verdict` is what
+    /// [`Sites::compute_pair_answer`] returned for the pair on the current
+    /// centers. Touches no hash map but the cell lists.
     fn commit_pair(&mut self, id: u32, verdict: PairVerdict) {
         let seen = verdict == PairVerdict::Seen;
         let certified = verdict == PairVerdict::Certified;
         let entry = &mut self.sparse.slab[id as usize];
-        entry.gen = (entry.gen + 1) & SparseRef::GEN_MASK;
+        entry.gen = entry.gen.wrapping_add(1);
         entry.dirty = false;
         let flipped = entry.seen != seen;
         entry.seen = seen;
-        entry.certified = certified;
         let (a, b) = (entry.a as usize, entry.b as usize);
-        // Registered with the just-computed certified flag so drains can
-        // honor it without indexing the slab.
-        let sref = SparseRef::new(id, entry.gen, certified);
+        let sref = SparseRef { id, gen: entry.gen };
         if matches!(verdict, PairVerdict::CoverBlocked | PairVerdict::Certified) {
             self.cover_answers += 1;
         }
@@ -1147,13 +1173,30 @@ impl World {
         // *registration* walk must not skip empty cells: a future mover
         // can enter one.
         let (ca, cb) = (self.sites.centers[a], self.sites.centers[b]);
-        let level = self.sparse_reg_level(ca, cb);
-        let SparseVis { slab, regs, .. } = &mut self.sparse;
+        let level = if certified {
+            self.cert_reg_level(ca, cb)
+        } else {
+            self.sparse_reg_level(ca, cb)
+        };
+        let SparseVis {
+            slab,
+            regs,
+            cert_regs,
+            spare,
+            ..
+        } = &mut self.sparse;
         let slab = &*slab;
-        let level_regs = &mut regs[level];
+        let level_regs = if certified {
+            &mut cert_regs[level]
+        } else {
+            &mut regs[level]
+        };
         let grid = &self.sites.grid;
         grid.for_each_cell_near_segment_at(level, ca, cb, VISIBILITY_PRUNE_RADIUS, |cell| {
-            let slot = level_regs.entry(cell).or_default();
+            let slot = level_regs.entry(cell).or_insert_with(|| SparseCellRegs {
+                refs: spare.pop().unwrap_or_default(),
+                compact_at: 0,
+            });
             if slot.refs.len() >= slot.compact_at.max(REGISTRATION_COMPACT_LEN) {
                 slot.refs.retain(|&r| slab[r.id as usize].is_current(r));
                 slot.compact_at = slot.refs.len() * 2;
@@ -2117,6 +2160,7 @@ mod tests {
             .sparse
             .regs
             .iter()
+            .chain(&w.sparse.cert_regs)
             .flat_map(CellMap::values)
             .map(|r| r.refs.len())
             .max()
@@ -2472,6 +2516,125 @@ mod tests {
         }
     }
 
+    /// The cells, as (level, coordinate) pairs, holding a live
+    /// registration of the pair `{a, b}`: first in the certified lists,
+    /// then in the others.
+    fn live_registrations(w: &World, a: usize, b: usize) -> [Vec<(usize, CellCoord)>; 2] {
+        let id = w.sparse.ids[&pair_key(a.min(b), a.max(b))];
+        let entry = w.sparse.slab[id as usize];
+        [&w.sparse.cert_regs, &w.sparse.regs].map(|maps| {
+            let mut cells: Vec<(usize, CellCoord)> = maps
+                .iter()
+                .enumerate()
+                .flat_map(|(level, map)| {
+                    map.iter()
+                        .filter(|(_, list)| {
+                            list.refs.iter().any(|&r| r.id == id && entry.is_current(r))
+                        })
+                        .map(move |(&cell, _)| (level, cell))
+                })
+                .collect();
+            cells.sort_unstable();
+            cells
+        })
+    }
+
+    /// `true` when the pair `{a, b}` is clean and registered in the
+    /// certified lists only.
+    fn registered_certified(w: &World, a: usize, b: usize) -> bool {
+        let [cert, other] = live_registrations(w, a, b);
+        !cert.is_empty() && other.is_empty()
+    }
+
+    #[test]
+    fn certified_pairs_register_coarsely_and_drain_only_beyond_the_drift_radius() {
+        // A hex patch centred on the origin, so the level-1 cell edges
+        // x = 0 and y = 0 cross it.
+        let raw = crate::init::hex(64, 2.1);
+        let n = raw.len();
+        let (sx, sy) = raw.iter().fold((0.0, 0.0), |(x, y), q| (x + q.x, y + q.y));
+        let centers: Vec<Point> = raw
+            .iter()
+            .map(|q| p(q.x - sx / n as f64, q.y - sy / n as f64))
+            .collect();
+        let mut w = world(centers.clone(), WorldMode::Sparse);
+        for i in 0..n {
+            let _ = w.visible_of(i);
+        }
+        // A certified pair with a robot `k` in its corridor whose cell at
+        // the pair's registration level holds neither endpoint: only the
+        // capsule cover, not the endpoints' cells, sees `k` move.
+        let (a, b, k) = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .filter(|&(a, b)| registered_certified(&w, a, b))
+            .find_map(|(a, b)| {
+                let level = w.cert_reg_level(centers[a], centers[b]);
+                let cell = |q| w.sites.grid.cell_of_at(q, level);
+                let chord = Segment::new(centers[a], centers[b]);
+                (0..n)
+                    .find(|&k| {
+                        k != a
+                            && k != b
+                            && chord.distance_to(centers[k]) <= UNIT_RADIUS
+                            && cell(centers[k]) != cell(centers[a])
+                            && cell(centers[k]) != cell(centers[b])
+                    })
+                    .map(|k| (a, b, k))
+            })
+            .expect("a certified pair with an obstacle outside its endpoints' cells");
+        // Registered on the cover of its capsule at the certified level,
+        // coarser than its chord-matched level: at most four cells.
+        let (ca, cb) = (centers[a], centers[b]);
+        let level = w.cert_reg_level(ca, cb);
+        assert!(level > w.sparse_reg_level(ca, cb), "a coarser level");
+        let mut cover = Vec::new();
+        w.sites.grid.for_each_cell_near_segment_at(
+            level,
+            ca,
+            cb,
+            VISIBILITY_PRUNE_RADIUS,
+            |cell| {
+                cover.push((level, cell));
+                true
+            },
+        );
+        cover.sort_unstable();
+        assert_eq!(live_registrations(&w, a, b)[0], cover);
+        assert!(cover.len() <= 4, "{} cells", cover.len());
+        let id = w.sparse.ids[&pair_key(a, b)] as usize;
+        let dirty = |w: &World| w.sparse.slab[id].dirty;
+        let nudge = |q: Point, d: f64| p(q.x + d, q.y - d);
+        let assert_row_matches_scratch = |w: &mut World| {
+            let mut scratch = world(w.centers().to_vec(), WorldMode::Scratch);
+            assert_eq!(w.visible_of(a), scratch.visible_of(a), "row {a}");
+        };
+        for mover in [a, k] {
+            // In-drift moves, out and home again, leave the pair clean
+            // while the drains skip its certified registrations.
+            let home = w.center(mover);
+            let skips = w.cert_stats().1;
+            for to in [nudge(home, 0.6 * CERT_DRIFT_RADIUS), home] {
+                w.move_robot(mover, to);
+                assert!(!dirty(&w), "an in-drift move of {mover} dirtied ({a}, {b})");
+            }
+            assert!(w.cert_stats().1 > skips, "the drains skipped its cells");
+            assert_row_matches_scratch(&mut w);
+            assert!(registered_certified(&w, a, b));
+            // A move beyond the drift radius dirties it; the recompute
+            // answers what the oracle does. Going home recertifies it.
+            w.move_robot(mover, nudge(home, 4.0 * CERT_DRIFT_RADIUS));
+            assert!(
+                dirty(&w),
+                "a beyond-drift move of {mover} left ({a}, {b}) clean"
+            );
+            assert_row_matches_scratch(&mut w);
+            w.move_robot(mover, home);
+            assert!(dirty(&w), "moving {mover} home left ({a}, {b}) clean");
+            assert_row_matches_scratch(&mut w);
+            assert!(registered_certified(&w, a, b), "recertified");
+        }
+    }
+
     #[test]
     fn mid_chord_window_agrees_with_the_full_corridor() {
         // Wherever the window certifies a pair, the full corridor must
@@ -2537,7 +2700,10 @@ mod tests {
                 })
                 .expect("a corridor obstacle outside the window");
             let entry = |w: &World| w.sparse.slab[w.sparse.ids[&pair_key(a, b)] as usize];
-            assert!(entry(&w).certified, "{name}: the Look certifies ({a}, {b})");
+            assert!(
+                registered_certified(&w, a, b),
+                "{name}: the Look certifies ({a}, {b})"
+            );
             w.move_robot(k, p(centers[k].x + 0.5, centers[k].y + 0.5));
             assert!(entry(&w).dirty, "{name}: the move must dirty ({a}, {b})");
             let mut scratch = world(w.centers().to_vec(), WorldMode::Scratch);

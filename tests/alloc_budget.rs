@@ -14,8 +14,10 @@
 //! * `Event::Collide` carries a `Vec<RobotId>` (collisions are occasional);
 //! * a visibility-pair recompute may register itself in a grid cell whose
 //!   registration list needs to grow (amortized by doubling);
-//! * a robot crossing into a grid cell it never visited before allocates
-//!   that cell's site list once.
+//! * a robot crossing into an empty grid cell allocates that cell's site
+//!   list when no list of an emptied cell is spare (a cell's list is kept
+//!   for reuse when its last robot leaves, so stepping out and back is
+//!   free).
 //!
 //! If a future seed/window change makes one of those fire, widen the
 //! warm-up or pick a window without them — don't reintroduce a slack
@@ -24,7 +26,8 @@
 //! A second window drives an n = 96 world whose Looks fan their rows out
 //! to the world's helper pool, and measures exactly zero allocations on
 //! the calling thread too. It needs a multi-core host: on one core no row
-//! fans out, and the window returns early saying so.
+//! fans out, and the window returns early saying so. A third window, on
+//! any host, steps robots out of their grid cells into empty ones and back.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -213,6 +216,79 @@ fn fanned_out_looks_stay_within_the_allocation_budget() {
         after - before,
         0,
         "fanned-out Looks must not touch the heap on the calling thread"
+    );
+}
+
+#[test]
+fn robots_stepping_out_of_their_cell_and_back_do_not_allocate() {
+    // Robots on a square lattice 8 units apart, each alone in its 4-unit
+    // grid cell (the world's cells are aligned at the origin). Every robot
+    // in turn steps into the empty cell beside its own, which empties the
+    // cell it left, and it and a watcher re-Look; then it steps back and
+    // re-Looks. Each step is beyond the certificate drift radius, so it
+    // drains the mover's cells and its whole row recomputes and registers
+    // again. A site list or registration list a move empties is kept,
+    // cleared, for the next cell that gains an entry, so once every list
+    // has reached its periodic capacity the window touches the heap on
+    // this thread not once (a fan-out helper's own probe is not counted,
+    // and allocates nothing in a steady state either).
+    use fatrobots::geometry::Point;
+    use fatrobots::sim::world::{World, WorldMode};
+
+    let side = 8;
+    let n = side * side;
+    let homes: Vec<Point> = (0..n)
+        .map(|i| Point::new((i % side) as f64 * 8.0 + 2.0, (i / side) as f64 * 8.0 + 2.0))
+        .collect();
+    let cell = |q: Point| ((q.x / 4.0).floor() as i64, (q.y / 4.0).floor() as i64);
+    let out = |q: Point| Point::new(q.x + 4.0, q.y);
+    for (k, &home) in homes.iter().enumerate() {
+        assert_ne!(cell(home), cell(out(home)), "robot {k} leaves its cell");
+        assert!(
+            homes.iter().all(|&q| cell(q) != cell(out(home))),
+            "robot {k} steps into an empty cell"
+        );
+    }
+    let mut world = World::new(homes.clone(), WorldMode::Sparse);
+    let mut visible = Vec::new();
+    let cycle = |world: &mut World, visible: &mut Vec<usize>| {
+        for (k, &home) in homes.iter().enumerate() {
+            world.move_robot(k, out(home));
+            world.visible_of_into(k, visible);
+            world.visible_of_into((k + 1) % n, visible);
+            world.move_robot(k, home);
+            world.visible_of_into(k, visible);
+        }
+    };
+    // Warm-up: first rows, then cycles until every registration list and
+    // pending queue has reached its periodic capacity (eight cycles
+    // suffice; two more for margin).
+    for i in 0..n {
+        world.visible_of_into(i, &mut visible);
+    }
+    for _ in 0..10 {
+        cycle(&mut world, &mut visible);
+    }
+    let (_, misses_before) = world.cache_stats();
+    let before = allocations();
+    for _ in 0..2 {
+        cycle(&mut world, &mut visible);
+    }
+    let after = allocations();
+    let (_, misses_after) = world.cache_stats();
+    eprintln!(
+        "cell-crossing window: {} allocations over {} pair recomputes",
+        after - before,
+        misses_after - misses_before
+    );
+    assert!(
+        misses_after - misses_before >= (2 * 2 * n * (n - 1)) as u64,
+        "every step out and back recomputes the mover's row"
+    );
+    assert_eq!(
+        after - before,
+        0,
+        "re-entering an emptied cell must not touch the heap"
     );
 }
 
