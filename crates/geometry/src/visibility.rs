@@ -606,15 +606,17 @@ const STRIP_COVER_SAFETY: f64 = 1e-7;
 /// simulator.
 pub const COVER_STABILITY_RADIUS: f64 = 0.05;
 
-/// Minimum chord span for both strip covers: keeps the exact cover's
-/// square inflation `2/(span − 2)` at most 1/3, and the slack square
-/// comfortably bounded.
+/// Minimum chord span of the slack strip cover (and of the simulator's
+/// mid-chord window, which runs it): keeps the slack square's inflation
+/// `(1+ρ)·(2+2ρ)/(T−2−2ρ)` comfortably bounded. The exact cover derives
+/// its own bounds from the span and has no floor (see [`pair_verdict`]).
 pub const STRIP_COVER_MIN_SPAN: f64 = 8.0;
 
-/// Obstacles closer than this to either endpoint (measured along the chord
-/// axis) are ignored by the cover: beyond this margin the foot of the
-/// perpendicular from the obstacle onto a candidate line provably falls
-/// inside the candidate *segment*, so line distance equals segment distance.
+/// Axial end margin of the slack cover before its `2ρ` widening:
+/// obstacles closer than this to either endpoint (measured along the chord
+/// axis) are ignored, because beyond it the foot of the perpendicular from
+/// the obstacle onto a candidate line provably falls inside the candidate
+/// *segment*, so line distance equals segment distance.
 const STRIP_COVER_AXIAL_MARGIN: f64 = 2.5;
 
 const STRIP_COVER_MAX_POLYS: usize = 16;
@@ -635,47 +637,91 @@ pub enum PairVerdict {
 }
 
 /// The visibility of the pair `ci`–`cj` among `obstacles` (the contract of
-/// [`disc_sees_disc_among`]), through one cascade: for a chord of span at
-/// least [`STRIP_COVER_MIN_SPAN`], the slack strip cover
-/// ([`PairVerdict::Certified`]), then the exact one
-/// ([`PairVerdict::CoverBlocked`]), both sound O(|obstacles| · polygons)
-/// *blocked* certificates swept over one strip list; then the O(k²)
-/// witness kernel. Only the kernel can answer [`PairVerdict::Seen`].
+/// [`disc_sees_disc_among`]), through one cascade: the slack strip cover
+/// ([`PairVerdict::Certified`], chords of span at least
+/// [`STRIP_COVER_MIN_SPAN`]), then the exact one
+/// ([`PairVerdict::CoverBlocked`], every chord longer than 3), both sound
+/// O(|obstacles| · polygons) *blocked* certificates swept over one strip
+/// list; then the O(k²) witness kernel. Only the kernel can answer
+/// [`PairVerdict::Seen`].
 ///
 /// # Line-space cover
 ///
-/// Work in the chord frame (origin `ci`, axis towards `cj`, span `T`).
-/// Every candidate segment the kernel verifies has one endpoint within
-/// `UNIT_RADIUS` of `ci` and the other within `UNIT_RADIUS` of `cj`
-/// (stages 1–2 use `endpoint(c, o, ±1)` exactly on the unit circle; stage 3
-/// pulls both endpoints onto the unit circles). Parameterize the candidate
-/// by the offsets `(a, b)` of its supporting line at axial positions `0`
-/// and `T`. An endpoint `(t_e, o_e)` with `t_e² + o_e² ≤ 1` and slope
-/// `|s| ≤ 2/(T−2)` extrapolates to `|a| = |o_e − s·t_e| ≤ 1 + 2/(T−2)`,
-/// so every candidate lives in the square `[−S, S]²` with
-/// `S = 1 + 2/(T−2) + ε`.
+/// Work in the chord frame (origin `ci`, axis towards `cj`, span `T`) and
+/// write a candidate's supporting line as `y = a + s·x`, with `b = a + s·T`
+/// its offset at `cj`. Every candidate segment the kernel verifies has one
+/// endpoint within `UNIT_RADIUS` of `ci` and the other within `UNIT_RADIUS`
+/// of `cj` (stages 1–2 use `endpoint(c, o, ±1)` exactly on the unit circle;
+/// stage 3 pulls both endpoints onto the unit circles). Hence:
 ///
-/// An obstacle at `(t_k, o_k)` with `u = t_k/T` *blocks* every line whose
-/// axial offset difference satisfies `|a(1−u) + b·u − o_k| ≤ hw`
-/// (`hw = UNIT_RADIUS − STRIP_COVER_SAFETY`): the perpendicular
+/// * **Slope.** The endpoints sit at axial positions `t_i ≤ 1` and
+///   `t_j ≥ T − 1` with offsets in `[−1, 1]`, so
+///   `|s| ≤ s_max = 2/(T−2)`.
+/// * **Offsets.** The line passes within `1` of `ci` and of `cj`, so
+///   `|a|, |b| ≤ √(1+s²)`. The square root is convex on `[0, s_max]`, so
+///   it lies below its chord there: `√(1+s²) ≤ 1 + k·|s|` with
+///   `k = (√(1+s_max²) − 1)/s_max`.
+///
+/// **The exact cover's region.** Split at `a = b` into the pieces `s ≥ 0`
+/// and `s ≤ 0`. With `s = (b − a)/T`, the piece `s ≥ 0` is cut by six
+/// half-planes: `b ≥ a`, `b − a ≤ T·s_max`, `±a ≤ 1 + k·(b − a)/T` and
+/// `±b ≤ 1 + k·(b − a)/T`, each bound widened by
+/// `ε = STRIP_COVER_SAFETY`; the piece `s ≤ 0` mirrors it. The four offset
+/// bounds alone cut each piece to a triangle with corners `(−r, −r)`,
+/// `(r, r)` and `(∓R, ±R)`, where `r = 1 + ε` and `R = r/(1 − 2k/T)`. Its
+/// apex slope `2r/(T − 2k)` stays below `s_max` for every span below 10⁷
+/// (`k < 1`), and dropping a bound only enlarges a sound region anyway, so
+/// the slope bounds are left out. The two triangles meet only along
+/// `a = b`, `|a| ≤ r`, and their union is the convex rhombus with those
+/// four corners; the sweep starts from it. Unlike a square, it admits no
+/// parallel line at offset beyond `r`, so a chord blocked only by
+/// near-collinear robots grazing it (a row of a packing) is covered.
+///
+/// **The slack cover's region** is the square `[−S, S]²` of
+/// [`strip_cover_blocked_with_slack`].
+///
+/// **Strips.** An obstacle at `(t_k, o_k)` with `u = t_k/T` *blocks* every
+/// line whose axial offset difference satisfies
+/// `|a(1−u) + b·u − o_k| ≤ hw` (`hw = UNIT_RADIUS − ε`): the perpendicular
 /// distance is the axial difference divided by `√(1+s²)`, hence ≤ hw,
 /// strictly inside the kernel's blocking distance
-/// `UNIT_RADIUS + SIGHT_CLEARANCE/2`. Restricting to obstacles with
-/// `t_k ∈ [2.5, T−2.5]` makes the foot of that perpendicular land inside
-/// the candidate segment (the foot sits within
-/// `|o_k − line(t_k)|·|s| < 1.5` of `t_k`, and the segment spans at least
-/// `[1, T−1]`), so segment distance equals line distance. Each obstacle
-/// therefore covers a diagonal **strip** of the `(a, b)` square.
+/// `UNIT_RADIUS + SIGHT_CLEARANCE/2` — provided the foot of that
+/// perpendicular lands inside the candidate segment, so that segment
+/// distance equals line distance. Each obstacle therefore covers a
+/// diagonal **strip** of the `(a, b)` plane.
 ///
-/// If the strips jointly cover the square, every candidate is blocked and
-/// the kernel must answer "not seen". The cover test clips the square
-/// against the complement of each strip, maintaining the uncovered region
-/// as a small set of convex polygons; the certificate fires when the set
-/// becomes empty. Obstacles are processed nearest-the-chord first so
-/// central strips (which cover the most) come early; ties are broken by
-/// axial position, then by signed offset, so for finite coordinates the
-/// processing order — and with it the budget verdict below — depends only
-/// on the obstacle set, never on the order of the slice.
+/// **Axial margin.** On a line within `hw` of the obstacle at `t_k`, the
+/// foot sits within `hw·|s|/(1+s²)` of `t_k` along the axis. `s/(1+s²)`
+/// rises on `[0, 1]` and peaks at ½ there, so that distance is at most
+/// `f = σ/(1+σ²)` with `σ = min(s_max, 1)`. Every candidate segment spans
+/// at least `[1, T−1]` along the axis, so the exact cover uses the
+/// obstacles with `t_k ∈ [m, T−m]`, `m = 1 + f + ε`. (The slack cover
+/// keeps its fixed margin `2.5 + 2ρ`.)
+///
+/// **Short chords.** The exact cover has no span floor: it runs whenever
+/// its window `[m, T−m]` is non-empty. Since `m ≤ 1.5 + ε`, with equality
+/// up to `T = 4`, that is every chord with `T > 3 + 2ε`.
+///
+/// **The sweep.** If the strips jointly cover the region, every candidate
+/// is blocked and the kernel must answer "not seen". The cover test clips
+/// the region against the complement of each strip, maintaining the
+/// uncovered part as a small set of convex polygons; the certificate
+/// fires when the set becomes empty. Obstacles are processed
+/// nearest-the-chord first so central strips (which cover the most) come
+/// early; ties are broken by axial position, then by signed offset, so for
+/// finite coordinates the processing order — and with it the budget
+/// verdict below — depends only on the obstacle set, never on the order of
+/// the slice.
+///
+/// **Diagonal pre-check.** Along `a = b` every strip is the same interval
+/// `[o_k − hw, o_k + hw]`, whatever its `u`. Before clipping, the exact
+/// cover walks these intervals over the region's diagonal `|a| ≤ r`; if a
+/// gap wider than `ε` remains, it answers "no fire" without clipping. That
+/// changes no verdict: the gap's middle point has a ball of radius above
+/// `ε/2` that no strip meets (a strip's `a(1−u) + b·u` moves by at most the
+/// distance moved), and the clipping cannot shed a region that wide, so
+/// the sweep would not have fired either. Every pair with a parallel
+/// witness (the kernel's stage 1) leaves such a gap.
 ///
 /// The strip list holds every obstacle either cover uses, with its axial
 /// position, and each sweep skips the strips outside its own filter. The
@@ -689,22 +735,28 @@ pub enum PairVerdict {
 /// next, so the fast path cannot flip an answer. For a fire to be sound
 /// despite floating point: a genuinely clear witness line keeps axial
 /// distance `> UNIT_RADIUS` from every usable obstacle, so its `(a, b)`
-/// point sits at distance ≥ `STRIP_COVER_SAFETY` from every (narrowed)
-/// strip — an uncovered ball that survives the ~1e-13 absolute clipping
-/// error. The clipping itself uses closed half-planes, so measure-zero
-/// slivers are retained, and a sweep gives up (does not fire) rather than
-/// drop state when polygon or vertex budgets overflow.
+/// point sits at distance ≥ `ε` from every (narrowed) strip — an uncovered
+/// ball that survives the ~1e-13 absolute clipping error. The same `ε`
+/// widens every derived bound, which absorbs the ~1e-15 by which a
+/// rounded stage-3 endpoint may miss its unit circle. The clipping uses
+/// closed half-planes and keeps an edge's crossing whenever its two ends
+/// lie strictly on opposite sides, so measure-zero slivers are retained,
+/// and a sweep gives up (does not fire) rather than drop state when
+/// polygon or vertex budgets overflow.
 ///
-/// Covering obstacles sit within `UNIT_RADIUS + hw < 2·UNIT_RADIUS` of the
-/// chord segment, inside [`VISIBILITY_PRUNE_RADIUS`], so they are present
-/// in any obstacle slice the kernel contract admits — the verdict is
-/// stable under the same superset rule as the kernel.
+/// A used obstacle sits within `R + hw < 2.71` of the chord axis for the
+/// exact cover (`R < 1.71` for `T > 3`) and within `S + hw < 2.38` for the
+/// slack cover, strictly between the endpoints: inside
+/// [`VISIBILITY_PRUNE_RADIUS`], so it is present in any obstacle slice the
+/// kernel contract admits — the verdict is stable under the same superset
+/// rule as the kernel.
 pub fn pair_verdict(ci: Point, cj: Point, obstacles: &[Point]) -> PairVerdict {
     match strip_cover(
         ci,
         cj,
         obstacles,
         [PairVerdict::Certified, PairVerdict::CoverBlocked],
+        true,
     ) {
         Some(verdict) => verdict,
         None if disc_sees_disc_among(ci, cj, obstacles) => PairVerdict::Seen,
@@ -735,64 +787,98 @@ pub fn pair_verdict(ci: Point, cj: Point, obstacles: &[Point]) -> PairVerdict {
 /// `ρ/2` of its registration anchor, a certified-blocked pair needs no
 /// recompute — and no per-move attention at all.
 pub fn strip_cover_blocked_with_slack(ci: Point, cj: Point, obstacles: &[Point]) -> bool {
-    strip_cover(ci, cj, obstacles, [PairVerdict::Certified]).is_some()
+    strip_cover(ci, cj, obstacles, [PairVerdict::Certified], true).is_some()
 }
 
 /// The exact strip cover of [`pair_verdict`] alone.
 #[cfg(test)]
 fn strip_cover_blocked(ci: Point, cj: Point, obstacles: &[Point]) -> bool {
-    strip_cover(ci, cj, obstacles, [PairVerdict::CoverBlocked]).is_some()
+    strip_cover(ci, cj, obstacles, [PairVerdict::CoverBlocked], true).is_some()
 }
 
-/// One strip cover on a chord of length `span`: the half-side of its
-/// `(a, b)` square, the half-width of its strips, and its axial margin.
+/// One strip cover on a chord of length `span`: the corners of its start
+/// region in `(a, b)`, the largest `|a(1−u) + b·u|` on that region, the
+/// half-width of its strips, its axial margin, and — for the exact cover —
+/// the half-length `r` of the region's diagonal `a = b`, which its
+/// pre-check walks. The bounds are derived in [`pair_verdict`].
 struct Cover {
-    square: f64,
+    region: [(f64, f64); 4],
+    reach: f64,
     hw: f64,
     margin: f64,
+    diagonal: Option<f64>,
 }
 
 impl Cover {
-    /// The cover whose fire answers `verdict`: the slack one for
-    /// [`PairVerdict::Certified`] (strips narrowed by ρ), else the exact one.
-    fn new(verdict: PairVerdict, span: f64) -> Self {
-        let (square, shrink) = if verdict == PairVerdict::Certified {
+    /// The cover whose fire answers `verdict`, or `None` on a chord too
+    /// short for it: the slack one for [`PairVerdict::Certified`] (strips
+    /// narrowed by ρ, spans from [`STRIP_COVER_MIN_SPAN`]), else the exact
+    /// one (spans above `3 + 2ε`).
+    fn new(verdict: PairVerdict, span: f64) -> Option<Self> {
+        if verdict == PairVerdict::Certified {
+            if span < STRIP_COVER_MIN_SPAN {
+                return None;
+            }
             let p = COVER_STABILITY_RADIUS;
             let slope = (2.0 + 2.0 * p) / (span - 2.0 - 2.0 * p);
-            ((1.0 + p) * (1.0 + slope) + STRIP_COVER_SAFETY, p)
-        } else {
-            (1.0 + 2.0 / (span - 2.0) + STRIP_COVER_SAFETY, 0.0)
-        };
-        Cover {
-            square,
-            hw: UNIT_RADIUS - shrink - STRIP_COVER_SAFETY,
-            margin: STRIP_COVER_AXIAL_MARGIN + 2.0 * shrink,
+            let square = (1.0 + p) * (1.0 + slope) + STRIP_COVER_SAFETY;
+            return Some(Cover {
+                region: [
+                    (-square, -square),
+                    (square, -square),
+                    (square, square),
+                    (-square, square),
+                ],
+                reach: square,
+                hw: UNIT_RADIUS - p - STRIP_COVER_SAFETY,
+                margin: STRIP_COVER_AXIAL_MARGIN + 2.0 * p,
+                diagonal: None,
+            });
         }
+        // s_max, σ, k, r and R of the derivation in `pair_verdict`.
+        let slope = 2.0 / (span - 2.0);
+        let sigma = slope.min(1.0);
+        let margin = 1.0 + sigma / (1.0 + sigma * sigma) + STRIP_COVER_SAFETY;
+        if !(slope > 0.0 && span > 2.0 * margin) {
+            return None;
+        }
+        let k = ((1.0 + slope * slope).sqrt() - 1.0) / slope;
+        let r = 1.0 + STRIP_COVER_SAFETY;
+        let apex = r / (1.0 - 2.0 * k / span);
+        Some(Cover {
+            region: [(-r, -r), (apex, -apex), (r, r), (-apex, apex)],
+            reach: apex,
+            hw: UNIT_RADIUS - STRIP_COVER_SAFETY,
+            margin,
+            diagonal: Some(r),
+        })
     }
 
     /// `true` when the obstacle at axial position `t` and offset `o` is
-    /// away from both ends and its strip can meet the square.
+    /// away from both ends and its strip can meet the region.
     fn uses(&self, span: f64, t: f64, o: f64) -> bool {
-        (self.margin..=span - self.margin).contains(&t) && self.square + self.hw >= o.abs()
+        (self.margin..=span - self.margin).contains(&t) && o.abs() <= self.reach + self.hw
     }
 }
 
 /// The strip covers named by `verdicts`, in order, on the chord `ci`–`cj`
 /// over one strip list: the verdict of the first whose strips cover its
-/// square, or `None` (always for chords shorter than
-/// [`STRIP_COVER_MIN_SPAN`]).
+/// region, or `None` (always for chords of span 3 or less).
+/// `diagonal_check` runs the exact cover's diagonal pre-check; it changes
+/// no verdict, and only the test comparing both settings turns it off.
 fn strip_cover<const N: usize>(
     ci: Point,
     cj: Point,
     obstacles: &[Point],
     verdicts: [PairVerdict; N],
+    diagonal_check: bool,
 ) -> Option<PairVerdict> {
     let axis = cj - ci;
     let span = axis.norm();
-    if span < STRIP_COVER_MIN_SPAN {
+    let covers = verdicts.map(|verdict| Cover::new(verdict, span));
+    if covers.iter().all(Option::is_none) {
         return None;
     }
-    let covers = verdicts.map(|verdict| Cover::new(verdict, span));
     let dir = axis / span;
     let perp = dir.perp_ccw();
     STRIP_SCRATCH.with(|cell| {
@@ -807,7 +893,7 @@ fn strip_cover<const N: usize>(
         for &c in obstacles {
             let w = c - ci;
             let (t, o) = (w.dot(dir), w.dot(perp));
-            if covers.iter().any(|cover| cover.uses(span, t, o)) {
+            if covers.iter().flatten().any(|cover| cover.uses(span, t, o)) {
                 strips.push((t, t / span, o));
             }
         }
@@ -832,19 +918,23 @@ fn strip_cover<const N: usize>(
             }
             start += run;
         }
-        let covered = |cover: &Cover| {
-            let (square, hw) = (cover.square, cover.hw);
+        let mut covered = |cover: &Cover| {
+            if let Some(r) = cover.diagonal.filter(|_| diagonal_check) {
+                let offsets = strips
+                    .iter()
+                    .filter(|&&(t, _, o)| cover.uses(span, t, o))
+                    .map(|&(_, _, o)| o);
+                if diagonal_gap(offsets, cover.hw, r) {
+                    return false;
+                }
+            }
             pool.append(polys);
             pool.append(flip);
             let mut start = pool.pop().unwrap_or_default();
             start.clear();
-            start.extend_from_slice(&[
-                (-square, -square),
-                (square, -square),
-                (square, square),
-                (-square, square),
-            ]);
+            start.extend_from_slice(&cover.region);
             polys.push(start);
+            let hw = cover.hw;
             for &(t, u, o) in strips.iter() {
                 if !cover.uses(span, t, o) {
                     continue;
@@ -882,12 +972,52 @@ fn strip_cover<const N: usize>(
             }
             false
         };
-        covers.iter().position(covered).map(|k| verdicts[k])
+        covers
+            .iter()
+            .position(|cover| cover.as_ref().is_some_and(&mut covered))
+            .map(|k| verdicts[k])
     })
 }
 
+/// The exact cover's diagonal pre-check: `true` when the intervals
+/// `[o − hw, o + hw]` of the strip offsets `offsets` (in the strip list's
+/// ascending-`|o|` order) leave a gap wider than `STRIP_COVER_SAFETY` on
+/// `[−r, r]`. The offsets `≥ 0` then arrive in ascending order and chain
+/// upwards from the lowest; the others chain downwards from the highest.
+/// All intervals share one width, so a gap inside a chain shows between
+/// two consecutive offsets, and the other chain cannot fill it.
+fn diagonal_gap(offsets: impl Iterator<Item = f64>, hw: f64, r: f64) -> bool {
+    let wide = |from: f64, to: f64| to.min(r) - from.max(-r) > STRIP_COVER_SAFETY;
+    // (lowest, highest) covered by each chain.
+    let (mut up, mut down) = (None::<(f64, f64)>, None::<(f64, f64)>);
+    for o in offsets {
+        let (lo, hi) = (o - hw, o + hw);
+        if o >= 0.0 {
+            match &mut up {
+                Some((_, top)) if wide(*top, lo) => return true,
+                Some((_, top)) => *top = hi,
+                None => up = Some((lo, hi)),
+            }
+        } else {
+            match &mut down {
+                Some((bottom, _)) if wide(hi, *bottom) => return true,
+                Some((bottom, _)) => *bottom = lo,
+                None => down = Some((lo, hi)),
+            }
+        }
+    }
+    let (up_lo, up_hi) = up.unwrap_or((f64::INFINITY, f64::NEG_INFINITY));
+    let (down_lo, down_hi) = down.unwrap_or((f64::INFINITY, f64::NEG_INFINITY));
+    wide(f64::NEG_INFINITY, down_lo.min(up_lo))
+        || wide(down_hi, up_lo)
+        || wide(up_hi.max(down_hi), f64::INFINITY)
+}
+
 /// Clips convex polygon `input` to the closed half-plane
-/// `sign·(na·a + nb·b − c) ≤ 0` (Sutherland–Hodgman, one plane).
+/// `sign·(na·a + nb·b − c) ≤ 0` (Sutherland–Hodgman, one plane). An edge
+/// whose ends lie strictly on opposite sides always emits its crossing,
+/// even where rounding puts it on an end: dropping it would drop the
+/// outside end's neighbourhood from the polygon too.
 fn clip_halfplane(
     input: &[(f64, f64)],
     na: f64,
@@ -905,11 +1035,9 @@ fn clip_halfplane(
         if dp <= 0.0 {
             out.push(p);
         }
-        if (dp < 0.0) != (dq < 0.0) && dp != dq {
+        if (dp < 0.0 && dq > 0.0) || (dp > 0.0 && dq < 0.0) {
             let t = dp / (dp - dq);
-            if t > 0.0 && t < 1.0 {
-                out.push((p.0 + t * (q.0 - p.0), p.1 + t * (q.1 - p.1)));
-            }
+            out.push((p.0 + t * (q.0 - p.0), p.1 + t * (q.1 - p.1)));
         }
     }
 }
@@ -1167,12 +1295,174 @@ mod tests {
         // an endpoint cannot certify on its own.
         let hugging = [p(1.0, 0.0), p(1.2, 1.1), p(1.4, -1.1)];
         assert!(!strip_cover_blocked(ci, cj, &hugging));
-        // Short chords never certify.
+        // A short chord needs its own cover: a column across its middle
+        // blocks every candidate, a lone disc there leaves the grazing
+        // lines. Chords of span 3 or less never certify.
+        let (si, sj) = (p(0.0, 0.0), p(4.0, 0.0));
+        let column = [p(2.0, 0.0), p(2.0, 1.9), p(2.0, -1.9)];
+        assert!(strip_cover_blocked(si, sj, &column));
+        assert!(!disc_sees_disc_among(si, sj, &column));
+        assert!(!strip_cover_blocked(si, sj, &[p(2.0, 0.0)]));
+        assert!(!strip_cover_blocked(si, p(3.0, 0.0), &[p(1.5, 0.0)]));
         assert!(!strip_cover_blocked(
-            p(0.0, 0.0),
-            p(6.0, 0.0),
-            &[p(3.0, 0.0)]
+            si,
+            p(3.0, 0.0),
+            &[p(1.5, 0.0), p(1.5, 1.9), p(1.5, -1.9)]
         ));
+    }
+
+    #[test]
+    fn a_row_grazed_by_its_near_collinear_row_mates_is_covered() {
+        // The boundary row of a packing: every candidate line grazes some
+        // row-mate, so the kernel finds nothing. A square region would
+        // admit parallel lines at offset up to 1 + 2/(T−2), which no
+        // candidate takes and no strip covers; the rhombus admits only
+        // `|a| ≤ 1 + ε` along `a = b`, which the row-mates cover.
+        let (ci, cj) = (p(0.0, 0.0), p(20.0, 0.0));
+        let row: Vec<Point> = (1..10)
+            .map(|k| p(2.0 * k as f64, if k % 2 == 0 { 0.001 } else { -0.001 }))
+            .collect();
+        assert!(!disc_sees_disc_among(ci, cj, &row));
+        assert!(strip_cover_blocked(ci, cj, &row));
+        // Exactly collinear row-mates leave the parallel lines at offset
+        // `(hw, 1]` uncovered, so the cover stays silent there and the
+        // kernel answers.
+        let flat: Vec<Point> = (1..10).map(|k| p(2.0 * k as f64, 0.0)).collect();
+        assert!(!disc_sees_disc_among(ci, cj, &flat));
+        assert!(!strip_cover_blocked(ci, cj, &flat));
+    }
+
+    #[test]
+    fn clipping_keeps_a_crossing_that_rounds_onto_the_outside_end() {
+        // From a cover sweep that fired on a pair the kernel sees: the
+        // third vertex is a hair outside the half-plane, the second
+        // inside, and `dp / (dp − dq)` rounds to 1. The crossing must be
+        // kept (it sits on the outside vertex), or the triangle between
+        // the second and fourth vertices is lost.
+        let poly = [
+            (-1.0000000999999998, -1.0000000999999998),
+            (1.0000001000000003, 1.0000001000000003),
+            (1.0000517453720896, 1.0603158921606601),
+            (-1.0017672709949583, 1.0603158921606601),
+        ];
+        let (na, nb) = (0.0008569833780390975, 0.9991430166219609);
+        let mut out = Vec::new();
+        clip_halfplane(&poly, na, nb, 1.0000001, 1.0, &mut out);
+        assert_eq!(out.len(), 3, "{out:?}");
+        assert_eq!(&out[..2], &poly[..2]);
+        let excess = na * out[2].0 + nb * out[2].1 - 1.0000001;
+        assert!((0.0..1e-12).contains(&excess), "{out:?}");
+    }
+
+    /// The obstacles of chord `i`–`j` among `centers` within
+    /// [`VISIBILITY_PRUNE_RADIUS`] of it, endpoints excluded: the slice the
+    /// simulator passes, which the kernel contract admits.
+    fn corridor_of(centers: &[Point], i: usize, j: usize, out: &mut Vec<Point>) {
+        let chord = Segment::new(centers[i], centers[j]);
+        let reach_sq = VISIBILITY_PRUNE_RADIUS * VISIBILITY_PRUNE_RADIUS;
+        out.clear();
+        out.extend(
+            centers
+                .iter()
+                .enumerate()
+                .filter(|&(k, &c)| k != i && k != j && chord.distance_sq_to(c) <= reach_sq)
+                .map(|(_, &c)| c),
+        );
+    }
+
+    /// Names of the chord families of [`cover_test_chords`].
+    const COVER_FAMILIES: [&str; 4] = ["hex", "lattice", "scatter", "short"];
+
+    /// The exact cover's test chords, over 10⁵ of them, each passed to
+    /// `visit(family, ci, cj, corridor)`:
+    /// 0. jittered hex packings: random pairs, plus every pair of the
+    ///    bottom row and of the left column, grazed by near-collinear
+    ///    row-mates;
+    /// 1. exact lattices (square at spacing 2.1, hex at 2.0 and 2.1), every
+    ///    pair: axis-aligned chords tie offsets;
+    /// 2. random scatter: 100 discs at pairwise distance ≥ 2 in a 36 × 36
+    ///    box, random pairs;
+    /// 3. short chords of span 3–8 through 2–13 random discs near them,
+    ///    rotated and shifted.
+    fn cover_test_chords(mut visit: impl FnMut(usize, Point, Point, &[Point])) {
+        let mut next = unit_lcg(0x0050_07D5_C0DE);
+        let mut corridor = Vec::new();
+        let pick = |next: &mut dyn FnMut() -> f64, n: usize| {
+            let i = (next() * n as f64) as usize % n;
+            let j = (i + 1 + (next() * (n - 1) as f64) as usize % (n - 1)) % n;
+            (i, j)
+        };
+        for _ in 0..40 {
+            let centers = jittered_hex(&mut next);
+            let (row, column): (Vec<usize>, Vec<usize>) =
+                ((0..12).collect(), (0..12).map(|r| 12 * r).collect());
+            let mut pairs: Vec<(usize, usize)> =
+                (0..600).map(|_| pick(&mut next, centers.len())).collect();
+            for line in [&row, &column] {
+                for (x, &i) in line.iter().enumerate() {
+                    pairs.extend(line[x + 1..].iter().map(|&j| (i, j)));
+                }
+            }
+            for (i, j) in pairs {
+                corridor_of(&centers, i, j, &mut corridor);
+                visit(0, centers[i], centers[j], &corridor);
+            }
+        }
+        let square: Vec<Point> = (0..144)
+            .map(|i| p((i % 12) as f64 * 2.1, (i / 12) as f64 * 2.1))
+            .collect();
+        let hex = |spacing: f64| -> Vec<Point> {
+            (0..144)
+                .map(|i| {
+                    let (r, c) = (i / 12, i % 12);
+                    let stagger = if r % 2 == 1 { spacing / 2.0 } else { 0.0 };
+                    p(
+                        c as f64 * spacing + stagger,
+                        r as f64 * spacing * 3f64.sqrt() / 2.0,
+                    )
+                })
+                .collect()
+        };
+        for centers in [square, hex(2.0), hex(2.1)] {
+            for i in 0..centers.len() {
+                for j in i + 1..centers.len() {
+                    corridor_of(&centers, i, j, &mut corridor);
+                    visit(1, centers[i], centers[j], &corridor);
+                }
+            }
+        }
+        for _ in 0..30 {
+            let mut centers: Vec<Point> = Vec::new();
+            while centers.len() < 100 {
+                let c = p(36.0 * next(), 36.0 * next());
+                if centers.iter().all(|&d| d.distance(c) >= 2.0) {
+                    centers.push(c);
+                }
+            }
+            for _ in 0..800 {
+                let (i, j) = pick(&mut next, centers.len());
+                corridor_of(&centers, i, j, &mut corridor);
+                visit(2, centers[i], centers[j], &corridor);
+            }
+        }
+        for _ in 0..25_000 {
+            let span = 3.0 + 5.0 * next();
+            let angle = std::f64::consts::TAU * next();
+            let (dir, origin) = (p(angle.cos(), angle.sin()), p(40.0 * next(), 40.0 * next()));
+            let place = |t: f64, o: f64| {
+                p(
+                    origin.x + t * dir.x - o * dir.y,
+                    origin.y + t * dir.y + o * dir.x,
+                )
+            };
+            let count = 2 + (12.0 * next()) as usize;
+            corridor.clear();
+            for _ in 0..count {
+                let (t, o) = (span * next(), 5.2 * (next() - 0.5));
+                corridor.push(place(t, o));
+            }
+            visit(3, place(0.0, 0.0), place(span, 0.0), &corridor);
+        }
     }
 
     #[test]
@@ -1278,6 +1568,98 @@ mod tests {
         assert!(
             window_fired >= 50,
             "mid-chord cover fired only {window_fired} times — vacuous test"
+        );
+        // At scale, every span the exact cover accepts: a fire must
+        // mean the kernel finds no sight line.
+        let (mut chords, mut fires) = ([0usize; 4], [0usize; 4]);
+        cover_test_chords(|family, ci, cj, obstacles| {
+            chords[family] += 1;
+            if strip_cover_blocked(ci, cj, obstacles) {
+                fires[family] += 1;
+                assert!(
+                    !disc_sees_disc_among(ci, cj, obstacles),
+                    "{} chord {ci:?}–{cj:?}: the exact cover fired on a pair the kernel sees",
+                    COVER_FAMILIES[family]
+                );
+            }
+        });
+        // Measured: 23 370, 24 270, 14 258 and 7 950 fires.
+        const FIRE_FLOORS: [usize; 4] = [10_000, 10_000, 5_000, 3_000];
+        assert!(chords.iter().sum::<usize>() >= 100_000, "{chords:?}");
+        for (k, family) in COVER_FAMILIES.iter().enumerate() {
+            assert!(
+                fires[k] >= FIRE_FLOORS[k],
+                "{family}: the exact cover fired {} times on {} chords — vacuous",
+                fires[k],
+                chords[k]
+            );
+        }
+    }
+
+    #[test]
+    fn the_diagonal_walk_skips_only_across_gaps_wider_than_rounding() {
+        let hw = UNIT_RADIUS - STRIP_COVER_SAFETY;
+        let r = 1.0 + STRIP_COVER_SAFETY;
+        let gap = |offsets: &[f64]| diagonal_gap(offsets.iter().copied(), hw, r);
+        // Three rows whose intervals meet with a gap of `d` at ±hw: a
+        // rounding-wide gap proves nothing (the clipping may close it), a
+        // gap above ε leaves an uncovered ball.
+        for (d, wide) in [(0.0, false), (4e-16, false), (9e-8, false), (3e-7, true)] {
+            let row = 2.0 * hw + d;
+            assert_eq!(gap(&[0.0, row, -row]), wide, "gap {d:e}");
+            assert_eq!(gap(&[-0.0, -row, row]), wide, "gap {d:e}");
+        }
+        // The ends of `[−r, r]`: one central strip leaves `2ε` uncovered at
+        // each; two flanking ones close it.
+        assert!(gap(&[]));
+        assert!(gap(&[0.0]));
+        assert!(!gap(&[0.0, 0.5, -0.5]));
+        // The junction of the chains: strips at ±0.9 meet across zero, at
+        // ±1.1 they leave `(−0.1, 0.1)` open.
+        assert!(!gap(&[0.9, -0.9]));
+        assert!(gap(&[1.1, -1.1]));
+        assert!(!gap(&[-0.2, 1.1, -1.1]));
+        // A gap beyond `r` is outside the region's diagonal; one inside a
+        // chain is not.
+        assert!(!gap(&[-0.05, 0.05, 1.5, 5.0]));
+        assert!(gap(&[0.0, -1.9, 2.5]));
+    }
+
+    #[test]
+    fn the_diagonal_pre_check_changes_no_verdict() {
+        // The exact cover with and without its pre-check, on the chords of
+        // the soundness test: a skip must never cost a fire.
+        let (mut skipped, mut fires) = (0usize, 0usize);
+        let exact = [PairVerdict::CoverBlocked];
+        cover_test_chords(|family, ci, cj, obstacles| {
+            let checked = strip_cover(ci, cj, obstacles, exact, true);
+            let swept = strip_cover(ci, cj, obstacles, exact, false);
+            assert_eq!(
+                checked, swept,
+                "{} chord {ci:?}–{cj:?} among {obstacles:?}",
+                COVER_FAMILIES[family]
+            );
+            fires += usize::from(swept.is_some());
+            let axis = cj - ci;
+            let (dir, span) = (axis / axis.norm(), axis.norm());
+            if let Some(cover) = Cover::new(PairVerdict::CoverBlocked, span) {
+                let offsets = obstacles.iter().filter_map(|&c| {
+                    let w = c - ci;
+                    let (t, o) = (w.dot(dir), w.dot(dir.perp_ccw()));
+                    cover.uses(span, t, o).then_some(o)
+                });
+                let mut sorted: Vec<f64> = offsets.collect();
+                sorted.sort_by(|a, b| a.abs().total_cmp(&b.abs()));
+                skipped += usize::from(diagonal_gap(
+                    sorted.into_iter(),
+                    cover.hw,
+                    cover.diagonal.unwrap(),
+                ));
+            }
+        });
+        assert!(
+            skipped >= 20_000 && fires >= 50_000,
+            "the pre-check skipped {skipped} chords and the cover fired on {fires} — vacuous"
         );
     }
 

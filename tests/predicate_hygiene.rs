@@ -15,7 +15,12 @@
 //!
 //! * `< 1e-`  — raw literal-tolerance strict compare,
 //! * `<= 1e-` — raw literal-tolerance closed compare,
-//! * `.abs() <=` — hand-rolled `approx_eq` (use the predicate instead).
+//! * `.abs() <=` against a tolerance — hand-rolled `approx_eq` (use the
+//!   predicate instead). The right operand is a tolerance when it holds a
+//!   numeric literal or a name spelling one (`eps` or `tol`, in any case:
+//!   `EPS`, `f64::EPSILON`, `collinearity_tol`). A bound built from
+//!   other names (`o.abs() <= self.reach + self.hw`) is geometry, not an
+//!   epsilon, and passes.
 //!
 //! New geometry predicates belong in `crates/geometry/src/predicates.rs` or
 //! the kernel module — the only files allowed to spell these out.
@@ -106,10 +111,89 @@ fn strip_test_modules(source: &str) -> String {
     kept
 }
 
+/// Literal-tolerance comparisons, denied wherever they appear.
+const DENY: [&str; 2] = ["< 1e-", "<= 1e-"];
+
+/// The absolute-value comparison that is denied when its right operand is
+/// a tolerance.
+const ABS_LE: &str = ".abs() <=";
+
+/// The right operand of a comparison that starts `rest`: the text up to the
+/// first `&&`, `||`, `;`, `,` or `{` outside brackets, or up to the bracket
+/// that closes around the comparison.
+fn right_operand(rest: &str) -> &str {
+    let mut depth = 0u32;
+    for (k, ch) in rest.char_indices() {
+        match ch {
+            '(' | '[' => depth += 1,
+            ')' | ']' if depth == 0 => return &rest[..k],
+            ')' | ']' => depth -= 1,
+            ';' | ',' | '{' if depth == 0 => return &rest[..k],
+            '&' | '|' if depth == 0 && rest[k + 1..].starts_with(ch) => return &rest[..k],
+            _ => {}
+        }
+    }
+    rest
+}
+
+/// `true` when `operand` holds a numeric literal or a name containing
+/// `eps` or `tol` in any case.
+fn is_tolerance(operand: &str) -> bool {
+    operand
+        .split(|c: char| !(c.is_alphanumeric() || c == '_' || c == '.'))
+        .any(|token| {
+            let lower = token.to_ascii_lowercase();
+            token.starts_with(|c: char| c.is_ascii_digit())
+                || lower.contains("eps")
+                || lower.contains("tol")
+        })
+}
+
+/// The denied patterns that the code of one line (comments stripped)
+/// spells out.
+fn violations_in(code: &str) -> Vec<&'static str> {
+    let mut found: Vec<&'static str> = DENY.into_iter().filter(|p| code.contains(p)).collect();
+    if code
+        .match_indices(ABS_LE)
+        .any(|(at, _)| is_tolerance(right_operand(&code[at + ABS_LE.len()..])))
+    {
+        found.push(ABS_LE);
+    }
+    found
+}
+
+#[test]
+fn the_lint_tells_tolerances_from_geometric_bounds() {
+    // Every spelling the lint has always rejected as an epsilon
+    // comparison is still rejected...
+    for code in [
+        "if (a - b).abs() <= 1e-9 {",
+        "(a - b).abs() <= EPS",
+        "(a - b).abs() <= tol",
+        "x.abs() <= eps && y > 0.0",
+        "d.abs() <= f64::EPSILON",
+        "(x - y).abs() <= 2.0 * EPS",
+        "x.abs() <= 0.001",
+        "v.abs() <= self.collinearity_tol;",
+        "keep(w.abs() <= TOUCH_TOL, k)",
+        "gap < 1e-7",
+        "gap <= 1e-7",
+    ] {
+        assert!(!violations_in(code).is_empty(), "not rejected: {code}");
+    }
+    // ...while a bound built from geometric quantities passes.
+    for code in [
+        "(self.margin..=span - self.margin).contains(&t) && o.abs() <= self.reach + self.hw",
+        "w.dot(perp).abs() <= radius",
+        "if (p.x - c.x).abs() <= half_width && inside {",
+        "x.abs() < 1.0",
+    ] {
+        assert!(violations_in(code).is_empty(), "rejected: {code}");
+    }
+}
+
 #[test]
 fn no_raw_epsilon_comparisons_outside_the_predicate_layer() {
-    const DENY: [&str; 3] = ["< 1e-", "<= 1e-", ".abs() <="];
-
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     let mut sources = Vec::new();
     rust_sources(&crates, &mut sources);
@@ -128,18 +212,16 @@ fn no_raw_epsilon_comparisons_outside_the_predicate_layer() {
         let stripped = strip_test_modules(&source);
         for (lineno, line) in stripped.lines().enumerate() {
             let code = strip_line_comments(line);
-            for pattern in DENY {
-                if code.contains(pattern) {
-                    violations.push(format!(
-                        "{}:{}: `{}` — route this comparison through \
-                         fatrobots_geometry::predicates (approx_eq / approx_eq_tol / EPS) \
-                         or a kernel predicate\n    {}",
-                        path.display(),
-                        lineno + 1,
-                        pattern,
-                        code.trim()
-                    ));
-                }
+            for pattern in violations_in(code) {
+                violations.push(format!(
+                    "{}:{}: `{}` — route this comparison through \
+                     fatrobots_geometry::predicates (approx_eq / approx_eq_tol / EPS) \
+                     or a kernel predicate\n    {}",
+                    path.display(),
+                    lineno + 1,
+                    pattern,
+                    code.trim()
+                ));
             }
         }
     }
