@@ -1,13 +1,13 @@
 //! # fatrobots-bench
 //!
-//! Shared helpers for the Criterion benchmarks and the `report` binary that
-//! regenerates the experiment tables (README, "The `report` CLI"). The
-//! actual experiment logic lives in [`fatrobots_sim::experiment`] (with
-//! the parallel dispatch in [`fatrobots_sim::sweep`]); this crate provides
-//! the table printer and the `bench_report.json` serializer so every bench
-//! and the report emit exactly the same rows. The hand-rolled [`json`]
-//! codec lives in `fatrobots-sim` (the fuzz fixtures use it too) and is
-//! re-exported here.
+//! Shared helpers for the `report` binary that regenerates the experiment
+//! tables (README, "The `report` CLI"). The actual experiment logic lives
+//! in [`fatrobots_sim::experiment`] (with the parallel dispatch in
+//! [`fatrobots_sim::sweep`]); this crate provides the table printer and
+//! the `bench_report.json` serializer. The hand-rolled [`json`] codec
+//! lives in `fatrobots-sim` (the fuzz fixtures use it too) and is
+//! re-exported here, where the benchmark harness under `perfbench/` reads
+//! it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,8 +19,7 @@ use fatrobots_sim::experiment::{AggregateRow, ExperimentTable, RunSummary};
 use fatrobots_sim::sweep::SweepFailure;
 use json::JsonValue;
 
-/// The seeds used by the standard experiment tables. Keeping them in one
-/// place makes `cargo bench` and `report` reproduce the same numbers.
+/// The seeds every experiment table of `report` runs (without `--quick`).
 pub const STANDARD_SEEDS: [u64; 5] = [1, 2, 3, 4, 5];
 
 /// A smaller seed set for the expensive sweeps.

@@ -27,7 +27,7 @@
 //!   decision under the exact kernel via [`engine::Simulator::run_observed`]
 //!   and attributes ε-vs-exact decision divergences to predicate sites;
 //! * [`experiment`] — the parameter-sweep harness behind the `report` CLI's
-//!   tables (README, "The `report` CLI") and the Criterion benches;
+//!   tables (README, "The `report` CLI") and the `perfbench/` workloads;
 //! * [`json`] — the hand-rolled JSON codec (ordered document model, pretty
 //!   writer, strict parser) behind `bench_report.json` and the fuzz
 //!   fixtures;

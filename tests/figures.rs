@@ -6,6 +6,7 @@ use fatrobots::core::compute::{ComputeState, LocalAlgorithm};
 use fatrobots::core::functions::{find_points, move_to_point};
 use fatrobots::core::AlgorithmParams;
 use fatrobots::prelude::*;
+use fatrobots::sim::init::circle;
 use fatrobots_geometry::hull::ConvexHull;
 use fatrobots_model::LocalView;
 use fatrobots_scheduler::Event;
@@ -117,8 +118,10 @@ fn fig3_find_points_accepts_and_rejects() {
 }
 
 /// F4 — Figure 4: the seventeen Compute states and their transition
-/// structure; every observed Compute trace is a path of that graph, and all
-/// output states are exercised by some view.
+/// structure; every observed Compute trace is a path of that graph, each
+/// output state is reached by the view built for it, and the hull,
+/// interior and converge view families reach their procedures at
+/// n ∈ {8, 32, 96}.
 #[test]
 fn fig4_compute_state_graph() {
     assert_eq!(ComputeState::ALL.len(), 17);
@@ -126,8 +129,9 @@ fn fig4_compute_state_graph() {
         assert_eq!(s.is_output_state(), s.successors().is_empty());
     }
 
-    let views: Vec<(usize, LocalView)> = vec![
-        // Connected triangle → Connected.
+    // Each view, with a state its trace must reach.
+    let mut views: Vec<(usize, LocalView, ComputeState)> = vec![
+        // Connected triangle.
         (
             3,
             LocalView::new(
@@ -135,8 +139,9 @@ fn fig4_compute_state_graph() {
                 vec![Point::new(2.0, 0.0), Point::new(1.0, 3.0_f64.sqrt())],
                 3,
             ),
+            ComputeState::Connected,
         ),
-        // Separated triangle → NotConnected.
+        // Separated triangle.
         (
             3,
             LocalView::new(
@@ -144,8 +149,9 @@ fn fig4_compute_state_graph() {
                 vec![Point::new(20.0, 0.0), Point::new(10.0, 17.0)],
                 3,
             ),
+            ComputeState::NotConnected,
         ),
-        // Interior robot, roomy hull → NotChange.
+        // Interior robot, roomy hull.
         (
             5,
             LocalView::new(
@@ -158,9 +164,10 @@ fn fig4_compute_state_graph() {
                 ],
                 5,
             ),
+            ComputeState::NotChange,
         ),
         // Interior robot (touching nobody) inside a 12-gon whose sides are
-        // all shorter than a robot diameter → ToChange.
+        // all shorter than a robot diameter.
         (
             13,
             LocalView::new(
@@ -173,8 +180,9 @@ fn fig4_compute_state_graph() {
                     .collect(),
                 13,
             ),
+            ComputeState::ToChange,
         ),
-        // Hull robot that cannot see everyone → SpaceForMore.
+        // Hull robot that cannot see everyone.
         (
             6,
             LocalView::new(
@@ -182,8 +190,9 @@ fn fig4_compute_state_graph() {
                 vec![Point::new(10.0, 0.0), Point::new(5.0, 8.0)],
                 6,
             ),
+            ComputeState::SpaceForMore,
         ),
-        // Middle robot of a nearly collinear hull triple → SeeTwoRobot.
+        // Middle robot of a nearly collinear hull triple.
         (
             6,
             LocalView::new(
@@ -197,8 +206,9 @@ fn fig4_compute_state_graph() {
                 ],
                 6,
             ),
+            ComputeState::SeeTwoRobot,
         ),
-        // End robot of the same triple → SeeOneRobot (full view variant).
+        // End robot of the same triple (full view variant).
         (
             6,
             LocalView::new(
@@ -212,8 +222,9 @@ fn fig4_compute_state_graph() {
                 ],
                 6,
             ),
+            ComputeState::SeeOneRobot,
         ),
-        // Tight triangle hull robot with an interior robot → NoSpaceForMore.
+        // Tight triangle hull robot with an interior robot.
         (
             4,
             LocalView::new(
@@ -225,8 +236,9 @@ fn fig4_compute_state_graph() {
                 ],
                 4,
             ),
+            ComputeState::NoSpaceForMore,
         ),
-        // Interior robot touching another interior robot → IsTouching.
+        // Interior robot touching another interior robot.
         (
             6,
             LocalView::new(
@@ -240,14 +252,26 @@ fn fig4_compute_state_graph() {
                 ],
                 6,
             ),
+            ComputeState::IsTouching,
         ),
     ];
 
-    let mut reached = std::collections::HashSet::new();
-    for (n, view) in views {
-        let out = LocalAlgorithm::new(AlgorithmParams::for_n(n)).run_traced(&view);
-        assert_eq!(out.trace[0], ComputeState::Start);
-        for w in out.trace.windows(2) {
+    // The three costliest regions of the graph, each reached by its view
+    // family at every size: the projection of Procedure `NotOnStraightLine`
+    // (hull), the `Find-Points` scan over the whole boundary (interior) and
+    // the component partition of Procedure `NotConnected` (converge).
+    for n in [8, 32, 96] {
+        views.push((n, hull_view(n), ComputeState::NotOnStraightLine));
+        views.push((n, interior_view(n), ComputeState::NotOnConvexHull));
+        views.push((n, converge_view(n), ComputeState::NotConnected));
+    }
+
+    for (n, view, wanted) in views {
+        let trace = LocalAlgorithm::new(AlgorithmParams::for_n(n))
+            .run_traced(&view)
+            .trace;
+        assert_eq!(trace[0], ComputeState::Start);
+        for w in trace.windows(2) {
             assert!(
                 w[0].successors().contains(&w[1]),
                 "{} -> {} is not an edge of Figure 4",
@@ -255,23 +279,46 @@ fn fig4_compute_state_graph() {
                 w[1]
             );
         }
-        let last = *out.trace.last().unwrap();
-        assert!(last.is_output_state());
-        reached.extend(out.trace);
+        assert!(trace.last().unwrap().is_output_state());
+        assert!(
+            trace.contains(&wanted),
+            "n = {n}: the view does not reach {wanted} (trace {trace:?})"
+        );
     }
-    for wanted in [
-        ComputeState::Connected,
-        ComputeState::NotConnected,
-        ComputeState::NotChange,
-        ComputeState::ToChange,
-        ComputeState::SpaceForMore,
-        ComputeState::NoSpaceForMore,
-        ComputeState::SeeOneRobot,
-        ComputeState::SeeTwoRobot,
-        ComputeState::IsTouching,
-    ] {
-        assert!(reached.contains(&wanted), "{wanted} was never exercised");
-    }
+}
+
+/// A hull-shaped view: the observer on the hull, one robot pulled into the
+/// interior, and one robot missing from the view (`|V| < n`), so the
+/// decision takes the projection path of Procedure `NotOnStraightLine`.
+fn hull_view(n: usize) -> LocalView {
+    let pts = circle(n, n as f64);
+    let mut others = pts[1..n - 1].to_vec();
+    let pulled = others.len() / 2;
+    others[pulled] = Point::new(others[pulled].x * 0.2, others[pulled].y * 0.2);
+    LocalView::new(pts[0], others, n)
+}
+
+/// An interior-shaped view: the observer strictly inside the hull of the
+/// others, nobody touching, so the decision scans `Find-Points` candidates.
+fn interior_view(n: usize) -> LocalView {
+    LocalView::new(Point::new(0.5, 0.3), circle(n - 1, n as f64), n)
+}
+
+/// A converge-shaped view: all `n` robots (a multiple of four) on the
+/// hull in four separated clusters of touching robots, so the decision
+/// builds the component partition of Procedure `NotConnected`.
+fn converge_view(n: usize) -> LocalView {
+    let radius = 10.0 * n as f64;
+    let touch_step = 2.0 * (1.0 / radius).asin();
+    let cluster = n / 4;
+    let pts: Vec<Point> = (0..n)
+        .map(|i| {
+            let start = (i / cluster) as f64 * std::f64::consts::FRAC_PI_2 + 0.05;
+            let a = start + (i % cluster) as f64 * touch_step;
+            Point::new(radius * a.cos(), radius * a.sin())
+        })
+        .collect();
+    LocalView::new(pts[0], pts[1..].to_vec(), n)
 }
 
 /// F5 — Figure 5: the 1/n collinearity band. A hull robot inside the band of

@@ -37,7 +37,7 @@ fn is_allowlisted(path: &Path) -> bool {
 }
 
 /// Collects every `.rs` file under each crate's `src/` tree (production
-/// code only — integration tests, benches and examples assert with ad-hoc
+/// code only — integration tests and examples assert with ad-hoc
 /// tolerances by design).
 fn rust_sources(crates_dir: &Path, out: &mut Vec<PathBuf>) {
     let entries =

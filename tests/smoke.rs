@@ -66,7 +66,7 @@ fn smoke_runs_are_deterministic() {
 
 #[test]
 fn smoke_seeded_random_starts_gather() {
-    // Same path the experiment harness and benches use, so this smoke test
+    // Same path the `report` tables and `perfbench/` use, so this smoke test
     // also exercises RunSpec plumbing; the seeded generator feeds the same
     // configuration to every run, keeping it deterministic end to end.
     // (Seed 7 at n=7 is a known livelock — see ROADMAP open items.)

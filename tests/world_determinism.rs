@@ -14,7 +14,7 @@
 
 use fatrobots::prelude::*;
 use fatrobots::sim::experiment::{AdversaryKind, StrategyKind};
-use fatrobots::sim::world::WorldMode;
+use fatrobots::sim::world::{World, WorldMode};
 use fatrobots::sim::RunOutcome;
 
 fn run_with_config(
@@ -187,4 +187,56 @@ fn larger_asynchronous_run_replays_identically() {
     assert_eq!(cached_events, fresh_events);
     assert_eq!(cached_centers, fresh_centers);
     assert_eq!(cached_outcome, fresh_outcome);
+}
+
+/// The Look-snapshot pin on an engine trace: the paper's algorithm under
+/// the round-robin schedule, from mid-gathering on (after 2 000 events),
+/// is mirrored move by move into a sparse and a scratch world, which must
+/// give every Look the same answer. At n = 96, re-Looks recompute rows
+/// long enough (at least 8 pairs) to fan their pair kernels out to the
+/// helper pool on a multi-core host, so the fanned-out answers are pinned
+/// too.
+#[test]
+fn sparse_and_scratch_worlds_answer_every_look_of_a_trace_alike() {
+    for n in [32, 96] {
+        let mut sim = Simulator::new(
+            Shape::Random.generate(n, 3),
+            StrategyKind::Paper.build(n),
+            AdversaryKind::RoundRobin.build(3, n),
+            SimConfig::default(),
+        );
+        for _ in 0..2_000 {
+            sim.step();
+        }
+        let mut worlds = [WorldMode::Sparse, WorldMode::Scratch]
+            .map(|mode| World::new(sim.centers().to_vec(), mode));
+        let mut looked = vec![false; n];
+        let (mut looks, mut widest_relook) = (0, 0);
+        for _ in 0..1_000 {
+            let Some(event) = sim.step() else { break };
+            for world in &mut worlds {
+                for (i, &p) in sim.centers().iter().enumerate() {
+                    if world.center(i) != p {
+                        world.move_robot(i, p);
+                    }
+                }
+            }
+            if let fatrobots::scheduler::Event::Look(id) = event {
+                let [sparse, scratch] = &mut worlds;
+                let (_, misses) = sparse.cache_stats();
+                let answer = sparse.visible_of(id.0);
+                assert_eq!(answer, scratch.visible_of(id.0), "n = {n}: {id:?}'s Look");
+                if std::mem::replace(&mut looked[id.0], true) {
+                    widest_relook = widest_relook.max(sparse.cache_stats().1 - misses);
+                }
+                looks += 1;
+            }
+        }
+        eprintln!("n = {n}: {looks} Looks, widest re-Look {widest_relook} recomputes");
+        assert!(looks > 0, "n = {n}: the window must take Looks");
+        assert!(
+            n < 96 || widest_relook >= 8,
+            "n = 96: no re-Look recomputed a fan-out-sized row ({widest_relook})"
+        );
+    }
 }
