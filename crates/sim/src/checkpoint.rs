@@ -33,7 +33,10 @@
 //! [`VERSION`] instead. Version 5 is such a bump: certified pairs moved to
 //! their own coarse registration lists, which changes the stored
 //! registration count (`world_pair_registrations`) of larger runs but not
-//! the canonical run's record.
+//! the canonical run's record. Dropping the registrations of worlds of at
+//! most 128 robots needed no bump: it sets the canonical n = 6 run's
+//! registration count to 0, so its record, and with it the engine id,
+//! changed by itself.
 //!
 //! ## Writes and recovery
 //!

@@ -286,8 +286,10 @@ pub struct RunSummary {
     /// Visibility pair-store entries materialized by the end of the run:
     /// only the pairs actually computed (0 in the scratch world).
     pub world_pair_entries: u64,
-    /// Live corridor registrations held by the pair store at the end of
-    /// the run.
+    /// Corridor registrations held by the pair store at the end of the
+    /// run (dead ones not yet dropped included). 0 in worlds of at most
+    /// `SCAN_MAX_N` robots (128), which scan their pair slab on a move
+    /// instead of registering corridors, and in the scratch world.
     pub world_pair_registrations: u64,
     /// Robots permanently crashed by a fired crash-stop fault (0 for
     /// fault-free adversaries).

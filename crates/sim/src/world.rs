@@ -7,11 +7,12 @@
 //! of being recomputed from scratch on every event:
 //!
 //! * a **sparse visibility store**: per-robot sorted adjacency lists plus a
-//!   pair store that materializes only the pairs actually computed — a
-//!   hash map from each pair to a stable dense id, and a slab of 16-byte
-//!   entries indexed by it — each entry invalidated when a move can
-//!   actually have changed the pair's answer. Memory is linear in n plus
-//!   the computed pairs, never Θ(n²);
+//!   slab of 16-byte pair entries, each invalidated when a move can
+//!   actually have changed the pair's answer. A world of at most
+//!   `SCAN_MAX_N` robots indexes the slab directly, one slot per pair; a
+//!   larger one materializes only the pairs actually computed, through a
+//!   hash map from each pair to a stable dense id, so its memory is linear
+//!   in n plus the computed pairs, never Θ(n²);
 //! * the **convex hull** (and the all-on-hull flag), the **connectivity**
 //!   predicate and the **validity** (no-overlap) predicate, each tagged
 //!   with a configuration version and recomputed lazily on first use after
@@ -24,31 +25,62 @@
 //! capsule of radius [`VISIBILITY_PRUNE_RADIUS`] around the chord
 //! `c_j`–`c_k` — see `disc_sees_disc_among`). The entry must therefore be
 //! invalidated exactly when either endpoint moves, or some robot moves
-//! *into* or *out of* that corridor. Scanning all pairs per move would
-//! reintroduce the quadratic cost, so the corridor membership is indexed
-//! through the hierarchical spatial grid:
+//! *into* or *out of* that corridor: when the mover is an endpoint, or its
+//! old or new center lies within the pruning radius of the chord. A
+//! dirtied pair that was seen bumps both endpoints' view versions on the
+//! spot.
+//!
+//! **Certified pairs** — those the slack strip cover proved blocked
+//! ([`PairVerdict::Certified`]) — are the one exception. Their answer can
+//! change only when a robot moves beyond `CERT_DRIFT_RADIUS` of its
+//! anchor: robots entering a blocked corridor only block more, and a
+//! certificate survives every robot drifting within that radius. So a move
+//! within the radius leaves every certified pair clean without testing it,
+//! and a move beyond it tests them like the others.
+//!
+//! Two paths find the pairs to dirty, chosen by the robot count alone
+//! (`SCAN_MAX_N`, the bound that also picks the corridor source below).
+//! They dirty exactly the same pairs with the same view-version bumps, so
+//! every answer and counter but the registration count is the same on
+//! either.
+//!
+//! ### Slab scan (worlds of at most `SCAN_MAX_N` robots)
+//!
+//! In a small world a spatial index costs more than the geometry it
+//! guards, so there is none. The slab holds one slot per pair at its
+//! `direct_id`, laid out on first use (never in `World::new`);
+//! `commit_pair` stores the verdict, the certified bit and the pair's
+//! `f32` reach (chord plus twice the pruning radius, with slack), and
+//! registers nothing. A move visits every clean pair once
+//! (`World::scan_slab`): a robot within the pruning radius of a chord is
+//! within the reach of its two endpoints together, so one add and compare
+//! per pair against the mover's distances rejects most of them, and the
+//! rest meet the exact test. A row refresh reads its row's slots by direct
+//! index and recomputes the dirty ones. No hash, no registration, no
+//! pending queue.
+//!
+//! ### Cell drains (larger worlds)
+//!
+//! Scanning all pairs per move would reintroduce the quadratic cost, so
+//! the corridor membership is indexed through the hierarchical spatial
+//! grid:
 //!
 //! * when a pair is (re)computed, it registers itself in every cell of the
 //!   conservative cover of its corridor (the grid's capsule walk), at the
 //!   grid level matched to its chord length so each pair holds O(1) cells;
 //! * when robot `i` moves, only the registrations of the cell it left and
 //!   the cell it entered (at every level) are drained; of those, exactly
-//!   the pairs the move can affect (`i` is an endpoint, or its old or new
-//!   center lies within the pruning radius of the chord) are marked dirty
-//!   and queued on both endpoints' pending rows.
+//!   the pairs the move can affect are marked dirty and queued on both
+//!   endpoints' pending rows.
 //!
-//! **Certified pairs** — those the slack strip cover proved blocked
-//! ([`PairVerdict::Certified`]) — register apart, in per-level certified
-//! lists, at the finest level whose cell edge spans the whole capsule
-//! (chord plus twice the pruning radius), so each holds at most four
-//! cells unless it outgrows the coarsest level. Their answer can change
-//! only when a robot moves beyond `CERT_DRIFT_RADIUS` of its anchor:
-//! robots entering a blocked corridor only block more, and a certificate
-//! survives every robot drifting within that radius. So a move within the
-//! radius skips each drained cell's certified list whole, without reading
-//! a ref, and a move beyond it drains the list with the same exact test
-//! as the others. The coarse cover holds every cell of the capsule, so a
-//! beyond-drift move still dirties every certified pair it can affect.
+//! Certified pairs register apart, in per-level certified lists, at the
+//! finest level whose cell edge spans the whole capsule (chord plus twice
+//! the pruning radius), so each holds at most four cells unless it
+//! outgrows the coarsest level. A move within the drift radius skips each
+//! drained cell's certified list whole, without reading a ref, and a move
+//! beyond it drains the list with the same exact test as the others. The
+//! coarse cover holds every cell of the capsule, so a beyond-drift move
+//! still dirties every certified pair it can affect.
 //!
 //! A registration is 8 bytes: the pair's slab id plus its generation; the
 //! list it sits in says whether the pair is certified. The drain and the
@@ -207,12 +239,13 @@ fn host_parallelism() -> usize {
 /// How a [`World`] answers queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorldMode {
-    /// The incremental world (the default): per-robot adjacency lists, a
-    /// slab-indexed pair store that only materializes computed pairs, and
-    /// corridor registrations placed at a chord-length-matched grid level
-    /// so each pair holds O(1) cells. Answers are event-for-event identical
-    /// to [`WorldMode::Scratch`] (same kernels); memory is linear in
-    /// n + computed pairs.
+    /// The incremental world (the default): per-robot adjacency lists and
+    /// a slab-indexed pair store. Up to `SCAN_MAX_N` robots the slab holds
+    /// every pair at a direct index and a move scans it; larger worlds
+    /// materialize only computed pairs and place corridor registrations at
+    /// a chord-length-matched grid level so each pair holds O(1) cells,
+    /// keeping memory linear in n + computed pairs. Answers are
+    /// event-for-event identical to [`WorldMode::Scratch`] (same kernels).
     Sparse,
     /// Every query recomputes from scratch, exactly like the seed engine.
     /// Used by the determinism suite as the reference behaviour.
@@ -249,6 +282,12 @@ struct PairEntry {
     gen: u32,
     seen: bool,
     dirty: bool,
+    /// The last recompute answered [`PairVerdict::Certified`].
+    certified: bool,
+    /// The pair has been materialized: always, for an entry of the hashed
+    /// store; for a slot of the direct-indexed slab, once a row refresh or
+    /// a [`World::sees`] probe first asks for the pair.
+    stored: bool,
 }
 
 impl PairEntry {
@@ -284,19 +323,30 @@ const CERT_WINDOW_HALF_LEN: f64 = GRID_CELL;
 /// the window's stretch of the cover can use.
 const CERT_WINDOW_RADIUS: f64 = 2.5 * UNIT_RADIUS;
 
-/// Largest world whose pair recomputes take their corridor slice from the
-/// row scan ([`Sites::prime_row`]) instead of the grid gather and the
-/// mid-chord window. Set at the measured crossover: serial row refreshes
-/// of random spreads (`Shape::Random`) and hex packings at spacing 2.1,
-/// 2 vCPUs, rustc 1.95, scan vs grid (first rows, a mover's re-Look, a
-/// watcher's re-Look; README has the table). On random spreads the scan
-/// gains 1.4–1.9× on first and mover rows at every n up to 600; watcher
-/// rows, where the priming sort is most of the cost, fall to 1.08× at 256
-/// and 0.85× at 600. Hex packings, where the window certifies most long
-/// chords, gain 1.15–1.3× at n = 32, break even at 96 and 128, and lose
-/// from 192 (0.91×), 256 (0.77–0.89×) and 600 (0.61–0.66×). At n = 10⁴
-/// the scan is 2–3.5× slower on random spreads and 12–14× on hex. 128 is
-/// the largest size measured where neither shape loses.
+/// Largest world that takes both small-world paths. Its pair recomputes
+/// take their corridor slice from the row scan ([`Sites::prime_row`])
+/// instead of the grid gather and the mid-chord window, and its moves find
+/// the pairs to dirty by scanning the slab ([`Invalidation::SlabScan`])
+/// instead of draining corridor registrations.
+///
+/// The bound is the corridor source's measured crossover: serial row
+/// refreshes of random spreads (`Shape::Random`) and hex packings at
+/// spacing 2.1, 2 vCPUs, rustc 1.95, scan vs grid (first rows, a mover's
+/// re-Look, a watcher's re-Look; README has the table). On random spreads
+/// the scan gains 1.4–1.9× on first and mover rows at every n up to 600;
+/// watcher rows, where the priming sort is most of the cost, fall to
+/// 1.08× at 256 and 0.85× at 600. Hex packings, where the window
+/// certifies most long chords, gain 1.15–1.3× at n = 32, break even at 96
+/// and 128, and lose from 192 (0.91×), 256 (0.77–0.89×) and 600
+/// (0.61–0.66×). At n = 10⁴ the scan is 2–3.5× slower on random spreads
+/// and 12–14× on hex. 128 is the largest size measured where neither
+/// shape loses.
+///
+/// The invalidation scan needs no bound of its own: replaying 60 000-event
+/// random-async runs on the same shapes at n ∈ {32, 96, 128}, its move
+/// plus commit time beat the registrations' by 2.1–5.2× at every size; its
+/// move time alone was 4–20% lower on random spreads and within 1% on hex
+/// packings (README has the table).
 const SCAN_MAX_N: usize = 128;
 
 /// Relative slack on the row scan's squared prefix bound
@@ -358,29 +408,103 @@ struct PendingRow {
     compact_at: usize,
 }
 
+/// How a [`WorldMode::Sparse`] world finds the pairs a move dirties and
+/// the pairs a row refresh recomputes. Chosen by the robot count alone
+/// ([`SCAN_MAX_N`]); both dirty exactly the same pairs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Invalidation {
+    /// Worlds of at most [`SCAN_MAX_N`] robots: the slab holds a slot for
+    /// every pair at its [`direct_id`], a move tests every clean pair
+    /// ([`World::scan_slab`]) and a row refresh reads its row's slots. No
+    /// hash, no corridor registration, no pending queue.
+    SlabScan,
+    /// Larger worlds: a hashed pair store, corridor registrations on grid
+    /// cells drained by a move ([`World::dirty_cell`]), and per-robot
+    /// pending queues feeding the row refreshes.
+    CellDrain,
+}
+
+impl Invalidation {
+    /// The path a world of `n` robots takes.
+    fn for_len(n: usize) -> Self {
+        if n <= SCAN_MAX_N {
+            Invalidation::SlabScan
+        } else {
+            Invalidation::CellDrain
+        }
+    }
+}
+
+/// Slab id of the pair `{a, b}` (`a < b`) in the direct-indexed slab of a
+/// world of `n` robots: row-major over `a`, so the pairs `(a, b > a)` of
+/// one row are contiguous.
+fn direct_id(a: usize, b: usize, n: usize) -> u32 {
+    debug_assert!(a < b && b < n);
+    (a * (2 * n - a - 1) / 2 + (b - a - 1)) as u32
+}
+
+/// Slack on the chord length behind a [`SparseVis::reach`] entry: a clean
+/// certified pair's endpoints may each have drifted up to
+/// `2·CERT_DRIFT_RADIUS = COVER_STABILITY_RADIUS` since its recompute
+/// (`CERT_DRIFT_RADIUS`), which lengthens the chord by at most twice that.
+const REACH_DRIFT_SLACK: f64 = 2.0 * COVER_STABILITY_RADIUS;
+
+/// The reach of a clean pair of chord length `chord` as stored in
+/// [`SparseVis::reach`]: the chord plus the pruning radius at either end
+/// and [`REACH_DRIFT_SLACK`], inflated relatively and absolutely far past
+/// the rounding of the `f32` lanes and of the exact `f64` test, so the
+/// scan's reject is conservative. Negated for a certified pair.
+fn reach_lane(chord: f64, certified: bool) -> f32 {
+    let reach = (chord + 2.0 * VISIBILITY_PRUNE_RADIUS + REACH_DRIFT_SLACK) * (1.0 + 1e-5) + 1e-3;
+    (if certified { -reach } else { reach }) as f32
+}
+
 /// The visibility state of [`WorldMode::Sparse`]: everything is sized by
-/// what has actually been computed, never by n².
+/// what has actually been computed, never by n² — except the
+/// direct-indexed slab of a small world ([`Invalidation::SlabScan`]),
+/// which holds all n(n − 1)/2 pairs from its first use.
 #[derive(Debug, Default)]
 struct SparseVis {
-    /// Slab id of every pair computed so far, keyed by [`pair_key`].
-    /// Pairs are never removed, so ids are stable. Absent means "never
-    /// computed" — [`SparseVis::intern`] materializes a dirty, unseen
-    /// entry.
+    /// Slab id of every pair computed so far, keyed by [`pair_key`]
+    /// ([`Invalidation::CellDrain`] only). Pairs are never removed, so ids
+    /// are stable. Absent means "never computed" — [`SparseVis::intern`]
+    /// materializes a dirty, unseen entry.
     ids: HashMap<u64, u32, CellHashBuilder>,
-    /// The pair entries, indexed by id.
+    /// The pair entries, indexed by id: in the order they were first
+    /// computed ([`Invalidation::CellDrain`]), or at their [`direct_id`]
+    /// ([`Invalidation::SlabScan`]).
     slab: Vec<PairEntry>,
+    /// Materialized pair entries (the entries whose `stored` bit is set).
+    entries: u64,
+    /// [`Invalidation::SlabScan`] only, aligned with `slab`: the reach of
+    /// each clean pair ([`reach_lane`]; negative when certified), NaN for
+    /// a dirty or never-computed one. A robot at distances `d_a`, `d_b`
+    /// from the endpoints lies within the pruning radius of the chord only
+    /// if `d_a + d_b` is at most the chord plus twice that radius, so
+    /// [`World::scan_slab`] rejects a pair on one add and one compare
+    /// before the exact test.
+    reach: Vec<f32>,
+    /// [`Invalidation::SlabScan`] only: the clean certified pairs, which
+    /// an in-drift move leaves clean without testing them.
+    clean_certified: u64,
+    /// [`Invalidation::SlabScan`] only: scratch of [`World::scan_slab`],
+    /// the distances of every site from the mover's old position, then
+    /// from its new one.
+    dists: Vec<f32>,
     /// Sorted adjacency: `adj[i]` holds exactly the robots whose pair with
     /// `i` is stored with `seen == true` (possibly dirty — a row refresh
     /// recomputes the dirty pairs before the list is read).
     adj: Vec<Vec<u32>>,
-    /// Per-robot recompute queues, fed by the cell drains.
+    /// Per-robot recompute queues, fed by the cell drains
+    /// ([`Invalidation::CellDrain`] only).
     pending: Vec<PendingRow>,
     /// Whether row `i` has ever been fully computed. A row's first refresh
     /// computes all of its pairs; afterwards only dirtied pairs recompute.
     row_init: Vec<bool>,
     /// Corridor registrations of the uncertified pairs per grid level
     /// (index = level), at the level [`World::sparse_reg_level`] matches
-    /// to each chord's length.
+    /// to each chord's length ([`Invalidation::CellDrain`] only, like the
+    /// certified lists and the spare lists below).
     regs: [CellMap<SparseCellRegs>; GRID_LEVELS],
     /// Corridor registrations of the pairs whose last recompute answered
     /// [`PairVerdict::Certified`]: the slack strip cover (of
@@ -401,11 +525,14 @@ struct SparseVis {
 }
 
 impl SparseVis {
-    /// The slab id of the pair `{a, b}` (`a < b`), materializing a fresh
-    /// dirty, unseen entry for a pair never computed: one hash probe.
+    /// The slab id of the pair `{a, b}` (`a < b`) in the hashed store,
+    /// materializing a fresh dirty, unseen entry for a pair never
+    /// computed: one hash probe.
     fn intern(&mut self, a: usize, b: usize) -> u32 {
-        let slab = &mut self.slab;
-        *self.ids.entry(pair_key(a, b)).or_insert_with(|| {
+        let SparseVis {
+            ids, slab, entries, ..
+        } = self;
+        *ids.entry(pair_key(a, b)).or_insert_with(|| {
             let id = u32::try_from(slab.len()).expect("pair ids fit in u32");
             slab.push(PairEntry {
                 a: a as u32,
@@ -413,9 +540,41 @@ impl SparseVis {
                 gen: 0,
                 seen: false,
                 dirty: true,
+                certified: false,
+                stored: true,
             });
+            *entries += 1;
             id
         })
+    }
+
+    /// The slab id of the pair `{a, b}` (`a < b`) in the direct-indexed
+    /// slab of a world of `n` robots, marking the pair stored. The first
+    /// call lays out the slab: every pair dirty, unseen and not yet
+    /// stored.
+    fn intern_direct(&mut self, a: usize, b: usize, n: usize) -> u32 {
+        if self.slab.is_empty() {
+            self.slab.reserve_exact(n * (n - 1) / 2);
+            for a in 0..n as u32 {
+                self.slab.extend((a + 1..n as u32).map(|b| PairEntry {
+                    a,
+                    b,
+                    gen: 0,
+                    seen: false,
+                    dirty: true,
+                    certified: false,
+                    stored: false,
+                }));
+            }
+            self.reach = vec![f32::NAN; self.slab.len()];
+        }
+        let id = direct_id(a, b, n);
+        let entry = &mut self.slab[id as usize];
+        if !entry.stored {
+            entry.stored = true;
+            self.entries += 1;
+        }
+        id
     }
 }
 
@@ -497,6 +656,9 @@ struct Sites {
 #[derive(Debug)]
 pub struct World {
     mode: WorldMode,
+    /// How a sparse world invalidates pairs: [`Invalidation::for_len`] of
+    /// the robot count (a test may pick the other path at construction).
+    invalidation: Invalidation,
     sites: Arc<Sites>,
     /// Visibility state ([`WorldMode::Sparse`] only; empty otherwise).
     sparse: SparseVis,
@@ -557,12 +719,22 @@ pub struct World {
 impl World {
     /// Creates the world for the given centers.
     pub fn new(centers: Vec<Point>, mode: WorldMode) -> Self {
+        let invalidation = Invalidation::for_len(centers.len());
+        Self::with_invalidation(centers, mode, invalidation)
+    }
+
+    /// [`Self::new`] on the given invalidation path.
+    fn with_invalidation(centers: Vec<Point>, mode: WorldMode, invalidation: Invalidation) -> Self {
         let n = centers.len();
         let grid = UniformGrid::new(GRID_CELL, &centers);
         let sparse = if mode == WorldMode::Sparse {
+            let pending = match invalidation {
+                Invalidation::SlabScan => Vec::new(),
+                Invalidation::CellDrain => (0..n).map(|_| PendingRow::default()).collect(),
+            };
             SparseVis {
                 adj: vec![Vec::new(); n],
-                pending: (0..n).map(|_| PendingRow::default()).collect(),
+                pending,
                 row_init: vec![false; n],
                 ..SparseVis::default()
             }
@@ -576,6 +748,7 @@ impl World {
         };
         World {
             mode,
+            invalidation,
             sites: Arc::new(Sites {
                 centers,
                 grid,
@@ -649,12 +822,14 @@ impl World {
     /// entries and stored corridor registrations. The registration count
     /// includes dead registrations not yet dropped by a drain or a
     /// compaction sweep, so it measures the lists' memory, not the live
-    /// corridors. The entry count is only the pairs actually computed,
-    /// which is what the scale gate's linear-memory assertion watches.
-    /// Both are 0 in [`WorldMode::Scratch`] (whose store stays empty).
+    /// corridors; it is 0 in worlds of at most `SCAN_MAX_N` robots, which
+    /// register nothing. The entry count is only the pairs actually
+    /// computed, which is what the scale gate's linear-memory assertion
+    /// watches. Both are 0 in [`WorldMode::Scratch`] (whose store stays
+    /// empty).
     pub fn pair_store_stats(&self) -> (u64, u64) {
         (
-            self.sparse.slab.len() as u64,
+            self.sparse.entries,
             self.sparse
                 .regs
                 .iter()
@@ -667,8 +842,12 @@ impl World {
 
     /// Blocked-certificate telemetry: `(cover_answers, cert_skips)` —
     /// recomputes answered by a strip cover instead of the witness kernel,
-    /// and drain visits that kept a certified pair clean through an
-    /// endpoint move. Both are 0 in [`WorldMode::Scratch`].
+    /// and the certified pairs in-drift moves kept clean untested. In
+    /// worlds of at most `SCAN_MAX_N` robots a skip is one clean certified
+    /// pair per in-drift move; in larger worlds it is one certified
+    /// registration (live or dead) in a cell list an in-drift move's drain
+    /// passed over, so a pair counts once per list it sits in. Both are 0
+    /// in [`WorldMode::Scratch`].
     pub fn cert_stats(&self) -> (u64, u64) {
         (self.cover_answers, self.cert_skips)
     }
@@ -699,9 +878,11 @@ impl World {
     }
 
     /// Moves robot `i` to `p`: bumps the configuration version, dirties
-    /// every pair registered on the cell the robot leaves and the cell it
-    /// enters, and rehashes the robot in the grid. Moving a robot to its
-    /// current position is a no-op (nothing can have changed).
+    /// every pair the move can affect — found by scanning the slab in a
+    /// world of at most `SCAN_MAX_N` robots, by draining the registrations
+    /// of the cell the robot leaves and the cell it enters otherwise — and
+    /// rehashes the robot in the grid. Moving a robot to its current
+    /// position is a no-op (nothing can have changed).
     ///
     /// # Panics
     /// Panics if `i` is out of bounds.
@@ -713,33 +894,38 @@ impl World {
         match self.mode {
             WorldMode::Sparse => {
                 // The mover's own view always changes (its center is part of
-                // it). Every *other* affected view is bumped either by
-                // `dirty_cell` (clean seen pairs being dirtied — the robots
+                // it). Every *other* affected view is bumped either by the
+                // invalidation (clean seen pairs being dirtied — the robots
                 // that can watch this move happen) or by the flip check when
-                // a dirty pair is recomputed. No O(n) scan anywhere: moving
-                // a robot nobody sees bumps only the mover.
+                // a dirty pair is recomputed: moving a robot nobody sees
+                // bumps only the mover.
                 self.view_versions[i] += 1;
-                // Registrations live at every grid level (each pair picks
-                // the level matching its chord length), so the move drains
-                // its from/to cell at each level. Coarser cells hold more
-                // incidental registrations; the drain's exact chord-distance
-                // test filters them, so coarseness costs drain time, never
-                // correctness.
                 let in_drift =
                     p.distance_sq(self.anchors[i]) <= CERT_DRIFT_RADIUS * CERT_DRIFT_RADIUS;
-                for level in 0..GRID_LEVELS {
-                    let from = self.sites.grid.cell_of_at(old, level);
-                    let to = self.sites.grid.cell_of_at(p, level);
-                    self.dirty_cell(level, from, i, old, p, in_drift);
-                    if to != from {
-                        self.dirty_cell(level, to, i, old, p, in_drift);
+                match self.invalidation {
+                    Invalidation::SlabScan => self.scan_slab(i, old, p, in_drift),
+                    Invalidation::CellDrain => {
+                        // Registrations live at every grid level (each pair
+                        // picks the level matching its chord length), so the
+                        // move drains its from/to cell at each level. Coarser
+                        // cells hold more incidental registrations; the
+                        // drain's exact chord-distance test filters them, so
+                        // coarseness costs drain time, never correctness.
+                        for level in 0..GRID_LEVELS {
+                            let from = self.sites.grid.cell_of_at(old, level);
+                            let to = self.sites.grid.cell_of_at(p, level);
+                            self.dirty_cell(level, from, i, old, p, in_drift);
+                            if to != from {
+                                self.dirty_cell(level, to, i, old, p, in_drift);
+                            }
+                        }
                     }
                 }
-                // Anchor maintenance, after the drains: a move beyond the
-                // drift radius has just drained the certified lists too
-                // (dirtying the certified pairs the mover can affect), so
-                // re-anchoring here cannot strand a certificate issued
-                // against the old anchor.
+                // Anchor maintenance, after the invalidation: a move beyond
+                // the drift radius has just tested the certified pairs too
+                // (dirtying those the mover can affect), so re-anchoring
+                // here cannot strand a certificate issued against the old
+                // anchor.
                 if !in_drift {
                     self.anchors[i] = p;
                 }
@@ -758,6 +944,95 @@ impl World {
         sites.version += 1;
         sites.grid.move_point(i, old, p);
         sites.centers[i] = p;
+    }
+
+    /// The [`Invalidation::SlabScan`] twin of the cell drains, for a move
+    /// of robot `mover` from `old` to `new`: visits every clean pair of the
+    /// slab once and dirties exactly the pairs the drains would — those
+    /// with the mover as an endpoint, or whose chord passes within the
+    /// pruning radius of `old` or `new` — with the same view-version
+    /// bumps. While the mover stays within [`CERT_DRIFT_RADIUS`] of its
+    /// anchor (`in_drift`), certified pairs are skipped untested, as the
+    /// drains skip the certified lists, and each counts one cert skip.
+    ///
+    /// A pair is rejected first on its [`SparseVis::reach`] lane: a point
+    /// within the pruning radius of the chord is within the chord plus
+    /// twice that radius of the two endpoints together, so a pair whose
+    /// endpoints' distances from `old` and from `new` both sum past its
+    /// reach cannot be affected. The reach is negative for a certified
+    /// pair and NaN for a dirty one, so an in-drift move's compare rejects
+    /// both, and a beyond-drift move compares against the reach's
+    /// magnitude. Only the pairs the reject keeps meet the exact test, the
+    /// drains' own.
+    fn scan_slab(&mut self, mover: usize, old: Point, new: Point, in_drift: bool) {
+        let SparseVis {
+            slab,
+            reach,
+            clean_certified,
+            dists,
+            ..
+        } = &mut self.sparse;
+        if slab.is_empty() {
+            return; // nothing computed yet
+        }
+        if in_drift {
+            self.cert_skips += *clean_certified;
+        }
+        let centers = &self.sites.centers;
+        let n = centers.len();
+        dists.clear();
+        for from in [old, new] {
+            dists.extend(centers.iter().map(|&c| c.distance(from) as f32));
+        }
+        let (d_old, d_new) = dists.split_at(n);
+        let prune_sq = VISIBILITY_PRUNE_RADIUS * VISIBILITY_PRUNE_RADIUS;
+        let view_versions = &mut self.view_versions;
+        let mut row_start = 0;
+        for a in 0..n - 1 {
+            let (oa, na) = (d_old[a], d_new[a]);
+            let row_len = n - 1 - a;
+            // The reject fills one mask per 64 pairs of the row, without a
+            // branch; the exact test then visits the mask's set bits.
+            for chunk in (0..row_len).step_by(64) {
+                let lanes = reach[row_start + chunk..row_start + row_len.min(chunk + 64)]
+                    .iter()
+                    .zip(&d_old[a + 1 + chunk..])
+                    .zip(&d_new[a + 1 + chunk..]);
+                let mut mask = 0u64;
+                for (k, ((&r, &ob), &nb)) in lanes.enumerate() {
+                    let r = if in_drift { r } else { r.abs() };
+                    mask |= u64::from((oa + ob <= r) | (na + nb <= r)) << k;
+                }
+                while mask != 0 {
+                    let k = chunk + mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    let b = a + 1 + k;
+                    // Squared-distance form of `distance_to(..) <=
+                    // PRUNE_RADIUS`, as in `dirty_cell`.
+                    let affected = a == mover || b == mover || {
+                        let chord = Segment::new(centers[a], centers[b]);
+                        chord.distance_sq_to(old) <= prune_sq
+                            || chord.distance_sq_to(new) <= prune_sq
+                    };
+                    if !affected {
+                        continue;
+                    }
+                    let id = row_start + k;
+                    let entry = &mut slab[id];
+                    entry.dirty = true;
+                    reach[id] = f32::NAN;
+                    if entry.certified {
+                        *clean_certified -= 1;
+                    }
+                    // The seen-pair bump of `dirty_cell`.
+                    if entry.seen {
+                        view_versions[a] += 1;
+                        view_versions[b] += 1;
+                    }
+                }
+            }
+            row_start += row_len;
+        }
     }
 
     /// Processes one cell's corridor registrations at one grid level for a
@@ -876,7 +1151,7 @@ impl World {
         }
         let (a, b) = if i < j { (i, j) } else { (j, i) };
         assert!(b < self.len(), "robot index out of bounds");
-        let id = self.sparse.intern(a, b);
+        let id = self.intern(a, b);
         let entry = self.sparse.slab[id as usize];
         if !entry.dirty {
             self.hits += 1;
@@ -886,6 +1161,15 @@ impl World {
         let verdict = self.sites.compute_pair_answer(i, j, &mut self.probe);
         self.commit_pair(id, verdict);
         verdict == PairVerdict::Seen
+    }
+
+    /// The slab id of the pair `{a, b}` (`a < b`) on this world's
+    /// invalidation path, materializing the pair if it never was.
+    fn intern(&mut self, a: usize, b: usize) -> u32 {
+        match self.invalidation {
+            Invalidation::SlabScan => self.sparse.intern_direct(a, b, self.len()),
+            Invalidation::CellDrain => self.sparse.intern(a, b),
+        }
     }
 
     /// The grid level an uncertified pair registers its corridor at: the
@@ -1131,11 +1415,13 @@ impl Sites {
 
 impl World {
     /// Commits one computed verdict to the pair in slab slot `id`: bumps
-    /// its generation, clears its dirty flag, stores the seen bit, bumps
-    /// both views and updates both adjacency lists on a flip, counts a
-    /// cover answer, and re-registers the pair's corridor — a certified
-    /// pair on its coarse cells in the certified lists, any other pair at
-    /// its chord-matched level. `verdict` is what
+    /// its generation, clears its dirty flag, stores the seen and certified
+    /// bits, bumps both views and updates both adjacency lists on a flip,
+    /// and counts a cover answer. Then, in a world of at most `SCAN_MAX_N`
+    /// robots, it stores the pair's reach lane and registers nothing; in a
+    /// larger one it re-registers the pair's corridor — a certified pair
+    /// on its coarse cells in the certified lists, any other pair at its
+    /// chord-matched level. `verdict` is what
     /// [`Sites::compute_pair_answer`] returned for the pair on the current
     /// centers. Touches no hash map but the cell lists.
     fn commit_pair(&mut self, id: u32, verdict: PairVerdict) {
@@ -1144,6 +1430,7 @@ impl World {
         let entry = &mut self.sparse.slab[id as usize];
         entry.gen = entry.gen.wrapping_add(1);
         entry.dirty = false;
+        entry.certified = certified;
         let flipped = entry.seen != seen;
         entry.seen = seen;
         let (a, b) = (entry.a as usize, entry.b as usize);
@@ -1169,10 +1456,15 @@ impl World {
                 adj_remove(&mut adj[b], a as u32);
             }
         }
+        let (ca, cb) = (self.sites.centers[a], self.sites.centers[b]);
+        if self.invalidation == Invalidation::SlabScan {
+            self.sparse.reach[id as usize] = reach_lane(ca.distance(cb), certified);
+            self.sparse.clean_certified += u64::from(certified);
+            return;
+        }
         // Register on the chosen level's conservative cover. The
         // *registration* walk must not skip empty cells: a future mover
         // can enter one.
-        let (ca, cb) = (self.sites.centers[a], self.sites.centers[b]);
         let level = if certified {
             self.cert_reg_level(ca, cb)
         } else {
@@ -1212,12 +1504,15 @@ impl World {
     /// 1. **Plan**, with one pair-store probe per candidate. A row's first
     ///    refresh plans every pair of the row not already clean (the
     ///    unavoidable O(n), paid lazily per row; a pair never computed is
-    ///    materialized dirty); afterwards only the pairs the cell drains
-    ///    queued. The queue may hold duplicates and stale entries (pairs
-    ///    already recomputed through the partner's row or a direct
-    ///    [`Self::sees`] probe): it is sorted and deduplicated, and the
-    ///    dirty check drops the stale ones. The hit/miss telemetry is
-    ///    counted from the plan.
+    ///    materialized dirty). Afterwards, in a world of at most
+    ///    `SCAN_MAX_N` robots, it reads the row's slab slots by direct
+    ///    index and plans the dirty ones; in a larger world it plans only
+    ///    the pairs the cell drains queued. The queue may hold duplicates
+    ///    and stale entries (pairs already recomputed through the
+    ///    partner's row or a direct [`Self::sees`] probe): it is sorted and
+    ///    deduplicated, and the dirty check drops the stale ones. Either
+    ///    way the plan holds exactly the row's dirty pairs, in partner
+    ///    order. The hit/miss telemetry is counted from the plan.
     /// 2. **Compute** one answer per planned pair, read-only
     ///    ([`Self::compute_answers`]; fanned out to the helper pool for
     ///    a plan of at least `ROW_FANOUT_MIN_PAIRS` pairs).
@@ -1230,9 +1525,34 @@ impl World {
     fn refresh_row(&mut self, i: usize) {
         let mut plan = std::mem::take(&mut self.plan);
         plan.clear();
-        let mut js = std::mem::take(&mut self.sparse.pending[i].js);
-        let sparse = &mut self.sparse;
-        if sparse.row_init[i] {
+        let n = self.sites.centers.len();
+        if !self.sparse.row_init[i] {
+            for j in (0..n).filter(|&j| j != i) {
+                let (a, b) = if i < j { (i, j) } else { (j, i) };
+                let id = self.intern(a, b);
+                if self.sparse.slab[id as usize].dirty {
+                    plan.push(id);
+                }
+            }
+            self.sparse.row_init[i] = true;
+            self.hits += (n - 1 - plan.len()) as u64;
+            // Whatever the drains queued before is now clean (no pending
+            // rows in a world that scans its slab).
+            if let Some(pending) = self.sparse.pending.get_mut(i) {
+                pending.js.clear();
+                pending.compact_at = 0;
+            }
+        } else if self.invalidation == Invalidation::SlabScan {
+            let slab = &self.sparse.slab;
+            plan.extend(
+                (0..n)
+                    .filter(|&j| j != i)
+                    .map(|j| direct_id(i.min(j), i.max(j), n))
+                    .filter(|&id| slab[id as usize].dirty),
+            );
+        } else {
+            let sparse = &mut self.sparse;
+            let mut js = std::mem::take(&mut sparse.pending[i].js);
             js.sort_unstable();
             js.dedup();
             for j in js.iter().map(|&j| j as usize) {
@@ -1243,21 +1563,10 @@ impl World {
                     }
                 }
             }
-        } else {
-            let n = self.sites.centers.len();
-            for j in (0..n).filter(|&j| j != i) {
-                let (a, b) = if i < j { (i, j) } else { (j, i) };
-                let id = sparse.intern(a, b);
-                if sparse.slab[id as usize].dirty {
-                    plan.push(id);
-                }
-            }
-            sparse.row_init[i] = true;
-            self.hits += (n - 1 - plan.len()) as u64;
+            js.clear();
+            sparse.pending[i] = PendingRow { js, compact_at: 0 };
         }
         self.misses += plan.len() as u64;
-        js.clear();
-        self.sparse.pending[i] = PendingRow { js, compact_at: 0 };
         let mut probe = std::mem::take(&mut self.probe);
         let mut answers = std::mem::take(&mut self.answers);
         self.compute_answers(i, &plan, &mut probe, &mut answers);
@@ -1821,6 +2130,19 @@ mod tests {
         World::new(centers, mode)
     }
 
+    /// A sparse world on the given invalidation path, whatever its size.
+    fn world_on(centers: Vec<Point>, path: Invalidation) -> World {
+        World::with_invalidation(centers, WorldMode::Sparse, path)
+    }
+
+    /// Both invalidation paths.
+    const PATHS: [Invalidation; 2] = [Invalidation::SlabScan, Invalidation::CellDrain];
+
+    /// A sparse world over `centers` on each invalidation path.
+    fn sparse_worlds(centers: Vec<Point>) -> [World; 2] {
+        PATHS.map(|path| world_on(centers.clone(), path))
+    }
+
     /// Every derived answer of an incremental world must equal the
     /// from-scratch answer on the same centers.
     fn assert_matches_scratch(w: &mut World) {
@@ -1841,60 +2163,60 @@ mod tests {
 
     #[test]
     fn fresh_world_matches_scratch_everywhere() {
-        let mut w = world(
-            vec![
-                p(0.0, 0.0),
-                p(3.0, 0.5),
-                p(6.0, -0.5),
-                p(2.0, 4.0),
-                p(5.0, 3.0),
-            ],
-            WorldMode::Sparse,
-        );
-        assert_matches_scratch(&mut w);
+        for mut w in sparse_worlds(vec![
+            p(0.0, 0.0),
+            p(3.0, 0.5),
+            p(6.0, -0.5),
+            p(2.0, 4.0),
+            p(5.0, 3.0),
+        ]) {
+            assert_matches_scratch(&mut w);
+        }
     }
 
     #[test]
     fn moves_invalidate_exactly_what_they_must() {
-        let mut w = world(
-            vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(10.0, 12.0)],
-            WorldMode::Sparse,
-        );
-        assert_matches_scratch(&mut w);
-        // Slide the middle robot off the 0–2 corridor: 0 and 2 regain sight.
-        w.move_robot(1, p(10.0, 5.0));
-        assert_matches_scratch(&mut w);
-        assert!(w.sees(0, 2));
-        // And back on: they lose it again.
-        w.move_robot(1, p(10.0, 0.0));
-        assert_matches_scratch(&mut w);
-        assert!(!w.sees(0, 2));
+        for mut w in sparse_worlds(vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(10.0, 12.0)]) {
+            assert_matches_scratch(&mut w);
+            // Slide the middle robot off the 0–2 corridor: 0 and 2 regain
+            // sight.
+            w.move_robot(1, p(10.0, 5.0));
+            assert_matches_scratch(&mut w);
+            assert!(w.sees(0, 2));
+            // And back on: they lose it again.
+            w.move_robot(1, p(10.0, 0.0));
+            assert_matches_scratch(&mut w);
+            assert!(!w.sees(0, 2));
+        }
     }
 
     #[test]
     fn unrelated_pairs_hit_the_cache_after_a_move() {
-        let mut w = world(
-            vec![p(0.0, 0.0), p(6.0, 0.0), p(100.0, 100.0), p(106.0, 100.0)],
-            WorldMode::Sparse,
-        );
-        // Warm every pair.
-        for i in 0..4 {
-            let _ = w.visible_of(i);
+        for mut w in sparse_worlds(vec![
+            p(0.0, 0.0),
+            p(6.0, 0.0),
+            p(100.0, 100.0),
+            p(106.0, 100.0),
+        ]) {
+            // Warm every pair.
+            for i in 0..4 {
+                let _ = w.visible_of(i);
+            }
+            let (_, misses_before) = w.cache_stats();
+            // A far-away move cannot touch the 0–1 corridor.
+            w.move_robot(2, p(101.0, 100.0));
+            assert!(w.sees(0, 1));
+            let (hits, misses) = w.cache_stats();
+            assert_eq!(
+                misses, misses_before,
+                "the 0-1 pair must be answered from the cache"
+            );
+            assert!(hits > 0);
+            // But pairs involving the mover are recomputed.
+            assert!(w.sees(2, 3));
+            let (_, misses_after) = w.cache_stats();
+            assert_eq!(misses_after, misses_before + 1);
         }
-        let (_, misses_before) = w.cache_stats();
-        // A far-away move cannot touch the 0–1 corridor.
-        w.move_robot(2, p(101.0, 100.0));
-        assert!(w.sees(0, 1));
-        let (hits, misses) = w.cache_stats();
-        assert_eq!(
-            misses, misses_before,
-            "the 0-1 pair must be answered from the cache"
-        );
-        assert!(hits > 0);
-        // But pairs involving the mover are recomputed.
-        assert!(w.sees(2, 3));
-        let (_, misses_after) = w.cache_stats();
-        assert_eq!(misses_after, misses_before + 1);
     }
 
     #[test]
@@ -1911,40 +2233,38 @@ mod tests {
     fn view_versions_bump_only_for_affected_robots() {
         // A line of robots: each sees only its neighbours (the middle
         // discs occlude the far ones).
-        let mut w = world(
-            vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(30.0, 0.0)],
-            WorldMode::Sparse,
-        );
-        // Clean every pair (the state right after everybody Looked).
-        for i in 0..4 {
-            assert_eq!(w.visible_of(i).len(), if i == 0 || i == 3 { 1 } else { 2 });
+        for mut w in sparse_worlds(vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(30.0, 0.0)]) {
+            // Clean every pair (the state right after everybody Looked).
+            for i in 0..4 {
+                assert_eq!(w.visible_of(i).len(), if i == 0 || i == 3 { 1 } else { 2 });
+            }
+            let before: Vec<u64> = (0..4).map(|i| w.view_version(i)).collect();
+            // Robot 3 slides along the line, staying hidden from 0 and 1: only
+            // the mover and its one watcher (robot 2) may be bumped, so 0's and
+            // 1's cached decisions stay replayable.
+            w.move_robot(3, p(31.0, 0.0));
+            for i in 0..4 {
+                let _ = w.visible_of(i); // re-Look: flips (none here) would bump
+            }
+            assert_eq!(w.view_version(0), before[0], "robot 0 cannot see the move");
+            assert_eq!(w.view_version(1), before[1], "robot 1 cannot see the move");
+            assert!(w.view_version(2) > before[2], "robot 2 watches the mover");
+            assert!(
+                w.view_version(3) > before[3],
+                "the mover's own view changed"
+            );
+            // With every row clean and stable, further queries bump nothing.
+            let snapshot: Vec<u64> = (0..4).map(|i| w.view_version(i)).collect();
+            for i in 0..4 {
+                let _ = w.visible_of(i);
+            }
+            let _ = w.hull();
+            let _ = w.is_gathered();
+            assert_eq!(
+                snapshot,
+                (0..4).map(|i| w.view_version(i)).collect::<Vec<_>>()
+            );
         }
-        let before: Vec<u64> = (0..4).map(|i| w.view_version(i)).collect();
-        // Robot 3 slides along the line, staying hidden from 0 and 1: only
-        // the mover and its one watcher (robot 2) may be bumped, so 0's and
-        // 1's cached decisions stay replayable.
-        w.move_robot(3, p(31.0, 0.0));
-        for i in 0..4 {
-            let _ = w.visible_of(i); // re-Look: flips (none here) would bump
-        }
-        assert_eq!(w.view_version(0), before[0], "robot 0 cannot see the move");
-        assert_eq!(w.view_version(1), before[1], "robot 1 cannot see the move");
-        assert!(w.view_version(2) > before[2], "robot 2 watches the mover");
-        assert!(
-            w.view_version(3) > before[3],
-            "the mover's own view changed"
-        );
-        // With every row clean and stable, further queries bump nothing.
-        let snapshot: Vec<u64> = (0..4).map(|i| w.view_version(i)).collect();
-        for i in 0..4 {
-            let _ = w.visible_of(i);
-        }
-        let _ = w.hull();
-        let _ = w.is_gathered();
-        assert_eq!(
-            snapshot,
-            (0..4).map(|i| w.view_version(i)).collect::<Vec<_>>()
-        );
     }
 
     #[test]
@@ -1957,70 +2277,68 @@ mod tests {
         // already bumps it; the flip rule is what carries configurations
         // where the occluder is itself invisible — pinned by the proptests
         // against arbitrary scripts.)
-        let mut w = world(
-            vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0)],
-            WorldMode::Sparse,
-        );
-        let vis0 = w.visible_of(0);
-        assert_eq!(vis0, vec![1]);
-        let v0 = w.view_version(0);
-        w.move_robot(1, p(10.0, 8.0));
-        let vis0_after = w.visible_of(0);
-        assert_eq!(vis0_after, vec![1, 2], "0 regains sight of 2");
-        assert!(
-            w.view_version(0) > v0,
-            "a flipped pair must invalidate the affected views"
-        );
+        for mut w in sparse_worlds(vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0)]) {
+            let vis0 = w.visible_of(0);
+            assert_eq!(vis0, vec![1]);
+            let v0 = w.view_version(0);
+            w.move_robot(1, p(10.0, 8.0));
+            let vis0_after = w.visible_of(0);
+            assert_eq!(vis0_after, vec![1, 2], "0 regains sight of 2");
+            assert!(
+                w.view_version(0) > v0,
+                "a flipped pair must invalidate the affected views"
+            );
+        }
     }
 
     #[test]
     fn unchanged_view_version_guarantees_identical_visible_set() {
-        let mut w = world(
-            vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(10.0, 12.0)],
-            WorldMode::Sparse,
-        );
-        let mut seen: Vec<(u64, Vec<usize>)> = (0..4)
-            .map(|i| {
-                let vis = w.visible_of(i);
-                (w.view_version(i), vis)
-            })
-            .collect();
-        for (step, &(m, to)) in [
-            (1, p(10.0, 5.0)),
-            (3, p(10.0, 0.5)),
-            (1, p(10.0, 0.0)),
-            (0, p(0.0, 1.0)),
-        ]
-        .iter()
-        .enumerate()
-        {
-            w.move_robot(m, to);
-            for (i, slot) in seen.iter_mut().enumerate() {
-                let vis = w.visible_of(i);
-                let v = w.view_version(i);
-                if v == slot.0 {
-                    assert_eq!(
-                        vis, slot.1,
-                        "step {step}: version of robot {i} held but its visible set changed"
-                    );
+        for mut w in sparse_worlds(vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(10.0, 12.0)]) {
+            let mut seen: Vec<(u64, Vec<usize>)> = (0..4)
+                .map(|i| {
+                    let vis = w.visible_of(i);
+                    (w.view_version(i), vis)
+                })
+                .collect();
+            for (step, &(m, to)) in [
+                (1, p(10.0, 5.0)),
+                (3, p(10.0, 0.5)),
+                (1, p(10.0, 0.0)),
+                (0, p(0.0, 1.0)),
+            ]
+            .iter()
+            .enumerate()
+            {
+                w.move_robot(m, to);
+                for (i, slot) in seen.iter_mut().enumerate() {
+                    let vis = w.visible_of(i);
+                    let v = w.view_version(i);
+                    if v == slot.0 {
+                        assert_eq!(
+                            vis, slot.1,
+                            "step {step}: version of robot {i} held but its visible set changed"
+                        );
+                    }
+                    *slot = (v, vis);
                 }
-                *slot = (v, vis);
             }
         }
     }
 
     #[test]
     fn hull_refresh_rebuilds_once_per_stale_query() {
-        let mut w = world(
-            vec![
-                p(0.0, 0.0),
-                p(20.0, 0.0),
-                p(20.0, 20.0),
-                p(0.0, 20.0),
-                p(10.0, 10.0),
-            ],
-            WorldMode::Sparse,
-        );
+        for w in sparse_worlds(vec![
+            p(0.0, 0.0),
+            p(20.0, 0.0),
+            p(20.0, 20.0),
+            p(0.0, 20.0),
+            p(10.0, 10.0),
+        ]) {
+            hull_refresh_rebuilds_once_per_stale_query_on(w);
+        }
+    }
+
+    fn hull_refresh_rebuilds_once_per_stale_query_on(mut w: World) {
         let _ = w.hull(); // cold: full build
         assert_eq!(w.hull_repair_stats(), (0, 1));
         // Queries at an unchanged version reuse the hull.
@@ -2044,17 +2362,18 @@ mod tests {
 
     #[test]
     fn move_to_same_position_is_a_noop() {
-        let mut w = world(vec![p(0.0, 0.0), p(5.0, 0.0)], WorldMode::Sparse);
-        let _ = w.visible_of(0);
-        let (_, misses) = w.cache_stats();
-        let version = w.view_version(0);
-        w.move_robot(0, p(0.0, 0.0));
-        let _ = w.visible_of(0);
-        assert!(w.sees(0, 1));
-        let (hits, misses_after) = w.cache_stats();
-        assert_eq!(misses_after, misses, "a no-op move must not invalidate");
-        assert_eq!(w.view_version(0), version, "nor bump the mover's view");
-        assert!(hits >= 1);
+        for mut w in sparse_worlds(vec![p(0.0, 0.0), p(5.0, 0.0)]) {
+            let _ = w.visible_of(0);
+            let (_, misses) = w.cache_stats();
+            let version = w.view_version(0);
+            w.move_robot(0, p(0.0, 0.0));
+            let _ = w.visible_of(0);
+            assert!(w.sees(0, 1));
+            let (hits, misses_after) = w.cache_stats();
+            assert_eq!(misses_after, misses, "a no-op move must not invalidate");
+            assert_eq!(w.view_version(0), version, "nor bump the mover's view");
+            assert!(hits >= 1);
+        }
     }
 
     #[test]
@@ -2078,36 +2397,32 @@ mod tests {
         // Robot 2 jumps from far away straight onto the 0–1 corridor: the
         // pair (0, 1) was computed with an empty corridor, and the only
         // cells that see the move are the jump's endpoints.
-        let mut w = world(
-            vec![p(0.0, 0.0), p(10.0, 0.0), p(5.0, 50.0)],
-            WorldMode::Sparse,
-        );
-        assert!(w.sees(0, 1));
-        w.move_robot(2, p(5.0, 0.0));
-        assert!(!w.sees(0, 1), "the newcomer must block the sight line");
-        assert_matches_scratch(&mut w);
-        // And jumping away again restores it.
-        w.move_robot(2, p(5.0, 50.0));
-        assert!(w.sees(0, 1));
-        assert_matches_scratch(&mut w);
+        for mut w in sparse_worlds(vec![p(0.0, 0.0), p(10.0, 0.0), p(5.0, 50.0)]) {
+            assert!(w.sees(0, 1));
+            w.move_robot(2, p(5.0, 0.0));
+            assert!(!w.sees(0, 1), "the newcomer must block the sight line");
+            assert_matches_scratch(&mut w);
+            // And jumping away again restores it.
+            w.move_robot(2, p(5.0, 50.0));
+            assert!(w.sees(0, 1));
+            assert_matches_scratch(&mut w);
+        }
     }
 
     #[test]
     fn sparse_world_matches_scratch_through_moves() {
-        let mut w = world(
-            vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(10.0, 12.0)],
-            WorldMode::Sparse,
-        );
-        assert_matches_scratch(&mut w);
-        w.move_robot(1, p(10.0, 5.0));
-        assert_matches_scratch(&mut w);
-        assert!(w.sees(0, 2));
-        w.move_robot(1, p(10.0, 0.0));
-        assert_matches_scratch(&mut w);
-        assert!(!w.sees(0, 2));
-        w.move_robot(3, p(9.0, 11.0));
-        w.move_robot(0, p(1.0, 0.5));
-        assert_matches_scratch(&mut w);
+        for mut w in sparse_worlds(vec![p(0.0, 0.0), p(10.0, 0.0), p(20.0, 0.0), p(10.0, 12.0)]) {
+            assert_matches_scratch(&mut w);
+            w.move_robot(1, p(10.0, 5.0));
+            assert_matches_scratch(&mut w);
+            assert!(w.sees(0, 2));
+            w.move_robot(1, p(10.0, 0.0));
+            assert_matches_scratch(&mut w);
+            assert!(!w.sees(0, 2));
+            w.move_robot(3, p(9.0, 11.0));
+            w.move_robot(0, p(1.0, 0.5));
+            assert_matches_scratch(&mut w);
+        }
     }
 
     #[test]
@@ -2116,14 +2431,16 @@ mod tests {
         let centers: Vec<Point> = (0..n)
             .map(|i| p((i % 8) as f64 * 5.0, (i / 8) as f64 * 5.0))
             .collect();
-        let mut w = world(centers, WorldMode::Sparse);
-        let _ = w.visible_of(0);
-        let (entries, _) = w.pair_store_stats();
-        assert_eq!(
-            entries,
-            (n - 1) as u64,
-            "one row refresh must materialize exactly its own pairs"
-        );
+        for mut w in sparse_worlds(centers) {
+            let _ = w.visible_of(0);
+            let (entries, _) = w.pair_store_stats();
+            assert_eq!(
+                entries,
+                (n - 1) as u64,
+                "one row refresh must materialize exactly its own pairs ({:?})",
+                w.invalidation
+            );
+        }
     }
 
     #[test]
@@ -2131,25 +2448,23 @@ mod tests {
         // The 0–1 chord is far longer than SPARSE_REG_SPAN_CELLS base
         // cells, so its corridor registers at a coarse level; a robot
         // jumping into the corridor must still dirty it through the
-        // coarse-cell drain.
-        let mut w = world(
-            vec![p(0.0, 0.0), p(200.0, 0.0), p(100.0, 50.0)],
-            WorldMode::Sparse,
-        );
-        assert!(w.sees(0, 1));
-        w.move_robot(2, p(100.0, 0.0));
-        assert!(!w.sees(0, 1), "the newcomer must block the long sight line");
-        assert_matches_scratch(&mut w);
-        w.move_robot(2, p(100.0, 50.0));
-        assert!(w.sees(0, 1));
-        assert_matches_scratch(&mut w);
+        // coarse-cell drain (and through the slab scan's reach reject).
+        for mut w in sparse_worlds(vec![p(0.0, 0.0), p(200.0, 0.0), p(100.0, 50.0)]) {
+            assert!(w.sees(0, 1));
+            w.move_robot(2, p(100.0, 0.0));
+            assert!(!w.sees(0, 1), "the newcomer must block the long sight line");
+            assert_matches_scratch(&mut w);
+            w.move_robot(2, p(100.0, 50.0));
+            assert!(w.sees(0, 1));
+            assert_matches_scratch(&mut w);
+        }
     }
 
     #[test]
     fn sparse_registrations_and_pending_queues_stay_bounded() {
-        let mut w = world(
+        let mut w = world_on(
             vec![p(0.0, 0.0), p(40.0, 0.0), p(20.0, 3.0)],
-            WorldMode::Sparse,
+            Invalidation::CellDrain,
         );
         for k in 0..500 {
             let y = if k % 2 == 0 { 0.0 } else { 3.0 };
@@ -2456,9 +2771,9 @@ mod tests {
         // queues, all but (0, 1) after the second move. Rows 0 and 1 end
         // up holding their partner twice while only (0, 1) is dirty.
         let (i, j, k) = (0, 1, 2);
-        let mut w = world(
+        let mut w = world_on(
             vec![p(0.0, 0.0), p(10.0, 0.0), p(5.0, 1.5)],
-            WorldMode::Sparse,
+            Invalidation::CellDrain,
         );
         for r in 0..3 {
             let _ = w.visible_of(r);
@@ -2516,6 +2831,115 @@ mod tests {
         }
     }
 
+    /// One step of a recorded run: a Look, or a move of one robot.
+    enum Step {
+        Look(usize),
+        Move(usize, Point),
+    }
+
+    /// The start and the Looks and moves of `events` events of the paper's
+    /// algorithm under the random-async adversary from a random start of
+    /// `n` robots.
+    fn random_async_trace(n: usize, seed: u64, events: usize) -> (Vec<Point>, Vec<Step>) {
+        use crate::engine::{SimConfig, Simulator};
+        use crate::experiment::RunSpec;
+        use fatrobots_model::RobotId;
+        use fatrobots_scheduler::Event;
+        let spec = RunSpec::new(n, seed);
+        let start = spec.shape.generate(n, seed);
+        let config = SimConfig {
+            max_events: events,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(
+            start.clone(),
+            spec.strategy.build(n),
+            spec.adversary.build(seed, n),
+            config,
+        );
+        let mut at = start.clone();
+        let mut steps = Vec::new();
+        sim.run_observed(|sim, event| {
+            if let Event::Look(RobotId(i)) = *event {
+                steps.push(Step::Look(i));
+            }
+            for (i, (was, &now)) in at.iter_mut().zip(sim.centers()).enumerate() {
+                if *was != now {
+                    steps.push(Step::Move(i, now));
+                    *was = now;
+                }
+            }
+        });
+        (start, steps)
+    }
+
+    /// The stored dirty pairs of a sparse world, in ascending order.
+    fn dirty_pairs(w: &World) -> Vec<(u32, u32)> {
+        let mut dirty: Vec<(u32, u32)> = w
+            .sparse
+            .slab
+            .iter()
+            .filter(|e| e.stored && e.dirty)
+            .map(|e| (e.a, e.b))
+            .collect();
+        dirty.sort_unstable();
+        dirty
+    }
+
+    #[test]
+    fn slab_scan_and_cell_drains_dirty_the_same_pairs_through_a_run() {
+        // Both paths replay one recorded run side by side: after every
+        // move the stored dirty pairs and every view version must agree,
+        // and so must every Look and the cache counters.
+        // An n = 6 run gathers within a few hundred events: take several.
+        let runs = (1..=8)
+            .map(|seed| (6, seed, 6_000))
+            .chain([(32, 3, 30_000)]);
+        for (n, seed, events) in runs {
+            let (start, steps) = random_async_trace(n, seed, events);
+            let [mut scan, mut drain] = sparse_worlds(start);
+            let (mut moves, mut dirtied) = (0, 0);
+            for step in &steps {
+                match *step {
+                    Step::Look(i) => {
+                        assert_eq!(scan.visible_of(i), drain.visible_of(i), "n = {n}: row {i}");
+                        assert_eq!(scan.cache_stats(), drain.cache_stats(), "n = {n}");
+                    }
+                    Step::Move(i, to) => {
+                        scan.move_robot(i, to);
+                        drain.move_robot(i, to);
+                        let dirty = dirty_pairs(&scan);
+                        assert_eq!(dirty, dirty_pairs(&drain), "n = {n}: move {moves}");
+                        assert_eq!(
+                            scan.view_versions, drain.view_versions,
+                            "n = {n}: move {moves}"
+                        );
+                        moves += 1;
+                        dirtied += dirty.len();
+                    }
+                }
+            }
+            assert!(
+                moves > 0 && dirtied > moves,
+                "n = {n}, seed {seed}: {moves} moves"
+            );
+            if n == 32 {
+                assert!(moves > 1_000, "{moves} moves");
+                assert!(
+                    scan.cert_stats().1 > 0,
+                    "no in-drift move passed a certificate"
+                );
+            }
+            assert_eq!(scan.pair_store_stats().0, drain.pair_store_stats().0);
+            assert_eq!(
+                scan.pair_store_stats().1,
+                0,
+                "n = {n}: the scan registers nothing"
+            );
+            assert_eq!(scan.cert_stats().0, drain.cert_stats().0, "n = {n}");
+        }
+    }
+
     /// The cells, as (level, coordinate) pairs, holding a live
     /// registration of the pair `{a, b}`: first in the certified lists,
     /// then in the others.
@@ -2557,7 +2981,7 @@ mod tests {
             .iter()
             .map(|q| p(q.x - sx / n as f64, q.y - sy / n as f64))
             .collect();
-        let mut w = world(centers.clone(), WorldMode::Sparse);
+        let mut w = world_on(centers.clone(), Invalidation::CellDrain);
         for i in 0..n {
             let _ = w.visible_of(i);
         }

@@ -12,8 +12,10 @@
 //! firing in this seeded collision-free window:
 //!
 //! * `Event::Collide` carries a `Vec<RobotId>` (collisions are occasional);
-//! * a visibility-pair recompute may register itself in a grid cell whose
-//!   registration list needs to grow (amortized by doubling);
+//! * in a world of more than `SCAN_MAX_N` (128) robots, a visibility-pair
+//!   recompute may register itself in a grid cell whose registration list
+//!   needs to grow (amortized by doubling); smaller worlds, this test's
+//!   included, register nothing;
 //! * a robot crossing into an empty grid cell allocates that cell's site
 //!   list when no list of an emptied cell is spare (a cell's list is kept
 //!   for reuse when its last robot leaves, so stepping out and back is

@@ -2,12 +2,13 @@
 //! (experiments F1–F5; `report --figures` lists them, see README, "The
 //! `report` CLI").
 
-use fatrobots::core::compute::{ComputeState, LocalAlgorithm};
+use fatrobots::core::compute::{ComputeState, KernelAlgorithm, LocalAlgorithm};
 use fatrobots::core::functions::{find_points, move_to_point};
 use fatrobots::core::AlgorithmParams;
 use fatrobots::prelude::*;
 use fatrobots::sim::init::circle;
 use fatrobots_geometry::hull::ConvexHull;
+use fatrobots_geometry::kernel::shadow::{self, PredicateSite, ShadowKernel};
 use fatrobots_model::LocalView;
 use fatrobots_scheduler::Event;
 
@@ -284,6 +285,18 @@ fn fig4_compute_state_graph() {
             trace.contains(&wanted),
             "n = {n}: the view does not reach {wanted} (trace {trace:?})"
         );
+        if wanted == ComputeState::NotOnStraightLine {
+            // The state alone does not pin the `onCH2` branch (a full view
+            // reaches it too): the projection is the only Compute step
+            // that casts a ray against the hull, so it must have run.
+            shadow::reset();
+            let _ = KernelAlgorithm::<ShadowKernel>::new(AlgorithmParams::for_n(n)).run(&view);
+            let rays = shadow::take().calls_at(PredicateSite::SegmentIntersection);
+            assert!(
+                rays > 0,
+                "n = {n}: the hull view never projects onto the hull"
+            );
+        }
     }
 }
 
