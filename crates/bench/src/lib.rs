@@ -457,7 +457,7 @@ mod tests {
         ));
         // Pair-store telemetry — once every robot has Looked, the
         // default world has computed all n(n-1)/2 pairs (n=3 → 3 entries),
-        // and a world this small registers no corridors.
+        // and no world registers corridors.
         assert_eq!(runs[0].get("world_pair_entries"), Some(&JsonValue::Int(3)));
         assert_eq!(
             runs[0].get("world_pair_registrations"),

@@ -60,15 +60,6 @@ pub type CellHashBuilder = BuildHasherDefault<CellHasher>;
 /// A hash map keyed by grid cells, using the fast cell hasher.
 pub type CellMap<V> = HashMap<CellCoord, V, CellHashBuilder>;
 
-/// Number of grid levels: level 0 is the base cell, each coarser level
-/// multiplies the cell edge by [`GRID_LEVEL_SCALE`]. Three levels span the
-/// scales the simulator meets: contact-radius queries (level 0), mid-range
-/// corridors, and the cross-configuration chords of an n = 10⁴ world.
-pub const GRID_LEVELS: usize = 3;
-
-/// Edge-length ratio between consecutive grid levels.
-pub const GRID_LEVEL_SCALE: i64 = 8;
-
 /// A uniform grid of square cells indexing a set of point sites by
 /// position.
 ///
@@ -84,10 +75,6 @@ pub struct UniformGrid {
     /// cell allocates nothing once as many lists exist as cells were ever
     /// occupied at once.
     spare: Vec<Vec<usize>>,
-    /// Site counts per level-1 cell. Corridor walks over long chords
-    /// consult these to skip empty regions a whole coarse cell at a time
-    /// ([`Self::for_each_occupied_cell_near_segment`]).
-    coarse_counts: CellMap<u32>,
 }
 
 impl UniformGrid {
@@ -104,13 +91,10 @@ impl UniformGrid {
             cell,
             cells: CellMap::default(),
             spare: Vec::new(),
-            coarse_counts: CellMap::default(),
         };
         for (i, &p) in points.iter().enumerate() {
-            let base = grid.cell_of(p);
-            grid.cells.entry(base).or_default().push(i);
-            let coarse = grid.cell_of_at(p, 1);
-            *grid.coarse_counts.entry(coarse).or_default() += 1;
+            let cell = grid.cell_of(p);
+            grid.cells.entry(cell).or_default().push(i);
         }
         grid
     }
@@ -121,31 +105,6 @@ impl UniformGrid {
             (p.x / self.cell).floor() as i64,
             (p.y / self.cell).floor() as i64,
         )
-    }
-
-    /// The cell edge length at the given level (`level 0` is the edge the
-    /// grid was built with; each coarser level multiplies it by
-    /// [`GRID_LEVEL_SCALE`]).
-    ///
-    /// # Panics
-    /// Panics if `level >= GRID_LEVELS`.
-    pub fn cell_size_at(&self, level: usize) -> f64 {
-        assert!(level < GRID_LEVELS, "grid level out of range");
-        self.cell * GRID_LEVEL_SCALE.pow(level as u32) as f64
-    }
-
-    /// The level-`level` cell containing `p`.
-    ///
-    /// # Panics
-    /// Panics if `level >= GRID_LEVELS`.
-    pub fn cell_of_at(&self, p: Point, level: usize) -> CellCoord {
-        let edge = self.cell_size_at(level);
-        ((p.x / edge).floor() as i64, (p.y / edge).floor() as i64)
-    }
-
-    /// `true` when at least one site is hashed into the given level-1 cell.
-    pub fn occupied_at(&self, cell: CellCoord) -> bool {
-        self.coarse_counts.contains_key(&cell)
     }
 
     /// Moves site `i` from `old`, the position it is hashed at, to `new`,
@@ -171,18 +130,6 @@ impl UniformGrid {
                 .or_insert_with(|| spare.pop().unwrap_or_default())
                 .push(i);
         }
-        let from = self.cell_of_at(old, 1);
-        let to = self.cell_of_at(new, 1);
-        if from != to {
-            let counts = &mut self.coarse_counts;
-            if let Some(count) = counts.get_mut(&from) {
-                *count -= 1;
-                if *count == 0 {
-                    counts.remove(&from);
-                }
-            }
-            *counts.entry(to).or_default() += 1;
-        }
     }
 
     /// Visits every cell of the conservative cover of the capsule of the
@@ -200,86 +147,6 @@ impl UniformGrid {
         visit: impl FnMut(CellCoord) -> bool,
     ) {
         walk_cells_near_segment(self.cell, a, b, radius, visit);
-    }
-
-    /// [`UniformGrid::for_each_cell_near_segment`] at a coarser grid level:
-    /// visits the conservative cover of the capsule in level-`level` cells.
-    /// The same cover guarantee holds at every level — a point within
-    /// `radius` of the segment always lies in a visited level-`level` cell.
-    ///
-    /// # Panics
-    /// Panics if `level >= GRID_LEVELS`.
-    pub fn for_each_cell_near_segment_at(
-        &self,
-        level: usize,
-        a: Point,
-        b: Point,
-        radius: f64,
-        visit: impl FnMut(CellCoord) -> bool,
-    ) {
-        walk_cells_near_segment(self.cell_size_at(level), a, b, radius, visit);
-    }
-
-    /// Hierarchical corridor walk: visits every **base** cell of the
-    /// conservative capsule cover that lies inside an *occupied* level-1
-    /// cell, skipping empty regions [`GRID_LEVEL_SCALE`]² base cells at a
-    /// time. Because empty cells hold no sites, the visited cells contain
-    /// exactly the same sites as the full [`Self::for_each_cell_near_segment`]
-    /// cover — callers gathering *sites* (not registering future
-    /// dependencies) get an identical result, output-sensitively in the
-    /// occupied length of the corridor. The closure returns `false` to stop
-    /// early. Visit order is deterministic (coarse row-major, base
-    /// row-major within each coarse cell) but differs from the flat walk.
-    pub fn for_each_occupied_cell_near_segment(
-        &self,
-        a: Point,
-        b: Point,
-        radius: f64,
-        mut visit: impl FnMut(CellCoord) -> bool,
-    ) {
-        let dx = b.x - a.x;
-        let dy = b.y - a.y;
-        let mut go = true;
-        self.for_each_cell_near_segment_at(1, a, b, radius, |coarse| {
-            if !self.occupied_at(coarse) {
-                return true;
-            }
-            // Base-cell block of this coarse cell, clipped per column to
-            // the same y-band formula as the flat walk — the union over all
-            // occupied coarse cells is the flat cover minus cells inside
-            // empty coarse cells.
-            let bx0 = coarse.0 * GRID_LEVEL_SCALE;
-            let by0 = coarse.1 * GRID_LEVEL_SCALE;
-            for cx in bx0..bx0 + GRID_LEVEL_SCALE {
-                let x0 = cx as f64 * self.cell;
-                let x1 = x0 + self.cell;
-                let (t0, t1) = if approx_eq_tol(dx, 0.0, f64::EPSILON) {
-                    (0.0, 1.0)
-                } else {
-                    let ta = ((x0 - radius - a.x) / dx).clamp(0.0, 1.0);
-                    let tb = ((x1 + radius - a.x) / dx).clamp(0.0, 1.0);
-                    (ta.min(tb), ta.max(tb))
-                };
-                // Columns outside the capsule's x-extent contribute nothing:
-                // the clamp collapses their parameter range onto a segment
-                // endpoint, whose band may still not reach this column.
-                if x1 < a.x.min(b.x) - radius || x0 > a.x.max(b.x) + radius {
-                    continue;
-                }
-                let ya = a.y + t0 * dy;
-                let yb = a.y + t1 * dy;
-                let cy0 = (((ya.min(yb) - radius) / self.cell).floor() as i64).max(by0);
-                let cy1 = (((ya.max(yb) + radius) / self.cell).floor() as i64)
-                    .min(by0 + GRID_LEVEL_SCALE - 1);
-                for cy in cy0..=cy1 {
-                    if !visit((cx, cy)) {
-                        go = false;
-                        return false;
-                    }
-                }
-            }
-            go
-        });
     }
 
     /// Appends (to `out`) the indices of every site in the conservative
@@ -453,85 +320,12 @@ mod tests {
     }
 
     #[test]
-    fn coarse_cells_track_occupancy_across_moves() {
-        let pts = vec![p(0.5, 0.5), p(200.0, 200.0)];
-        let mut grid = UniformGrid::new(1.0, &pts);
-        let coarse = |q: Point| grid.cell_of_at(q, 1);
-        assert!(grid.occupied_at(coarse(p(0.5, 0.5))));
-        assert!(grid.occupied_at(coarse(p(200.0, 200.0))));
-        assert_eq!(grid.cell_size_at(1), 8.0);
-        assert_eq!(grid.cell_size_at(2), 64.0);
-        // Moving the far site empties its coarse cell and fills a new one.
-        grid.move_point(1, p(200.0, 200.0), p(-300.0, -300.0));
-        let coarse = |q: Point| grid.cell_of_at(q, 1);
-        assert!(
-            !grid.occupied_at(coarse(p(200.0, 200.0))),
-            "a vacated coarse cell must drop to empty"
-        );
-        assert!(grid.occupied_at(coarse(p(-300.0, -300.0))));
-        // Both sites sharing one coarse cell: leaving decrements, not drops.
-        grid.move_point(1, p(-300.0, -300.0), p(1.5, 1.5));
-        grid.move_point(1, p(1.5, 1.5), p(100.0, 0.0));
-        assert!(grid.occupied_at(grid.cell_of_at(p(0.5, 0.5), 1)));
-    }
-
-    #[test]
-    fn occupied_cell_walk_finds_every_site_the_flat_walk_finds() {
-        // A sparse field with a long empty middle: the pruned walk must
-        // still surface every site near the segment, at every geometry.
-        let mut pts: Vec<Point> = (0..10).map(|i| p(i as f64 * 2.0, (i % 3) as f64)).collect();
-        pts.push(p(400.0, 3.0));
-        pts.push(p(401.0, -2.0));
-        pts.push(p(-50.0, -50.0));
-        let grid = UniformGrid::new(4.0, &pts);
-        for (a, b, radius) in [
-            (p(0.0, 0.0), p(402.0, 0.0), 3.0),
-            (p(-60.0, -60.0), p(5.0, 5.0), 2.0),
-            (p(400.0, 0.0), p(400.0, 10.0), 5.0),
-            (p(1.0, 1.0), p(1.0, 1.0), 4.0),
-        ] {
-            let mut flat: Vec<usize> = Vec::new();
-            grid.for_each_cell_near_segment(a, b, radius, |cell| {
-                if let Some(sites) = grid.sites_in(cell) {
-                    flat.extend_from_slice(sites);
-                }
-                true
-            });
-            flat.sort_unstable();
-            let mut pruned: Vec<usize> = Vec::new();
-            grid.for_each_occupied_cell_near_segment(a, b, radius, |cell| {
-                if let Some(sites) = grid.sites_in(cell) {
-                    pruned.extend_from_slice(sites);
-                }
-                true
-            });
-            pruned.sort_unstable();
-            assert_eq!(
-                flat, pruned,
-                "pruned walk lost sites for segment {a:?}-{b:?} r={radius}"
-            );
-        }
-    }
-
-    #[test]
-    fn occupied_cell_walk_early_exit_stops() {
-        let pts: Vec<Point> = (0..20).map(|i| p(i as f64, 0.0)).collect();
-        let grid = UniformGrid::new(1.0, &pts);
-        let mut visited = 0;
-        grid.for_each_occupied_cell_near_segment(p(0.0, 0.0), p(19.0, 0.0), 1.0, |_| {
-            visited += 1;
-            visited < 3
-        });
-        assert_eq!(visited, 3, "the pruned walk must stop when asked to");
-    }
-
-    #[test]
-    fn coarse_cover_contains_every_point_near_the_segment() {
-        let grid = UniformGrid::new(4.0, &[]);
+    fn cover_contains_every_point_near_the_segment() {
         let (a, b, radius) = (p(3.0, -2.0), p(77.0, 31.0), 6.0);
-        for level in 0..GRID_LEVELS {
+        for edge in [4.0, 32.0, 256.0] {
+            let grid = UniformGrid::new(edge, &[]);
             let mut cover = Vec::new();
-            grid.for_each_cell_near_segment_at(level, a, b, radius, |cell| {
+            grid.for_each_cell_near_segment(a, b, radius, |cell| {
                 cover.push(cell);
                 true
             });
@@ -542,8 +336,8 @@ mod tests {
                 for (ox, oy) in [(radius, 0.0), (-radius, 0.0), (0.0, radius), (0.0, -radius)] {
                     let q = p(on.x + ox, on.y + oy);
                     assert!(
-                        cover.contains(&grid.cell_of_at(q, level)),
-                        "level-{level} cover misses {q:?}"
+                        cover.contains(&grid.cell_of(q)),
+                        "the cover of edge-{edge} cells misses {q:?}"
                     );
                 }
             }

@@ -784,7 +784,7 @@ pub fn pair_verdict(ci: Point, cj: Point, obstacles: &[Point]) -> PairVerdict {
 /// search is monotone in obstacles), and a certification obstacle can
 /// only leave the corridor by first exceeding drift ρ. The simulator
 /// turns this into a cheap dirty-skip: while every robot stays within
-/// `ρ/2` of its registration anchor, a certified-blocked pair needs no
+/// `ρ/2` of its certification anchor, a certified-blocked pair needs no
 /// recompute — and no per-move attention at all.
 pub fn strip_cover_blocked_with_slack(ci: Point, cj: Point, obstacles: &[Point]) -> bool {
     strip_cover(ci, cj, obstacles, [PairVerdict::Certified], true).is_some()

@@ -54,22 +54,21 @@ const ACTIVE: usize = 16;
 /// Oscillation amplitude of the active robots. Stays within the world's
 /// certificate drift radius (COVER_STABILITY_RADIUS/2 = 0.025), so a
 /// blocked far pair is certified once and then survives the whole run
-/// without recomputes — and its registrations, kept in the certified
-/// lists, cost the drains nothing but the lookup of each list.
+/// without recomputes — and an in-drift move tests only the world's list
+/// of clean uncertified pairs, never a certified one.
 const AMPLITUDE: f64 = 0.02;
 /// Peak-heap gate. The sparse world's footprint is dominated by the
-/// ACTIVE·n computed pair entries plus their 8-byte corridor
-/// registrations (about 13 MB with certified pairs on their few coarse
-/// cells); an n(n−1)/2 pair triangle alone would blow this at n = 10⁴,
-/// and so would certified pairs registered back on their fine cells
-/// (about 27 MB) plus a little slack.
+/// ACTIVE·n computed pair entries (12 bytes each) and the hash map that
+/// finds them: the run peaks at 9.2 MiB. An n(n−1)/2 pair triangle alone
+/// would blow this at n = 10⁴ before the first event.
 const PEAK_BUDGET_BYTES: u64 = 32 * 1024 * 1024;
 /// Throughput floor: the run must also *finish promptly*, not just finish.
-/// Measured steady state is ~340 events/s on a weak single-core container
-/// (dominated by the ~60 near-ring pair recomputes per event — certified
-/// far pairs cost an in-drift move nothing); the floor trips when the certificate
-/// skip path breaks and every event rescans its full row, long before the
-/// job-level timeout would.
+/// Measured steady state is 5 000–6 000 events/s on 2 vCPUs (dominated by
+/// the ~60 near-ring pair recomputes per event — an in-drift move's scan
+/// reads only the clean uncertified pairs, never the certified far ones);
+/// the floor trips when the certificate skip path breaks and every event
+/// recomputes its full 10⁴-pair row, long before the job-level timeout
+/// would.
 const MIN_EVENTS_PER_SEC: f64 = 100.0;
 
 /// Pass-through allocator tracking live bytes and their high-water mark.
@@ -164,8 +163,8 @@ fn main() -> ExitCode {
         .collect();
 
     // Active robots spread across the whole field, each oscillating around
-    // its home position so every event both drains its cells and
-    // re-queries a warm row.
+    // its home position so every event both dirties the pairs near the
+    // mover and re-queries a warm row.
     let movers: Vec<usize> = (0..ACTIVE)
         .map(|k| k * (N / ACTIVE) + (k * 37) % SIDE)
         .collect();
@@ -193,7 +192,7 @@ fn main() -> ExitCode {
             }
         }
         // Move phase: the whole cohort advances to this cycle's oscillation
-        // phase, draining each mover's registrations against the warm rows.
+        // phase; each move tests the warm rows' clean uncertified pairs.
         let (dx, dy) = PHASES[cycle % PHASES.len()];
         for (slot, &mover) in movers.iter().enumerate() {
             let home = homes[slot];

@@ -26,17 +26,16 @@
 //! A row depends on its spec *and* on the engine's semantics, so a row a
 //! differently behaving build computed must never be resumed. The header
 //! therefore carries an [`engine_id`]: the CRC-32 of the record bytes of
-//! one fixed, short paper-algorithm run. A journal whose version (5) or
+//! one fixed, short paper-algorithm run. A journal whose version (6) or
 //! engine id differs from this build's decodes to nothing and every row
 //! re-runs. The id only catches behaviour that canonical run exercises — a
 //! change confined to, say, a fault adversary keeps the id and must bump
-//! [`VERSION`] instead. Version 5 is such a bump: certified pairs moved to
-//! their own coarse registration lists, which changes the stored
-//! registration count (`world_pair_registrations`) of larger runs but not
-//! the canonical run's record. Dropping the registrations of worlds of at
-//! most 128 robots needed no bump: it sets the canonical n = 6 run's
-//! registration count to 0, so its record, and with it the engine id,
-//! changed by itself.
+//! [`VERSION`] instead. Versions 5 and 6 are such bumps: each changed the
+//! stored registration count (`world_pair_registrations`) of runs above
+//! 128 robots but not the canonical n = 6 run's record. Version 5 moved
+//! certified pairs to their own coarse registration lists; version 6
+//! dropped the registrations of every world, so that count is now always
+//! 0.
 //!
 //! ## Writes and recovery
 //!
@@ -67,7 +66,7 @@ use crate::json;
 /// The journal's magic prefix.
 pub const MAGIC: [u8; 4] = *b"FRCK";
 /// The journal format version this build writes and reads.
-pub const VERSION: u32 = 5;
+pub const VERSION: u32 = 6;
 /// Bytes in the journal header: magic, version, engine id.
 pub const HEADER_LEN: usize = 12;
 /// Upper bound on a record's payload length; longer frames are treated as

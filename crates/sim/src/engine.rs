@@ -225,7 +225,10 @@ impl Simulator {
     }
 
     /// Visibility-cache telemetry: `(hits, misses)` of the world's pairwise
-    /// visibility cache over the run so far.
+    /// visibility cache over the run so far ([`World::cache_stats`]): a miss
+    /// is one pair recompute; a hit is a clean pair found at a row's first
+    /// refresh or by a direct probe. A re-Look's reused clean pairs are not
+    /// counted, so hits + misses is not the pairs Looked at.
     pub fn visibility_cache_stats(&self) -> (u64, u64) {
         self.world.cache_stats()
     }
@@ -244,9 +247,9 @@ impl Simulator {
         self.world.hull_repair_stats()
     }
 
-    /// Pair-store telemetry: `(entries, registrations)` of the world's
-    /// visibility pair store — materialized pair entries and stored
-    /// corridor registrations, dead ones awaiting compaction included (see
+    /// Pair-store telemetry: `(entries, 0)` of the world's visibility pair
+    /// store — materialized pair entries, and a slot that is always 0 and
+    /// kept only because the benchmark harness reads this pair (see
     /// [`World::pair_store_stats`]).
     pub fn pair_store_stats(&self) -> (u64, u64) {
         self.world.pair_store_stats()

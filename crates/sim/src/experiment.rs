@@ -268,10 +268,14 @@ pub struct RunSummary {
     /// Fraction of sampled steps after full visibility where the hull did
     /// not grow (Lemma 21 witness).
     pub convergence_monotonicity: Option<f64>,
-    /// Pairwise-visibility lookups answered from the incremental world's
-    /// cache.
+    /// Pairs the incremental world found clean at a row's first refresh
+    /// (computed earlier through another row) or on a direct probe. A
+    /// re-Look plans only its row's dirty pairs and counts no hit for the
+    /// clean ones it reuses, so this is not the pairs answered from the
+    /// cache, and hits + misses is not the pairs Looked at.
     pub visibility_cache_hits: u64,
-    /// Pairwise-visibility lookups that had to be recomputed.
+    /// Pair recomputes: every pairwise-visibility answer the world had to
+    /// compute.
     pub visibility_cache_misses: u64,
     /// Compute events answered by replaying the memoized decision (the
     /// robot's view version was unchanged since its previous decision).
@@ -286,10 +290,10 @@ pub struct RunSummary {
     /// Visibility pair-store entries materialized by the end of the run:
     /// only the pairs actually computed (0 in the scratch world).
     pub world_pair_entries: u64,
-    /// Corridor registrations held by the pair store at the end of the
-    /// run (dead ones not yet dropped included). 0 in worlds of at most
-    /// `SCAN_MAX_N` robots (128), which scan their pair slab on a move
-    /// instead of registering corridors, and in the scratch world.
+    /// Always 0: it counted the corridor registrations of worlds above 128
+    /// robots, and every world now scans its pair slab on a move instead.
+    /// Kept, with its report key, only because the benchmark harness
+    /// names it.
     pub world_pair_registrations: u64,
     /// Robots permanently crashed by a fired crash-stop fault (0 for
     /// fault-free adversaries).

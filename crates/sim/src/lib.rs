@@ -40,8 +40,9 @@
 //!   input order; a panicking run or one past its watchdog deadline
 //!   becomes a structured failure row instead of aborting the sweep;
 //! * [`world`] — the incremental world state: ground-truth centers plus a
-//!   sparse pairwise visibility store (lazy dirty-pair invalidation over a
-//!   hierarchical spatial grid), cached hull/connectivity/validity, and a
+//!   sparse pairwise visibility store (lazy dirty-pair invalidation by a
+//!   scan of the pair slab on each move), a uniform spatial grid for the
+//!   corridor and contact queries, cached hull/connectivity/validity, and a
 //!   from-scratch reference mode that pins the cached path to
 //!   bit-identical results. A row refresh of at least eight recomputes
 //!   fans its read-only pair kernels out to a persistent pool of helper

@@ -38,70 +38,33 @@
 //! within the radius leaves every certified pair clean without testing it,
 //! and a move beyond it tests them like the others.
 //!
-//! Two paths find the pairs to dirty, chosen by the robot count alone
-//! (`SCAN_MAX_N`, the bound that also picks the corridor source below).
-//! They dirty exactly the same pairs with the same view-version bumps, so
-//! every answer and counter but the registration count is the same on
+//! A move finds the pairs to dirty by testing the stored clean pairs of
+//! the pair slab (`World::scan_slab`). The slab has one of two layouts,
+//! chosen by the robot count alone (`SCAN_MAX_N`, the bound that also
+//! picks the corridor source below). Both dirty exactly the same pairs with
+//! the same view-version bumps, so every answer and counter is the same on
 //! either.
 //!
-//! ### Slab scan (worlds of at most `SCAN_MAX_N` robots)
-//!
-//! In a small world a spatial index costs more than the geometry it
-//! guards, so there is none. The slab holds one slot per pair at its
-//! `direct_id`, laid out on first use (never in `World::new`);
-//! `commit_pair` stores the verdict, the certified bit and the pair's
-//! `f32` reach (chord plus twice the pruning radius, with slack), and
-//! registers nothing. A move visits every clean pair once
-//! (`World::scan_slab`): a robot within the pruning radius of a chord is
-//! within the reach of its two endpoints together, so one add and compare
-//! per pair against the mover's distances rejects most of them, and the
-//! rest meet the exact test. A row refresh reads its row's slots by direct
-//! index and recomputes the dirty ones. No hash, no registration, no
-//! pending queue.
-//!
-//! ### Cell drains (larger worlds)
-//!
-//! Scanning all pairs per move would reintroduce the quadratic cost, so
-//! the corridor membership is indexed through the hierarchical spatial
-//! grid:
-//!
-//! * when a pair is (re)computed, it registers itself in every cell of the
-//!   conservative cover of its corridor (the grid's capsule walk), at the
-//!   grid level matched to its chord length so each pair holds O(1) cells;
-//! * when robot `i` moves, only the registrations of the cell it left and
-//!   the cell it entered (at every level) are drained; of those, exactly
-//!   the pairs the move can affect are marked dirty and queued on both
-//!   endpoints' pending rows.
-//!
-//! Certified pairs register apart, in per-level certified lists, at the
-//! finest level whose cell edge spans the whole capsule (chord plus twice
-//! the pruning radius), so each holds at most four cells unless it
-//! outgrows the coarsest level. A move within the drift radius skips each
-//! drained cell's certified list whole, without reading a ref, and a move
-//! beyond it drains the list with the same exact test as the others. The
-//! coarse cover holds every cell of the capsule, so a beyond-drift move
-//! still dirties every certified pair it can affect.
-//!
-//! A registration is 8 bytes: the pair's slab id plus its generation; the
-//! list it sits in says whether the pair is certified. The drain and the
-//! compaction sweeps index the slab by id and never hash; only planning a
-//! row refresh and a direct [`World::sees`] probe look a pair up, once per
-//! candidate. A list a drain empties leaves its cell and waits, cleared,
-//! for the next cell that gains a registration, so the steady state
-//! allocates nothing.
-//!
-//! The cover is a superset of the cells that can hold a relevant obstacle
-//! (and always contains the endpoints' own cells), so a stale hit is
-//! impossible: any robot whose move can change the pair's answer — either
-//! endpoint, a robot leaving the corridor, a robot entering it — stamps a
-//! registered cell. Cache hits are O(1); a move dirties only the pairs
-//! registered on the touched cells; a row refresh recomputes only its
-//! queued dirty pairs (plan, compute, commit — see `World::refresh_row`).
-//!
-//! No benchmark workload moves a robot beyond the drift radius at
-//! n > `SCAN_MAX_N`: `hex_n10k` never moves, and the `scale_smoke`
-//! example's movers oscillate inside the radius. So the cost of the
-//! coarse certified drain in large worlds is unmeasured.
+//! * **Direct** (worlds of at most `SCAN_MAX_N` robots): one slot per pair
+//!   at its `direct_id`, laid out on first use (never in `World::new`).
+//!   `commit_pair` stores the verdict, the certified bit and the pair's
+//!   `f32` reach (chord plus twice the pruning radius, with slack). A move
+//!   visits the clean pairs row by row: a robot within the pruning radius
+//!   of a chord is within the reach of its two endpoints together, so one
+//!   add and compare per pair against the mover's distances rejects most
+//!   of them, and the rest meet the exact test. A row refresh reads its
+//!   row's slots by direct index and recomputes the dirty ones. No hash,
+//!   no pending queue.
+//! * **Hashed** (larger worlds): a hash map from each computed pair to a
+//!   stable slab id, so memory stays linear in n plus the computed pairs,
+//!   and a per-robot pending queue that the move fills with each pair it
+//!   dirties, on both endpoints' rows, so a row refresh plans only its
+//!   dirty pairs. Beside the slab the world keeps the list of its clean
+//!   uncertified pairs: a commit pushes, and a move drops what it
+//!   dirties. A move within the drift radius tests only that list, so the
+//!   ~10⁴ certified pairs of every row an n = 10⁴ packing has Looked cost
+//!   it nothing; a move beyond it tests every stored clean pair and
+//!   rebuilds the list.
 //!
 //! ## Where a recompute's obstacles come from
 //!
@@ -133,20 +96,18 @@
 //! slot per pair, and an `Arc` of the centers, grid and version) and posts
 //! it to a process-wide pool of `host_parallelism() − 1` helper threads,
 //! started on the first fan-out and kept alive, spinning briefly and then
-//! parked, between rows. A post opens one seat per helper the plan can
-//! feed (`FANOUT_PAIRS_PER_THREAD` pairs each) and has a free core for,
-//! and wakes only those: a short row on a many-core host draws a few
-//! helpers, not all, and each sweep run in progress holds a core, so
-//! while a multi-worker sweep keeps every core busy its rows get no seat
-//! and its worlds answer alone until a worker falls idle. The pool serves
-//! one row at a time; a world that finds it busy answers its row alone
-//! too. The caller claims chunks of the plan through an atomic counter
-//! from the start and answers them itself; once none is left it takes the
-//! job back out of the slot, waits only for a helper still finishing a
-//! chunk, and commits the answers serially in plan order. A helper never
-//! outlives its job's hold on the configuration, so `move_robot` writes it
-//! through `Arc::make_mut` without copying. A panic in a helper's kernel
-//! is re-raised on the caller.
+//! parked, between rows. A post opens one seat per free core, up to the
+//! helpers, and wakes only those: each sweep run in progress holds a
+//! core, so while a multi-worker sweep keeps every core busy its rows get
+//! no seat and its worlds answer alone until a worker falls idle. The
+//! pool serves one row at a time; a world that finds it busy answers its
+//! row alone too. The caller claims chunks of the plan through an atomic
+//! counter from the start and answers them itself; once none is left it
+//! takes the job back out of the slot, waits only for a helper still
+//! finishing a chunk, and commits the answers serially in plan order. A
+//! helper never outlives its job's hold on the configuration, so
+//! `move_robot` writes it through `Arc::make_mut` without copying. A panic
+//! in a helper's kernel is re-raised on the caller.
 //!
 //! ## Bit-identical results
 //!
@@ -171,7 +132,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use fatrobots_geometry::grid::{CellCoord, CellHashBuilder, CellMap, UniformGrid, GRID_LEVELS};
+use fatrobots_geometry::grid::{CellHashBuilder, UniformGrid};
 use fatrobots_geometry::hull::{ConvexHull, HullScratch};
 use fatrobots_geometry::visibility::{
     corridor_filter_soa, disc_sees_disc, no_three_collinear, pair_verdict,
@@ -193,12 +154,11 @@ const GRID_CELL: f64 = 4.0 * UNIT_RADIUS;
 /// smaller than a cell.
 const CONTACT_QUERY_MARGIN: f64 = 1e-3;
 
-/// Minimum length before a cell registration list is ever compacted (dead
-/// entries dropped). Beyond it, compaction triggers when a list doubles
-/// past its size after the previous compaction, so the work is amortized
-/// O(1) per push while garbage from frequently recomputed pairs stays
-/// bounded.
-const REGISTRATION_COMPACT_LEN: usize = 64;
+/// Minimum length before a pending queue is ever compacted (sorted and
+/// deduplicated). Beyond it, compaction triggers when a queue doubles past
+/// its size after the previous compaction, so the work is amortized O(1)
+/// per push while the duplicates of rows that rarely refresh stay bounded.
+const PENDING_COMPACT_LEN: usize = 64;
 
 /// Plan length from which a sparse row refresh fans its pair kernels out
 /// to the helper pool ([`World::compute_answers`]). Measured on a 2-vCPU
@@ -208,13 +168,7 @@ const REGISTRATION_COMPACT_LEN: usize = 64;
 /// 1.0–1.2× at 2, 1.2–1.35× at 4 and 1.4–1.65× from 8 on. 8 is the
 /// shortest plan at which every case gained at least 1.2×. Rows of
 /// n = 6 worlds (at most 5 pairs) never fan out.
-const ROW_FANOUT_MIN_PAIRS: usize = 2 * FANOUT_PAIRS_PER_THREAD;
-
-/// Fewest plan entries per fan-out thread: a plan of `L` pairs runs on at
-/// most `L / FANOUT_PAIRS_PER_THREAD` threads (calling thread included),
-/// so the helpers a post wakes are bounded by the row's work, not by the
-/// host's cores. The 2-vCPU crossover above gained from 4 pairs a thread.
-const FANOUT_PAIRS_PER_THREAD: usize = 4;
+const ROW_FANOUT_MIN_PAIRS: usize = 8;
 
 /// Chunks per fan-out thread a plan is cut into: enough that a helper
 /// waking late still finds work and both threads finish within one small
@@ -240,10 +194,9 @@ fn host_parallelism() -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorldMode {
     /// The incremental world (the default): per-robot adjacency lists and
-    /// a slab-indexed pair store. Up to `SCAN_MAX_N` robots the slab holds
-    /// every pair at a direct index and a move scans it; larger worlds
-    /// materialize only computed pairs and place corridor registrations at
-    /// a chord-length-matched grid level so each pair holds O(1) cells,
+    /// a slab-indexed pair store, which a move scans for the pairs it
+    /// dirties. Up to `SCAN_MAX_N` robots the slab holds every pair at a
+    /// direct index; larger worlds materialize only computed pairs,
     /// keeping memory linear in n + computed pairs. Answers are
     /// event-for-event identical to [`WorldMode::Scratch`] (same kernels).
     Sparse,
@@ -271,39 +224,32 @@ impl WorldMode {
 }
 
 /// One cached visibility entry: slot `id` of the pair-store slab, for the
-/// unordered pair `{a, b}` (`a < b`). The endpoints live here, not in the
-/// registrations, so a drain reads them with one index.
+/// unordered pair `{a, b}` (`a < b`). The endpoints live here, so a scan
+/// of a slot list reads them with one index.
 #[derive(Debug, Clone, Copy)]
 struct PairEntry {
     a: u32,
     b: u32,
-    /// Bumped (wrapping) on every recompute; cell registrations carrying
-    /// an older generation are dead.
-    gen: u32,
     seen: bool,
     dirty: bool,
     /// The last recompute answered [`PairVerdict::Certified`].
     certified: bool,
     /// The pair has been materialized: always, for an entry of the hashed
-    /// store; for a slot of the direct-indexed slab, once a row refresh or
-    /// a [`World::sees`] probe first asks for the pair.
+    /// slab; for a slot of the direct slab, once a row refresh or a
+    /// [`World::sees`] probe first asks for the pair.
     stored: bool,
 }
 
-impl PairEntry {
-    /// `true` when `r` is this entry's current registration: the pair is
-    /// clean and has not been recomputed since `r` was written.
-    fn is_current(&self, r: SparseRef) -> bool {
-        !self.dirty && self.gen == r.gen
-    }
-}
+// The hashed slab holds one entry per computed pair: 6.4·10⁵ of them once
+// 64 rows of an n = 10⁴ world have been Looked.
+const _: () = assert!(std::mem::size_of::<PairEntry>() == 12);
 
 /// Maximum distance a robot may drift from its anchor before the anchor
-/// resets (the resetting move itself fails every skip check, so it drains
-/// and dirties every certified registration it covers first). Certificates
-/// are issued when the endpoints are within this radius of their anchors
-/// and honored while every robot involved stays within it, so any robot's
-/// position differs from its certification-time one by at most
+/// resets (the resetting move itself tests every certified pair, so it
+/// dirties every one it can affect first). Certificates are issued when
+/// the endpoints are within this radius of their anchors and honored
+/// while every robot involved stays within it, so any robot's position
+/// differs from its certification-time one by at most
 /// `2·CERT_DRIFT_RADIUS = COVER_STABILITY_RADIUS` — exactly the per-robot
 /// drift a [`PairVerdict::Certified`] verdict guarantees against, for
 /// obstacles as well as endpoints.
@@ -325,9 +271,8 @@ const CERT_WINDOW_RADIUS: f64 = 2.5 * UNIT_RADIUS;
 
 /// Largest world that takes both small-world paths. Its pair recomputes
 /// take their corridor slice from the row scan ([`Sites::prime_row`])
-/// instead of the grid gather and the mid-chord window, and its moves find
-/// the pairs to dirty by scanning the slab ([`Invalidation::SlabScan`])
-/// instead of draining corridor registrations.
+/// instead of the grid gather and the mid-chord window, and its pair slab
+/// takes the direct layout ([`SlabLayout::Direct`]).
 ///
 /// The bound is the corridor source's measured crossover: serial row
 /// refreshes of random spreads (`Shape::Random`) and hex packings at
@@ -341,12 +286,6 @@ const CERT_WINDOW_RADIUS: f64 = 2.5 * UNIT_RADIUS;
 /// (0.61–0.66×). At n = 10⁴ the scan is 2–3.5× slower on random spreads
 /// and 12–14× on hex. 128 is the largest size measured where neither
 /// shape loses.
-///
-/// The invalidation scan needs no bound of its own: replaying 60 000-event
-/// random-async runs on the same shapes at n ∈ {32, 96, 128}, its move
-/// plus commit time beat the registrations' by 2.1–5.2× at every size; its
-/// move time alone was 4–20% lower on random spreads and within 1% on hex
-/// packings (README has the table).
 const SCAN_MAX_N: usize = 128;
 
 /// Relative slack on the row scan's squared prefix bound
@@ -357,50 +296,15 @@ const SCAN_MAX_N: usize = 128;
 /// included, so the prefix holds every site the filter can keep.
 const ROW_PREFIX_SLACK: f64 = 1.0 + 1e-6;
 
-/// Chord lengths up to this many cell edges register at a grid level; a
-/// longer chord moves up one level. Keeps every uncertified pair's
-/// corridor registration at O(1) cells regardless of chord length (the
-/// memory term that would otherwise scale with the configuration
-/// diameter). A certified pair registers coarser still, on the finest
-/// level whose cell edge spans its whole capsule (`World::cert_reg_level`),
-/// because only a mover beyond [`CERT_DRIFT_RADIUS`] ever drains it.
-const SPARSE_REG_SPAN_CELLS: f64 = 8.0;
-
 /// Packed key of the unordered pair `{a, b}` (`a < b`) in the pair store.
 fn pair_key(a: usize, b: usize) -> u64 {
     debug_assert!(a < b);
     ((a as u64) << 32) | b as u64
 }
 
-/// One corridor registration: the pair in slab slot `id` depends on the
-/// registered cell, as of the recompute that gave it generation `gen`. A
-/// ref whose pair has since been recomputed or dirtied is dead; dead refs
-/// are reaped by the drains and the amortized compaction sweeps. Whether
-/// the pair was certified is not stored here: the list a ref sits in says
-/// it ([`SparseVis::cert_regs`]).
-#[derive(Debug, Clone, Copy)]
-struct SparseRef {
-    id: u32,
-    gen: u32,
-}
-
-// Registrations outnumber pair entries ~2× on dense packings; both
-// layouts are part of the scale gate's memory budget.
-const _: () = assert!(std::mem::size_of::<SparseRef>() == 8);
-const _: () = assert!(std::mem::size_of::<PairEntry>() == 16);
-
-/// A cell's corridor registrations plus its amortized-compaction watermark:
-/// the list is swept for dead entries only when it doubles past its size
-/// after the previous sweep.
-#[derive(Debug, Default)]
-struct SparseCellRegs {
-    refs: Vec<SparseRef>,
-    compact_at: usize,
-}
-
 /// A robot's queue of pairs to recompute at its next row refresh. May hold
 /// stale entries (pairs already recomputed through the partner's row); the
-/// drain skips anything no longer dirty. `compact_at` bounds the queue of
+/// refresh skips anything no longer dirty. `compact_at` bounds the queue of
 /// rows that rarely refresh (amortized-compaction watermark).
 #[derive(Debug, Default)]
 struct PendingRow {
@@ -408,36 +312,27 @@ struct PendingRow {
     compact_at: usize,
 }
 
-/// How a [`WorldMode::Sparse`] world finds the pairs a move dirties and
-/// the pairs a row refresh recomputes. Chosen by the robot count alone
-/// ([`SCAN_MAX_N`]); both dirty exactly the same pairs.
+/// How a [`WorldMode::Sparse`] world lays out its pair slab. Chosen by the
+/// robot count alone ([`SCAN_MAX_N`]); both dirty exactly the same pairs
+/// on a move and plan exactly the same pairs on a row refresh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Invalidation {
-    /// Worlds of at most [`SCAN_MAX_N`] robots: the slab holds a slot for
-    /// every pair at its [`direct_id`], a move tests every clean pair
-    /// ([`World::scan_slab`]) and a row refresh reads its row's slots. No
-    /// hash, no corridor registration, no pending queue.
-    SlabScan,
-    /// Larger worlds: a hashed pair store, corridor registrations on grid
-    /// cells drained by a move ([`World::dirty_cell`]), and per-robot
-    /// pending queues feeding the row refreshes.
-    CellDrain,
+enum SlabLayout {
+    /// Worlds of at most [`SCAN_MAX_N`] robots: a slot for every pair at
+    /// its [`direct_id`], each clean one with its reach lane, scanned row
+    /// by row on a move; a row refresh reads its row's slots. No hash, no
+    /// pending queue.
+    Direct,
+    /// Larger worlds: only the computed pairs, found through a hash map,
+    /// and per-robot pending queues feeding the row refreshes. A move
+    /// within the drift radius scans the list of clean uncertified pairs
+    /// ([`SparseVis::uncertified`]); a move beyond it scans every stored
+    /// pair.
+    Hashed,
 }
 
-impl Invalidation {
-    /// The path a world of `n` robots takes.
-    fn for_len(n: usize) -> Self {
-        if n <= SCAN_MAX_N {
-            Invalidation::SlabScan
-        } else {
-            Invalidation::CellDrain
-        }
-    }
-}
-
-/// Slab id of the pair `{a, b}` (`a < b`) in the direct-indexed slab of a
-/// world of `n` robots: row-major over `a`, so the pairs `(a, b > a)` of
-/// one row are contiguous.
+/// Slab id of the pair `{a, b}` (`a < b`) in the direct slab of a world of
+/// `n` robots: row-major over `a`, so the pairs `(a, b > a)` of one row are
+/// contiguous.
 fn direct_id(a: usize, b: usize, n: usize) -> u32 {
     debug_assert!(a < b && b < n);
     (a * (2 * n - a - 1) / 2 + (b - a - 1)) as u32
@@ -459,73 +354,73 @@ fn reach_lane(chord: f64, certified: bool) -> f32 {
     (if certified { -reach } else { reach }) as f32
 }
 
+/// The exact invalidation test: whether a move of robot `mover` from `old`
+/// to `new` can change the answer of the pair `{a, b}` — the mover is an
+/// endpoint, or its old or new position lies within the pruning radius of
+/// the chord. Squared-distance form of `distance_to(..) <=
+/// VISIBILITY_PRUNE_RADIUS`: exactly equivalent (the radius squares
+/// exactly), one square root cheaper.
+fn affects(centers: &[Point], a: usize, b: usize, mover: usize, old: Point, new: Point) -> bool {
+    let prune_sq = VISIBILITY_PRUNE_RADIUS * VISIBILITY_PRUNE_RADIUS;
+    a == mover || b == mover || {
+        let chord = Segment::new(centers[a], centers[b]);
+        chord.distance_sq_to(old) <= prune_sq || chord.distance_sq_to(new) <= prune_sq
+    }
+}
+
 /// The visibility state of [`WorldMode::Sparse`]: everything is sized by
-/// what has actually been computed, never by n² — except the
-/// direct-indexed slab of a small world ([`Invalidation::SlabScan`]),
-/// which holds all n(n − 1)/2 pairs from its first use.
+/// what has actually been computed, never by n² — except the direct slab
+/// of a small world ([`SlabLayout::Direct`]), which holds all n(n − 1)/2
+/// pairs from its first use.
 #[derive(Debug, Default)]
 struct SparseVis {
     /// Slab id of every pair computed so far, keyed by [`pair_key`]
-    /// ([`Invalidation::CellDrain`] only). Pairs are never removed, so ids
-    /// are stable. Absent means "never computed" — [`SparseVis::intern`]
+    /// ([`SlabLayout::Hashed`] only). Pairs are never removed, so ids are
+    /// stable. Absent means "never computed" — [`SparseVis::intern`]
     /// materializes a dirty, unseen entry.
     ids: HashMap<u64, u32, CellHashBuilder>,
     /// The pair entries, indexed by id: in the order they were first
-    /// computed ([`Invalidation::CellDrain`]), or at their [`direct_id`]
-    /// ([`Invalidation::SlabScan`]).
+    /// computed ([`SlabLayout::Hashed`]), or at their [`direct_id`]
+    /// ([`SlabLayout::Direct`]).
     slab: Vec<PairEntry>,
     /// Materialized pair entries (the entries whose `stored` bit is set).
     entries: u64,
-    /// [`Invalidation::SlabScan`] only, aligned with `slab`: the reach of
-    /// each clean pair ([`reach_lane`]; negative when certified), NaN for
-    /// a dirty or never-computed one. A robot at distances `d_a`, `d_b`
-    /// from the endpoints lies within the pruning radius of the chord only
-    /// if `d_a + d_b` is at most the chord plus twice that radius, so
+    /// [`SlabLayout::Direct`] only, aligned with `slab`: the reach of each
+    /// clean pair ([`reach_lane`]; negative when certified), NaN for a
+    /// dirty or never-computed one. A robot at distances `d_a`, `d_b` from
+    /// the endpoints lies within the pruning radius of the chord only if
+    /// `d_a + d_b` is at most the chord plus twice that radius, so
     /// [`World::scan_slab`] rejects a pair on one add and one compare
     /// before the exact test.
     reach: Vec<f32>,
-    /// [`Invalidation::SlabScan`] only: the clean certified pairs, which
-    /// an in-drift move leaves clean without testing them.
+    /// [`SlabLayout::Hashed`] only: the slab ids of exactly the clean
+    /// uncertified pairs, in no particular order. A commit of an
+    /// uncertified verdict pushes its pair; a move drops every pair it
+    /// dirties, and a move beyond the drift radius, which visits every
+    /// stored pair, rebuilds the list. A move within the drift radius
+    /// visits this list alone.
+    uncertified: Vec<u32>,
+    /// The clean certified pairs, which a move within the drift radius
+    /// leaves clean without testing them.
     clean_certified: u64,
-    /// [`Invalidation::SlabScan`] only: scratch of [`World::scan_slab`],
-    /// the distances of every site from the mover's old position, then
-    /// from its new one.
+    /// [`SlabLayout::Direct`] only: scratch of [`World::scan_slab`], the
+    /// distances of every site from the mover's old position, then from
+    /// its new one.
     dists: Vec<f32>,
     /// Sorted adjacency: `adj[i]` holds exactly the robots whose pair with
     /// `i` is stored with `seen == true` (possibly dirty — a row refresh
     /// recomputes the dirty pairs before the list is read).
     adj: Vec<Vec<u32>>,
-    /// Per-robot recompute queues, fed by the cell drains
-    /// ([`Invalidation::CellDrain`] only).
+    /// Per-robot recompute queues, fed by the moves ([`SlabLayout::Hashed`]
+    /// only).
     pending: Vec<PendingRow>,
     /// Whether row `i` has ever been fully computed. A row's first refresh
     /// computes all of its pairs; afterwards only dirtied pairs recompute.
     row_init: Vec<bool>,
-    /// Corridor registrations of the uncertified pairs per grid level
-    /// (index = level), at the level [`World::sparse_reg_level`] matches
-    /// to each chord's length ([`Invalidation::CellDrain`] only, like the
-    /// certified lists and the spare lists below).
-    regs: [CellMap<SparseCellRegs>; GRID_LEVELS],
-    /// Corridor registrations of the pairs whose last recompute answered
-    /// [`PairVerdict::Certified`]: the slack strip cover (of
-    /// [`pair_verdict`] or the mid-chord window) proved the pair blocked,
-    /// so the answer provably stays `false` while **every** robot — both
-    /// endpoints and every corridor obstacle — remains within
-    /// [`CERT_DRIFT_RADIUS`] of its anchor. Kept apart from `regs` so a
-    /// drain for an in-drift mover skips a cell's whole list at once, and
-    /// registered at [`World::cert_reg_level`], whose cells span the
-    /// capsule, so each such pair holds at most four cells (more only when
-    /// its capsule outgrows the coarsest cell).
-    cert_regs: [CellMap<SparseCellRegs>; GRID_LEVELS],
-    /// Registration lists of emptied cells, cleared with their storage
-    /// kept: a cell that gains its first registration takes one, so a
-    /// robot re-entering a cell allocates nothing once as many lists exist
-    /// as cells ever held registrations at once.
-    spare: Vec<Vec<SparseRef>>,
 }
 
 impl SparseVis {
-    /// The slab id of the pair `{a, b}` (`a < b`) in the hashed store,
+    /// The slab id of the pair `{a, b}` (`a < b`) in the hashed slab,
     /// materializing a fresh dirty, unseen entry for a pair never
     /// computed: one hash probe.
     fn intern(&mut self, a: usize, b: usize) -> u32 {
@@ -537,7 +432,6 @@ impl SparseVis {
             slab.push(PairEntry {
                 a: a as u32,
                 b: b as u32,
-                gen: 0,
                 seen: false,
                 dirty: true,
                 certified: false,
@@ -548,10 +442,9 @@ impl SparseVis {
         })
     }
 
-    /// The slab id of the pair `{a, b}` (`a < b`) in the direct-indexed
-    /// slab of a world of `n` robots, marking the pair stored. The first
-    /// call lays out the slab: every pair dirty, unseen and not yet
-    /// stored.
+    /// The slab id of the pair `{a, b}` (`a < b`) in the direct slab of a
+    /// world of `n` robots, marking the pair stored. The first call lays
+    /// out the slab: every pair dirty, unseen and not yet stored.
     fn intern_direct(&mut self, a: usize, b: usize, n: usize) -> u32 {
         if self.slab.is_empty() {
             self.slab.reserve_exact(n * (n - 1) / 2);
@@ -559,7 +452,6 @@ impl SparseVis {
                 self.slab.extend((a + 1..n as u32).map(|b| PairEntry {
                     a,
                     b,
-                    gen: 0,
                     seen: false,
                     dirty: true,
                     certified: false,
@@ -578,14 +470,35 @@ impl SparseVis {
     }
 }
 
+/// Marks the clean pair `entry` dirty on a move. A robot's Look snapshot
+/// changes only when a robot it *sees* moved or its visible set flips, so
+/// dirtying a **seen** pair bumps both endpoints' view versions right
+/// here: the move that dirties a pair always tests it, and while the pair
+/// stays dirty no further endpoint move can slip through unbumped.
+/// **Unseen** pairs stay silent — their endpoints' views can only change
+/// if the answer flips, which the recompute detects (and bumps), always
+/// before any robot stamps a view version off that state. This is what
+/// keeps one move's invalidation at O(deg) bumps: moving a robot nobody
+/// sees bumps nobody else.
+fn mark_dirty(entry: &mut PairEntry, clean_certified: &mut u64, view_versions: &mut [u64]) {
+    entry.dirty = true;
+    if entry.certified {
+        *clean_certified -= 1;
+    }
+    if entry.seen {
+        view_versions[entry.a as usize] += 1;
+        view_versions[entry.b as usize] += 1;
+    }
+}
+
 /// Queues `j` on a pending row, keeping the queue bounded by the number of
 /// distinct partners: past the watermark the queue is sorted and
-/// deduplicated (stale entries are cheap to carry — the drain skips
+/// deduplicated (stale entries are cheap to carry — the refresh skips
 /// anything no longer dirty — but duplicates must not accumulate without
 /// bound on rows that rarely refresh).
 fn push_pending(row: &mut PendingRow, j: u32) {
     row.js.push(j);
-    if row.js.len() >= row.compact_at.max(REGISTRATION_COMPACT_LEN) {
+    if row.js.len() >= row.compact_at.max(PENDING_COMPACT_LEN) {
         row.js.sort_unstable();
         row.js.dedup();
         row.compact_at = row.js.len() * 2;
@@ -656,9 +569,9 @@ struct Sites {
 #[derive(Debug)]
 pub struct World {
     mode: WorldMode,
-    /// How a sparse world invalidates pairs: [`Invalidation::for_len`] of
-    /// the robot count (a test may pick the other path at construction).
-    invalidation: Invalidation,
+    /// How a sparse world lays out its pair slab: by the robot count (a
+    /// test may pick the hashed layout at construction).
+    layout: SlabLayout,
     sites: Arc<Sites>,
     /// Visibility state ([`WorldMode::Sparse`] only; empty otherwise).
     sparse: SparseVis,
@@ -692,8 +605,8 @@ pub struct World {
     hull_rebuilds: u64,
     /// Blocked-certificate telemetry: recomputes whose answer came from a
     /// strip cover (either tier of `pair_verdict`, or the mid-chord
-    /// window) instead of the witness kernel, and drain visits that skipped
-    /// dirtying a certified pair.
+    /// window) instead of the witness kernel, and the clean certified pairs
+    /// in-drift moves left clean untested.
     cover_answers: u64,
     cert_skips: u64,
     /// Reusable candidate buffer of the grid-local predicates.
@@ -719,18 +632,22 @@ pub struct World {
 impl World {
     /// Creates the world for the given centers.
     pub fn new(centers: Vec<Point>, mode: WorldMode) -> Self {
-        let invalidation = Invalidation::for_len(centers.len());
-        Self::with_invalidation(centers, mode, invalidation)
+        let layout = if centers.len() <= SCAN_MAX_N {
+            SlabLayout::Direct
+        } else {
+            SlabLayout::Hashed
+        };
+        Self::with_layout(centers, mode, layout)
     }
 
-    /// [`Self::new`] on the given invalidation path.
-    fn with_invalidation(centers: Vec<Point>, mode: WorldMode, invalidation: Invalidation) -> Self {
+    /// [`Self::new`] with the given slab layout.
+    fn with_layout(centers: Vec<Point>, mode: WorldMode, layout: SlabLayout) -> Self {
         let n = centers.len();
         let grid = UniformGrid::new(GRID_CELL, &centers);
         let sparse = if mode == WorldMode::Sparse {
-            let pending = match invalidation {
-                Invalidation::SlabScan => Vec::new(),
-                Invalidation::CellDrain => (0..n).map(|_| PendingRow::default()).collect(),
+            let pending = match layout {
+                SlabLayout::Direct => Vec::new(),
+                SlabLayout::Hashed => (0..n).map(|_| PendingRow::default()).collect(),
             };
             SparseVis {
                 adj: vec![Vec::new(); n],
@@ -748,7 +665,7 @@ impl World {
         };
         World {
             mode,
-            invalidation,
+            layout,
             sites: Arc::new(Sites {
                 centers,
                 grid,
@@ -804,6 +721,11 @@ impl World {
     }
 
     /// Cache telemetry: `(hits, misses)` of the pairwise visibility cache.
+    /// A miss is one pair recompute. A hit is a pair found clean where it
+    /// is counted: at a row's first refresh (the row's pairs already
+    /// computed through other rows) and on a [`Self::sees`] probe. A
+    /// re-Look plans only its row's dirty pairs and counts no hit for the
+    /// clean ones it reuses, so hits + misses is not the pairs Looked at.
     /// Both are 0 in [`WorldMode::Scratch`].
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
@@ -818,36 +740,21 @@ impl World {
         (0, self.hull_rebuilds)
     }
 
-    /// Pair-store telemetry: `(entries, registrations)` — materialized pair
-    /// entries and stored corridor registrations. The registration count
-    /// includes dead registrations not yet dropped by a drain or a
-    /// compaction sweep, so it measures the lists' memory, not the live
-    /// corridors; it is 0 in worlds of at most `SCAN_MAX_N` robots, which
-    /// register nothing. The entry count is only the pairs actually
-    /// computed, which is what the scale gate's linear-memory assertion
-    /// watches. Both are 0 in [`WorldMode::Scratch`] (whose store stays
-    /// empty).
+    /// Pair-store telemetry: `(entries, 0)` — the materialized pair
+    /// entries, only the pairs actually computed, which is what the scale
+    /// gate's linear-memory assertion watches. The second slot counted
+    /// corridor registrations, which no world keeps any more; it is always
+    /// 0 and stays only because the benchmark harness reads this pair.
+    /// Both are 0 in [`WorldMode::Scratch`] (whose store stays empty).
     pub fn pair_store_stats(&self) -> (u64, u64) {
-        (
-            self.sparse.entries,
-            self.sparse
-                .regs
-                .iter()
-                .chain(&self.sparse.cert_regs)
-                .flat_map(CellMap::values)
-                .map(|r| r.refs.len() as u64)
-                .sum(),
-        )
+        (self.sparse.entries, 0)
     }
 
     /// Blocked-certificate telemetry: `(cover_answers, cert_skips)` —
     /// recomputes answered by a strip cover instead of the witness kernel,
-    /// and the certified pairs in-drift moves kept clean untested. In
-    /// worlds of at most `SCAN_MAX_N` robots a skip is one clean certified
-    /// pair per in-drift move; in larger worlds it is one certified
-    /// registration (live or dead) in a cell list an in-drift move's drain
-    /// passed over, so a pair counts once per list it sits in. Both are 0
-    /// in [`WorldMode::Scratch`].
+    /// and the certified pairs in-drift moves kept clean untested: one
+    /// clean certified pair per in-drift move. Both are 0 in
+    /// [`WorldMode::Scratch`].
     pub fn cert_stats(&self) -> (u64, u64) {
         (self.cover_answers, self.cert_skips)
     }
@@ -878,11 +785,9 @@ impl World {
     }
 
     /// Moves robot `i` to `p`: bumps the configuration version, dirties
-    /// every pair the move can affect — found by scanning the slab in a
-    /// world of at most `SCAN_MAX_N` robots, by draining the registrations
-    /// of the cell the robot leaves and the cell it enters otherwise — and
-    /// rehashes the robot in the grid. Moving a robot to its current
-    /// position is a no-op (nothing can have changed).
+    /// every pair the move can affect (`Self::scan_slab`) and rehashes
+    /// the robot in the grid. Moving a robot to its current position is a
+    /// no-op (nothing can have changed).
     ///
     /// # Panics
     /// Panics if `i` is out of bounds.
@@ -895,34 +800,16 @@ impl World {
             WorldMode::Sparse => {
                 // The mover's own view always changes (its center is part of
                 // it). Every *other* affected view is bumped either by the
-                // invalidation (clean seen pairs being dirtied — the robots
-                // that can watch this move happen) or by the flip check when
-                // a dirty pair is recomputed: moving a robot nobody sees
-                // bumps only the mover.
+                // scan (clean seen pairs being dirtied — the robots that can
+                // watch this move happen) or by the flip check when a dirty
+                // pair is recomputed: moving a robot nobody sees bumps only
+                // the mover.
                 self.view_versions[i] += 1;
                 let in_drift =
                     p.distance_sq(self.anchors[i]) <= CERT_DRIFT_RADIUS * CERT_DRIFT_RADIUS;
-                match self.invalidation {
-                    Invalidation::SlabScan => self.scan_slab(i, old, p, in_drift),
-                    Invalidation::CellDrain => {
-                        // Registrations live at every grid level (each pair
-                        // picks the level matching its chord length), so the
-                        // move drains its from/to cell at each level. Coarser
-                        // cells hold more incidental registrations; the
-                        // drain's exact chord-distance test filters them, so
-                        // coarseness costs drain time, never correctness.
-                        for level in 0..GRID_LEVELS {
-                            let from = self.sites.grid.cell_of_at(old, level);
-                            let to = self.sites.grid.cell_of_at(p, level);
-                            self.dirty_cell(level, from, i, old, p, in_drift);
-                            if to != from {
-                                self.dirty_cell(level, to, i, old, p, in_drift);
-                            }
-                        }
-                    }
-                }
-                // Anchor maintenance, after the invalidation: a move beyond
-                // the drift radius has just tested the certified pairs too
+                self.scan_slab(i, old, p, in_drift);
+                // Anchor maintenance, after the scan: a move beyond the
+                // drift radius has just tested the certified pairs too
                 // (dirtying those the mover can affect), so re-anchoring
                 // here cannot strand a certificate issued against the old
                 // anchor.
@@ -946,14 +833,23 @@ impl World {
         sites.centers[i] = p;
     }
 
-    /// The [`Invalidation::SlabScan`] twin of the cell drains, for a move
-    /// of robot `mover` from `old` to `new`: visits every clean pair of the
-    /// slab once and dirties exactly the pairs the drains would — those
-    /// with the mover as an endpoint, or whose chord passes within the
-    /// pruning radius of `old` or `new` — with the same view-version
-    /// bumps. While the mover stays within [`CERT_DRIFT_RADIUS`] of its
-    /// anchor (`in_drift`), certified pairs are skipped untested, as the
-    /// drains skip the certified lists, and each counts one cert skip.
+    /// Dirties exactly the stored clean pairs that a move of robot `mover`
+    /// from `old` to `new` can affect ([`affects`]), with their
+    /// view-version bumps ([`mark_dirty`]). While the mover stays within
+    /// [`CERT_DRIFT_RADIUS`] of its anchor (`in_drift`), certified pairs
+    /// are left clean untested, and each counts one cert skip.
+    fn scan_slab(&mut self, mover: usize, old: Point, new: Point, in_drift: bool) {
+        if in_drift {
+            self.cert_skips += self.sparse.clean_certified;
+        }
+        match self.layout {
+            SlabLayout::Direct => self.scan_direct(mover, old, new, in_drift),
+            SlabLayout::Hashed => self.scan_hashed(mover, old, new, in_drift),
+        }
+    }
+
+    /// [`Self::scan_slab`] on the direct slab: visits every clean pair
+    /// row by row.
     ///
     /// A pair is rejected first on its [`SparseVis::reach`] lane: a point
     /// within the pruning radius of the chord is within the chord plus
@@ -962,9 +858,12 @@ impl World {
     /// reach cannot be affected. The reach is negative for a certified
     /// pair and NaN for a dirty one, so an in-drift move's compare rejects
     /// both, and a beyond-drift move compares against the reach's
-    /// magnitude. Only the pairs the reject keeps meet the exact test, the
-    /// drains' own.
-    fn scan_slab(&mut self, mover: usize, old: Point, new: Point, in_drift: bool) {
+    /// magnitude. Only the pairs the reject keeps meet the exact test.
+    ///
+    /// [`Self::scan_hashed`]'s loop would serve this slab too, but run on
+    /// it, perfbench `random_n96` (n = 96) took 19% more wall time (median
+    /// of three alternating 20 s pairs, 2 vCPUs, rustc 1.95).
+    fn scan_direct(&mut self, mover: usize, old: Point, new: Point, in_drift: bool) {
         let SparseVis {
             slab,
             reach,
@@ -975,9 +874,6 @@ impl World {
         if slab.is_empty() {
             return; // nothing computed yet
         }
-        if in_drift {
-            self.cert_skips += *clean_certified;
-        }
         let centers = &self.sites.centers;
         let n = centers.len();
         dists.clear();
@@ -985,7 +881,6 @@ impl World {
             dists.extend(centers.iter().map(|&c| c.distance(from) as f32));
         }
         let (d_old, d_new) = dists.split_at(n);
-        let prune_sq = VISIBILITY_PRUNE_RADIUS * VISIBILITY_PRUNE_RADIUS;
         let view_versions = &mut self.view_versions;
         let mut row_start = 0;
         for a in 0..n - 1 {
@@ -1006,28 +901,10 @@ impl World {
                 while mask != 0 {
                     let k = chunk + mask.trailing_zeros() as usize;
                     mask &= mask - 1;
-                    let b = a + 1 + k;
-                    // Squared-distance form of `distance_to(..) <=
-                    // PRUNE_RADIUS`, as in `dirty_cell`.
-                    let affected = a == mover || b == mover || {
-                        let chord = Segment::new(centers[a], centers[b]);
-                        chord.distance_sq_to(old) <= prune_sq
-                            || chord.distance_sq_to(new) <= prune_sq
-                    };
-                    if !affected {
-                        continue;
-                    }
-                    let id = row_start + k;
-                    let entry = &mut slab[id];
-                    entry.dirty = true;
-                    reach[id] = f32::NAN;
-                    if entry.certified {
-                        *clean_certified -= 1;
-                    }
-                    // The seen-pair bump of `dirty_cell`.
-                    if entry.seen {
-                        view_versions[a] += 1;
-                        view_versions[b] += 1;
+                    if affects(centers, a, a + 1 + k, mover, old, new) {
+                        let id = row_start + k;
+                        mark_dirty(&mut slab[id], clean_certified, view_versions);
+                        reach[id] = f32::NAN;
                     }
                 }
             }
@@ -1035,104 +912,45 @@ impl World {
         }
     }
 
-    /// Processes one cell's corridor registrations at one grid level for a
-    /// move of robot `mover` from `old` to `new`: pairs whose answer can
-    /// actually depend on that move — the mover is an endpoint, or its old
-    /// or new position lies within the pruning radius of the pair's chord
-    /// — are marked dirty, dropped, and queued on both endpoints' pending
-    /// rows so the next row refresh recomputes exactly the dirtied pairs
-    /// instead of probing all n. Unaffected live registrations are kept
-    /// (the cell cover is conservative, so most drains touch corridors the
-    /// mover never entered). Dead registrations (older generation, or pairs
-    /// already dirty) are dropped — a dirty pair re-registers when it is
-    /// next recomputed.
-    ///
-    /// The cell's certified list is drained the same way only when the
-    /// move takes the mover beyond [`CERT_DRIFT_RADIUS`] of its anchor
-    /// (`in_drift` is `false`). While the mover stays within it, every
-    /// certified pair — the mover's own *and* third-party corridors
-    /// crossing this cell — provably keeps its "blocked" answer (see
-    /// [`CERT_DRIFT_RADIUS`]), so the whole list is kept without reading
-    /// a ref. A list the drain empties leaves its cell and waits, cleared,
-    /// in `spare` for the next cell that gains a registration.
-    fn dirty_cell(
-        &mut self,
-        level: usize,
-        cell: CellCoord,
-        mover: usize,
-        old: Point,
-        new: Point,
-        in_drift: bool,
-    ) {
-        use std::collections::hash_map::Entry;
+    /// [`Self::scan_slab`] on the hashed slab: an in-drift move tests only
+    /// the list of clean uncertified pairs and drops from it what it
+    /// dirties; a beyond-drift move tests every stored clean pair and
+    /// rebuilds the list. Each dirtied pair is queued on both endpoints'
+    /// pending rows. There is no reach reject: the exact test reads only
+    /// the pair's two endpoints, which is less than the distances a reject
+    /// would compute.
+    fn scan_hashed(&mut self, mover: usize, old: Point, new: Point, in_drift: bool) {
         let SparseVis {
             slab,
+            uncertified,
+            clean_certified,
             pending,
-            regs,
-            cert_regs,
-            spare,
             ..
         } = &mut self.sparse;
         let centers = &self.sites.centers;
         let view_versions = &mut self.view_versions;
-        let prune_sq = VISIBILITY_PRUNE_RADIUS * VISIBILITY_PRUNE_RADIUS;
-        let mut drain = |list: &mut SparseCellRegs| {
-            list.refs.retain(|&r| {
-                let entry = &mut slab[r.id as usize];
-                if !entry.is_current(r) {
-                    return false; // dead registration
-                }
-                let (a, b) = (entry.a as usize, entry.b as usize);
-                // Squared-distance form of `distance_to(..) <= PRUNE_RADIUS`:
-                // exactly equivalent (the radius squares exactly), one sqrt
-                // cheaper per drained registration.
-                let affected = a == mover || b == mover || {
-                    let chord = Segment::new(centers[a], centers[b]);
-                    chord.distance_sq_to(old) <= prune_sq || chord.distance_sq_to(new) <= prune_sq
-                };
-                if affected {
-                    entry.dirty = true;
-                    // View-version maintenance. A robot's Look snapshot
-                    // changes only when a robot it *sees* moved or its
-                    // visible set flips. Dirtying a **seen** pair therefore
-                    // bumps both endpoints right here: a clean pair is
-                    // registered on both endpoints' current cells, so a
-                    // seen pair whose endpoint moves is always drained at
-                    // that move, and while the pair stays dirty no further
-                    // endpoint move can slip through unbumped. **Unseen**
-                    // pairs stay silent — their endpoints' views can only
-                    // change if the answer flips, which the recompute
-                    // detects (and bumps), always before any robot stamps a
-                    // view version off that state. This is what keeps one
-                    // move's invalidation at O(deg): moving a robot nobody
-                    // sees bumps nobody else.
-                    if entry.seen {
-                        view_versions[a] += 1;
-                        view_versions[b] += 1;
-                    }
-                    push_pending(&mut pending[a], b as u32);
-                    push_pending(&mut pending[b], a as u32);
-                }
-                !affected
-            });
-            // The drain doubles as a sweep: reset the compaction watermark.
-            list.compact_at = list.refs.len() * 2;
-        };
-        let mut drain_cell = |lists: &mut CellMap<SparseCellRegs>| {
-            if let Entry::Occupied(mut slot) = lists.entry(cell) {
-                drain(slot.get_mut());
-                if slot.get().refs.is_empty() {
-                    spare.push(slot.remove().refs);
-                }
+        let stored = slab.len() as u32;
+        // Tests the pair `id` if it is clean, dirtying it when the move
+        // affects it; `true` when it is left clean and uncertified.
+        let mut keep = |id: u32| {
+            let entry = &mut slab[id as usize];
+            let (a, b) = (entry.a as usize, entry.b as usize);
+            if entry.dirty {
+                return false;
             }
+            if !affects(centers, a, b, mover, old, new) {
+                return !entry.certified;
+            }
+            mark_dirty(entry, clean_certified, view_versions);
+            push_pending(&mut pending[a], b as u32);
+            push_pending(&mut pending[b], a as u32);
+            false
         };
-        drain_cell(&mut regs[level]);
         if in_drift {
-            if let Some(list) = cert_regs[level].get(&cell) {
-                self.cert_skips += list.refs.len() as u64;
-            }
+            uncertified.retain(|&id| keep(id));
         } else {
-            drain_cell(&mut cert_regs[level]);
+            uncertified.clear();
+            uncertified.extend((0..stored).filter(|&id| keep(id)));
         }
     }
 
@@ -1163,47 +981,20 @@ impl World {
         verdict == PairVerdict::Seen
     }
 
-    /// The slab id of the pair `{a, b}` (`a < b`) on this world's
-    /// invalidation path, materializing the pair if it never was.
+    /// The slab id of the pair `{a, b}` (`a < b`) in this world's slab
+    /// layout, materializing the pair if it never was.
     fn intern(&mut self, a: usize, b: usize) -> u32 {
-        match self.invalidation {
-            Invalidation::SlabScan => self.sparse.intern_direct(a, b, self.len()),
-            Invalidation::CellDrain => self.sparse.intern(a, b),
+        match self.layout {
+            SlabLayout::Direct => self.sparse.intern_direct(a, b, self.len()),
+            SlabLayout::Hashed => self.sparse.intern(a, b),
         }
-    }
-
-    /// The grid level an uncertified pair registers its corridor at: the
-    /// finest level whose cells are large enough that the chord's cover
-    /// holds O(1) of them ([`SPARSE_REG_SPAN_CELLS`]). Long chords land on
-    /// the coarsest level, whose cover is a handful of cells even across
-    /// the whole configuration.
-    fn sparse_reg_level(&self, ca: Point, cb: Point) -> usize {
-        let chord = ca.distance(cb);
-        (0..GRID_LEVELS)
-            .find(|&level| chord <= self.sites.grid.cell_size_at(level) * SPARSE_REG_SPAN_CELLS)
-            .unwrap_or(GRID_LEVELS - 1)
-    }
-
-    /// The grid level a certified pair registers its corridor at: the
-    /// finest level whose cell edge is at least the capsule's extent, the
-    /// chord plus the pruning radius at either end, so its cover holds at
-    /// most two columns of two cells; the coarsest level when no cell is
-    /// that large. Coarse cells cost a certified pair nothing on an
-    /// in-drift move, whose drain skips the certified lists whole.
-    fn cert_reg_level(&self, ca: Point, cb: Point) -> usize {
-        let extent = ca.distance(cb) + 2.0 * VISIBILITY_PRUNE_RADIUS;
-        (0..GRID_LEVELS)
-            .find(|&level| self.sites.grid.cell_size_at(level) >= extent)
-            .unwrap_or(GRID_LEVELS - 1)
     }
 }
 
 impl Sites {
-    /// Replaces `out` with the sites other than `a` and `b` in the occupied
-    /// base cells of the conservative cover of the capsule of `radius`
-    /// around `p`–`q` — a superset of the sites within `radius` of the
-    /// segment (the pruned walk surfaces exactly the sites the flat walk
-    /// would).
+    /// Replaces `out` with the sites other than `a` and `b` in the cells of
+    /// the conservative cover of the capsule of `radius` around `p`–`q` — a
+    /// superset of the sites within `radius` of the segment.
     fn gather_sites_near(
         &self,
         a: usize,
@@ -1215,7 +1006,7 @@ impl Sites {
     ) {
         out.clear();
         let grid = &self.grid;
-        grid.for_each_occupied_cell_near_segment(p, q, radius, |cell| {
+        grid.for_each_cell_near_segment(p, q, radius, |cell| {
             if let Some(sites) = grid.sites_in(cell) {
                 out.extend(sites.iter().copied().filter(|&k| k != a && k != b));
             }
@@ -1378,8 +1169,8 @@ impl Sites {
     ///   proof holds for any obstacle superset (new obstacles only block
     ///   more), so the full kernel must answer `false` too. The covering
     ///   obstacles sit within `UNIT_RADIUS + hw` of the chord, inside the
-    ///   pair's registration cover, so the `CERT_DRIFT_RADIUS` skip
-    ///   argument is unchanged.
+    ///   pair's corridor, so the `CERT_DRIFT_RADIUS` skip argument is
+    ///   unchanged.
     ///
     /// Both sources keep the same obstacle set, and [`pair_verdict`]'s
     /// cascade depends on the set, not its order. The seen bit is always
@@ -1414,27 +1205,22 @@ impl Sites {
 }
 
 impl World {
-    /// Commits one computed verdict to the pair in slab slot `id`: bumps
-    /// its generation, clears its dirty flag, stores the seen and certified
-    /// bits, bumps both views and updates both adjacency lists on a flip,
-    /// and counts a cover answer. Then, in a world of at most `SCAN_MAX_N`
-    /// robots, it stores the pair's reach lane and registers nothing; in a
-    /// larger one it re-registers the pair's corridor — a certified pair
-    /// on its coarse cells in the certified lists, any other pair at its
-    /// chord-matched level. `verdict` is what
-    /// [`Sites::compute_pair_answer`] returned for the pair on the current
-    /// centers. Touches no hash map but the cell lists.
+    /// Commits one computed verdict to the pair in slab slot `id`: clears
+    /// its dirty flag, stores the seen and certified bits, bumps both views
+    /// and updates both adjacency lists on a flip, and counts a cover
+    /// answer. Then it stores the pair's reach lane on the direct slab, or
+    /// pushes an uncertified pair onto the list of clean uncertified pairs
+    /// on the hashed one. `verdict` is what [`Sites::compute_pair_answer`]
+    /// returned for the pair on the current centers. Touches no hash map.
     fn commit_pair(&mut self, id: u32, verdict: PairVerdict) {
         let seen = verdict == PairVerdict::Seen;
         let certified = verdict == PairVerdict::Certified;
         let entry = &mut self.sparse.slab[id as usize];
-        entry.gen = entry.gen.wrapping_add(1);
         entry.dirty = false;
         entry.certified = certified;
         let flipped = entry.seen != seen;
         entry.seen = seen;
         let (a, b) = (entry.a as usize, entry.b as usize);
-        let sref = SparseRef { id, gen: entry.gen };
         if matches!(verdict, PairVerdict::CoverBlocked | PairVerdict::Certified) {
             self.cover_answers += 1;
         }
@@ -1456,46 +1242,15 @@ impl World {
                 adj_remove(&mut adj[b], a as u32);
             }
         }
-        let (ca, cb) = (self.sites.centers[a], self.sites.centers[b]);
-        if self.invalidation == Invalidation::SlabScan {
-            self.sparse.reach[id as usize] = reach_lane(ca.distance(cb), certified);
-            self.sparse.clean_certified += u64::from(certified);
-            return;
-        }
-        // Register on the chosen level's conservative cover. The
-        // *registration* walk must not skip empty cells: a future mover
-        // can enter one.
-        let level = if certified {
-            self.cert_reg_level(ca, cb)
-        } else {
-            self.sparse_reg_level(ca, cb)
-        };
-        let SparseVis {
-            slab,
-            regs,
-            cert_regs,
-            spare,
-            ..
-        } = &mut self.sparse;
-        let slab = &*slab;
-        let level_regs = if certified {
-            &mut cert_regs[level]
-        } else {
-            &mut regs[level]
-        };
-        let grid = &self.sites.grid;
-        grid.for_each_cell_near_segment_at(level, ca, cb, VISIBILITY_PRUNE_RADIUS, |cell| {
-            let slot = level_regs.entry(cell).or_insert_with(|| SparseCellRegs {
-                refs: spare.pop().unwrap_or_default(),
-                compact_at: 0,
-            });
-            if slot.refs.len() >= slot.compact_at.max(REGISTRATION_COMPACT_LEN) {
-                slot.refs.retain(|&r| slab[r.id as usize].is_current(r));
-                slot.compact_at = slot.refs.len() * 2;
+        self.sparse.clean_certified += u64::from(certified);
+        match self.layout {
+            SlabLayout::Direct => {
+                let chord = self.sites.centers[a].distance(self.sites.centers[b]);
+                self.sparse.reach[id as usize] = reach_lane(chord, certified);
             }
-            slot.refs.push(sref);
-            true
-        });
+            SlabLayout::Hashed if !certified => self.sparse.uncertified.push(id),
+            SlabLayout::Hashed => {}
+        }
     }
 
     /// Brings every pair of row `i` up to date, so that `adj[i]` *is* the
@@ -1507,7 +1262,7 @@ impl World {
     ///    materialized dirty). Afterwards, in a world of at most
     ///    `SCAN_MAX_N` robots, it reads the row's slab slots by direct
     ///    index and plans the dirty ones; in a larger world it plans only
-    ///    the pairs the cell drains queued. The queue may hold duplicates
+    ///    the pairs the moves queued. The queue may hold duplicates
     ///    and stale entries (pairs already recomputed through the
     ///    partner's row or a direct [`Self::sees`] probe): it is sorted and
     ///    deduplicated, and the dirty check drops the stale ones. Either
@@ -1536,13 +1291,13 @@ impl World {
             }
             self.sparse.row_init[i] = true;
             self.hits += (n - 1 - plan.len()) as u64;
-            // Whatever the drains queued before is now clean (no pending
-            // rows in a world that scans its slab).
+            // Whatever the moves queued before is now clean (no pending
+            // rows on the direct slab).
             if let Some(pending) = self.sparse.pending.get_mut(i) {
                 pending.js.clear();
                 pending.compact_at = 0;
             }
-        } else if self.invalidation == Invalidation::SlabScan {
+        } else if self.layout == SlabLayout::Direct {
             let slab = &self.sparse.slab;
             plan.extend(
                 (0..n)
@@ -1582,8 +1337,8 @@ impl World {
     /// of row `row`), in plan order. A plan shorter than
     /// `ROW_FANOUT_MIN_PAIRS`, or a fan-out width of 1, runs serially on
     /// `probe`. Otherwise the plan becomes this world's [`FanoutJob`]: the
-    /// calling thread and as many helpers as the plan feeds and free cores
-    /// allow claim chunks of it until none is left ([`fan_out`]), each
+    /// calling thread and as many helpers as free cores allow claim chunks
+    /// of it until none is left ([`fan_out`]), each
     /// answering on its own probe. Each answer is
     /// [`Sites::compute_pair_answer`] on the same configuration — read-only
     /// and thread-independent — so `out` is identical for every width.
@@ -1618,11 +1373,7 @@ impl World {
         job.partners.clear();
         job.partners.extend(plan.iter().map(|&id| partner(id)));
         job.answers.resize_with(plan.len(), AtomicU8::default);
-        let seats = fanout_seats(
-            plan.len(),
-            self.row_fanout_width,
-            crate::sweep::runs_in_flight(),
-        );
+        let seats = fanout_seats(self.row_fanout_width, crate::sweep::runs_in_flight());
         job.chunk = plan
             .len()
             .div_ceil((seats + 1) * FANOUT_CHUNKS_PER_THREAD)
@@ -1944,14 +1695,12 @@ static POOL: Pool = Pool {
     board: AtomicU64::new(0),
 };
 
-/// The helper seats a plan of `len` pairs gets at fan-out width `width`
-/// while `runs` sweep runs are in progress: one per further
-/// `FANOUT_PAIRS_PER_THREAD` pairs beyond the caller's, and no more than
-/// the cores that neither the runs nor the caller (a run itself, or the
-/// only one) hold.
-fn fanout_seats(len: usize, width: usize, runs: usize) -> usize {
-    let free = width.saturating_sub(runs.max(1));
-    (len / FANOUT_PAIRS_PER_THREAD).max(1).min(free + 1) - 1
+/// The helper seats a fanned-out row gets at fan-out width `width` while
+/// `runs` sweep runs are in progress: one per core that neither the runs
+/// nor the caller (a run itself, or the only one) hold. [`post`] caps them
+/// at the helpers.
+fn fanout_seats(width: usize, runs: usize) -> usize {
+    width.saturating_sub(runs.max(1))
 }
 
 /// One more post on `board`, with `seats` open seats.
@@ -2130,17 +1879,17 @@ mod tests {
         World::new(centers, mode)
     }
 
-    /// A sparse world on the given invalidation path, whatever its size.
-    fn world_on(centers: Vec<Point>, path: Invalidation) -> World {
-        World::with_invalidation(centers, WorldMode::Sparse, path)
+    /// A sparse world with the given slab layout, whatever its size.
+    fn world_on(centers: Vec<Point>, layout: SlabLayout) -> World {
+        World::with_layout(centers, WorldMode::Sparse, layout)
     }
 
-    /// Both invalidation paths.
-    const PATHS: [Invalidation; 2] = [Invalidation::SlabScan, Invalidation::CellDrain];
+    /// Both slab layouts.
+    const LAYOUTS: [SlabLayout; 2] = [SlabLayout::Direct, SlabLayout::Hashed];
 
-    /// A sparse world over `centers` on each invalidation path.
+    /// A sparse world over `centers` with each slab layout.
     fn sparse_worlds(centers: Vec<Point>) -> [World; 2] {
-        PATHS.map(|path| world_on(centers.clone(), path))
+        LAYOUTS.map(|layout| world_on(centers.clone(), layout))
     }
 
     /// Every derived answer of an incremental world must equal the
@@ -2438,17 +2187,17 @@ mod tests {
                 entries,
                 (n - 1) as u64,
                 "one row refresh must materialize exactly its own pairs ({:?})",
-                w.invalidation
+                w.layout
             );
         }
     }
 
     #[test]
-    fn sparse_long_chords_register_coarsely_and_still_invalidate() {
-        // The 0–1 chord is far longer than SPARSE_REG_SPAN_CELLS base
-        // cells, so its corridor registers at a coarse level; a robot
-        // jumping into the corridor must still dirty it through the
-        // coarse-cell drain (and through the slab scan's reach reject).
+    fn sparse_long_chords_still_invalidate() {
+        // The 0–1 chord spans 50 grid cells; a robot jumping into the
+        // middle of its corridor from far away must still dirty it,
+        // through the direct slab's reach reject and the hashed slab's
+        // list.
         for mut w in sparse_worlds(vec![p(0.0, 0.0), p(200.0, 0.0), p(100.0, 50.0)]) {
             assert!(w.sees(0, 1));
             w.move_robot(2, p(100.0, 0.0));
@@ -2461,33 +2210,20 @@ mod tests {
     }
 
     #[test]
-    fn sparse_registrations_and_pending_queues_stay_bounded() {
+    fn pending_queues_stay_bounded() {
         let mut w = world_on(
             vec![p(0.0, 0.0), p(40.0, 0.0), p(20.0, 3.0)],
-            Invalidation::CellDrain,
+            SlabLayout::Hashed,
         );
         for k in 0..500 {
             let y = if k % 2 == 0 { 0.0 } else { 3.0 };
             w.move_robot(2, p(20.0, y));
             let _ = w.visible_of(0);
         }
-        let worst = w
-            .sparse
-            .regs
-            .iter()
-            .chain(&w.sparse.cert_regs)
-            .flat_map(CellMap::values)
-            .map(|r| r.refs.len())
-            .max()
-            .unwrap_or(0);
+        let worst = w.sparse.pending.iter().map(|q| q.js.len()).max().unwrap();
         assert!(
-            worst <= 2 * REGISTRATION_COMPACT_LEN,
-            "sparse registration lists must stay bounded (worst {worst})"
-        );
-        let worst_pending = w.sparse.pending.iter().map(|q| q.js.len()).max().unwrap();
-        assert!(
-            worst_pending <= 2 * REGISTRATION_COMPACT_LEN.max(w.len()),
-            "pending queues must stay bounded (worst {worst_pending})"
+            worst <= 2 * PENDING_COMPACT_LEN.max(w.len()),
+            "pending queues must stay bounded (worst {worst})"
         );
         assert_matches_scratch(&mut w);
     }
@@ -2620,19 +2356,20 @@ mod tests {
     }
 
     #[test]
-    fn fanout_seats_follow_the_plan_and_the_free_cores() {
+    fn fanout_seats_follow_the_free_cores() {
         // A 2-core host: one seat, unless both cores run sweep runs.
-        assert_eq!(fanout_seats(95, 2, 0), 1);
-        assert_eq!(fanout_seats(95, 2, 1), 1);
-        assert_eq!(fanout_seats(95, 2, 2), 0);
-        assert_eq!(fanout_seats(8, 2, 0), 1);
-        // A 64-core host: a short row draws a few helpers, not 63.
-        assert_eq!(fanout_seats(8, 64, 0), 1);
-        assert_eq!(fanout_seats(68, 64, 0), 16);
-        assert_eq!(fanout_seats(10_000, 64, 0), 63);
-        assert_eq!(fanout_seats(68, 64, 62), 2);
-        assert_eq!(fanout_seats(68, 64, 64), 0);
-        assert_eq!(fanout_seats(95, 1, 0), 0);
+        assert_eq!(fanout_seats(2, 0), 1);
+        assert_eq!(fanout_seats(2, 1), 1);
+        assert_eq!(fanout_seats(2, 2), 0);
+        // A 64-core host: one seat per core that neither a run nor the
+        // caller holds, whatever the row's length.
+        assert_eq!(fanout_seats(64, 0), 63);
+        assert_eq!(fanout_seats(64, 1), 63);
+        assert_eq!(fanout_seats(64, 62), 2);
+        assert_eq!(fanout_seats(64, 64), 0);
+        assert_eq!(fanout_seats(64, 100), 0);
+        // One core: the caller's own.
+        assert_eq!(fanout_seats(1, 0), 0);
     }
 
     #[test]
@@ -2773,7 +2510,7 @@ mod tests {
         let (i, j, k) = (0, 1, 2);
         let mut w = world_on(
             vec![p(0.0, 0.0), p(10.0, 0.0), p(5.0, 1.5)],
-            Invalidation::CellDrain,
+            SlabLayout::Hashed,
         );
         for r in 0..3 {
             let _ = w.visible_of(r);
@@ -2795,28 +2532,12 @@ mod tests {
         };
         assert_eq!((queued(&w, i, j as u32), queued(&w, j, i as u32)), (2, 2));
         let (hits, misses) = w.cache_stats();
-        let (_, regs) = w.pair_store_stats();
-        // The pair's corridor cover: what its one commit registers (no
-        // list here is long enough to be compacted).
-        let (ci, cj) = (w.center(i), w.center(j));
-        let mut cover = 0;
-        w.sites.grid.for_each_cell_near_segment_at(
-            w.sparse_reg_level(ci, cj),
-            ci,
-            cj,
-            VISIBILITY_PRUNE_RADIUS,
-            |_| {
-                cover += 1;
-                true
-            },
-        );
         let _ = w.visible_of(j);
         assert_eq!(
             w.cache_stats(),
             (hits, misses + 1),
             "row {j} recomputes once"
         );
-        assert_eq!(w.pair_store_stats(), (3, regs + cover));
         let _ = w.visible_of(i);
         assert!(w.plan.is_empty(), "row {i} has nothing left to recompute");
         assert_eq!(
@@ -2824,7 +2545,7 @@ mod tests {
             (hits, misses + 1),
             "row {i} recomputes nothing"
         );
-        assert_eq!(w.pair_store_stats(), (3, regs + cover));
+        assert_eq!(w.pair_store_stats(), (3, 0));
         let centers = w.centers().to_vec();
         for r in 0..3 {
             assert_eq!(w.visible_of(r), visible_set(r, &centers));
@@ -2886,38 +2607,88 @@ mod tests {
         dirty
     }
 
+    /// The partners the next refresh of each Looked row would plan, read
+    /// from the slab on the direct layout and from the pending queue on the
+    /// hashed one; `None` for a row never refreshed (its first refresh
+    /// plans every pair not yet clean).
+    fn next_plans(w: &World) -> Vec<Option<Vec<u32>>> {
+        let n = w.len();
+        let dirty = |i: usize, j: usize| {
+            let (a, b) = (i.min(j), i.max(j));
+            let id = match w.layout {
+                SlabLayout::Direct => Some(direct_id(a, b, n)),
+                SlabLayout::Hashed => w.sparse.ids.get(&pair_key(a, b)).copied(),
+            };
+            id.is_some_and(|id| w.sparse.slab[id as usize].dirty)
+        };
+        (0..n)
+            .map(|i| {
+                if !w.sparse.row_init[i] {
+                    return None;
+                }
+                let mut js: Vec<u32> = match w.layout {
+                    SlabLayout::Direct => (0..n as u32).filter(|&j| j as usize != i).collect(),
+                    SlabLayout::Hashed => w.sparse.pending[i].js.clone(),
+                };
+                js.sort_unstable();
+                js.dedup();
+                js.retain(|&j| dirty(i, j as usize));
+                Some(js)
+            })
+            .collect()
+    }
+
+    /// Asserts that the hashed world's list of clean uncertified pairs
+    /// holds exactly its clean uncertified pairs, each once.
+    fn assert_list_is_exact(w: &World, at: &str) {
+        let mut listed = w.sparse.uncertified.clone();
+        listed.sort_unstable();
+        let want: Vec<u32> = (0..w.sparse.slab.len() as u32)
+            .filter(|&id| {
+                let entry = &w.sparse.slab[id as usize];
+                entry.stored && !entry.dirty && !entry.certified
+            })
+            .collect();
+        assert_eq!(listed, want, "{at}: the list of clean uncertified pairs");
+    }
+
     #[test]
-    fn slab_scan_and_cell_drains_dirty_the_same_pairs_through_a_run() {
-        // Both paths replay one recorded run side by side: after every
-        // move the stored dirty pairs and every view version must agree,
-        // and so must every Look and the cache counters.
+    fn direct_and_hashed_slabs_dirty_the_same_pairs_through_a_run() {
+        // Both layouts replay one recorded run side by side: after every
+        // move and every Look the stored dirty pairs, every view version,
+        // the plan of every Looked row's next refresh and the cache and
+        // certificate counters must agree, every Look must answer alike,
+        // and the hashed world's list must hold exactly its clean
+        // uncertified pairs.
         // An n = 6 run gathers within a few hundred events: take several.
         let runs = (1..=8)
             .map(|seed| (6, seed, 6_000))
             .chain([(32, 3, 30_000)]);
         for (n, seed, events) in runs {
             let (start, steps) = random_async_trace(n, seed, events);
-            let [mut scan, mut drain] = sparse_worlds(start);
-            let (mut moves, mut dirtied) = (0, 0);
-            for step in &steps {
+            let [mut direct, mut hashed] = sparse_worlds(start);
+            let (mut moves, mut beyond, mut dirtied) = (0, 0, 0);
+            for (k, step) in steps.iter().enumerate() {
+                let at = format!("n = {n}, seed {seed}, step {k}");
                 match *step {
                     Step::Look(i) => {
-                        assert_eq!(scan.visible_of(i), drain.visible_of(i), "n = {n}: row {i}");
-                        assert_eq!(scan.cache_stats(), drain.cache_stats(), "n = {n}");
+                        assert_eq!(direct.visible_of(i), hashed.visible_of(i), "{at}: row {i}");
                     }
                     Step::Move(i, to) => {
-                        scan.move_robot(i, to);
-                        drain.move_robot(i, to);
-                        let dirty = dirty_pairs(&scan);
-                        assert_eq!(dirty, dirty_pairs(&drain), "n = {n}: move {moves}");
-                        assert_eq!(
-                            scan.view_versions, drain.view_versions,
-                            "n = {n}: move {moves}"
-                        );
+                        let drift = to.distance_sq(hashed.anchors[i]);
+                        beyond += usize::from(drift > CERT_DRIFT_RADIUS * CERT_DRIFT_RADIUS);
+                        direct.move_robot(i, to);
+                        hashed.move_robot(i, to);
                         moves += 1;
-                        dirtied += dirty.len();
+                        dirtied += dirty_pairs(&direct).len();
                     }
                 }
+                assert_eq!(dirty_pairs(&direct), dirty_pairs(&hashed), "{at}");
+                assert_eq!(direct.view_versions, hashed.view_versions, "{at}");
+                assert_eq!(next_plans(&direct), next_plans(&hashed), "{at}");
+                assert_eq!(direct.cache_stats(), hashed.cache_stats(), "{at}");
+                assert_eq!(direct.cert_stats(), hashed.cert_stats(), "{at}");
+                assert_list_is_exact(&hashed, &at);
             }
             assert!(
                 moves > 0 && dirtied > moves,
@@ -2926,136 +2697,75 @@ mod tests {
             if n == 32 {
                 assert!(moves > 1_000, "{moves} moves");
                 assert!(
-                    scan.cert_stats().1 > 0,
+                    beyond > 0 && beyond < moves,
+                    "{beyond} of {moves} moves beyond the drift radius"
+                );
+                assert!(
+                    direct.cert_stats().1 > 0,
                     "no in-drift move passed a certificate"
                 );
             }
-            assert_eq!(scan.pair_store_stats().0, drain.pair_store_stats().0);
-            assert_eq!(
-                scan.pair_store_stats().1,
-                0,
-                "n = {n}: the scan registers nothing"
-            );
-            assert_eq!(scan.cert_stats().0, drain.cert_stats().0, "n = {n}");
+            assert_eq!(direct.pair_store_stats(), hashed.pair_store_stats());
         }
-    }
-
-    /// The cells, as (level, coordinate) pairs, holding a live
-    /// registration of the pair `{a, b}`: first in the certified lists,
-    /// then in the others.
-    fn live_registrations(w: &World, a: usize, b: usize) -> [Vec<(usize, CellCoord)>; 2] {
-        let id = w.sparse.ids[&pair_key(a.min(b), a.max(b))];
-        let entry = w.sparse.slab[id as usize];
-        [&w.sparse.cert_regs, &w.sparse.regs].map(|maps| {
-            let mut cells: Vec<(usize, CellCoord)> = maps
-                .iter()
-                .enumerate()
-                .flat_map(|(level, map)| {
-                    map.iter()
-                        .filter(|(_, list)| {
-                            list.refs.iter().any(|&r| r.id == id && entry.is_current(r))
-                        })
-                        .map(move |(&cell, _)| (level, cell))
-                })
-                .collect();
-            cells.sort_unstable();
-            cells
-        })
-    }
-
-    /// `true` when the pair `{a, b}` is clean and registered in the
-    /// certified lists only.
-    fn registered_certified(w: &World, a: usize, b: usize) -> bool {
-        let [cert, other] = live_registrations(w, a, b);
-        !cert.is_empty() && other.is_empty()
     }
 
     #[test]
-    fn certified_pairs_register_coarsely_and_drain_only_beyond_the_drift_radius() {
-        // A hex patch centred on the origin, so the level-1 cell edges
-        // x = 0 and y = 0 cross it.
-        let raw = crate::init::hex(64, 2.1);
-        let n = raw.len();
-        let (sx, sy) = raw.iter().fold((0.0, 0.0), |(x, y), q| (x + q.x, y + q.y));
-        let centers: Vec<Point> = raw
-            .iter()
-            .map(|q| p(q.x - sx / n as f64, q.y - sy / n as f64))
-            .collect();
-        let mut w = world_on(centers.clone(), Invalidation::CellDrain);
-        for i in 0..n {
+    fn a_large_world_keeps_certified_pairs_clean_in_drift_and_tests_them_beyond() {
+        // A hex packing above SCAN_MAX_N robots, which takes the hashed
+        // slab. The mover goes out within its drift radius and home, then
+        // beyond it and home (each of those two resets its anchor). After
+        // each move every pair that was clean must be dirty exactly when
+        // the exact test says the move affects it — except a certified pair
+        // on an in-drift move, which stays clean — and each in-drift move
+        // counts one skip per clean certified pair.
+        let centers = crate::init::hex(2 * SCAN_MAX_N, 2.1);
+        let n = centers.len();
+        let m = n / 2;
+        let mut w = world(centers, WorldMode::Sparse);
+        assert_eq!(w.layout, SlabLayout::Hashed);
+        for i in (0..n).step_by(8).chain([m]) {
             let _ = w.visible_of(i);
         }
-        // A certified pair with a robot `k` in its corridor whose cell at
-        // the pair's registration level holds neither endpoint: only the
-        // capsule cover, not the endpoints' cells, sees `k` move.
-        let (a, b, k) = (0..n)
-            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
-            .filter(|&(a, b)| registered_certified(&w, a, b))
-            .find_map(|(a, b)| {
-                let level = w.cert_reg_level(centers[a], centers[b]);
-                let cell = |q| w.sites.grid.cell_of_at(q, level);
-                let chord = Segment::new(centers[a], centers[b]);
-                (0..n)
-                    .find(|&k| {
-                        k != a
-                            && k != b
-                            && chord.distance_to(centers[k]) <= UNIT_RADIUS
-                            && cell(centers[k]) != cell(centers[a])
-                            && cell(centers[k]) != cell(centers[b])
-                    })
-                    .map(|k| (a, b, k))
-            })
-            .expect("a certified pair with an obstacle outside its endpoints' cells");
-        // Registered on the cover of its capsule at the certified level,
-        // coarser than its chord-matched level: at most four cells.
-        let (ca, cb) = (centers[a], centers[b]);
-        let level = w.cert_reg_level(ca, cb);
-        assert!(level > w.sparse_reg_level(ca, cb), "a coarser level");
-        let mut cover = Vec::new();
-        w.sites.grid.for_each_cell_near_segment_at(
-            level,
-            ca,
-            cb,
-            VISIBILITY_PRUNE_RADIUS,
-            |cell| {
-                cover.push((level, cell));
-                true
-            },
-        );
-        cover.sort_unstable();
-        assert_eq!(live_registrations(&w, a, b)[0], cover);
-        assert!(cover.len() <= 4, "{} cells", cover.len());
-        let id = w.sparse.ids[&pair_key(a, b)] as usize;
-        let dirty = |w: &World| w.sparse.slab[id].dirty;
-        let nudge = |q: Point, d: f64| p(q.x + d, q.y - d);
-        let assert_row_matches_scratch = |w: &mut World| {
-            let mut scratch = world(w.centers().to_vec(), WorldMode::Scratch);
-            assert_eq!(w.visible_of(a), scratch.visible_of(a), "row {a}");
-        };
-        for mover in [a, k] {
-            // In-drift moves, out and home again, leave the pair clean
-            // while the drains skip its certified registrations.
-            let home = w.center(mover);
+        let home = w.center(m);
+        let nudge = |d: f64| p(home.x + d, home.y - d);
+        for to in [
+            nudge(0.6 * CERT_DRIFT_RADIUS),
+            home,
+            nudge(4.0 * CERT_DRIFT_RADIUS),
+            home,
+        ] {
+            let in_drift = to.distance_sq(w.anchors[m]) <= CERT_DRIFT_RADIUS * CERT_DRIFT_RADIUS;
+            let (before, from) = (w.centers().to_vec(), w.center(m));
+            let clean: Vec<(u32, PairEntry)> = (0..w.sparse.slab.len() as u32)
+                .map(|id| (id, w.sparse.slab[id as usize]))
+                .filter(|(_, entry)| !entry.dirty)
+                .collect();
+            let certified = clean.iter().filter(|(_, e)| e.certified).count() as u64;
             let skips = w.cert_stats().1;
-            for to in [nudge(home, 0.6 * CERT_DRIFT_RADIUS), home] {
-                w.move_robot(mover, to);
-                assert!(!dirty(&w), "an in-drift move of {mover} dirtied ({a}, {b})");
+            w.move_robot(m, to);
+            let mut affected_certified = 0;
+            for &(id, was) in &clean {
+                let (a, b) = (was.a as usize, was.b as usize);
+                let affected = affects(&before, a, b, m, from, to);
+                affected_certified += usize::from(affected && was.certified);
+                assert_eq!(
+                    w.sparse.slab[id as usize].dirty,
+                    affected && !(in_drift && was.certified),
+                    "pair ({a}, {b}), certified {}, move to {to:?}",
+                    was.certified
+                );
             }
-            assert!(w.cert_stats().1 > skips, "the drains skipped its cells");
-            assert_row_matches_scratch(&mut w);
-            assert!(registered_certified(&w, a, b));
-            // A move beyond the drift radius dirties it; the recompute
-            // answers what the oracle does. Going home recertifies it.
-            w.move_robot(mover, nudge(home, 4.0 * CERT_DRIFT_RADIUS));
             assert!(
-                dirty(&w),
-                "a beyond-drift move of {mover} left ({a}, {b}) clean"
+                affected_certified > 0,
+                "the move to {to:?} affects some certified pair"
             );
-            assert_row_matches_scratch(&mut w);
-            w.move_robot(mover, home);
-            assert!(dirty(&w), "moving {mover} home left ({a}, {b}) clean");
-            assert_row_matches_scratch(&mut w);
-            assert!(registered_certified(&w, a, b), "recertified");
+            let want_skips = skips + if in_drift { certified } else { 0 };
+            assert_eq!(w.cert_stats().1, want_skips, "move to {to:?}");
+            assert_list_is_exact(&w, &format!("move to {to:?}"));
+            let mut scratch = world(w.centers().to_vec(), WorldMode::Scratch);
+            for i in [m, m + 1] {
+                assert_eq!(w.visible_of(i), scratch.visible_of(i), "row {i}");
+            }
         }
     }
 
@@ -3125,7 +2835,7 @@ mod tests {
                 .expect("a corridor obstacle outside the window");
             let entry = |w: &World| w.sparse.slab[w.sparse.ids[&pair_key(a, b)] as usize];
             assert!(
-                registered_certified(&w, a, b),
+                entry(&w).certified && !entry(&w).dirty,
                 "{name}: the Look certifies ({a}, {b})"
             );
             w.move_robot(k, p(centers[k].x + 0.5, centers[k].y + 0.5));

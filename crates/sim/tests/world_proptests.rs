@@ -108,9 +108,9 @@ proptest! {
     }
 
     /// The tentpole invariant: the sparse world (slab-indexed pair store,
-    /// per-level corridor registrations, pending-row queues, every other
-    /// cached predicate) answers exactly like the from-scratch reference
-    /// after arbitrary randomized single-robot moves — and its view-version
+    /// the slab scan on every move, every other cached predicate) answers
+    /// exactly like the from-scratch reference after arbitrary randomized
+    /// single-robot moves — and its view-version
     /// stream honours the decision cache's contract against that
     /// reference: a robot whose version is unchanged since its previous
     /// Look has the same from-scratch visible set as then.

@@ -12,10 +12,11 @@
 //! firing in this seeded collision-free window:
 //!
 //! * `Event::Collide` carries a `Vec<RobotId>` (collisions are occasional);
-//! * in a world of more than `SCAN_MAX_N` (128) robots, a visibility-pair
-//!   recompute may register itself in a grid cell whose registration list
-//!   needs to grow (amortized by doubling); smaller worlds, this test's
-//!   included, register nothing;
+//! * in a world of more than `SCAN_MAX_N` (128) robots, a pair computed
+//!   for the first time grows the hashed pair store, and a commit or a
+//!   move may grow the list of clean uncertified pairs or a pending queue
+//!   (each amortized by doubling); smaller worlds, this test's included,
+//!   keep none of these;
 //! * a robot crossing into an empty grid cell allocates that cell's site
 //!   list when no list of an emptied cell is spare (a cell's list is kept
 //!   for reuse when its last robot leaves, so stepping out and back is
@@ -150,9 +151,8 @@ fn fanned_out_looks_stay_within_the_allocation_budget() {
     // On a single-core host no row fans out, so there is nothing to pin
     // (the n = 16 window above pins the serial refresh). The engine's own
     // loop at this n gives no exact window: its collisions (each an
-    // `Event::Collide` vector) never stop, and a random spread keeps
-    // growing registration lists for dozens of cycles; the packing
-    // settles after three.
+    // `Event::Collide` vector) never stop. The packing's buffers settle
+    // within the warm-up's cycles.
     use fatrobots::geometry::Point;
     use fatrobots::sim::world::{World, WorldMode};
 
@@ -182,8 +182,8 @@ fn fanned_out_looks_stay_within_the_allocation_budget() {
             world.visible_of_into(k, visible);
         }
     };
-    // Warm-up: first rows, then cycles until every registration list,
-    // pending queue and job buffer has reached its periodic capacity.
+    // Warm-up: first rows, then cycles until every scratch and job buffer
+    // has reached its periodic capacity.
     for i in 0..n {
         world.visible_of_into(i, &mut visible);
     }
@@ -228,12 +228,12 @@ fn robots_stepping_out_of_their_cell_and_back_do_not_allocate() {
     // in turn steps into the empty cell beside its own, which empties the
     // cell it left, and it and a watcher re-Look; then it steps back and
     // re-Looks. Each step is beyond the certificate drift radius, so it
-    // drains the mover's cells and its whole row recomputes and registers
-    // again. A site list or registration list a move empties is kept,
-    // cleared, for the next cell that gains an entry, so once every list
-    // has reached its periodic capacity the window touches the heap on
-    // this thread not once (a fan-out helper's own probe is not counted,
-    // and allocates nothing in a steady state either).
+    // tests every stored pair and its whole row recomputes. A site list a
+    // move empties is kept, cleared, for the next cell that gains a site,
+    // so once every buffer has reached its periodic capacity the window
+    // touches the heap on this thread not once (a fan-out helper's own
+    // probe is not counted, and allocates nothing in a steady state
+    // either).
     use fatrobots::geometry::Point;
     use fatrobots::sim::world::{World, WorldMode};
 
@@ -262,9 +262,8 @@ fn robots_stepping_out_of_their_cell_and_back_do_not_allocate() {
             world.visible_of_into(k, visible);
         }
     };
-    // Warm-up: first rows, then cycles until every registration list and
-    // pending queue has reached its periodic capacity (eight cycles
-    // suffice; two more for margin).
+    // Warm-up: first rows, then cycles until every buffer has reached its
+    // periodic capacity (ten cycles, with a wide margin).
     for i in 0..n {
         world.visible_of_into(i, &mut visible);
     }
